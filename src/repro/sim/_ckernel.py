@@ -1,38 +1,34 @@
-"""Optional native step kernel for the compiled engine.
+"""The native step kernel of the compiled engine.
 
-The wormhole/FBFC inner loop of :mod:`repro.sim.fastsim` is a few dozen
-integer operations per packet move; in CPython the interpreter dispatch
-around those operations dominates.  This module compiles a single-file C
-translation of that loop with the system C compiler at first use and
-loads it through :mod:`ctypes`.  The C kernel performs exactly the same
-two-phase step (arbitrate every router against cycle-start state, then
-commit every grant in discovery order) on the same flat arrays, so the
-equivalence argument of the pure-Python path carries over unchanged —
-the differential tests exercise both paths.
+:mod:`repro.sim.fastsim` lowers a design point into flat integer arrays;
+this module steps them.  It compiles a single-file C translation of the
+reference router microarchitecture with the system C compiler at first
+use and loads it through :mod:`ctypes`.  The kernel performs exactly the
+reference engine's two-phase step (arbitrate every router against
+cycle-start state, then commit every grant in discovery order) for all
+three router kinds, and it is the *only* stepping implementation outside
+the reference oracle — the cross-engine differential tests pin
+kernel == reference.
 
-Three kernel surfaces are exported:
-
-``step_noc(StepCtx*)``
-    One cycle of the wormhole/FBFC step loop.
-
-``step_vc(VcCtx*)``
-    One cycle of the dateline-VC (torus) step loop: per-router wavefront
-    allocation over the touched (input, output) pairs, round-robin VC
-    muxing, and the dateline/same-dimension VC transition rules — a
-    literal translation of ``fastsim.step_vc``.
+The exported surface is the pair of whole-phase block drivers,
 
 ``run_block_noc(StepCtx*, BlockCtx*)`` / ``run_block_vc(VcCtx*, BlockCtx*)``
-    Whole-phase drivers for batched execution: injection (replicating
-    CPython's Mersenne Twister so the timing/destination streams are
-    consumed bit-identically — see ``mt_next``), the step, ejection
-    logging, and the stall/starvation/cycle-budget watchdogs run
-    entirely in C for up to ``count`` cycles, so a batch of runs pays
-    one ctypes call per horizon instead of two Python calls per cycle.
 
-The kernel is strictly optional: when no C compiler is available, the
-compile fails, or ``REPRO_NO_CKERNEL`` is set in the environment,
-:func:`get_kernel` returns ``None`` and the compiled engine falls back
-to its pure-Python step loops (same results, lower throughput).  The
+which run up to ``count`` cycles of one phase entirely in C: injection
+(replicating CPython's Mersenne Twister so the timing/destination
+streams are consumed bit-identically — see ``mt_next``; or skipped when
+the host already injected, ``MODE_HOST``), the router step (``step_noc``
+for wormhole/FBFC, ``step_vc`` for the dateline-VC torus routers — both
+``static``), the transient-fault drop decision (the ``faults:drops``
+stream, drawn from the same C twister at the reference's draw point),
+ejection logging, and the stall/starvation/cycle-budget watchdogs.
+``ctx_sizes`` reports the C struct sizes so :func:`get_kernel` can
+refuse a library whose layout drifted from the ctypes mirrors below.
+
+The kernel is the compiled engine: when no C compiler is available, the
+compile or the layout self-check fails, or ``REPRO_NO_CKERNEL`` is set
+in the environment, :func:`get_kernel` returns ``None`` and compiled
+requests run on the reference engine (``no-native-kernel``).  The
 shared object lives in a process-lifetime temporary directory; nothing
 is installed.
 """
@@ -151,18 +147,19 @@ class VcCtx(ctypes.Structure):
 class BlockCtx(ctypes.Structure):
     """Mirror of the C ``BlockCtx``: one batched run's phase driver.
 
-    ``t_mt``/``d_mt`` are CPython Mersenne Twister states (624 words +
-    the output index, exactly ``random.Random.getstate()[1]``) for the
-    timing and destination streams.  ``st`` is the 12-slot ``int64``
-    counter block shared with the Python side: cycle, occupancy,
-    injected total/measured, delivered total/measured, idle cycles,
-    starved cycles, packet count, ejection-log length, stop code, and
-    cycles ran this block.
+    ``t_mt``/``d_mt``/``x_mt`` are CPython Mersenne Twister states (624
+    words + the output index, exactly ``random.Random.getstate()[1]``)
+    for the timing, destination and ``faults:drops`` streams.  ``st`` is
+    the 14-slot ``int64`` counter block shared with the Python side:
+    cycle, occupancy, injected total/measured, delivered total/measured,
+    idle cycles, starved cycles, packet count, ejection-log length, stop
+    code, cycles ran this block, and dropped total/measured.
     """
 
     _fields_ = [
         ("t_mt", _U32P),
         ("d_mt", _U32P),
+        ("x_mt", _U32P),
         ("rate", ctypes.c_double),
         ("n", ctypes.c_int32),
         ("mode", ctypes.c_int32),
@@ -187,6 +184,13 @@ class BlockCtx(ctypes.Structure):
         # and `trcur` the per-source cursor into it.
         ("trace", _I32P),
         ("trcur", _I32P),
+        # transient faults: `fmap[router * 9 + out]` is the fault index
+        # on that link (-1 = healthy; NULL = no transient faults at
+        # all), `fprob[k]` its drop probability and `fwin[2k..2k+1]`
+        # its active `[start, end)` cycle window.
+        ("fmap", _I32P),
+        ("fwin", _I32P),
+        ("fprob", ctypes.POINTER(ctypes.c_double)),
     ]
 
 
@@ -203,7 +207,15 @@ ST_NPK = 8
 ST_NEJLOG = 9
 ST_STOP = 10
 ST_RAN = 11
-ST_LEN = 12
+ST_DROP_TOTAL = 12
+ST_DROP_MEAS = 13
+ST_LEN = 14
+
+# BlockCtx.mode: who supplies each cycle's injections.
+MODE_TABLE = 0  # per-source destination table (deterministic patterns)
+MODE_UNIFORM = 1  # builtin uniform-random, drawn from d_mt
+MODE_TRACE = 2  # trace replay
+MODE_HOST = 3  # already injected by the Python side before the block
 
 # Stop codes written to st[ST_STOP] by the block drivers.
 STOP_BUDGET = 0  # ran `count` cycles
@@ -240,7 +252,7 @@ typedef struct {
 } VcCtx;
 
 typedef struct {
-    uint32_t *t_mt, *d_mt;
+    uint32_t *t_mt, *d_mt, *x_mt;
     double rate;
     int32_t n, mode, ubits, count, measured, drain;
     int32_t stall_window, starve_window;
@@ -251,7 +263,12 @@ typedef struct {
     int32_t *ejlog;
     const int32_t *trace;
     int32_t *trcur;
+    const int32_t *fmap, *fwin;
+    const double *fprob;
 } BlockCtx;
+
+#define ST_LEN 14
+#define MODE_HOST 3
 
 /* CPython's Mersenne Twister (_randommodule.c genrand_uint32), operating
  * on the 625-word state random.Random.getstate()[1] hands out: 624 state
@@ -308,19 +325,46 @@ static int32_t mt_below(uint32_t *mt, int32_t nmax, int32_t kbits)
     return (int32_t)r;
 }
 
+/* The transient-fault drop decision for packet `pid`, just popped
+ * toward link `lk` (= router * 9 + output).  Drawn exactly where the
+ * reference engine draws it — after the pop, before the link count and
+ * the sink/forward — so both engines consume the faults:drops stream in
+ * the same (commit) order; an active fault draws even at probability 0.
+ * Returns 1, with the loss accounted in st[], when the packet dies on
+ * the wires.
+ */
+static int drop_flit(BlockCtx *b, int lk, int pid)
+{
+    if (!b->fmap)
+        return 0;
+    const int k = b->fmap[lk];
+    if (k < 0)
+        return 0;
+    const int64_t cycle = b->st[0];
+    if (cycle < b->fwin[2 * k] || cycle >= b->fwin[2 * k + 1])
+        return 0;
+    if (!(mt_random(b->x_mt) < b->fprob[k]))
+        return 0;
+    b->st[1]--;
+    b->st[12]++;
+    if (b->pmeas[pid])
+        b->st[13]++;
+    return 1;
+}
+
 /* One network cycle for the wormhole / FBFC router kinds.
  *
  * Phase 1 arbitrates every output of every occupied router against
  * cycle-start queue state (request masks over candidate positions,
  * rotating round-robin winner, downstream space gate — free slot for
  * wormhole, per-entry bubble need for FBFC).  Phase 2 commits the
- * grants in discovery order: router ascending, output ascending.  Both
- * phases are literal translations of the pure-Python step loops in
- * repro.sim.fastsim; the pointer trajectories and commit order are
- * identical by construction.  Returns the number of grants; ejected
- * packet ids are written to ej/nej for the caller to score.
+ * grants in discovery order: router ascending, output ascending —
+ * the reference engine's arbitrate-all-then-commit-all step, so the
+ * pointer trajectories and commit order are identical by construction.
+ * Returns the number of grants (dropped ones included); ejected packet
+ * ids are written to ej/nej for the caller to score.
  */
-int step_noc(StepCtx *c)
+static int step_noc(StepCtx *c, BlockCtx *b)
 {
     const int32_t R = c->R, depth = c->depth, fbfc = c->fbfc;
     const int32_t *qoff = c->qoff, *qcap = c->qcap;
@@ -402,6 +446,8 @@ int step_noc(StepCtx *c)
         qhead[sq] = h;
         qlen[sq]--;
         c->occ[r]--;
+        if (o && drop_flit(b, ro, pid))
+            continue;
         if (c->track_links && o)
             c->link[ro]++;
         const int d = c->dn[ro];
@@ -431,10 +477,9 @@ int step_noc(StepCtx *c)
  * (rotating priority, input ascending within a diagonal), grant
  * greedily against the input/output free masks with round-robin VC
  * muxing, then commit all grants in discovery order applying the
- * dateline / same-dimension / new-dimension VC transition.  A literal
- * translation of fastsim.step_vc.
+ * dateline / same-dimension / new-dimension VC transition.
  */
-int step_vc(VcCtx *c)
+static int step_vc(VcCtx *c, BlockCtx *b)
 {
     const int32_t R = c->R, depth = c->depth, nvc = c->nvc, n = c->n;
     const int32_t *qoff = c->qoff, *qcap = c->qcap;
@@ -554,6 +599,8 @@ int step_vc(VcCtx *c)
         const int f = c->feed[r * 5 + i];
         if (f >= 0 && qlen[sq] >= depth - 1)
             c->dirty[f] = 1;
+        if (o && drop_flit(b, r * 9 + o, pid))
+            continue;
         if (c->track_links && o)
             c->link[r * 9 + o]++;
         const int code = c->dn[ro];
@@ -593,21 +640,21 @@ int step_vc(VcCtx *c)
  * Each call runs up to b->count cycles of one phase (warmup, measure,
  * or drain — blocks never span phases, so b->measured and b->drain are
  * per-block constants): the injection round (timing draw, destination
- * draw or table lookup, FIFO push), the router step, the ejection log,
- * and the stall/starvation/cycle-budget watchdogs — all in the exact
- * order of fastsim's inject_round()/tick().  Counters live in the
- * 12-slot int64 st[] block (see the Python-side ST_* constants); the
- * stop code tells the caller why the block ended:
+ * draw or table lookup, FIFO push — skipped when the host injected
+ * already, MODE_HOST), the router step, the ejection log, and the
+ * stall/starvation/cycle-budget watchdogs — all in the exact order of
+ * the reference run loop.  Counters live in the ST_LEN-slot int64 st[]
+ * block (see the Python-side ST_* constants); the stop code tells the
+ * caller why the block ended:
  *   0 budget exhausted, 1 stall trip, 2 starvation trip, 3 drained,
  *   6 max_cycles trip.
  * On a watchdog/budget trip the loop breaks BEFORE the cycle counter
  * increments, matching the reference raise points.
  */
-static int inject_block(void *sctx, VcCtx *vc, BlockCtx *b)
+static void inject_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
 {
-    /* Injection round shared by both drivers; sctx is the StepCtx when
-     * vc is NULL, else unused. */
-    StepCtx *sc = (StepCtx *)sctx;
+    /* Injection round shared by both drivers; sc is NULL when vc is
+     * set, and vice versa. */
     const int n = b->n;
     const int measured = b->measured;
     const int64_t cycle = b->st[0];
@@ -676,7 +723,6 @@ static int inject_block(void *sctx, VcCtx *vc, BlockCtx *b)
         if (measured)
             b->st[3]++;
     }
-    return 0;
 }
 
 static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
@@ -687,8 +733,9 @@ static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
     int32_t ran = 0;
     int stop = 0;
     while (ran < b->count) {
-        inject_block(sc, vc, b);
-        const int moved = vc ? step_vc(vc) : step_noc(sc);
+        if (b->mode != MODE_HOST)
+            inject_block(sc, vc, b);
+        const int moved = vc ? step_vc(vc, b) : step_noc(sc, b);
         const int ne = *nejp;
         for (int k = 0; k < ne; k++) {
             const int pid = ej[k];
@@ -727,7 +774,7 @@ static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
             stop = 6;
             break;
         }
-        if (b->drain && st[5] >= b->target) {
+        if (b->drain && st[5] + st[13] >= b->target) {
             stop = 3;
             break;
         }
@@ -746,6 +793,16 @@ int run_block_vc(VcCtx *vc, BlockCtx *b)
 {
     return run_block((StepCtx *)0, vc, b);
 }
+
+/* Struct sizes and the st[] length this library was compiled with, for
+ * the loader's layout self-check against the ctypes mirrors. */
+void ctx_sizes(int32_t out[4])
+{
+    out[0] = (int32_t)sizeof(StepCtx);
+    out[1] = (int32_t)sizeof(VcCtx);
+    out[2] = (int32_t)sizeof(BlockCtx);
+    out[3] = ST_LEN;
+}
 """
 
 _lib: Optional[ctypes.CDLL] = None
@@ -758,10 +815,11 @@ def get_kernel() -> Optional[ctypes.CDLL]:
     """The loaded step kernel, building it on first call.
 
     Returns ``None`` when ``REPRO_NO_CKERNEL`` is set, no working C
-    compiler is on ``PATH``, or the build/load fails for any reason —
-    callers then use the pure-Python step.  A failure is cached as a
-    negative result (one :class:`RuntimeWarning`, never a rebuild
-    attempt per run), so a broken toolchain costs one compiler
+    compiler is on ``PATH``, the build/load fails for any reason, or
+    the library's struct layout disagrees with the ctypes mirrors —
+    compiled requests then run on the reference engine.  A failure is
+    cached as a negative result (one :class:`RuntimeWarning`, never a
+    rebuild attempt per run), so a broken toolchain costs one compiler
     invocation per process, not one per simulation.
     """
     global _lib, _tried, _tmpdir
@@ -784,10 +842,18 @@ def get_kernel() -> Optional[ctypes.CDLL]:
             timeout=120,
         )
         lib = ctypes.CDLL(out)
-        lib.step_noc.argtypes = [ctypes.POINTER(StepCtx)]
-        lib.step_noc.restype = ctypes.c_int
-        lib.step_vc.argtypes = [ctypes.POINTER(VcCtx)]
-        lib.step_vc.restype = ctypes.c_int
+        lib.ctx_sizes.argtypes = [ctypes.POINTER(ctypes.c_int32)]
+        lib.ctx_sizes.restype = None
+        theirs = (ctypes.c_int32 * 4)()
+        lib.ctx_sizes(theirs)
+        ours = [ctypes.sizeof(t) for t in (StepCtx, VcCtx, BlockCtx)]
+        ours.append(ST_LEN)
+        if list(theirs) != ours:
+            raise RuntimeError(
+                f"struct layout mismatch: C sizeof(StepCtx, VcCtx, "
+                f"BlockCtx), ST_LEN = {list(theirs)}, ctypes mirrors = "
+                f"{ours}"
+            )
         lib.run_block_noc.argtypes = [
             ctypes.POINTER(StepCtx),
             ctypes.POINTER(BlockCtx),
@@ -803,8 +869,8 @@ def get_kernel() -> Optional[ctypes.CDLL]:
         _lib = None
         warnings.warn(
             f"native step kernel unavailable ({type(exc).__name__}: "
-            f"{exc}); the compiled engine will use its pure-Python "
-            f"loops for this process",
+            f"{exc}); compiled-engine requests will run on the "
+            f"reference engine for this process",
             RuntimeWarning,
             stacklevel=2,
         )

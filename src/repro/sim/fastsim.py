@@ -7,7 +7,9 @@ point into flat preallocated integer structures once — per-port FIFO
 queues of packet ids, route tables indexed ``(node, dest) -> output
 port``, packed per-packet records (destination index, inject cycle,
 measured bit) — and steps the whole network with tight loops over those
-structures.  The lowering is *compiled by extraction*: a throwaway
+structures — the native kernel in :mod:`repro.sim._ckernel`, the one
+stepping implementation outside the reference oracle.  The lowering is
+*compiled by extraction*: a throwaway
 reference :class:`~repro.sim.network.Network` is built once per config
 and its wiring (candidate lists, arbitration plans, downstream targets)
 is copied out, which guarantees the compiled network is wired
@@ -40,24 +42,38 @@ extraction network is built *with* the schedule, so killed channels are
 never wired and the packed route tables come straight from
 :class:`~repro.core.routing.FaultAwareTableRouting`'s BFS tables
 (``-1`` marks states a packet can never occupy).  Transient drop faults
-replay the reference's ``faults:drops`` stream inside the commit loop,
-at the exact point the reference engine draws it.  The forward-progress
-watchdog stays a cheap in-loop stall counter; only on a trip is the
-flat queue state rehydrated into a reference-style network to capture a
-full :class:`~repro.sim.watchdog.DeadlockSnapshot`.  Constraint: the
-native step kernel cannot draw from Python's Mersenne RNG, so runs with
-*transient* faults always take the pure-Python step loops (permanent
-faults keep the kernel — masked ports are just absent table entries).
+are a per-link ``(prob, start, end)`` table handed to the kernel, which
+replays the reference's ``faults:drops`` stream from its own copy of
+CPython's Mersenne Twister inside the commit loop, at the exact point
+the reference engine draws it.  The forward-progress watchdog stays a
+cheap in-kernel stall counter; only on a trip is the flat queue state
+rehydrated into a reference-style network to capture a full
+:class:`~repro.sim.watchdog.DeadlockSnapshot`.
+
+One executor
+------------
+:func:`run_compiled` and :func:`run_compiled_batch` share one run
+object (:class:`_BatchRun`: one arena layout, one ctypes fill, one
+ejection replay, one watchdog rehydration, one metrics finaliser).  A
+batch steps many runs in whole-phase kernel blocks with in-kernel
+injection; a serial call is a batch of one whose injection round runs
+on the host in Python (any registered pattern, dead-router skip,
+unreachable-destination discard, wall-clock polling), followed by a
+one-cycle kernel block.
 
 What falls back
 ---------------
 Runs the compiler cannot prove equivalent are transparently delegated to
 the reference engine (the returned result then reports
-``engine == "reference"``): ``audit_every`` tripwires, plugin topology
-components, non-builtin routing/router/allocator types, edge-memory
-endpoints, multi-cycle (pipelined) channels, and fault-aware rerouting
-on the VC/FBFC torus routers (which the reference engine rejects with
-the same :class:`~repro.errors.ConfigError`).
+``engine == "reference"``): hosts without the native kernel (no C
+compiler, ``REPRO_NO_CKERNEL`` — reference is the executable spec, so
+there is no second Python stepping semantics to fall back to),
+``audit_every`` tripwires, routings or router/allocator types the
+tabulators cannot lower, edge-memory endpoints, multi-cycle (pipelined)
+channels, and fault-aware rerouting on the VC/FBFC torus routers (which
+the reference engine rejects with the same
+:class:`~repro.errors.ConfigError`).  :func:`lowering_problems` names
+the exact reason for any design point.
 """
 
 from __future__ import annotations
@@ -120,21 +136,6 @@ __all__ = [
 #: reference engine so budget overruns trip on the same cycle).
 _WALL_CHECK_EVERY = 256
 
-#: Input / output port and diagonal decodings for a flat 5x5 VC request
-#: index (``idx = in_port * 5 + out_port``); _DIAG5 is the wavefront
-#: step on which the allocator visits the pair when its priority is 0.
-_I5 = tuple(idx // 5 for idx in range(25))
-_O5 = tuple(idx % 5 for idx in range(25))
-_DIAG5 = tuple((idx // 5 + idx % 5) % 5 for idx in range(25))
-
-#: _WF_KEYS[priority][idx] orders flat request indices exactly as the
-#: wavefront allocator visits them for that priority: diagonal first,
-#: then input port ascending within a diagonal.
-_WF_KEYS = tuple(
-    tuple(((_DIAG5[idx] - b) % 5) * 5 + _I5[idx] for idx in range(25))
-    for b in range(5)
-)
-
 #: Routing algorithms whose route functions the compiler knows how to
 #: tabulate.  Exact-type matches only: a subclass may override behavior
 #: the tables would not capture, so it falls back.
@@ -177,9 +178,10 @@ class _Unsupported(Exception):
 class _CompiledModel:
     """Immutable per-config lowering shared by every run of that config.
 
-    Holds only static tables (wiring, routes, candidate lists); all
-    mutable simulation state (queues, pointers, counters) is allocated
-    fresh per run by :func:`_execute`.
+    Holds only static tables (wiring, routes, candidate lists), already
+    flattened into the int32 arrays the native kernel reads; all mutable
+    simulation state (queues, pointers, counters) is allocated fresh per
+    run by :class:`_BatchRun`.
     """
 
     __slots__ = (
@@ -190,25 +192,10 @@ class _CompiledModel:
         "n",
         "depth",
         "num_vcs",
-        "subnet_tab",
+        "subnet_tab",  # int32 array (n * n), multimesh only
         "reachable",
-        # wormhole / fbfc
-        "in_lists",
-        "posmaps",
-        "plans",
-        "feeders",
-        "route_rows",
-        # vc
-        "ports",
-        "out_tab",
-        "vcn_tab",
-        "dl_tab",
-        "same_dim",
-        "vc_wiring",
-        # lazily-built flat tables for the native step kernel
-        "carrays",
-        "cvarrays",
-        "csubnet",
+        "in_ports",  # per router: its wired input ports, ascending
+        "tables",  # _CArrays (wormhole / fbfc) or _VcArrays (vc)
     )
 
 
@@ -222,6 +209,16 @@ _MISSING = object()
 _COMPILE_CACHE: Dict[
     Tuple, Union[_CompiledModel, LoweringDiagnostic]
 ] = {}
+
+
+def _routing_faults(faults: Any) -> Any:
+    """``faults`` when it changes the route tables, else ``None``.
+
+    Transient-only schedules share the healthy compiled model (and the
+    healthy rehydration network): the wiring is unchanged and drops
+    happen at run time.
+    """
+    return faults if faults is not None and faults.affects_routing else None
 
 
 def clear_compile_caches() -> None:
@@ -328,9 +325,6 @@ def _build_model(
     model = _CompiledModel()
     model.kind = kind
     model.config = config
-    model.carrays = None
-    model.cvarrays = None
-    model.csubnet = None
     # Mirrors the reference engine's getattr: only the fault-aware
     # tables expose reachability, and only faulted runs consult it.
     model.reachable = getattr(routing, "reachable", None)
@@ -351,13 +345,14 @@ def _build_model(
 
     nsub = 2 if isinstance(routing, _ParitySubnetRouting) else 1
     if nsub == 2:
-        n = model.n
-        tab = [0] * (n * n)
-        for s, src in enumerate(nodes):
-            base = s * n
-            for d, dest in enumerate(nodes):
-                tab[base + d] = routing.injection_subnet(src, dest)
-        model.subnet_tab = tab
+        model.subnet_tab = array(
+            "i",
+            (
+                routing.injection_subnet(src, dest)
+                for src in nodes
+                for dest in nodes
+            ),
+        )
     else:
         model.subnet_tab = None
 
@@ -367,18 +362,26 @@ def _build_model(
                 "unsupported-routing",
                 f"no VC tabulation for routing {type(routing).__name__}",
             )
-        _extract_vc(model, net, routers)
-        _tabulate_vc_routes(model, routing)
+        wiring, feeders, same_dim = _extract_vc(model, routers)
+        out_tab, vcn_tab, dl_tab = _tabulate_vc_routes(model, routing)
+        model.tables = _vc_arrays(
+            model, wiring, feeders, same_dim, out_tab, vcn_tab, dl_tab
+        )
     else:
-        _extract_wormhole(model, net, routers, fbfc=(kind == "fbfc"))
+        posmaps, plans = _extract_wormhole(
+            model, routers, fbfc=(kind == "fbfc")
+        )
         if type(routing) is FaultAwareTableRouting:
-            _tabulate_fault_routes(model, routing)
+            route_rows = _tabulate_fault_routes(model, routing)
         elif type(routing) in _SUPPORTED_ROUTINGS:
             # Exact builtin types keep their closed-form tabulation
             # (bit-identical rows, no graph walk).
-            _tabulate_wormhole_routes(model, routing, nsub)
+            route_rows = _tabulate_wormhole_routes(model, routing, nsub)
         else:
-            _tabulate_generic_routes(model, net, routing, nsub)
+            route_rows = _tabulate_generic_routes(
+                model, net, routing, nsub
+            )
+        model.tables = _c_arrays(model.n, posmaps, plans, route_rows)
     return model
 
 
@@ -400,9 +403,9 @@ def _sink_or_direct(router, o: int) -> Optional[Tuple[int, int]]:
     raise _Unsupported("pipelined-link", "pipelined link on an output")
 
 
-def _extract_wormhole(model, net, routers, *, fbfc: bool) -> None:
-    in_lists, posmaps, plans, feeders = [], [], [], []
-    feeder_of: Dict[Tuple[int, int], int] = {}
+def _extract_wormhole(model, routers, *, fbfc: bool) -> Tuple[List, List]:
+    """Set ``model.in_ports``; return per-router ``(posmaps, plans)``."""
+    in_lists, posmaps, plans = [], [], []
     for r, router in enumerate(routers):
         in_lists.append(router._in_list)
         posmaps.append(router._posmap)
@@ -414,7 +417,6 @@ def _extract_wormhole(model, net, routers, *, fbfc: bool) -> None:
                 sink = True
             else:
                 down_r, down_in = wired
-                feeder_of[(down_r, down_in)] = r
                 sink = False
             needs = (
                 tuple(router._entry_need[o][i] for i in cands)
@@ -422,22 +424,14 @@ def _extract_wormhole(model, net, routers, *, fbfc: bool) -> None:
                 else None
             )
             entries.append((o, cands, nc, sink, down_r, down_in, needs))
-        plans.append(tuple(entries))
-    for r in range(len(routers)):
-        feeders.append(
-            tuple(feeder_of.get((r, i), -1) for i in range(NUM_DIRS))
-        )
-    model.in_lists = tuple(in_lists)
-    model.posmaps = tuple(posmaps)
-    model.plans = tuple(plans)
-    model.feeders = tuple(feeders)
+        plans.append(entries)
+    model.in_ports = tuple(in_lists)
     model.num_vcs = 1
-    model.ports = None
-    model.out_tab = model.vcn_tab = model.dl_tab = None
-    model.same_dim = model.vc_wiring = None
+    return posmaps, plans
 
 
-def _extract_vc(model, net, routers) -> None:
+def _extract_vc(model, routers) -> Tuple[List, List, List]:
+    """Set ``model.in_ports``; return ``(wiring, feeders, same_dim)``."""
     config = model.config
     ports, wiring, feeders = [], [], []
     feeder_of: Dict[Tuple[int, int], int] = {}
@@ -469,9 +463,7 @@ def _extract_vc(model, net, routers) -> None:
                 for i in range(VCRouter.NUM_PORTS)
             )
         )
-    model.ports = tuple(ports)
-    model.vc_wiring = tuple(wiring)
-    model.feeders = tuple(feeders)
+    model.in_ports = tuple(ports)
     model.num_vcs = num_vcs
     # same_dim[in_port * 5 + out_port], exactly as TorusDOR.route_vc
     # evaluates it for the five mesh ports.  An injection-port input is
@@ -486,12 +478,10 @@ def _extract_vc(model, net, routers) -> None:
                 sd.append(False)
             else:
                 sd.append((i in horiz) == (o in horiz))
-    model.same_dim = tuple(sd)
-    model.in_lists = model.posmaps = model.plans = None
-    model.route_rows = None
+    return wiring, feeders, sd
 
 
-def _tabulate_wormhole_routes(model, routing, nsub: int) -> None:
+def _tabulate_wormhole_routes(model, routing, nsub: int) -> List:
     """Per-node route rows, one shared row per input-equivalence class.
 
     ``route(node, in_dir, dest, subnet)`` depends on ``in_dir`` only
@@ -521,10 +511,10 @@ def _tabulate_wormhole_routes(model, routing, nsub: int) -> None:
         route_rows.append(
             tuple(cls_rows[cls_of_in[i]] for i in range(NUM_DIRS))
         )
-    model.route_rows = tuple(route_rows)
+    return route_rows
 
 
-def _tabulate_fault_routes(model, routing) -> None:
+def _tabulate_fault_routes(model, routing) -> List:
     """Per-(node, input) route rows from the fault-aware BFS tables.
 
     Unlike the DOR algorithms, :class:`FaultAwareTableRouting` keys its
@@ -557,10 +547,10 @@ def _tabulate_fault_routes(model, routing) -> None:
             row = by_state.get((r, i), blank)
             per_in.append(interned.setdefault(tuple(row), row))
         route_rows.append(tuple(per_in))
-    model.route_rows = tuple(route_rows)
+    return route_rows
 
 
-def _tabulate_generic_routes(model, net, routing, nsub: int) -> None:
+def _tabulate_generic_routes(model, net, routing, nsub: int) -> List:
     """Per-(node, input) route rows for any routing, walked over the IR.
 
     The generic lowering behind plugin routings and the 3-D packs: each
@@ -620,10 +610,10 @@ def _tabulate_generic_routes(model, net, routing, nsub: int) -> None:
             row = by_state.get((r, i), blank)
             per_in.append(interned.setdefault(tuple(row), row))
         route_rows.append(tuple(per_in))
-    model.route_rows = tuple(route_rows)
+    return route_rows
 
 
-def _tabulate_vc_routes(model, routing) -> None:
+def _tabulate_vc_routes(model, routing) -> Tuple[List, List, List]:
     """Decompose ``route_vc`` into (output, non-same-dim VC, dateline).
 
     The output port is a pure function of ``(node, dest)`` (taken
@@ -671,23 +661,30 @@ def _tabulate_vc_routes(model, routing) -> None:
         out_tab.append(out_row)
         vcn_tab.append(vcn_row)
         dl_tab.append(dl_row)
-    model.out_tab = tuple(out_tab)
-    model.vcn_tab = tuple(vcn_tab)
-    model.dl_tab = tuple(dl_tab)
+    return out_tab, vcn_tab, dl_tab
 
 
 # ----------------------------------------------------------------------
-# Native-kernel lowering (wormhole / fbfc only)
+# Native-kernel lowering
 # ----------------------------------------------------------------------
-#: array typecodes must match the kernel's int32/int64 fields exactly.
-_ARRAYS_OK = array("i").itemsize == 4 and array("q").itemsize == 8
+#: array typecodes must match the kernel's int32/int64/uint32 fields.
+_ARRAYS_OK = (
+    array("i").itemsize == 4
+    and array("q").itemsize == 8
+    and array("I").itemsize == 4
+)
+
+
+def _native_kernel() -> Any:
+    """The loaded kernel library, or ``None`` (see ``no-native-kernel``)."""
+    return _ckernel.get_kernel() if _ARRAYS_OK else None
 
 
 class _CArrays:
-    """Flat int32 tables handed to the native step kernel.
+    """Flat int32 tables handed to the native wormhole/FBFC step.
 
-    Same content as the per-router ``plans`` / ``posmaps`` /
-    ``route_rows`` structures, re-laid-out as contiguous arrays indexed
+    The extracted per-router arbitration plans and position maps and
+    the tabulated route rows, re-laid-out as contiguous arrays indexed
     by flat (router, port) ids; built once per compiled model.
     """
 
@@ -700,25 +697,17 @@ def _ptr32(a: array):
     return ctypes.cast(a.buffer_info()[0], ctypes.POINTER(ctypes.c_int32))
 
 
-def _ptr64(a: array):
-    return ctypes.cast(a.buffer_info()[0], ctypes.POINTER(ctypes.c_int64))
-
-
-def _c_arrays(model: _CompiledModel) -> _CArrays:
-    ca = model.carrays
-    if ca is not None:
-        return ca
-    R = model.n
+def _c_arrays(R: int, posmaps, plans, route_rows) -> _CArrays:
     nq = R * NUM_DIRS
-    dn = [-1] * nq
-    ncv = [0] * nq
-    cands_f = [0] * (nq * NUM_DIRS)
-    needs_f = [0] * (nq * NUM_DIRS)
-    pm_f: List[int] = []
+    dn = array("i", [-1]) * nq
+    ncv = array("i", [0]) * nq
+    cands_f = array("i", [0]) * (nq * NUM_DIRS)
+    needs_f = array("i", [0]) * (nq * NUM_DIRS)
+    pm_f = array("i")
     for r in range(R):
-        pm_f.extend(model.posmaps[r])
+        pm_f.extend(posmaps[r])
         rb = r * NUM_DIRS
-        for o, cands, nc, sink, down_r, down_in, needs in model.plans[r]:
+        for o, cands, nc, sink, down_r, down_in, needs in plans[r]:
             ro = rb + o
             ncv[ro] = nc
             dn[ro] = -1 if sink else down_r * NUM_DIRS + down_in
@@ -732,12 +721,12 @@ def _c_arrays(model: _CompiledModel) -> _CArrays:
     # input-equivalence class); dedupe by identity so the kernel's rows
     # table stays one copy per class.
     row_index: Dict[int, int] = {}
-    rows_f: List[int] = []
-    rowof = [0] * nq
+    rows_f = array("i")
+    rowof = array("i", [0]) * nq
     for r in range(R):
         rb = r * NUM_DIRS
         for i in range(NUM_DIRS):
-            row = model.route_rows[r][i]
+            row = route_rows[r][i]
             idx = row_index.get(id(row))
             if idx is None:
                 idx = len(row_index)
@@ -745,25 +734,24 @@ def _c_arrays(model: _CompiledModel) -> _CArrays:
                 rows_f.extend(row)
             rowof[rb + i] = idx
     ca = _CArrays()
-    ca.dn = array("i", dn)
-    ca.ncv = array("i", ncv)
-    ca.cands = array("i", cands_f)
-    ca.pm = array("i", pm_f)
-    ca.needs = array("i", needs_f)
-    ca.rowof = array("i", rowof)
-    ca.rows = array("i", rows_f)
-    ca.rowlen = len(model.route_rows[0][0])
-    model.carrays = ca
+    ca.dn = dn
+    ca.ncv = ncv
+    ca.cands = cands_f
+    ca.pm = pm_f
+    ca.needs = needs_f
+    ca.rowof = rowof
+    ca.rows = rows_f
+    ca.rowlen = len(route_rows[0][0])
     return ca
 
 
 class _VcArrays:
-    """Flat int32 tables handed to the native dateline-VC kernel.
+    """Flat int32 tables handed to the native dateline-VC step.
 
-    Same content as the per-router ``ports`` / ``vc_wiring`` /
-    ``feeders`` / route-table structures, re-laid-out as contiguous
-    arrays indexed by flat ``(router, port)`` ids (stride 5) and flat
-    ``(router, dest)`` route rows; built once per compiled model.
+    Per-router port lists, downstream wiring and feeders re-laid-out as
+    contiguous arrays indexed by flat ``(router, port)`` ids (stride 5),
+    plus flat ``(router, dest)`` route/VC/dateline rows and the 5x5
+    same-dimension predicate; built once per compiled model.
     """
 
     __slots__ = (
@@ -771,1169 +759,36 @@ class _VcArrays:
     )
 
 
-def _vc_arrays(model: _CompiledModel) -> _VcArrays:
-    va = model.cvarrays
-    if va is not None:
-        return va
+def _vc_arrays(
+    model: _CompiledModel,
+    wiring, feeders, same_dim, out_tab, vcn_tab, dl_tab,
+) -> _VcArrays:
     R = model.n
     nports = VCRouter.NUM_PORTS
-    plist: List[int] = []
-    pofs = [0] * R
-    pcnt = [0] * R
+    va = _VcArrays()
+    va.plist = array("i")
+    va.pofs = array("i")
+    va.pcnt = array("i")
+    for ports in model.in_ports:
+        va.pofs.append(len(va.plist))
+        va.plist.extend(ports)
+        va.pcnt.append(len(ports))
+    va.dn = array("i", [-1]) * (R * nports)
     for r in range(R):
-        pofs[r] = len(plist)
-        plist.extend(model.ports[r])
-        pcnt[r] = len(model.ports[r])
-    dn = [-1] * (R * nports)
-    for r in range(R):
-        for o, wired in enumerate(model.vc_wiring[r]):
+        for o, wired in enumerate(wiring[r]):
             if wired:  # (down_r, down_in); () sink marker stays -1
                 down_r, down_in = wired
-                dn[r * nports + o] = down_r * nports + down_in
-    feed = [
-        model.feeders[r][i] for r in range(R) for i in range(nports)
-    ]
-    out_f: List[int] = []
-    vcn_f: List[int] = []
-    dl_f: List[int] = []
+                va.dn[r * nports + o] = down_r * nports + down_in
+    va.feed = array("i", (f for per_router in feeders for f in per_router))
+    va.out = array("i")
+    va.vcn = array("i")
+    va.dl = array("i")
     for r in range(R):
-        out_f.extend(model.out_tab[r])
-        vcn_f.extend(model.vcn_tab[r])
-        dl_f.extend(model.dl_tab[r])
-    va = _VcArrays()
-    va.plist = array("i", plist)
-    va.pofs = array("i", pofs)
-    va.pcnt = array("i", pcnt)
-    va.dn = array("i", dn)
-    va.feed = array("i", feed)
-    va.out = array("i", out_f)
-    va.vcn = array("i", vcn_f)
-    va.dl = array("i", dl_f)
-    va.sd = array("i", [1 if f else 0 for f in model.same_dim])
-    model.cvarrays = va
+        va.out.extend(out_tab[r])
+        va.vcn.extend(vcn_tab[r])
+        va.dl.extend(dl_tab[r])
+    va.sd = array("i", (1 if f else 0 for f in same_dim))
     return va
-
-
-def _c_subnet(model: _CompiledModel) -> Optional[array]:
-    """The flat subnet table as an int32 array (multimesh only)."""
-    if model.subnet_tab is None:
-        return None
-    tab = model.csubnet
-    if tab is None:
-        tab = model.csubnet = array("i", model.subnet_tab)
-    return tab
-
-
-def _deadlock_error(
-    target: Any,
-    faults: Optional[FaultSchedule],
-    kind: str,
-    window: int,
-    cycle: int,
-    occupancy: int,
-    nodes: Sequence[Coord],
-    n: int,
-    subnet_tab: Any,
-    psrc: Sequence[int],
-    pinj: Sequence[int],
-    pmeas: Sequence[Any],
-    pdest: Sequence[int],
-    pbase: Sequence[int],
-    fill: Any,
-) -> DeadlockError:
-    """Build the reference-identical ``DeadlockError`` for a tripped run.
-
-    Shared by the serial engine and the batch scheduler: rebuilds the
-    object-model network, replays every buffered packet into it via the
-    caller-supplied ``fill(routers, mk)`` callback, and lets the
-    watchdog's snapshot machinery produce the same forensic report a
-    reference run would have raised.
-    """
-    from repro.sim.packet import Packet
-    from repro.sim.watchdog import capture_snapshot
-
-    model_faults = (
-        faults if faults is not None and faults.affects_routing else None
-    )
-    net = build_network(_extraction_target(target), faults=model_faults)
-    routers = [net.routers[coord] for coord in nodes]
-
-    def mk(pid: int) -> Any:
-        return Packet(
-            pid,
-            nodes[psrc[pid]],
-            nodes[pdest[pid]],
-            pinj[pid],
-            subnet=(pbase[pid] // n) if subnet_tab else 0,
-            measured=bool(pmeas[pid]),
-        )
-
-    fill(routers, mk)
-    net.cycle = cycle
-    net.occupancy = occupancy
-    snapshot = capture_snapshot(net, kind, window)
-    verb, noun = (
-        ("moved", "deadlock") if kind == "stall" else ("ejected", "livelock")
-    )
-    return DeadlockError(
-        f"no packet {verb} for {window} cycles with {occupancy} "
-        f"packets in flight: {noun} [{snapshot.summary()}]",
-        snapshot=snapshot,
-    )
-
-
-# ----------------------------------------------------------------------
-# Execution
-# ----------------------------------------------------------------------
-def _execute(
-    model: _CompiledModel,
-    config: NetworkConfig,
-    pattern: str,
-    rate: float,
-    *,
-    warmup: int,
-    measure: int,
-    drain_limit: int,
-    seed: int,
-    track_per_source: bool,
-    keep_samples: bool,
-    track_links: bool,
-    faults: Any,
-    target: Union[NetworkConfig, NetworkSpec],
-    watchdog: Optional[WatchdogConfig],
-    max_cycles: Optional[int],
-    max_wall_seconds: Optional[float],
-):
-    from repro.sim.simulator import RunResult
-
-    nodes = model.nodes
-    node_index = model.node_index
-    n = model.n
-    R = n
-    depth = model.depth
-    subnet_tab = model.subnet_tab
-    is_vc = model.kind == "vc"
-    is_fbfc = model.kind == "fbfc"
-    has_faults = faults is not None and faults.has_faults
-    transient = faults.transient if faults is not None else ()
-    # Every router kind has a native step translation (see _ckernel);
-    # the pure-Python loops below remain the no-compiler fallback and
-    # the executable specification the kernel is checked against.
-    # Transient faults force the Python loops: the drop decision draws
-    # from Python's Mersenne stream mid-commit, which the kernel cannot
-    # replicate (permanent faults keep the kernel — they are static
-    # table state).
-    kernel = (
-        _ckernel.get_kernel()
-        if _ARRAYS_OK and not transient
-        else None
-    )
-    use_c = kernel is not None and not is_vc
-    use_c_vc = kernel is not None and is_vc
-    # Post-pop queue length at/above which the pop changed something the
-    # upstream feeder's arbitration can observe (and so must re-run):
-    # wormhole/VC read only the full/not-full gate (pre-pop == depth);
-    # FBFC compares free space against entry needs of up to 2.
-    dfull = depth - 2 if is_fbfc else depth - 1
-
-    dest_fn = build_pattern(pattern, config)
-    timing_random = derive_rng(seed, "timing").random  # rng: shared
-    dest_rng = derive_rng(seed, "dest")  # rng: shared
-
-    # Mirrors the reference engine's degraded-injection discipline bit
-    # for bit: dead routers never draw from the timing stream, and a
-    # destination the fault-aware tables cannot reach is discarded
-    # *after* the healthy pattern consumed its dest-stream draw.
-    if has_faults:
-        dead = faults.dead_routers
-        src_list: Tuple[Tuple[int, Any], ...] = tuple(
-            (s, src) for s, src in enumerate(nodes) if src not in dead
-        )
-        reachable = model.reachable
-        if reachable is not None:
-            healthy_fn = dest_fn
-
-            def dest_fn(src, rng):  # noqa: F811 - degraded wrapper
-                dest = healthy_fn(src, rng)
-                if dest is None or not reachable(src, dest):
-                    return None
-                return dest
-    else:
-        src_list = tuple(enumerate(nodes))
-
-    if transient:
-        drop_rnd = faults.make_drop_rng().random
-        # trans[r * NUM_DIRS + out] -> the TransientLinkFault (or None),
-        # consulted in commit order — which both engines share — so the
-        # inline draws consume the faults:drops stream identically.
-        trans: Optional[List[Any]] = [None] * (R * NUM_DIRS)
-        for tf in transient:
-            trans[node_index[tf.src] * NUM_DIRS + int(tf.direction)] = tf
-    else:
-        drop_rnd = None
-        trans = None
-
-    wd = watchdog if watchdog is not None else WatchdogConfig()
-    stall_window = wd.stall_window
-    starvation_window = wd.starvation_window
-
-    # -- mutable per-run state -----------------------------------------
-    # Per-packet records, indexed by pid (appended at injection).
-    pdest: List[int] = []
-    pinj: List[int] = []
-    pmeas: List[bool] = []
-    psrc: List[int] = []
-    pout: List[int] = []
-    pbase: List[int] = []  # wormhole/fbfc: subnet * n (route-row offset)
-    povc: List[int] = []  # vc: the VC assigned at the current router
-
-    occ = [0] * R
-    dirty = bytearray([1]) * R
-    hop_counts = [0] * NUM_DIRS
-    link_flat = [0] * (R * NUM_DIRS) if track_links else None
-    per_src: Optional[Dict[int, LatencyStats]] = (
-        {} if track_per_source else None
-    )
-    samples: Optional[List[int]] = [] if keep_samples else None
-
-    occupancy = 0
-    delivered_total = 0
-    delivered_measured = 0
-    injected_total = 0
-    injected_measured = 0
-    dropped_total = 0
-    dropped_measured = 0
-    lat_count = 0
-    lat_total = 0
-    lat_total_sq = 0
-    lat_min: Optional[int] = None
-    lat_max: Optional[int] = None
-    cycle = 0
-    idle_cycles = 0
-    starved_cycles = 0
-
-    if use_c_vc:
-        num_vcs = model.num_vcs
-        nports = VCRouter.NUM_PORTS
-        ports = model.ports
-        out_tab = model.out_tab
-        vcn_tab = model.vcn_tab
-        dl_tab = model.dl_tab
-        va = _vc_arrays(model)
-        # Flat lane ids: (r * 5 + in_port) * num_vcs + lane; the P
-        # injection port owns a single lane (mirroring the reference's
-        # one injection FIFO), capped by the injection-round count.
-        nl = R * nports * num_vcs
-        inj_cap = warmup + measure + drain_limit + 2
-        qcap_l = [0] * nl
-        qoff_l = [0] * nl
-        off = 0
-        for r in range(R):
-            for i in ports[r]:
-                lb = (r * nports + i) * num_vcs
-                nlanes = 1 if i == P_IDX else num_vcs
-                for lane in range(nlanes):
-                    qcap_l[lb + lane] = inj_cap if i == P_IDX else depth
-                    qoff_l[lb + lane] = off
-                    off += qcap_l[lb + lane]
-        buf_a = array("i", bytes(4 * off))
-        qoff_a = array("i", qoff_l)
-        qcap_a = array("i", qcap_l)
-        qhead_a = array("i", bytes(4 * nl))
-        qlen_a = array("i", bytes(4 * nl))
-        vc_rr_a = array("i", bytes(4 * R * nports))
-        prio_a = array("i", bytes(4 * R))
-        occ_a = array("i", bytes(4 * R))
-        dirty_a = array("i", [1] * R)
-        hop_a = array("q", bytes(8 * NUM_DIRS))
-        link_a = array(
-            "q", bytes(8 * (R * NUM_DIRS if track_links else 1))
-        )
-        gsq_a = array("i", bytes(4 * R * nports))
-        gro_a = array("i", bytes(4 * R * nports))
-        ej_a = array("i", bytes(4 * R))
-        nej_a = array("i", bytes(4))
-        pk_cap = 4096
-        pdest_a = array("i", bytes(4 * pk_cap))
-        pout_a = array("i", bytes(4 * pk_cap))
-        povc_a = array("i", bytes(4 * pk_cap))
-        npk = 0
-        vctx = _ckernel.VcCtx()
-        vctx.R = R
-        vctx.depth = depth
-        vctx.nvc = num_vcs
-        vctx.track_links = 1 if track_links else 0
-        vctx.n = n
-        vctx.plist = _ptr32(va.plist)
-        vctx.pofs = _ptr32(va.pofs)
-        vctx.pcnt = _ptr32(va.pcnt)
-        vctx.dn = _ptr32(va.dn)
-        vctx.feed = _ptr32(va.feed)
-        vctx.out_tab = _ptr32(va.out)
-        vctx.vcn_tab = _ptr32(va.vcn)
-        vctx.dl_tab = _ptr32(va.dl)
-        vctx.sd = _ptr32(va.sd)
-        vctx.buf = _ptr32(buf_a)
-        vctx.qoff = _ptr32(qoff_a)
-        vctx.qcap = _ptr32(qcap_a)
-        vctx.qhead = _ptr32(qhead_a)
-        vctx.qlen = _ptr32(qlen_a)
-        vctx.vc_rr = _ptr32(vc_rr_a)
-        vctx.prio = _ptr32(prio_a)
-        vctx.occ = _ptr32(occ_a)
-        vctx.dirty = _ptr32(dirty_a)
-        vctx.pout = _ptr32(pout_a)
-        vctx.povc = _ptr32(povc_a)
-        vctx.pdest = _ptr32(pdest_a)
-        vctx.hop = _ptr64(hop_a)
-        vctx.link = _ptr64(link_a)
-        vctx.gsq = _ptr32(gsq_a)
-        vctx.gro = _ptr32(gro_a)
-        vctx.ej = _ptr32(ej_a)
-        vctx.nej = _ptr32(nej_a)
-    elif is_vc:
-        num_vcs = model.num_vcs
-        nports = VCRouter.NUM_PORTS
-        ports = model.ports
-        out_tab = model.out_tab
-        vcn_tab = model.vcn_tab
-        dl_tab = model.dl_tab
-        same_dim = model.same_dim
-        feeders = model.feeders
-        lanes: List[List[Optional[List[List[int]]]]] = []
-        for r in range(R):
-            row: List[Optional[List[List[int]]]] = [None] * nports
-            for i in ports[r]:
-                row[i] = (
-                    [[]]
-                    if i == P_IDX
-                    else [[] for _ in range(num_vcs)]
-                )
-            lanes.append(row)
-        # Flat per-router scan list over every input lane, in the
-        # reference's request order (port order, lanes ascending).
-        qlists = tuple(
-            tuple(
-                (i, lane, lanes[r][i][lane], i * nports)
-                for i in ports[r]
-                for lane in range(len(lanes[r][i]))
-            )
-            for r in range(R)
-        )
-        # Per-output bindings: the downstream lane list for space checks
-        # and the commit tuple (down router, down input x 5, lanes,
-        # route/vc/dateline rows) — ``None`` = ejection into the sink.
-        space_lanes: List[List[Optional[List[List[int]]]]] = []
-        commit_to: List[List[Optional[Tuple]]] = []
-        for r in range(R):
-            srow: List[Optional[List[List[int]]]] = [None] * nports
-            crow: List[Optional[Tuple]] = [None] * nports
-            for o, wired in enumerate(model.vc_wiring[r]):
-                if wired:  # (down_r, down_in); () is the sink marker
-                    down_r, down_in = wired
-                    dlanes = lanes[down_r][down_in]
-                    srow[o] = dlanes
-                    crow[o] = (
-                        down_r,
-                        down_in * nports,
-                        dlanes,
-                        out_tab[down_r],
-                        vcn_tab[down_r],
-                        dl_tab[down_r],
-                    )
-            space_lanes.append(srow)
-            commit_to.append(crow)
-        candmasks = [[0] * (nports * nports) for _ in range(R)]
-        vc_rr = [[0] * nports for _ in range(R)]
-        prio = [0] * R
-    elif use_c:
-        in_lists = model.in_lists
-        route_rows = model.route_rows
-        ca = _c_arrays(model)
-        nq = R * NUM_DIRS
-        # Ring-buffer capacities: an injection (P) queue is unbounded in
-        # the reference engine, but one source can enqueue at most one
-        # packet per injection round, so the round count is a hard cap.
-        inj_cap = warmup + measure + drain_limit + 2
-        qcap_l = [0] * nq
-        qoff_l = [0] * nq
-        off = 0
-        for r in range(R):
-            rb = r * NUM_DIRS
-            for i in in_lists[r]:
-                qcap_l[rb + i] = inj_cap if i == P_IDX else depth
-                qoff_l[rb + i] = off
-                off += qcap_l[rb + i]
-        buf_a = array("i", bytes(4 * off))
-        qoff_a = array("i", qoff_l)
-        qcap_a = array("i", qcap_l)
-        qhead_a = array("i", bytes(4 * nq))
-        qlen_a = array("i", bytes(4 * nq))
-        arb_a = array("i", bytes(4 * nq))
-        occ_a = array("i", bytes(4 * R))
-        hop_a = array("q", bytes(8 * NUM_DIRS))
-        link_a = array(
-            "q", bytes(8 * (nq if track_links else 1))
-        )
-        gsq_a = array("i", bytes(4 * nq))
-        gro_a = array("i", bytes(4 * nq))
-        ej_a = array("i", bytes(4 * R))
-        nej_a = array("i", bytes(4))
-        pk_cap = 4096
-        pdest_a = array("i", bytes(4 * pk_cap))
-        pbase_a = array("i", bytes(4 * pk_cap))
-        pout_a = array("i", bytes(4 * pk_cap))
-        npk = 0
-        ctx = _ckernel.StepCtx()
-        ctx.R = R
-        ctx.depth = depth
-        ctx.fbfc = 1 if is_fbfc else 0
-        ctx.track_links = 1 if track_links else 0
-        ctx.rowlen = ca.rowlen
-        ctx.dn = _ptr32(ca.dn)
-        ctx.ncv = _ptr32(ca.ncv)
-        ctx.cands = _ptr32(ca.cands)
-        ctx.pm = _ptr32(ca.pm)
-        ctx.needs = _ptr32(ca.needs)
-        ctx.rowof = _ptr32(ca.rowof)
-        ctx.rows = _ptr32(ca.rows)
-        ctx.buf = _ptr32(buf_a)
-        ctx.qoff = _ptr32(qoff_a)
-        ctx.qcap = _ptr32(qcap_a)
-        ctx.qhead = _ptr32(qhead_a)
-        ctx.qlen = _ptr32(qlen_a)
-        ctx.arb = _ptr32(arb_a)
-        ctx.occ = _ptr32(occ_a)
-        ctx.pout = _ptr32(pout_a)
-        ctx.pbase = _ptr32(pbase_a)
-        ctx.pdest = _ptr32(pdest_a)
-        ctx.hop = _ptr64(hop_a)
-        ctx.link = _ptr64(link_a)
-        ctx.gsq = _ptr32(gsq_a)
-        ctx.gro = _ptr32(gro_a)
-        ctx.ej = _ptr32(ej_a)
-        ctx.nej = _ptr32(nej_a)
-    else:
-        in_lists = model.in_lists
-        posmaps = model.posmaps
-        feeders = model.feeders
-        route_rows = model.route_rows
-        qs: List[List[Optional[List[int]]]] = []
-        for r in range(R):
-            row: List[Optional[List[int]]] = [None] * NUM_DIRS
-            for i in in_lists[r]:
-                row[i] = []
-            qs.append(row)
-        # Requests are maintained incrementally rather than rescanned:
-        # reqmasks[r][o] holds one bit per candidate position whose
-        # queue head currently wants output o, and romasks[r] is the
-        # bitmask of outputs with any requester.  A queue's head only
-        # changes on a pop or a push-to-empty, so the commit loop (and
-        # injection) are the only writers.  Plan entries bind everything
-        # a grant's commit needs: the downstream queue, route row,
-        # posmap, and request mask.
-        reqmasks = [[0] * NUM_DIRS for _ in range(R)]
-        romasks = [0] * R
-        arbs = [[0] * NUM_DIRS for _ in range(R)]
-        pents: List[List[Optional[Tuple]]] = [
-            [None] * NUM_DIRS for _ in range(R)
-        ]
-        for r in range(R):
-            for o, cands, nc, sink, down_r, down_in, needs in model.plans[r]:
-                if sink:
-                    pents[r][o] = (
-                        o, cands, nc, True, None, -1, None, needs, None, -1,
-                        None,
-                    )
-                else:
-                    pents[r][o] = (
-                        o,
-                        cands,
-                        nc,
-                        False,
-                        qs[down_r][down_in],
-                        down_r,
-                        route_rows[down_r][down_in],
-                        needs,
-                        posmaps[down_r],
-                        down_in,
-                        reqmasks[down_r],
-                    )
-
-    # -- injection ------------------------------------------------------
-    if use_c:
-        def inject_round(measured: bool) -> None:
-            nonlocal injected_total, injected_measured, occupancy
-            nonlocal npk, pk_cap
-            rnd = timing_random
-            nidx = node_index
-            cyc = cycle
-            st = subnet_tab
-            qh = qhead_a
-            ql = qlen_a
-            bf = buf_a
-            rr = model.route_rows
-            for s, src in src_list:
-                if rnd() < rate:
-                    dest = dest_fn(src, dest_rng)
-                    if dest is None:
-                        continue
-                    d = nidx[dest]
-                    pid = npk
-                    if pid >= pk_cap:
-                        zeros = bytes(4 * pk_cap)
-                        pdest_a.frombytes(zeros)
-                        pbase_a.frombytes(zeros)
-                        pout_a.frombytes(zeros)
-                        pk_cap *= 2
-                        ctx.pdest = _ptr32(pdest_a)
-                        ctx.pbase = _ptr32(pbase_a)
-                        ctx.pout = _ptr32(pout_a)
-                    npk = pid + 1
-                    base = st[s * n + d] * n if st else 0
-                    pdest_a[pid] = d
-                    pbase_a[pid] = base
-                    pout_a[pid] = rr[s][0][base + d]
-                    pinj.append(cyc)
-                    pmeas.append(measured)
-                    psrc.append(s)
-                    qi = s * NUM_DIRS
-                    tail = qh[qi] + ql[qi]
-                    if tail >= inj_cap:
-                        tail -= inj_cap
-                    bf[qoff_l[qi] + tail] = pid
-                    ql[qi] += 1
-                    occ_a[s] += 1
-                    occupancy += 1
-                    injected_total += 1
-                    if measured:
-                        injected_measured += 1
-    elif use_c_vc:
-        def inject_round(measured: bool) -> None:
-            nonlocal injected_total, injected_measured, occupancy
-            nonlocal npk, pk_cap
-            rnd = timing_random
-            nidx = node_index
-            cyc = cycle
-            qh = qhead_a
-            ql = qlen_a
-            bf = buf_a
-            for s, src in src_list:
-                if rnd() < rate:
-                    dest = dest_fn(src, dest_rng)
-                    if dest is None:
-                        continue
-                    d = nidx[dest]
-                    pid = npk
-                    if pid >= pk_cap:
-                        zeros = bytes(4 * pk_cap)
-                        pdest_a.frombytes(zeros)
-                        pout_a.frombytes(zeros)
-                        povc_a.frombytes(zeros)
-                        pk_cap *= 2
-                        vctx.pdest = _ptr32(pdest_a)
-                        vctx.pout = _ptr32(pout_a)
-                        vctx.povc = _ptr32(povc_a)
-                    npk = pid + 1
-                    pdest_a[pid] = d
-                    pout_a[pid] = out_tab[s][d]
-                    povc_a[pid] = 1 if dl_tab[s][d] else vcn_tab[s][d]
-                    pinj.append(cyc)
-                    pmeas.append(measured)
-                    psrc.append(s)
-                    qi = s * nports * num_vcs  # P port, lane 0
-                    tail = qh[qi] + ql[qi]
-                    if tail >= inj_cap:
-                        tail -= inj_cap
-                    bf[qoff_l[qi] + tail] = pid
-                    ql[qi] += 1
-                    occ_a[s] += 1
-                    dirty_a[s] = 1
-                    occupancy += 1
-                    injected_total += 1
-                    if measured:
-                        injected_measured += 1
-    else:
-        if is_vc:
-            inj_q = tuple(lanes[s][0][0] for s in range(R))
-        else:
-            inj_q = tuple(qs[s][0] for s in range(R))
-
-    def _inject_round_py(measured: bool) -> None:
-        nonlocal injected_total, injected_measured, occupancy
-        rnd = timing_random
-        nidx = node_index
-        pd = pdest
-        cyc = cycle
-        dirty_l = dirty
-        occ_l = occ
-        for s, src in src_list:
-            if rnd() < rate:
-                dest = dest_fn(src, dest_rng)
-                if dest is None:
-                    continue
-                d = nidx[dest]
-                pid = len(pd)
-                pd.append(d)
-                pinj.append(cyc)
-                pmeas.append(measured)
-                psrc.append(s)
-                if is_vc:
-                    pout.append(out_tab[s][d])
-                    povc.append(1 if dl_tab[s][d] else vcn_tab[s][d])
-                    inj_q[s].append(pid)
-                else:
-                    base = subnet_tab[s * n + d] * n if subnet_tab else 0
-                    pbase.append(base)
-                    out = route_rows[s][0][base + d]
-                    pout.append(out)
-                    q = inj_q[s]
-                    q.append(pid)
-                    if len(q) == 1:  # new head: raise its request
-                        pos = posmaps[s][out * NUM_DIRS]
-                        if pos >= 0:
-                            rq = reqmasks[s]
-                            if not rq[out]:
-                                romasks[s] |= 1 << out
-                            rq[out] |= 1 << pos
-                occ_l[s] += 1
-                dirty_l[s] = 1
-                occupancy += 1
-                injected_total += 1
-                if measured:
-                    injected_measured += 1
-
-    if not use_c and not use_c_vc:
-        inject_round = _inject_round_py
-
-    # -- one cycle (two-phase: arbitrate all, then commit all) ----------
-    def deliver(pid: int) -> None:
-        nonlocal occupancy, delivered_total, delivered_measured
-        nonlocal lat_count, lat_total, lat_total_sq, lat_min, lat_max
-        occupancy -= 1
-        delivered_total += 1
-        if pmeas[pid]:
-            delivered_measured += 1
-            lat = cycle - pinj[pid]
-            lat_count += 1
-            lat_total += lat
-            lat_total_sq += lat * lat
-            if lat_min is None or lat < lat_min:
-                lat_min = lat
-            if lat_max is None or lat > lat_max:
-                lat_max = lat
-            if samples is not None:
-                samples.append(lat)
-            if per_src is not None:
-                stats = per_src.get(psrc[pid])
-                if stats is None:
-                    stats = per_src[psrc[pid]] = LatencyStats()
-                stats.add(lat)
-
-    def _commit_wh(moves) -> int:
-        # Commits the granted moves and maintains the incremental
-        # request state: clear the popped head's request, raise the new
-        # head's (pop side) and a freshly-headed downstream queue's
-        # (push side), and wake the upstream feeder only when the pop
-        # actually changed what its arbitration can see (queue was full
-        # for wormhole, free space within the largest entry need for
-        # FBFC).
-        nonlocal occupancy, dropped_total, dropped_measured
-        ejections = 0
-        pout_l = pout
-        pbase_l = pbase
-        pdest_l = pdest
-        dirty_l = dirty
-        occ_l = occ
-        hop_l = hop_counts
-        lf = link_flat
-        tr = trans
-        for r, i, q, entry in moves:
-            pid = q.pop(0)
-            occ_l[r] -= 1
-            dirty_l[r] = 1
-            o = entry[0]
-            pm = posmaps[r]
-            rq = reqmasks[r]
-            nm = rq[o] & ~(1 << pm[o * NUM_DIRS + i])
-            rq[o] = nm
-            if not nm:
-                romasks[r] &= ~(1 << o)
-            if q:
-                pid2 = q[0]
-                o2 = pout_l[pid2]
-                pos2 = pm[o2 * NUM_DIRS + i]
-                if pos2 >= 0:
-                    if not rq[o2]:
-                        romasks[r] |= 1 << o2
-                    rq[o2] |= 1 << pos2
-            f = feeders[r][i]
-            if f >= 0 and len(q) >= dfull:
-                dirty_l[f] = 1
-            if tr is not None and o:
-                tf = tr[r * NUM_DIRS + o]
-                if (
-                    tf is not None
-                    and tf.active(cycle)
-                    and drop_rnd() < tf.drop_prob
-                ):
-                    occupancy -= 1
-                    dropped_total += 1
-                    if pmeas[pid]:
-                        dropped_measured += 1
-                    continue
-            if lf is not None and o:
-                lf[r * NUM_DIRS + o] += 1
-            if entry[3]:  # sink
-                ejections += 1
-                deliver(pid)
-            else:
-                hop_l[o] += 1
-                out2 = entry[6][pbase_l[pid] + pdest_l[pid]]
-                pout_l[pid] = out2
-                dq = entry[4]
-                dq.append(pid)
-                dr = entry[5]
-                occ_l[dr] += 1
-                dirty_l[dr] = 1
-                if len(dq) == 1:  # new head: raise its request
-                    pos = entry[8][out2 * NUM_DIRS + entry[9]]
-                    if pos >= 0:
-                        drq = entry[10]
-                        if not drq[out2]:
-                            romasks[dr] |= 1 << out2
-                        drq[out2] |= 1 << pos
-        return ejections
-
-    def step_wormhole() -> Tuple[int, int]:
-        moves = []
-        append = moves.append
-        dirty_l = dirty
-        dep = depth
-        for r in range(R):
-            if not dirty_l[r]:
-                continue
-            dirty_l[r] = 0
-            om = romasks[r]
-            if not om:
-                continue
-            arb_r = arbs[r]
-            pent = pents[r]
-            rq = reqmasks[r]
-            qs_r = qs[r]
-            while om:
-                b = om & -om
-                om -= b
-                o = b.bit_length() - 1
-                entry = pent[o]
-                dq = entry[4]
-                if dq is not None and len(dq) >= dep:
-                    continue
-                m = rq[o]
-                nc = entry[2]
-                pos = arb_r[o]
-                while not (m >> pos) & 1:
-                    pos += 1
-                    if pos >= nc:
-                        pos = 0
-                arb_r[o] = pos + 1 if pos + 1 < nc else 0
-                i = entry[1][pos]
-                append((r, i, qs_r[i], entry))
-        return len(moves), _commit_wh(moves)
-
-    def step_fbfc() -> Tuple[int, int]:
-        moves = []
-        append = moves.append
-        dirty_l = dirty
-        dep = depth
-        for r in range(R):
-            if not dirty_l[r]:
-                continue
-            dirty_l[r] = 0
-            om = romasks[r]
-            if not om:
-                continue
-            arb_r = arbs[r]
-            pent = pents[r]
-            rq = reqmasks[r]
-            qs_r = qs[r]
-            while om:
-                b = om & -om
-                om -= b
-                o = b.bit_length() - 1
-                entry = pent[o]
-                dq = entry[4]
-                if dq is None:
-                    free = dep  # ejection is never a ring entry
-                else:
-                    free = dep - len(dq)
-                    if free <= 0:
-                        continue
-                m = rq[o]
-                nc = entry[2]
-                needs = entry[7]
-                ptr = arb_r[o]
-                for k in range(nc):
-                    pos = ptr + k
-                    if pos >= nc:
-                        pos -= nc
-                    if (m >> pos) & 1 and free >= needs[pos]:
-                        arb_r[o] = pos + 1 if pos + 1 < nc else 0
-                        i = entry[1][pos]
-                        append((r, i, qs_r[i], entry))
-                        break
-        return len(moves), _commit_wh(moves)
-
-    def step_vc() -> Tuple[int, int]:
-        nonlocal occupancy, dropped_total, dropped_measured
-        moves = []
-        append = moves.append
-        pout_l = pout
-        povc_l = povc
-        dirty_l = dirty
-        occ_l = occ
-        dep = depth
-        nvc = num_vcs
-        nvc2 = nvc == 2
-        i5 = _I5
-        o5 = _O5
-        wf_keys = _WF_KEYS
-        for r in range(R):
-            if not dirty_l[r]:
-                continue
-            dirty_l[r] = 0
-            if not occ_l[r]:
-                continue
-            sl_r = space_lanes[r]
-            cm = candmasks[r]
-            touched = []
-            for i, lane, q, ib in qlists[r]:
-                if not q:
-                    continue
-                pid = q[0]
-                o = pout_l[pid]
-                sl = sl_r[o]
-                if sl is not None and len(sl[povc_l[pid]]) >= dep:
-                    continue
-                idx = ib + o
-                if not cm[idx]:
-                    touched.append(idx)
-                cm[idx] |= 1 << lane
-            if not touched:
-                continue
-            # Wavefront allocation over the requesting pairs only:
-            # sorting the touched (input, output) pairs by the diagonal
-            # the allocator would visit them on (then input ascending)
-            # and granting greedily against the free masks reproduces
-            # WavefrontAllocator.allocate's grant order exactly —
-            # without sweeping all 25 slots — because only requesting
-            # pairs can grant and their visit order is preserved.
-            base_p = prio[r]
-            prio[r] = base_p + 1 if base_p < 4 else 0
-            if len(touched) > 1:
-                touched.sort(key=wf_keys[base_p].__getitem__)
-            vc_rr_r = vc_rr[r]
-            lanes_r = lanes[r]
-            ct_r = commit_to[r]
-            in_free = 31
-            out_free = 31
-            for idx in touched:
-                mask = cm[idx]
-                cm[idx] = 0
-                i = i5[idx]
-                if not (in_free >> i) & 1:
-                    continue
-                o = o5[idx]
-                if not (out_free >> o) & 1:
-                    continue
-                in_free &= ~(1 << i)
-                out_free &= ~(1 << o)
-                if nvc2:
-                    # 2-VC mux: {1,2} -> that lane, 3 -> the round-robin
-                    # preferred lane; rotation flips the pointer.
-                    best = vc_rr_r[i] if mask == 3 else mask - 1
-                    vc_rr_r[i] = 1 - best
-                else:
-                    if mask & (mask - 1):
-                        ptr = vc_rr_r[i]
-                        best = 0
-                        best_key = nvc
-                        lane = 0
-                        while mask:
-                            if mask & 1:
-                                key = lane - ptr
-                                if key < 0:
-                                    key += nvc
-                                if key < best_key:
-                                    best_key = key
-                                    best = lane
-                            mask >>= 1
-                            lane += 1
-                    else:
-                        best = mask.bit_length() - 1
-                    vc_rr_r[i] = best + 1 if best + 1 < nvc else 0
-                append((r, i, lanes_r[i][best], o, ct_r[o]))
-        ejections = 0
-        pdest_l = pdest
-        hop_l = hop_counts
-        sd = same_dim
-        lf = link_flat
-        tr = trans
-        for r, i, q, o, ct in moves:
-            pid = q.pop(0)
-            occ_l[r] -= 1
-            dirty_l[r] = 1
-            f = feeders[r][i]
-            if f >= 0 and len(q) >= dfull:  # lane was full: gate reopens
-                dirty_l[f] = 1
-            if tr is not None and o:
-                tf = tr[r * NUM_DIRS + o]
-                if (
-                    tf is not None
-                    and tf.active(cycle)
-                    and drop_rnd() < tf.drop_prob
-                ):
-                    occupancy -= 1
-                    dropped_total += 1
-                    if pmeas[pid]:
-                        dropped_measured += 1
-                    continue
-            if lf is not None and o:
-                lf[r * NUM_DIRS + o] += 1
-            if ct is None:  # sink
-                ejections += 1
-                deliver(pid)
-            else:
-                hop_l[o] += 1
-                down_r, di5, dlanes, out_row, vcn_row, dl_row = ct
-                d = pdest_l[pid]
-                out2 = out_row[d]
-                avc = povc_l[pid]
-                if dl_row[d]:
-                    v2 = 1
-                elif sd[di5 + out2]:
-                    v2 = avc
-                else:
-                    v2 = vcn_row[d]
-                pout_l[pid] = out2
-                povc_l[pid] = v2
-                dlanes[avc].append(pid)
-                occ_l[down_r] += 1
-                dirty_l[down_r] = 1
-        return len(moves), ejections
-
-    if use_c:
-        step_fn = kernel.step_noc
-        ctx_ref = ctypes.byref(ctx)
-
-        def step_c() -> Tuple[int, int]:
-            moved = step_fn(ctx_ref)
-            ne = nej_a[0]
-            if ne:
-                ej = ej_a
-                for k in range(ne):
-                    deliver(ej[k])
-            return moved, ne
-
-        step = step_c
-    elif use_c_vc:
-        vstep_fn = kernel.step_vc
-        vctx_ref = ctypes.byref(vctx)
-
-        def step_c_vc() -> Tuple[int, int]:
-            moved = vstep_fn(vctx_ref)
-            ne = nej_a[0]
-            if ne:
-                ej = ej_a
-                for k in range(ne):
-                    deliver(ej[k])
-            return moved, ne
-
-        step = step_c_vc
-    else:
-        step = (
-            step_vc if is_vc else (step_fbfc if is_fbfc else step_wormhole)
-        )
-    deadline = (
-        time.monotonic() + max_wall_seconds  # det: allow - wall budget
-        if max_wall_seconds is not None
-        else None
-    )
-
-    def _deadlock(kind: str, window: int) -> DeadlockError:
-        # Slow path, entered at most once per run: rebuild the reference
-        # object model, replay every buffered packet into it, and let the
-        # watchdog's snapshot machinery produce the same forensic report
-        # a reference run would have raised.
-        pd = pdest_a if use_c or use_c_vc else pdest
-        pb = pbase_a if use_c else pbase
-
-        def fill(routers: List[Any], mk: Any) -> None:
-            if use_c_vc:
-                for r in range(R):
-                    for i in ports[r]:
-                        for lane in range(1 if i == P_IDX else num_vcs):
-                            qi = (r * nports + i) * num_vcs + lane
-                            off = qoff_l[qi]
-                            cap = qcap_l[qi]
-                            head = qhead_a[qi]
-                            for k in range(qlen_a[qi]):
-                                routers[r].accept(
-                                    mk(buf_a[off + (head + k) % cap]),
-                                    i,
-                                    lane,
-                                )
-            elif is_vc:
-                for r in range(R):
-                    for i, lane, q, _ib in qlists[r]:
-                        for pid in q:
-                            routers[r].accept(mk(pid), i, lane)
-            elif use_c:
-                for r in range(R):
-                    for i in in_lists[r]:
-                        qi = r * NUM_DIRS + i
-                        off = qoff_l[qi]
-                        cap = qcap_l[qi]
-                        head = qhead_a[qi]
-                        for k in range(qlen_a[qi]):
-                            routers[r].accept(
-                                mk(buf_a[off + (head + k) % cap]), i
-                            )
-            else:
-                for r in range(R):
-                    for i in in_lists[r]:
-                        for pid in qs[r][i]:
-                            routers[r].accept(mk(pid), i)
-
-        return _deadlock_error(
-            target,
-            faults,
-            kind,
-            window,
-            cycle,
-            occupancy,
-            nodes,
-            n,
-            subnet_tab,
-            psrc,
-            pinj,
-            pmeas,
-            pd,
-            pb,
-            fill,
-        )
-
-    def tick() -> None:
-        nonlocal cycle, idle_cycles, starved_cycles
-        moved, ejections = step()
-        if moved:
-            idle_cycles = 0
-        elif occupancy:
-            idle_cycles += 1
-            if idle_cycles >= stall_window:
-                raise _deadlock("stall", idle_cycles)
-        if starvation_window is not None:
-            if ejections or not occupancy:
-                starved_cycles = 0
-            else:
-                starved_cycles += 1
-                if starved_cycles >= starvation_window:
-                    raise _deadlock("starvation", starved_cycles)
-        cycle += 1
-        if max_cycles is not None and cycle >= max_cycles:
-            raise SimulationTimeout(
-                f"run exceeded its {max_cycles}-cycle budget "
-                f"({occupancy} packets still in flight)"
-            )
-        if deadline is not None and cycle % _WALL_CHECK_EVERY == 0:
-            if time.monotonic() > deadline:  # det: allow - wall budget
-                raise SimulationTimeout(
-                    f"run exceeded its {max_wall_seconds:.1f}s wall-clock "
-                    f"limit at cycle {cycle}"
-                )
-
-    for _ in range(warmup):
-        inject_round(False)
-        tick()
-
-    delivered_before = delivered_total
-    for _ in range(measure):
-        inject_round(True)
-        tick()
-    delivered_during = delivered_total - delivered_before
-
-    drained = delivered_measured + dropped_measured >= injected_measured
-    remaining = drain_limit
-    while not drained and remaining > 0:
-        inject_round(False)
-        tick()
-        remaining -= 1
-        drained = (
-            delivered_measured + dropped_measured >= injected_measured
-        )
-
-    # -- finalize into the reference metric structures ------------------
-    if use_c or use_c_vc:
-        hop_counts = list(hop_a)
-        if track_links:
-            link_flat = link_a
-    metrics = RunMetrics(
-        track_per_source=track_per_source,
-        keep_samples=keep_samples,
-        track_links=track_links,
-    )
-    stats = metrics.measured
-    stats.count = lat_count
-    stats.total = lat_total
-    stats.total_sq = lat_total_sq
-    stats.min = lat_min
-    stats.max = lat_max
-    if samples is not None:
-        stats._samples = samples
-    metrics.delivered_total = delivered_total
-    metrics.delivered_measured = delivered_measured
-    metrics.injected_total = injected_total
-    metrics.injected_measured = injected_measured
-    metrics.dropped_total = dropped_total
-    metrics.dropped_measured = dropped_measured
-    metrics.hop_counts = hop_counts
-    if per_src is not None:
-        for s, src_stats in per_src.items():
-            metrics.per_source[nodes[s]] = src_stats
-    if link_flat is not None:
-        link_counts = metrics.link_counts
-        for r in range(R):
-            base = r * NUM_DIRS
-            coord = nodes[r]
-            for o in range(1, NUM_DIRS):
-                count = link_flat[base + o]
-                if count:
-                    link_counts[(coord, o)] = count
-
-    accepted = delivered_during / (len(src_list) * measure)
-    avg_hops = (
-        sum(hop_counts) / delivered_total
-        if delivered_total
-        else float("nan")
-    )
-    return RunResult(
-        config_name=config.name,
-        pattern=pattern,
-        offered_load=rate,
-        accepted_throughput=accepted,
-        avg_latency=stats.mean,
-        stddev_latency=stats.stddev,
-        max_latency=float(lat_max) if lat_max is not None else float("nan"),
-        delivered_measured=delivered_measured,
-        injected_measured=injected_measured,
-        drained=drained,
-        measure_cycles=measure,
-        avg_hops=avg_hops,
-        total_cycles=cycle,
-        dropped_measured=dropped_measured,
-        metrics=metrics,
-        engine="compiled",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1955,6 +810,16 @@ def _gate_diagnostics(
     compilation itself reports a diagnostic.
     """
     reasons: List[LoweringDiagnostic] = []
+    if _native_kernel() is None:
+        reasons.append(
+            LoweringDiagnostic(
+                "no-native-kernel",
+                "the native step kernel is unavailable (no C compiler, "
+                "a failed build or layout check, REPRO_NO_CKERNEL, or "
+                "exotic array widths); reference is the only other "
+                "stepping implementation",
+            )
+        )
     if audit_every is not None:
         reasons.append(
             LoweringDiagnostic(
@@ -2029,11 +894,8 @@ def lowering_problems(
     reasons = _gate_diagnostics(cfg, faults, audit_every)
     if reasons:
         return reasons
-    model_faults = (
-        faults if faults is not None and faults.affects_routing else None
-    )
     try:
-        _compile(target, cfg, *names, faults=model_faults)
+        _compile(target, cfg, *names, faults=_routing_faults(faults))
     except _Unsupported as exc:
         return [exc.diagnostic]
     return []
@@ -2064,10 +926,12 @@ def run_compiled(
 
     Accepts the full reference-engine signature, including ``faults``
     and ``watchdog``.  Fault schedules are compiled in: permanent faults
-    select a fault-aware route-table model, transient drops run in the
-    pure-Python inner loop, and the watchdog raises a reference-format
-    :class:`~repro.errors.DeadlockError` with a full snapshot.  Runs the
-    compiler cannot lower (see the module docstring) are delegated to
+    select a fault-aware route-table model, transient drops are drawn
+    inside the native kernel, and the watchdog raises a reference-format
+    :class:`~repro.errors.DeadlockError` with a full snapshot.  The run
+    is a one-run :class:`_BatchRun` with host-side injection, so every
+    registered pattern works.  Runs the compiler cannot lower (see the
+    module docstring and :func:`lowering_problems`) are delegated to
     :func:`repro.sim.simulator._run_reference` unchanged, and the
     returned result's ``engine`` field reports which engine actually
     ran.
@@ -2118,31 +982,36 @@ def run_compiled(
         target = config
     if _gate_diagnostics(cfg, faults, audit_every):
         return fallback()
-    model_faults = (
-        faults if faults is not None and faults.affects_routing else None
-    )
     try:
-        model = _compile(target, cfg, *names, faults=model_faults)
+        model = _compile(
+            target, cfg, *names, faults=_routing_faults(faults)
+        )
     except _Unsupported:
         return fallback()
-    return _execute(
-        model,
+    run = _BatchRun(
+        target,
         cfg,
+        model,
         pattern,
         rate,
+        None,  # host-side injection: any pattern, any fault schedule
         warmup=warmup,
         measure=measure,
         drain_limit=drain_limit,
         seed=seed,
-        track_per_source=track_per_source,
-        keep_samples=keep_samples,
-        track_links=track_links,
         faults=faults,
-        target=target,
         watchdog=watchdog,
         max_cycles=max_cycles,
         max_wall_seconds=max_wall_seconds,
+        engine="compiled",
+        track_per_source=track_per_source,
+        keep_samples=keep_samples,
+        track_links=track_links,
     )
+    _drive([run], warmup + measure + drain_limit + 1)
+    if run.error is not None:
+        raise run.error
+    return run.result
 
 
 # ----------------------------------------------------------------------
@@ -2152,9 +1021,9 @@ def run_compiled(
 # flit records, route tables, Mersenne Twister states — into one
 # structure-of-arrays arena and steps every run in whole-phase blocks of
 # the native kernel (`run_block_noc` / `run_block_vc`), retiring each
-# run the moment it finishes.  The per-run setup that dominates short
-# campaign rows (ctypes marshalling, Python-loop injection, per-cycle
-# FFI calls) is paid once per block instead of once per cycle.
+# run the moment it finishes.  The per-cycle costs that dominate short
+# campaign rows (Python-loop injection, one FFI call per cycle) are paid
+# once per block instead.
 #
 # The bit-identity contract extends unchanged: a batched run consumes
 # the same `timing` / `dest` RNG streams in the same order as a serial
@@ -2282,8 +1151,8 @@ def batching_problems(
     is a strict superset of :func:`lowering_problems`: everything that
     cannot lower cannot batch, and batching additionally requires a
     :class:`~repro.core.spec.NetworkSpec` that selects the compiled
-    engine, no fault schedule, no wall-clock budget, a working native
-    block kernel, and a pattern the kernel can replicate.
+    engine, no fault schedule, no wall-clock budget, and a pattern the
+    kernel can inject natively.
     """
     if not isinstance(target, NetworkSpec):
         return [
@@ -2307,8 +1176,9 @@ def batching_problems(
         reasons.append(
             LoweringDiagnostic(
                 "wall-clock-budget",
-                "wall-clock budgets are polled per cycle by the serial "
-                "engines; block execution cannot honor them",
+                "wall-clock budgets are polled on the host every "
+                "cycle by the serial path; multi-cycle blocks do not "
+                "poll them yet",
             )
         )
     base, sep, _arg = spec.pattern.partition(":")
@@ -2334,28 +1204,16 @@ def batching_problems(
         reasons.append(
             LoweringDiagnostic(
                 "fault-schedule",
-                "fault schedules (drop streams, degraded injection) run "
-                "per-row on the serial engines",
+                "fault schedules (degraded injection) run per-row on "
+                "the serial path",
             )
         )
     reasons.extend(lowering_problems(spec, faults=faults))
     if reasons:
         return reasons
-    kernel = _ckernel.get_kernel() if _ARRAYS_OK else None
-    if (
-        kernel is None
-        or not hasattr(kernel, "run_block_noc")
-        or array("I").itemsize != 4
-    ):
-        return [
-            LoweringDiagnostic(
-                "no-native-kernel",
-                "the native block kernel is unavailable (no C compiler, "
-                "REPRO_NO_CKERNEL, or exotic array widths)",
-            )
-        ]
     model = _compile(
-        spec, cfg, spec.routing, spec.router, spec.allocator, faults=None
+        spec, cfg, spec.routing, spec.router, spec.allocator,
+        faults=_routing_faults(faults),
     )
     if _pattern_plan(model, cfg, spec.pattern) is None:
         return [
@@ -2368,51 +1226,59 @@ def batching_problems(
     return []
 
 
+
+
 class _Arena:
     """One structure-of-arrays allocation backing a whole batch.
 
     Runs stage their segment layouts (`add32`/`add64`/`addu32` return
-    element offsets) and `seal()` freezes the staging lists into three
-    contiguous arrays — int32 queue/table state, int64 counters, uint32
-    Mersenne Twister states — that every run's ctypes context points
-    into.  Per-packet logs are deliberately *not* arena-resident: their
-    worst case (every injection round hitting) would dwarf the steady
-    state, so they stay growable per-run arrays.
+    element offsets) and `seal()` allocates the contiguous arrays —
+    int32 queue/table state, int64 counters, uint32 Mersenne Twister
+    states — that every run's ctypes context points into.  Zero
+    segments are recorded as lengths only (the injection rings
+    dominate; staging them as Python lists would cost twice the sealed
+    arena in transient memory); initialised segments are copied in at
+    seal time.  Per-packet logs are deliberately *not* arena-resident:
+    their worst case (every injection round hitting) would dwarf the
+    steady state, so they stay growable per-run arrays.
     """
 
-    __slots__ = ("_s32", "_s64", "_su32", "a32", "a64", "au32")
+    __slots__ = ("_n32", "_n64", "_init32", "a32", "a64", "au32")
 
     def __init__(self) -> None:
-        self._s32: List[int] = []
-        self._s64: List[int] = []
-        self._su32: List[int] = []
+        self._n32 = 0
+        self._n64 = 0
+        self._init32: List[Tuple[int, array]] = []
         self.a32: Optional[array] = None
         self.a64: Optional[array] = None
-        self.au32: Optional[array] = None
+        self.au32 = array("I")
 
     def add32(self, init: Union[int, Sequence[int]]) -> int:
-        off = len(self._s32)
+        off = self._n32
         if isinstance(init, int):
-            self._s32.extend([0] * init)
+            self._n32 += init
         else:
-            self._s32.extend(init)
+            data = init if isinstance(init, array) else array("i", init)
+            self._init32.append((off, data))
+            self._n32 += len(data)
         return off
 
     def add64(self, size: int) -> int:
-        off = len(self._s64)
-        self._s64.extend([0] * size)
+        off = self._n64
+        self._n64 += size
         return off
 
     def addu32(self, data: Sequence[int]) -> int:
-        off = len(self._su32)
-        self._su32.extend(data)
+        off = len(self.au32)
+        self.au32.extend(data)
         return off
 
     def seal(self) -> None:
-        self.a32 = array("i", self._s32)
-        self.a64 = array("q", self._s64)
-        self.au32 = array("I", self._su32)
-        self._s32 = self._s64 = self._su32 = []
+        self.a32 = array("i", [0]) * self._n32
+        for off, data in self._init32:
+            self.a32[off:off + len(data)] = data
+        self._init32 = []
+        self.a64 = array("q", [0]) * self._n64
 
     def p32(self, off: int):
         return ctypes.cast(
@@ -2432,32 +1298,48 @@ class _Arena:
             ctypes.POINTER(ctypes.c_uint32),
         )
 
+    def view32(self, off: int, size: int):
+        return memoryview(self.a32)[off:off + size]
+
     def view64(self, off: int, size: int):
         return memoryview(self.a64)[off:off + size]
 
 
 _PK_CAP0 = 4096  # initial per-run packet-record capacity (doubles)
 _EJ_CAP0 = 8192  # initial per-run ejection-log capacity, in int32 slots
+_I32_MAX = 2**31 - 1
 
 
 class _BatchRun:
-    """One design point's lowered state inside a batch arena."""
+    """One design point's lowered state inside an arena.
+
+    The single executor behind both entry points: a batch is many of
+    these in one arena stepped in whole-phase blocks; a serial
+    :func:`run_compiled` call is one of them, alone in its arena.  It
+    takes *resolved* run parameters (not a spec), so plain
+    ``NetworkConfig`` callers work too.  ``plan`` is the native
+    injection plan from :func:`_pattern_plan`; ``None`` means the host
+    injects each round in Python — any registered pattern, dead-router
+    skip, unreachable-destination discard — and the kernel then runs in
+    one-cycle blocks (``MODE_HOST``).
+    """
 
     __slots__ = (
-        "spec", "cfg", "model", "plan",
-        "track_per_source", "keep_samples", "track_links",
+        "target", "cfg", "model", "pattern", "rate", "plan", "faults",
+        "engine", "track_per_source", "keep_samples", "track_links",
         "warmup", "measure", "drain_limit", "seed", "max_cycles",
-        "stall_window", "starvation_window", "is_vc",
-        "qcap_l", "qoff_l", "inj_cap",
+        "max_wall_seconds", "deadline",
+        "stall_window", "starvation_window", "is_vc", "sources",
+        "inj_cap", "nq",
         "buf_off", "qoff_off", "qcap_off", "qhead_off", "qlen_off",
-        "arb_off", "vc_rr_off", "prio_off", "occ_off", "dirty_off",
+        "arb_off", "prio_off", "occ_off", "dirty_off",
         "gsq_off", "gro_off", "ej_off", "nej_off", "tab_off",
-        "trcur_off",
-        "hop_off", "link_off", "st_off", "tmt_off", "dmt_off",
-        "i32", "st",
-        "pdest_a", "pbase_a", "pout_a", "povc_a",
-        "psrc_a", "pinj_a", "pmeas_a", "ejlog_a", "pk_cap",
-        "sctx", "vctx", "bctx", "sref", "vref", "bref",
+        "trcur_off", "fmap_off", "fwin_off",
+        "hop_off", "link_off", "st_off", "tmt_off", "dmt_off", "xmt_off",
+        "i32", "i64", "st", "fprob_a",
+        "pdest_a", "paux_a", "pout_a",
+        "psrc_a", "pinj_a", "pmeas_a", "ejlog_a", "pk_cap", "pk_owners",
+        "ctx", "bctx", "cref", "bref", "inject",
         "phase", "phase_remaining", "delivered_before",
         "delivered_during", "drained", "error", "result",
         "lat_count", "lat_total", "lat_total_sq", "lat_min", "lat_max",
@@ -2466,33 +1348,61 @@ class _BatchRun:
 
     def __init__(
         self,
-        spec: NetworkSpec,
+        target: Union[NetworkConfig, NetworkSpec],
         cfg: NetworkConfig,
         model: _CompiledModel,
-        plan: Tuple,
+        pattern: str,
+        rate: float,
+        plan: Optional[Tuple],
         *,
+        warmup: int,
+        measure: int,
+        drain_limit: int,
+        seed: int,
+        faults: Optional[FaultSchedule],
+        watchdog: Optional[WatchdogConfig],
+        max_cycles: Optional[int],
+        max_wall_seconds: Optional[float],
+        engine: str,
         track_per_source: bool,
         keep_samples: bool,
         track_links: bool,
     ) -> None:
-        self.spec = spec
+        self.target = target
         self.cfg = cfg
         self.model = model
+        self.pattern = pattern
+        self.rate = rate
         self.plan = plan
+        self.faults = faults
+        self.engine = engine
         self.track_per_source = track_per_source
         self.keep_samples = keep_samples
         self.track_links = track_links
-        self.warmup = spec.warmup
-        self.measure = spec.measure
-        self.drain_limit = spec.drain_limit
-        self.seed = spec.seed
-        self.max_cycles = spec.max_cycles
-        wd = build_watchdog(spec) or WatchdogConfig()
+        self.warmup = warmup
+        self.measure = measure
+        self.drain_limit = drain_limit
+        self.seed = seed
+        self.max_cycles = max_cycles
+        self.max_wall_seconds = max_wall_seconds
+        self.deadline: Optional[float] = None
+        wd = watchdog if watchdog is not None else WatchdogConfig()
         self.stall_window = wd.stall_window
         self.starvation_window = wd.starvation_window
         self.is_vc = model.kind == "vc"
+        # Dead routers never inject (nor draw from the timing stream),
+        # and accepted throughput is normalised by the live sources.
+        dead = (
+            faults.dead_routers
+            if faults is not None and faults.has_faults
+            else ()
+        )
+        self.sources = tuple(
+            (s, src) for s, src in enumerate(model.nodes) if src not in dead
+        )
+        self.inject: Optional[Any] = None
         self.phase = 0
-        self.phase_remaining = self.warmup
+        self.phase_remaining = warmup
         self.delivered_before = 0
         self.delivered_during = 0
         self.drained = False
@@ -2509,100 +1419,129 @@ class _BatchRun:
         )
 
     # -- arena layout ---------------------------------------------------
+    def _queues(self):
+        """Every wired input queue as ``(flat id, router, port, lane)``.
+
+        Layout order: router, then port, then lane ascending.  Flat ids
+        are ``router * 9 + port`` for wormhole/FBFC and ``(router * 5 +
+        port) * num_vcs + lane`` for VC routers, whose P injection port
+        owns a single lane (mirroring the reference's one injection
+        FIFO).
+        """
+        model = self.model
+        if self.is_vc:
+            nvc = model.num_vcs
+            for r, ports in enumerate(model.in_ports):
+                for i in ports:
+                    for lane in range(1 if i == P_IDX else nvc):
+                        yield (
+                            (r * VCRouter.NUM_PORTS + i) * nvc + lane,
+                            r, i, lane,
+                        )
+        else:
+            for r, ins in enumerate(model.in_ports):
+                for i in ins:
+                    yield r * NUM_DIRS + i, r, i, 0
+
     def reserve(self, arena: _Arena) -> None:
         model = self.model
         R = model.n
         depth = model.depth
+        # Ring-buffer capacities: an injection (P) queue is unbounded in
+        # the reference engine, but one source can enqueue at most one
+        # packet per injection round, so the round count is a hard cap.
         self.inj_cap = self.warmup + self.measure + self.drain_limit + 2
         if self.is_vc:
-            nports = VCRouter.NUM_PORTS
-            num_vcs = model.num_vcs
-            nl = R * nports * num_vcs
-            qcap_l = [0] * nl
-            qoff_l = [0] * nl
-            off = 0
-            for r in range(R):
-                for i in model.ports[r]:
-                    lb = (r * nports + i) * num_vcs
-                    for lane in range(1 if i == P_IDX else num_vcs):
-                        qcap_l[lb + lane] = (
-                            self.inj_cap if i == P_IDX else depth
-                        )
-                        qoff_l[lb + lane] = off
-                        off += qcap_l[lb + lane]
-            nq = nl
-            narb = R * nports
+            narb = R * VCRouter.NUM_PORTS
+            nq = narb * model.num_vcs
         else:
-            nq = R * NUM_DIRS
-            qcap_l = [0] * nq
-            qoff_l = [0] * nq
-            off = 0
-            for r in range(R):
-                rb = r * NUM_DIRS
-                for i in model.in_lists[r]:
-                    qcap_l[rb + i] = (
-                        self.inj_cap if i == P_IDX else depth
-                    )
-                    qoff_l[rb + i] = off
-                    off += qcap_l[rb + i]
-            narb = nq
-        self.qcap_l = qcap_l
-        self.qoff_l = qoff_l
+            nq = narb = R * NUM_DIRS
+        self.nq = nq
+        qcap = array("i", bytes(4 * nq))
+        qoff = array("i", bytes(4 * nq))
+        off = 0
+        for q, _r, i, _lane in self._queues():
+            qcap[q] = self.inj_cap if i == P_IDX else depth
+            qoff[q] = off
+            off += qcap[q]
         self.buf_off = arena.add32(off)
-        self.qoff_off = arena.add32(qoff_l)
-        self.qcap_off = arena.add32(qcap_l)
+        self.qoff_off = arena.add32(qoff)
+        self.qcap_off = arena.add32(qcap)
         self.qhead_off = arena.add32(nq)
         self.qlen_off = arena.add32(nq)
+        # Round-robin pointers: per (router, output) arbiters for
+        # wormhole/FBFC, per (router, input) VC muxes for VC routers.
+        self.arb_off = arena.add32(narb)
         if self.is_vc:
-            self.vc_rr_off = arena.add32(narb)
             self.prio_off = arena.add32(R)
-            self.dirty_off = arena.add32([1] * R)
-        else:
-            self.arb_off = arena.add32(narb)
+            self.dirty_off = arena.add32(array("i", [1]) * R)
         self.occ_off = arena.add32(R)
         self.gsq_off = arena.add32(narb)
         self.gro_off = arena.add32(narb)
         self.ej_off = arena.add32(R)
         self.nej_off = arena.add32(1)
-        self.tab_off = arena.add32(self.plan[1])
-        if self.plan[0] == "trace":
-            # Per-source replay cursors, initialized to the schedule's
-            # per-source start offsets (the table's first n entries).
-            self.trcur_off = arena.add32(self.plan[1][:R])
+        plan = self.plan
+        if plan is not None:
+            self.tab_off = arena.add32(plan[1])
+            if plan[0] == "trace":
+                # Per-source replay cursors, initialized to the
+                # schedule's per-source start offsets (the table's
+                # first n entries).
+                self.trcur_off = arena.add32(plan[1][:R])
+            seed = self.seed
+            self.tmt_off = arena.addu32(
+                derive_rng(seed, "timing").getstate()[1]  # rng: shared
+            )
+            self.dmt_off = arena.addu32(
+                derive_rng(seed, "dest").getstate()[1]  # rng: shared
+            )
+        transient = self.faults.transient if self.faults is not None else ()
+        self.fprob_a: Optional[array] = None
+        if transient:
+            # fmap[router * 9 + out] -> fault index, consulted by the
+            # kernel in commit order — which both engines share — so
+            # its draws consume the faults:drops stream identically.
+            fmap = array("i", [-1]) * (R * NUM_DIRS)
+            fwin = array("i")
+            for k, tf in enumerate(transient):
+                link = model.node_index[tf.src] * NUM_DIRS + int(tf.direction)
+                fmap[link] = k
+                end = _I32_MAX if tf.end is None else tf.end
+                fwin.append(max(-_I32_MAX, min(tf.start, _I32_MAX)))
+                fwin.append(max(-_I32_MAX, min(end, _I32_MAX)))
+            self.fmap_off = arena.add32(fmap)
+            self.fwin_off = arena.add32(fwin)
+            self.fprob_a = array("d", (tf.drop_prob for tf in transient))
+            self.xmt_off = arena.addu32(
+                self.faults.make_drop_rng().getstate()[1]
+            )
         self.hop_off = arena.add64(NUM_DIRS)
         self.link_off = arena.add64(
             R * NUM_DIRS if self.track_links else 1
         )
         self.st_off = arena.add64(_ckernel.ST_LEN)
-        seed = self.seed
-        self.tmt_off = arena.addu32(
-            derive_rng(seed, "timing").getstate()[1]  # rng: shared
-        )
-        self.dmt_off = arena.addu32(
-            derive_rng(seed, "dest").getstate()[1]  # rng: shared
-        )
 
     # -- ctypes binding -------------------------------------------------
-    def bind(self, arena: _Arena, kernel: Any) -> None:
+    def bind(self, arena: _Arena) -> None:
         model = self.model
         self.i32 = arena.a32
+        self.i64 = arena.a64
         self.st = arena.view64(self.st_off, _ckernel.ST_LEN)
         self.pk_cap = _PK_CAP0
         zeros = bytes(4 * _PK_CAP0)
         self.pdest_a = array("i", zeros)
         self.pout_a = array("i", zeros)
+        # The one per-packet field the router kinds do not share: the
+        # assigned VC (vc), or the route-row offset subnet * n.
+        self.paux_a = array("i", zeros)
         self.psrc_a = array("i", zeros)
         self.pinj_a = array("i", zeros)
         self.pmeas_a = array("i", zeros)
         self.ejlog_a = array("i", bytes(4 * _EJ_CAP0))
         if self.is_vc:
-            self.povc_a = array("i", zeros)
-            va = _vc_arrays(model)
-            c = self.vctx = _ckernel.VcCtx()
-            c.R = model.n
-            c.depth = model.depth
+            va = model.tables
+            c = _ckernel.VcCtx()
             c.nvc = model.num_vcs
-            c.track_links = 1 if self.track_links else 0
             c.n = model.n
             c.plist = _ptr32(va.plist)
             c.pofs = _ptr32(va.pofs)
@@ -2613,33 +1552,14 @@ class _BatchRun:
             c.vcn_tab = _ptr32(va.vcn)
             c.dl_tab = _ptr32(va.dl)
             c.sd = _ptr32(va.sd)
-            c.buf = arena.p32(self.buf_off)
-            c.qoff = arena.p32(self.qoff_off)
-            c.qcap = arena.p32(self.qcap_off)
-            c.qhead = arena.p32(self.qhead_off)
-            c.qlen = arena.p32(self.qlen_off)
-            c.vc_rr = arena.p32(self.vc_rr_off)
+            c.vc_rr = arena.p32(self.arb_off)
             c.prio = arena.p32(self.prio_off)
-            c.occ = arena.p32(self.occ_off)
             c.dirty = arena.p32(self.dirty_off)
-            c.pout = _ptr32(self.pout_a)
-            c.povc = _ptr32(self.povc_a)
-            c.pdest = _ptr32(self.pdest_a)
-            c.hop = arena.p64(self.hop_off)
-            c.link = arena.p64(self.link_off)
-            c.gsq = arena.p32(self.gsq_off)
-            c.gro = arena.p32(self.gro_off)
-            c.ej = arena.p32(self.ej_off)
-            c.nej = arena.p32(self.nej_off)
-            self.vref = ctypes.byref(c)
+            aux = "povc"
         else:
-            self.pbase_a = array("i", zeros)
-            ca = _c_arrays(model)
-            c = self.sctx = _ckernel.StepCtx()
-            c.R = model.n
-            c.depth = model.depth
+            ca = model.tables
+            c = _ckernel.StepCtx()
             c.fbfc = 1 if model.kind == "fbfc" else 0
-            c.track_links = 1 if self.track_links else 0
             c.rowlen = ca.rowlen
             c.dn = _ptr32(ca.dn)
             c.ncv = _ptr32(ca.ncv)
@@ -2648,56 +1568,174 @@ class _BatchRun:
             c.needs = _ptr32(ca.needs)
             c.rowof = _ptr32(ca.rowof)
             c.rows = _ptr32(ca.rows)
-            c.buf = arena.p32(self.buf_off)
-            c.qoff = arena.p32(self.qoff_off)
-            c.qcap = arena.p32(self.qcap_off)
-            c.qhead = arena.p32(self.qhead_off)
-            c.qlen = arena.p32(self.qlen_off)
             c.arb = arena.p32(self.arb_off)
-            c.occ = arena.p32(self.occ_off)
-            c.pout = _ptr32(self.pout_a)
-            c.pbase = _ptr32(self.pbase_a)
-            c.pdest = _ptr32(self.pdest_a)
-            c.hop = arena.p64(self.hop_off)
-            c.link = arena.p64(self.link_off)
-            c.gsq = arena.p32(self.gsq_off)
-            c.gro = arena.p32(self.gro_off)
-            c.ej = arena.p32(self.ej_off)
-            c.nej = arena.p32(self.nej_off)
-            self.sref = ctypes.byref(c)
+            aux = "pbase"
+        c.R = model.n
+        c.depth = model.depth
+        c.track_links = 1 if self.track_links else 0
+        c.buf = arena.p32(self.buf_off)
+        c.qoff = arena.p32(self.qoff_off)
+        c.qcap = arena.p32(self.qcap_off)
+        c.qhead = arena.p32(self.qhead_off)
+        c.qlen = arena.p32(self.qlen_off)
+        c.occ = arena.p32(self.occ_off)
+        c.hop = arena.p64(self.hop_off)
+        c.link = arena.p64(self.link_off)
+        c.gsq = arena.p32(self.gsq_off)
+        c.gro = arena.p32(self.gro_off)
+        c.ej = arena.p32(self.ej_off)
+        c.nej = arena.p32(self.nej_off)
+        self.ctx = c
+        self.cref = ctypes.byref(c)
         b = self.bctx = _ckernel.BlockCtx()
-        b.t_mt = arena.pu32(self.tmt_off)
-        b.d_mt = arena.pu32(self.dmt_off)
-        b.rate = self.spec.rate
+        b.rate = self.rate
         b.n = model.n
-        if self.plan[0] == "table":
-            b.mode = 0
-            b.ubits = 0
-            b.dtab = arena.p32(self.tab_off)
-        elif self.plan[0] == "trace":
-            b.mode = 2
-            b.ubits = 0
-            b.trace = arena.p32(self.tab_off)
-            b.trcur = arena.p32(self.trcur_off)
+        plan = self.plan
+        if plan is None:
+            b.mode = _ckernel.MODE_HOST
+            self.inject = self._host_injector(arena)
         else:
-            b.mode = 1
-            b.ubits = self.plan[2]
-            b.perm = arena.p32(self.tab_off)
+            b.t_mt = arena.pu32(self.tmt_off)
+            b.d_mt = arena.pu32(self.dmt_off)
+            if plan[0] == "table":
+                b.mode = _ckernel.MODE_TABLE
+                b.dtab = arena.p32(self.tab_off)
+            elif plan[0] == "trace":
+                b.mode = _ckernel.MODE_TRACE
+                b.trace = arena.p32(self.tab_off)
+                b.trcur = arena.p32(self.trcur_off)
+            else:
+                b.mode = _ckernel.MODE_UNIFORM
+                b.ubits = plan[2]
+                b.perm = arena.p32(self.tab_off)
+        if self.fprob_a is not None:
+            b.x_mt = arena.pu32(self.xmt_off)
+            b.fmap = arena.p32(self.fmap_off)
+            b.fwin = arena.p32(self.fwin_off)
+            b.fprob = ctypes.cast(
+                self.fprob_a.buffer_info()[0],
+                ctypes.POINTER(ctypes.c_double),
+            )
         b.stall_window = self.stall_window
         b.starve_window = (
             -1 if self.starvation_window is None else self.starvation_window
         )
-        b.target = 0
         b.maxc = -1 if self.max_cycles is None else self.max_cycles
-        subnet = None if self.is_vc else _c_subnet(model)
-        if subnet is not None:
-            b.subnet = _ptr32(subnet)
-        b.psrc = _ptr32(self.psrc_a)
-        b.pinj = _ptr32(self.pinj_a)
-        b.pmeas = _ptr32(self.pmeas_a)
+        if model.subnet_tab is not None:
+            b.subnet = _ptr32(model.subnet_tab)
         b.st = arena.p64(self.st_off)
         b.ejlog = _ptr32(self.ejlog_a)
         self.bref = ctypes.byref(b)
+        # Growable per-packet records: (array, owning struct, field).
+        self.pk_owners = (
+            (self.psrc_a, b, "psrc"),
+            (self.pinj_a, b, "pinj"),
+            (self.pmeas_a, b, "pmeas"),
+            (self.pdest_a, c, "pdest"),
+            (self.pout_a, c, "pout"),
+            (self.paux_a, c, aux),
+        )
+        for a, owner, field in self.pk_owners:
+            setattr(owner, field, _ptr32(a))
+        if self.max_wall_seconds is not None:
+            self.deadline = (
+                time.monotonic()  # det: allow - wall budget
+                + self.max_wall_seconds
+            )
+
+    def _host_injector(self, arena: _Arena) -> Any:
+        """The Python-side injection round, ``inject(measured)``.
+
+        Mirrors the reference engine's injection discipline bit for
+        bit: sources in node order, one timing draw each (dead routers
+        never draw), then the pattern's destination draw, and a
+        destination the fault-aware tables cannot reach is discarded
+        *after* the healthy pattern consumed its dest-stream draw.
+        """
+        model = self.model
+        n = model.n
+        is_vc = self.is_vc
+        rate = self.rate
+        inj_cap = self.inj_cap
+        nidx = model.node_index
+        subnet_tab = model.subnet_tab
+        tables = model.tables
+        dest_fn = build_pattern(self.pattern, self.cfg)
+        faults = self.faults
+        reachable = model.reachable
+        if faults is not None and faults.has_faults and reachable is not None:
+            healthy_fn = dest_fn
+
+            def dest_fn(src, rng):  # noqa: F811 - degraded wrapper
+                dest = healthy_fn(src, rng)
+                if dest is None or not reachable(src, dest):
+                    return None
+                return dest
+
+        rnd = derive_rng(self.seed, "timing").random  # rng: shared
+        dest_rng = derive_rng(self.seed, "dest")  # rng: shared
+        i32 = self.i32
+        st = self.st
+        qhead = arena.view32(self.qhead_off, self.nq)
+        qlen = arena.view32(self.qlen_off, self.nq)
+        occ = arena.view32(self.occ_off, n)
+        dirty = arena.view32(self.dirty_off, n) if is_vc else None
+        pdest, pout, paux = self.pdest_a, self.pout_a, self.paux_a
+        psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
+        if is_vc:
+            stride = VCRouter.NUM_PORTS * model.num_vcs
+            out_tab, vcn_tab, dl_tab = tables.out, tables.vcn, tables.dl
+        else:
+            stride = NUM_DIRS
+            rows, rowof, rowlen = tables.rows, tables.rowof, tables.rowlen
+        # (source index, coord, P-queue id, P-queue ring base in a32,
+        # route-table base of the source's injection port)
+        slots = tuple(
+            (
+                s, src, s * stride,
+                self.buf_off + i32[self.qoff_off + s * stride],
+                s * n if is_vc else rowof[s * NUM_DIRS] * rowlen,
+            )
+            for s, src in self.sources
+        )
+
+        def inject(measured: bool) -> None:
+            cycle = st[_ckernel.ST_CYCLE]
+            first = pid = st[_ckernel.ST_NPK]
+            for s, src, q, ring, route in slots:
+                if rnd() < rate:
+                    dest = dest_fn(src, dest_rng)
+                    if dest is None:
+                        continue
+                    d = nidx[dest]
+                    pdest[pid] = d
+                    if is_vc:
+                        route += d
+                        pout[pid] = out_tab[route]
+                        paux[pid] = 1 if dl_tab[route] else vcn_tab[route]
+                        dirty[s] = 1
+                    else:
+                        base = subnet_tab[s * n + d] * n if subnet_tab else 0
+                        paux[pid] = base
+                        pout[pid] = rows[route + base + d]
+                    psrc[pid] = s
+                    pinj[pid] = cycle
+                    pmeas[pid] = measured
+                    tail = qhead[q] + qlen[q]
+                    if tail >= inj_cap:
+                        tail -= inj_cap
+                    i32[ring + tail] = pid
+                    qlen[q] += 1
+                    occ[s] += 1
+                    pid += 1
+            if pid != first:
+                st[_ckernel.ST_NPK] = pid
+                st[_ckernel.ST_OCC] += pid - first
+                st[_ckernel.ST_INJ_TOTAL] += pid - first
+                if measured:
+                    st[_ckernel.ST_INJ_MEAS] += pid - first
+
+        return inject
 
     # -- growable per-packet logs ---------------------------------------
     def _ensure_capacity(self, count: int) -> None:
@@ -2709,26 +1747,9 @@ class _BatchRun:
                 newcap *= 2
             grow = bytes(4 * (newcap - self.pk_cap))
             self.pk_cap = newcap
-            b = self.bctx
-            for a in (self.psrc_a, self.pinj_a, self.pmeas_a):
+            for a, owner, field in self.pk_owners:
                 a.frombytes(grow)
-            b.psrc = _ptr32(self.psrc_a)
-            b.pinj = _ptr32(self.pinj_a)
-            b.pmeas = _ptr32(self.pmeas_a)
-            self.pdest_a.frombytes(grow)
-            self.pout_a.frombytes(grow)
-            if self.is_vc:
-                self.povc_a.frombytes(grow)
-                c = self.vctx
-                c.pdest = _ptr32(self.pdest_a)
-                c.pout = _ptr32(self.pout_a)
-                c.povc = _ptr32(self.povc_a)
-            else:
-                self.pbase_a.frombytes(grow)
-                c = self.sctx
-                c.pdest = _ptr32(self.pdest_a)
-                c.pout = _ptr32(self.pout_a)
-                c.pbase = _ptr32(self.pbase_a)
+                setattr(owner, field, _ptr32(a))
         need_ej = 2 * (st[_ckernel.ST_OCC] + self.model.n * count)
         if need_ej > len(self.ejlog_a):
             newcap = len(self.ejlog_a)
@@ -2743,6 +1764,9 @@ class _BatchRun:
     def advance(self, kernel: Any, budget: int) -> bool:
         """Run up to ``budget`` cycles; True when this run is finished."""
         st = self.st
+        b = self.bctx
+        inject = self.inject
+        run_block = kernel.run_block_vc if self.is_vc else kernel.run_block_noc
         while budget > 0:
             if self.phase == 3:
                 return True
@@ -2750,23 +1774,21 @@ class _BatchRun:
                 if self._next_phase():
                     return True
                 continue
-            count = min(budget, self.phase_remaining)
-            b = self.bctx
+            # Host injection precedes every step: one-cycle blocks.
+            count = 1 if inject else min(budget, self.phase_remaining)
             b.count = count
-            b.measured = 1 if self.phase == 1 else 0
-            b.drain = 1 if self.phase == 2 else 0
-            if self.phase == 2:
-                b.target = st[_ckernel.ST_INJ_MEAS]
             self._ensure_capacity(count)
+            if inject:
+                inject(self.phase == 1)
             st[_ckernel.ST_NEJLOG] = 0
-            if self.is_vc:
-                stop = kernel.run_block_vc(self.vref, self.bref)
-            else:
-                stop = kernel.run_block_noc(self.sref, self.bref)
+            stop = run_block(self.cref, self.bref)
             ran = st[_ckernel.ST_RAN]
             self.phase_remaining -= ran
             budget -= max(ran, 1)
-            self._replay_ejections()
+            if st[_ckernel.ST_NEJLOG]:
+                self._replay_ejections()
+            # Trip order matches the reference tick(): watchdogs, the
+            # cycle budget, the wall-clock poll, then the drain check.
             if stop == _ckernel.STOP_STALL:
                 self.error = self._watchdog_error(
                     "stall", int(st[_ckernel.ST_IDLE])
@@ -2781,6 +1803,16 @@ class _BatchRun:
                     f"({int(st[_ckernel.ST_OCC])} packets still in "
                     f"flight)"
                 )
+            elif (
+                self.deadline is not None
+                and st[_ckernel.ST_CYCLE] % _WALL_CHECK_EVERY == 0
+                and time.monotonic() > self.deadline  # det: allow - wall budget
+            ):
+                self.error = SimulationTimeout(
+                    f"run exceeded its {self.max_wall_seconds:.1f}s "
+                    f"wall-clock limit at cycle "
+                    f"{int(st[_ckernel.ST_CYCLE])}"
+                )
             elif stop == _ckernel.STOP_DRAINED:
                 self.drained = True
                 self._finish()
@@ -2792,13 +1824,18 @@ class _BatchRun:
 
     def _next_phase(self) -> bool:
         st = self.st
+        b = self.bctx
         if self.phase == 0:
             self.delivered_before = int(st[_ckernel.ST_DEL_TOTAL])
             self.phase = 1
             self.phase_remaining = self.measure
+            b.measured = 1
             return False
+        # Dropped measured packets count as resolved, so lossy
+        # (transient-fault) runs can still terminate.
         drained = (
-            st[_ckernel.ST_DEL_MEAS] >= st[_ckernel.ST_INJ_MEAS]
+            st[_ckernel.ST_DEL_MEAS] + st[_ckernel.ST_DROP_MEAS]
+            >= st[_ckernel.ST_INJ_MEAS]
         )
         if self.phase == 1:
             self.delivered_during = (
@@ -2810,6 +1847,9 @@ class _BatchRun:
                 self._finish()
                 return True
             self.phase_remaining = self.drain_limit
+            b.measured = 0
+            b.drain = 1
+            b.target = st[_ckernel.ST_INJ_MEAS]
             return False
         # Drain budget exhausted without reaching the target.
         self.drained = drained
@@ -2817,28 +1857,27 @@ class _BatchRun:
         return True
 
     def _replay_ejections(self) -> None:
-        st = self.st
-        nlog = st[_ckernel.ST_NEJLOG]
-        if not nlog:
-            return
+        """Score the block's ejection log into the latency statistics."""
         ejlog = self.ejlog_a
         pmeas = self.pmeas_a
         pinj = self.pinj_a
         psrc = self.psrc_a
         samples = self.samples
         per_src = self.per_src
-        for k in range(nlog):
+        count, total, total_sq = 0, 0, 0
+        lat_min, lat_max = self.lat_min, self.lat_max
+        for k in range(self.st[_ckernel.ST_NEJLOG]):
             pid = ejlog[2 * k]
             if not pmeas[pid]:
                 continue
             lat = ejlog[2 * k + 1] - pinj[pid]
-            self.lat_count += 1
-            self.lat_total += lat
-            self.lat_total_sq += lat * lat
-            if self.lat_min is None or lat < self.lat_min:
-                self.lat_min = lat
-            if self.lat_max is None or lat > self.lat_max:
-                self.lat_max = lat
+            count += 1
+            total += lat
+            total_sq += lat * lat
+            if lat_min is None or lat < lat_min:
+                lat_min = lat
+            if lat_max is None or lat > lat_max:
+                lat_max = lat
             if samples is not None:
                 samples.append(lat)
             if per_src is not None:
@@ -2846,72 +1885,65 @@ class _BatchRun:
                 if stats is None:
                     stats = per_src[psrc[pid]] = LatencyStats()
                 stats.add(lat)
+        if count:
+            self.lat_count += count
+            self.lat_total += total
+            self.lat_total_sq += total_sq
+            self.lat_min = lat_min
+            self.lat_max = lat_max
 
     # -- terminal states ------------------------------------------------
     def _watchdog_error(self, kind: str, window: int) -> DeadlockError:
+        """The reference-identical ``DeadlockError`` for a tripped run.
+
+        Slow path, entered at most once per run: rebuild the reference
+        object model, replay every buffered packet into it, and let the
+        watchdog's snapshot machinery produce the same forensic report
+        a reference run would have raised.
+        """
+        from repro.sim.packet import Packet
+        from repro.sim.watchdog import capture_snapshot
+
         model = self.model
-        R = model.n
+        nodes = model.nodes
+        n = model.n
         i32 = self.i32
-        qoff_l = self.qoff_l
-        qcap_l = self.qcap_l
-        qhead_off = self.qhead_off
-        qlen_off = self.qlen_off
-        buf_off = self.buf_off
-
-        if self.is_vc:
-            nports = VCRouter.NUM_PORTS
-            num_vcs = model.num_vcs
-
-            def fill(routers: List[Any], mk: Any) -> None:
-                for r in range(R):
-                    for i in model.ports[r]:
-                        for lane in range(1 if i == P_IDX else num_vcs):
-                            qi = (r * nports + i) * num_vcs + lane
-                            off = qoff_l[qi]
-                            cap = qcap_l[qi]
-                            head = i32[qhead_off + qi]
-                            for k in range(i32[qlen_off + qi]):
-                                routers[r].accept(
-                                    mk(
-                                        i32[
-                                            buf_off + off
-                                            + (head + k) % cap
-                                        ]
-                                    ),
-                                    i,
-                                    lane,
-                                )
-        else:
-
-            def fill(routers: List[Any], mk: Any) -> None:
-                for r in range(R):
-                    for i in model.in_lists[r]:
-                        qi = r * NUM_DIRS + i
-                        off = qoff_l[qi]
-                        cap = qcap_l[qi]
-                        head = i32[qhead_off + qi]
-                        for k in range(i32[qlen_off + qi]):
-                            routers[r].accept(
-                                mk(i32[buf_off + off + (head + k) % cap]),
-                                i,
-                            )
-
-        return _deadlock_error(
-            self.spec,
-            None,
-            kind,
-            window,
-            int(self.st[_ckernel.ST_CYCLE]),
-            int(self.st[_ckernel.ST_OCC]),
-            model.nodes,
-            model.n,
-            model.subnet_tab,
-            self.psrc_a,
-            self.pinj_a,
-            self.pmeas_a,
-            self.pdest_a,
-            self.pbase_a if not self.is_vc else self.pdest_a,
-            fill,
+        psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
+        pdest, paux = self.pdest_a, self.paux_a
+        has_subnets = model.subnet_tab is not None
+        net = build_network(
+            _extraction_target(self.target),
+            faults=_routing_faults(self.faults),
+        )
+        routers = [net.routers[coord] for coord in nodes]
+        for q, r, i, lane in self._queues():
+            ring = self.buf_off + i32[self.qoff_off + q]
+            cap = i32[self.qcap_off + q]
+            head = i32[self.qhead_off + q]
+            for k in range(i32[self.qlen_off + q]):
+                pid = i32[ring + (head + k) % cap]
+                pkt = Packet(
+                    pid,
+                    nodes[psrc[pid]],
+                    nodes[pdest[pid]],
+                    pinj[pid],
+                    subnet=(paux[pid] // n) if has_subnets else 0,
+                    measured=bool(pmeas[pid]),
+                )
+                routers[r].accept(pkt, i, lane)
+        occupancy = int(self.st[_ckernel.ST_OCC])
+        net.cycle = int(self.st[_ckernel.ST_CYCLE])
+        net.occupancy = occupancy
+        snapshot = capture_snapshot(net, kind, window)
+        verb, noun = (
+            ("moved", "deadlock")
+            if kind == "stall"
+            else ("ejected", "livelock")
+        )
+        return DeadlockError(
+            f"no packet {verb} for {window} cycles with {occupancy} "
+            f"packets in flight: {noun} [{snapshot.summary()}]",
+            snapshot=snapshot,
         )
 
     def _finish(self) -> None:
@@ -2920,12 +1952,7 @@ class _BatchRun:
         st = self.st
         model = self.model
         self.phase = 3
-        hop_counts = [
-            int(v)
-            for v in memoryview(self.i64_src())[
-                self.hop_off:self.hop_off + NUM_DIRS
-            ]
-        ]
+        hop_counts = list(self.i64[self.hop_off:self.hop_off + NUM_DIRS])
         metrics = RunMetrics(
             track_per_source=self.track_per_source,
             keep_samples=self.keep_samples,
@@ -2943,26 +1970,24 @@ class _BatchRun:
         metrics.delivered_measured = int(st[_ckernel.ST_DEL_MEAS])
         metrics.injected_total = int(st[_ckernel.ST_INJ_TOTAL])
         metrics.injected_measured = int(st[_ckernel.ST_INJ_MEAS])
-        metrics.dropped_total = 0
-        metrics.dropped_measured = 0
+        metrics.dropped_total = int(st[_ckernel.ST_DROP_TOTAL])
+        metrics.dropped_measured = int(st[_ckernel.ST_DROP_MEAS])
         metrics.hop_counts = hop_counts
         if self.per_src is not None:
             for s, src_stats in self.per_src.items():
                 metrics.per_source[model.nodes[s]] = src_stats
         if self.track_links:
             link_counts = metrics.link_counts
-            lv = memoryview(self.i64_src())[
-                self.link_off:self.link_off + model.n * NUM_DIRS
-            ]
+            link = self.i64
             for r in range(model.n):
-                base = r * NUM_DIRS
+                base = self.link_off + r * NUM_DIRS
                 coord = model.nodes[r]
                 for o in range(1, NUM_DIRS):
-                    count = lv[base + o]
+                    count = link[base + o]
                     if count:
-                        link_counts[(coord, o)] = int(count)
+                        link_counts[(coord, o)] = count
         delivered_total = metrics.delivered_total
-        accepted = self.delivered_during / (model.n * self.measure)
+        accepted = self.delivered_during / (len(self.sources) * self.measure)
         avg_hops = (
             sum(hop_counts) / delivered_total
             if delivered_total
@@ -2970,8 +1995,8 @@ class _BatchRun:
         )
         self.result = RunResult(
             config_name=self.cfg.name,
-            pattern=self.spec.pattern,
-            offered_load=self.spec.rate,
+            pattern=self.pattern,
+            offered_load=self.rate,
             accepted_throughput=accepted,
             avg_latency=stats.mean,
             stddev_latency=stats.stddev,
@@ -2986,15 +2011,32 @@ class _BatchRun:
             measure_cycles=self.measure,
             avg_hops=avg_hops,
             total_cycles=int(st[_ckernel.ST_CYCLE]),
-            dropped_measured=0,
+            dropped_measured=metrics.dropped_measured,
             metrics=metrics,
-            engine="compiled-batch",
+            engine=self.engine,
         )
 
-    def i64_src(self) -> array:
-        # self.st is a slice view; the link/hop segments live in the
-        # same backing array, reachable through the view's .obj.
-        return self.st.obj
+
+def _drive(runs: Sequence[_BatchRun], horizon: int) -> None:
+    """Lay ``runs`` out in one arena and step them all to completion.
+
+    Runs are scheduled round-robin with a ``horizon``-cycle slice each
+    and retired the moment they finish (``result`` or ``error`` set).
+    """
+    from collections import deque
+
+    kernel = _native_kernel()
+    arena = _Arena()
+    for run in runs:
+        run.reserve(arena)
+    arena.seal()
+    for run in runs:
+        run.bind(arena)
+    active = deque(runs)
+    while active:
+        run = active.popleft()
+        if not run.advance(kernel, horizon):
+            active.append(run)
 
 
 def run_compiled_batch(
@@ -3023,8 +2065,6 @@ def run_compiled_batch(
     counters, same error messages), which the differential tests and
     the campaign checkpoint-byte contract pin down.
     """
-    from collections import deque
-
     from repro.core.spec import build_run
     from repro.errors import SimulationError
 
@@ -3043,40 +2083,34 @@ def run_compiled_batch(
                 results[idx] = exc
             continue
         cfg = build_config(spec)
+        faults = build_faults(spec, cfg)
         model = _compile(
             spec, cfg, spec.routing, spec.router, spec.allocator,
-            faults=None,
+            faults=_routing_faults(faults),
         )
-        plan = _pattern_plan(model, cfg, spec.pattern)
-        batch.append(
-            (
-                idx,
-                _BatchRun(
-                    spec,
-                    cfg,
-                    model,
-                    plan,
-                    track_per_source=track_per_source,
-                    keep_samples=keep_samples,
-                    track_links=track_links,
-                ),
-            )
+        run = _BatchRun(
+            spec,
+            cfg,
+            model,
+            spec.pattern,
+            spec.rate,
+            _pattern_plan(model, cfg, spec.pattern),
+            warmup=spec.warmup,
+            measure=spec.measure,
+            drain_limit=spec.drain_limit,
+            seed=spec.seed,
+            faults=faults,
+            watchdog=build_watchdog(spec),
+            max_cycles=spec.max_cycles,
+            max_wall_seconds=None,
+            engine="compiled-batch",
+            track_per_source=track_per_source,
+            keep_samples=keep_samples,
+            track_links=track_links,
         )
+        batch.append((idx, run))
     if batch:
-        kernel = _ckernel.get_kernel()
-        arena = _Arena()
-        for _idx, run in batch:
-            run.reserve(arena)
-        arena.seal()
-        for _idx, run in batch:
-            run.bind(arena, kernel)
-        active = deque(batch)
-        while active:
-            idx, run = active.popleft()
-            if run.advance(kernel, horizon):
-                results[idx] = (
-                    run.error if run.error is not None else run.result
-                )
-            else:
-                active.append((idx, run))
+        _drive([run for _idx, run in batch], horizon)
+        for idx, run in batch:
+            results[idx] = run.error if run.error is not None else run.result
     return results

@@ -5,12 +5,14 @@ bit-identity, not approximation: for every design point the compiled
 engine either produces exactly the reference metrics or transparently
 falls back to the reference engine.  These tests pin that contract on
 the canonical bench cases, on hypothesis-generated small specs across
-all three router kinds, on the pure-Python fallback path (native kernel
-disabled), and — since fault schedules now compile too — on every fault
-class (dead links, dead routers, transient drops, mixed), on random
-fault schedules, and on watchdog deadlock snapshots.
+all three router kinds, on the no-kernel fallback (compiled requests
+run on reference), on the kernel's struct-layout self-check, and on
+every fault class (dead links, dead routers, transient drops — whole-run
+and windowed — and mixed), on random fault schedules, and on watchdog
+deadlock snapshots.
 """
 
+import ctypes
 import dataclasses
 import warnings
 
@@ -21,12 +23,13 @@ from hypothesis import strategies as st
 from property.settings import tiered_settings
 
 from repro.bench import CASES, _case_spec
+from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig
 from repro.core.registry import ENGINES
 from repro.core.spec import NetworkSpec, build_run
 from repro.errors import DeadlockError
 from repro.sim import _ckernel, fastsim
-from repro.sim.faults import FaultSchedule
+from repro.sim.faults import FaultSchedule, TransientLinkFault
 from repro.sim.simulator import run_synthetic
 from repro.sim.watchdog import WatchdogConfig
 
@@ -88,18 +91,22 @@ class TestBenchCaseEquivalence:
 
 
 class TestFallbacks:
-    def test_pure_python_path_matches_native_kernel(self, monkeypatch):
-        """The scalar step loops are the kernel's executable spec."""
+    def test_no_kernel_runs_on_reference(self, monkeypatch):
+        """The kernel is the only stepping implementation outside the
+        oracle: without it a compiled request runs on reference, and
+        the gate names the reason."""
         spec = NetworkSpec.for_network(
             "ruche2-depop", 8, 8, half=True, rate=0.15,
-            warmup=50, measure=100, drain_limit=300,
+            warmup=50, measure=100, drain_limit=300, engine="compiled",
         )
-        with_kernel = build_run(spec.replace(engine="compiled"))
+        with_kernel = build_run(spec)
+        assert with_kernel.engine == "compiled"
         monkeypatch.setattr(fastsim._ckernel, "get_kernel", lambda: None)
-        fastsim.clear_compile_caches()
-        without_kernel = build_run(spec.replace(engine="compiled"))
-        fastsim.clear_compile_caches()
-        assert with_kernel.engine == without_kernel.engine == "compiled"
+        without_kernel = build_run(spec)
+        assert without_kernel.engine == "reference"
+        assert [d.code for d in fastsim.lowering_problems(spec)] == [
+            "no-native-kernel"
+        ]
         assert fingerprint(with_kernel) == fingerprint(without_kernel)
 
     def test_audit_tripwires_fall_back_to_reference(self):
@@ -137,6 +144,25 @@ class TestFallbacks:
                 assert _ckernel.get_kernel() is None
         finally:
             _ckernel._tried, _ckernel._lib = saved
+
+    def test_struct_layout_drift_rejects_the_kernel(self, monkeypatch):
+        """A ctypes mirror that no longer matches the C struct is
+        treated like a failed build, not loaded and trusted."""
+        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+
+        class DriftedCtx(ctypes.Structure):
+            _fields_ = _ckernel.BlockCtx._fields_ + [
+                ("extra", ctypes.c_int64)
+            ]
+
+        monkeypatch.setattr(_ckernel, "BlockCtx", DriftedCtx)
+        monkeypatch.setattr(_ckernel, "_tried", False)
+        monkeypatch.setattr(_ckernel, "_lib", None)
+        with pytest.warns(RuntimeWarning, match="struct layout mismatch"):
+            assert _ckernel.get_kernel() is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ckernel.get_kernel() is None
 
 
 #: One seeded recipe per fault class, all verified to complete (and
@@ -197,6 +223,53 @@ class TestFaultEquivalence:
             config, "uniform_random", 0.1, engine="reference", **kwargs
         )
         assert compiled.engine == "compiled"
+        assert fingerprint(compiled) == fingerprint(reference)
+
+    @pytest.mark.parametrize(
+        "name,options",
+        [("mesh", {}), ("torus", {"fbfc": True}), ("torus", {})],
+        ids=["wormhole", "fbfc", "vc"],
+    )
+    def test_windowed_transient_faults_identical(self, name, options):
+        """``start``/``end`` windows: one fault opens mid-measure and
+        closes before drain, one closes mid-warmup, one (with
+        ``drop_prob`` 0 — it still draws) never closes."""
+        config = NetworkConfig.from_name(name, 8, 4, **options)
+        schedule = FaultSchedule(
+            config,
+            transient=[
+                TransientLinkFault(
+                    Coord(3, 1), Direction.E, 0.5, start=250, end=450
+                ),
+                TransientLinkFault(
+                    Coord(4, 2), Direction.W, 0.3, start=0, end=60
+                ),
+                TransientLinkFault(
+                    Coord(2, 2), Direction.S, 0.0, start=100
+                ),
+            ],
+            seed=4,
+        )
+        kwargs = dict(
+            warmup=100, measure=400, drain_limit=1500, seed=2,
+            faults=schedule,
+        )
+        compiled = run_synthetic(
+            config, "uniform_random", 0.15, engine="compiled", **kwargs
+        )
+        reference = run_synthetic(
+            config, "uniform_random", 0.15, engine="reference", **kwargs
+        )
+        assert compiled.engine == "compiled"
+        assert reference.metrics.dropped_total > 0
+        assert 0 < reference.dropped_measured
+        assert (
+            compiled.metrics.dropped_total,
+            compiled.dropped_measured,
+        ) == (
+            reference.metrics.dropped_total,
+            reference.dropped_measured,
+        )
         assert fingerprint(compiled) == fingerprint(reference)
 
     def test_vc_rerouting_rejected_identically(self):
@@ -273,6 +346,31 @@ class TestFaultEquivalence:
             assert getattr(ref.snapshot, field) == getattr(
                 comp.snapshot, field
             ), field
+
+
+    def test_watchdog_trip_with_transient_faults_identical(self):
+        """A run that both drops flits in the kernel and deadlocks
+        raises the reference's ``DeadlockError`` text byte for byte."""
+        config = NetworkConfig.from_name("mesh", 8, 8)
+        schedule = FaultSchedule.random_mixed(
+            config, links=6, transient=4, drop_prob=0.3, seed=0,
+            degraded_model=True,
+        )
+        kwargs = dict(
+            warmup=2000, measure=2000, drain_limit=2000, seed=1,
+            faults=schedule, watchdog=WatchdogConfig(stall_window=300),
+        )
+        # Nine flits are dropped before the stall at cycle 347; the
+        # message's in-flight count is off by each one missed.
+        messages = {}
+        for engine in ("reference", "compiled"):
+            with pytest.raises(DeadlockError) as excinfo:
+                run_synthetic(
+                    config, "uniform_random", 0.8, engine=engine,
+                    **kwargs,
+                )
+            messages[engine] = str(excinfo.value)
+        assert messages["reference"] == messages["compiled"]
 
 
 #: (name, config options, permanent faults legal).  Permanent faults
@@ -383,32 +481,35 @@ class TestPropertyEquivalence:
         assert p99(results["reference"]) == p99(results["compiled"])
 
     def test_trackers_identical(self):
-        spec = NetworkSpec.for_network(
-            "ruche2-depop", 8, 8, rate=0.15, warmup=30, measure=80,
-            drain_limit=250, seed=7,
-        )
-        kwargs = dict(track_per_source=True, track_links=True)
-        reference = run_synthetic(spec, engine="reference", **kwargs)
-        compiled = run_synthetic(spec, engine="compiled", **kwargs)
-        assert compiled.engine == "compiled"
-        assert sorted(reference.metrics.link_counts.items()) == sorted(
-            compiled.metrics.link_counts.items()
-        )
-        assert set(reference.metrics.per_source) == set(
-            compiled.metrics.per_source
-        )
-        for key, ref_tracker in reference.metrics.per_source.items():
-            comp_tracker = compiled.metrics.per_source[key]
-            assert (
-                ref_tracker.count,
-                ref_tracker.total,
-                ref_tracker.total_sq,
-                ref_tracker.min,
-                ref_tracker.max,
-            ) == (
-                comp_tracker.count,
-                comp_tracker.total,
-                comp_tracker.total_sq,
-                comp_tracker.min,
-                comp_tracker.max,
+        # Wormhole and dateline-VC: the two kernel commit loops that
+        # count link crossings.
+        for name in ("ruche2-depop", "torus"):
+            spec = NetworkSpec.for_network(
+                name, 8, 8, rate=0.15, warmup=30, measure=80,
+                drain_limit=250, seed=7,
             )
+            kwargs = dict(track_per_source=True, track_links=True)
+            reference = run_synthetic(spec, engine="reference", **kwargs)
+            compiled = run_synthetic(spec, engine="compiled", **kwargs)
+            assert compiled.engine == "compiled"
+            assert sorted(reference.metrics.link_counts.items()) == sorted(
+                compiled.metrics.link_counts.items()
+            )
+            assert set(reference.metrics.per_source) == set(
+                compiled.metrics.per_source
+            )
+            for key, ref_tracker in reference.metrics.per_source.items():
+                comp_tracker = compiled.metrics.per_source[key]
+                assert (
+                    ref_tracker.count,
+                    ref_tracker.total,
+                    ref_tracker.total_sq,
+                    ref_tracker.min,
+                    ref_tracker.max,
+                ) == (
+                    comp_tracker.count,
+                    comp_tracker.total,
+                    comp_tracker.total_sq,
+                    comp_tracker.min,
+                    comp_tracker.max,
+                )

@@ -87,6 +87,18 @@ class TestBatchEquivalence:
         assert result.engine == "compiled-batch"
         assert fingerprint(result) == fingerprint(build_run(spec))
 
+    def test_degraded_model_without_faults_batches_on_its_own_tables(self):
+        """``degraded_model`` pins the fault-aware BFS tables even with
+        nothing broken; the batch must route on them, not on the healthy
+        DOR model."""
+        spec = _spec("ruche2-depop", 8, 8, rate=0.2, degraded_model=True)
+        assert batching_problems(spec) == []
+        (result,) = run_compiled_batch([spec])
+        assert result.engine == "compiled-batch"
+        assert fingerprint(result) == fingerprint(
+            build_run(spec.replace(engine="reference"))
+        )
+
     def test_trackers_and_samples_identical(self):
         spec = _spec("torus", 8, 4, rate=0.2, seed=9)
         kwargs = dict(
@@ -242,25 +254,6 @@ class TestBatchingGate:
         results = run_compiled_batch(specs)
         for spec, got in zip(specs, results):
             assert fingerprint(got) == fingerprint(build_run(spec))
-
-
-class TestVcKernelSerial:
-    """The serial dateline-VC C kernel vs its pure-Python spec."""
-
-    def test_c_vc_path_matches_pure_python(self, monkeypatch):
-        spec = _spec("torus", 8, 8, rate=0.2, seed=13)
-        with_kernel = build_run(spec, track_links=True)
-        fp_with = fingerprint(build_run(spec))
-        monkeypatch.setattr(fastsim._ckernel, "get_kernel", lambda: None)
-        fastsim.clear_compile_caches()
-        without_kernel = build_run(spec, track_links=True)
-        fp_without = fingerprint(build_run(spec))
-        fastsim.clear_compile_caches()
-        assert with_kernel.engine == without_kernel.engine == "compiled"
-        assert fp_with == fp_without
-        assert sorted(with_kernel.metrics.link_counts.items()) == sorted(
-            without_kernel.metrics.link_counts.items()
-        )
 
 
 class TestCertifyBatchability:
