@@ -45,10 +45,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.spec import NetworkSpec, build_run
 
 SCHEMA = "repro-bench-v2"
-#: Schemas :func:`load_report` accepts.  v1 baselines predate per-engine
-#: entries; their cases compare as ``engine == "reference"`` and they
-#: may lack the ``campaign`` section.
-COMPATIBLE_SCHEMAS = ("repro-bench-v1", SCHEMA)
 
 #: Engines every bench run measures, reference first so the compiled
 #: entry can report its speedup against the same report.
@@ -243,10 +239,10 @@ def measure_campaign_scaling(
     cold-first-leg protocol systematically flattered the multi-worker
     leg).  Campaigns run batched, exactly as the figure drivers submit
     them.  The report records ``usable_cpus`` so the regression gate
-    can tell "parallel mode broke" from "the host had one CPU":
-    anything below 1.0 on a multi-CPU host is gated by
-    :func:`compare_to_baseline`, and on a host with >= 4 schedulable
-    CPUs the ``--jobs 4`` speedup must clear
+    can tell "parallel mode broke" from "the host had fewer CPUs than
+    workers": anything below 1.0 on a host with a CPU per worker is
+    gated by :func:`compare_to_baseline`, and on a host with >= 4
+    schedulable CPUs the ``--jobs 4`` speedup must clear
     :data:`CAMPAIGN_JOBS_SPEEDUP_FLOOR`.
     """
     from repro.core.routing import clear_routing_caches
@@ -400,28 +396,28 @@ def compare_to_baseline(
 
     Returns ``(regressions, notes)``: a case regresses when its
     cycles/sec falls more than ``tolerance`` below the baseline entry
-    for the same ``(name, engine)`` pair (a v1 baseline entry without
-    an ``engine`` field compares as ``"reference"``); a case that
-    *improved* past the tolerance is reported as a note suggesting a
-    baseline refresh (never a failure).  A case present in the baseline
+    for the same ``(name, engine)`` pair; a case that *improved* past
+    the tolerance is reported as a note suggesting a baseline refresh
+    (never a failure).  A case present in the baseline
     but missing from the report is a regression — a silently dropped
     benchmark must not pass the gate.  Compiled entries additionally
     must clear their :data:`SPEEDUP_FLOORS` (when the report carries
     ``speedup_vs_reference``).  The report's campaign section, when
     present, must have identical rows across ``--jobs`` values and a
     speedup of at least 1.0 (only judged when the measuring host had
-    more than one schedulable CPU — a 1-CPU host legitimately runs
-    every ``--jobs`` value inline); on a host with >= 4 CPUs the
+    a schedulable CPU for every worker of the widest ``--jobs`` leg —
+    with fewer, the workers time-share and the leg legitimately reads
+    just under its serial twin); on a host with >= 4 CPUs the
     speedup must also clear :data:`CAMPAIGN_JOBS_SPEEDUP_FLOOR`.  The
     ``campaign_batched`` section must have batched rows bit-identical
     to per-row rows and a ``speedup_vs_unbatched`` of at least
     :data:`BATCHED_SPEEDUP_FLOOR`; dropping the section while the
     baseline carries one is a regression.  A baseline without either
-    campaign section (v1, or an old quick report) is tolerated.
+    campaign section (an old quick report) is tolerated.
     """
 
     def case_key(case: Dict[str, Any]) -> Tuple[str, str]:
-        return case["name"], case.get("engine", "reference")
+        return case["name"], case["engine"]
 
     measured = {case_key(c): c for c in report.get("cases", ())}
     regressions: List[str] = []
@@ -466,8 +462,16 @@ def compare_to_baseline(
             )
         speedup = campaign.get("speedup")
         usable = campaign.get("usable_cpus")  # absent in old reports
-        multi_cpu = usable is None or usable > 1
-        if speedup is not None and speedup < 1.0 and multi_cpu:
+        # A 1-CPU host runs every leg inline, and workers of the widest
+        # leg that outnumber the CPUs time-share them.
+        workers = max(
+            [2, *map(int, campaign.get("wall_seconds_by_jobs", ()))]
+        )
+        if (
+            speedup is not None
+            and speedup < 1.0
+            and (usable is None or usable >= workers)
+        ):
             regressions.append(
                 f"campaign speedup {speedup} < 1.0 — parallel mode "
                 "costs wall-clock over a serial rerun"
@@ -483,7 +487,7 @@ def compare_to_baseline(
                 f"floor {CAMPAIGN_JOBS_SPEEDUP_FLOOR}x on a "
                 f"{usable}-CPU host"
             )
-        base_campaign = baseline.get("campaign")  # absent in v1/quick
+        base_campaign = baseline.get("campaign")  # absent in quick
         if (
             base_campaign is not None
             and speedup is not None
@@ -520,10 +524,10 @@ def compare_to_baseline(
 def load_report(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    if report.get("schema") not in COMPATIBLE_SCHEMAS:
+    if report.get("schema") != SCHEMA:
         raise ValueError(
             f"{path}: unknown bench schema {report.get('schema')!r} "
-            f"(expected one of {', '.join(COMPATIBLE_SCHEMAS)})"
+            f"(expected {SCHEMA})"
         )
     return report
 
@@ -553,7 +557,7 @@ def render_markdown(report: Dict[str, Any]) -> str:
             "| {name} | {engine} | {cycles:,} | {secs:.3f} "
             "| {cps:,.0f} | {sp} |".format(
                 name=case["name"],
-                engine=case.get("engine", "reference"),
+                engine=case["engine"],
                 cycles=case["total_cycles"],
                 secs=case["best_seconds"],
                 cps=case["cycles_per_sec"],

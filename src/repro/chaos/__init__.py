@@ -44,7 +44,7 @@ from repro.errors import DeadlockError
 from repro.experiments.base import ExperimentResult, resolve_scale
 from repro.experiments.campaign import CheckpointStore, run_campaign
 from repro.sim.faults import FaultSchedule
-from repro.sim.metrics import fairness_stats, tail_latency_stats
+from repro.sim.metrics import tail_latency_stats
 from repro.sim.simulator import run_synthetic
 from repro.sim.watchdog import WatchdogConfig
 
@@ -117,11 +117,6 @@ def build_schedule(
         seed=seed,
         degraded_model=True,
     )
-
-
-# Promoted to :func:`repro.sim.metrics.fairness_stats`; kept under its
-# historical name for chaos-campaign callers.
-_fairness = fairness_stats
 
 
 def _simulate(config, schedule, preset, params, rate, engine):

@@ -52,14 +52,17 @@ rehydrated into a reference-style network to capture a full
 
 One executor
 ------------
-:func:`run_compiled` and :func:`run_compiled_batch` share one run
-object (:class:`_BatchRun`: one arena layout, one ctypes fill, one
-ejection replay, one watchdog rehydration, one metrics finaliser).  A
-batch steps many runs in whole-phase kernel blocks with in-kernel
-injection; a serial call is a batch of one whose injection round runs
-on the host in Python (any registered pattern, dead-router skip,
-unreachable-destination discard, wall-clock polling), followed by a
-one-cycle kernel block.
+:func:`run_compiled` and :func:`run_compiled_batch` share one resolver
+(:func:`_resolve`: config, faults, watchdog, gates and compilation,
+once per design point) and one run object (:class:`_Run`: one array
+layout, one ctypes fill, one ejection replay, one watchdog
+rehydration, one metrics finaliser).  A run owns its memory and is
+stepped to completion before anything else happens, so a batch is a
+loop over its specs and nothing but the compile and pattern caches
+outlives a run.  A batched row injects in-kernel and steps in
+whole-phase blocks; a serial call injects on the host in Python (any
+registered pattern, dead-router skip, unreachable-destination discard,
+wall-clock polling) before each one-cycle kernel block.
 
 What falls back
 ---------------
@@ -181,7 +184,7 @@ class _CompiledModel:
     Holds only static tables (wiring, routes, candidate lists), already
     flattened into the int32 arrays the native kernel reads; all mutable
     simulation state (queues, pointers, counters) is allocated fresh per
-    run by :class:`_BatchRun`.
+    run by :class:`_Run`.
     """
 
     __slots__ = (
@@ -382,6 +385,12 @@ def _build_model(
                 model, net, routing, nsub
             )
         model.tables = _c_arrays(model.n, posmaps, plans, route_rows)
+    # Router -> downstream-router wiring is the throwaway network's
+    # only reference cycle; cut it and the whole network is freed on
+    # return instead of riding under the following runs until a full
+    # garbage collection happens by.
+    for router in routers:
+        router.out_target = None
     return model
 
 
@@ -639,11 +648,11 @@ def _tabulate_vc_routes(model, routing) -> Tuple[List, List, List]:
                 continue  # (P, 0): zeros already in place
             out = int(routing.route_vc(coord, Direction.P, 0, dest)[0])
             out_row[d] = out
-            horizontal = out in (1, 2)  # W, E
-            cur = coord.x if horizontal else coord.y
-            tgt = dest.x if horizontal else dest.y
-            k = config.width if horizontal else config.height
-            is_ring = x_ring if horizontal else y_ring
+            along_x = out in (1, 2)  # W, E
+            cur = coord.x if along_x else coord.y
+            tgt = dest.x if along_x else dest.y
+            k = config.width if along_x else config.height
+            is_ring = x_ring if along_x else y_ring
             if out in (east, south):
                 ahead = tgt < cur
                 dateline = is_ring and cur == k - 1
@@ -693,8 +702,8 @@ class _CArrays:
     )
 
 
-def _ptr32(a: array):
-    return ctypes.cast(a.buffer_info()[0], ctypes.POINTER(ctypes.c_int32))
+def _ptr(a: array, ctype: Any = ctypes.c_int32):
+    return ctypes.cast(a.buffer_info()[0], ctypes.POINTER(ctype))
 
 
 def _c_arrays(R: int, posmaps, plans, route_rows) -> _CArrays:
@@ -860,180 +869,9 @@ def _gate_diagnostics(
     return reasons
 
 
-def lowering_problems(
-    target: Union[NetworkConfig, NetworkSpec],
-    *,
-    faults: Any = None,
-    audit_every: Optional[int] = None,
-) -> List[LoweringDiagnostic]:
-    """Why ``target`` would fall back to the reference engine.
-
-    A static compilability analysis: an empty list means
-    :func:`run_compiled` will run this design point on the flat-array
-    engine; otherwise each :class:`LoweringDiagnostic` names one exact
-    fallback reason.  For a :class:`NetworkSpec`, fault and
-    ``audit_every`` fields are resolved from the spec (explicit
-    arguments override).  Nothing is simulated: the analysis runs the
-    same pre-compile gates as :func:`run_compiled` and, when those
-    pass, the same (cached) model compilation — so the verdict is the
-    engine's own, not a parallel reimplementation.
-    """
-    if isinstance(target, NetworkSpec):
-        spec = target
-        cfg = build_config(spec)
-        if faults is None:
-            faults = build_faults(spec, cfg)
-        if audit_every is None:
-            audit_every = spec.audit_every
-        names: Tuple[
-            Optional[str], Optional[str], Optional[str]
-        ] = (spec.routing, spec.router, spec.allocator)
-    else:
-        cfg = target
-        names = (None, None, None)
-    reasons = _gate_diagnostics(cfg, faults, audit_every)
-    if reasons:
-        return reasons
-    try:
-        _compile(target, cfg, *names, faults=_routing_faults(faults))
-    except _Unsupported as exc:
-        return [exc.diagnostic]
-    return []
-
-
 # ----------------------------------------------------------------------
-# Entry point
+# Native injection plans
 # ----------------------------------------------------------------------
-def run_compiled(
-    config: Union[NetworkConfig, NetworkSpec],
-    pattern: Optional[str] = None,
-    rate: Optional[float] = None,
-    *,
-    warmup: int = 500,
-    measure: int = 1000,
-    drain_limit: int = 3000,
-    seed: int = 1,
-    track_per_source: bool = False,
-    keep_samples: bool = False,
-    track_links: bool = False,
-    faults: Any = None,
-    watchdog: Optional[WatchdogConfig] = None,
-    audit_every: Optional[int] = None,
-    max_cycles: Optional[int] = None,
-    max_wall_seconds: Optional[float] = None,
-):
-    """The compiled engine: ``run_synthetic`` semantics on flat arrays.
-
-    Accepts the full reference-engine signature, including ``faults``
-    and ``watchdog``.  Fault schedules are compiled in: permanent faults
-    select a fault-aware route-table model, transient drops are drawn
-    inside the native kernel, and the watchdog raises a reference-format
-    :class:`~repro.errors.DeadlockError` with a full snapshot.  The run
-    is a one-run :class:`_BatchRun` with host-side injection, so every
-    registered pattern works.  Runs the compiler cannot lower (see the
-    module docstring and :func:`lowering_problems`) are delegated to
-    :func:`repro.sim.simulator._run_reference` unchanged, and the
-    returned result's ``engine`` field reports which engine actually
-    ran.
-    """
-
-    def fallback():
-        from repro.sim.simulator import _run_reference
-
-        return _run_reference(
-            config,
-            pattern,
-            rate,
-            warmup=warmup,
-            measure=measure,
-            drain_limit=drain_limit,
-            seed=seed,
-            track_per_source=track_per_source,
-            keep_samples=keep_samples,
-            track_links=track_links,
-            faults=faults,
-            watchdog=watchdog,
-            audit_every=audit_every,
-            max_cycles=max_cycles,
-            max_wall_seconds=max_wall_seconds,
-        )
-
-    if isinstance(config, NetworkSpec):
-        spec = config
-        if pattern is None:
-            pattern = spec.pattern
-        if rate is None:
-            rate = spec.rate
-        cfg = build_config(spec)
-        if faults is None:
-            faults = build_faults(spec, cfg)
-        if watchdog is None:
-            watchdog = build_watchdog(spec)
-        names = (spec.routing, spec.router, spec.allocator)
-        target: Union[NetworkConfig, NetworkSpec] = spec
-    else:
-        if pattern is None or rate is None:
-            raise TypeError(
-                "run_synthetic(config, ...) requires explicit pattern "
-                "and rate (only NetworkSpec carries defaults)"
-            )
-        cfg = config
-        names = (None, None, None)
-        target = config
-    if _gate_diagnostics(cfg, faults, audit_every):
-        return fallback()
-    try:
-        model = _compile(
-            target, cfg, *names, faults=_routing_faults(faults)
-        )
-    except _Unsupported:
-        return fallback()
-    run = _BatchRun(
-        target,
-        cfg,
-        model,
-        pattern,
-        rate,
-        None,  # host-side injection: any pattern, any fault schedule
-        warmup=warmup,
-        measure=measure,
-        drain_limit=drain_limit,
-        seed=seed,
-        faults=faults,
-        watchdog=watchdog,
-        max_cycles=max_cycles,
-        max_wall_seconds=max_wall_seconds,
-        engine="compiled",
-        track_per_source=track_per_source,
-        keep_samples=keep_samples,
-        track_links=track_links,
-    )
-    _drive([run], warmup + measure + drain_limit + 1)
-    if run.error is not None:
-        raise run.error
-    return run.result
-
-
-# ----------------------------------------------------------------------
-# Batched execution
-# ----------------------------------------------------------------------
-# A batch stacks the flat per-run state of N design points — FIFO rings,
-# flit records, route tables, Mersenne Twister states — into one
-# structure-of-arrays arena and steps every run in whole-phase blocks of
-# the native kernel (`run_block_noc` / `run_block_vc`), retiring each
-# run the moment it finishes.  The per-cycle costs that dominate short
-# campaign rows (Python-loop injection, one FFI call per cycle) are paid
-# once per block instead.
-#
-# The bit-identity contract extends unchanged: a batched run consumes
-# the same `timing` / `dest` RNG streams in the same order as a serial
-# run of the same spec (the kernel replicates CPython's MT19937,
-# including `random()`'s 53-bit recipe and `randrange`'s top-bits
-# rejection loop), so every counter, latency, and checkpoint byte
-# matches the serial compiled engine — which in turn matches reference.
-# `RunResult.engine` reports `"compiled-batch"` for provenance.
-
-
 class _PoisonPattern(Exception):
     """Raised when a probed pattern touches its RNG (not tabulable)."""
 
@@ -1138,31 +976,11 @@ def _pattern_plan(
     return plan
 
 
-def batching_problems(
-    target: Union[NetworkConfig, NetworkSpec],
-    *,
-    faults: Any = None,
-) -> List[LoweringDiagnostic]:
-    """Why ``target`` cannot join a batched kernel invocation.
-
-    An empty list means :func:`run_compiled_batch` will run this design
-    point inside the shared arena; otherwise each diagnostic names one
-    exact reason it falls back to a per-row serial run.  The batch gate
-    is a strict superset of :func:`lowering_problems`: everything that
-    cannot lower cannot batch, and batching additionally requires a
-    :class:`~repro.core.spec.NetworkSpec` that selects the compiled
-    engine, no fault schedule, no wall-clock budget, and a pattern the
-    kernel can inject natively.
-    """
-    if not isinstance(target, NetworkSpec):
-        return [
-            LoweringDiagnostic(
-                "engine-not-compiled",
-                "batching requires a NetworkSpec selecting the compiled "
-                "engine (plain configs carry no engine/window fields)",
-            )
-        ]
-    spec = target
+# ----------------------------------------------------------------------
+# Resolution: one pass from a target to diagnostics or a runnable point
+# ----------------------------------------------------------------------
+def _batch_gate(spec: NetworkSpec, faults: Any) -> List[LoweringDiagnostic]:
+    """Why a spec that lowers still cannot inject in-kernel."""
     reasons: List[LoweringDiagnostic] = []
     if spec.engine != "compiled":
         reasons.append(
@@ -1197,9 +1015,6 @@ def batching_problems(
                 f"cycle draws the pattern",
             )
         )
-    cfg = build_config(spec)
-    if faults is None:
-        faults = build_faults(spec, cfg)
     if faults is not None and faults.has_faults:
         reasons.append(
             LoweringDiagnostic(
@@ -1208,115 +1023,160 @@ def batching_problems(
                 "the serial path",
             )
         )
-    reasons.extend(lowering_problems(spec, faults=faults))
-    if reasons:
-        return reasons
-    model = _compile(
-        spec, cfg, spec.routing, spec.router, spec.allocator,
-        faults=_routing_faults(faults),
-    )
-    if _pattern_plan(model, cfg, spec.pattern) is None:
+    return reasons
+
+
+def _resolve(
+    target: Union[NetworkConfig, NetworkSpec],
+    faults: Any,
+    watchdog: Optional[WatchdogConfig],
+    audit_every: Optional[int],
+    *,
+    batch: bool = False,
+) -> Tuple[List[LoweringDiagnostic], Optional[Tuple]]:
+    """Resolve one design point, once, for all four entry points.
+
+    Returns ``(problems, point)``.  ``point`` is ``(cfg, faults,
+    watchdog, model, plan)`` when ``target`` lowers to this engine and
+    ``None`` when it does not; a spec's fault and watchdog fields fill
+    in for arguments left ``None``.  ``problems`` names why it does not
+    lower or, with ``batch`` (specs only), why it cannot run with
+    in-kernel injection: the batch-gate reasons, then the lowering
+    ones, then — for a point clean so far — an untranslatable pattern.
+    ``plan`` is the native injection plan of a point with no problems,
+    else ``None``.  :func:`lowering_problems` and
+    :func:`batching_problems` are the ``problems`` of this function, so
+    analyzers and executors can never disagree about a design point.
+    """
+    reasons: List[LoweringDiagnostic] = []
+    if isinstance(target, NetworkSpec):
+        cfg = build_config(target)
+        if faults is None:
+            faults = build_faults(target, cfg)
+        if watchdog is None:
+            watchdog = build_watchdog(target)
+        names: Tuple[Optional[str], Optional[str], Optional[str]] = (
+            target.routing, target.router, target.allocator,
+        )
+        if batch:
+            reasons = _batch_gate(target, faults)
+    else:
+        cfg = target
+        names = (None, None, None)
+    lowering = _gate_diagnostics(cfg, faults, audit_every)
+    if not lowering:
+        try:
+            model = _compile(
+                target, cfg, *names, faults=_routing_faults(faults)
+            )
+        except _Unsupported as exc:
+            lowering = [exc.diagnostic]
+    if lowering:
+        return reasons + lowering, None
+    plan = None
+    if batch and not reasons:
+        plan = _pattern_plan(model, cfg, target.pattern)
+        if plan is None:
+            reasons = [
+                LoweringDiagnostic(
+                    "pattern-not-batchable",
+                    f"pattern {target.pattern!r} draws from the dest "
+                    f"stream in a way the block kernel cannot replicate",
+                )
+            ]
+    return reasons, (cfg, faults, watchdog, model, plan)
+
+
+def lowering_problems(
+    target: Union[NetworkConfig, NetworkSpec],
+    *,
+    faults: Any = None,
+    audit_every: Optional[int] = None,
+) -> List[LoweringDiagnostic]:
+    """Why ``target`` would fall back to the reference engine.
+
+    A static compilability analysis: an empty list means
+    :func:`run_compiled` will run this design point on the flat-array
+    engine; otherwise each :class:`LoweringDiagnostic` names one exact
+    fallback reason.  For a :class:`NetworkSpec`, fault and
+    ``audit_every`` fields are resolved from the spec (explicit
+    arguments override).  Nothing is simulated: the analysis is the
+    resolution :func:`run_compiled` itself performs — the pre-compile
+    gates and, when those pass, the (cached) model compilation — so the
+    verdict is the engine's own, not a parallel reimplementation.
+    """
+    if audit_every is None and isinstance(target, NetworkSpec):
+        audit_every = target.audit_every
+    return _resolve(target, faults, None, audit_every)[0]
+
+
+def batching_problems(
+    target: Union[NetworkConfig, NetworkSpec],
+    *,
+    faults: Any = None,
+) -> List[LoweringDiagnostic]:
+    """Why ``target`` cannot run as a batched (in-kernel injection) row.
+
+    An empty list means :func:`run_compiled_batch` will run this design
+    point in whole-phase kernel blocks; otherwise each diagnostic names
+    one exact reason it runs per-row instead.  The batch gate is a
+    strict superset of :func:`lowering_problems`: everything that
+    cannot lower cannot batch, and batching additionally requires a
+    :class:`~repro.core.spec.NetworkSpec` that selects the compiled
+    engine, no fault schedule, no wall-clock budget, and a pattern the
+    kernel can inject natively.
+    """
+    if not isinstance(target, NetworkSpec):
         return [
             LoweringDiagnostic(
-                "pattern-not-batchable",
-                f"pattern {spec.pattern!r} draws from the dest stream in "
-                f"a way the block kernel cannot replicate",
+                "engine-not-compiled",
+                "batching requires a NetworkSpec selecting the compiled "
+                "engine (plain configs carry no engine/window fields)",
             )
         ]
-    return []
+    return _resolve(
+        target, faults, None, target.audit_every, batch=True
+    )[0]
 
 
-
-
-class _Arena:
-    """One structure-of-arrays allocation backing a whole batch.
-
-    Runs stage their segment layouts (`add32`/`add64`/`addu32` return
-    element offsets) and `seal()` allocates the contiguous arrays —
-    int32 queue/table state, int64 counters, uint32 Mersenne Twister
-    states — that every run's ctypes context points into.  Zero
-    segments are recorded as lengths only (the injection rings
-    dominate; staging them as Python lists would cost twice the sealed
-    arena in transient memory); initialised segments are copied in at
-    seal time.  Per-packet logs are deliberately *not* arena-resident:
-    their worst case (every injection round hitting) would dwarf the
-    steady state, so they stay growable per-run arrays.
-    """
-
-    __slots__ = ("_n32", "_n64", "_init32", "a32", "a64", "au32")
-
-    def __init__(self) -> None:
-        self._n32 = 0
-        self._n64 = 0
-        self._init32: List[Tuple[int, array]] = []
-        self.a32: Optional[array] = None
-        self.a64: Optional[array] = None
-        self.au32 = array("I")
-
-    def add32(self, init: Union[int, Sequence[int]]) -> int:
-        off = self._n32
-        if isinstance(init, int):
-            self._n32 += init
-        else:
-            data = init if isinstance(init, array) else array("i", init)
-            self._init32.append((off, data))
-            self._n32 += len(data)
-        return off
-
-    def add64(self, size: int) -> int:
-        off = self._n64
-        self._n64 += size
-        return off
-
-    def addu32(self, data: Sequence[int]) -> int:
-        off = len(self.au32)
-        self.au32.extend(data)
-        return off
-
-    def seal(self) -> None:
-        self.a32 = array("i", [0]) * self._n32
-        for off, data in self._init32:
-            self.a32[off:off + len(data)] = data
-        self._init32 = []
-        self.a64 = array("q", [0]) * self._n64
-
-    def p32(self, off: int):
-        return ctypes.cast(
-            self.a32.buffer_info()[0] + 4 * off,
-            ctypes.POINTER(ctypes.c_int32),
-        )
-
-    def p64(self, off: int):
-        return ctypes.cast(
-            self.a64.buffer_info()[0] + 8 * off,
-            ctypes.POINTER(ctypes.c_int64),
-        )
-
-    def pu32(self, off: int):
-        return ctypes.cast(
-            self.au32.buffer_info()[0] + 4 * off,
-            ctypes.POINTER(ctypes.c_uint32),
-        )
-
-    def view32(self, off: int, size: int):
-        return memoryview(self.a32)[off:off + size]
-
-    def view64(self, off: int, size: int):
-        return memoryview(self.a64)[off:off + size]
-
+# ----------------------------------------------------------------------
+# The executor: one run, its own arrays, stepped to completion
+# ----------------------------------------------------------------------
+# Both entry points run a design point the same way: allocate that
+# run's flat state — FIFO rings, flit records, counters, Mersenne
+# Twister states — step it to completion in blocks of the native kernel
+# (`run_block_noc` / `run_block_vc`), keep the `RunResult` (or the
+# error) and drop everything else.  What distinguishes a batched row is
+# where injection happens: inside the kernel, so a block spans up to
+# `_BLOCK_CYCLES` cycles of a phase and the per-cycle costs that
+# dominate short campaign rows (Python-loop injection, one FFI call per
+# cycle) are paid once per block.  A serial run injects on the host and
+# steps one cycle per block.
+#
+# The bit-identity contract extends unchanged: a batched run consumes
+# the same `timing` / `dest` RNG streams in the same order as a serial
+# run of the same spec (the kernel replicates CPython's MT19937,
+# including `random()`'s 53-bit recipe and `randrange`'s top-bits
+# rejection loop), so every counter, latency, and checkpoint byte
+# matches the serial compiled engine — which in turn matches reference.
+# `RunResult.engine` reports `"compiled-batch"` for provenance.
 
 _PK_CAP0 = 4096  # initial per-run packet-record capacity (doubles)
 _EJ_CAP0 = 8192  # initial per-run ejection-log capacity, in int32 slots
+#: Most cycles one kernel block runs: `_ensure_capacity` preallocates
+#: ``n`` packet records per cycle of the coming block, so whole-phase
+#: blocks on a long drain would allocate the worst case up front.
+_BLOCK_CYCLES = 4096
 _I32_MAX = 2**31 - 1
 
 
-class _BatchRun:
-    """One design point's lowered state inside an arena.
+class _Run:
+    """One design point's lowered state and its run to completion.
 
-    The single executor behind both entry points: a batch is many of
-    these in one arena stepped in whole-phase blocks; a serial
-    :func:`run_compiled` call is one of them, alone in its arena.  It
-    takes *resolved* run parameters (not a spec), so plain
+    The single executor behind both entry points.  It owns every array
+    the kernel touches, so a run's memory lives exactly as long as this
+    object — callers keep what :meth:`run` returns and nothing else.
+    It takes *resolved* run parameters (not a spec), so plain
     ``NetworkConfig`` callers work too.  ``plan`` is the native
     injection plan from :func:`_pattern_plan`; ``None`` means the host
     injects each round in Python — any registered pattern, dead-router
@@ -1325,23 +1185,15 @@ class _BatchRun:
     """
 
     __slots__ = (
-        "target", "cfg", "model", "pattern", "rate", "plan", "faults",
+        "target", "cfg", "model", "pattern", "rate", "faults",
         "engine", "track_per_source", "keep_samples", "track_links",
         "warmup", "measure", "drain_limit", "seed", "max_cycles",
-        "max_wall_seconds", "deadline",
-        "stall_window", "starvation_window", "is_vc", "sources",
-        "inj_cap", "nq",
-        "buf_off", "qoff_off", "qcap_off", "qhead_off", "qlen_off",
-        "arb_off", "prio_off", "occ_off", "dirty_off",
-        "gsq_off", "gro_off", "ej_off", "nej_off", "tab_off",
-        "trcur_off", "fmap_off", "fwin_off",
-        "hop_off", "link_off", "st_off", "tmt_off", "dmt_off", "xmt_off",
-        "i32", "i64", "st", "fprob_a",
+        "max_wall_seconds", "deadline", "is_vc", "sources", "inj_cap",
+        "buf", "qoff", "qcap", "qhead", "qlen", "occ", "dirty",
+        "hop", "link", "st", "keep",
         "pdest_a", "paux_a", "pout_a",
         "psrc_a", "pinj_a", "pmeas_a", "ejlog_a", "pk_cap", "pk_owners",
-        "ctx", "bctx", "cref", "bref", "inject",
-        "phase", "phase_remaining", "delivered_before",
-        "delivered_during", "drained", "error", "result",
+        "bctx", "cref", "bref", "run_block", "inject",
         "lat_count", "lat_total", "lat_total_sq", "lat_min", "lat_max",
         "samples", "per_src",
     )
@@ -1373,7 +1225,6 @@ class _BatchRun:
         self.model = model
         self.pattern = pattern
         self.rate = rate
-        self.plan = plan
         self.faults = faults
         self.engine = engine
         self.track_per_source = track_per_source
@@ -1385,11 +1236,7 @@ class _BatchRun:
         self.seed = seed
         self.max_cycles = max_cycles
         self.max_wall_seconds = max_wall_seconds
-        self.deadline: Optional[float] = None
-        wd = watchdog if watchdog is not None else WatchdogConfig()
-        self.stall_window = wd.stall_window
-        self.starvation_window = wd.starvation_window
-        self.is_vc = model.kind == "vc"
+        self.is_vc = is_vc = model.kind == "vc"
         # Dead routers never inject (nor draw from the timing stream),
         # and accepted throughput is normalised by the live sources.
         dead = (
@@ -1400,14 +1247,6 @@ class _BatchRun:
         self.sources = tuple(
             (s, src) for s, src in enumerate(model.nodes) if src not in dead
         )
-        self.inject: Optional[Any] = None
-        self.phase = 0
-        self.phase_remaining = warmup
-        self.delivered_before = 0
-        self.delivered_during = 0
-        self.drained = False
-        self.error: Optional[Exception] = None
-        self.result: Optional[Any] = None
         self.lat_count = 0
         self.lat_total = 0
         self.lat_total_sq = 0
@@ -1418,7 +1257,196 @@ class _BatchRun:
             {} if track_per_source else None
         )
 
-    # -- arena layout ---------------------------------------------------
+        # -- this run's arrays ------------------------------------------
+        # Everything a ctypes context points into is held here (by name
+        # when Python reads it back, else in `keep`) until the run ends.
+        keep: List[array] = []
+        self.keep = keep
+
+        def new(init: Union[int, Sequence[int]], code: str = "i") -> array:
+            if isinstance(init, int):
+                a = array(code, [0]) * init
+            else:
+                a = array(code, init)
+            keep.append(a)
+            return a
+
+        def twister(rng: Any) -> Any:
+            """A Mersenne Twister state for the kernel to advance."""
+            return _ptr(new(rng.getstate()[1], "I"), ctypes.c_uint32)
+
+        R = model.n
+        depth = model.depth
+        # Ring-buffer capacities: an injection (P) queue is unbounded in
+        # the reference engine, but one source can enqueue at most one
+        # packet per injection round, so the round count is a hard cap.
+        self.inj_cap = inj_cap = warmup + measure + drain_limit + 2
+        if is_vc:
+            narb = R * VCRouter.NUM_PORTS
+            nq = narb * model.num_vcs
+        else:
+            nq = narb = R * NUM_DIRS
+        self.qcap = qcap = new(nq)
+        self.qoff = qoff = new(nq)
+        off = 0
+        for q, _r, i, _lane in self._queues():
+            qcap[q] = inj_cap if i == P_IDX else depth
+            qoff[q] = off
+            off += qcap[q]
+        self.buf = new(off)
+        self.qhead = new(nq)
+        self.qlen = new(nq)
+        self.occ = new(R)
+        self.hop = new(NUM_DIRS, "q")
+        self.link = new(R * NUM_DIRS if track_links else 1, "q")
+        self.st = new(_ckernel.ST_LEN, "q")
+        self.pk_cap = _PK_CAP0
+        zeros = bytes(4 * _PK_CAP0)
+        self.pdest_a = array("i", zeros)
+        self.pout_a = array("i", zeros)
+        # The one per-packet field the router kinds do not share: the
+        # assigned VC (vc), or the route-row offset subnet * n.
+        self.paux_a = array("i", zeros)
+        self.psrc_a = array("i", zeros)
+        self.pinj_a = array("i", zeros)
+        self.pmeas_a = array("i", zeros)
+        self.ejlog_a = array("i", bytes(4 * _EJ_CAP0))
+
+        # -- ctypes contexts --------------------------------------------
+        # Round-robin pointers (`arb` / `vc_rr`): per (router, output)
+        # arbiters for wormhole/FBFC, per (router, input) VC muxes for
+        # VC routers.
+        if is_vc:
+            va = model.tables
+            c = _ckernel.VcCtx()
+            c.nvc = model.num_vcs
+            c.n = R
+            c.plist = _ptr(va.plist)
+            c.pofs = _ptr(va.pofs)
+            c.pcnt = _ptr(va.pcnt)
+            c.dn = _ptr(va.dn)
+            c.feed = _ptr(va.feed)
+            c.out_tab = _ptr(va.out)
+            c.vcn_tab = _ptr(va.vcn)
+            c.dl_tab = _ptr(va.dl)
+            c.sd = _ptr(va.sd)
+            c.vc_rr = _ptr(new(narb))
+            c.prio = _ptr(new(R))
+            self.dirty = new([1] * R)
+            c.dirty = _ptr(self.dirty)
+            aux = "povc"
+        else:
+            ca = model.tables
+            c = _ckernel.StepCtx()
+            c.fbfc = 1 if model.kind == "fbfc" else 0
+            c.rowlen = ca.rowlen
+            c.dn = _ptr(ca.dn)
+            c.ncv = _ptr(ca.ncv)
+            c.cands = _ptr(ca.cands)
+            c.pm = _ptr(ca.pm)
+            c.needs = _ptr(ca.needs)
+            c.rowof = _ptr(ca.rowof)
+            c.rows = _ptr(ca.rows)
+            c.arb = _ptr(new(narb))
+            self.dirty = None
+            aux = "pbase"
+        c.R = R
+        c.depth = depth
+        c.track_links = 1 if track_links else 0
+        c.buf = _ptr(self.buf)
+        c.qoff = _ptr(qoff)
+        c.qcap = _ptr(qcap)
+        c.qhead = _ptr(self.qhead)
+        c.qlen = _ptr(self.qlen)
+        c.occ = _ptr(self.occ)
+        c.hop = _ptr(self.hop, ctypes.c_int64)
+        c.link = _ptr(self.link, ctypes.c_int64)
+        c.gsq = _ptr(new(narb))
+        c.gro = _ptr(new(narb))
+        c.ej = _ptr(new(R))
+        c.nej = _ptr(new(1))
+        self.cref = ctypes.byref(c)
+        b = self.bctx = _ckernel.BlockCtx()
+        b.rate = rate
+        b.n = R
+        if plan is None:
+            b.mode = _ckernel.MODE_HOST
+            self.inject: Optional[Any] = self._host_injector()
+        else:
+            self.inject = None
+            b.t_mt = twister(derive_rng(seed, "timing"))  # rng: shared
+            b.d_mt = twister(derive_rng(seed, "dest"))  # rng: shared
+            # The plan's table is read-only in the kernel, so every run
+            # of the design point shares the cached copy.
+            table = plan[1]
+            keep.append(table)
+            if plan[0] == "table":
+                b.mode = _ckernel.MODE_TABLE
+                b.dtab = _ptr(table)
+            elif plan[0] == "trace":
+                b.mode = _ckernel.MODE_TRACE
+                b.trace = _ptr(table)
+                # Per-source replay cursors, initialized to the
+                # schedule's per-source start offsets (the table's
+                # first n entries).
+                b.trcur = _ptr(new(table[:R]))
+            else:
+                b.mode = _ckernel.MODE_UNIFORM
+                b.ubits = plan[2]
+                b.perm = _ptr(table)
+        transient = faults.transient if faults is not None else ()
+        if transient:
+            # fmap[router * 9 + out] -> fault index, consulted by the
+            # kernel in commit order — which both engines share — so
+            # its draws consume the faults:drops stream identically.
+            fmap = new([-1] * (R * NUM_DIRS))
+            fwin = new(())
+            for k, tf in enumerate(transient):
+                link = model.node_index[tf.src] * NUM_DIRS + int(tf.direction)
+                fmap[link] = k
+                end = _I32_MAX if tf.end is None else tf.end
+                fwin.append(max(-_I32_MAX, min(tf.start, _I32_MAX)))
+                fwin.append(max(-_I32_MAX, min(end, _I32_MAX)))
+            b.fmap = _ptr(fmap)
+            b.fwin = _ptr(fwin)
+            b.fprob = _ptr(
+                new((tf.drop_prob for tf in transient), "d"),
+                ctypes.c_double,
+            )
+            b.x_mt = twister(faults.make_drop_rng())
+        wd = watchdog if watchdog is not None else WatchdogConfig()
+        b.stall_window = wd.stall_window
+        b.starve_window = (
+            -1 if wd.starvation_window is None else wd.starvation_window
+        )
+        b.maxc = -1 if max_cycles is None else max_cycles
+        if model.subnet_tab is not None:
+            b.subnet = _ptr(model.subnet_tab)
+        b.st = _ptr(self.st, ctypes.c_int64)
+        b.ejlog = _ptr(self.ejlog_a)
+        self.bref = ctypes.byref(b)
+        # Growable per-packet records: (array, owning struct, field).
+        self.pk_owners = (
+            (self.psrc_a, b, "psrc"),
+            (self.pinj_a, b, "pinj"),
+            (self.pmeas_a, b, "pmeas"),
+            (self.pdest_a, c, "pdest"),
+            (self.pout_a, c, "pout"),
+            (self.paux_a, c, aux),
+        )
+        for a, owner, field in self.pk_owners:
+            setattr(owner, field, _ptr(a))
+        kernel = _native_kernel()
+        self.run_block = (
+            kernel.run_block_vc if is_vc else kernel.run_block_noc
+        )
+        self.deadline: Optional[float] = None
+        if max_wall_seconds is not None:
+            self.deadline = (
+                time.monotonic()  # det: allow - wall budget
+                + max_wall_seconds
+            )
+
     def _queues(self):
         """Every wired input queue as ``(flat id, router, port, lane)``.
 
@@ -1443,207 +1471,7 @@ class _BatchRun:
                 for i in ins:
                     yield r * NUM_DIRS + i, r, i, 0
 
-    def reserve(self, arena: _Arena) -> None:
-        model = self.model
-        R = model.n
-        depth = model.depth
-        # Ring-buffer capacities: an injection (P) queue is unbounded in
-        # the reference engine, but one source can enqueue at most one
-        # packet per injection round, so the round count is a hard cap.
-        self.inj_cap = self.warmup + self.measure + self.drain_limit + 2
-        if self.is_vc:
-            narb = R * VCRouter.NUM_PORTS
-            nq = narb * model.num_vcs
-        else:
-            nq = narb = R * NUM_DIRS
-        self.nq = nq
-        qcap = array("i", bytes(4 * nq))
-        qoff = array("i", bytes(4 * nq))
-        off = 0
-        for q, _r, i, _lane in self._queues():
-            qcap[q] = self.inj_cap if i == P_IDX else depth
-            qoff[q] = off
-            off += qcap[q]
-        self.buf_off = arena.add32(off)
-        self.qoff_off = arena.add32(qoff)
-        self.qcap_off = arena.add32(qcap)
-        self.qhead_off = arena.add32(nq)
-        self.qlen_off = arena.add32(nq)
-        # Round-robin pointers: per (router, output) arbiters for
-        # wormhole/FBFC, per (router, input) VC muxes for VC routers.
-        self.arb_off = arena.add32(narb)
-        if self.is_vc:
-            self.prio_off = arena.add32(R)
-            self.dirty_off = arena.add32(array("i", [1]) * R)
-        self.occ_off = arena.add32(R)
-        self.gsq_off = arena.add32(narb)
-        self.gro_off = arena.add32(narb)
-        self.ej_off = arena.add32(R)
-        self.nej_off = arena.add32(1)
-        plan = self.plan
-        if plan is not None:
-            self.tab_off = arena.add32(plan[1])
-            if plan[0] == "trace":
-                # Per-source replay cursors, initialized to the
-                # schedule's per-source start offsets (the table's
-                # first n entries).
-                self.trcur_off = arena.add32(plan[1][:R])
-            seed = self.seed
-            self.tmt_off = arena.addu32(
-                derive_rng(seed, "timing").getstate()[1]  # rng: shared
-            )
-            self.dmt_off = arena.addu32(
-                derive_rng(seed, "dest").getstate()[1]  # rng: shared
-            )
-        transient = self.faults.transient if self.faults is not None else ()
-        self.fprob_a: Optional[array] = None
-        if transient:
-            # fmap[router * 9 + out] -> fault index, consulted by the
-            # kernel in commit order — which both engines share — so
-            # its draws consume the faults:drops stream identically.
-            fmap = array("i", [-1]) * (R * NUM_DIRS)
-            fwin = array("i")
-            for k, tf in enumerate(transient):
-                link = model.node_index[tf.src] * NUM_DIRS + int(tf.direction)
-                fmap[link] = k
-                end = _I32_MAX if tf.end is None else tf.end
-                fwin.append(max(-_I32_MAX, min(tf.start, _I32_MAX)))
-                fwin.append(max(-_I32_MAX, min(end, _I32_MAX)))
-            self.fmap_off = arena.add32(fmap)
-            self.fwin_off = arena.add32(fwin)
-            self.fprob_a = array("d", (tf.drop_prob for tf in transient))
-            self.xmt_off = arena.addu32(
-                self.faults.make_drop_rng().getstate()[1]
-            )
-        self.hop_off = arena.add64(NUM_DIRS)
-        self.link_off = arena.add64(
-            R * NUM_DIRS if self.track_links else 1
-        )
-        self.st_off = arena.add64(_ckernel.ST_LEN)
-
-    # -- ctypes binding -------------------------------------------------
-    def bind(self, arena: _Arena) -> None:
-        model = self.model
-        self.i32 = arena.a32
-        self.i64 = arena.a64
-        self.st = arena.view64(self.st_off, _ckernel.ST_LEN)
-        self.pk_cap = _PK_CAP0
-        zeros = bytes(4 * _PK_CAP0)
-        self.pdest_a = array("i", zeros)
-        self.pout_a = array("i", zeros)
-        # The one per-packet field the router kinds do not share: the
-        # assigned VC (vc), or the route-row offset subnet * n.
-        self.paux_a = array("i", zeros)
-        self.psrc_a = array("i", zeros)
-        self.pinj_a = array("i", zeros)
-        self.pmeas_a = array("i", zeros)
-        self.ejlog_a = array("i", bytes(4 * _EJ_CAP0))
-        if self.is_vc:
-            va = model.tables
-            c = _ckernel.VcCtx()
-            c.nvc = model.num_vcs
-            c.n = model.n
-            c.plist = _ptr32(va.plist)
-            c.pofs = _ptr32(va.pofs)
-            c.pcnt = _ptr32(va.pcnt)
-            c.dn = _ptr32(va.dn)
-            c.feed = _ptr32(va.feed)
-            c.out_tab = _ptr32(va.out)
-            c.vcn_tab = _ptr32(va.vcn)
-            c.dl_tab = _ptr32(va.dl)
-            c.sd = _ptr32(va.sd)
-            c.vc_rr = arena.p32(self.arb_off)
-            c.prio = arena.p32(self.prio_off)
-            c.dirty = arena.p32(self.dirty_off)
-            aux = "povc"
-        else:
-            ca = model.tables
-            c = _ckernel.StepCtx()
-            c.fbfc = 1 if model.kind == "fbfc" else 0
-            c.rowlen = ca.rowlen
-            c.dn = _ptr32(ca.dn)
-            c.ncv = _ptr32(ca.ncv)
-            c.cands = _ptr32(ca.cands)
-            c.pm = _ptr32(ca.pm)
-            c.needs = _ptr32(ca.needs)
-            c.rowof = _ptr32(ca.rowof)
-            c.rows = _ptr32(ca.rows)
-            c.arb = arena.p32(self.arb_off)
-            aux = "pbase"
-        c.R = model.n
-        c.depth = model.depth
-        c.track_links = 1 if self.track_links else 0
-        c.buf = arena.p32(self.buf_off)
-        c.qoff = arena.p32(self.qoff_off)
-        c.qcap = arena.p32(self.qcap_off)
-        c.qhead = arena.p32(self.qhead_off)
-        c.qlen = arena.p32(self.qlen_off)
-        c.occ = arena.p32(self.occ_off)
-        c.hop = arena.p64(self.hop_off)
-        c.link = arena.p64(self.link_off)
-        c.gsq = arena.p32(self.gsq_off)
-        c.gro = arena.p32(self.gro_off)
-        c.ej = arena.p32(self.ej_off)
-        c.nej = arena.p32(self.nej_off)
-        self.ctx = c
-        self.cref = ctypes.byref(c)
-        b = self.bctx = _ckernel.BlockCtx()
-        b.rate = self.rate
-        b.n = model.n
-        plan = self.plan
-        if plan is None:
-            b.mode = _ckernel.MODE_HOST
-            self.inject = self._host_injector(arena)
-        else:
-            b.t_mt = arena.pu32(self.tmt_off)
-            b.d_mt = arena.pu32(self.dmt_off)
-            if plan[0] == "table":
-                b.mode = _ckernel.MODE_TABLE
-                b.dtab = arena.p32(self.tab_off)
-            elif plan[0] == "trace":
-                b.mode = _ckernel.MODE_TRACE
-                b.trace = arena.p32(self.tab_off)
-                b.trcur = arena.p32(self.trcur_off)
-            else:
-                b.mode = _ckernel.MODE_UNIFORM
-                b.ubits = plan[2]
-                b.perm = arena.p32(self.tab_off)
-        if self.fprob_a is not None:
-            b.x_mt = arena.pu32(self.xmt_off)
-            b.fmap = arena.p32(self.fmap_off)
-            b.fwin = arena.p32(self.fwin_off)
-            b.fprob = ctypes.cast(
-                self.fprob_a.buffer_info()[0],
-                ctypes.POINTER(ctypes.c_double),
-            )
-        b.stall_window = self.stall_window
-        b.starve_window = (
-            -1 if self.starvation_window is None else self.starvation_window
-        )
-        b.maxc = -1 if self.max_cycles is None else self.max_cycles
-        if model.subnet_tab is not None:
-            b.subnet = _ptr32(model.subnet_tab)
-        b.st = arena.p64(self.st_off)
-        b.ejlog = _ptr32(self.ejlog_a)
-        self.bref = ctypes.byref(b)
-        # Growable per-packet records: (array, owning struct, field).
-        self.pk_owners = (
-            (self.psrc_a, b, "psrc"),
-            (self.pinj_a, b, "pinj"),
-            (self.pmeas_a, b, "pmeas"),
-            (self.pdest_a, c, "pdest"),
-            (self.pout_a, c, "pout"),
-            (self.paux_a, c, aux),
-        )
-        for a, owner, field in self.pk_owners:
-            setattr(owner, field, _ptr32(a))
-        if self.max_wall_seconds is not None:
-            self.deadline = (
-                time.monotonic()  # det: allow - wall budget
-                + self.max_wall_seconds
-            )
-
-    def _host_injector(self, arena: _Arena) -> Any:
+    def _host_injector(self) -> Any:
         """The Python-side injection round, ``inject(measured)``.
 
         Mirrors the reference engine's injection discipline bit for
@@ -1674,12 +1502,10 @@ class _BatchRun:
 
         rnd = derive_rng(self.seed, "timing").random  # rng: shared
         dest_rng = derive_rng(self.seed, "dest")  # rng: shared
-        i32 = self.i32
         st = self.st
-        qhead = arena.view32(self.qhead_off, self.nq)
-        qlen = arena.view32(self.qlen_off, self.nq)
-        occ = arena.view32(self.occ_off, n)
-        dirty = arena.view32(self.dirty_off, n) if is_vc else None
+        buf, qoff = self.buf, self.qoff
+        qhead, qlen = self.qhead, self.qlen
+        occ, dirty = self.occ, self.dirty
         pdest, pout, paux = self.pdest_a, self.pout_a, self.paux_a
         psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
         if is_vc:
@@ -1688,18 +1514,17 @@ class _BatchRun:
         else:
             stride = NUM_DIRS
             rows, rowof, rowlen = tables.rows, tables.rowof, tables.rowlen
-        # (source index, coord, P-queue id, P-queue ring base in a32,
+        # (source index, coord, P-queue id, P-queue ring base in buf,
         # route-table base of the source's injection port)
         slots = tuple(
             (
-                s, src, s * stride,
-                self.buf_off + i32[self.qoff_off + s * stride],
+                s, src, s * stride, qoff[s * stride],
                 s * n if is_vc else rowof[s * NUM_DIRS] * rowlen,
             )
             for s, src in self.sources
         )
 
-        def inject(measured: bool) -> None:
+        def inject(measured: int) -> None:
             cycle = st[_ckernel.ST_CYCLE]
             first = pid = st[_ckernel.ST_NPK]
             for s, src, q, ring, route in slots:
@@ -1724,7 +1549,7 @@ class _BatchRun:
                     tail = qhead[q] + qlen[q]
                     if tail >= inj_cap:
                         tail -= inj_cap
-                    i32[ring + tail] = pid
+                    buf[ring + tail] = pid
                     qlen[q] += 1
                     occ[s] += 1
                     pid += 1
@@ -1749,7 +1574,7 @@ class _BatchRun:
             self.pk_cap = newcap
             for a, owner, field in self.pk_owners:
                 a.frombytes(grow)
-                setattr(owner, field, _ptr32(a))
+                setattr(owner, field, _ptr(a))
         need_ej = 2 * (st[_ckernel.ST_OCC] + self.model.n * count)
         if need_ej > len(self.ejlog_a):
             newcap = len(self.ejlog_a)
@@ -1758,103 +1583,100 @@ class _BatchRun:
             self.ejlog_a.frombytes(
                 bytes(4 * (newcap - len(self.ejlog_a)))
             )
-            self.bctx.ejlog = _ptr32(self.ejlog_a)
+            self.bctx.ejlog = _ptr(self.ejlog_a)
 
-    # -- block scheduling -----------------------------------------------
-    def advance(self, kernel: Any, budget: int) -> bool:
-        """Run up to ``budget`` cycles; True when this run is finished."""
+    # -- stepping -------------------------------------------------------
+    def run(self) -> Any:
+        """Step to completion: the ``RunResult``, or the error as data.
+
+        A watchdog trip or budget overrun is *returned*, never raised,
+        so the exception carries no traceback into this object's frames
+        and a sweep can keep it without keeping the run's arrays.
+        """
+        st = self.st
+        b = self.bctx
+        error = self._phase(self.warmup)
+        if error is not None:
+            return error
+        delivered_before = int(st[_ckernel.ST_DEL_TOTAL])
+        b.measured = 1
+        error = self._phase(self.measure)
+        if error is not None:
+            return error
+        delivered_during = (
+            int(st[_ckernel.ST_DEL_TOTAL]) - delivered_before
+        )
+        if not self._measured_resolved():
+            b.measured = 0
+            b.drain = 1
+            b.target = st[_ckernel.ST_INJ_MEAS]
+            error = self._phase(self.drain_limit)
+            if error is not None:
+                return error
+        return self._finish(delivered_during, self._measured_resolved())
+
+    def _measured_resolved(self) -> bool:
+        # Dropped measured packets count as resolved, so lossy
+        # (transient-fault) runs can still terminate.
+        st = self.st
+        return (
+            st[_ckernel.ST_DEL_MEAS] + st[_ckernel.ST_DROP_MEAS]
+            >= st[_ckernel.ST_INJ_MEAS]
+        )
+
+    def _phase(self, cycles: int) -> Optional[Exception]:
+        """Run one phase (at most ``cycles`` cycles) in kernel blocks.
+
+        Returns the error that ended the run, or ``None`` when the
+        phase ran out or — while draining — every measured packet
+        resolved.  Blocks never span phases.
+        """
         st = self.st
         b = self.bctx
         inject = self.inject
-        run_block = kernel.run_block_vc if self.is_vc else kernel.run_block_noc
-        while budget > 0:
-            if self.phase == 3:
-                return True
-            if self.phase_remaining <= 0:
-                if self._next_phase():
-                    return True
-                continue
+        while cycles > 0:
             # Host injection precedes every step: one-cycle blocks.
-            count = 1 if inject else min(budget, self.phase_remaining)
+            count = 1 if inject else min(cycles, _BLOCK_CYCLES)
             b.count = count
             self._ensure_capacity(count)
             if inject:
-                inject(self.phase == 1)
+                inject(b.measured)
             st[_ckernel.ST_NEJLOG] = 0
-            stop = run_block(self.cref, self.bref)
-            ran = st[_ckernel.ST_RAN]
-            self.phase_remaining -= ran
-            budget -= max(ran, 1)
+            stop = self.run_block(self.cref, self.bref)
+            cycles -= st[_ckernel.ST_RAN]
             if st[_ckernel.ST_NEJLOG]:
                 self._replay_ejections()
             # Trip order matches the reference tick(): watchdogs, the
             # cycle budget, the wall-clock poll, then the drain check.
+            # The rehydrating watchdog errors read this run's arrays,
+            # so they are built here, before anything is released.
             if stop == _ckernel.STOP_STALL:
-                self.error = self._watchdog_error(
+                return self._watchdog_error(
                     "stall", int(st[_ckernel.ST_IDLE])
                 )
-            elif stop == _ckernel.STOP_STARVE:
-                self.error = self._watchdog_error(
+            if stop == _ckernel.STOP_STARVE:
+                return self._watchdog_error(
                     "starvation", int(st[_ckernel.ST_STARVED])
                 )
-            elif stop == _ckernel.STOP_MAX_CYCLES:
-                self.error = SimulationTimeout(
+            if stop == _ckernel.STOP_MAX_CYCLES:
+                return SimulationTimeout(
                     f"run exceeded its {self.max_cycles}-cycle budget "
                     f"({int(st[_ckernel.ST_OCC])} packets still in "
                     f"flight)"
                 )
-            elif (
+            if (
                 self.deadline is not None
                 and st[_ckernel.ST_CYCLE] % _WALL_CHECK_EVERY == 0
                 and time.monotonic() > self.deadline  # det: allow - wall budget
             ):
-                self.error = SimulationTimeout(
+                return SimulationTimeout(
                     f"run exceeded its {self.max_wall_seconds:.1f}s "
                     f"wall-clock limit at cycle "
                     f"{int(st[_ckernel.ST_CYCLE])}"
                 )
-            elif stop == _ckernel.STOP_DRAINED:
-                self.drained = True
-                self._finish()
-                return True
-            if self.error is not None:
-                self.phase = 3
-                return True
-        return self.phase == 3
-
-    def _next_phase(self) -> bool:
-        st = self.st
-        b = self.bctx
-        if self.phase == 0:
-            self.delivered_before = int(st[_ckernel.ST_DEL_TOTAL])
-            self.phase = 1
-            self.phase_remaining = self.measure
-            b.measured = 1
-            return False
-        # Dropped measured packets count as resolved, so lossy
-        # (transient-fault) runs can still terminate.
-        drained = (
-            st[_ckernel.ST_DEL_MEAS] + st[_ckernel.ST_DROP_MEAS]
-            >= st[_ckernel.ST_INJ_MEAS]
-        )
-        if self.phase == 1:
-            self.delivered_during = (
-                int(st[_ckernel.ST_DEL_TOTAL]) - self.delivered_before
-            )
-            self.phase = 2
-            if drained or self.drain_limit <= 0:
-                self.drained = drained
-                self._finish()
-                return True
-            self.phase_remaining = self.drain_limit
-            b.measured = 0
-            b.drain = 1
-            b.target = st[_ckernel.ST_INJ_MEAS]
-            return False
-        # Drain budget exhausted without reaching the target.
-        self.drained = drained
-        self._finish()
-        return True
+            if stop == _ckernel.STOP_DRAINED:
+                return None
+        return None
 
     def _replay_ejections(self) -> None:
         """Score the block's ejection log into the latency statistics."""
@@ -1907,7 +1729,7 @@ class _BatchRun:
         model = self.model
         nodes = model.nodes
         n = model.n
-        i32 = self.i32
+        buf = self.buf
         psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
         pdest, paux = self.pdest_a, self.paux_a
         has_subnets = model.subnet_tab is not None
@@ -1917,11 +1739,11 @@ class _BatchRun:
         )
         routers = [net.routers[coord] for coord in nodes]
         for q, r, i, lane in self._queues():
-            ring = self.buf_off + i32[self.qoff_off + q]
-            cap = i32[self.qcap_off + q]
-            head = i32[self.qhead_off + q]
-            for k in range(i32[self.qlen_off + q]):
-                pid = i32[ring + (head + k) % cap]
+            ring = self.qoff[q]
+            cap = self.qcap[q]
+            head = self.qhead[q]
+            for k in range(self.qlen[q]):
+                pid = buf[ring + (head + k) % cap]
                 pkt = Packet(
                     pid,
                     nodes[psrc[pid]],
@@ -1946,13 +1768,12 @@ class _BatchRun:
             snapshot=snapshot,
         )
 
-    def _finish(self) -> None:
+    def _finish(self, delivered_during: int, drained: bool) -> Any:
         from repro.sim.simulator import RunResult
 
         st = self.st
         model = self.model
-        self.phase = 3
-        hop_counts = list(self.i64[self.hop_off:self.hop_off + NUM_DIRS])
+        hop_counts = list(self.hop)
         metrics = RunMetrics(
             track_per_source=self.track_per_source,
             keep_samples=self.keep_samples,
@@ -1978,22 +1799,22 @@ class _BatchRun:
                 metrics.per_source[model.nodes[s]] = src_stats
         if self.track_links:
             link_counts = metrics.link_counts
-            link = self.i64
+            link = self.link
             for r in range(model.n):
-                base = self.link_off + r * NUM_DIRS
+                base = r * NUM_DIRS
                 coord = model.nodes[r]
                 for o in range(1, NUM_DIRS):
                     count = link[base + o]
                     if count:
                         link_counts[(coord, o)] = count
         delivered_total = metrics.delivered_total
-        accepted = self.delivered_during / (len(self.sources) * self.measure)
+        accepted = delivered_during / (len(self.sources) * self.measure)
         avg_hops = (
             sum(hop_counts) / delivered_total
             if delivered_total
             else float("nan")
         )
-        self.result = RunResult(
+        return RunResult(
             config_name=self.cfg.name,
             pattern=self.pattern,
             offered_load=self.rate,
@@ -2007,7 +1828,7 @@ class _BatchRun:
             ),
             delivered_measured=metrics.delivered_measured,
             injected_measured=metrics.injected_measured,
-            drained=self.drained,
+            drained=drained,
             measure_cycles=self.measure,
             avg_hops=avg_hops,
             total_cycles=int(st[_ckernel.ST_CYCLE]),
@@ -2017,26 +1838,96 @@ class _BatchRun:
         )
 
 
-def _drive(runs: Sequence[_BatchRun], horizon: int) -> None:
-    """Lay ``runs`` out in one arena and step them all to completion.
+# ----------------------------------------------------------------------
+# Entry points
+# ----------------------------------------------------------------------
+def run_compiled(
+    config: Union[NetworkConfig, NetworkSpec],
+    pattern: Optional[str] = None,
+    rate: Optional[float] = None,
+    *,
+    warmup: int = 500,
+    measure: int = 1000,
+    drain_limit: int = 3000,
+    seed: int = 1,
+    track_per_source: bool = False,
+    keep_samples: bool = False,
+    track_links: bool = False,
+    faults: Any = None,
+    watchdog: Optional[WatchdogConfig] = None,
+    audit_every: Optional[int] = None,
+    max_cycles: Optional[int] = None,
+    max_wall_seconds: Optional[float] = None,
+):
+    """The compiled engine: ``run_synthetic`` semantics on flat arrays.
 
-    Runs are scheduled round-robin with a ``horizon``-cycle slice each
-    and retired the moment they finish (``result`` or ``error`` set).
+    Accepts the full reference-engine signature, including ``faults``
+    and ``watchdog``.  Fault schedules are compiled in: permanent faults
+    select a fault-aware route-table model, transient drops are drawn
+    inside the native kernel, and the watchdog raises a reference-format
+    :class:`~repro.errors.DeadlockError` with a full snapshot.  The run
+    is a :class:`_Run` with host-side injection, so every registered
+    pattern works.  Runs the compiler cannot lower (see the module
+    docstring and :func:`lowering_problems`) are delegated to
+    :func:`repro.sim.simulator._run_reference` unchanged, and the
+    returned result's ``engine`` field reports which engine actually
+    ran.
     """
-    from collections import deque
+    if isinstance(config, NetworkSpec):
+        if pattern is None:
+            pattern = config.pattern
+        if rate is None:
+            rate = config.rate
+    elif pattern is None or rate is None:
+        raise TypeError(
+            "run_synthetic(config, ...) requires explicit pattern "
+            "and rate (only NetworkSpec carries defaults)"
+        )
+    _problems, point = _resolve(config, faults, watchdog, audit_every)
+    if point is None:
+        from repro.sim.simulator import _run_reference
 
-    kernel = _native_kernel()
-    arena = _Arena()
-    for run in runs:
-        run.reserve(arena)
-    arena.seal()
-    for run in runs:
-        run.bind(arena)
-    active = deque(runs)
-    while active:
-        run = active.popleft()
-        if not run.advance(kernel, horizon):
-            active.append(run)
+        return _run_reference(
+            config,
+            pattern,
+            rate,
+            warmup=warmup,
+            measure=measure,
+            drain_limit=drain_limit,
+            seed=seed,
+            track_per_source=track_per_source,
+            keep_samples=keep_samples,
+            track_links=track_links,
+            faults=faults,
+            watchdog=watchdog,
+            audit_every=audit_every,
+            max_cycles=max_cycles,
+            max_wall_seconds=max_wall_seconds,
+        )
+    cfg, faults, watchdog, model, _plan = point
+    outcome = _Run(
+        config,
+        cfg,
+        model,
+        pattern,
+        rate,
+        None,  # host-side injection: any pattern, any fault schedule
+        warmup=warmup,
+        measure=measure,
+        drain_limit=drain_limit,
+        seed=seed,
+        faults=faults,
+        watchdog=watchdog,
+        max_cycles=max_cycles,
+        max_wall_seconds=max_wall_seconds,
+        engine="compiled",
+        track_per_source=track_per_source,
+        keep_samples=keep_samples,
+        track_links=track_links,
+    ).run()
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_compiled_batch(
@@ -2045,22 +1936,24 @@ def run_compiled_batch(
     track_per_source: bool = False,
     keep_samples: bool = False,
     track_links: bool = False,
-    horizon: int = 4096,
 ):
-    """Run many design points through one structure-of-arrays batch.
+    """Run many design points, one after another, on the compiled engine.
 
     Returns one entry per spec, **in order**: a
     :class:`~repro.sim.simulator.RunResult` on success or the
     :class:`~repro.errors.SimulationError` the run raised (watchdog
-    trips and cycle-budget overruns are data in a sweep, and one bad
-    design point must not poison its batchmates).  Specs the batch gate
-    rejects (see :func:`batching_problems`) transparently fall back to a
-    per-row :func:`~repro.core.spec.build_run`, so their provenance —
-    ``"compiled"`` or ``"reference"`` instead of ``"compiled-batch"`` —
-    is visible in ``RunResult.engine``.
+    trips and cycle-budget overruns are data in a sweep).  Each spec is
+    resolved once, run to completion on arrays of its own, and released
+    before the next starts, so a batch needs the memory of its largest
+    run and one design point cannot disturb another.
 
-    Batched runs are scheduled round-robin with a ``horizon``-cycle
-    slice each and retired the moment they finish; results are
+    Specs :func:`batching_problems` clears run with in-kernel injection
+    in whole-phase blocks and report ``engine == "compiled-batch"``.  A
+    compiled spec that lowers but cannot inject in-kernel (fault
+    schedule, wall-clock budget, untranslatable pattern) runs here as
+    the serial executor would run it (``"compiled"``); anything else
+    goes through :func:`~repro.core.spec.build_run`, so its provenance
+    is whatever its own engine choice resolves to.  Results are
     bit-identical to running each spec serially (same RNG streams, same
     counters, same error messages), which the differential tests and
     the campaign checkpoint-byte contract pin down.
@@ -2068,49 +1961,41 @@ def run_compiled_batch(
     from repro.core.spec import build_run
     from repro.errors import SimulationError
 
-    results: List[Any] = [None] * len(specs)
-    batch: List[Tuple[int, _BatchRun]] = []
-    for idx, spec in enumerate(specs):
-        if batching_problems(spec):
+    trackers = dict(
+        track_per_source=track_per_source,
+        keep_samples=keep_samples,
+        track_links=track_links,
+    )
+    results: List[Any] = []
+    for spec in specs:
+        problems, point = _resolve(
+            spec, None, None, spec.audit_every, batch=True
+        )
+        if point is None or spec.engine != "compiled":
             try:
-                results[idx] = build_run(
-                    spec,
-                    track_per_source=track_per_source,
-                    keep_samples=keep_samples,
-                    track_links=track_links,
-                )
+                results.append(build_run(spec, **trackers))
             except SimulationError as exc:
-                results[idx] = exc
+                results.append(exc)
             continue
-        cfg = build_config(spec)
-        faults = build_faults(spec, cfg)
-        model = _compile(
-            spec, cfg, spec.routing, spec.router, spec.allocator,
-            faults=_routing_faults(faults),
+        cfg, faults, watchdog, model, plan = point
+        results.append(
+            _Run(
+                spec,
+                cfg,
+                model,
+                spec.pattern,
+                spec.rate,
+                plan,
+                warmup=spec.warmup,
+                measure=spec.measure,
+                drain_limit=spec.drain_limit,
+                seed=spec.seed,
+                faults=faults,
+                watchdog=watchdog,
+                max_cycles=spec.max_cycles,
+                max_wall_seconds=spec.max_wall_seconds,
+                engine="compiled" if problems else "compiled-batch",
+                **trackers,
+            ).run()
         )
-        run = _BatchRun(
-            spec,
-            cfg,
-            model,
-            spec.pattern,
-            spec.rate,
-            _pattern_plan(model, cfg, spec.pattern),
-            warmup=spec.warmup,
-            measure=spec.measure,
-            drain_limit=spec.drain_limit,
-            seed=spec.seed,
-            faults=faults,
-            watchdog=build_watchdog(spec),
-            max_cycles=spec.max_cycles,
-            max_wall_seconds=None,
-            engine="compiled-batch",
-            track_per_source=track_per_source,
-            keep_samples=keep_samples,
-            track_links=track_links,
-        )
-        batch.append((idx, run))
-    if batch:
-        _drive([run for _idx, run in batch], horizon)
-        for idx, run in batch:
-            results[idx] = run.error if run.error is not None else run.result
     return results

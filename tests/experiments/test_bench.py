@@ -21,7 +21,7 @@ def _report(cases, campaign=None):
         "schema": SCHEMA,
         "mode": "quick",
         "cases": [
-            {"name": name, "cycles_per_sec": cps}
+            {"name": name, "engine": "reference", "cycles_per_sec": cps}
             for name, cps in cases.items()
         ],
     }
@@ -164,16 +164,6 @@ class TestEngineAwareGate:
         regressions, _ = compare_to_baseline(report, self.base)
         assert regressions == ["mesh[compiled]: missing from report"]
 
-    def test_v1_baseline_entries_compare_as_reference(self):
-        v1_base = {"schema": "repro-bench-v1",
-                   "cases": [_case("mesh", 1000.0)]}
-        report = {
-            "schema": SCHEMA,
-            "cases": [_case("mesh", 980.0, engine="reference")],
-        }
-        regressions, notes = compare_to_baseline(report, v1_base)
-        assert regressions == [] and notes == []
-
     def test_campaign_speedup_below_one_is_regression(self):
         report = dict(self.base, campaign={
             "rows_identical": True, "speedup": 0.95,
@@ -248,12 +238,33 @@ class TestCampaignCpuAwareGate:
     def setup_method(self):
         self.base = _report({"mesh": 1000.0})
 
-    def _campaign(self, speedup, usable_cpus):
-        return {
+    def _campaign(self, speedup, usable_cpus, jobs=()):
+        section = {
             "rows_identical": True,
             "speedup": speedup,
             "usable_cpus": usable_cpus,
         }
+        if jobs:
+            section["wall_seconds_by_jobs"] = {str(j): 0.1 for j in jobs}
+        return section
+
+    def test_fewer_cpus_than_workers_tolerates_speedup_below_one(self):
+        """Four workers on two CPUs time-share: 0.956 on the reference
+        host for any commit."""
+        report = _report(
+            {"mesh": 1000.0},
+            campaign=self._campaign(0.956, 2, jobs=(1, 4)),
+        )
+        regressions, _ = compare_to_baseline(report, self.base)
+        assert regressions == []
+
+    def test_cpu_per_worker_gates_speedup_below_one(self):
+        report = _report(
+            {"mesh": 1000.0},
+            campaign=self._campaign(0.9, 4, jobs=(1, 4)),
+        )
+        regressions, _ = compare_to_baseline(report, self.base)
+        assert any("speedup 0.9 < 1.0" in r for r in regressions)
 
     def test_single_cpu_host_tolerates_speedup_below_one(self):
         report = _report(
@@ -383,12 +394,6 @@ class TestRenderMarkdown:
 
 
 class TestSchemaCompatibility:
-    def test_v1_reports_still_load(self, tmp_path):
-        path = str(tmp_path / "v1.json")
-        report = dict(_report({"mesh": 1.0}), schema="repro-bench-v1")
-        write_report(report, path)
-        assert load_report(path) == report
-
     def test_measure_case_records_engine(self):
         case = measure_case("mesh-8x8-ur", repeats=1, engine="compiled")
         assert case["engine"] == "compiled"

@@ -15,6 +15,7 @@ import pytest
 from repro import chaos
 from repro.core.params import NetworkConfig
 from repro.experiments.registry import experiment_ids, run_experiment
+from repro.sim.metrics import fairness_stats
 
 
 class TestHelpers:
@@ -49,14 +50,14 @@ class TestHelpers:
         )
 
     def test_fairness_math(self):
-        stats = chaos._fairness({"a": 10.0, "b": 20.0, "c": 30.0})
+        stats = fairness_stats({"a": 10.0, "b": 20.0, "c": 30.0})
         assert stats["fairness_max_over_mean"] == pytest.approx(1.5)
         expected_cv = math.sqrt(200.0 / 3.0) / 20.0
         assert stats["fairness_cv"] == pytest.approx(expected_cv)
 
     def test_fairness_of_nothing_is_nan(self):
         for sources in ({}, {"a": float("nan")}):
-            stats = chaos._fairness(sources)
+            stats = fairness_stats(sources)
             assert math.isnan(stats["fairness_max_over_mean"])
             assert math.isnan(stats["fairness_cv"])
 

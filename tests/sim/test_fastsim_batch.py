@@ -1,16 +1,19 @@
 """Batched execution: ``run_compiled_batch`` vs serial runs.
 
 The batch contract extends the cross-engine contract of
-``test_fastsim.py``: stacking N design points into one
-structure-of-arrays arena and stepping them through the native block
-kernel must be **bit-identical** to running each spec serially — same
-metrics, same RNG trajectories, same watchdog trip messages — with
-failures returned as data (one row's deadlock must not disturb its
-batchmates) and unbatchable rows transparently run per-spec with honest
-engine provenance.
+``test_fastsim.py``: a batch is a loop — each spec is resolved once, run
+to completion on arrays of its own (in-kernel injection, whole-phase
+blocks of the native kernel) and released before the next starts — and
+must be **bit-identical** to running each spec serially: same metrics,
+same RNG trajectories, same watchdog trip messages.  Failures come back
+as data (one row's deadlock cannot disturb its batchmates), unbatchable
+rows run per-spec with honest engine provenance, block and log-growth
+boundaries never show in results, and a batch's memory is that of its
+largest run.
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -123,13 +126,27 @@ class TestBatchEquivalence:
                 gt.count, gt.total, gt.total_sq, gt.min, gt.max
             )
 
-    def test_tiny_horizon_is_invisible(self):
-        """Round-robin interleaving granularity must never leak into
-        results — phase boundaries and watchdog windows are per-run."""
+    def test_tiny_blocks_are_invisible(self, monkeypatch):
+        """Block granularity must never leak into results — phase
+        boundaries and watchdog windows are per-cycle, not per-block."""
         specs = [_spec("mesh", 4, 4, seed=1), _spec("torus", 4, 4, seed=2)]
         coarse = run_compiled_batch(specs)
-        fine = run_compiled_batch(specs, horizon=7)
+        monkeypatch.setattr(fastsim, "_BLOCK_CYCLES", 7)
+        fine = run_compiled_batch(specs)
         for a, b in zip(coarse, fine):
+            assert fingerprint(a) == fingerprint(b)
+
+    @pytest.mark.parametrize("name", ["mesh", "torus-fbfc", "torus"])
+    def test_log_growth_mid_run_is_invisible(self, name, monkeypatch):
+        """The per-packet records and the ejection log double (and their
+        ctypes pointers are refreshed) several times inside one run."""
+        spec = _spec(name, 8, 4, rate=0.2)
+        roomy = run_compiled_batch([spec]) + [build_run(spec)]
+        monkeypatch.setattr(fastsim, "_PK_CAP0", 8)
+        monkeypatch.setattr(fastsim, "_EJ_CAP0", 8)
+        tight = run_compiled_batch([spec]) + [build_run(spec)]
+        assert roomy[0].metrics.injected_total > 64  # it did grow
+        for a, b in zip(roomy, tight):
             assert fingerprint(a) == fingerprint(b)
 
     def test_unbatchable_rows_fall_back_with_provenance(self):
@@ -177,7 +194,62 @@ class TestBatchEquivalence:
             assert fingerprint(got) == fingerprint(build_run(spec))
 
 
+class TestRunLifetime:
+    def test_batch_memory_is_that_of_one_run(self):
+        """Every run allocates its own arrays and releases them before
+        the next starts, so twelve runs peak where one does."""
+        spec = _spec("mesh", 8, 8)
+        run_compiled_batch([spec])  # warm the compile and pattern caches
+
+        def peak(specs):
+            tracemalloc.start()
+            try:
+                results = run_compiled_batch(specs)
+                return tracemalloc.get_traced_memory()[1], results
+            finally:
+                tracemalloc.stop()
+
+        one, _ = peak([spec])
+        twelve, results = peak([spec] * 12)
+        assert len(results) == 12
+        assert twelve <= 2 * one
+
+    def test_batched_row_resolves_once(self, monkeypatch):
+        """config, faults and pattern plan are derived once per spec
+        (the design point is already in the compile cache)."""
+        spec = _spec("mesh", 4, 4)
+        run_compiled_batch([spec])
+        calls = {}
+        for name in ("build_config", "build_faults", "_pattern_plan"):
+            real = getattr(fastsim, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(fastsim, name, counted)
+        (result,) = run_compiled_batch([spec])
+        assert result.engine == "compiled-batch"
+        assert calls == {
+            "build_config": 1, "build_faults": 1, "_pattern_plan": 1,
+        }
+
+
 class TestBatchErrors:
+    def test_deadlock_between_healthy_rows(self):
+        ok_a = _spec("mesh", 4, 4, seed=1)
+        ok_b = _spec("torus", 4, 4, seed=2)
+        doomed = _spec(
+            "mesh", 8, 8, rate=0.5, warmup=200, measure=400,
+            drain_limit=800, starvation_window=1,
+        )
+        got_a, got_doomed, got_b = run_compiled_batch([ok_a, doomed, ok_b])
+        assert isinstance(got_doomed, DeadlockError)
+        for spec, got in ((ok_a, got_a), (ok_b, got_b)):
+            (alone,) = run_compiled_batch([spec])
+            assert got.engine == "compiled-batch"
+            assert fingerprint(got) == fingerprint(alone)
+
     def test_timeout_is_data_with_serial_message(self):
         healthy = _spec("mesh", 4, 4)
         doomed = _spec("mesh", 8, 8, max_cycles=50)
