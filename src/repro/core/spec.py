@@ -466,6 +466,36 @@ def network_components(
     return NetworkComponents(topology, routing, matrix)
 
 
+def resolve_components(
+    target: "Any", config: NetworkConfig, faults: Optional[Any]
+) -> Tuple[NetworkComponents, str, Optional[str]]:
+    """What a network of ``target`` is made of, resolved by name.
+
+    Returns ``(components, router kind, allocator name)`` for a
+    :class:`NetworkSpec` or a bare :class:`NetworkConfig` whose config
+    is ``config``: the provider's components under the spec's routing
+    override (or the fault-aware variants under ``faults``), the named
+    router kind or the config's default, and the named allocator.  The
+    one resolution shared by :func:`build_network` and the compiled
+    engine's lowering, so both wire the same parts.
+    """
+    if isinstance(target, NetworkSpec):
+        provider: Optional[TopologyProvider] = resolve_topology(
+            target.topology
+        )
+        routing_name, router, allocator = (
+            target.routing, target.router, target.allocator,
+        )
+    else:
+        provider = routing_name = router = allocator = None
+    components = network_components(
+        config, faults=faults, provider=provider, routing_name=routing_name
+    )
+    if router is None:
+        router = default_router_kind(config)
+    return components, router, allocator
+
+
 # ----------------------------------------------------------------------
 # Fault / watchdog materialization
 # ----------------------------------------------------------------------
@@ -547,18 +577,12 @@ def build_network(
             watchdog=watchdog,
         )
     spec: NetworkSpec = target
-    provider = resolve_topology(spec.topology)
     config = build_config(spec)
     if faults is None:
         faults = build_faults(spec, config)
     if watchdog is None:
         watchdog = build_watchdog(spec)
-    components = network_components(
-        config,
-        faults=faults,
-        provider=provider,
-        routing_name=spec.routing,
-    )
+    components, router, allocator = resolve_components(spec, config, faults)
     return Network(
         config,
         metrics=metrics,
@@ -569,8 +593,8 @@ def build_network(
         topology=components.topology,
         routing=components.routing,
         matrix=components.matrix,
-        router=spec.router,
-        allocator=spec.allocator,
+        router=router,
+        allocator=allocator,
     )
 
 

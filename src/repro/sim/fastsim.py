@@ -9,11 +9,14 @@ port``, packed per-packet records (destination index, inject cycle,
 measured bit) — and steps the whole network with tight loops over those
 structures — the native kernel in :mod:`repro.sim._ckernel`, the one
 stepping implementation outside the reference oracle.  The lowering is
-*compiled by extraction*: a throwaway
-reference :class:`~repro.sim.network.Network` is built once per config
-and its wiring (candidate lists, arbitration plans, downstream targets)
-is copied out, which guarantees the compiled network is wired
-identically to the one the reference engine would simulate.
+a pure function of the design point's resolved parts — the topology's
+:class:`~repro.core.portgraph.PortGraph`, the crossbar connectivity
+matrix, the routing's tables, the router kind — written once, straight
+into the arrays (:func:`_build_model`).  No reference
+:class:`~repro.sim.network.Network` is built, and none of its
+attributes is read, so the oracle's wiring and this module's are two
+independent derivations from the same description, and the
+differential tests compare them.
 
 Equivalence contract
 --------------------
@@ -37,9 +40,9 @@ nothing.
 Faults at compiled speed
 ------------------------
 :class:`~repro.sim.faults.FaultSchedule` state is lowered rather than
-delegated.  Dead links and routers are masked ports: the throwaway
-extraction network is built *with* the schedule, so killed channels are
-never wired and the packed route tables come straight from
+delegated.  Dead links and routers are masked ports: the schedule's
+killed channels are dropped from the port graph's channel list before
+anything is wired, and the packed route tables come straight from
 :class:`~repro.core.routing.FaultAwareTableRouting`'s BFS tables
 (``-1`` marks states a packet can never occupy).  Transient drop faults
 are a per-link ``(prob, start, end)`` table handed to the kernel, which
@@ -85,10 +88,13 @@ import ctypes
 import dataclasses
 import time
 from array import array
+from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.coords import Coord, Direction
+from repro.core.connectivity import port_turns
+from repro.core.coords import Direction
 from repro.core.params import NetworkConfig, TopologyKind
+from repro.core.registry import ALLOCATORS, ROUTERS
 from repro.core.routing import (
     FaultAwareTableRouting,
     MeshDOR,
@@ -106,6 +112,7 @@ from repro.core.spec import (
     build_network,
     build_pattern,
     build_watchdog,
+    resolve_components,
 )
 from repro.errors import DeadlockError, SimulationTimeout
 from repro.sim import _ckernel
@@ -114,15 +121,13 @@ from repro.sim.allocator import WavefrontAllocator
 from repro.sim.metrics import LatencyStats, RunMetrics
 from repro.sim.rng import derive_rng
 from repro.sim.router import (
-    KIND_DIRECT,
-    KIND_SINK_FREE,
     NUM_DIRS,
     P_IDX,
-    FbfcRouter,
-    Sink,
     VCRouter,
-    WormholeRouter,
-    _target_kind,
+    build_fbfc_router,
+    build_vc_router,
+    build_wormhole_router,
+    fbfc_ring_ports,
 )
 from repro.sim.watchdog import WatchdogConfig
 
@@ -202,51 +207,76 @@ class _CompiledModel:
     )
 
 
-# Compiled models keyed by (config, routing, router, allocator) names
-# plus the routing-relevant fault state (killed channels + degraded
-# flag; transient-only schedules share the healthy model — the wiring
-# is unchanged and drops happen at run time).  An uncompilable design
-# point caches its LoweringDiagnostic so repeat calls skip the
-# throwaway-network build yet still report the original reason.
+class _CArrays:
+    """Flat int32 tables handed to the native wormhole/FBFC step.
+
+    Per-output arbiters and position maps, downstream wiring and the
+    tabulated route rows, as contiguous arrays indexed by flat
+    ``(router, port)`` ids (stride 9); built once per compiled model.
+    """
+
+    __slots__ = (
+        "dn", "ncv", "cands", "pm", "needs", "rowof", "rows", "rowlen",
+    )
+
+
+class _VcArrays:
+    """Flat int32 tables handed to the native dateline-VC step.
+
+    Per-router port lists, downstream wiring and feeders as contiguous
+    arrays indexed by flat ``(router, port)`` ids (stride 5), plus flat
+    ``(router, dest)`` route/VC/dateline rows and the 5x5
+    same-dimension predicate; built once per compiled model.
+    """
+
+    __slots__ = (
+        "plist", "pofs", "pcnt", "dn", "feed", "out", "vcn", "dl", "sd",
+    )
+
+
+# Compiled models keyed by everything a model is a function of: the
+# spec's topology name (a plugin may ride a builtin config, so the
+# config alone does not identify the wiring; a bare NetworkConfig keys
+# as builtin), the config, the routing / router / allocator names, and
+# the routing-relevant fault state (killed channels + degraded flag).
+# An uncompilable design point caches its LoweringDiagnostic so repeat
+# calls skip the lowering yet still report the original reason.
 _MISSING = object()
 _COMPILE_CACHE: Dict[
     Tuple, Union[_CompiledModel, LoweringDiagnostic]
 ] = {}
 
 
-def _routing_faults(faults: Any) -> Any:
-    """``faults`` when it changes the route tables, else ``None``.
-
-    Transient-only schedules share the healthy compiled model (and the
-    healthy rehydration network): the wiring is unchanged and drops
-    happen at run time.
-    """
-    return faults if faults is not None and faults.affects_routing else None
-
-
 def clear_compile_caches() -> None:
     """Drop every compiled model (bench cold-start / test hygiene)."""
     _COMPILE_CACHE.clear()
     _PATTERN_CACHE.clear()
+    _TRACE_PLAN_CACHE.clear()
 
 
 # ----------------------------------------------------------------------
-# Compilation (by extraction from a throwaway reference network)
+# Compilation: port graph + crossbar matrix + route tables -> arrays
 # ----------------------------------------------------------------------
 def _compile(
     target: Union[NetworkConfig, NetworkSpec],
     config: NetworkConfig,
-    routing_name: Optional[str],
-    router_name: Optional[str],
-    allocator_name: Optional[str],
     faults: Any = None,
 ) -> _CompiledModel:
+    # Transient-only schedules share the healthy model: the wiring is
+    # unchanged and drops happen at run time.
+    if faults is not None and not faults.affects_routing:
+        faults = None
+    names = (
+        (target.topology, target.routing, target.router, target.allocator)
+        if isinstance(target, NetworkSpec)
+        else None
+    )
     fault_key = (
         (faults.killed_channels, faults.dead_routers, faults.degraded_model)
         if faults is not None
         else None
     )
-    key = (config, routing_name, router_name, allocator_name, fault_key)
+    key = (config, names, fault_key)
     cached = _COMPILE_CACHE.get(key, _MISSING)
     if cached is not _MISSING:
         if isinstance(cached, LoweringDiagnostic):
@@ -261,29 +291,14 @@ def _compile(
     return model
 
 
-def _extraction_target(
-    target: Union[NetworkConfig, NetworkSpec],
-) -> Union[NetworkConfig, NetworkSpec]:
-    """``target`` with any spec-level fault fields neutralized.
-
-    Extraction passes its :class:`FaultSchedule` (or its absence)
-    explicitly, so a spec target must not re-resolve its own fault
-    fields inside ``build_network`` — an explicit ``faults=None`` must
-    mean *healthy*, not *use the spec's faults*.
-    """
-    if isinstance(target, NetworkSpec):
-        return target.replace(
-            fault_links=0,
-            fault_routers=0,
-            fault_transient=0,
-            degraded_model=False,
-        )
-    return target
-
-
-def _direct_target(router, o: int) -> Tuple[int, int]:
-    down, down_idx = router.out_target[o]
-    return down.net_idx, down_idx
+#: The registered router builders this module has arrays for, by
+#: identity: a plugin registered under (or over) a builtin name must
+#: not silently lower as the builtin it replaced.
+_ROUTER_KINDS = {
+    build_wormhole_router: "wormhole",
+    build_fbfc_router: "fbfc",
+    build_vc_router: "vc",
+}
 
 
 def _build_model(
@@ -291,38 +306,72 @@ def _build_model(
     config: NetworkConfig,
     faults: Any = None,
 ) -> _CompiledModel:
-    # Building the extraction network *with* the schedule means killed
-    # channels are never wired, so masked ports (shrunk input lists,
-    # absent plan entries, -1 posmap slots) fall out of extraction for
-    # free and stay wired identically to the reference network.
-    net = build_network(_extraction_target(target), faults=faults)
-    if net._channels:
+    """Lower one design point: a pure function of its resolved parts.
+
+    The parts are what :func:`~repro.core.spec.build_network` would
+    hand the reference :class:`~repro.sim.network.Network` — port graph,
+    crossbar matrix, routing, router kind, allocator — plus the killed
+    channels of ``faults``; no network is built.  Registry misses and
+    component conflicts raise the same :class:`ConfigError` the
+    reference path raises.
+    """
+    components, router_name, allocator = resolve_components(
+        target, config, faults
+    )
+    kind = _ROUTER_KINDS.get(ROUTERS.get(router_name))
+    if kind is None:
         raise _Unsupported(
-            "pipelined-channels",
-            "multi-cycle channel pipelining is not lowered",
+            "unsupported-router",
+            f"router kind {router_name!r} is not a builtin builder",
         )
-    if net._edge_entry or net.topology.memory_nodes:
+    # Only the VC router allocates; the other builders reject the
+    # argument, an error left to the reference engine to raise.
+    if allocator is not None and (
+        kind != "vc" or ALLOCATORS.get(allocator) is not WavefrontAllocator
+    ):
         raise _Unsupported(
-            "edge-memory", "edge-memory endpoints are not lowered"
+            "unsupported-allocator",
+            f"allocator {allocator!r} on a {kind} router",
         )
-    routing = net.routing
+    routing = components.routing
     if type(routing) is FaultAwareTableRouting and faults is None:
         raise _Unsupported(
             "fault-aware-routing",
             "fault-aware table routing without a FaultSchedule",
         )
-    routers = net._router_list
-    kinds = {type(r) for r in routers}
-    if kinds == {WormholeRouter}:
-        kind = "wormhole"
-    elif kinds == {FbfcRouter}:
-        kind = "fbfc"
-    elif kinds == {VCRouter}:
-        kind = "vc"
-    else:
+    if kind == "vc" and type(routing) not in _SUPPORTED_ROUTINGS:
         raise _Unsupported(
-            "unsupported-router",
-            f"router kinds {sorted(k.__name__ for k in kinds)}",
+            "unsupported-routing",
+            f"no VC tabulation for routing {type(routing).__name__}",
+        )
+    graph = components.topology.port_graph()
+    # Killed channels are never wired, so masked ports (shrunk input
+    # lists, absent arbiters, -1 position-map slots) fall out of the
+    # one channel list every array below is written from.
+    killed = faults.killed_channels if faults is not None else ()
+    channels = [
+        ch for ch in graph.channels if (ch.src, ch.out_port) not in killed
+    ]
+    nports = VCRouter.NUM_PORTS if kind == "vc" else NUM_DIRS
+    for ch in channels:
+        if ch.latency > 1:
+            raise _Unsupported(
+                "pipelined-channels",
+                "multi-cycle channel pipelining is not lowered",
+            )
+        if ch.in_port == graph.ejection_port:
+            raise _Unsupported(
+                "injection-wiring", "link wired into an injection port"
+            )
+        if ch.out_port >= nports or ch.in_port >= nports:
+            raise _Unsupported(
+                "unsupported-router",
+                f"a {kind} router has {nports} ports; the topology "
+                f"wires port {max(ch.out_port, ch.in_port)}",
+            )
+    if graph.endpoint_only_nodes:
+        raise _Unsupported(
+            "edge-memory", "edge-memory endpoints are not lowered"
         )
 
     model = _CompiledModel()
@@ -331,22 +380,13 @@ def _build_model(
     # Mirrors the reference engine's getattr: only the fault-aware
     # tables expose reachability, and only faulted runs consult it.
     model.reachable = getattr(routing, "reachable", None)
-    nodes = tuple(net.topology.nodes)
-    model.nodes = nodes
-    model.node_index = {coord: idx for idx, coord in enumerate(nodes)}
-    model.n = len(nodes)
+    model.nodes = nodes = graph.nodes
+    model.node_index = nidx = {node: idx for idx, node in enumerate(nodes)}
+    model.n = n = len(nodes)
     model.depth = config.fifo_depth
-    for idx, router in enumerate(routers):
-        if router.coord != nodes[idx] or router.net_idx != idx:
-            raise _Unsupported(
-                "router-order", "router order diverges from topology order"
-            )
-        if router.depth != config.fifo_depth:
-            raise _Unsupported(
-                "non-uniform-depth", "non-uniform FIFO depth"
-            )
-
+    model.num_vcs = config.num_vcs if kind == "vc" else 1
     nsub = 2 if isinstance(routing, _ParitySubnetRouting) else 1
+    model.subnet_tab = None
     if nsub == 2:
         model.subnet_tab = array(
             "i",
@@ -356,147 +396,127 @@ def _build_model(
                 for dest in nodes
             ),
         )
-    else:
-        model.subnet_tab = None
 
+    # The reference gives a router an input FIFO on port d iff the
+    # node's own *output* d is wired and alive, plus the injection
+    # port; the ejection port is always a wired output.  One bitmask
+    # per router therefore names both its inputs and its outputs.
+    masks = [1 << P_IDX] * n
+    for ch in channels:
+        masks[nidx[ch.src]] |= 1 << ch.out_port
+    model.in_ports = tuple(
+        tuple(i for i in range(nports) if mask >> i & 1) for mask in masks
+    )
     if kind == "vc":
-        if type(routing) not in _SUPPORTED_ROUTINGS:
-            raise _Unsupported(
-                "unsupported-routing",
-                f"no VC tabulation for routing {type(routing).__name__}",
-            )
-        wiring, feeders, same_dim = _extract_vc(model, routers)
-        out_tab, vcn_tab, dl_tab = _tabulate_vc_routes(model, routing)
-        model.tables = _vc_arrays(
-            model, wiring, feeders, same_dim, out_tab, vcn_tab, dl_tab
-        )
+        tables: Any = _VcArrays()
+        _tabulate_vc_routes(model, routing, tables)
+        tables.plist = array("i")
+        tables.pofs = array("i")
+        tables.pcnt = array("i")
+        for ports in model.in_ports:
+            tables.pofs.append(len(tables.plist))
+            tables.plist.extend(ports)
+            tables.pcnt.append(len(ports))
     else:
-        posmaps, plans = _extract_wormhole(
-            model, routers, fbfc=(kind == "fbfc")
-        )
+        tables = _CArrays()
         if type(routing) is FaultAwareTableRouting:
-            route_rows = _tabulate_fault_routes(model, routing)
+            _tabulate_fault_routes(model, routing, tables)
         elif type(routing) in _SUPPORTED_ROUTINGS:
             # Exact builtin types keep their closed-form tabulation
             # (bit-identical rows, no graph walk).
-            route_rows = _tabulate_wormhole_routes(model, routing, nsub)
+            _tabulate_wormhole_routes(model, routing, nsub, tables)
         else:
-            route_rows = _tabulate_generic_routes(
-                model, net, routing, nsub
-            )
-        model.tables = _c_arrays(model.n, posmaps, plans, route_rows)
-    # Router -> downstream-router wiring is the throwaway network's
-    # only reference cycle; cut it and the whole network is freed on
-    # return instead of riding under the following runs until a full
-    # garbage collection happens by.
-    for router in routers:
-        router.out_target = None
+            _tabulate_generic_routes(model, graph, routing, nsub, tables)
+        _wire_crossbars(
+            tables,
+            masks,
+            port_turns(components.matrix),
+            fbfc_ring_ports(config) if kind == "fbfc" else None,
+        )
+    # Downstream wiring, one pass over the alive channels.  `dn` stays
+    # -1 on the ejection port (an always-ready sink), on unwired
+    # outputs, and on a wired crossbar output no present input may turn
+    # to (it never arbitrates).  A VC input's feeder is the router
+    # upstream of it.
+    tables.dn = dn = array("i", [-1]) * (n * nports)
+    feed = None
+    if kind == "vc":
+        tables.feed = feed = array("i", [-1]) * (n * nports)
+    for ch in channels:
+        src = nidx[ch.src]
+        out = src * nports + ch.out_port
+        down = nidx[ch.dst] * nports + ch.in_port
+        if feed is not None:
+            feed[down] = src
+        elif not tables.ncv[out]:
+            continue
+        dn[out] = down
+    model.tables = tables
     return model
 
 
-def _sink_or_direct(router, o: int) -> Optional[Tuple[int, int]]:
-    """``None`` for an always-ready sink, (down, in) for a direct wire."""
-    target = router.out_target[o]
-    code = _target_kind(target)
-    if code == KIND_SINK_FREE:
-        return None
-    if code == KIND_DIRECT:
-        down_r, down_in = _direct_target(router, o)
-        if down_in == P_IDX:
-            raise _Unsupported(
-                "injection-wiring", "link wired into an injection port"
-            )
-        return down_r, down_in
-    if isinstance(target, Sink):
-        raise _Unsupported("custom-sink", "non-builtin sink on an output")
-    raise _Unsupported("pipelined-link", "pipelined link on an output")
+def _wire_crossbars(
+    ca: _CArrays,
+    masks: List[int],
+    turns: Dict[int, Any],
+    ring_ports: Optional[Sequence[frozenset]],
+) -> None:
+    """Write the per-output arbiters of every wormhole / FBFC router.
+
+    An output's candidate list is "the present inputs the matrix admits
+    for it, ascending" — the order every round-robin position counts
+    in.  ``pm[o * 9 + i]`` (position of input ``i`` in output ``o``'s
+    list, else -1) is filled for all 9x9 pairs; ``ncv`` / ``cands`` /
+    ``needs`` only for wired outputs, so an unwired output never
+    arbitrates.  ``needs`` is the FBFC slot requirement — 2 to *enter*
+    a ring (output in a ring group, input outside it), else 1 — and
+    stays zero for wormhole routers (``ring_ports`` None).  Routers
+    with the same port mask share one block, computed once.
+    """
+    ca.ncv = array("i")
+    ca.cands = array("i")
+    ca.needs = array("i")
+    ca.pm = array("i")
+    blocks: Dict[int, Tuple[List[int], ...]] = {}
+    for mask in masks:
+        block = blocks.get(mask)
+        if block is None:
+            ncv = [0] * NUM_DIRS
+            cands = [0] * (NUM_DIRS * NUM_DIRS)
+            needs = [0] * (NUM_DIRS * NUM_DIRS)
+            pm = [-1] * (NUM_DIRS * NUM_DIRS)
+            for o in range(NUM_DIRS):
+                admitted = [
+                    i
+                    for i in range(NUM_DIRS)
+                    if mask >> i & 1 and o in turns.get(i, ())
+                ]
+                base = o * NUM_DIRS
+                for pos, i in enumerate(admitted):
+                    pm[base + i] = pos
+                if not mask >> o & 1:
+                    continue
+                ncv[o] = len(admitted)
+                cands[base : base + ncv[o]] = admitted
+                if ring_ports is not None:
+                    needs[base : base + ncv[o]] = [
+                        2 if any(o in g and i not in g for g in ring_ports)
+                        else 1
+                        for i in admitted
+                    ]
+            block = blocks[mask] = (ncv, cands, needs, pm)
+        for flat, part in zip((ca.ncv, ca.cands, ca.needs, ca.pm), block):
+            flat.extend(part)
 
 
-def _extract_wormhole(model, routers, *, fbfc: bool) -> Tuple[List, List]:
-    """Set ``model.in_ports``; return per-router ``(posmaps, plans)``."""
-    in_lists, posmaps, plans = [], [], []
-    for r, router in enumerate(routers):
-        in_lists.append(router._in_list)
-        posmaps.append(router._posmap)
-        entries = []
-        for o, cands, nc, code, _obj, _depth in router._plan:
-            wired = _sink_or_direct(router, o)
-            if wired is None:
-                down_r = down_in = -1
-                sink = True
-            else:
-                down_r, down_in = wired
-                sink = False
-            needs = (
-                tuple(router._entry_need[o][i] for i in cands)
-                if fbfc
-                else None
-            )
-            entries.append((o, cands, nc, sink, down_r, down_in, needs))
-        plans.append(entries)
-    model.in_ports = tuple(in_lists)
-    model.num_vcs = 1
-    return posmaps, plans
-
-
-def _extract_vc(model, routers) -> Tuple[List, List, List]:
-    """Set ``model.in_ports``; return ``(wiring, feeders, same_dim)``."""
-    config = model.config
-    ports, wiring, feeders = [], [], []
-    feeder_of: Dict[Tuple[int, int], int] = {}
-    num_vcs = config.num_vcs
-    for r, router in enumerate(routers):
-        if type(router.alloc) is not WavefrontAllocator:
-            raise _Unsupported(
-                "unsupported-allocator",
-                f"allocator {type(router.alloc).__name__}",
-            )
-        if router.num_vcs != num_vcs:
-            raise _Unsupported("non-uniform-vcs", "non-uniform VC count")
-        ports.append(router.ports)
-        outs: List[Optional[Tuple]] = [None] * VCRouter.NUM_PORTS
-        for o in range(VCRouter.NUM_PORTS):
-            if router.out_target[o] is None:
-                continue
-            wired = _sink_or_direct(router, o)
-            if wired is None:
-                outs[o] = ()  # sink marker
-            else:
-                outs[o] = wired
-                feeder_of[wired] = r
-        wiring.append(tuple(outs))
-    for r in range(len(routers)):
-        feeders.append(
-            tuple(
-                feeder_of.get((r, i), -1)
-                for i in range(VCRouter.NUM_PORTS)
-            )
-        )
-    model.in_ports = tuple(ports)
-    model.num_vcs = num_vcs
-    # same_dim[in_port * 5 + out_port], exactly as TorusDOR.route_vc
-    # evaluates it for the five mesh ports.  An injection-port input is
-    # never same-dimension; a P output never consults the flag (the
-    # reference returns (P, 0) before the check), so it is pinned False
-    # and the ejection VC collapses to vcn_tab's 0 at the destination.
-    horiz = (int(Direction.W), int(Direction.E))
-    sd = []
-    for i in range(VCRouter.NUM_PORTS):
-        for o in range(VCRouter.NUM_PORTS):
-            if i == P_IDX or o == P_IDX:
-                sd.append(False)
-            else:
-                sd.append((i in horiz) == (o in horiz))
-    return wiring, feeders, sd
-
-
-def _tabulate_wormhole_routes(model, routing, nsub: int) -> List:
-    """Per-node route rows, one shared row per input-equivalence class.
+def _tabulate_wormhole_routes(model, routing, nsub: int, ca: _CArrays) -> None:
+    """Closed-form route rows, one per node and input-equivalence class.
 
     ``route(node, in_dir, dest, subnet)`` depends on ``in_dir`` only
     through axis membership (and only for :class:`RucheDOR`'s
     second-axis Ruche-boarding rule), so one representative input per
-    class tabulates every input port exactly.
+    class tabulates every input port exactly, and the input ports of a
+    class share that class's row.
     """
     if type(routing) is RucheDOR:
         cls_of_in = (0, 1, 1, 2, 2, 1, 1, 2, 2)  # P | x-axis | y-axis
@@ -505,25 +525,20 @@ def _tabulate_wormhole_routes(model, routing, nsub: int) -> List:
         cls_of_in = (0,) * NUM_DIRS
         reps = (Direction.P,)
     nodes = model.nodes
-    n = model.n
     route = routing.route
-    route_rows = []
-    for coord in nodes:
-        cls_rows = []
+    ca.rowlen = nsub * model.n
+    ca.rows = rows = array("i")
+    ca.rowof = array("i")
+    for r, coord in enumerate(nodes):
         for rep in reps:
-            row = [0] * (nsub * n)
             for sub in range(nsub):
-                off = sub * n
-                for d, dest in enumerate(nodes):
-                    row[off + d] = int(route(coord, rep, dest, sub))
-            cls_rows.append(row)
-        route_rows.append(
-            tuple(cls_rows[cls_of_in[i]] for i in range(NUM_DIRS))
-        )
-    return route_rows
+                rows.extend(
+                    [int(route(coord, rep, dest, sub)) for dest in nodes]
+                )
+        ca.rowof.extend(r * len(reps) + cls for cls in cls_of_in)
 
 
-def _tabulate_fault_routes(model, routing) -> List:
+def _tabulate_fault_routes(model, routing, ca: _CArrays) -> None:
     """Per-(node, input) route rows from the fault-aware BFS tables.
 
     Unlike the DOR algorithms, :class:`FaultAwareTableRouting` keys its
@@ -532,34 +547,43 @@ def _tabulate_fault_routes(model, routing) -> List:
     are never consulted at runtime — injection filters unreachable
     destinations through ``model.reachable``, and the BFS tables are
     next-hop-closed (a tabled state's successor is also tabled, all the
-    way to ejection).  Identical rows are interned to one shared object
-    so the native kernel's id-deduped ``rows`` table stays near one
-    copy per node (on the fully-connected fault matrix most inputs of a
-    node share a row).
+    way to ejection).
     """
-    n = model.n
     node_index = model.node_index
-    blank = [-1] * n
-    by_state: Dict[Tuple[int, int], List[int]] = {}
+    blank = [-1] * model.n
+    by_state: Dict[Tuple[int, int], List[int]] = defaultdict(blank.copy)
     for d, dest in enumerate(model.nodes):
         for (coord, in_idx), out in routing.next_hop_items(dest):
-            state = (node_index[coord], in_idx)
-            row = by_state.get(state)
-            if row is None:
-                row = by_state[state] = blank.copy()
-            row[d] = out
-    interned: Dict[Tuple[int, ...], List[int]] = {tuple(blank): blank}
-    route_rows = []
+            by_state[node_index[coord], in_idx][d] = out
+    _pack_state_rows(ca, by_state, blank, model.n)
+
+
+def _pack_state_rows(ca: _CArrays, by_state, blank, n: int) -> None:
+    """Write ``rows`` / ``rowof`` / ``rowlen`` from per-state rows.
+
+    A ``(router, input)`` state no table mentions gets the ``blank``
+    row, and equal rows are stored once, so the kernel's rows table
+    stays near one copy per node (on the fully-connected fault matrix
+    most inputs of a node share a row).
+    """
+    index: Dict[Tuple[int, ...], int] = {}
+    ca.rowlen = len(blank)
+    ca.rows = array("i")
+    ca.rowof = array("i")
     for r in range(n):
-        per_in = []
         for i in range(NUM_DIRS):
             row = by_state.get((r, i), blank)
-            per_in.append(interned.setdefault(tuple(row), row))
-        route_rows.append(tuple(per_in))
-    return route_rows
+            key = tuple(row)
+            idx = index.get(key)
+            if idx is None:
+                idx = index[key] = len(index)
+                ca.rows.extend(row)
+            ca.rowof.append(idx)
 
 
-def _tabulate_generic_routes(model, net, routing, nsub: int) -> List:
+def _tabulate_generic_routes(
+    model, graph, routing, nsub: int, ca: _CArrays
+) -> None:
     """Per-(node, input) route rows for any routing, walked over the IR.
 
     The generic lowering behind plugin routings and the 3-D packs: each
@@ -567,17 +591,14 @@ def _tabulate_generic_routes(model, net, routing, nsub: int) -> List:
     :func:`~repro.core.routing.tabulate_next_hops` over the topology's
     port graph, so anything that routes soundly over the IR compiles —
     no per-algorithm closed form required.  Rows are packed exactly
-    like the fault tables (``-1`` blanks for states the walk never
-    visits, identical rows interned to one object).  A route
-    computation that raises, an output with no wired channel, or
-    VC-dependent state makes the design point fall back with a
-    ``route-tabulation`` diagnostic.
+    like the fault tables.  A route computation that raises, an output
+    with no wired channel, or VC-dependent state makes the design point
+    fall back with a ``route-tabulation`` diagnostic.
     """
     n = model.n
     node_index = model.node_index
-    graph = net.topology.port_graph()
     blank = [-1] * (nsub * n)
-    by_state: Dict[Tuple[int, int], List[int]] = {}
+    by_state: Dict[Tuple[int, int], List[int]] = defaultdict(blank.copy)
     problems: List[str] = []
 
     def on_error(state, exc) -> None:
@@ -606,75 +627,68 @@ def _tabulate_generic_routes(model, net, routing, nsub: int) -> List:
                     f"routing {type(routing).__name__} produced subnet "
                     f"{subnet} outside the {nsub} modelled subnet(s)",
                 )
-            state = (node_index[coord], in_idx)
-            row = by_state.get(state)
-            if row is None:
-                row = by_state[state] = blank.copy()
-            row[subnet * n + d] = out
-    interned: Dict[Tuple[int, ...], List[int]] = {tuple(blank): blank}
-    route_rows = []
-    for r in range(n):
-        per_in = []
-        for i in range(NUM_DIRS):
-            row = by_state.get((r, i), blank)
-            per_in.append(interned.setdefault(tuple(row), row))
-        route_rows.append(tuple(per_in))
-    return route_rows
+            by_state[node_index[coord], in_idx][subnet * n + d] = out
+    _pack_state_rows(ca, by_state, blank, n)
 
 
-def _tabulate_vc_routes(model, routing) -> Tuple[List, List, List]:
+def _tabulate_vc_routes(model, routing, va: _VcArrays) -> None:
     """Decompose ``route_vc`` into (output, non-same-dim VC, dateline).
 
     The output port is a pure function of ``(node, dest)`` (taken
     straight from :meth:`TorusDOR.route_vc`); the VC depends on the
     arriving VC only through the same-dimension predicate, which
-    :data:`same_dim` reconstructs at accept time, and the remaining
-    cases — dateline promotion and the ahead/spread choice — are pure
-    ``(node, dest)`` arithmetic mirrored from the reference.
+    ``va.sd`` lets the kernel reconstruct at accept time, and the
+    remaining cases — dateline promotion and the ahead/spread choice —
+    are pure ``(node, dest)`` arithmetic mirrored from the reference,
+    written to ``va.out`` / ``va.vcn`` / ``va.dl`` (flat
+    ``(router, dest)``).
     """
     config = model.config
     nodes = model.nodes
-    n = model.n
-    x_ring = True
     y_ring = config.kind is TopologyKind.FOLDED_TORUS
     east, south = int(Direction.E), int(Direction.S)
-    out_tab, vcn_tab, dl_tab = [], [], []
+    va.out = array("i")
+    va.vcn = array("i")
+    va.dl = array("i")
     for coord in nodes:
-        out_row = [0] * n
-        vcn_row = [0] * n
-        dl_row = [0] * n
-        for d, dest in enumerate(nodes):
-            if dest == coord:
-                continue  # (P, 0): zeros already in place
-            out = int(routing.route_vc(coord, Direction.P, 0, dest)[0])
-            out_row[d] = out
-            along_x = out in (1, 2)  # W, E
-            cur = coord.x if along_x else coord.y
-            tgt = dest.x if along_x else dest.y
-            k = config.width if along_x else config.height
-            is_ring = x_ring if along_x else y_ring
-            if out in (east, south):
-                ahead = tgt < cur
-                dateline = is_ring and cur == k - 1
-            else:
-                ahead = tgt > cur
-                dateline = is_ring and cur == 0
-            if is_ring and ahead:
-                vcn = 0
-            elif is_ring:
-                vcn = (dest.x + dest.y) & 1
-            else:
-                vcn = 0
-            vcn_row[d] = vcn
-            dl_row[d] = 1 if dateline else 0
-        out_tab.append(out_row)
-        vcn_tab.append(vcn_row)
-        dl_tab.append(dl_row)
-    return out_tab, vcn_tab, dl_tab
+        for dest in nodes:
+            out = vcn = dateline = 0  # (P, 0) at the destination
+            if dest != coord:
+                out = int(routing.route_vc(coord, Direction.P, 0, dest)[0])
+                along_x = out in (1, 2)  # W, E
+                cur = coord.x if along_x else coord.y
+                tgt = dest.x if along_x else dest.y
+                k = config.width if along_x else config.height
+                is_ring = along_x or y_ring
+                if out in (east, south):
+                    ahead = tgt < cur
+                    dateline = is_ring and cur == k - 1
+                else:
+                    ahead = tgt > cur
+                    dateline = is_ring and cur == 0
+                if is_ring and not ahead:
+                    vcn = (dest.x + dest.y) & 1
+            va.out.append(out)
+            va.vcn.append(vcn)
+            va.dl.append(dateline)
+    # sd[in_port * 5 + out_port], exactly as TorusDOR.route_vc
+    # evaluates it for the five mesh ports.  An injection-port input is
+    # never same-dimension; a P output never consults the flag (the
+    # reference returns (P, 0) before the check), so it is pinned False
+    # and the ejection VC collapses to vcn_tab's 0 at the destination.
+    horiz = (int(Direction.W), int(Direction.E))
+    va.sd = array(
+        "i",
+        (
+            i != P_IDX and o != P_IDX and (i in horiz) == (o in horiz)
+            for i in range(VCRouter.NUM_PORTS)
+            for o in range(VCRouter.NUM_PORTS)
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
-# Native-kernel lowering
+# The native kernel
 # ----------------------------------------------------------------------
 #: array typecodes must match the kernel's int32/int64/uint32 fields.
 _ARRAYS_OK = (
@@ -689,115 +703,8 @@ def _native_kernel() -> Any:
     return _ckernel.get_kernel() if _ARRAYS_OK else None
 
 
-class _CArrays:
-    """Flat int32 tables handed to the native wormhole/FBFC step.
-
-    The extracted per-router arbitration plans and position maps and
-    the tabulated route rows, re-laid-out as contiguous arrays indexed
-    by flat (router, port) ids; built once per compiled model.
-    """
-
-    __slots__ = (
-        "dn", "ncv", "cands", "pm", "needs", "rowof", "rows", "rowlen",
-    )
-
-
 def _ptr(a: array, ctype: Any = ctypes.c_int32):
     return ctypes.cast(a.buffer_info()[0], ctypes.POINTER(ctype))
-
-
-def _c_arrays(R: int, posmaps, plans, route_rows) -> _CArrays:
-    nq = R * NUM_DIRS
-    dn = array("i", [-1]) * nq
-    ncv = array("i", [0]) * nq
-    cands_f = array("i", [0]) * (nq * NUM_DIRS)
-    needs_f = array("i", [0]) * (nq * NUM_DIRS)
-    pm_f = array("i")
-    for r in range(R):
-        pm_f.extend(posmaps[r])
-        rb = r * NUM_DIRS
-        for o, cands, nc, sink, down_r, down_in, needs in plans[r]:
-            ro = rb + o
-            ncv[ro] = nc
-            dn[ro] = -1 if sink else down_r * NUM_DIRS + down_in
-            cb = ro * NUM_DIRS
-            for pos, i in enumerate(cands):
-                cands_f[cb + pos] = i
-            if needs is not None:
-                for pos, need in enumerate(needs):
-                    needs_f[cb + pos] = need
-    # Route rows are shared between input ports of one router (one per
-    # input-equivalence class); dedupe by identity so the kernel's rows
-    # table stays one copy per class.
-    row_index: Dict[int, int] = {}
-    rows_f = array("i")
-    rowof = array("i", [0]) * nq
-    for r in range(R):
-        rb = r * NUM_DIRS
-        for i in range(NUM_DIRS):
-            row = route_rows[r][i]
-            idx = row_index.get(id(row))
-            if idx is None:
-                idx = len(row_index)
-                row_index[id(row)] = idx
-                rows_f.extend(row)
-            rowof[rb + i] = idx
-    ca = _CArrays()
-    ca.dn = dn
-    ca.ncv = ncv
-    ca.cands = cands_f
-    ca.pm = pm_f
-    ca.needs = needs_f
-    ca.rowof = rowof
-    ca.rows = rows_f
-    ca.rowlen = len(route_rows[0][0])
-    return ca
-
-
-class _VcArrays:
-    """Flat int32 tables handed to the native dateline-VC step.
-
-    Per-router port lists, downstream wiring and feeders re-laid-out as
-    contiguous arrays indexed by flat ``(router, port)`` ids (stride 5),
-    plus flat ``(router, dest)`` route/VC/dateline rows and the 5x5
-    same-dimension predicate; built once per compiled model.
-    """
-
-    __slots__ = (
-        "plist", "pofs", "pcnt", "dn", "feed", "out", "vcn", "dl", "sd",
-    )
-
-
-def _vc_arrays(
-    model: _CompiledModel,
-    wiring, feeders, same_dim, out_tab, vcn_tab, dl_tab,
-) -> _VcArrays:
-    R = model.n
-    nports = VCRouter.NUM_PORTS
-    va = _VcArrays()
-    va.plist = array("i")
-    va.pofs = array("i")
-    va.pcnt = array("i")
-    for ports in model.in_ports:
-        va.pofs.append(len(va.plist))
-        va.plist.extend(ports)
-        va.pcnt.append(len(ports))
-    va.dn = array("i", [-1]) * (R * nports)
-    for r in range(R):
-        for o, wired in enumerate(wiring[r]):
-            if wired:  # (down_r, down_in); () sink marker stays -1
-                down_r, down_in = wired
-                va.dn[r * nports + o] = down_r * nports + down_in
-    va.feed = array("i", (f for per_router in feeders for f in per_router))
-    va.out = array("i")
-    va.vcn = array("i")
-    va.dl = array("i")
-    for r in range(R):
-        va.out.extend(out_tab[r])
-        va.vcn.extend(vcn_tab[r])
-        va.dl.extend(dl_tab[r])
-    va.sd = array("i", (1 if f else 0 for f in same_dim))
-    return va
 
 
 # ----------------------------------------------------------------------
@@ -813,10 +720,8 @@ def _gate_diagnostics(
     This is the single source of truth for the checks
     :func:`run_compiled` performs before attempting compilation; the
     static analyzer (:func:`lowering_problems`) reports exactly these,
-    so analyzer and engine can never drift apart.  Plugin topologies
-    are no longer gated here: providers with custom components lower
-    through the generic port-graph tabulation and fall back only if
-    compilation itself reports a diagnostic.
+    so analyzer and engine can never drift apart.  Everything else
+    that falls back is reported by compilation itself.
     """
     reasons: List[LoweringDiagnostic] = []
     if _native_kernel() is None:
@@ -893,12 +798,14 @@ _POISON_RNG = _PoisonRng()
 #: uniform-random pattern, or ``None`` when the pattern draws from the
 #: dest stream in a way the block kernel cannot replicate.  Trace
 #: replay plans (``("trace", table)``) live in
-#: :data:`_TRACE_PLAN_CACHE` instead, keyed on the trace file's stat
-#: signature — a name-keyed entry would go stale when the file at the
-#: same path is overwritten.
+#: :data:`_TRACE_PLAN_CACHE` instead, validated by the trace file's
+#: stat signature — a name-keyed entry would go stale when the file at
+#: the same path is overwritten.
 _PATTERN_CACHE: Dict[Tuple, Optional[Tuple]] = {}
 
-#: (config, trace source key) -> ``("trace", table)`` plans.
+#: (config, trace abspath) -> (source key, ``("trace", table)`` plan):
+#: one entry per file, replaced when its stat signature changes (the
+#: discipline of :data:`repro.sim.trace._TRACE_CACHE`).
 _TRACE_PLAN_CACHE: Dict[Tuple, Tuple] = {}
 
 
@@ -918,16 +825,15 @@ def _trace_plan(
         tr.check_config(config)
     except Exception:
         return None
-    key = (config, tr.source_key)
-    plan = _TRACE_PLAN_CACHE.get(key)
-    if plan is None:
-        try:
-            plan = (
-                "trace", tr.batch_table(model.nodes, model.node_index)
-            )
-        except Exception:
-            return None
-        _TRACE_PLAN_CACHE[key] = plan
+    key = (config, tr.source_key[0])
+    cached = _TRACE_PLAN_CACHE.get(key)
+    if cached is not None and cached[0] == tr.source_key:
+        return cached[1]
+    try:
+        plan = ("trace", tr.batch_table(model.nodes, model.node_index))
+    except Exception:
+        return None
+    _TRACE_PLAN_CACHE[key] = (tr.source_key, plan)
     return plan
 
 
@@ -1055,20 +961,14 @@ def _resolve(
             faults = build_faults(target, cfg)
         if watchdog is None:
             watchdog = build_watchdog(target)
-        names: Tuple[Optional[str], Optional[str], Optional[str]] = (
-            target.routing, target.router, target.allocator,
-        )
         if batch:
             reasons = _batch_gate(target, faults)
     else:
         cfg = target
-        names = (None, None, None)
     lowering = _gate_diagnostics(cfg, faults, audit_every)
     if not lowering:
         try:
-            model = _compile(
-                target, cfg, *names, faults=_routing_faults(faults)
-            )
+            model = _compile(target, cfg, faults)
         except _Unsupported as exc:
             lowering = [exc.diagnostic]
     if lowering:
@@ -1733,10 +1633,9 @@ class _Run:
         psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
         pdest, paux = self.pdest_a, self.paux_a
         has_subnets = model.subnet_tab is not None
-        net = build_network(
-            _extraction_target(self.target),
-            faults=_routing_faults(self.faults),
-        )
+        # `self.faults` is the caller's schedule or else the spec's
+        # own, which is what a spec target falls back to on `None`.
+        net = build_network(self.target, faults=self.faults)
         routers = [net.routers[coord] for coord in nodes]
         for q, r, i, lane in self._queues():
             ring = self.qoff[q]

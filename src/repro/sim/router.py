@@ -316,6 +316,23 @@ class WormholeRouter(BaseRouter):
             moves.append((self, in_idx, 0, o, in_q[in_idx][0]))
 
 
+def fbfc_ring_ports(config: NetworkConfig) -> Tuple[frozenset, ...]:
+    """The port-id group of each ring an FBFC router of ``config`` sits on.
+
+    A half torus has x rings only, a folded torus x and y, and the 3-D
+    torus adds the z ring that rides the RN/RS port ids.  Entering a
+    group's output from an input outside it is a ring entry (the bubble
+    rule); the reference builder and the compiled lowering both read
+    the groups from here.
+    """
+    rings = [frozenset((int(Direction.W), int(Direction.E)))]
+    if config.kind in (TopologyKind.FOLDED_TORUS, TopologyKind.TORUS3D):
+        rings.append(frozenset((int(Direction.N), int(Direction.S))))
+    if config.kind is TopologyKind.TORUS3D:
+        rings.append(frozenset((int(Direction.RN), int(Direction.RS))))
+    return tuple(rings)
+
+
 class FbfcRouter(WormholeRouter):
     """Torus router using Flit Bubble Flow Control (Ma et al.).
 
@@ -336,27 +353,13 @@ class FbfcRouter(WormholeRouter):
         route_fn: Callable,
         input_dirs: Sequence[int],
         matrix: Dict[Direction, frozenset],
-        ring_axes: Sequence[str] = ("x",),
-        ring_ports: Optional[Sequence[frozenset]] = None,
+        ring_ports: Sequence[frozenset],
         route_cache: Optional[Dict] = None,
     ) -> None:
         super().__init__(
             coord, depth, route_fn, input_dirs, matrix,
             route_cache=route_cache,
         )
-        if ring_ports is None:
-            # Derive the ring port groups from the 2-D axis names; 3-D
-            # builders hand explicit port-id groups instead.
-            groups = []
-            if "x" in ring_axes:
-                groups.append(
-                    frozenset((int(Direction.W), int(Direction.E)))
-                )
-            if "y" in ring_axes:
-                groups.append(
-                    frozenset((int(Direction.N), int(Direction.S)))
-                )
-            ring_ports = groups
         # _entry_need[o][i]: FIFO slots required for input i to win
         # output o (2 = ring entry, 1 = in-ring or non-ring move).
         self._entry_need = {}
@@ -634,27 +637,13 @@ def build_fbfc_router(
     allocator: Optional[str] = None,
 ) -> FbfcRouter:
     _reject_allocator("fbfc", allocator)
-    ring_ports = None
-    if config.kind is TopologyKind.TORUS3D:
-        # Three rings per router; the z ring rides the RN/RS port ids.
-        ring_ports = [
-            frozenset((int(Direction.W), int(Direction.E))),
-            frozenset((int(Direction.N), int(Direction.S))),
-            frozenset((int(Direction.RN), int(Direction.RS))),
-        ]
-    ring_axes = (
-        ("x", "y")
-        if config.kind is TopologyKind.FOLDED_TORUS
-        else ("x",)
-    )
     return FbfcRouter(
         coord,
         config.fifo_depth,
         routing.route,
         input_dirs,
         matrix,
-        ring_axes=ring_axes,
-        ring_ports=ring_ports,
+        ring_ports=fbfc_ring_ports(config),
         route_cache=route_cache,
     )
 

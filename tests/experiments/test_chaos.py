@@ -1,5 +1,5 @@
 """Chaos/soak harness (`repro.chaos`): seeded reproducibility, the
-fairness and degradation math, and an end-to-end smoke campaign.
+degradation math, and an end-to-end smoke campaign.
 
 The harness's contract is that a whole campaign is a pure function of
 ``(scale, seed)`` and that every row runs on the compiled engine (the
@@ -8,14 +8,11 @@ are exercised once at smoke scale; the pure-math helpers are pinned
 directly.
 """
 
-import math
-
 import pytest
 
 from repro import chaos
 from repro.core.params import NetworkConfig
 from repro.experiments.registry import experiment_ids, run_experiment
-from repro.sim.metrics import fairness_stats
 
 
 class TestHelpers:
@@ -48,18 +45,6 @@ class TestHelpers:
             other.dead_routers,
             other.transient,
         )
-
-    def test_fairness_math(self):
-        stats = fairness_stats({"a": 10.0, "b": 20.0, "c": 30.0})
-        assert stats["fairness_max_over_mean"] == pytest.approx(1.5)
-        expected_cv = math.sqrt(200.0 / 3.0) / 20.0
-        assert stats["fairness_cv"] == pytest.approx(expected_cv)
-
-    def test_fairness_of_nothing_is_nan(self):
-        for sources in ({}, {"a": float("nan")}):
-            stats = fairness_stats(sources)
-            assert math.isnan(stats["fairness_max_over_mean"])
-            assert math.isnan(stats["fairness_cv"])
 
     def test_attach_degradation_joins_against_baseline(self):
         rows = [

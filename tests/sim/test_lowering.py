@@ -1,0 +1,458 @@
+"""The lowering: port graph + crossbar matrix + route tables -> arrays.
+
+``fastsim._build_model`` wires the compiled engine from the resolved
+parts of a design point and builds no reference ``Network``, so the
+cross-engine suites compare two independent wirings.  These tests pin
+the shape of that lowering: it constructs no network, its arrays are
+the ones the parent commit extracted from the oracle (golden
+fingerprints), its compile cache tells a plugin from the builtin whose
+config it rides, and every fallback diagnostic that exists is produced
+here, listed in ``docs/architecture.md``, and runs on reference with
+reference-identical results.
+"""
+
+import dataclasses
+import hashlib
+import importlib.util
+import re
+import sys
+from array import array
+from pathlib import Path
+
+import pytest
+
+from repro.core import registry
+from repro.core.coords import Coord
+from repro.core.portgraph import PortChannel, PortGraph
+from repro.core.routing import (
+    MeshDOR,
+    TorusDOR,
+    make_fault_aware_routing,
+)
+from repro.core.spec import NetworkSpec, build_run
+from repro.core.topology import Topology
+from repro.errors import ConfigError, RoutingError
+from repro.sim import fastsim
+from repro.sim.allocator import WavefrontAllocator
+from repro.sim.network import Network
+from repro.sim.router import build_wormhole_router
+from repro.verify.matrix import paper_spec_matrix
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def express_mesh():
+    """The out-of-tree example plugin, imported once by file path."""
+    name = "plugin_topology_example"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, REPO_ROOT / "examples" / "plugin_topology.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+@pytest.fixture(autouse=True)
+def cold_compile_caches():
+    fastsim.clear_compile_caches()
+    yield
+    fastsim.clear_compile_caches()
+
+
+def fingerprint(result):
+    """Every metric of a run, excluding provenance (``engine``)."""
+    fields = dataclasses.asdict(result)
+    fields.pop("metrics")
+    fields.pop("engine")
+    measured = result.metrics.measured
+    return (
+        fields,
+        measured.count,
+        measured.total,
+        measured.total_sq,
+        tuple(result.metrics.hop_counts),
+        result.metrics.delivered_total,
+        result.metrics.injected_total,
+    )
+
+
+def _run_spec(name, width, height, **fields):
+    base = dict(rate=0.1, warmup=30, measure=80, drain_limit=300, seed=3)
+    base.update(fields)
+    return NetworkSpec.for_network(name, width, height, **base)
+
+
+# ---------------------------------------------------------------------------
+# No network is built
+# ---------------------------------------------------------------------------
+def test_lowering_builds_no_network(monkeypatch):
+    def no_network(self, *args, **kwargs):
+        raise AssertionError("lowering constructed a reference Network")
+
+    monkeypatch.setattr(Network, "__init__", no_network)
+    specs = [
+        spec.replace(
+            engine="compiled", warmup=20, measure=40, drain_limit=200
+        )
+        for spec in paper_spec_matrix(sizes=((8, 8),), include_3d=False)
+    ]
+    specs.append(
+        _run_spec("torus3d", 4, 4, depth=4, engine="compiled")
+    )
+    specs.append(_run_spec("express-mesh", 16, 8, engine="compiled"))
+    specs.append(
+        _run_spec("mesh", 8, 8, fault_links=3, engine="compiled")
+    )
+    for spec in specs:
+        assert fastsim.lowering_problems(spec) == [], spec.topology
+    results = fastsim.run_compiled_batch(specs)
+    for spec, result in zip(specs, results):
+        assert not isinstance(result, Exception), (spec.topology, result)
+        assert result.engine.startswith("compiled"), spec.topology
+
+
+# ---------------------------------------------------------------------------
+# Golden lowered tables
+# ---------------------------------------------------------------------------
+def table_fingerprint(model):
+    """sha256 over ``in_ports``, ``subnet_tab`` and every table array."""
+    digest = hashlib.sha256()
+    digest.update(repr([list(p) for p in model.in_ports]).encode())
+    parts = [("subnet_tab", model.subnet_tab)]
+    parts += [
+        (name, getattr(model.tables, name))
+        for name in type(model.tables).__slots__
+    ]
+    for name, value in parts:
+        digest.update(f"|{name}|".encode())
+        digest.update(
+            value.tobytes()
+            if isinstance(value, array)
+            else repr(value).encode()
+        )
+    return digest.hexdigest()
+
+
+#: Content addresses of the lowered tables, recorded at the last commit
+#: that *extracted* them from a reference ``Network`` (PR 13).  They pin
+#: candidate order, position maps, FBFC entry needs, VC feeders, masked
+#: ports and route-row packing across every router family.
+GOLDEN_TABLES = {
+    ("mesh", 8, 8, ()): (
+        "9016c9911a854324d27050ef2dad2e5e"
+        "5e823aaafe6ef2d08fbc1dcd9e4e9fbf"
+    ),
+    ("torus-fbfc", 8, 8, ()): (
+        "fa76f9e102bc3f90318420f1efdc9936"
+        "7a87933f2cbbd10630f0b45964859a52"
+    ),
+    ("half-torus-fbfc", 16, 8, ()): (
+        "c5d284ebabd6a46f60565a31d899871b"
+        "79e55b65f388076892f0a733a0df357e"
+    ),
+    ("torus", 8, 8, ()): (
+        "701f479c602a27d031487dbd4c6cf6b5"
+        "75dc5a781f5fc7c10c763c0c0562b722"
+    ),
+    ("half-torus", 16, 8, ()): (
+        "9f6a109ef0ea99a13855868207cad745"
+        "a769916ec0245a3906218c40b4f02a89"
+    ),
+    ("multimesh", 8, 8, ()): (
+        "40a8ba57819603c2ae0a014745577ca2"
+        "d3aa0785d07ebec50e4748cc820a7929"
+    ),
+    ("ruche1", 8, 8, ()): (
+        "8a04bf642f8a01752bdc0b81428b22c2"
+        "c215073b8bd39718575e18aeb75acf32"
+    ),
+    ("ruche2-depop", 8, 8, ()): (
+        "cf15a8aacb86ecdbcf45e1d5b948fc2b"
+        "0a2ded13a970ac0bc4fe22f1adc376c3"
+    ),
+    ("ruche3-pop", 16, 8, (("half", True),)): (
+        "d69487916fa2df13ee554cb493ce29e9"
+        "5f81267aaeb26c5c4ae34012db11593a"
+    ),
+    ("torus3d", 4, 4, (("depth", 4),)): (
+        "c4b59943e25abafc7d3df820db569a8e"
+        "9761e7e2c7807844c6f8f6afa24e6e89"
+    ),
+    ("mesh3d", 8, 8, (("depth", 2),)): (
+        "e3d811188986029def0bbb11a92e0fec"
+        "ee0dd30f79433cb22749e463a502fd4d"
+    ),
+    ("express-mesh", 16, 8, ()): (
+        "73c478616ab2b372dabb90c97ed4b276"
+        "bd3f3664a515dbb4f623a5e70b9ee31d"
+    ),
+    ("mesh", 12, 12, (("fault_links", 6), ("fault_seed", 4))): (
+        "aa67ef1d875a813b564ced6493b18d2f"
+        "060b9c6a9a9f756b8a46e8e81eb0bdc4"
+    ),
+    (
+        "ruche2-depop", 8, 8,
+        (("fault_links", 4), ("fault_routers", 2), ("fault_seed", 5)),
+    ): (
+        "cd77050b3b491e21c45db90da8ee3217"
+        "e4461930b596676bd7a41b19c99db07a"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key",
+    sorted(GOLDEN_TABLES),
+    ids=lambda k: f"{k[0]}-{k[1]}x{k[2]}" + ("-opts" if k[3] else ""),
+)
+def test_golden_lowered_tables(key):
+    name, width, height, fields = key
+    spec = NetworkSpec.for_network(name, width, height, **dict(fields))
+    problems, point = fastsim._resolve(spec, None, None, None)
+    assert problems == []
+    assert table_fingerprint(point[3]) == GOLDEN_TABLES[key]
+
+
+# ---------------------------------------------------------------------------
+# The compile cache tells a plugin from the builtin config it rides
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("plugin_first", [False, True])
+def test_compile_cache_keeps_plugin_and_builtin_apart(plugin_first):
+    """express-mesh 16x8 builds the same ``NetworkConfig`` as the
+    builtin Half ``ruche4-depop``; their wirings differ."""
+    window = dict(rate=0.10, seed=3, warmup=100, measure=300,
+                  drain_limit=1000)
+    specs = [
+        NetworkSpec.for_network("ruche4-depop", 16, 8, half=True, **window),
+        NetworkSpec.for_network("express-mesh", 16, 8, **window),
+    ]
+    assert specs[0].config() == specs[1].config()
+    if plugin_first:
+        specs.reverse()
+    reference = [
+        fingerprint(build_run(spec.replace(engine="reference")))
+        for spec in specs
+    ]
+    assert reference[0] != reference[1]
+    compiled = [build_run(spec.replace(engine="compiled")) for spec in specs]
+    assert [r.engine for r in compiled] == ["compiled", "compiled"]
+    assert [fingerprint(r) for r in compiled] == reference
+
+
+# ---------------------------------------------------------------------------
+# Every compile-stage diagnostic: produced, on reference, identical
+# ---------------------------------------------------------------------------
+class _SubclassedTorusDOR(TorusDOR):
+    """Not the exact builtin type, so no closed form applies."""
+
+
+class _RaisingMeshDOR(MeshDOR):
+    """Cannot route toward tile (0, 0) — which transpose never targets."""
+
+    def route(self, node, in_dir, dest, subnet=0):
+        if dest == Coord(0, 0) and node != dest:
+            raise RoutingError("no route toward (0, 0)")
+        return super().route(node, in_dir, dest, subnet)
+
+
+class _SubclassedWavefront(WavefrontAllocator):
+    """Behaves as the builtin; is not the builtin."""
+
+
+def _wrapped_wormhole_router(**kwargs):
+    return build_wormhole_router(**kwargs)
+
+
+class _GraphEmitter(Topology):
+    """A mesh whose *emitted graph* differs from its channel list.
+
+    The reference engine wires from ``channels`` and is unaffected; the
+    lowering reads the port graph, so each variant trips one gate.
+    """
+
+    def _emit(self, graph, channels):
+        return PortGraph(
+            nodes=graph.nodes,
+            num_ports=graph.num_ports,
+            ejection_port=graph.ejection_port,
+            port_names=graph.port_names,
+            channels=tuple(channels),
+        )
+
+
+class _PipelinedGraph(_GraphEmitter):
+    def port_graph(self):
+        graph = super().port_graph()
+        return self._emit(
+            graph, (ch._replace(latency=2) for ch in graph.channels)
+        )
+
+
+class _InjectionWiredGraph(_GraphEmitter):
+    def port_graph(self):
+        graph = super().port_graph()
+        first, *rest = graph.channels
+        return self._emit(
+            graph, [first._replace(in_port=graph.ejection_port), *rest]
+        )
+
+
+class _StubEndpointGraph(_GraphEmitter):
+    def port_graph(self):
+        graph = super().port_graph()
+        stub = PortChannel(
+            src=Coord(0, 0), out_port=3, dst=Coord(0, -1), in_port=4,
+            latency=1, width=graph.channels[0].width,
+        )
+        return self._emit(graph, [*graph.channels, stub])
+
+
+def _mesh_config(name, width, height, **options):
+    return NetworkSpec.for_network("mesh", width, height, **options).config()
+
+
+@pytest.fixture()
+def test_components():
+    """Test-local registrations, removed again afterwards."""
+    registry.register_routing(
+        "test-torus-dor", description="TorusDOR subclass (test)"
+    )(_SubclassedTorusDOR)
+    registry.register_routing(
+        "test-raising-dor", description="MeshDOR that raises (test)"
+    )(_RaisingMeshDOR)
+    registry.register_routing(
+        "test-fault-aware", description="healthy BFS tables (test)"
+    )(make_fault_aware_routing)
+    registry.register_allocator(
+        "test-wavefront", description="WavefrontAllocator subclass (test)"
+    )(_SubclassedWavefront)
+    registry.register_router(
+        "test-wormhole", description="wrapped wormhole builder (test)"
+    )(_wrapped_wormhole_router)
+    graphs = {
+        "test-pipelined-graph": _PipelinedGraph,
+        "test-injection-graph": _InjectionWiredGraph,
+        "test-stub-graph": _StubEndpointGraph,
+    }
+    for name, topology in graphs.items():
+        registry.register_topology(
+            name, description=f"{topology.__name__} (test)",
+            topology=topology,
+        )(_mesh_config)
+    yield
+    for name in ("test-torus-dor", "test-raising-dor", "test-fault-aware"):
+        registry.ROUTINGS.unregister(name)
+    registry.ALLOCATORS.unregister("test-wavefront")
+    registry.ROUTERS.unregister("test-wormhole")
+    for name in graphs:
+        registry.TOPOLOGIES.unregister(name)
+
+
+#: code -> the spec that produces it at the compile stage.
+COMPILE_STAGE_SPECS = {
+    "unsupported-router": _run_spec("mesh", 6, 6, router="test-wormhole"),
+    "unsupported-allocator": _run_spec(
+        "torus", 6, 6, allocator="test-wavefront"
+    ),
+    "unsupported-routing": _run_spec(
+        "torus", 6, 6, routing="test-torus-dor"
+    ),
+    "route-tabulation": _run_spec(
+        "mesh", 6, 6, routing="test-raising-dor", pattern="transpose"
+    ),
+    "fault-aware-routing": _run_spec(
+        "mesh", 6, 6, routing="test-fault-aware"
+    ),
+    "pipelined-channels": _run_spec("test-pipelined-graph", 6, 6),
+    "injection-wiring": _run_spec("test-injection-graph", 6, 6),
+    "edge-memory": _run_spec("test-stub-graph", 6, 6),
+}
+
+
+@pytest.mark.parametrize("code", sorted(COMPILE_STAGE_SPECS))
+def test_compile_stage_diagnostic(code, test_components):
+    spec = COMPILE_STAGE_SPECS[code].replace(engine="compiled")
+    assert [d.code for d in fastsim.lowering_problems(spec)] == [code]
+    compiled = build_run(spec)
+    assert compiled.engine == "reference"
+    reference = build_run(spec.replace(engine="reference"))
+    assert fingerprint(compiled) == fingerprint(reference)
+    # The verdict is cached, and the cached verdict is the same one.
+    assert [d.code for d in fastsim.lowering_problems(spec)] == [code]
+
+
+def test_route_tabulation_rejects_vc_state(test_components):
+    """A VC-emitting routing under a wormhole router has no lowering."""
+    spec = _run_spec(
+        "torus", 6, 6, routing="test-torus-dor", router="wormhole",
+        rate=0.02, engine="compiled",
+    )
+    (problem,) = fastsim.lowering_problems(spec)
+    assert problem.code == "route-tabulation"
+    assert "VC state" in problem.detail
+
+
+def test_vc_router_on_a_nine_port_topology_is_left_to_the_oracle():
+    """The five-port VC router cannot hold Ruche ports; the reference
+    builder is the one that says so."""
+    spec = _run_spec(
+        "ruche2-depop", 8, 8, router="vc", routing="torus-dor",
+        engine="compiled",
+    )
+    (problem,) = fastsim.lowering_problems(spec)
+    assert problem.code == "unsupported-router"
+    with pytest.raises(IndexError):
+        build_run(spec)
+
+
+def test_oracle_errors_reach_the_caller_unchanged():
+    """Conflicts the reference builders reject are theirs to report."""
+    messages = {}
+    for engine in ("reference", "compiled"):
+        spec = _run_spec("mesh", 6, 6, allocator="wavefront", engine=engine)
+        with pytest.raises(ConfigError) as excinfo:
+            build_run(spec)
+        messages[engine] = str(excinfo.value)
+    assert messages["compiled"] == messages["reference"]
+    for field, menu in (
+        ("routing", "routing algorithm"),
+        ("router", "router kind"),
+        ("allocator", "allocator"),
+    ):
+        spec = _run_spec("torus", 6, 6, engine="compiled", **{field: "nope"})
+        with pytest.raises(ConfigError, match=menu):
+            build_run(spec)
+    faulted_plugin = _run_spec(
+        "express-mesh", 16, 8, fault_links=2, engine="compiled"
+    )
+    with pytest.raises(ConfigError, match="plugin topologies"):
+        build_run(faulted_plugin)
+
+
+# ---------------------------------------------------------------------------
+# docs/architecture.md lists exactly the codes the engine can emit
+# ---------------------------------------------------------------------------
+def test_fallback_table_matches_the_code():
+    source = (REPO_ROOT / "src/repro/sim/fastsim.py").read_text()
+    emitted = set(
+        re.findall(
+            r'(?:LoweringDiagnostic|_Unsupported)\(\s*"([a-z-]+)"', source
+        )
+    )
+    doc = (REPO_ROOT / "docs/architecture.md").read_text()
+    section = doc.split("### Engine-fallback diagnostics", 1)[1]
+    section = section.split("\n## ", 1)[0].split("\n### ", 1)[0]
+    documented = set(re.findall(r"^\| `([a-z-]+)` \|", section, re.M))
+    assert documented == emitted
+    # Every compile-stage code has a producing test above; the gate
+    # codes are produced in test_fastsim.py / test_fastsim_batch.py.
+    gate_codes = {
+        "no-native-kernel", "audit-every", "edge-memory",
+        "pipelined-channels", "vc-fbfc-rerouting",
+        "engine-not-compiled", "wall-clock-budget", "trace-rate",
+        "fault-schedule", "pattern-not-batchable",
+    }
+    assert emitted == gate_codes | set(COMPILE_STAGE_SPECS)

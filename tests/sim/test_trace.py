@@ -145,6 +145,29 @@ class TestReplayParity:
         assert batched.engine == "compiled-batch"
         assert fingerprint(batched) == fingerprint(serial)
 
+    def test_rewritten_trace_replaces_its_cached_plan(self, tmp_path):
+        """Overwriting a trace at the same path replays the new content
+        and leaves one cached plan, not one per rewrite; clearing the
+        compile caches drops it."""
+        from repro.sim import fastsim
+
+        fastsim.clear_compile_caches()
+        path = str(tmp_path / "rewritten.noctrace")
+        for seed in (1, 2, 3, 4):
+            tr = synthetic_trace(seed=seed)
+            tr.write(path)
+            (batched,) = fastsim.run_compiled_batch(
+                [replay_spec(path, engine="compiled")]
+            )
+            assert batched.engine == "compiled-batch"
+            assert batched.metrics.injected_total == tr.records
+            assert fingerprint(batched) == fingerprint(
+                build_run(replay_spec(path, engine="reference"))
+            )
+            assert len(fastsim._TRACE_PLAN_CACHE) == 1
+        fastsim.clear_compile_caches()
+        assert fastsim._TRACE_PLAN_CACHE == {}
+
     def test_batching_requires_full_rate(self, trace_file):
         from repro.sim.fastsim import batching_problems
 
