@@ -18,6 +18,14 @@ the port-graph 3-D lowering (``torus3d-8x8x4-ur``), and the
 trace-replay fast path (``manycore-replay`` — a captured manycore
 workload replayed at compiled speed, gated >= 4x over reference).
 
+Those are all warm numbers: :func:`measure_case` is best-of-N, so
+every repeat after the first finds the route tables and the compiled
+model cached.  The ``lowering`` section is the cold counterpart — wall
+time of :func:`~repro.sim.fastsim.lowering_problems` from empty routing
+and compile caches on two large design points, as microseconds per
+``(node, dest)`` pair of the route table it fills, under an absolute
+ceiling (:data:`LOWERING_POINTS`).
+
 Each case is measured once per registered simulation engine
 (``reference`` and ``compiled`` — see :data:`repro.core.registry.ENGINES`),
 so the baseline pins both the object-per-flit simulator and the
@@ -115,6 +123,18 @@ SPEEDUP_FLOORS: Dict[Tuple[str, str], float] = {
     ("torus-64x8-ur", "compiled"): 5.0,
     ("torus-64x8-ur-faults", "compiled"): 8.0,
     ("manycore-replay", "compiled"): 4.0,
+}
+
+#: Cold-lowering design points and the most a route-table entry may
+#: cost, in microseconds per ``(node, dest)`` pair.  Absolute, not
+#: relative to the baseline: the builtin routings are tabulated from
+#: O(W*W + H*H) route calls (``fastsim._row_assembler``), and one
+#: Python route call per pair measures 0.6 (mesh) and 2.9 (torus) on
+#: the baseline host — three times these ceilings, which in turn are
+#: three to four times what the assembler measures there.
+LOWERING_POINTS: Dict[str, Dict[str, Any]] = {
+    "mesh-32x32": dict(config=("mesh", 32, 32), ceiling_us=0.2),
+    "torus-64x8": dict(config=("torus", 64, 8), ceiling_us=1.0),
 }
 
 #: Floor on the batched campaign's speedup over the per-row compiled
@@ -343,6 +363,51 @@ def measure_campaign_batched(
     return report
 
 
+def _cold_lowering_seconds(spec: NetworkSpec) -> float:
+    """Wall time of one lowering of ``spec`` from empty caches."""
+    from repro.core.routing import clear_routing_caches
+    from repro.sim.fastsim import clear_compile_caches, lowering_problems
+
+    clear_routing_caches()
+    clear_compile_caches()
+    start = time.perf_counter()
+    lowering_problems(spec)
+    return time.perf_counter() - start
+
+
+def measure_lowering(repeats: int) -> List[Dict[str, Any]]:
+    """Best-of-``repeats`` *cold* lowering time per design point.
+
+    Every repeat empties the routing and compile caches first, so each
+    one pays the whole lowering — port graph, route tabulation, wiring.
+    One untimed call beforehand builds the native kernel (a per-process
+    cost the gate is not about) and records the verdict: a point that
+    does not lower (``problems``) was never tabulated, and its timing
+    means nothing.
+    """
+    from repro.sim.fastsim import lowering_problems
+
+    entries: List[Dict[str, Any]] = []
+    for name, point in LOWERING_POINTS.items():
+        topology, width, height = point["config"]
+        spec = NetworkSpec.for_network(
+            topology, width, height, engine="compiled"
+        )
+        problems = lowering_problems(spec)
+        best = min(_cold_lowering_seconds(spec) for _ in range(repeats))
+        pairs = (width * height) ** 2
+        entries.append(
+            {
+                "name": name,
+                "node_pairs": pairs,
+                "best_seconds": round(best, 6),
+                "us_per_node_pair": round(best * 1e6 / pairs, 4),
+                "problems": [problem.code for problem in problems],
+            }
+        )
+    return entries
+
+
 def run_bench(
     mode: str = "full",
     include_campaign: Optional[bool] = None,
@@ -380,6 +445,7 @@ def run_bench(
         "schema": SCHEMA,
         "mode": mode,
         "cases": cases,
+        "lowering": measure_lowering(REPEATS[mode]),
     }
     if include_campaign:
         report["campaign"] = measure_campaign_scaling()
@@ -413,7 +479,10 @@ def compare_to_baseline(
     to per-row rows and a ``speedup_vs_unbatched`` of at least
     :data:`BATCHED_SPEEDUP_FLOOR`; dropping the section while the
     baseline carries one is a regression.  A baseline without either
-    campaign section (an old quick report) is tolerated.
+    campaign section (an old quick report) is tolerated.  Every
+    ``lowering`` entry must have lowered and must cost at most its
+    :data:`LOWERING_POINTS` ceiling per node pair; the section is
+    optional in a baseline, but not once the baseline carries it.
     """
 
     def case_key(case: Dict[str, Any]) -> Tuple[str, str]:
@@ -518,6 +587,27 @@ def compare_to_baseline(
                 f"batched campaign speedup {speedup}x vs per-row is "
                 f"below the floor {BATCHED_SPEEDUP_FLOOR}x"
             )
+    lowering = report.get("lowering")
+    if lowering is None:
+        if baseline.get("lowering") is not None:
+            regressions.append(
+                "lowering section missing from report while the "
+                "baseline carries one"
+            )
+    else:
+        for entry in lowering:
+            label = f"cold lowering {entry['name']}"
+            ceiling = LOWERING_POINTS[entry["name"]]["ceiling_us"]
+            if entry["problems"]:
+                regressions.append(
+                    f"{label}: did not lower "
+                    f"({', '.join(entry['problems'])})"
+                )
+            elif entry["us_per_node_pair"] > ceiling:
+                regressions.append(
+                    f"{label}: {entry['us_per_node_pair']} us per node "
+                    f"pair is above the ceiling {ceiling}"
+                )
     return regressions, notes
 
 
@@ -536,6 +626,19 @@ def write_report(report: Dict[str, Any], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def render_lowering(lowering: List[Dict[str, Any]]) -> str:
+    """The ``lowering`` section on one line (CLI and markdown)."""
+    return "; ".join(
+        "{name}: {us:.3f} us per node pair ({secs:.3f}s{bad})".format(
+            name=entry["name"],
+            us=entry["us_per_node_pair"],
+            secs=entry["best_seconds"],
+            bad="".join(f", {code}" for code in entry["problems"]),
+        )
+        for entry in lowering
+    )
 
 
 def render_markdown(report: Dict[str, Any]) -> str:
@@ -564,6 +667,9 @@ def render_markdown(report: Dict[str, Any]) -> str:
                 sp=f"{speedup:.2f}x" if speedup else "—",
             )
         )
+    lowering = report.get("lowering")
+    if lowering is not None:
+        lines += ["", "**Cold lowering**: " + render_lowering(lowering)]
     campaign = report.get("campaign")
     if campaign is not None:
         timings = ", ".join(

@@ -21,6 +21,7 @@ from repro.bench import (
     compare_to_baseline,
     load_report,
     profile_case,
+    render_lowering,
     render_markdown,
     run_bench,
     write_report,
@@ -94,6 +95,7 @@ def main(argv=None) -> int:
             f"best={case['best_seconds']:.3f}s "
             f"cps={case['cycles_per_sec']:,.0f}{suffix}"
         )
+    print(f"cold lowering: {render_lowering(report['lowering'])}")
     campaign = report.get("campaign")
     if campaign is not None:
         timings = campaign["wall_seconds_by_jobs"]

@@ -12,7 +12,11 @@ stepping implementation outside the reference oracle.  The lowering is
 a pure function of the design point's resolved parts — the topology's
 :class:`~repro.core.portgraph.PortGraph`, the crossbar connectivity
 matrix, the routing's tables, the router kind — written once, straight
-into the arrays (:func:`_build_model`).  No reference
+into the arrays (:func:`_build_model`).  The builtin dimension-ordered
+routings fill their ``n x n`` route tables from ``O(W*W + H*H)``
+axis-aligned route calls (:func:`_row_assembler`: per-axis slices
+tiled and patched with C-speed slice operations), not one Python call
+per ``(node, dest)`` pair.  No reference
 :class:`~repro.sim.network.Network` is built, and none of its
 attributes is read, so the oracle's wiring and this module's are two
 independent derivations from the same description, and the
@@ -86,14 +90,15 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import time
 from array import array
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.connectivity import port_turns
-from repro.core.coords import Direction
-from repro.core.params import NetworkConfig, TopologyKind
+from repro.core.coords import Coord, Direction
+from repro.core.params import DorOrder, NetworkConfig, TopologyKind
 from repro.core.registry import ALLOCATORS, ROUTERS
 from repro.core.routing import (
     FaultAwareTableRouting,
@@ -144,9 +149,15 @@ __all__ = [
 #: reference engine so budget overruns trip on the same cycle).
 _WALL_CHECK_EVERY = 256
 
-#: Routing algorithms whose route functions the compiler knows how to
-#: tabulate.  Exact-type matches only: a subclass may override behavior
-#: the tables would not capture, so it falls back.
+#: Routing algorithms whose tables :func:`_row_assembler` builds from
+#: axis-aligned route calls.  What an exact-type match protects is
+#: *axis + parity separability*: off the node's first-axis line the
+#: decision reads ``dest`` only through its first-axis coordinate and
+#: the parity of ``dest.x + dest.y``, on that line only through the
+#: second-axis coordinate and the same parity.  A subclass may override
+#: behavior that breaks this, so it still falls back (generic IR walk
+#: on wormhole / FBFC routers, ``unsupported-routing`` on the VC
+#: router).
 _SUPPORTED_ROUTINGS = (
     MeshDOR,
     RucheDOR,
@@ -339,12 +350,19 @@ def _build_model(
             "fault-aware-routing",
             "fault-aware table routing without a FaultSchedule",
         )
-    if kind == "vc" and type(routing) not in _SUPPORTED_ROUTINGS:
+    graph = components.topology.port_graph()
+    # The per-axis assembler indexes the row-major tile grid; any other
+    # node set takes the generic walk (or, on a VC router, falls back).
+    separable = type(routing) in _SUPPORTED_ROUTINGS and list(
+        graph.nodes
+    ) == [
+        Coord(x, y) for y in range(config.height) for x in range(config.width)
+    ]
+    if kind == "vc" and not separable:
         raise _Unsupported(
             "unsupported-routing",
             f"no VC tabulation for routing {type(routing).__name__}",
         )
-    graph = components.topology.port_graph()
     # Killed channels are never wired, so masked ports (shrunk input
     # lists, absent arbiters, -1 position-map slots) fall out of the
     # one channel list every array below is written from.
@@ -421,9 +439,9 @@ def _build_model(
         tables = _CArrays()
         if type(routing) is FaultAwareTableRouting:
             _tabulate_fault_routes(model, routing, tables)
-        elif type(routing) in _SUPPORTED_ROUTINGS:
-            # Exact builtin types keep their closed-form tabulation
-            # (bit-identical rows, no graph walk).
+        elif separable:
+            # Exact builtin types keep their closed-form class rows
+            # (no graph walk), assembled from per-axis route calls.
             _tabulate_wormhole_routes(model, routing, nsub, tables)
         else:
             _tabulate_generic_routes(model, graph, routing, nsub, tables)
@@ -509,6 +527,71 @@ def _wire_crossbars(
             flat.extend(part)
 
 
+def _row_assembler(config: NetworkConfig, probe):
+    """``append_row(rows, node)`` for one dimension-ordered ``probe``.
+
+    Every :data:`_SUPPORTED_ROUTINGS` decision is *axis + parity
+    separable*: while ``dest`` differs from the node on the first
+    routed axis, ``probe(node, dest)`` depends on the pair only through
+    the two first-axis coordinates and the parity of ``dest.x +
+    dest.y`` (:class:`TorusDOR`'s half-ring tie-break and VC spread);
+    once the first axis is resolved the same holds on the second axis.
+    So the oracle is probed only on axis-aligned pairs, along lines 0
+    and 1 of each axis — about ``2 * (W*W + H*H)`` calls, not
+    ``W*W * H*H`` — and a node's row is a *background* shared by every
+    node with its first-axis coordinate (built once, with strided
+    slice fills) plus the one *line* through the node, patched from
+    the second-axis slice.  Rows are indexed by the row-major ``width x
+    height`` grid, either ``dor_order``, height 1 included.  Nothing at
+    run time re-checks separability; the exhaustive differential test
+    against the all-pairs oracle (``tests/sim/test_route_rows.py``)
+    pins it.
+    """
+    width, height = config.width, config.height
+    first_is_x = config.dor_order is DorOrder.XY
+    # Flat dest index = a * step + b * stride, for first-axis
+    # coordinate a and second-axis coordinate b.
+    if first_is_x:
+        first, second, step, stride = width, height, 1, width
+    else:
+        first, second, step, stride = height, width, width, 1
+    at = Coord if first_is_x else (lambda a, b: Coord(b, a))
+    span = second * stride
+    # lines[q][b0][b1]: the node shares its first coordinate with dest,
+    # which therefore enters only through its parity q.
+    lines = [
+        [
+            array("i", [probe(at(q, b0), at(q, b1)) for b1 in range(second)])
+            for b0 in range(second)
+        ]
+        for q in range(min(2, first))
+    ]
+    # backgrounds[a0][dest]: a dest (a1, b) off the node's line takes
+    # the decision probed on line b & 1; the slots on the line itself
+    # (a1 == a0) are placeholders every row overwrites.
+    backgrounds = []
+    for a0 in range(first):
+        background = array("i", [0]) * (width * height)
+        for a1 in range(first):
+            if a1 == a0:
+                continue
+            for q in range(min(2, second)):
+                fill = array("i", [probe(at(a0, q), at(a1, q))])
+                start = a1 * step + q * stride
+                background[start : a1 * step + span : 2 * stride] = (
+                    fill * ((second - q + 1) // 2)
+                )
+        backgrounds.append(background)
+
+    def append_row(rows: array, node: Coord) -> None:
+        a0, b0 = node if first_is_x else (node.y, node.x)
+        start = len(rows) + a0 * step
+        rows.extend(backgrounds[a0])
+        rows[start : start + span : stride] = lines[a0 & 1][b0]
+
+    return append_row
+
+
 def _tabulate_wormhole_routes(model, routing, nsub: int, ca: _CArrays) -> None:
     """Closed-form route rows, one per node and input-equivalence class.
 
@@ -516,7 +599,9 @@ def _tabulate_wormhole_routes(model, routing, nsub: int, ca: _CArrays) -> None:
     through axis membership (and only for :class:`RucheDOR`'s
     second-axis Ruche-boarding rule), so one representative input per
     class tabulates every input port exactly, and the input ports of a
-    class share that class's row.
+    class share that class's row.  Each (class, subnet) row set comes
+    from a :func:`_row_assembler`, so ``route`` is called on
+    axis-aligned pairs only.
     """
     if type(routing) is RucheDOR:
         cls_of_in = (0, 1, 1, 2, 2, 1, 1, 2, 2)  # P | x-axis | y-axis
@@ -524,17 +609,23 @@ def _tabulate_wormhole_routes(model, routing, nsub: int, ca: _CArrays) -> None:
     else:
         cls_of_in = (0,) * NUM_DIRS
         reps = (Direction.P,)
-    nodes = model.nodes
     route = routing.route
+    appenders = [
+        _row_assembler(
+            model.config,
+            lambda node, dest, rep=rep, sub=sub: int(
+                route(node, rep, dest, sub)
+            ),
+        )
+        for rep in reps
+        for sub in range(nsub)
+    ]
     ca.rowlen = nsub * model.n
     ca.rows = rows = array("i")
     ca.rowof = array("i")
-    for r, coord in enumerate(nodes):
-        for rep in reps:
-            for sub in range(nsub):
-                rows.extend(
-                    [int(route(coord, rep, dest, sub)) for dest in nodes]
-                )
+    for r, coord in enumerate(model.nodes):
+        for append_row in appenders:
+            append_row(rows, coord)
         ca.rowof.extend(r * len(reps) + cls for cls in cls_of_in)
 
 
@@ -641,36 +732,41 @@ def _tabulate_vc_routes(model, routing, va: _VcArrays) -> None:
     remaining cases — dateline promotion and the ahead/spread choice —
     are pure ``(node, dest)`` arithmetic mirrored from the reference,
     written to ``va.out`` / ``va.vcn`` / ``va.dl`` (flat
-    ``(router, dest)``).
+    ``(router, dest)``).  All three are axis + parity separable, so
+    each comes from a :func:`_row_assembler` over axis-aligned pairs.
     """
     config = model.config
-    nodes = model.nodes
     y_ring = config.kind is TopologyKind.FOLDED_TORUS
     east, south = int(Direction.E), int(Direction.S)
-    va.out = array("i")
-    va.vcn = array("i")
-    va.dl = array("i")
-    for coord in nodes:
-        for dest in nodes:
-            out = vcn = dateline = 0  # (P, 0) at the destination
-            if dest != coord:
-                out = int(routing.route_vc(coord, Direction.P, 0, dest)[0])
-                along_x = out in (1, 2)  # W, E
-                cur = coord.x if along_x else coord.y
-                tgt = dest.x if along_x else dest.y
-                k = config.width if along_x else config.height
-                is_ring = along_x or y_ring
-                if out in (east, south):
-                    ahead = tgt < cur
-                    dateline = is_ring and cur == k - 1
-                else:
-                    ahead = tgt > cur
-                    dateline = is_ring and cur == 0
-                if is_ring and not ahead:
-                    vcn = (dest.x + dest.y) & 1
-            va.out.append(out)
-            va.vcn.append(vcn)
-            va.dl.append(dateline)
+
+    @functools.lru_cache(maxsize=None)
+    def hop(coord: Coord, dest: Coord) -> Tuple[int, int, int]:
+        out = vcn = dateline = 0  # (P, 0) at the destination
+        if dest != coord:
+            out = int(routing.route_vc(coord, Direction.P, 0, dest)[0])
+            along_x = out in (1, 2)  # W, E
+            cur = coord.x if along_x else coord.y
+            tgt = dest.x if along_x else dest.y
+            k = config.width if along_x else config.height
+            is_ring = along_x or y_ring
+            if out in (east, south):
+                ahead = tgt < cur
+                dateline = is_ring and cur == k - 1
+            else:
+                ahead = tgt > cur
+                dateline = is_ring and cur == 0
+            if is_ring and not ahead:
+                vcn = (dest.x + dest.y) & 1
+        return out, vcn, dateline
+
+    for plane, name in enumerate(("out", "vcn", "dl")):
+        table = array("i")
+        append_row = _row_assembler(
+            config, lambda coord, dest, plane=plane: hop(coord, dest)[plane]
+        )
+        for coord in model.nodes:
+            append_row(table, coord)
+        setattr(va, name, table)
     # sd[in_port * 5 + out_port], exactly as TorusDOR.route_vc
     # evaluates it for the five mesh ports.  An injection-port input is
     # never same-dimension; a P output never consults the flag (the

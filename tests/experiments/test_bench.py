@@ -6,11 +6,13 @@ from repro.bench import (
     BATCHED_SPEEDUP_FLOOR,
     CAMPAIGN_JOBS_SPEEDUP_FLOOR,
     CASES,
+    LOWERING_POINTS,
     SCHEMA,
     SPEEDUP_FLOORS,
     compare_to_baseline,
     load_report,
     measure_case,
+    measure_lowering,
     render_markdown,
     write_report,
 )
@@ -355,6 +357,84 @@ class TestBatchedCampaignGate:
         assert regressions == []
 
 
+def _lowering_entry(name, us, problems=()):
+    return {
+        "name": name, "node_pairs": 1 << 20, "best_seconds": us * 1.05,
+        "us_per_node_pair": us, "problems": list(problems),
+    }
+
+
+class TestLoweringGate:
+    def setup_method(self):
+        self.base = _report({"mesh": 1000.0})
+        self.base["lowering"] = [_lowering_entry("mesh-32x32", 0.05)]
+
+    def _compare(self, *entries):
+        report = _report({"mesh": 1000.0})
+        report["lowering"] = list(entries)
+        return compare_to_baseline(report, self.base)[0]
+
+    def test_under_the_ceiling_passes(self):
+        ceiling = LOWERING_POINTS["torus-64x8"]["ceiling_us"]
+        assert self._compare(
+            _lowering_entry("mesh-32x32", 0.05),
+            _lowering_entry("torus-64x8", ceiling),
+        ) == []
+
+    def test_ceiling_is_absolute_not_relative_to_the_baseline(self):
+        ceiling = LOWERING_POINTS["mesh-32x32"]["ceiling_us"]
+        # Three times the baseline entry, still under the ceiling.
+        assert self._compare(_lowering_entry("mesh-32x32", 0.15)) == []
+        (regression,) = self._compare(
+            _lowering_entry("mesh-32x32", ceiling * 1.01)
+        )
+        assert f"above the ceiling {ceiling}" in regression
+
+    def test_a_point_that_did_not_lower_is_a_regression(self):
+        (regression,) = self._compare(
+            _lowering_entry("mesh-32x32", 0.001, ["no-native-kernel"])
+        )
+        assert "did not lower (no-native-kernel)" in regression
+
+    def test_dropped_lowering_section_is_regression(self):
+        regressions, _ = compare_to_baseline(
+            _report({"mesh": 1000.0}), self.base
+        )
+        assert any("lowering section missing" in r for r in regressions)
+
+    def test_baseline_without_lowering_section_tolerated(self):
+        report = _report({"mesh": 1000.0})
+        report["lowering"] = [_lowering_entry("mesh-32x32", 0.05)]
+        regressions, _ = compare_to_baseline(
+            report, _report({"mesh": 1000.0})
+        )
+        assert regressions == []
+
+    def test_every_timed_repeat_lowers_from_cold(self, monkeypatch):
+        from repro.sim import fastsim
+
+        if fastsim._native_kernel() is None:
+            pytest.skip("no native kernel: nothing lowers on this host")
+        built = []
+        build_model = fastsim._build_model
+
+        def counting(target, *args):
+            built.append(target.topology)
+            return build_model(target, *args)
+
+        monkeypatch.setattr(fastsim, "_build_model", counting)
+        fastsim.clear_compile_caches()
+        entries = measure_lowering(repeats=2)
+        # One untimed verdict, then two timed lowerings, per point.
+        assert built == ["mesh"] * 3 + ["torus"] * 3
+        assert [entry["name"] for entry in entries] == list(LOWERING_POINTS)
+        for entry in entries:
+            _, width, height = LOWERING_POINTS[entry["name"]]["config"]
+            assert entry["problems"] == []
+            assert entry["node_pairs"] == (width * height) ** 2
+            assert entry["us_per_node_pair"] > 0
+
+
 class TestRenderMarkdown:
     def test_renders_cases_and_campaign_sections(self):
         report = {
@@ -366,6 +446,10 @@ class TestRenderMarkdown:
                 dict(_case("mesh-8x8-ur", 27000.0, engine="compiled",
                            speedup_vs_reference=6.0),
                      total_cycles=617, best_seconds=0.023),
+            ],
+            "lowering": [
+                _lowering_entry("mesh-32x32", 0.044),
+                _lowering_entry("torus-64x8", 0.34, ["edge-memory"]),
             ],
             "campaign": {
                 "grid_rows": 4,
@@ -384,6 +468,10 @@ class TestRenderMarkdown:
         text = render_markdown(report)
         assert "| mesh-8x8-ur | compiled |" in text
         assert "6.00x" in text
+        assert (
+            "**Cold lowering**: mesh-32x32: 0.044 us per node pair (0.046s); "
+            "torus-64x8: 0.340 us per node pair (0.357s, edge-memory)"
+        ) in text
         assert "**Campaign scaling**" in text
         assert "**Batched campaign**" in text
         assert "2.60x vs per-row" in text

@@ -139,7 +139,10 @@ def table_fingerprint(model):
 #: Content addresses of the lowered tables, recorded at the last commit
 #: that *extracted* them from a reference ``Network`` (PR 13).  They pin
 #: candidate order, position maps, FBFC entry needs, VC feeders, masked
-#: ports and route-row packing across every router family.
+#: ports and route-row packing across every router family.  The three
+#: ``dor_order="yx"`` entries (what every manycore ``rev`` network
+#: lowers) were recorded at PR 14, the last commit whose tabulators
+#: called the routing once per ``(node, dest)`` pair.
 GOLDEN_TABLES = {
     ("mesh", 8, 8, ()): (
         "9016c9911a854324d27050ef2dad2e5e"
@@ -199,6 +202,18 @@ GOLDEN_TABLES = {
     ): (
         "cd77050b3b491e21c45db90da8ee3217"
         "e4461930b596676bd7a41b19c99db07a"
+    ),
+    ("mesh", 8, 8, (("dor_order", "yx"),)): (
+        "0f82f3fc960dc9dd9827e0980c685738"
+        "263b2ed5f563187028f19a2c2896b424"
+    ),
+    ("ruche2-depop", 16, 8, (("dor_order", "yx"), ("half", True))): (
+        "290e3d16f2274cf9208d88d4583e91ac"
+        "197c8c6cf14af6376fee3602c276a316"
+    ),
+    ("half-torus", 16, 8, (("dor_order", "yx"),)): (
+        "af1b09468bb813e5a0ff6516a9ee6bf4"
+        "de8d2b2210672bb77bc3b40e5ef38385"
     ),
 }
 
@@ -310,6 +325,17 @@ class _StubEndpointGraph(_GraphEmitter):
         return self._emit(graph, [*graph.channels, stub])
 
 
+class _ColumnMajorMesh(Topology):
+    """A mesh whose tiles are enumerated column by column."""
+
+    def _build_nodes(self):
+        return (
+            Coord(x, y)
+            for x in range(self.width)
+            for y in range(self.height)
+        )
+
+
 def _mesh_config(name, width, height, **options):
     return NetworkSpec.for_network("mesh", width, height, **options).config()
 
@@ -336,6 +362,7 @@ def test_components():
         "test-pipelined-graph": _PipelinedGraph,
         "test-injection-graph": _InjectionWiredGraph,
         "test-stub-graph": _StubEndpointGraph,
+        "test-column-major": _ColumnMajorMesh,
     }
     for name, topology in graphs.items():
         registry.register_topology(
@@ -382,6 +409,29 @@ def test_compile_stage_diagnostic(code, test_components):
     assert fingerprint(compiled) == fingerprint(reference)
     # The verdict is cached, and the cached verdict is the same one.
     assert [d.code for d in fastsim.lowering_problems(spec)] == [code]
+
+
+def test_exact_routing_off_the_row_major_grid_takes_the_walk(
+    test_components, monkeypatch
+):
+    """The per-axis row assembler indexes the row-major tile grid; an
+    exact ``MeshDOR`` over any other node order still compiles, through
+    the generic IR walk, and still equals the reference."""
+    monkeypatch.setattr(
+        fastsim,
+        "_row_assembler",
+        lambda *args: pytest.fail("assembled rows for a permuted grid"),
+    )
+    spec = _run_spec("test-column-major", 6, 4, engine="compiled")
+    assert fastsim.lowering_problems(spec) == []
+    compiled = build_run(spec)
+    assert compiled.engine == "compiled"
+    reference = build_run(spec.replace(engine="reference"))
+    assert fingerprint(compiled) == fingerprint(reference)
+    vc = spec.replace(router="vc", routing="torus-dor")
+    assert [d.code for d in fastsim.lowering_problems(vc)] == [
+        "unsupported-routing"
+    ]
 
 
 def test_route_tabulation_rejects_vc_state(test_components):
