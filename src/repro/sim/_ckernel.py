@@ -21,7 +21,13 @@ the host already injected, ``MODE_HOST``), the router step (``step_noc``
 for wormhole/FBFC, ``step_vc`` for the dateline-VC torus routers — both
 ``static``), the transient-fault drop decision (the ``faults:drops``
 stream, drawn from the same C twister at the reference's draw point),
-ejection logging, and the stall/starvation/cycle-budget watchdogs.
+ejection scoring (the measured-latency moments, accumulated in ``st[]``;
+a per-packet ejection log only for runs that ask for per-packet data),
+and the stall/starvation/cycle-budget watchdogs.  Run state is sized by
+traffic: a source's waiting packets are an intrusive list threaded
+through the per-packet ``pnext`` array, and a block that might outgrow
+the packet records (or the log) stops *before* the injection round with
+``STOP_CAPACITY`` so the host can double them and re-enter.
 ``ctx_sizes`` reports the C struct sizes so :func:`get_kernel` can
 refuse a library whose layout drifted from the ctypes mirrors below.
 
@@ -79,7 +85,7 @@ class StepCtx(ctypes.Structure):
         ("qlen", _I32P),
         ("arb", _I32P),
         ("occ", _I32P),
-        # per-packet records (grown by the Python side)
+        # per-packet records (doubled by the host on STOP_CAPACITY)
         ("pout", _I32P),
         ("pbase", _I32P),
         ("pdest", _I32P),
@@ -97,11 +103,13 @@ class VcCtx(ctypes.Structure):
     """Mirror of the C ``VcCtx``: the dateline-VC router state block.
 
     Queue state is flattened over ``(router, input, lane)`` with lane
-    stride ``nvc`` (the P injection port owns a single lane).  Static
-    tables mirror the compiled model: ``dn[r*5+o]`` is the downstream
-    ``down_r*5+down_in`` (or -1 for the ejection sink), ``out_tab`` /
-    ``vcn_tab`` / ``dl_tab`` are the per-destination route/VC/dateline
-    rows, and ``sd`` is the 5x5 same-dimension predicate.
+    stride ``nvc`` (the P injection port owns a single lane, whose
+    packets wait on the ``BlockCtx`` injection list, not in ``buf``).
+    Static tables mirror the compiled model: ``dn[r*5+o]`` is the
+    downstream ``down_r*5+down_in`` (or -1 for the ejection sink),
+    ``out_tab`` / ``vcn_tab`` / ``dl_tab`` are the per-destination
+    route/VC/dateline rows, and ``sd`` is the 5x5 same-dimension
+    predicate.
     """
 
     _fields_ = [
@@ -130,7 +138,7 @@ class VcCtx(ctypes.Structure):
         ("prio", _I32P),
         ("occ", _I32P),
         ("dirty", _I32P),
-        # per-packet records (grown by the Python side)
+        # per-packet records (doubled by the host on STOP_CAPACITY)
         ("pout", _I32P),
         ("povc", _I32P),
         ("pdest", _I32P),
@@ -150,10 +158,20 @@ class BlockCtx(ctypes.Structure):
     ``t_mt``/``d_mt``/``x_mt`` are CPython Mersenne Twister states (624
     words + the output index, exactly ``random.Random.getstate()[1]``)
     for the timing, destination and ``faults:drops`` streams.  ``st`` is
-    the 14-slot ``int64`` counter block shared with the Python side:
-    cycle, occupancy, injected total/measured, delivered total/measured,
-    idle cycles, starved cycles, packet count, ejection-log length, stop
-    code, cycles ran this block, and dropped total/measured.
+    the ``ST_LEN``-slot ``int64`` counter block shared with the Python
+    side (the ``ST_*`` indices below): cycle, occupancy, injected
+    total/measured, delivered total/measured, idle cycles, starved
+    cycles, packet count, ejection-log length, stop code, cycles ran
+    this block, dropped total/measured, and the measured-latency
+    moments — sum, sum of squares as two unsigned 64-bit limbs, min, max
+    (min/max are meaningful once ``ST_DEL_MEAS`` is non-zero).
+
+    ``pk_cap`` is the length of every per-packet array (here and in the
+    step context) and ``ej_cap`` the ejection log's, in entries;
+    ``ejlog`` is NULL for runs that keep no per-packet data.  A source's
+    waiting packets are the list ``phead[s]`` -> ``pnext[...]`` ->
+    ``ptail[s]`` of ``qlen[P queue of s]`` packet ids — the reference's
+    unbounded injection deque.
     """
 
     _fields_ = [
@@ -174,9 +192,16 @@ class BlockCtx(ctypes.Structure):
         ("dtab", _I32P),
         ("perm", _I32P),
         ("subnet", _I32P),
+        # per-packet records (doubled by the host on STOP_CAPACITY)
+        ("pk_cap", ctypes.c_int32),
+        ("ej_cap", ctypes.c_int32),
         ("psrc", _I32P),
         ("pinj", _I32P),
         ("pmeas", _I32P),
+        ("pnext", _I32P),
+        # per-source injection lists
+        ("phead", _I32P),
+        ("ptail", _I32P),
         ("st", _I64P),
         ("ejlog", _I32P),
         # trace replay (mode 2): `trace` is the flat schedule — n + 1
@@ -209,7 +234,12 @@ ST_STOP = 10
 ST_RAN = 11
 ST_DROP_TOTAL = 12
 ST_DROP_MEAS = 13
-ST_LEN = 14
+ST_LAT_SUM = 14
+ST_LAT_SQ_LO = 15  # sum of squared latencies, low / high unsigned limb
+ST_LAT_SQ_HI = 16
+ST_LAT_MIN = 17
+ST_LAT_MAX = 18
+ST_LEN = 19
 
 # BlockCtx.mode: who supplies each cycle's injections.
 MODE_TABLE = 0  # per-source destination table (deterministic patterns)
@@ -222,6 +252,7 @@ STOP_BUDGET = 0  # ran `count` cycles
 STOP_STALL = 1
 STOP_STARVE = 2
 STOP_DRAINED = 3
+STOP_CAPACITY = 4  # the next injection round might not fit; grow, re-enter
 STOP_MAX_CYCLES = 6
 
 _SOURCE = r"""
@@ -258,7 +289,9 @@ typedef struct {
     int32_t stall_window, starve_window;
     int64_t target, maxc;
     const int32_t *dtab, *perm, *subnet;
-    int32_t *psrc, *pinj, *pmeas;
+    int32_t pk_cap, ej_cap;
+    int32_t *psrc, *pinj, *pmeas, *pnext;
+    int32_t *phead, *ptail;
     int64_t *st;
     int32_t *ejlog;
     const int32_t *trace;
@@ -267,8 +300,9 @@ typedef struct {
     const double *fprob;
 } BlockCtx;
 
-#define ST_LEN 14
+#define ST_LEN 19
 #define MODE_HOST 3
+#define STOP_CAPACITY 4
 
 /* CPython's Mersenne Twister (_randommodule.c genrand_uint32), operating
  * on the 625-word state random.Random.getstate()[1] hands out: 624 state
@@ -381,7 +415,7 @@ static int step_noc(StepCtx *c, BlockCtx *b)
             const int qi = rb + i;
             if (!qlen[qi])
                 continue;
-            const int pid = c->buf[qoff[qi] + qhead[qi]];
+            const int pid = i ? c->buf[qoff[qi] + qhead[qi]] : b->phead[r];
             const int o = c->pout[pid];
             const int pos = pmr[o * 9 + i];
             if (pos < 0)
@@ -438,12 +472,19 @@ static int step_noc(StepCtx *c, BlockCtx *b)
     for (int g = 0; g < ng; g++) {
         const int sq = c->gsq[g], ro = c->gro[g];
         const int r = ro / 9, o = ro % 9;
-        int h = qhead[sq];
-        const int pid = c->buf[qoff[sq] + h];
-        h++;
-        if (h >= qcap[sq])
-            h = 0;
-        qhead[sq] = h;
+        int pid;
+        if (sq == r * 9) {
+            /* the P port: pop the source's injection list */
+            pid = b->phead[r];
+            b->phead[r] = b->pnext[pid];
+        } else {
+            int h = qhead[sq];
+            pid = c->buf[qoff[sq] + h];
+            h++;
+            if (h >= qcap[sq])
+                h = 0;
+            qhead[sq] = h;
+        }
         qlen[sq]--;
         c->occ[r]--;
         if (o && drop_flit(b, ro, pid))
@@ -505,7 +546,7 @@ static int step_vc(VcCtx *c, BlockCtx *b)
                 const int q = lb + lane;
                 if (!qlen[q])
                     continue;
-                const int pid = c->buf[qoff[q] + qhead[q]];
+                const int pid = i ? c->buf[qoff[q] + qhead[q]] : b->phead[r];
                 const int o = c->pout[pid];
                 const int code = c->dn[rb5 + o];
                 if (code >= 0
@@ -587,12 +628,19 @@ static int step_vc(VcCtx *c, BlockCtx *b)
         const int sq = c->gsq[g], ro = c->gro[g];
         const int r = ro / 5, o = ro % 5;
         const int i = sq / nvc % 5;
-        int h = qhead[sq];
-        const int pid = c->buf[qoff[sq] + h];
-        h++;
-        if (h >= qcap[sq])
-            h = 0;
-        qhead[sq] = h;
+        int pid;
+        if (!i) {
+            /* the P port: pop the source's injection list */
+            pid = b->phead[r];
+            b->phead[r] = b->pnext[pid];
+        } else {
+            int h = qhead[sq];
+            pid = c->buf[qoff[sq] + h];
+            h++;
+            if (h >= qcap[sq])
+                h = 0;
+            qhead[sq] = h;
+        }
         qlen[sq]--;
         c->occ[r]--;
         c->dirty[r] = 1;
@@ -640,16 +688,22 @@ static int step_vc(VcCtx *c, BlockCtx *b)
  * Each call runs up to b->count cycles of one phase (warmup, measure,
  * or drain — blocks never span phases, so b->measured and b->drain are
  * per-block constants): the injection round (timing draw, destination
- * draw or table lookup, FIFO push — skipped when the host injected
- * already, MODE_HOST), the router step, the ejection log, and the
- * stall/starvation/cycle-budget watchdogs — all in the exact order of
- * the reference run loop.  Counters live in the ST_LEN-slot int64 st[]
- * block (see the Python-side ST_* constants); the stop code tells the
- * caller why the block ended:
+ * draw or table lookup, injection-list push — skipped when the host
+ * injected already, MODE_HOST), the router step, ejection scoring (the
+ * measured-latency moments, plus a log entry when the run keeps
+ * per-packet data), and the stall/starvation/cycle-budget watchdogs —
+ * all in the exact order of the reference run loop.  Counters live in
+ * the ST_LEN-slot int64 st[] block (see the Python-side ST_* constants);
+ * the stop code tells the caller why the block ended:
  *   0 budget exhausted, 1 stall trip, 2 starvation trip, 3 drained,
- *   6 max_cycles trip.
+ *   4 capacity, 6 max_cycles trip.
  * On a watchdog/budget trip the loop breaks BEFORE the cycle counter
- * increments, matching the reference raise points.
+ * increments, matching the reference raise points.  A capacity stop
+ * breaks before the injection round of a cycle whose packets (one per
+ * source at most) or ejections (one per router at most) might not fit
+ * the records or the log — never mid-round, so no twister is half
+ * consumed and no watchdog counter moves — and never in MODE_HOST,
+ * where the host sized the round it already injected.
  */
 static void inject_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
 {
@@ -691,17 +745,13 @@ static void inject_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
         b->psrc[pid] = s;
         b->pinj[pid] = (int32_t)cycle;
         b->pmeas[pid] = measured;
+        int32_t *plen;  /* the source's P-queue length */
         if (vc) {
             const int row = s * n + d;
             vc->pdest[pid] = d;
             vc->pout[pid] = vc->out_tab[row];
             vc->povc[pid] = vc->dl_tab[row] ? 1 : vc->vcn_tab[row];
-            const int q = s * 5 * vc->nvc;  /* P port, lane 0 */
-            int t = vc->qhead[q] + vc->qlen[q];
-            if (t >= vc->qcap[q])
-                t -= vc->qcap[q];
-            vc->buf[vc->qoff[q] + t] = pid;
-            vc->qlen[q]++;
+            plen = vc->qlen + s * 5 * vc->nvc;  /* P port, lane 0 */
             vc->occ[s]++;
             vc->dirty[s] = 1;
         } else {
@@ -710,14 +760,15 @@ static void inject_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
             sc->pbase[pid] = base;
             sc->pout[pid] = sc->rows[sc->rowof[s * 9] * sc->rowlen
                                      + base + d];
-            const int q = s * 9;  /* P injection queue */
-            int t = sc->qhead[q] + sc->qlen[q];
-            if (t >= sc->qcap[q])
-                t -= sc->qcap[q];
-            sc->buf[sc->qoff[q] + t] = pid;
-            sc->qlen[q]++;
+            plen = sc->qlen + s * 9;
             sc->occ[s]++;
         }
+        if (*plen)
+            b->pnext[b->ptail[s]] = pid;
+        else
+            b->phead[s] = pid;
+        b->ptail[s] = pid;
+        ++*plen;
         b->st[1]++;
         b->st[2]++;
         if (measured)
@@ -733,20 +784,38 @@ static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
     int32_t ran = 0;
     int stop = 0;
     while (ran < b->count) {
-        if (b->mode != MODE_HOST)
+        if (b->mode != MODE_HOST) {
+            if (st[8] + b->n > b->pk_cap
+                || (b->ejlog && st[9] + b->n > b->ej_cap)) {
+                stop = STOP_CAPACITY;
+                break;
+            }
             inject_block(sc, vc, b);
+        }
         const int moved = vc ? step_vc(vc, b) : step_noc(sc, b);
         const int ne = *nejp;
         for (int k = 0; k < ne; k++) {
             const int pid = ej[k];
-            const int at = 2 * (int)st[9];
-            b->ejlog[at] = pid;
-            b->ejlog[at + 1] = (int32_t)st[0];
-            st[9]++;
             st[1]--;
             st[4]++;
-            if (b->pmeas[pid])
-                st[5]++;
+            if (!b->pmeas[pid])
+                continue;
+            const int64_t lat = st[0] - b->pinj[pid];
+            const uint64_t sq = (uint64_t)lat * (uint64_t)lat;
+            const uint64_t lo = (uint64_t)st[15] + sq;
+            st[15] = (int64_t)lo;
+            st[16] += lo < sq;
+            st[14] += lat;
+            if (!st[5] || lat < st[17])
+                st[17] = lat;
+            if (!st[5] || lat > st[18])
+                st[18] = lat;
+            st[5]++;
+            if (b->ejlog) {
+                b->ejlog[2 * st[9]] = pid;
+                b->ejlog[2 * st[9] + 1] = (int32_t)lat;
+                st[9]++;
+            }
         }
         if (moved) {
             st[6] = 0;

@@ -3,10 +3,11 @@
 The reference engine (:mod:`repro.sim.network`) spends most of its time
 in per-flit object machinery: a ``Packet`` per flit, a ``Fifo`` per
 port, a method call per router per cycle.  This module lowers a design
-point into flat preallocated integer structures once — per-port FIFO
-queues of packet ids, route tables indexed ``(node, dest) -> output
-port``, packed per-packet records (destination index, inject cycle,
-measured bit) — and steps the whole network with tight loops over those
+point into flat integer structures once — per-port FIFO rings of packet
+ids (the unbounded injection queue is an intrusive per-source list),
+route tables indexed ``(node, dest) -> output port``, packed per-packet
+records (destination index, inject cycle, measured bit) that double on
+demand — and steps the whole network with tight loops over those
 structures — the native kernel in :mod:`repro.sim._ckernel`, the one
 stepping implementation outside the reference oracle.  The lowering is
 a pure function of the design point's resolved parts — the topology's
@@ -32,14 +33,16 @@ trajectories, same per-packet latency multiset and delivery order.  The
 cross-engine differential tests in ``tests/sim/test_fastsim.py`` enforce
 this on the canonical bench cases and on hypothesis-generated specs.
 
-Arbitration is additionally skipped for *clean* routers — routers whose
-queues and downstream occupancies are untouched since they last
-arbitrated.  This is lossless, not approximate: in all three router
-kinds a grantless arbitration mutates no state (round-robin pointers
-advance only on grants; the VC router rotates its wavefront priority
-only when at least one space-gated request exists, and any such request
-always yields a grant), so re-running it would reproduce the same
-nothing.
+Both steps skip routers that hold no packet (``occ[r] == 0``).  The
+dateline-VC step (``step_vc``) additionally skips *clean* routers —
+routers whose queues and downstream occupancies are untouched since
+they last arbitrated (its ``dirty[]`` flags); the wormhole / FBFC step
+(``step_noc``) has no such flags and arbitrates every occupied router
+every cycle.  The skip is lossless, not approximate: a grantless VC
+arbitration mutates no state (round-robin pointers advance only on
+grants; the router rotates its wavefront priority only when at least
+one space-gated request exists, and any such request always yields a
+grant), so re-running it would reproduce the same nothing.
 
 Faults at compiled speed
 ------------------------
@@ -62,8 +65,10 @@ One executor
 :func:`run_compiled` and :func:`run_compiled_batch` share one resolver
 (:func:`_resolve`: config, faults, watchdog, gates and compilation,
 once per design point) and one run object (:class:`_Run`: one array
-layout, one ctypes fill, one ejection replay, one watchdog
-rehydration, one metrics finaliser).  A run owns its memory and is
+layout, one ctypes fill, one growth path, one watchdog rehydration,
+one metrics finaliser; ejections are scored in the kernel, and logged
+for the host only under ``keep_samples`` / ``track_per_source``).  A
+run owns its memory, sized by the packets it injects, and is
 stepped to completion before anything else happens, so a batch is a
 loop over its specs and nothing but the compile and pattern caches
 outlives a run.  A batched row injects in-kernel and steps in
@@ -121,8 +126,8 @@ from repro.core.spec import (
 )
 from repro.errors import DeadlockError, SimulationTimeout
 from repro.sim import _ckernel
-from repro.sim.faults import FaultSchedule
 from repro.sim.allocator import WavefrontAllocator
+from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import LatencyStats, RunMetrics
 from repro.sim.rng import derive_rng
 from repro.sim.router import (
@@ -134,6 +139,7 @@ from repro.sim.router import (
     build_wormhole_router,
     fbfc_ring_ports,
 )
+from repro.sim.simulator import _WALL_CHECK_EVERY, RunResult, _run_reference
 from repro.sim.watchdog import WatchdogConfig
 
 __all__ = [
@@ -144,10 +150,6 @@ __all__ = [
     "run_compiled",
     "run_compiled_batch",
 ]
-
-#: How often (in cycles) the wall-clock limit is polled (must match the
-#: reference engine so budget overruns trip on the same cycle).
-_WALL_CHECK_EVERY = 256
 
 #: Routing algorithms whose tables :func:`_row_assembler` builds from
 #: axis-aligned route calls.  What an exact-type match protects is
@@ -1139,11 +1141,12 @@ def batching_problems(
 # The executor: one run, its own arrays, stepped to completion
 # ----------------------------------------------------------------------
 # Both entry points run a design point the same way: allocate that
-# run's flat state — FIFO rings, flit records, counters, Mersenne
-# Twister states — step it to completion in blocks of the native kernel
-# (`run_block_noc` / `run_block_vc`), keep the `RunResult` (or the
-# error) and drop everything else.  What distinguishes a batched row is
-# where injection happens: inside the kernel, so a block spans up to
+# run's flat state — FIFO rings, injection lists, flit records,
+# counters, Mersenne Twister states — step it to completion in blocks of
+# the native kernel (`run_block_noc` / `run_block_vc`), doubling the
+# flit records whenever a block stops for room, keep the `RunResult` (or
+# the error) and drop everything else.  What distinguishes a batched row
+# is where injection happens: inside the kernel, so a block spans up to
 # `_BLOCK_CYCLES` cycles of a phase and the per-cycle costs that
 # dominate short campaign rows (Python-loop injection, one FFI call per
 # cycle) are paid once per block.  A serial run injects on the host and
@@ -1159,9 +1162,9 @@ def batching_problems(
 
 _PK_CAP0 = 4096  # initial per-run packet-record capacity (doubles)
 _EJ_CAP0 = 8192  # initial per-run ejection-log capacity, in int32 slots
-#: Most cycles one kernel block runs: `_ensure_capacity` preallocates
-#: ``n`` packet records per cycle of the coming block, so whole-phase
-#: blocks on a long drain would allocate the worst case up front.
+#: Most cycles one kernel block runs before control returns to the host:
+#: the granularity at which a run could be polled, not a memory bound
+#: (records grow by demand, whatever the block length).
 _BLOCK_CYCLES = 4096
 _I32_MAX = 2**31 - 1
 
@@ -1184,13 +1187,12 @@ class _Run:
         "target", "cfg", "model", "pattern", "rate", "faults",
         "engine", "track_per_source", "keep_samples", "track_links",
         "warmup", "measure", "drain_limit", "seed", "max_cycles",
-        "max_wall_seconds", "deadline", "is_vc", "sources", "inj_cap",
+        "max_wall_seconds", "deadline", "is_vc", "sources",
         "buf", "qoff", "qcap", "qhead", "qlen", "occ", "dirty",
-        "hop", "link", "st", "keep",
-        "pdest_a", "paux_a", "pout_a",
-        "psrc_a", "pinj_a", "pmeas_a", "ejlog_a", "pk_cap", "pk_owners",
+        "phead", "ptail", "hop", "link", "st", "keep",
+        "pdest_a", "paux_a", "pout_a", "pnext_a",
+        "psrc_a", "pinj_a", "pmeas_a", "ejlog_a", "pk_owners",
         "bctx", "cref", "bref", "run_block", "inject",
-        "lat_count", "lat_total", "lat_total_sq", "lat_min", "lat_max",
         "samples", "per_src",
     )
 
@@ -1243,11 +1245,6 @@ class _Run:
         self.sources = tuple(
             (s, src) for s, src in enumerate(model.nodes) if src not in dead
         )
-        self.lat_count = 0
-        self.lat_total = 0
-        self.lat_total_sq = 0
-        self.lat_min: Optional[int] = None
-        self.lat_max: Optional[int] = None
         self.samples: Optional[List[int]] = [] if keep_samples else None
         self.per_src: Optional[Dict[int, LatencyStats]] = (
             {} if track_per_source else None
@@ -1273,10 +1270,6 @@ class _Run:
 
         R = model.n
         depth = model.depth
-        # Ring-buffer capacities: an injection (P) queue is unbounded in
-        # the reference engine, but one source can enqueue at most one
-        # packet per injection round, so the round count is a hard cap.
-        self.inj_cap = inj_cap = warmup + measure + drain_limit + 2
         if is_vc:
             narb = R * VCRouter.NUM_PORTS
             nq = narb * model.num_vcs
@@ -1286,17 +1279,21 @@ class _Run:
         self.qoff = qoff = new(nq)
         off = 0
         for q, _r, i, _lane in self._queues():
-            qcap[q] = inj_cap if i == P_IDX else depth
+            # An injection (P) queue is unbounded, as in the reference
+            # engine: its `qlen` packets wait on the source's list
+            # (`phead` -> `pnext` ... `ptail`), not in a ring.
+            qcap[q] = 0 if i == P_IDX else depth
             qoff[q] = off
             off += qcap[q]
         self.buf = new(off)
         self.qhead = new(nq)
         self.qlen = new(nq)
         self.occ = new(R)
+        self.phead = new(R)
+        self.ptail = new(R)
         self.hop = new(NUM_DIRS, "q")
         self.link = new(R * NUM_DIRS if track_links else 1, "q")
         self.st = new(_ckernel.ST_LEN, "q")
-        self.pk_cap = _PK_CAP0
         zeros = bytes(4 * _PK_CAP0)
         self.pdest_a = array("i", zeros)
         self.pout_a = array("i", zeros)
@@ -1306,7 +1303,14 @@ class _Run:
         self.psrc_a = array("i", zeros)
         self.pinj_a = array("i", zeros)
         self.pmeas_a = array("i", zeros)
-        self.ejlog_a = array("i", bytes(4 * _EJ_CAP0))
+        self.pnext_a = array("i", zeros)
+        # (packet id, latency) of each measured ejection since the last
+        # replay — only for runs that keep per-packet data.
+        self.ejlog_a = (
+            array("i", bytes(4 * _EJ_CAP0))
+            if keep_samples or track_per_source
+            else None
+        )
 
         # -- ctypes contexts --------------------------------------------
         # Round-robin pointers (`arb` / `vc_rr`): per (router, output)
@@ -1419,13 +1423,19 @@ class _Run:
         if model.subnet_tab is not None:
             b.subnet = _ptr(model.subnet_tab)
         b.st = _ptr(self.st, ctypes.c_int64)
-        b.ejlog = _ptr(self.ejlog_a)
+        b.phead = _ptr(self.phead)
+        b.ptail = _ptr(self.ptail)
+        b.pk_cap = _PK_CAP0
+        if self.ejlog_a is not None:
+            b.ej_cap = _EJ_CAP0 // 2
+            b.ejlog = _ptr(self.ejlog_a)
         self.bref = ctypes.byref(b)
         # Growable per-packet records: (array, owning struct, field).
         self.pk_owners = (
             (self.psrc_a, b, "psrc"),
             (self.pinj_a, b, "pinj"),
             (self.pmeas_a, b, "pmeas"),
+            (self.pnext_a, b, "pnext"),
             (self.pdest_a, c, "pdest"),
             (self.pout_a, c, "pout"),
             (self.paux_a, c, aux),
@@ -1480,7 +1490,6 @@ class _Run:
         n = model.n
         is_vc = self.is_vc
         rate = self.rate
-        inj_cap = self.inj_cap
         nidx = model.node_index
         subnet_tab = model.subnet_tab
         tables = model.tables
@@ -1499,9 +1508,8 @@ class _Run:
         rnd = derive_rng(self.seed, "timing").random  # rng: shared
         dest_rng = derive_rng(self.seed, "dest")  # rng: shared
         st = self.st
-        buf, qoff = self.buf, self.qoff
-        qhead, qlen = self.qhead, self.qlen
-        occ, dirty = self.occ, self.dirty
+        qlen, occ, dirty = self.qlen, self.occ, self.dirty
+        phead, ptail, pnext = self.phead, self.ptail, self.pnext_a
         pdest, pout, paux = self.pdest_a, self.pout_a, self.paux_a
         psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
         if is_vc:
@@ -1510,11 +1518,11 @@ class _Run:
         else:
             stride = NUM_DIRS
             rows, rowof, rowlen = tables.rows, tables.rowof, tables.rowlen
-        # (source index, coord, P-queue id, P-queue ring base in buf,
-        # route-table base of the source's injection port)
+        # (source index, coord, P-queue id, route-table base of the
+        # source's injection port)
         slots = tuple(
             (
-                s, src, s * stride, qoff[s * stride],
+                s, src, s * stride,
                 s * n if is_vc else rowof[s * NUM_DIRS] * rowlen,
             )
             for s, src in self.sources
@@ -1523,7 +1531,7 @@ class _Run:
         def inject(measured: int) -> None:
             cycle = st[_ckernel.ST_CYCLE]
             first = pid = st[_ckernel.ST_NPK]
-            for s, src, q, ring, route in slots:
+            for s, src, q, route in slots:
                 if rnd() < rate:
                     dest = dest_fn(src, dest_rng)
                     if dest is None:
@@ -1542,10 +1550,11 @@ class _Run:
                     psrc[pid] = s
                     pinj[pid] = cycle
                     pmeas[pid] = measured
-                    tail = qhead[q] + qlen[q]
-                    if tail >= inj_cap:
-                        tail -= inj_cap
-                    buf[ring + tail] = pid
+                    if qlen[q]:
+                        pnext[ptail[s]] = pid
+                    else:
+                        phead[s] = pid
+                    ptail[s] = pid
                     qlen[q] += 1
                     occ[s] += 1
                     pid += 1
@@ -1558,28 +1567,33 @@ class _Run:
 
         return inject
 
-    # -- growable per-packet logs ---------------------------------------
-    def _ensure_capacity(self, count: int) -> None:
-        st = self.st
-        need_pk = st[_ckernel.ST_NPK] + self.model.n * count
-        if need_pk > self.pk_cap:
-            newcap = self.pk_cap
-            while newcap < need_pk:
-                newcap *= 2
-            grow = bytes(4 * (newcap - self.pk_cap))
-            self.pk_cap = newcap
+    # -- demand growth ----------------------------------------------------
+    def _grow(self) -> None:
+        """Make room for one more injection round and its ejections.
+
+        At most one packet per source and one ejection per router, so
+        ``n`` free records (and ``n`` log entries, the log having just
+        been replayed) suffice; doubling tracks the traffic seen.
+        """
+        b = self.bctx
+        n = self.model.n
+        need = self.st[_ckernel.ST_NPK] + n
+        if need > b.pk_cap:
+            cap = b.pk_cap
+            while cap < need:
+                cap *= 2
+            grow = bytes(4 * (cap - b.pk_cap))
+            b.pk_cap = cap
             for a, owner, field in self.pk_owners:
                 a.frombytes(grow)
                 setattr(owner, field, _ptr(a))
-        need_ej = 2 * (st[_ckernel.ST_OCC] + self.model.n * count)
-        if need_ej > len(self.ejlog_a):
-            newcap = len(self.ejlog_a)
-            while newcap < need_ej:
-                newcap *= 2
-            self.ejlog_a.frombytes(
-                bytes(4 * (newcap - len(self.ejlog_a)))
-            )
-            self.bctx.ejlog = _ptr(self.ejlog_a)
+        if self.ejlog_a is not None and n > b.ej_cap:
+            cap = b.ej_cap
+            while cap < n:
+                cap *= 2
+            self.ejlog_a.frombytes(bytes(8 * (cap - b.ej_cap)))
+            b.ej_cap = cap
+            b.ejlog = _ptr(self.ejlog_a)
 
     # -- stepping -------------------------------------------------------
     def run(self) -> Any:
@@ -1631,17 +1645,21 @@ class _Run:
         b = self.bctx
         inject = self.inject
         while cycles > 0:
-            # Host injection precedes every step: one-cycle blocks.
-            count = 1 if inject else min(cycles, _BLOCK_CYCLES)
-            b.count = count
-            self._ensure_capacity(count)
             if inject:
+                # Host injection precedes every step: one-cycle blocks
+                # of a round the host sized itself.
+                b.count = 1
+                self._grow()
                 inject(b.measured)
-            st[_ckernel.ST_NEJLOG] = 0
+            else:
+                b.count = min(cycles, _BLOCK_CYCLES)
             stop = self.run_block(self.cref, self.bref)
             cycles -= st[_ckernel.ST_RAN]
             if st[_ckernel.ST_NEJLOG]:
                 self._replay_ejections()
+            if stop == _ckernel.STOP_CAPACITY:
+                self._grow()
+                continue
             # Trip order matches the reference tick(): watchdogs, the
             # cycle budget, the wall-clock poll, then the drain check.
             # The rehydrating watchdog errors read this run's arrays,
@@ -1675,40 +1693,21 @@ class _Run:
         return None
 
     def _replay_ejections(self) -> None:
-        """Score the block's ejection log into the latency statistics."""
-        ejlog = self.ejlog_a
-        pmeas = self.pmeas_a
-        pinj = self.pinj_a
-        psrc = self.psrc_a
-        samples = self.samples
+        """Move the logged measured ejections into the per-packet data."""
+        st = self.st
+        end = 2 * st[_ckernel.ST_NEJLOG]
+        latencies = self.ejlog_a[1:end:2]
+        if self.samples is not None:
+            self.samples.extend(latencies)
         per_src = self.per_src
-        count, total, total_sq = 0, 0, 0
-        lat_min, lat_max = self.lat_min, self.lat_max
-        for k in range(self.st[_ckernel.ST_NEJLOG]):
-            pid = ejlog[2 * k]
-            if not pmeas[pid]:
-                continue
-            lat = ejlog[2 * k + 1] - pinj[pid]
-            count += 1
-            total += lat
-            total_sq += lat * lat
-            if lat_min is None or lat < lat_min:
-                lat_min = lat
-            if lat_max is None or lat > lat_max:
-                lat_max = lat
-            if samples is not None:
-                samples.append(lat)
-            if per_src is not None:
+        if per_src is not None:
+            psrc = self.psrc_a
+            for pid, lat in zip(self.ejlog_a[0:end:2], latencies):
                 stats = per_src.get(psrc[pid])
                 if stats is None:
                     stats = per_src[psrc[pid]] = LatencyStats()
                 stats.add(lat)
-        if count:
-            self.lat_count += count
-            self.lat_total += total
-            self.lat_total_sq += total_sq
-            self.lat_min = lat_min
-            self.lat_max = lat_max
+        st[_ckernel.ST_NEJLOG] = 0
 
     # -- terminal states ------------------------------------------------
     def _watchdog_error(self, kind: str, window: int) -> DeadlockError:
@@ -1725,7 +1724,7 @@ class _Run:
         model = self.model
         nodes = model.nodes
         n = model.n
-        buf = self.buf
+        buf, pnext = self.buf, self.pnext_a
         psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
         pdest, paux = self.pdest_a, self.paux_a
         has_subnets = model.subnet_tab is not None
@@ -1734,11 +1733,17 @@ class _Run:
         net = build_network(self.target, faults=self.faults)
         routers = [net.routers[coord] for coord in nodes]
         for q, r, i, lane in self._queues():
-            ring = self.qoff[q]
-            cap = self.qcap[q]
-            head = self.qhead[q]
-            for k in range(self.qlen[q]):
-                pid = buf[ring + (head + k) % cap]
+            pids = []
+            if i == P_IDX:  # the source's injection list, oldest first
+                pid = self.phead[r]
+                for _ in range(self.qlen[q]):
+                    pids.append(pid)
+                    pid = pnext[pid]
+            else:
+                ring, cap, head = self.qoff[q], self.qcap[q], self.qhead[q]
+                for k in range(self.qlen[q]):
+                    pids.append(buf[ring + (head + k) % cap])
+            for pid in pids:
                 pkt = Packet(
                     pid,
                     nodes[psrc[pid]],
@@ -1764,8 +1769,6 @@ class _Run:
         )
 
     def _finish(self, delivered_during: int, drained: bool) -> Any:
-        from repro.sim.simulator import RunResult
-
         st = self.st
         model = self.model
         hop_counts = list(self.hop)
@@ -1775,11 +1778,14 @@ class _Run:
             track_links=self.track_links,
         )
         stats = metrics.measured
-        stats.count = self.lat_count
-        stats.total = self.lat_total
-        stats.total_sq = self.lat_total_sq
-        stats.min = self.lat_min
-        stats.max = self.lat_max
+        stats.count = st[_ckernel.ST_DEL_MEAS]
+        stats.total = st[_ckernel.ST_LAT_SUM]
+        stats.total_sq = (st[_ckernel.ST_LAT_SQ_HI] << 64) | (
+            st[_ckernel.ST_LAT_SQ_LO] & (2**64 - 1)
+        )
+        if stats.count:
+            stats.min = st[_ckernel.ST_LAT_MIN]
+            stats.max = st[_ckernel.ST_LAT_MAX]
         if self.samples is not None:
             stats._samples = self.samples
         metrics.delivered_total = int(st[_ckernel.ST_DEL_TOTAL])
@@ -1817,9 +1823,7 @@ class _Run:
             avg_latency=stats.mean,
             stddev_latency=stats.stddev,
             max_latency=(
-                float(self.lat_max)
-                if self.lat_max is not None
-                else float("nan")
+                float(stats.max) if stats.count else float("nan")
             ),
             delivered_measured=metrics.delivered_measured,
             injected_measured=metrics.injected_measured,
@@ -1880,8 +1884,6 @@ def run_compiled(
         )
     _problems, point = _resolve(config, faults, watchdog, audit_every)
     if point is None:
-        from repro.sim.simulator import _run_reference
-
         return _run_reference(
             config,
             pattern,

@@ -23,8 +23,9 @@ from property.settings import tiered_settings
 
 from repro.core.spec import NetworkSpec, build_run
 from repro.errors import DeadlockError, SimulationTimeout
-from repro.sim import fastsim
+from repro.sim import _ckernel, fastsim, network, watchdog
 from repro.sim.fastsim import batching_problems, run_compiled_batch
+from repro.sim.router import P_IDX
 
 
 def fingerprint(result):
@@ -50,6 +51,40 @@ def fingerprint(result):
         result.metrics.dropped_total,
         result.metrics.dropped_measured,
     )
+
+
+def _moments(stats):
+    return (stats.count, stats.total, stats.total_sq, stats.min, stats.max)
+
+
+def _per_source(result):
+    return {
+        coord: _moments(stats)
+        for coord, stats in result.metrics.per_source.items()
+    }
+
+
+class _KernelSpy:
+    """Stands in for the kernel library and records, per block, its stop
+    code and the longer of the two watchdog counters at that point."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        kernel = fastsim._native_kernel()
+        self.run_block_noc = self._recording(kernel.run_block_noc)
+        self.run_block_vc = self._recording(kernel.run_block_vc)
+        monkeypatch.setattr(fastsim, "_native_kernel", lambda: self)
+
+    def _recording(self, run_block):
+        def recorded(cref, bref):
+            stop = run_block(cref, bref)
+            st = bref._obj.st
+            self.calls.append(
+                (stop, max(st[_ckernel.ST_IDLE], st[_ckernel.ST_STARVED]))
+            )
+            return stop
+
+        return recorded
 
 
 def _spec(name, width, height, **overrides):
@@ -119,12 +154,7 @@ class TestBatchEquivalence:
             got.metrics.link_counts.items()
         )
         assert ref.metrics.measured._samples == got.metrics.measured._samples
-        assert set(ref.metrics.per_source) == set(got.metrics.per_source)
-        for key, rt in ref.metrics.per_source.items():
-            gt = got.metrics.per_source[key]
-            assert (rt.count, rt.total, rt.total_sq, rt.min, rt.max) == (
-                gt.count, gt.total, gt.total_sq, gt.min, gt.max
-            )
+        assert _per_source(ref) == _per_source(got)
 
     def test_tiny_blocks_are_invisible(self, monkeypatch):
         """Block granularity must never leak into results — phase
@@ -138,16 +168,88 @@ class TestBatchEquivalence:
 
     @pytest.mark.parametrize("name", ["mesh", "torus-fbfc", "torus"])
     def test_log_growth_mid_run_is_invisible(self, name, monkeypatch):
-        """The per-packet records and the ejection log double (and their
-        ctypes pointers are refreshed) several times inside one run."""
+        """The per-packet records double on ``STOP_CAPACITY`` — several
+        times inside one block — and the ejection log of a run that
+        keeps per-packet data grows the same way; neither shows."""
         spec = _spec(name, 8, 4, rate=0.2)
-        roomy = run_compiled_batch([spec]) + [build_run(spec)]
+        kwargs = dict(keep_samples=True, track_per_source=True)
+
+        def legs():
+            return (
+                run_compiled_batch([spec]) + [build_run(spec)],
+                run_compiled_batch([spec], **kwargs)
+                + [build_run(spec, **kwargs)],
+            )
+
+        roomy_plain, roomy_logged = legs()
         monkeypatch.setattr(fastsim, "_PK_CAP0", 8)
         monkeypatch.setattr(fastsim, "_EJ_CAP0", 8)
-        tight = run_compiled_batch([spec]) + [build_run(spec)]
-        assert roomy[0].metrics.injected_total > 64  # it did grow
-        for a, b in zip(roomy, tight):
+        spy = _KernelSpy(monkeypatch)
+        tight_plain, tight_logged = legs()
+        assert roomy_plain[0].metrics.injected_total > 64  # it did grow
+        # Every phase fits one default block, so back-to-back capacity
+        # stops (no budget or drain stop between them) are in one block.
+        assert spec.drain_limit < fastsim._BLOCK_CYCLES
+        capacity = [stop == _ckernel.STOP_CAPACITY for stop, _ in spy.calls]
+        assert any(a and b for a, b in zip(capacity, capacity[1:]))
+        for a, b in zip(roomy_plain, tight_plain):
             assert fingerprint(a) == fingerprint(b)
+        # fingerprint() can't asdict Coord-keyed trackers.
+        for a, b in zip(roomy_logged, tight_logged):
+            assert (a.total_cycles, a.avg_latency, a.stddev_latency) == (
+                b.total_cycles, b.avg_latency, b.stddev_latency
+            )
+            assert a.metrics.measured._samples == b.metrics.measured._samples
+            assert _per_source(a) == _per_source(b)
+
+    @pytest.mark.parametrize(
+        "window", [{"stall_window": 25}, {"starvation_window": 25}]
+    )
+    def test_capacity_stops_inside_watchdog_window(self, window, monkeypatch):
+        """A wormhole torus under tornado deadlocks at once while its
+        sources keep queueing: the records double several times inside
+        the idle window, which must keep counting across the stops, and
+        the snapshot rehydrates every injection list."""
+        doomed = _spec(
+            "torus", 8, 4, router="wormhole", pattern="tornado", rate=1.0,
+            warmup=200, measure=400, drain_limit=800, **window,
+        )
+        assert batching_problems(doomed) == []
+        # The snapshot names queue heads only; what waits behind them
+        # is read off the network the snapshot is captured from.
+        waiting = []
+
+        def capture(net, kind, length, _real=watchdog.capture_snapshot):
+            waiting.append([
+                [pkt.pid for pkt in router.in_q[P_IDX]]
+                for router in net.routers.values()
+            ])
+            return _real(net, kind, length)
+
+        monkeypatch.setattr(network, "capture_snapshot", capture)
+        monkeypatch.setattr(watchdog, "capture_snapshot", capture)
+        with pytest.raises(DeadlockError) as ref_exc:
+            build_run(doomed.replace(engine="reference"))
+        ref = ref_exc.value
+        monkeypatch.setattr(fastsim, "_PK_CAP0", 8)
+        spy = _KernelSpy(monkeypatch)
+        (got,) = run_compiled_batch([doomed])
+        assert isinstance(got, DeadlockError)
+        assert sum(
+            stop == _ckernel.STOP_CAPACITY and waiting >= 5
+            for stop, waiting in spy.calls
+        ) >= 2
+        assert str(got) == str(ref)
+        in_reference, rehydrated = waiting
+        assert rehydrated == in_reference
+        assert min(len(queue) for queue in rehydrated) >= 15
+        for field in (
+            "kind", "cycle", "occupancy", "window",
+            "stalled_routers", "audit_problems",
+        ):
+            assert getattr(got.snapshot, field) == getattr(
+                ref.snapshot, field
+            ), field
 
     def test_unbatchable_rows_fall_back_with_provenance(self):
         """Mixed grids: batchable rows batch, the rest run per-spec on
@@ -233,6 +335,120 @@ class TestRunLifetime:
         assert calls == {
             "build_config": 1, "build_faults": 1, "_pattern_plan": 1,
         }
+
+
+def _make_run(spec, **trackers):
+    """The ``_Run`` ``run_compiled_batch`` would build for ``spec``."""
+    problems, point = fastsim._resolve(
+        spec, None, None, spec.audit_every, batch=True
+    )
+    assert problems == []
+    cfg, faults, watchdog, model, plan = point
+    options = dict(
+        track_per_source=False, keep_samples=False, track_links=False
+    )
+    options.update(trackers)
+    return fastsim._Run(
+        spec, cfg, model, spec.pattern, spec.rate, plan,
+        warmup=spec.warmup, measure=spec.measure,
+        drain_limit=spec.drain_limit, seed=spec.seed, faults=faults,
+        watchdog=watchdog, max_cycles=spec.max_cycles,
+        max_wall_seconds=spec.max_wall_seconds, engine="compiled-batch",
+        **options,
+    )
+
+
+class TestKernelMoments:
+    """The kernel scores ejections itself: the moments it accumulates in
+    ``st[]`` are those of the per-packet samples, on both engines."""
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("mesh", {}),
+            ("torus-fbfc", {}),
+            ("torus", {}),
+            ("torus", {"fault_transient": 3, "fault_drop_prob": 0.05}),
+        ],
+        ids=["mesh", "torus-fbfc", "torus-vc", "torus-vc-drops"],
+    )
+    def test_moments_equal_samples(self, name, options):
+        spec = _spec(name, 8, 4, rate=0.25, **options)
+        got = build_run(spec, keep_samples=True)
+        assert got.engine == "compiled"
+        stats = got.metrics.measured
+        samples = stats._samples
+        assert len(samples) > 100
+        assert _moments(stats) == (
+            len(samples), sum(samples), sum(x * x for x in samples),
+            min(samples), max(samples),
+        )
+        ref = build_run(spec.replace(engine="reference"), keep_samples=True)
+        assert _moments(stats) == _moments(ref.metrics.measured)
+        assert samples == ref.metrics.measured._samples
+        if not options:
+            (batched,) = run_compiled_batch([spec], keep_samples=True)
+            assert _moments(batched.metrics.measured) == _moments(stats)
+            assert batched.metrics.measured._samples == samples
+
+    def test_sum_of_squares_carries_into_the_high_limb(self):
+        spec = _spec("mesh", 4, 4)
+        (plain,) = run_compiled_batch([spec])
+        seed = 2**64 - 5
+        run = _make_run(spec)
+        run.st[_ckernel.ST_LAT_SQ_LO] = seed - 2**64  # as an int64
+        got = run.run()
+        assert fingerprint(got)[1:3] == fingerprint(plain)[1:3]
+        assert got.metrics.measured.total_sq == (
+            seed + plain.metrics.measured.total_sq
+        )
+        assert run.st[_ckernel.ST_LAT_SQ_HI] == 1
+
+    def test_no_measured_delivery_means_no_extremes(self):
+        (got,) = run_compiled_batch([_spec("mesh", 4, 4, rate=0.0)])
+        assert _moments(got.metrics.measured) == (0, 0, 0, None, None)
+
+
+class TestRunStateSize:
+    """Run state is sized by traffic, not by ``n x window``."""
+
+    #: mesh 32x32 at the ``tail`` experiment's quick window.
+    SPEC = dict(warmup=500, measure=1000, drain_limit=12_000, rate=0.05)
+
+    @staticmethod
+    def _owned_bytes(run):
+        arrays = list(run.keep) + [a for a, _owner, _field in run.pk_owners]
+        if run.ejlog_a is not None:
+            arrays.append(run.ejlog_a)
+        return sum(len(a) * a.itemsize for a in arrays)
+
+    def test_fresh_run_is_small(self):
+        run = _make_run(_spec("mesh", 32, 32, **self.SPEC))
+        assert run.ejlog_a is None  # a plain run keeps no ejection log
+        assert self._owned_bytes(run) < 2 * 2**20
+        logged = _make_run(
+            _spec("torus", 32, 32, **self.SPEC), keep_samples=True
+        )
+        assert self._owned_bytes(logged) < 2 * 2**20
+
+    @pytest.mark.parametrize("keep_samples", [False, True])
+    def test_records_track_packets_injected(self, keep_samples):
+        run = _make_run(
+            _spec("mesh", 32, 32, **self.SPEC), keep_samples=keep_samples
+        )
+        n = run.model.n
+        result = run.run()
+        assert result.drained
+        bound = max(
+            fastsim._PK_CAP0, 2 * (result.metrics.injected_total + n)
+        )
+        assert fastsim._PK_CAP0 < run.bctx.pk_cap <= bound
+        for a, _owner, _field in run.pk_owners:
+            assert len(a) == run.bctx.pk_cap
+        if keep_samples:
+            assert len(run.ejlog_a) == 2 * run.bctx.ej_cap
+            assert run.bctx.ej_cap <= max(fastsim._EJ_CAP0 // 2, 2 * n)
+        assert self._owned_bytes(run) < 4 * 2**20
 
 
 class TestBatchErrors:
