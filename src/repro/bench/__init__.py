@@ -37,11 +37,11 @@ input; each case reports the **best of N repeats** (the repeat least
 disturbed by the host), which is the standard way to stabilize
 microbenchmarks without statistics over noise you cannot control.
 
-The full mode also times a small fig6 campaign slice at ``--jobs 1``
-vs ``--jobs 4`` and checks the row sets are identical — the equality
-check is a hard contract; the speedup must stay above 1.0 (parallel
-mode must never cost wall-clock) but its magnitude depends on host
-cores and is otherwise informational.
+Campaign-level behaviour (``--jobs`` scaling, batched submission) is
+not measured here: the row-identity contracts are tier-1 tests
+(``tests/experiments/test_parallel_campaign.py``) and the timings are
+``benchmarks/perf`` layer metrics (``experiments.campaign.jobs2_x``,
+``sim.fastsim.batch_vs_singles_x``).
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ CASES: Dict[str, Dict[str, Any]] = {
     # Trace capture/replay: a fig10-class manycore workload captured
     # once from the execution-driven machine (untimed, at spec-build
     # time via the manycore run cache), then replayed as a pure
-    # injection schedule.  The compiled leg runs through
-    # run_compiled_batch — the figure drivers' submission path, where
-    # the C kernel consumes the trace natively — and must stay >= 4x
-    # the reference replay (SPEEDUP_FLOORS).
+    # injection schedule.  The C kernel consumes the trace natively
+    # (a full-rate replay injects in-kernel on every compiled path),
+    # and must stay >= 4x the reference replay (SPEEDUP_FLOORS).
     "manycore-replay": dict(
         trace=("jacobi", "ruche2-depop", 16, 8, "quick"),
         stream="fwd",
@@ -116,12 +115,18 @@ REPEATS = {"quick": 2, "full": 4}
 #: Hard floors on ``speedup_vs_reference`` per ``(case, engine)``.  These
 #: pin engine-level wins that must never silently erode: the VC/torus C
 #: kernel took torus-64x8-ur from ~3x to parity with the other kernel
-#: cases, and moving the transient-drop draw into the kernel did the
-#: same for its faulted twin.  Applied only when the report actually
+#: cases, moving the transient-drop draw into the kernel did the
+#: same for its faulted twin, and in-kernel injection of serial runs
+#: took the mesh, Half Ruche and 3-D cases from 7-15x (host injection,
+#: one kernel call per cycle) to 27-61x; each new floor is about half
+#: the committed speedup.  Applied only when the report actually
 #: carries the speedup (i.e. both engines were measured).
 SPEEDUP_FLOORS: Dict[Tuple[str, str], float] = {
+    ("mesh-8x8-ur", "compiled"): 13.0,
+    ("halfruche2-16x8-ur", "compiled"): 15.0,
     ("torus-64x8-ur", "compiled"): 5.0,
     ("torus-64x8-ur-faults", "compiled"): 8.0,
+    ("torus3d-8x8x4-ur", "compiled"): 30.0,
     ("manycore-replay", "compiled"): 4.0,
 }
 
@@ -136,14 +141,6 @@ LOWERING_POINTS: Dict[str, Dict[str, Any]] = {
     "mesh-32x32": dict(config=("mesh", 32, 32), ceiling_us=0.2),
     "torus-64x8": dict(config=("torus", 64, 8), ceiling_us=1.0),
 }
-
-#: Floor on the batched campaign's speedup over the per-row compiled
-#: campaign (same host, same run — not a cross-host comparison).
-BATCHED_SPEEDUP_FLOOR = 2.0
-
-#: Floor on the ``--jobs 4`` campaign speedup, applied only when the
-#: measuring host actually had >= 4 schedulable CPUs.
-CAMPAIGN_JOBS_SPEEDUP_FLOOR = 2.5
 
 
 def _case_spec(
@@ -186,23 +183,11 @@ def measure_case(
     """Best-of-``repeats`` cycles/sec for one canonical case/engine."""
     case = CASES[name]
     spec = _case_spec(name, seed=seed, engine=engine)
-    if "trace" in case and engine == "compiled":
-        # Replay rides the batch submission path the figure drivers
-        # use, where the C kernel consumes the trace natively.
-        from repro.sim.fastsim import run_compiled_batch
-
-        def runner(s: NetworkSpec) -> Any:
-            outcome = run_compiled_batch([s])[0]
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-    else:
-        runner = build_run
     best_seconds = None
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = runner(spec)
+        result = build_run(spec)
         elapsed = time.perf_counter() - start
         if best_seconds is None or elapsed < best_seconds:
             best_seconds = elapsed
@@ -242,125 +227,6 @@ def profile_case(
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(limit)
     return stream.getvalue()
-
-
-def measure_campaign_scaling(
-    jobs_list: Tuple[int, ...] = (1, 4),
-    engine: Optional[str] = "compiled",
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """Wall-clock a small fig6 slice at each worker count.
-
-    The row sets must be identical across worker counts (the campaign's
-    determinism contract).  Every leg is measured with the same
-    protocol — caches warmed by one untimed campaign, then best of
-    ``repeats`` — so the speedup isolates pure worker scheduling
-    instead of conflating it with one-time cache fills (the old
-    cold-first-leg protocol systematically flattered the multi-worker
-    leg).  Campaigns run batched, exactly as the figure drivers submit
-    them.  The report records ``usable_cpus`` so the regression gate
-    can tell "parallel mode broke" from "the host had fewer CPUs than
-    workers": anything below 1.0 on a host with a CPU per worker is
-    gated by :func:`compare_to_baseline`, and on a host with >= 4
-    schedulable CPUs the ``--jobs 4`` speedup must clear
-    :data:`CAMPAIGN_JOBS_SPEEDUP_FLOOR`.
-    """
-    from repro.core.routing import clear_routing_caches
-    from repro.experiments.campaign import _usable_cpus, run_campaign
-    from repro.experiments.fig6_synthetic_full import _run_row, make_grid
-    from repro.experiments.sweeps import run_rate_sweep_rows
-    from repro.sim.fastsim import clear_compile_caches
-
-    grid = make_grid("smoke", seed=1, engine=engine)
-    clear_routing_caches()
-    clear_compile_caches()
-    run_campaign(grid, _run_row, batch_runner=run_rate_sweep_rows)
-    timings: Dict[str, float] = {}
-    row_sets: List[List[dict]] = []
-    for jobs in jobs_list:
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            outcome = run_campaign(
-                grid, _run_row, jobs=jobs,
-                batch_runner=run_rate_sweep_rows,
-            )
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        timings[str(jobs)] = round(best, 6)
-        row_sets.append(outcome.rows)
-    identical = all(rows == row_sets[0] for rows in row_sets[1:])
-    report: Dict[str, Any] = {
-        "grid_rows": len(grid),
-        "engine": engine,
-        "repeats": repeats,
-        "usable_cpus": _usable_cpus(),
-        "wall_seconds_by_jobs": timings,
-        "rows_identical": identical,
-    }
-    first, last = str(jobs_list[0]), str(jobs_list[-1])
-    if timings[last] > 0:
-        report["speedup"] = round(timings[first] / timings[last], 3)
-    return report
-
-
-def measure_campaign_batched(
-    engine: Optional[str] = "compiled",
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """Batched vs per-row campaign wall-clock on the fig6 smoke slice.
-
-    Both modes run the identical grid through :func:`run_campaign` —
-    per-row submits one :func:`build_run` per spec; batched stacks every
-    row's specs into structure-of-arrays
-    :func:`~repro.sim.fastsim.run_compiled_batch` invocations via
-    ``batch_runner`` (exactly as the figure drivers do).  Caches are
-    warmed by one untimed campaign first, then each mode reports best
-    of ``repeats``.  ``rows_identical`` is the bit-identity contract
-    (hard-gated); ``speedup_vs_unbatched`` must clear
-    :data:`BATCHED_SPEEDUP_FLOOR` — both are same-host relative
-    measurements, so the gate is host-independent.
-    """
-    from repro.core.routing import clear_routing_caches
-    from repro.experiments.campaign import run_campaign
-    from repro.experiments.fig6_synthetic_full import _run_row, make_grid
-    from repro.experiments.sweeps import run_rate_sweep_rows
-    from repro.sim.fastsim import clear_compile_caches
-
-    grid = make_grid("smoke", seed=1, engine=engine)
-    clear_routing_caches()
-    clear_compile_caches()
-    run_campaign(grid, _run_row, batch_runner=run_rate_sweep_rows)
-    timings: Dict[str, float] = {}
-    rows_by_mode: Dict[str, List[dict]] = {}
-    for label, kwargs in (
-        ("per_row", {}),
-        ("batched", {"batch_runner": run_rate_sweep_rows}),
-    ):
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            outcome = run_campaign(grid, _run_row, **kwargs)
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        timings[label] = round(best, 6)
-        rows_by_mode[label] = outcome.rows
-    report: Dict[str, Any] = {
-        "grid_rows": len(grid),
-        "engine": engine,
-        "repeats": repeats,
-        "wall_seconds": timings,
-        "rows_identical": (
-            rows_by_mode["per_row"] == rows_by_mode["batched"]
-        ),
-    }
-    if timings["batched"] > 0:
-        report["speedup_vs_unbatched"] = round(
-            timings["per_row"] / timings["batched"], 3
-        )
-    return report
 
 
 def _cold_lowering_seconds(spec: NetworkSpec) -> float:
@@ -410,7 +276,6 @@ def measure_lowering(repeats: int) -> List[Dict[str, Any]]:
 
 def run_bench(
     mode: str = "full",
-    include_campaign: Optional[bool] = None,
     seed: int = 1,
     engines: Sequence[str] = BENCH_ENGINES,
 ) -> Dict[str, Any]:
@@ -422,11 +287,6 @@ def run_bench(
     """
     if mode not in REPEATS:
         raise ValueError(f"mode must be one of {sorted(REPEATS)}")
-    if include_campaign is None:
-        # Both modes: the campaign sections are same-host relative
-        # measurements on a smoke grid (seconds, not minutes), and the
-        # batched-vs-per-row contract is exactly what CI must gate.
-        include_campaign = True
     cases: List[Dict[str, Any]] = []
     for name in CASES:
         reference_cps: Optional[float] = None
@@ -441,16 +301,12 @@ def run_bench(
                     case["cycles_per_sec"] / reference_cps, 2
                 )
             cases.append(case)
-    report: Dict[str, Any] = {
+    return {
         "schema": SCHEMA,
         "mode": mode,
         "cases": cases,
         "lowering": measure_lowering(REPEATS[mode]),
     }
-    if include_campaign:
-        report["campaign"] = measure_campaign_scaling()
-        report["campaign_batched"] = measure_campaign_batched()
-    return report
 
 
 def compare_to_baseline(
@@ -468,21 +324,10 @@ def compare_to_baseline(
     but missing from the report is a regression — a silently dropped
     benchmark must not pass the gate.  Compiled entries additionally
     must clear their :data:`SPEEDUP_FLOORS` (when the report carries
-    ``speedup_vs_reference``).  The report's campaign section, when
-    present, must have identical rows across ``--jobs`` values and a
-    speedup of at least 1.0 (only judged when the measuring host had
-    a schedulable CPU for every worker of the widest ``--jobs`` leg —
-    with fewer, the workers time-share and the leg legitimately reads
-    just under its serial twin); on a host with >= 4 CPUs the
-    speedup must also clear :data:`CAMPAIGN_JOBS_SPEEDUP_FLOOR`.  The
-    ``campaign_batched`` section must have batched rows bit-identical
-    to per-row rows and a ``speedup_vs_unbatched`` of at least
-    :data:`BATCHED_SPEEDUP_FLOOR`; dropping the section while the
-    baseline carries one is a regression.  A baseline without either
-    campaign section (an old quick report) is tolerated.  Every
-    ``lowering`` entry must have lowered and must cost at most its
-    :data:`LOWERING_POINTS` ceiling per node pair; the section is
-    optional in a baseline, but not once the baseline carries it.
+    ``speedup_vs_reference``).  Every ``lowering`` entry must have
+    lowered and must cost at most its :data:`LOWERING_POINTS` ceiling
+    per node pair; the section is optional in a baseline, but not once
+    the baseline carries it.
     """
 
     def case_key(case: Dict[str, Any]) -> Tuple[str, str]:
@@ -521,71 +366,6 @@ def compare_to_baseline(
             regressions.append(
                 f"{key[0]}[{key[1]}]: speedup {speedup}x vs reference "
                 f"is below the pinned floor {floor}x"
-            )
-    campaign = report.get("campaign")
-    if campaign is not None:
-        if not campaign.get("rows_identical", True):
-            regressions.append(
-                "campaign rows differ across --jobs values "
-                "(determinism contract broken)"
-            )
-        speedup = campaign.get("speedup")
-        usable = campaign.get("usable_cpus")  # absent in old reports
-        # A 1-CPU host runs every leg inline, and workers of the widest
-        # leg that outnumber the CPUs time-share them.
-        workers = max(
-            [2, *map(int, campaign.get("wall_seconds_by_jobs", ()))]
-        )
-        if (
-            speedup is not None
-            and speedup < 1.0
-            and (usable is None or usable >= workers)
-        ):
-            regressions.append(
-                f"campaign speedup {speedup} < 1.0 — parallel mode "
-                "costs wall-clock over a serial rerun"
-            )
-        if (
-            speedup is not None
-            and usable is not None
-            and usable >= 4
-            and speedup < CAMPAIGN_JOBS_SPEEDUP_FLOOR
-        ):
-            regressions.append(
-                f"campaign --jobs 4 speedup {speedup}x is below the "
-                f"floor {CAMPAIGN_JOBS_SPEEDUP_FLOOR}x on a "
-                f"{usable}-CPU host"
-            )
-        base_campaign = baseline.get("campaign")  # absent in quick
-        if (
-            base_campaign is not None
-            and speedup is not None
-            and base_campaign.get("speedup") is not None
-            and speedup < base_campaign["speedup"] * (1.0 - tolerance)
-        ):
-            notes.append(
-                f"campaign speedup {speedup} fell more than "
-                f"{tolerance * 100:.0f}% below the baseline "
-                f"{base_campaign['speedup']} (host-dependent, not gated)"
-            )
-    batched = report.get("campaign_batched")
-    if batched is None:
-        if baseline.get("campaign_batched") is not None:
-            regressions.append(
-                "campaign_batched section missing from report while "
-                "the baseline carries one"
-            )
-    else:
-        if not batched.get("rows_identical", True):
-            regressions.append(
-                "batched campaign rows differ from per-row rows "
-                "(bit-identity contract broken)"
-            )
-        speedup = batched.get("speedup_vs_unbatched")
-        if speedup is not None and speedup < BATCHED_SPEEDUP_FLOOR:
-            regressions.append(
-                f"batched campaign speedup {speedup}x vs per-row is "
-                f"below the floor {BATCHED_SPEEDUP_FLOOR}x"
             )
     lowering = report.get("lowering")
     if lowering is None:
@@ -670,32 +450,4 @@ def render_markdown(report: Dict[str, Any]) -> str:
     lowering = report.get("lowering")
     if lowering is not None:
         lines += ["", "**Cold lowering**: " + render_lowering(lowering)]
-    campaign = report.get("campaign")
-    if campaign is not None:
-        timings = ", ".join(
-            f"jobs={j}: {t:.2f}s"
-            for j, t in campaign["wall_seconds_by_jobs"].items()
-        )
-        speedup = campaign.get("speedup")
-        lines += [
-            "",
-            f"**Campaign scaling** ({campaign['grid_rows']} rows, "
-            f"{campaign.get('usable_cpus', '?')} usable CPUs): "
-            f"{timings}; rows identical: "
-            f"{campaign['rows_identical']}"
-            + (f"; speedup {speedup:.2f}x" if speedup else ""),
-        ]
-    batched = report.get("campaign_batched")
-    if batched is not None:
-        timings = ", ".join(
-            f"{label}: {t:.2f}s"
-            for label, t in batched["wall_seconds"].items()
-        )
-        speedup = batched.get("speedup_vs_unbatched")
-        lines += [
-            "",
-            f"**Batched campaign** ({batched['grid_rows']} rows): "
-            f"{timings}; rows identical: {batched['rows_identical']}"
-            + (f"; speedup {speedup:.2f}x vs per-row" if speedup else ""),
-        ]
     return "\n".join(lines) + "\n"

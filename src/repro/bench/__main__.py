@@ -35,8 +35,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="fewer repeats and no campaign-scaling timing (CI mode); "
-             "cycles/sec stays comparable to full-mode baselines",
+        help="fewer repeats (CI mode); cycles/sec stays comparable to "
+             "full-mode baselines",
     )
     parser.add_argument("--json", metavar="FILE",
                         help="write the report as JSON to FILE")
@@ -96,32 +96,6 @@ def main(argv=None) -> int:
             f"cps={case['cycles_per_sec']:,.0f}{suffix}"
         )
     print(f"cold lowering: {render_lowering(report['lowering'])}")
-    campaign = report.get("campaign")
-    if campaign is not None:
-        timings = campaign["wall_seconds_by_jobs"]
-        per_jobs = ", ".join(
-            f"jobs={j}: {t:.2f}s" for j, t in timings.items()
-        )
-        speedup = campaign.get("speedup")
-        suffix = f"; speedup {speedup:.2f}x" if speedup else ""
-        print(
-            f"campaign ({campaign['grid_rows']} rows): {per_jobs}; "
-            f"rows identical: {campaign['rows_identical']}{suffix}"
-        )
-    batched = report.get("campaign_batched")
-    if batched is not None:
-        per_mode = ", ".join(
-            f"{label}: {t:.2f}s"
-            for label, t in batched["wall_seconds"].items()
-        )
-        speedup = batched.get("speedup_vs_unbatched")
-        suffix = f"; speedup {speedup:.2f}x" if speedup else ""
-        print(
-            f"campaign batched ({batched['grid_rows']} rows): "
-            f"{per_mode}; rows identical: "
-            f"{batched['rows_identical']}{suffix}"
-        )
-
     if args.json:
         write_report(report, args.json)
         print(f"wrote {args.json}")

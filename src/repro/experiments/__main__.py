@@ -117,11 +117,17 @@ def main(argv=None) -> int:
     ids = (
         experiment_ids() if args.experiment == "all" else [args.experiment]
     )
+    options = dict(
+        preflight=args.preflight,
+        jobs=args.jobs,
+        engine=args.engine,
+        watchdog_cycles=args.watchdog_cycles,
+    )
     if args.output:
         from repro.experiments.report import write_report
 
         path = write_report(args.output, ids=ids, scale=args.scale,
-                            seed=args.seed)
+                            seed=args.seed, **options)
         print(f"wrote {path}")
         return 0
     failures = []
@@ -129,11 +135,7 @@ def main(argv=None) -> int:
         start = time.time()
         try:
             result = run_experiment(exp_id, scale=args.scale,
-                                    seed=args.seed,
-                                    preflight=args.preflight,
-                                    jobs=args.jobs,
-                                    engine=args.engine,
-                                    watchdog_cycles=args.watchdog_cycles)
+                                    seed=args.seed, **options)
         except KeyError as exc:
             # Unknown experiment id: the registry's message carries the
             # multi-line menu of available ids; print it verbatim

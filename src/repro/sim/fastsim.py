@@ -62,19 +62,22 @@ rehydrated into a reference-style network to capture a full
 
 One executor
 ------------
-:func:`run_compiled` and :func:`run_compiled_batch` share one resolver
-(:func:`_resolve`: config, faults, watchdog, gates and compilation,
-once per design point) and one run object (:class:`_Run`: one array
-layout, one ctypes fill, one growth path, one watchdog rehydration,
-one metrics finaliser; ejections are scored in the kernel, and logged
-for the host only under ``keep_samples`` / ``track_per_source``).  A
-run owns its memory, sized by the packets it injects, and is
-stepped to completion before anything else happens, so a batch is a
-loop over its specs and nothing but the compile and pattern caches
-outlives a run.  A batched row injects in-kernel and steps in
-whole-phase blocks; a serial call injects on the host in Python (any
-registered pattern, dead-router skip, unreachable-destination discard,
-wall-clock polling) before each one-cycle kernel block.
+:func:`run_compiled` and :func:`run_compiled_batch` are one launch
+(:func:`_launch`): one resolver (:func:`_resolve`: config, faults,
+watchdog, gates and compilation, once per design point) and one run
+object (:class:`_Run`: one array layout, one ctypes fill, one growth
+path, one watchdog rehydration, one metrics finaliser; ejections are
+scored in the kernel, and logged for the host only under
+``keep_samples`` / ``track_per_source``).  A run owns its memory, sized
+by the packets it injects, and is stepped to completion before anything
+else happens, so a batch is a loop over its specs (a serial call is a
+batch of one) and nothing but the compile and pattern caches outlives a
+run.  The launch alone decides where a run injects, from the resolved
+run: in the kernel, in whole-phase blocks, when the pattern has a plan
+and there is no fault schedule, wall-clock budget or off-rate trace;
+otherwise on the host in Python (any registered pattern, dead-router
+skip, unreachable-destination discard, wall-clock polling) before each
+one-cycle kernel block.
 
 What falls back
 ---------------
@@ -121,10 +124,11 @@ from repro.core.spec import (
     build_faults,
     build_network,
     build_pattern,
+    build_run,
     build_watchdog,
     resolve_components,
 )
-from repro.errors import DeadlockError, SimulationTimeout
+from repro.errors import DeadlockError, SimulationError, SimulationTimeout
 from repro.sim import _ckernel
 from repro.sim.allocator import WavefrontAllocator
 from repro.sim.faults import FaultSchedule
@@ -890,40 +894,40 @@ class _PoisonRng:
 
 _POISON_RNG = _PoisonRng()
 
-#: (config, pattern name) -> batch injection plan: ``("table", dtab)``
-#: for deterministic patterns (``-1`` = self-addressed, skipped after
-#: the timing draw), ``("uniform", perm, ubits)`` for the builtin
+#: (model, pattern name) -> in-kernel injection plan: ``("table",
+#: dtab)`` for deterministic patterns (``-1`` = self-addressed, skipped
+#: after the timing draw), ``("uniform", perm, ubits)`` for the builtin
 #: uniform-random pattern, or ``None`` when the pattern draws from the
-#: dest stream in a way the block kernel cannot replicate.  Trace
-#: replay plans (``("trace", table)``) live in
+#: dest stream in a way the block kernel cannot replicate.  Plans hold
+#: node *indices*, so they key on the model whose node order they were
+#: built in (a plugin topology may ride a builtin's config in another
+#: order).  Trace replay plans (``("trace", table)``) live in
 #: :data:`_TRACE_PLAN_CACHE` instead, validated by the trace file's
 #: stat signature — a name-keyed entry would go stale when the file at
 #: the same path is overwritten.
 _PATTERN_CACHE: Dict[Tuple, Optional[Tuple]] = {}
 
-#: (config, trace abspath) -> (source key, ``("trace", table)`` plan):
+#: (model, trace abspath) -> (source key, ``("trace", table)`` plan):
 #: one entry per file, replaced when its stat signature changes (the
 #: discipline of :data:`repro.sim.trace._TRACE_CACHE`).
 _TRACE_PLAN_CACHE: Dict[Tuple, Tuple] = {}
 
 
-def _trace_plan(
-    model: _CompiledModel, config: NetworkConfig, arg: str
-) -> Optional[Tuple]:
-    """The batch plan for ``trace_replay:<arg>``, or ``None``.
+def _trace_plan(model: _CompiledModel, arg: str) -> Optional[Tuple]:
+    """The in-kernel plan for ``trace_replay:<arg>``, or ``None``.
 
-    ``None`` routes the spec to a per-row serial run, where the pattern
-    factory raises the loader's full :class:`~repro.sim.trace.TraceError`
-    — the batch gate stays an analysis, not an error path.
+    ``None`` leaves injection to the host, where the pattern factory
+    raises the loader's full :class:`~repro.sim.trace.TraceError` — the
+    injection gate stays an analysis, not an error path.
     """
     from repro.sim import trace as trace_mod
 
     try:
         tr = trace_mod.load_trace(arg)
-        tr.check_config(config)
+        tr.check_config(model.config)
     except Exception:
         return None
-    key = (config, tr.source_key[0])
+    key = (model, tr.source_key[0])
     cached = _TRACE_PLAN_CACHE.get(key)
     if cached is not None and cached[0] == tr.source_key:
         return cached[1]
@@ -935,20 +939,19 @@ def _trace_plan(
     return plan
 
 
-def _pattern_plan(
-    model: _CompiledModel, config: NetworkConfig, pattern: str
-) -> Optional[Tuple]:
+def _pattern_plan(model: _CompiledModel, pattern: str) -> Optional[Tuple]:
     base, sep, arg = pattern.partition(":")
     if sep and base.strip().lower() == "trace_replay":
         # Stateful by design (per-source cursors) — the poison-RNG
         # probe below would mis-tabulate it, and the plan must key on
         # the file's content signature, not its name.
-        return _trace_plan(model, config, arg)
-    key = (config, pattern)
+        return _trace_plan(model, arg)
+    key = (model, pattern)
     cached = _PATTERN_CACHE.get(key, _MISSING)
     if cached is not _MISSING:
         return cached
     plan: Optional[Tuple] = None
+    config = model.config
     nidx = model.node_index
     try:
         fn = build_pattern(pattern, config)
@@ -981,108 +984,86 @@ def _pattern_plan(
 
 
 # ----------------------------------------------------------------------
-# Resolution: one pass from a target to diagnostics or a runnable point
+# Resolution: one pass from a target to diagnostics and a runnable point
 # ----------------------------------------------------------------------
-def _batch_gate(spec: NetworkSpec, faults: Any) -> List[LoweringDiagnostic]:
-    """Why a spec that lowers still cannot inject in-kernel."""
-    reasons: List[LoweringDiagnostic] = []
-    if spec.engine != "compiled":
-        reasons.append(
-            LoweringDiagnostic(
-                "engine-not-compiled",
-                f"spec selects engine {spec.engine!r}; batches run only "
-                f"explicitly compiled design points",
-            )
-        )
-    if spec.max_wall_seconds is not None:
-        reasons.append(
-            LoweringDiagnostic(
-                "wall-clock-budget",
-                "wall-clock budgets are polled on the host every "
-                "cycle by the serial path; multi-cycle blocks do not "
-                "poll them yet",
-            )
-        )
-    base, sep, _arg = spec.pattern.partition(":")
-    if (
-        sep
-        and base.strip().lower() == "trace_replay"
-        and spec.rate != 1.0
-    ):
-        reasons.append(
-            LoweringDiagnostic(
-                "trace-rate",
-                f"trace replay batches only at rate=1.0 (spec has "
-                f"rate={spec.rate}): the block kernel indexes the trace "
-                f"by the cycle counter while the serial engines index "
-                f"by pattern call, and the two agree only when every "
-                f"cycle draws the pattern",
-            )
-        )
-    if faults is not None and faults.has_faults:
-        reasons.append(
-            LoweringDiagnostic(
-                "fault-schedule",
-                "fault schedules (degraded injection) run per-row on "
-                "the serial path",
-            )
-        )
-    return reasons
-
-
 def _resolve(
     target: Union[NetworkConfig, NetworkSpec],
     faults: Any,
     watchdog: Optional[WatchdogConfig],
     audit_every: Optional[int],
-    *,
-    batch: bool = False,
-) -> Tuple[List[LoweringDiagnostic], Optional[Tuple]]:
-    """Resolve one design point, once, for all four entry points.
+) -> Tuple[List[LoweringDiagnostic], Tuple]:
+    """Resolve one design point, once, for every entry point.
 
-    Returns ``(problems, point)``.  ``point`` is ``(cfg, faults,
-    watchdog, model, plan)`` when ``target`` lowers to this engine and
-    ``None`` when it does not; a spec's fault and watchdog fields fill
-    in for arguments left ``None``.  ``problems`` names why it does not
-    lower or, with ``batch`` (specs only), why it cannot run with
-    in-kernel injection: the batch-gate reasons, then the lowering
-    ones, then — for a point clean so far — an untranslatable pattern.
-    ``plan`` is the native injection plan of a point with no problems,
-    else ``None``.  :func:`lowering_problems` and
-    :func:`batching_problems` are the ``problems`` of this function, so
-    analyzers and executors can never disagree about a design point.
+    Returns ``(problems, (cfg, faults, watchdog, model))``; a spec's
+    fault and watchdog fields fill in for arguments left ``None``.
+    ``problems`` names why ``target`` does not lower to this engine —
+    the pre-compile gates, else what compilation raised — and ``model``
+    is ``None`` exactly when there are any.  :func:`lowering_problems`
+    is the ``problems`` of this function and :func:`_launch` runs its
+    ``model``, so analyzer and executor can never disagree about a
+    design point.  No pattern work happens here.
     """
-    reasons: List[LoweringDiagnostic] = []
     if isinstance(target, NetworkSpec):
         cfg = build_config(target)
         if faults is None:
             faults = build_faults(target, cfg)
         if watchdog is None:
             watchdog = build_watchdog(target)
-        if batch:
-            reasons = _batch_gate(target, faults)
     else:
         cfg = target
-    lowering = _gate_diagnostics(cfg, faults, audit_every)
-    if not lowering:
+    model = None
+    problems = _gate_diagnostics(cfg, faults, audit_every)
+    if not problems:
         try:
             model = _compile(target, cfg, faults)
         except _Unsupported as exc:
-            lowering = [exc.diagnostic]
-    if lowering:
-        return reasons + lowering, None
-    plan = None
-    if batch and not reasons:
-        plan = _pattern_plan(model, cfg, target.pattern)
-        if plan is None:
-            reasons = [
-                LoweringDiagnostic(
-                    "pattern-not-batchable",
-                    f"pattern {target.pattern!r} draws from the dest "
-                    f"stream in a way the block kernel cannot replicate",
-                )
-            ]
-    return reasons, (cfg, faults, watchdog, model, plan)
+            problems = [exc.diagnostic]
+    return problems, (cfg, faults, watchdog, model)
+
+
+def _injection_gate(
+    pattern: str,
+    rate: float,
+    faults: Any,
+    max_wall_seconds: Optional[float],
+) -> List[LoweringDiagnostic]:
+    """Why a run that lowers must still inject on the host.
+
+    Judged on the *resolved* run — :func:`run_compiled`'s arguments
+    override a spec's fields — and cheap: a run these checks clear
+    injects in-kernel if :func:`_pattern_plan` has a plan for it.
+    """
+    reasons: List[LoweringDiagnostic] = []
+    if max_wall_seconds is not None:
+        reasons.append(
+            LoweringDiagnostic(
+                "wall-clock-budget",
+                "wall-clock budgets are polled on the host between "
+                "one-cycle blocks; whole-phase blocks do not poll them "
+                "yet",
+            )
+        )
+    base, sep, _arg = pattern.partition(":")
+    if sep and base.strip().lower() == "trace_replay" and rate != 1.0:
+        reasons.append(
+            LoweringDiagnostic(
+                "trace-rate",
+                f"trace replay injects in-kernel only at rate=1.0 (run "
+                f"has rate={rate}): the block kernel indexes the trace "
+                f"by the cycle counter while host injection and the "
+                f"reference engine index by pattern call, and the two "
+                f"agree only when every cycle draws the pattern",
+            )
+        )
+    if faults is not None and faults.has_faults:
+        reasons.append(
+            LoweringDiagnostic(
+                "fault-schedule",
+                "fault schedules inject on the host (dead-router skip, "
+                "unreachable-destination discard)",
+            )
+        )
+    return reasons
 
 
 def lowering_problems(
@@ -1113,16 +1094,17 @@ def batching_problems(
     *,
     faults: Any = None,
 ) -> List[LoweringDiagnostic]:
-    """Why ``target`` cannot run as a batched (in-kernel injection) row.
+    """Why ``target`` is not a ``"compiled-batch"`` row.
 
     An empty list means :func:`run_compiled_batch` will run this design
-    point in whole-phase kernel blocks; otherwise each diagnostic names
-    one exact reason it runs per-row instead.  The batch gate is a
+    point with in-kernel injection, in whole-phase kernel blocks;
+    otherwise each diagnostic names one exact reason it does not.  A
     strict superset of :func:`lowering_problems`: everything that
-    cannot lower cannot batch, and batching additionally requires a
+    cannot lower cannot batch, and a batched row is additionally a
     :class:`~repro.core.spec.NetworkSpec` that selects the compiled
-    engine, no fault schedule, no wall-clock budget, and a pattern the
-    kernel can inject natively.
+    engine, with no fault schedule, no wall-clock budget, and a pattern
+    the kernel can inject natively — the conditions under which any
+    compiled run of the spec injects in-kernel.
     """
     if not isinstance(target, NetworkSpec):
         return [
@@ -1132,33 +1114,53 @@ def batching_problems(
                 "engine (plain configs carry no engine/window fields)",
             )
         ]
-    return _resolve(
-        target, faults, None, target.audit_every, batch=True
-    )[0]
+    lowering, (_cfg, faults, _watchdog, model) = _resolve(
+        target, faults, None, target.audit_every
+    )
+    reasons: List[LoweringDiagnostic] = []
+    if target.engine != "compiled":
+        reasons.append(
+            LoweringDiagnostic(
+                "engine-not-compiled",
+                f"spec selects engine {target.engine!r}; batches run "
+                f"only explicitly compiled design points",
+            )
+        )
+    reasons += _injection_gate(
+        target.pattern, target.rate, faults, target.max_wall_seconds
+    )
+    reasons += lowering
+    if not reasons and _pattern_plan(model, target.pattern) is None:
+        reasons.append(
+            LoweringDiagnostic(
+                "pattern-not-batchable",
+                f"pattern {target.pattern!r} draws from the dest "
+                f"stream in a way the block kernel cannot replicate",
+            )
+        )
+    return reasons
 
 
 # ----------------------------------------------------------------------
 # The executor: one run, its own arrays, stepped to completion
 # ----------------------------------------------------------------------
-# Both entry points run a design point the same way: allocate that
-# run's flat state — FIFO rings, injection lists, flit records,
-# counters, Mersenne Twister states — step it to completion in blocks of
-# the native kernel (`run_block_noc` / `run_block_vc`), doubling the
-# flit records whenever a block stops for room, keep the `RunResult` (or
-# the error) and drop everything else.  What distinguishes a batched row
-# is where injection happens: inside the kernel, so a block spans up to
-# `_BLOCK_CYCLES` cycles of a phase and the per-cycle costs that
-# dominate short campaign rows (Python-loop injection, one FFI call per
-# cycle) are paid once per block.  A serial run injects on the host and
-# steps one cycle per block.
+# Every compiled run goes the same way: allocate that run's flat state —
+# FIFO rings, injection lists, flit records, counters, Mersenne Twister
+# states — step it to completion in blocks of the native kernel
+# (`run_block_noc` / `run_block_vc`), doubling the flit records whenever
+# a block stops for room, keep the `RunResult` (or the error) and drop
+# everything else.  With an injection plan the kernel injects too, so a
+# block spans up to `_BLOCK_CYCLES` cycles of a phase and the per-cycle
+# costs that dominate short runs (Python-loop injection, one FFI call
+# per cycle) are paid once per block; without one the host injects and
+# the kernel steps one cycle per block.
 #
-# The bit-identity contract extends unchanged: a batched run consumes
-# the same `timing` / `dest` RNG streams in the same order as a serial
-# run of the same spec (the kernel replicates CPython's MT19937,
-# including `random()`'s 53-bit recipe and `randrange`'s top-bits
-# rejection loop), so every counter, latency, and checkpoint byte
-# matches the serial compiled engine — which in turn matches reference.
-# `RunResult.engine` reports `"compiled-batch"` for provenance.
+# The bit-identity contract covers both: in-kernel injection consumes
+# the same `timing` / `dest` RNG streams in the same order as host
+# injection (the kernel replicates CPython's MT19937, including
+# `random()`'s 53-bit recipe and `randrange`'s top-bits rejection
+# loop), so every counter, latency, and checkpoint byte matches the
+# reference engine either way.
 
 _PK_CAP0 = 4096  # initial per-run packet-record capacity (doubles)
 _EJ_CAP0 = 8192  # initial per-run ejection-log capacity, in int32 slots
@@ -1172,10 +1174,10 @@ _I32_MAX = 2**31 - 1
 class _Run:
     """One design point's lowered state and its run to completion.
 
-    The single executor behind both entry points.  It owns every array
-    the kernel touches, so a run's memory lives exactly as long as this
-    object — callers keep what :meth:`run` returns and nothing else.
-    It takes *resolved* run parameters (not a spec), so plain
+    The single executor, built only by :func:`_launch`.  It owns every
+    array the kernel touches, so a run's memory lives exactly as long
+    as this object — callers keep what :meth:`run` returns and nothing
+    else.  It takes *resolved* run parameters (not a spec), so plain
     ``NetworkConfig`` callers work too.  ``plan`` is the native
     injection plan from :func:`_pattern_plan`; ``None`` means the host
     injects each round in Python — any registered pattern, dead-router
@@ -1840,6 +1842,60 @@ class _Run:
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
+def _launch(
+    target: Union[NetworkConfig, NetworkSpec],
+    pattern: str,
+    rate: float,
+    label: str,
+    *,
+    faults: Any = None,
+    watchdog: Optional[WatchdogConfig] = None,
+    audit_every: Optional[int] = None,
+    max_wall_seconds: Optional[float] = None,
+    **run: Any,
+) -> Any:
+    """Resolve one design point and run it: the result, or the error.
+
+    A target that does not lower runs on the reference engine (which
+    raises its errors); one that does runs on a :class:`_Run` (which
+    returns them).  Where that run injects is decided here and nowhere
+    else: in the kernel when :func:`_injection_gate` finds nothing and
+    :func:`_pattern_plan` has a plan, reporting engine ``label``; else
+    on the host, reporting ``"compiled"``.  ``run`` is the window,
+    seed, tracker and cycle-budget keywords both engines take.
+    """
+    _problems, (cfg, run_faults, run_watchdog, model) = _resolve(
+        target, faults, watchdog, audit_every
+    )
+    if model is None:
+        return _run_reference(
+            target,
+            pattern,
+            rate,
+            faults=faults,
+            watchdog=watchdog,
+            audit_every=audit_every,
+            max_wall_seconds=max_wall_seconds,
+            **run,
+        )
+    plan = None
+    if not _injection_gate(pattern, rate, run_faults, max_wall_seconds):
+        plan = _pattern_plan(model, pattern)
+    return _Run(
+        target,
+        cfg,
+        model,
+        pattern,
+        rate,
+        plan,
+        faults=run_faults,
+        watchdog=run_watchdog,
+        max_wall_seconds=max_wall_seconds,
+        engine="compiled" if plan is None else label,
+        **run,
+    ).run()
+
+
 def run_compiled(
     config: Union[NetworkConfig, NetworkSpec],
     pattern: Optional[str] = None,
@@ -1864,10 +1920,11 @@ def run_compiled(
     and ``watchdog``.  Fault schedules are compiled in: permanent faults
     select a fault-aware route-table model, transient drops are drawn
     inside the native kernel, and the watchdog raises a reference-format
-    :class:`~repro.errors.DeadlockError` with a full snapshot.  The run
-    is a :class:`_Run` with host-side injection, so every registered
-    pattern works.  Runs the compiler cannot lower (see the module
-    docstring and :func:`lowering_problems`) are delegated to
+    :class:`~repro.errors.DeadlockError` with a full snapshot.  Every
+    registered pattern works: the run injects in-kernel when it can and
+    on the host otherwise (:func:`_launch` decides; results are
+    bit-identical either way).  Runs the compiler cannot lower (see the
+    module docstring and :func:`lowering_problems`) are delegated to
     :func:`repro.sim.simulator._run_reference` unchanged, and the
     returned result's ``engine`` field reports which engine actually
     ran.
@@ -1882,46 +1939,24 @@ def run_compiled(
             "run_synthetic(config, ...) requires explicit pattern "
             "and rate (only NetworkSpec carries defaults)"
         )
-    _problems, point = _resolve(config, faults, watchdog, audit_every)
-    if point is None:
-        return _run_reference(
-            config,
-            pattern,
-            rate,
-            warmup=warmup,
-            measure=measure,
-            drain_limit=drain_limit,
-            seed=seed,
-            track_per_source=track_per_source,
-            keep_samples=keep_samples,
-            track_links=track_links,
-            faults=faults,
-            watchdog=watchdog,
-            audit_every=audit_every,
-            max_cycles=max_cycles,
-            max_wall_seconds=max_wall_seconds,
-        )
-    cfg, faults, watchdog, model, _plan = point
-    outcome = _Run(
+    outcome = _launch(
         config,
-        cfg,
-        model,
         pattern,
         rate,
-        None,  # host-side injection: any pattern, any fault schedule
+        "compiled",
         warmup=warmup,
         measure=measure,
         drain_limit=drain_limit,
         seed=seed,
-        faults=faults,
-        watchdog=watchdog,
-        max_cycles=max_cycles,
-        max_wall_seconds=max_wall_seconds,
-        engine="compiled",
         track_per_source=track_per_source,
         keep_samples=keep_samples,
         track_links=track_links,
-    ).run()
+        faults=faults,
+        watchdog=watchdog,
+        audit_every=audit_every,
+        max_cycles=max_cycles,
+        max_wall_seconds=max_wall_seconds,
+    )
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -1944,20 +1979,17 @@ def run_compiled_batch(
     before the next starts, so a batch needs the memory of its largest
     run and one design point cannot disturb another.
 
-    Specs :func:`batching_problems` clears run with in-kernel injection
-    in whole-phase blocks and report ``engine == "compiled-batch"``.  A
-    compiled spec that lowers but cannot inject in-kernel (fault
-    schedule, wall-clock budget, untranslatable pattern) runs here as
-    the serial executor would run it (``"compiled"``); anything else
-    goes through :func:`~repro.core.spec.build_run`, so its provenance
-    is whatever its own engine choice resolves to.  Results are
-    bit-identical to running each spec serially (same RNG streams, same
-    counters, same error messages), which the differential tests and
-    the campaign checkpoint-byte contract pin down.
+    A spec that does not select the compiled engine goes to
+    :func:`~repro.core.spec.build_run` before anything is lowered, so
+    its provenance is whatever its own engine choice resolves to.
+    Every other spec is the launch :func:`run_compiled` performs, with
+    one difference in provenance: rows :func:`batching_problems` clears
+    (in-kernel injection) report ``engine == "compiled-batch"``, the
+    rest ``"compiled"`` or ``"reference"``.  Results are bit-identical
+    to the reference engine's (same RNG streams, same counters, same
+    error messages), which the differential tests and the campaign
+    checkpoint-byte contract pin down.
     """
-    from repro.core.spec import build_run
-    from repro.errors import SimulationError
-
     trackers = dict(
         track_per_source=track_per_source,
         keep_samples=keep_samples,
@@ -1965,34 +1997,25 @@ def run_compiled_batch(
     )
     results: List[Any] = []
     for spec in specs:
-        problems, point = _resolve(
-            spec, None, None, spec.audit_every, batch=True
-        )
-        if point is None or spec.engine != "compiled":
-            try:
-                results.append(build_run(spec, **trackers))
-            except SimulationError as exc:
-                results.append(exc)
-            continue
-        cfg, faults, watchdog, model, plan = point
-        results.append(
-            _Run(
-                spec,
-                cfg,
-                model,
-                spec.pattern,
-                spec.rate,
-                plan,
-                warmup=spec.warmup,
-                measure=spec.measure,
-                drain_limit=spec.drain_limit,
-                seed=spec.seed,
-                faults=faults,
-                watchdog=watchdog,
-                max_cycles=spec.max_cycles,
-                max_wall_seconds=spec.max_wall_seconds,
-                engine="compiled" if problems else "compiled-batch",
-                **trackers,
-            ).run()
-        )
+        try:
+            if spec.engine != "compiled":
+                outcome = build_run(spec, **trackers)
+            else:
+                outcome = _launch(
+                    spec,
+                    spec.pattern,
+                    spec.rate,
+                    "compiled-batch",
+                    warmup=spec.warmup,
+                    measure=spec.measure,
+                    drain_limit=spec.drain_limit,
+                    seed=spec.seed,
+                    audit_every=spec.audit_every,
+                    max_cycles=spec.max_cycles,
+                    max_wall_seconds=spec.max_wall_seconds,
+                    **trackers,
+                )
+        except SimulationError as exc:
+            outcome = exc
+        results.append(outcome)
     return results

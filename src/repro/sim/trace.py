@@ -6,8 +6,8 @@ decisions come from a closed-loop cache/memory model that cannot lower
 to flat arrays.  What *can* lower is the traffic it produces.  This
 module records the per-core injection stream of one reference run into
 a compact, deterministic on-disk trace, and replays it as a registered
-traffic pattern (``trace_replay:<path>``) that the compiled engine —
-serial, batched, and the native C kernels — steps natively.
+traffic pattern (``trace_replay:<path>``) that the compiled engine
+steps natively, consuming the trace inside its C kernel.
 
 File format (version 1, little-endian throughout)::
 
@@ -29,10 +29,12 @@ Replay semantics: a replay spec uses ``rate=1.0`` and ``warmup=0``, so
 the pattern's per-source call index equals the cycle number and every
 engine consumes the timing stream identically; per-source record cycles
 are strictly increasing, so each call matches at most one record.  The
-destination RNG stream is never touched.  Batched execution additionally
-requires ``rate == 1.0`` (the C kernel indexes the trace by the cycle
-counter); :func:`repro.sim.fastsim.batching_problems` reports a
-``trace-rate`` diagnostic otherwise.
+destination RNG stream is never touched.  The compiled engine replays
+a trace inside its C kernel only at ``rate == 1.0`` (the kernel indexes
+the trace by the cycle counter); otherwise it injects from this
+module's Python pattern and
+:func:`repro.sim.fastsim.batching_problems` reports a ``trace-rate``
+diagnostic.
 
 Truncated, corrupt, or mismatched files are rejected with a
 :class:`TraceError` naming the file and the first violated invariant.

@@ -175,6 +175,44 @@ class TestCli:
         assert "# Ruche Networks reproduction report" in text
         assert "table1" in text and "```" in text
 
+    def test_report_file_honours_campaign_options(
+        self, tmp_path, monkeypatch
+    ):
+        """``--output`` used to drop ``--engine`` / ``--jobs`` /
+        ``--preflight`` / ``--watchdog-cycles``: ``--engine compiled
+        --output r.md`` swept on the reference engine."""
+        from repro.experiments import report
+        from repro.experiments.__main__ import main
+        from repro.sim import fastsim
+
+        options, engines = {}, []
+        run_experiment, run_batch = (
+            report.run_experiment, fastsim.run_compiled_batch
+        )
+
+        def recording_experiment(exp_id, scale=None, seed=0, **given):
+            options.update(given)
+            return run_experiment(exp_id, scale=scale, seed=seed, **given)
+
+        def recording_batch(specs, **trackers):
+            results = run_batch(specs, **trackers)
+            engines.extend(result.engine for result in results)
+            return results
+
+        monkeypatch.setattr(report, "run_experiment", recording_experiment)
+        monkeypatch.setattr(fastsim, "run_compiled_batch", recording_batch)
+        out_file = tmp_path / "report.md"
+        assert main([
+            "fig6", "--scale", "smoke", "--engine", "compiled",
+            "--jobs", "1", "--preflight", "--watchdog-cycles", "900",
+            "--output", str(out_file),
+        ]) == 0
+        assert options == dict(
+            engine="compiled", jobs=1, preflight=True, watchdog_cycles=900
+        )
+        assert engines and set(engines) == {"compiled-batch"}
+        assert "## fig6" in out_file.read_text()
+
     def test_write_report_multiple(self, tmp_path):
         from repro.experiments.report import write_report
 

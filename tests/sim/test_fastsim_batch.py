@@ -1,13 +1,15 @@
-"""Batched execution: ``run_compiled_batch`` vs serial runs.
+"""Batched execution and in-kernel injection: ``run_compiled_batch``.
 
 The batch contract extends the cross-engine contract of
 ``test_fastsim.py``: a batch is a loop — each spec is resolved once, run
-to completion on arrays of its own (in-kernel injection, whole-phase
-blocks of the native kernel) and released before the next starts — and
-must be **bit-identical** to running each spec serially: same metrics,
-same RNG trajectories, same watchdog trip messages.  Failures come back
-as data (one row's deadlock cannot disturb its batchmates), unbatchable
-rows run per-spec with honest engine provenance, block and log-growth
+to completion on arrays of its own and released before the next starts —
+over the launch a serial ``build_run`` performs, so the oracle here is
+the **reference engine**: same metrics, same RNG trajectories, same
+watchdog trip messages.  Where a run injects (in the kernel, in
+whole-phase blocks, or on the host before one-cycle blocks) is decided
+by the launch from the resolved run and never shows in results.
+Failures come back as data (one row's deadlock cannot disturb its
+batchmates), rows carry honest engine provenance, block and log-growth
 boundaries never show in results, and a batch's memory is that of its
 largest run.
 """
@@ -24,8 +26,14 @@ from property.settings import tiered_settings
 from repro.core.spec import NetworkSpec, build_run
 from repro.errors import DeadlockError, SimulationTimeout
 from repro.sim import _ckernel, fastsim, network, watchdog
-from repro.sim.fastsim import batching_problems, run_compiled_batch
+from repro.sim.fastsim import (
+    batching_problems,
+    run_compiled,
+    run_compiled_batch,
+)
+from repro.sim.faults import FaultSchedule
 from repro.sim.router import P_IDX
+from repro.sim.simulator import run_synthetic
 
 
 def fingerprint(result):
@@ -87,6 +95,22 @@ class _KernelSpy:
         return recorded
 
 
+def _reference(spec, **trackers):
+    """The oracle's run of ``spec``."""
+    return build_run(spec.replace(engine="reference"), **trackers)
+
+
+def _tracked(result):
+    """Headline scalars plus every tracked structure
+    (``fingerprint()`` can't asdict Coord-keyed trackers)."""
+    return (
+        result.total_cycles, result.avg_latency, result.avg_hops,
+        sorted(result.metrics.link_counts.items()),
+        result.metrics.measured._samples,
+        _per_source(result),
+    )
+
+
 def _spec(name, width, height, **overrides):
     base = dict(
         rate=0.1, warmup=30, measure=80, drain_limit=300, seed=3,
@@ -95,6 +119,8 @@ def _spec(name, width, height, **overrides):
     base.update(overrides)
     return NetworkSpec.for_network(name, width, height, **base)
 
+
+_TRACKERS = dict(track_per_source=True, keep_samples=True, track_links=True)
 
 #: One design per router kind the batch arena must lay out correctly:
 #: wormhole mesh, FBFC torus (depth-2 credits), dateline-VC torus, and a
@@ -113,17 +139,18 @@ class TestBatchEquivalence:
             _spec(name, 8, 4, seed=5 + i, **options)
             for i, (name, options) in enumerate(_BATCH_DESIGNS)
         ]
-        serial = [build_run(spec) for spec in specs]
         batched = run_compiled_batch(specs)
-        for spec, ref, got in zip(specs, serial, batched):
+        for spec, got in zip(specs, batched):
             assert got.engine == "compiled-batch", spec.topology
-            assert fingerprint(ref) == fingerprint(got), spec.topology
+            assert fingerprint(_reference(spec)) == fingerprint(got), (
+                spec.topology
+            )
 
     def test_single_spec_batch(self):
         spec = _spec("torus", 8, 8)
         (result,) = run_compiled_batch([spec])
         assert result.engine == "compiled-batch"
-        assert fingerprint(result) == fingerprint(build_run(spec))
+        assert fingerprint(result) == fingerprint(_reference(spec))
 
     def test_degraded_model_without_faults_batches_on_its_own_tables(self):
         """``degraded_model`` pins the fault-aware BFS tables even with
@@ -133,28 +160,13 @@ class TestBatchEquivalence:
         assert batching_problems(spec) == []
         (result,) = run_compiled_batch([spec])
         assert result.engine == "compiled-batch"
-        assert fingerprint(result) == fingerprint(
-            build_run(spec.replace(engine="reference"))
-        )
+        assert fingerprint(result) == fingerprint(_reference(spec))
 
     def test_trackers_and_samples_identical(self):
         spec = _spec("torus", 8, 4, rate=0.2, seed=9)
-        kwargs = dict(
-            track_per_source=True, keep_samples=True, track_links=True
-        )
-        ref = build_run(spec, **kwargs)
-        (got,) = run_compiled_batch([spec], **kwargs)
+        (got,) = run_compiled_batch([spec], **_TRACKERS)
         assert got.engine == "compiled-batch"
-        # fingerprint() can't asdict Coord-keyed trackers; compare the
-        # headline scalars plus every tracked structure explicitly.
-        assert (ref.total_cycles, ref.avg_latency, ref.avg_hops) == (
-            got.total_cycles, got.avg_latency, got.avg_hops
-        )
-        assert sorted(ref.metrics.link_counts.items()) == sorted(
-            got.metrics.link_counts.items()
-        )
-        assert ref.metrics.measured._samples == got.metrics.measured._samples
-        assert _per_source(ref) == _per_source(got)
+        assert _tracked(got) == _tracked(_reference(spec, **_TRACKERS))
 
     def test_tiny_blocks_are_invisible(self, monkeypatch):
         """Block granularity must never leak into results — phase
@@ -229,7 +241,7 @@ class TestBatchEquivalence:
         monkeypatch.setattr(network, "capture_snapshot", capture)
         monkeypatch.setattr(watchdog, "capture_snapshot", capture)
         with pytest.raises(DeadlockError) as ref_exc:
-            build_run(doomed.replace(engine="reference"))
+            _reference(doomed)
         ref = ref_exc.value
         monkeypatch.setattr(fastsim, "_PK_CAP0", 8)
         spy = _KernelSpy(monkeypatch)
@@ -268,7 +280,7 @@ class TestBatchEquivalence:
         assert engines[2] != "compiled-batch"
         assert engines[3] == "compiled"
         for spec, got in zip(specs, results):
-            assert fingerprint(got) == fingerprint(build_run(spec))
+            assert fingerprint(got) == fingerprint(_reference(spec))
 
     @tiered_settings(10, deadline=None)
     @given(
@@ -293,7 +305,112 @@ class TestBatchEquivalence:
         batched = run_compiled_batch(specs)
         for spec, got in zip(specs, batched):
             assert got.engine == "compiled-batch"
-            assert fingerprint(got) == fingerprint(build_run(spec))
+            assert fingerprint(got) == fingerprint(_reference(spec))
+
+
+#: One design per router kind and route-table source: closed-form
+#: wormhole rows, Half Ruche class rows, multimesh subnet rows, the
+#: dateline-VC tables, FBFC, and the generic IR walk (3-D).
+_PATH_DESIGNS = (
+    ("mesh", 8, 4, {}),
+    ("ruche2-depop", 8, 4, {"half": True}),
+    ("multimesh", 8, 4, {}),
+    ("torus", 8, 4, {}),
+    ("torus-fbfc", 8, 4, {}),
+    ("torus3d", 4, 4, {"depth": 2}),
+)
+
+
+class TestInjectionPath:
+    """The launch, not the entry point, decides where a run injects;
+    a host-injected run makes one kernel call per cycle."""
+
+    @pytest.mark.parametrize(
+        "name, width, height, options",
+        _PATH_DESIGNS,
+        ids=[design[0] for design in _PATH_DESIGNS],
+    )
+    def test_host_and_kernel_injection_agree(
+        self, name, width, height, options, monkeypatch
+    ):
+        spec = _spec(name, width, height, rate=0.2, **options)
+        hosted = spec.replace(max_wall_seconds=1e6)
+        assert batching_problems(spec) == []
+        assert [d.code for d in batching_problems(hosted)] == [
+            "wall-clock-budget"
+        ]
+        want = _tracked(_reference(spec, **_TRACKERS))
+        spy = _KernelSpy(monkeypatch)
+        in_kernel = build_run(spec, **_TRACKERS)
+        blocks = len(spy.calls)
+        on_host = build_run(hosted, **_TRACKERS)
+        assert in_kernel.engine == on_host.engine == "compiled"
+        assert blocks < 10
+        assert len(spy.calls) - blocks == on_host.total_cycles
+        assert _tracked(in_kernel) == want
+        assert _tracked(on_host) == want
+
+    def test_serial_run_steps_in_whole_phase_blocks(self, monkeypatch):
+        spec = _spec("mesh", 8, 8, warmup=200, measure=400, drain_limit=800)
+        spy = _KernelSpy(monkeypatch)
+        plain = build_run(spec)
+        assert plain.engine == "compiled" and plain.total_cycles >= 600
+        assert len(spy.calls) < 10
+        del spy.calls[:]
+        faulted = build_run(
+            spec.replace(fault_transient=2, fault_drop_prob=0.01)
+        )
+        assert faulted.engine == "compiled"
+        assert len(spy.calls) == faulted.total_cycles
+
+    def test_argument_overrides_pick_the_path(self, monkeypatch):
+        """``run_compiled`` lets arguments override spec fields, so the
+        injection gate reads the resolved run, not the spec."""
+        spec = _spec("mesh", 8, 8)
+        config = spec.config()
+        window = dict(warmup=30, measure=80, drain_limit=300, seed=3)
+        dead = FaultSchedule.random_dead_links(config, 3, seed=2)
+        spy = _KernelSpy(monkeypatch)
+        for target, args, overrides in (
+            (spec, (), dict(faults=dead)),
+            (config, ("uniform_random", 0.1), dict(max_wall_seconds=1e6)),
+        ):
+            del spy.calls[:]
+            got = run_compiled(target, *args, **window, **overrides)
+            assert got.engine == "compiled"
+            assert len(spy.calls) == got.total_cycles
+            want = run_synthetic(
+                target, *args, engine="reference", **window, **overrides
+            )
+            assert fingerprint(got) == fingerprint(want)
+        # The same calls without the override inject in-kernel.
+        del spy.calls[:]
+        assert run_compiled(spec, **window).engine == "compiled"
+        run_compiled(config, "uniform_random", 0.1, **window)
+        assert len(spy.calls) < 20
+
+    def test_uncompiled_specs_are_not_lowered(self, monkeypatch):
+        """A spec that does not select the compiled engine goes to
+        ``build_run`` before anything is resolved or compiled."""
+        specs = [
+            _spec("mesh", 4, 4, engine=None),
+            _spec("mesh", 4, 4, engine="reference"),
+        ]
+        # The gate is an analysis and does lower to give its verdict.
+        for spec in specs:
+            assert [d.code for d in batching_problems(spec)] == [
+                "engine-not-compiled"
+            ]
+        want = [fingerprint(build_run(spec)) for spec in specs]
+        fastsim.clear_compile_caches()
+        monkeypatch.setattr(
+            fastsim,
+            "_build_model",
+            lambda *args: pytest.fail("lowered an uncompiled spec"),
+        )
+        results = run_compiled_batch(specs)
+        assert [r.engine for r in results] == ["reference", "reference"]
+        assert [fingerprint(r) for r in results] == want
 
 
 class TestRunLifetime:
@@ -339,11 +456,11 @@ class TestRunLifetime:
 
 def _make_run(spec, **trackers):
     """The ``_Run`` ``run_compiled_batch`` would build for ``spec``."""
-    problems, point = fastsim._resolve(
-        spec, None, None, spec.audit_every, batch=True
+    assert batching_problems(spec) == []
+    _problems, (cfg, faults, watchdog, model) = fastsim._resolve(
+        spec, None, None, spec.audit_every
     )
-    assert problems == []
-    cfg, faults, watchdog, model, plan = point
+    plan = fastsim._pattern_plan(model, spec.pattern)
     options = dict(
         track_per_source=False, keep_samples=False, track_links=False
     )
@@ -383,7 +500,7 @@ class TestKernelMoments:
             len(samples), sum(samples), sum(x * x for x in samples),
             min(samples), max(samples),
         )
-        ref = build_run(spec.replace(engine="reference"), keep_samples=True)
+        ref = _reference(spec, keep_samples=True)
         assert _moments(stats) == _moments(ref.metrics.measured)
         assert samples == ref.metrics.measured._samples
         if not options:
@@ -470,23 +587,27 @@ class TestBatchErrors:
         healthy = _spec("mesh", 4, 4)
         doomed = _spec("mesh", 8, 8, max_cycles=50)
         with pytest.raises(SimulationTimeout) as serial_exc:
-            build_run(doomed)
+            _reference(doomed)
         got_doomed, got_healthy = run_compiled_batch([doomed, healthy])
         assert isinstance(got_doomed, SimulationTimeout)
         assert str(got_doomed) == str(serial_exc.value)
         assert got_healthy.engine == "compiled-batch"
-        assert fingerprint(got_healthy) == fingerprint(build_run(healthy))
+        assert fingerprint(got_healthy) == fingerprint(_reference(healthy))
 
     @pytest.mark.parametrize("name", ["mesh", "torus"])
     def test_watchdog_trip_message_matches_serial(self, name):
         """An aggressive starvation window trips identically — same
-        cycle, same occupancy, same snapshot — batched or serial."""
+        cycle, same occupancy, same snapshot — in a batch, in a serial
+        compiled run (raised) and on the reference engine."""
         doomed = _spec(
             name, 8, 8, rate=0.5, warmup=200, measure=400,
             drain_limit=800, starvation_window=1,
         )
         with pytest.raises(DeadlockError) as serial_exc:
+            _reference(doomed)
+        with pytest.raises(DeadlockError) as compiled_exc:
             build_run(doomed)
+        assert str(compiled_exc.value) == str(serial_exc.value)
         (got,) = run_compiled_batch([doomed])
         assert isinstance(got, DeadlockError)
         assert str(got) == str(serial_exc.value)
@@ -541,7 +662,7 @@ class TestBatchingGate:
         ]
         results = run_compiled_batch(specs)
         for spec, got in zip(specs, results):
-            assert fingerprint(got) == fingerprint(build_run(spec))
+            assert fingerprint(got) == fingerprint(_reference(spec))
 
 
 class TestCertifyBatchability:

@@ -434,6 +434,27 @@ def test_exact_routing_off_the_row_major_grid_takes_the_walk(
     ]
 
 
+@pytest.mark.parametrize("plugin_first", [False, True])
+def test_injection_plans_keep_node_orders_apart(
+    test_components, plugin_first
+):
+    """The column-major mesh rides the builtin mesh's ``NetworkConfig``
+    in another node order, and an injection plan holds node indices:
+    neither may run on the other's cached plan."""
+    specs = [
+        _run_spec("mesh", 6, 4, engine="compiled"),
+        _run_spec("test-column-major", 6, 4, engine="compiled"),
+    ]
+    assert specs[0].config() == specs[1].config()
+    if plugin_first:
+        specs.reverse()
+    fastsim.clear_compile_caches()
+    for spec, got in zip(specs, fastsim.run_compiled_batch(specs)):
+        assert got.engine == "compiled-batch"
+        reference = build_run(spec.replace(engine="reference"))
+        assert fingerprint(got) == fingerprint(reference)
+
+
 def test_route_tabulation_rejects_vc_state(test_components):
     """A VC-emitting routing under a wormhole router has no lowering."""
     spec = _run_spec(

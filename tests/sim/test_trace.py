@@ -139,7 +139,7 @@ class TestReplayParity:
         from repro.sim.fastsim import run_compiled_batch
 
         spec = replay_spec(trace_file, engine="compiled")
-        serial = build_run(spec)
+        serial = build_run(replay_spec(trace_file, engine="reference"))
         (batched,) = run_compiled_batch([spec])
         assert not isinstance(batched, Exception)
         assert batched.engine == "compiled-batch"
@@ -176,6 +176,27 @@ class TestReplayParity:
         slow = dataclasses.replace(spec, rate=0.5)
         codes = [p.code for p in batching_problems(slow)]
         assert "trace-rate" in codes
+
+    def test_off_rate_replay_injects_on_the_host(
+        self, trace_file, monkeypatch
+    ):
+        """Off full rate the kernel's cycle-indexed cursors would
+        diverge from the pattern-call-indexed replay, so every compiled
+        entry point leaves the trace to the Python pattern."""
+        from repro.sim import fastsim
+
+        monkeypatch.setattr(
+            fastsim,
+            "_trace_plan",
+            lambda *args: pytest.fail("planned an off-rate replay"),
+        )
+        slow = replay_spec(trace_file, engine="compiled").replace(rate=0.5)
+        want = fingerprint(build_run(slow.replace(engine="reference")))
+        serial = build_run(slow)
+        (batched,) = fastsim.run_compiled_batch([slow])
+        assert serial.engine == batched.engine == "compiled"
+        assert serial.metrics.injected_total > 0
+        assert fingerprint(serial) == fingerprint(batched) == want
 
     def test_replay_rejects_wrong_geometry(self, trace_file):
         from repro.core.params import NetworkConfig
