@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-import traceback
+from typing import List
 
-from repro.experiments.registry import (
-    describe,
-    experiment_ids,
-    run_experiment,
-)
+from repro.experiments.registry import describe, experiment_ids
+from repro.experiments.report import run_each, write_report
 
 #: Component registries the ``--list-<kind>`` flags print, with the
 #: module whose import populates each one (``None`` = self-populating).
@@ -117,41 +113,25 @@ def main(argv=None) -> int:
     ids = (
         experiment_ids() if args.experiment == "all" else [args.experiment]
     )
-    options = dict(
+    # Only what the user set: an unset flag leaves a driver's default.
+    given = dict(
         preflight=args.preflight,
         jobs=args.jobs,
         engine=args.engine,
         watchdog_cycles=args.watchdog_cycles,
     )
+    options = {k: v for k, v in given.items() if v is not None}
+    failures: List[str] = []
     if args.output:
-        from repro.experiments.report import write_report
-
         path = write_report(args.output, ids=ids, scale=args.scale,
-                            seed=args.seed, **options)
+                            seed=args.seed, failures=failures, **options)
         print(f"wrote {path}")
-        return 0
-    failures = []
-    for exp_id in ids:
-        start = time.time()
-        try:
-            result = run_experiment(exp_id, scale=args.scale,
-                                    seed=args.seed, **options)
-        except KeyError as exc:
-            # Unknown experiment id: the registry's message carries the
-            # multi-line menu of available ids; print it verbatim
-            # instead of KeyError's escaped repr.
-            print(f"[{exp_id}] FAILED: {exc.args[0]}", file=sys.stderr)
-            failures.append(exp_id)
-            continue
-        except Exception as exc:
-            summary = traceback.format_exception_only(
-                type(exc), exc
-            )[-1].strip()
-            print(f"[{exp_id}] FAILED: {summary}", file=sys.stderr)
-            failures.append(exp_id)
-            continue
-        print(result.report())
-        print(f"  [{time.time() - start:.1f}s]\n")
+    else:
+        for _exp_id, result, elapsed in run_each(
+            ids, failures, scale=args.scale, seed=args.seed, **options
+        ):
+            print(result.report())
+            print(f"  [{elapsed:.1f}s]\n")
     if failures:
         print(
             f"{len(failures)} experiment(s) failed: "

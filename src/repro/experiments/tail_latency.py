@@ -5,10 +5,10 @@ packets: near the knee, queueing noise concentrates in the distribution
 tail and in unlucky tiles long before the mean moves much.  This
 experiment loads each fabric with uniform-random traffic at a shared
 near-saturation rate (a fixed fraction of the mesh's bisection bound,
-so rows compare apples-to-apples) on the compiled engine and reports
-the tail columns promoted into :mod:`repro.sim.metrics`: p50/p99/p999
-latency plus per-tile fairness (max/mean ratio and CV of per-tile mean
-latencies).
+so rows compare apples-to-apples) — on the compiled engine unless
+``engine`` says otherwise — and reports the tail columns promoted into
+:mod:`repro.sim.metrics`: p50/p99/p999 latency plus per-tile fairness
+(max/mean ratio and CV of per-tile mean latencies).
 
 Expected shape: Ruche channels pull the p99/p999 tail in and flatten
 the per-tile spread at the shared load — extra bandwidth helps the
@@ -45,7 +45,7 @@ def near_saturation_rate(width: int) -> float:
 
 
 def run(
-    scale: Optional[str] = None, seed: int = 0, jobs: int = 1
+    scale: Optional[str] = None, seed: int = 0, engine: str = "compiled"
 ) -> ExperimentResult:
     scale = resolve_scale(scale)
     preset = _PRESETS[scale]
@@ -63,7 +63,7 @@ def run(
             measure=preset["measure"],
             drain_limit=preset["drain"],
             seed=seed,
-            engine="compiled",
+            engine=engine,
         )
         result = build_run(
             spec, track_per_source=True, keep_samples=True
@@ -89,6 +89,7 @@ def run(
             "Shared uniform-random load at "
             f"{LOAD_FRACTION:.0%} of the mesh bisection bound; tail "
             "columns (p50/p99/p999, per-tile fairness) come from "
-            "repro.sim.metrics on the compiled engine."
+            "repro.sim.metrics; the engine column names the engine that "
+            "ran each row."
         ),
     )

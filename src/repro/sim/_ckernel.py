@@ -15,19 +15,21 @@ The exported surface is the pair of whole-phase block drivers,
 ``run_block_noc(StepCtx*, BlockCtx*)`` / ``run_block_vc(VcCtx*, BlockCtx*)``
 
 which run up to ``count`` cycles of one phase entirely in C: injection
-(replicating CPython's Mersenne Twister so the timing/destination
-streams are consumed bit-identically — see ``mt_next``; or skipped when
-the host already injected, ``MODE_HOST``), the router step (``step_noc``
-for wormhole/FBFC, ``step_vc`` for the dateline-VC torus routers — both
-``static``), the transient-fault drop decision (the ``faults:drops``
-stream, drawn from the same C twister at the reference's draw point),
-ejection scoring (the measured-latency moments, accumulated in ``st[]``;
-a per-packet ejection log only for runs that ask for per-packet data),
-and the stall/starvation/cycle-budget watchdogs.  Run state is sized by
-traffic: a source's waiting packets are an intrusive list threaded
-through the per-packet ``pnext`` array, and a block that might outgrow
-the packet records (or the log) stops *before* the injection round with
-``STOP_CAPACITY`` so the host can double them and re-enter.
+(drawn in the kernel, replicating CPython's Mersenne Twister so the
+timing/destination streams are consumed bit-identically — see
+``mt_next``; or read off a host-supplied ``(cycle, source, dest)``
+schedule, ``MODE_SCHEDULE`` — either way through the one ``enqueue``),
+the router step (``step_noc`` for wormhole/FBFC, ``step_vc`` for the
+dateline-VC torus routers — both ``static``), the transient-fault drop
+decision (the ``faults:drops`` stream, drawn from the same C twister at
+the reference's draw point), ejection scoring (the measured-latency
+moments, accumulated in ``st[]``; a per-packet ejection log only for
+runs that ask for per-packet data), and the stall/starvation/
+cycle-budget watchdogs.  Run state is sized by traffic: a source's
+waiting packets are an intrusive list threaded through the per-packet
+``pnext`` array, and a block that might outgrow the packet records (or
+the log) stops *before* the injection round with ``STOP_CAPACITY`` so
+the host can double them and re-enter.
 ``ctx_sizes`` reports the C struct sizes so :func:`get_kernel` can
 refuse a library whose layout drifted from the ctypes mirrors below.
 
@@ -153,11 +155,12 @@ class VcCtx(ctypes.Structure):
 
 
 class BlockCtx(ctypes.Structure):
-    """Mirror of the C ``BlockCtx``: one batched run's phase driver.
+    """Mirror of the C ``BlockCtx``: one run's phase driver.
 
     ``t_mt``/``d_mt``/``x_mt`` are CPython Mersenne Twister states (624
     words + the output index, exactly ``random.Random.getstate()[1]``)
-    for the timing, destination and ``faults:drops`` streams.  ``st`` is
+    for the timing, destination and ``faults:drops`` streams (the first
+    two NULL under ``MODE_SCHEDULE``, where the host draws).  ``st`` is
     the ``ST_LEN``-slot ``int64`` counter block shared with the Python
     side (the ``ST_*`` indices below): cycle, occupancy, injected
     total/measured, delivered total/measured, idle cycles, starved
@@ -204,11 +207,13 @@ class BlockCtx(ctypes.Structure):
         ("ptail", _I32P),
         ("st", _I64P),
         ("ejlog", _I32P),
-        # trace replay (mode 2): `trace` is the flat schedule — n + 1
-        # per-source pair offsets followed by (cycle, dest) pairs —
-        # and `trcur` the per-source cursor into it.
-        ("trace", _I32P),
-        ("trcur", _I32P),
+        # MODE_SCHEDULE: `sched_len` (cycle, source, dest) triples
+        # sorted by (cycle, source); the kernel injects those of the
+        # current cycle and advances `sched_cur` past them, so the
+        # cursor survives block boundaries and capacity re-entry.
+        ("sched", _I32P),
+        ("sched_len", ctypes.c_int32),
+        ("sched_cur", ctypes.c_int32),
         # transient faults: `fmap[router * 9 + out]` is the fault index
         # on that link (-1 = healthy; NULL = no transient faults at
         # all), `fprob[k]` its drop probability and `fwin[2k..2k+1]`
@@ -241,11 +246,10 @@ ST_LAT_MIN = 17
 ST_LAT_MAX = 18
 ST_LEN = 19
 
-# BlockCtx.mode: who supplies each cycle's injections.
+# BlockCtx.mode: who chooses each cycle's packets.
 MODE_TABLE = 0  # per-source destination table (deterministic patterns)
 MODE_UNIFORM = 1  # builtin uniform-random, drawn from d_mt
-MODE_TRACE = 2  # trace replay
-MODE_HOST = 3  # already injected by the Python side before the block
+MODE_SCHEDULE = 2  # the host: host-drawn patterns and trace replay
 
 # Stop codes written to st[ST_STOP] by the block drivers.
 STOP_BUDGET = 0  # ran `count` cycles
@@ -255,7 +259,27 @@ STOP_DRAINED = 3
 STOP_CAPACITY = 4  # the next injection round might not fit; grow, re-enter
 STOP_MAX_CYCLES = 6
 
-_SOURCE = r"""
+
+def _defines() -> str:
+    """The C source's ``#define`` prelude: every constant above, by name.
+
+    The kernel indexes ``st[]`` and compares modes and stop codes through
+    these names only, so the two sides cannot number a slot differently.
+    Checked once, here, at import: the ``ST_*`` slots tile
+    ``0..ST_LEN-1`` (``ST_LEN`` itself closing the range).
+    """
+    consts = {
+        name: value
+        for name, value in globals().items()
+        if name.startswith(("ST_", "MODE_", "STOP_"))
+    }
+    slots = sorted(v for k, v in consts.items() if k.startswith("ST_"))
+    if slots != list(range(ST_LEN + 1)):
+        raise AssertionError("the ST_* slots must tile range(ST_LEN)")
+    return "".join(f"#define {k} {v}\n" for k, v in consts.items())
+
+
+_SOURCE = _defines() + r"""
 #include <stdint.h>
 
 typedef struct {
@@ -294,15 +318,11 @@ typedef struct {
     int32_t *phead, *ptail;
     int64_t *st;
     int32_t *ejlog;
-    const int32_t *trace;
-    int32_t *trcur;
+    const int32_t *sched;
+    int32_t sched_len, sched_cur;
     const int32_t *fmap, *fwin;
     const double *fprob;
 } BlockCtx;
-
-#define ST_LEN 19
-#define MODE_HOST 3
-#define STOP_CAPACITY 4
 
 /* CPython's Mersenne Twister (_randommodule.c genrand_uint32), operating
  * on the 625-word state random.Random.getstate()[1] hands out: 624 state
@@ -374,15 +394,15 @@ static int drop_flit(BlockCtx *b, int lk, int pid)
     const int k = b->fmap[lk];
     if (k < 0)
         return 0;
-    const int64_t cycle = b->st[0];
+    const int64_t cycle = b->st[ST_CYCLE];
     if (cycle < b->fwin[2 * k] || cycle >= b->fwin[2 * k + 1])
         return 0;
     if (!(mt_random(b->x_mt) < b->fprob[k]))
         return 0;
-    b->st[1]--;
-    b->st[12]++;
+    b->st[ST_OCC]--;
+    b->st[ST_DROP_TOTAL]++;
     if (b->pmeas[pid])
-        b->st[13]++;
+        b->st[ST_DROP_MEAS]++;
     return 1;
 }
 
@@ -683,96 +703,97 @@ static int step_vc(VcCtx *c, BlockCtx *b)
     return ng;
 }
 
-/* Whole-phase block drivers for batched execution.
+/* Whole-phase block drivers.
  *
  * Each call runs up to b->count cycles of one phase (warmup, measure,
  * or drain — blocks never span phases, so b->measured and b->drain are
- * per-block constants): the injection round (timing draw, destination
- * draw or table lookup, injection-list push — skipped when the host
- * injected already, MODE_HOST), the router step, ejection scoring (the
- * measured-latency moments, plus a log entry when the run keeps
- * per-packet data), and the stall/starvation/cycle-budget watchdogs —
- * all in the exact order of the reference run loop.  Counters live in
- * the ST_LEN-slot int64 st[] block (see the Python-side ST_* constants);
- * the stop code tells the caller why the block ended:
- *   0 budget exhausted, 1 stall trip, 2 starvation trip, 3 drained,
- *   4 capacity, 6 max_cycles trip.
- * On a watchdog/budget trip the loop breaks BEFORE the cycle counter
- * increments, matching the reference raise points.  A capacity stop
- * breaks before the injection round of a cycle whose packets (one per
- * source at most) or ejections (one per router at most) might not fit
- * the records or the log — never mid-round, so no twister is half
- * consumed and no watchdog counter moves — and never in MODE_HOST,
- * where the host sized the round it already injected.
+ * per-block constants): the injection round (inject_block), the router
+ * step, ejection scoring (the measured-latency moments, plus a log
+ * entry when the run keeps per-packet data), and the stall/starvation/
+ * cycle-budget watchdogs — all in the exact order of the reference run
+ * loop.  Counters live in the ST_LEN-slot int64 st[] block and the
+ * STOP_* code tells the caller why the block ended (both #defined from
+ * the Python-side constants).  On a watchdog/budget trip the loop
+ * breaks BEFORE the cycle counter increments, matching the reference
+ * raise points.  A capacity stop breaks before the injection round of a
+ * cycle whose packets (one per source at most) or ejections (one per
+ * router at most) might not fit the records or the log — never
+ * mid-round, so no twister is half consumed, no schedule entry half
+ * read and no watchdog counter moves.
  */
+
+/* The one enqueue: a new packet s -> d joins the tail of source s's
+ * injection list, whoever chose it. */
+static inline void enqueue(StepCtx *sc, VcCtx *vc, BlockCtx *b, int s, int d)
+{
+    /* sc is NULL when vc is set, and vice versa. */
+    const int n = b->n;
+    const int pid = (int)b->st[ST_NPK];
+    b->st[ST_NPK] = pid + 1;
+    b->psrc[pid] = s;
+    b->pinj[pid] = (int32_t)b->st[ST_CYCLE];
+    b->pmeas[pid] = b->measured;
+    int32_t *plen;  /* the source's P-queue length */
+    if (vc) {
+        const int row = s * n + d;
+        vc->pdest[pid] = d;
+        vc->pout[pid] = vc->out_tab[row];
+        vc->povc[pid] = vc->dl_tab[row] ? 1 : vc->vcn_tab[row];
+        plen = vc->qlen + s * 5 * vc->nvc;  /* P port, lane 0 */
+        vc->occ[s]++;
+        vc->dirty[s] = 1;
+    } else {
+        const int base = b->subnet ? b->subnet[s * n + d] * n : 0;
+        sc->pdest[pid] = d;
+        sc->pbase[pid] = base;
+        sc->pout[pid] = sc->rows[sc->rowof[s * 9] * sc->rowlen + base + d];
+        plen = sc->qlen + s * 9;
+        sc->occ[s]++;
+    }
+    if (*plen)
+        b->pnext[b->ptail[s]] = pid;
+    else
+        b->phead[s] = pid;
+    b->ptail[s] = pid;
+    ++*plen;
+    b->st[ST_OCC]++;
+    b->st[ST_INJ_TOTAL]++;
+    if (b->measured)
+        b->st[ST_INJ_MEAS]++;
+}
+
+/* One cycle's injection round.  MODE_SCHEDULE: the host chose the
+ * packets (and consumed whatever RNG streams choosing took); enqueue
+ * this cycle's entries.  Otherwise draw them here in the reference's
+ * order: sources ascending, one timing draw each, then the destination
+ * (table lookup, or the uniform pattern's rejection loop on d_mt). */
 static void inject_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
 {
-    /* Injection round shared by both drivers; sc is NULL when vc is
-     * set, and vice versa. */
     const int n = b->n;
-    const int measured = b->measured;
-    const int64_t cycle = b->st[0];
+    if (b->mode == MODE_SCHEDULE) {
+        const int32_t cycle = (int32_t)b->st[ST_CYCLE];
+        while (b->sched_cur < b->sched_len
+               && b->sched[3 * b->sched_cur] == cycle) {
+            const int32_t *rec = b->sched + 3 * b->sched_cur++;
+            enqueue(sc, vc, b, rec[1], rec[2]);
+        }
+        return;
+    }
     for (int s = 0; s < n; s++) {
         if (!(mt_random(b->t_mt) < b->rate))
             continue;
         int d;
-        if (b->mode == 0) {
+        if (b->mode == MODE_TABLE) {
             d = b->dtab[s];
             if (d < 0)
                 continue;
-        } else if (b->mode == 2) {
-            /* Trace replay: one cursor per source over cycle-sorted
-             * (cycle, dest) pairs.  The timing draw above is already
-             * consumed (rate is 1.0 for replay specs), matching the
-             * serial engines' pattern-returns-None path exactly. */
-            const int cur = b->trcur[s];
-            const int32_t *rec;
-            if (cur >= b->trace[s + 1])
-                continue;
-            rec = b->trace + n + 1 + 2 * cur;
-            if (rec[0] != (int32_t)cycle)
-                continue;
-            b->trcur[s] = cur + 1;
-            d = rec[1];
         } else {
             int idx = mt_below(b->d_mt, n, b->ubits);
             while (b->perm[idx] == s)
                 idx = mt_below(b->d_mt, n, b->ubits);
             d = b->perm[idx];
         }
-        const int pid = (int)b->st[8];
-        b->st[8] = pid + 1;
-        b->psrc[pid] = s;
-        b->pinj[pid] = (int32_t)cycle;
-        b->pmeas[pid] = measured;
-        int32_t *plen;  /* the source's P-queue length */
-        if (vc) {
-            const int row = s * n + d;
-            vc->pdest[pid] = d;
-            vc->pout[pid] = vc->out_tab[row];
-            vc->povc[pid] = vc->dl_tab[row] ? 1 : vc->vcn_tab[row];
-            plen = vc->qlen + s * 5 * vc->nvc;  /* P port, lane 0 */
-            vc->occ[s]++;
-            vc->dirty[s] = 1;
-        } else {
-            const int base = b->subnet ? b->subnet[s * n + d] * n : 0;
-            sc->pdest[pid] = d;
-            sc->pbase[pid] = base;
-            sc->pout[pid] = sc->rows[sc->rowof[s * 9] * sc->rowlen
-                                     + base + d];
-            plen = sc->qlen + s * 9;
-            sc->occ[s]++;
-        }
-        if (*plen)
-            b->pnext[b->ptail[s]] = pid;
-        else
-            b->phead[s] = pid;
-        b->ptail[s] = pid;
-        ++*plen;
-        b->st[1]++;
-        b->st[2]++;
-        if (measured)
-            b->st[3]++;
+        enqueue(sc, vc, b, s, d);
     }
 }
 
@@ -782,74 +803,72 @@ static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
     const int32_t *ej = vc ? vc->ej : sc->ej;
     const int32_t *nejp = vc ? vc->nej : sc->nej;
     int32_t ran = 0;
-    int stop = 0;
+    int stop = STOP_BUDGET;
     while (ran < b->count) {
-        if (b->mode != MODE_HOST) {
-            if (st[8] + b->n > b->pk_cap
-                || (b->ejlog && st[9] + b->n > b->ej_cap)) {
-                stop = STOP_CAPACITY;
-                break;
-            }
-            inject_block(sc, vc, b);
+        if (st[ST_NPK] + b->n > b->pk_cap
+            || (b->ejlog && st[ST_NEJLOG] + b->n > b->ej_cap)) {
+            stop = STOP_CAPACITY;
+            break;
         }
+        inject_block(sc, vc, b);
         const int moved = vc ? step_vc(vc, b) : step_noc(sc, b);
         const int ne = *nejp;
         for (int k = 0; k < ne; k++) {
             const int pid = ej[k];
-            st[1]--;
-            st[4]++;
+            st[ST_OCC]--;
+            st[ST_DEL_TOTAL]++;
             if (!b->pmeas[pid])
                 continue;
-            const int64_t lat = st[0] - b->pinj[pid];
+            const int64_t lat = st[ST_CYCLE] - b->pinj[pid];
             const uint64_t sq = (uint64_t)lat * (uint64_t)lat;
-            const uint64_t lo = (uint64_t)st[15] + sq;
-            st[15] = (int64_t)lo;
-            st[16] += lo < sq;
-            st[14] += lat;
-            if (!st[5] || lat < st[17])
-                st[17] = lat;
-            if (!st[5] || lat > st[18])
-                st[18] = lat;
-            st[5]++;
+            const uint64_t lo = (uint64_t)st[ST_LAT_SQ_LO] + sq;
+            st[ST_LAT_SQ_LO] = (int64_t)lo;
+            st[ST_LAT_SQ_HI] += lo < sq;
+            st[ST_LAT_SUM] += lat;
+            if (!st[ST_DEL_MEAS] || lat < st[ST_LAT_MIN])
+                st[ST_LAT_MIN] = lat;
+            if (!st[ST_DEL_MEAS] || lat > st[ST_LAT_MAX])
+                st[ST_LAT_MAX] = lat;
+            st[ST_DEL_MEAS]++;
             if (b->ejlog) {
-                b->ejlog[2 * st[9]] = pid;
-                b->ejlog[2 * st[9] + 1] = (int32_t)lat;
-                st[9]++;
+                b->ejlog[2 * st[ST_NEJLOG]] = pid;
+                b->ejlog[2 * st[ST_NEJLOG] + 1] = (int32_t)lat;
+                st[ST_NEJLOG]++;
             }
         }
         if (moved) {
-            st[6] = 0;
-        } else if (st[1]) {
-            st[6]++;
-            if (st[6] >= b->stall_window) {
-                stop = 1;
+            st[ST_IDLE] = 0;
+        } else if (st[ST_OCC]) {
+            st[ST_IDLE]++;
+            if (st[ST_IDLE] >= b->stall_window) {
+                stop = STOP_STALL;
                 break;
             }
         }
         if (b->starve_window >= 0) {
-            if (ne || !st[1]) {
-                st[7] = 0;
+            if (ne || !st[ST_OCC]) {
+                st[ST_STARVED] = 0;
             } else {
-                st[7]++;
-                if (st[7] >= b->starve_window) {
-                    stop = 2;
+                st[ST_STARVED]++;
+                if (st[ST_STARVED] >= b->starve_window) {
+                    stop = STOP_STARVE;
                     break;
                 }
             }
         }
-        st[0]++;
+        st[ST_CYCLE]++;
         ran++;
-        if (b->maxc >= 0 && st[0] >= b->maxc) {
-            stop = 6;
+        if (b->maxc >= 0 && st[ST_CYCLE] >= b->maxc) {
+            stop = STOP_MAX_CYCLES;
             break;
         }
-        if (b->drain && st[5] + st[13] >= b->target) {
-            stop = 3;
+        if (b->drain && st[ST_DEL_MEAS] + st[ST_DROP_MEAS] >= b->target) {
+            stop = STOP_DRAINED;
             break;
         }
     }
-    st[10] = stop;
-    st[11] = ran;
+    st[ST_STOP] = stop;
+    st[ST_RAN] = ran;
     return stop;
 }
 

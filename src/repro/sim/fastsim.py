@@ -72,12 +72,14 @@ scored in the kernel, and logged for the host only under
 by the packets it injects, and is stepped to completion before anything
 else happens, so a batch is a loop over its specs (a serial call is a
 batch of one) and nothing but the compile and pattern caches outlives a
-run.  The launch alone decides where a run injects, from the resolved
-run: in the kernel, in whole-phase blocks, when the pattern has a plan
-and there is no fault schedule, wall-clock budget or off-rate trace;
-otherwise on the host in Python (any registered pattern, dead-router
-skip, unreachable-destination discard, wall-clock polling) before each
-one-cycle kernel block.
+run.  The kernel injects every packet, through one enqueue; the launch
+alone decides, from the resolved run, who *chooses* the packets: the
+kernel, when the pattern has a plan and there is no fault schedule or
+off-rate trace (a full-rate trace replay's plan is the trace itself, as
+one injection schedule); otherwise the host draws them in Python, a
+block ahead (any registered pattern, dead-router skip,
+unreachable-destination discard), and hands the kernel the same kind of
+schedule.
 
 What falls back
 ---------------
@@ -901,13 +903,14 @@ _POISON_RNG = _PoisonRng()
 #: dest stream in a way the block kernel cannot replicate.  Plans hold
 #: node *indices*, so they key on the model whose node order they were
 #: built in (a plugin topology may ride a builtin's config in another
-#: order).  Trace replay plans (``("trace", table)``) live in
+#: order).  Trace replay plans (``("schedule", triples)``: the whole
+#: run's ``(cycle, source, dest)`` injections) live in
 #: :data:`_TRACE_PLAN_CACHE` instead, validated by the trace file's
 #: stat signature — a name-keyed entry would go stale when the file at
 #: the same path is overwritten.
 _PATTERN_CACHE: Dict[Tuple, Optional[Tuple]] = {}
 
-#: (model, trace abspath) -> (source key, ``("trace", table)`` plan):
+#: (model, trace abspath) -> (source key, ``("schedule", triples)`` plan):
 #: one entry per file, replaced when its stat signature changes (the
 #: discipline of :data:`repro.sim.trace._TRACE_CACHE`).
 _TRACE_PLAN_CACHE: Dict[Tuple, Tuple] = {}
@@ -916,7 +919,7 @@ _TRACE_PLAN_CACHE: Dict[Tuple, Tuple] = {}
 def _trace_plan(model: _CompiledModel, arg: str) -> Optional[Tuple]:
     """The in-kernel plan for ``trace_replay:<arg>``, or ``None``.
 
-    ``None`` leaves injection to the host, where the pattern factory
+    ``None`` leaves the draw to the host, where the pattern factory
     raises the loader's full :class:`~repro.sim.trace.TraceError` — the
     injection gate stays an analysis, not an error path.
     """
@@ -932,7 +935,7 @@ def _trace_plan(model: _CompiledModel, arg: str) -> Optional[Tuple]:
     if cached is not None and cached[0] == tr.source_key:
         return cached[1]
     try:
-        plan = ("trace", tr.batch_table(model.nodes, model.node_index))
+        plan = ("schedule", tr.batch_table(model.nodes, model.node_index))
     except Exception:
         return None
     _TRACE_PLAN_CACHE[key] = (tr.source_key, plan)
@@ -942,9 +945,9 @@ def _trace_plan(model: _CompiledModel, arg: str) -> Optional[Tuple]:
 def _pattern_plan(model: _CompiledModel, pattern: str) -> Optional[Tuple]:
     base, sep, arg = pattern.partition(":")
     if sep and base.strip().lower() == "trace_replay":
-        # Stateful by design (per-source cursors) — the poison-RNG
-        # probe below would mis-tabulate it, and the plan must key on
-        # the file's content signature, not its name.
+        # Stateful by design (per-source call counters) — the
+        # poison-RNG probe below would mis-tabulate it, and the plan
+        # must key on the file's content signature, not its name.
         return _trace_plan(model, arg)
     key = (model, pattern)
     cached = _PATTERN_CACHE.get(key, _MISSING)
@@ -1022,45 +1025,35 @@ def _resolve(
 
 
 def _injection_gate(
-    pattern: str,
-    rate: float,
-    faults: Any,
-    max_wall_seconds: Optional[float],
+    pattern: str, rate: float, faults: Any
 ) -> List[LoweringDiagnostic]:
-    """Why a run that lowers must still inject on the host.
+    """Why the host must draw the packets of a run that lowers.
 
     Judged on the *resolved* run — :func:`run_compiled`'s arguments
     override a spec's fields — and cheap: a run these checks clear
-    injects in-kernel if :func:`_pattern_plan` has a plan for it.
+    draws in-kernel if :func:`_pattern_plan` has a plan for it.
     """
     reasons: List[LoweringDiagnostic] = []
-    if max_wall_seconds is not None:
-        reasons.append(
-            LoweringDiagnostic(
-                "wall-clock-budget",
-                "wall-clock budgets are polled on the host between "
-                "one-cycle blocks; whole-phase blocks do not poll them "
-                "yet",
-            )
-        )
     base, sep, _arg = pattern.partition(":")
     if sep and base.strip().lower() == "trace_replay" and rate != 1.0:
         reasons.append(
             LoweringDiagnostic(
                 "trace-rate",
-                f"trace replay injects in-kernel only at rate=1.0 (run "
-                f"has rate={rate}): the block kernel indexes the trace "
-                f"by the cycle counter while host injection and the "
-                f"reference engine index by pattern call, and the two "
-                f"agree only when every cycle draws the pattern",
+                f"a trace is an in-kernel injection schedule only at "
+                f"rate=1.0 (run has rate={rate}): the schedule is "
+                f"indexed by cycle while the reference engine indexes "
+                f"the trace by pattern call, and the two agree only "
+                f"when every cycle draws the pattern; the host draws, "
+                f"the kernel enqueues",
             )
         )
     if faults is not None and faults.has_faults:
         reasons.append(
             LoweringDiagnostic(
                 "fault-schedule",
-                "fault schedules inject on the host (dead-router skip, "
-                "unreachable-destination discard)",
+                "under a fault schedule the host draws (dead-router "
+                "skip, unreachable-destination discard) and the kernel "
+                "enqueues",
             )
         )
     return reasons
@@ -1097,14 +1090,14 @@ def batching_problems(
     """Why ``target`` is not a ``"compiled-batch"`` row.
 
     An empty list means :func:`run_compiled_batch` will run this design
-    point with in-kernel injection, in whole-phase kernel blocks;
-    otherwise each diagnostic names one exact reason it does not.  A
-    strict superset of :func:`lowering_problems`: everything that
-    cannot lower cannot batch, and a batched row is additionally a
+    point with the kernel drawing its own packets; otherwise each
+    diagnostic names one exact reason it does not.  A strict superset
+    of :func:`lowering_problems`: everything that cannot lower cannot
+    batch, and a batched row is additionally a
     :class:`~repro.core.spec.NetworkSpec` that selects the compiled
-    engine, with no fault schedule, no wall-clock budget, and a pattern
-    the kernel can inject natively — the conditions under which any
-    compiled run of the spec injects in-kernel.
+    engine, with no fault schedule and a pattern the kernel can draw
+    natively — the conditions under which no compiled run of the spec
+    needs the host's Python draw.
     """
     if not isinstance(target, NetworkSpec):
         return [
@@ -1126,16 +1119,15 @@ def batching_problems(
                 f"only explicitly compiled design points",
             )
         )
-    reasons += _injection_gate(
-        target.pattern, target.rate, faults, target.max_wall_seconds
-    )
+    reasons += _injection_gate(target.pattern, target.rate, faults)
     reasons += lowering
     if not reasons and _pattern_plan(model, target.pattern) is None:
         reasons.append(
             LoweringDiagnostic(
                 "pattern-not-batchable",
                 f"pattern {target.pattern!r} draws from the dest "
-                f"stream in a way the block kernel cannot replicate",
+                f"stream in a way the block kernel cannot replicate; "
+                f"the host draws, the kernel enqueues",
             )
         )
     return reasons
@@ -1149,24 +1141,25 @@ def batching_problems(
 # states — step it to completion in blocks of the native kernel
 # (`run_block_noc` / `run_block_vc`), doubling the flit records whenever
 # a block stops for room, keep the `RunResult` (or the error) and drop
-# everything else.  With an injection plan the kernel injects too, so a
-# block spans up to `_BLOCK_CYCLES` cycles of a phase and the per-cycle
-# costs that dominate short runs (Python-loop injection, one FFI call
-# per cycle) are paid once per block; without one the host injects and
-# the kernel steps one cycle per block.
+# everything else.  The kernel enqueues every packet.  With an injection
+# plan it chooses them too, so a block spans up to `_BLOCK_CYCLES`
+# cycles of a phase; without one the host draws a block's packets ahead
+# of it, so blocks end where the reference polls its wall clock (every
+# `_WALL_CHECK_EVERY` cycles) — as they do whenever there is a deadline
+# to poll.
 #
-# The bit-identity contract covers both: in-kernel injection consumes
-# the same `timing` / `dest` RNG streams in the same order as host
-# injection (the kernel replicates CPython's MT19937, including
-# `random()`'s 53-bit recipe and `randrange`'s top-bits rejection
-# loop), so every counter, latency, and checkpoint byte matches the
-# reference engine either way.
+# The bit-identity contract covers both: the in-kernel draw consumes
+# the same `timing` / `dest` RNG streams in the same order as the host
+# draw (the kernel replicates CPython's MT19937, including `random()`'s
+# 53-bit recipe and `randrange`'s top-bits rejection loop), so every
+# counter, latency, and checkpoint byte matches the reference engine
+# either way.
 
 _PK_CAP0 = 4096  # initial per-run packet-record capacity (doubles)
 _EJ_CAP0 = 8192  # initial per-run ejection-log capacity, in int32 slots
-#: Most cycles one kernel block runs before control returns to the host:
-#: the granularity at which a run could be polled, not a memory bound
-#: (records grow by demand, whatever the block length).
+#: Most cycles one kernel block runs when the host has nothing to do in
+#: between; not a memory bound (records grow by demand, whatever the
+#: block length).
 _BLOCK_CYCLES = 4096
 _I32_MAX = 2**31 - 1
 
@@ -1180,9 +1173,10 @@ class _Run:
     else.  It takes *resolved* run parameters (not a spec), so plain
     ``NetworkConfig`` callers work too.  ``plan`` is the native
     injection plan from :func:`_pattern_plan`; ``None`` means the host
-    injects each round in Python — any registered pattern, dead-router
-    skip, unreachable-destination discard — and the kernel then runs in
-    one-cycle blocks (``MODE_HOST``).
+    draws each block's packets in Python — any registered pattern,
+    dead-router skip, unreachable-destination discard — into the
+    ``(cycle, source, dest)`` schedule the kernel injects from.  Either
+    way only the kernel touches a queue or a packet record.
     """
 
     __slots__ = (
@@ -1190,11 +1184,11 @@ class _Run:
         "engine", "track_per_source", "keep_samples", "track_links",
         "warmup", "measure", "drain_limit", "seed", "max_cycles",
         "max_wall_seconds", "deadline", "is_vc", "sources",
-        "buf", "qoff", "qcap", "qhead", "qlen", "occ", "dirty",
-        "phead", "ptail", "hop", "link", "st", "keep",
+        "buf", "qoff", "qcap", "qhead", "qlen",
+        "phead", "hop", "link", "st", "keep",
         "pdest_a", "paux_a", "pout_a", "pnext_a",
         "psrc_a", "pinj_a", "pmeas_a", "ejlog_a", "pk_owners",
-        "bctx", "cref", "bref", "run_block", "inject",
+        "bctx", "cref", "bref", "run_block", "draw",
         "samples", "per_src",
     )
 
@@ -1290,9 +1284,7 @@ class _Run:
         self.buf = new(off)
         self.qhead = new(nq)
         self.qlen = new(nq)
-        self.occ = new(R)
         self.phead = new(R)
-        self.ptail = new(R)
         self.hop = new(NUM_DIRS, "q")
         self.link = new(R * NUM_DIRS if track_links else 1, "q")
         self.st = new(_ckernel.ST_LEN, "q")
@@ -1334,8 +1326,7 @@ class _Run:
             c.sd = _ptr(va.sd)
             c.vc_rr = _ptr(new(narb))
             c.prio = _ptr(new(R))
-            self.dirty = new([1] * R)
-            c.dirty = _ptr(self.dirty)
+            c.dirty = _ptr(new([1] * R))
             aux = "povc"
         else:
             ca = model.tables
@@ -1350,7 +1341,6 @@ class _Run:
             c.rowof = _ptr(ca.rowof)
             c.rows = _ptr(ca.rows)
             c.arb = _ptr(new(narb))
-            self.dirty = None
             aux = "pbase"
         c.R = R
         c.depth = depth
@@ -1360,7 +1350,7 @@ class _Run:
         c.qcap = _ptr(qcap)
         c.qhead = _ptr(self.qhead)
         c.qlen = _ptr(self.qlen)
-        c.occ = _ptr(self.occ)
+        c.occ = _ptr(new(R))
         c.hop = _ptr(self.hop, ctypes.c_int64)
         c.link = _ptr(self.link, ctypes.c_int64)
         c.gsq = _ptr(new(narb))
@@ -1372,30 +1362,28 @@ class _Run:
         b.rate = rate
         b.n = R
         if plan is None:
-            b.mode = _ckernel.MODE_HOST
-            self.inject: Optional[Any] = self._host_injector()
+            b.mode = _ckernel.MODE_SCHEDULE
+            self.draw: Optional[Any] = self._host_drawer()
         else:
-            self.inject = None
-            b.t_mt = twister(derive_rng(seed, "timing"))  # rng: shared
-            b.d_mt = twister(derive_rng(seed, "dest"))  # rng: shared
+            self.draw = None
             # The plan's table is read-only in the kernel, so every run
             # of the design point shares the cached copy.
             table = plan[1]
             keep.append(table)
-            if plan[0] == "table":
-                b.mode = _ckernel.MODE_TABLE
-                b.dtab = _ptr(table)
-            elif plan[0] == "trace":
-                b.mode = _ckernel.MODE_TRACE
-                b.trace = _ptr(table)
-                # Per-source replay cursors, initialized to the
-                # schedule's per-source start offsets (the table's
-                # first n entries).
-                b.trcur = _ptr(new(table[:R]))
+            if plan[0] == "schedule":
+                b.mode = _ckernel.MODE_SCHEDULE
+                b.sched = _ptr(table)
+                b.sched_len = len(table) // 3
             else:
-                b.mode = _ckernel.MODE_UNIFORM
-                b.ubits = plan[2]
-                b.perm = _ptr(table)
+                b.t_mt = twister(derive_rng(seed, "timing"))  # rng: shared
+                b.d_mt = twister(derive_rng(seed, "dest"))  # rng: shared
+                if plan[0] == "table":
+                    b.mode = _ckernel.MODE_TABLE
+                    b.dtab = _ptr(table)
+                else:
+                    b.mode = _ckernel.MODE_UNIFORM
+                    b.ubits = plan[2]
+                    b.perm = _ptr(table)
         transient = faults.transient if faults is not None else ()
         if transient:
             # fmap[router * 9 + out] -> fault index, consulted by the
@@ -1426,7 +1414,7 @@ class _Run:
             b.subnet = _ptr(model.subnet_tab)
         b.st = _ptr(self.st, ctypes.c_int64)
         b.phead = _ptr(self.phead)
-        b.ptail = _ptr(self.ptail)
+        b.ptail = _ptr(new(R))
         b.pk_cap = _PK_CAP0
         if self.ejlog_a is not None:
             b.ej_cap = _EJ_CAP0 // 2
@@ -1479,25 +1467,26 @@ class _Run:
                 for i in ins:
                     yield r * NUM_DIRS + i, r, i, 0
 
-    def _host_injector(self) -> Any:
-        """The Python-side injection round, ``inject(measured)``.
+    def _host_drawer(self) -> Any:
+        """The Python-side draw, ``draw(count)``: the next block's packets.
 
-        Mirrors the reference engine's injection discipline bit for
-        bit: sources in node order, one timing draw each (dead routers
-        never draw), then the pattern's destination draw, and a
-        destination the fault-aware tables cannot reach is discarded
-        *after* the healthy pattern consumed its dest-stream draw.
+        Consumes the RNG streams exactly as the reference engine's
+        injection rounds do — cycle by cycle, sources in node order,
+        one timing draw each (dead routers never draw), then the
+        pattern's destination draw, and a destination the fault-aware
+        tables cannot reach is discarded *after* the healthy pattern
+        consumed its dest-stream draw — but only writes the choices
+        down, as the ``(cycle, source, dest)`` schedule the kernel's
+        enqueue injects from.  A block the run leaves early (drained,
+        tripped) has drawn up to its end; nothing reads the streams
+        after a run.
         """
-        model = self.model
-        n = model.n
-        is_vc = self.is_vc
+        nidx = self.model.node_index
         rate = self.rate
-        nidx = model.node_index
-        subnet_tab = model.subnet_tab
-        tables = model.tables
+        sources = self.sources
         dest_fn = build_pattern(self.pattern, self.cfg)
         faults = self.faults
-        reachable = model.reachable
+        reachable = self.model.reachable
         if faults is not None and faults.has_faults and reachable is not None:
             healthy_fn = dest_fn
 
@@ -1510,64 +1499,27 @@ class _Run:
         rnd = derive_rng(self.seed, "timing").random  # rng: shared
         dest_rng = derive_rng(self.seed, "dest")  # rng: shared
         st = self.st
-        qlen, occ, dirty = self.qlen, self.occ, self.dirty
-        phead, ptail, pnext = self.phead, self.ptail, self.pnext_a
-        pdest, pout, paux = self.pdest_a, self.pout_a, self.paux_a
-        psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
-        if is_vc:
-            stride = VCRouter.NUM_PORTS * model.num_vcs
-            out_tab, vcn_tab, dl_tab = tables.out, tables.vcn, tables.dl
-        else:
-            stride = NUM_DIRS
-            rows, rowof, rowlen = tables.rows, tables.rowof, tables.rowlen
-        # (source index, coord, P-queue id, route-table base of the
-        # source's injection port)
-        slots = tuple(
-            (
-                s, src, s * stride,
-                s * n if is_vc else rowof[s * NUM_DIRS] * rowlen,
-            )
-            for s, src in self.sources
-        )
+        b = self.bctx
+        # The block's schedule, alive here while the kernel reads it
+        # (the closure holds no reference back to the run).
+        sched = array("i")
 
-        def inject(measured: int) -> None:
-            cycle = st[_ckernel.ST_CYCLE]
-            first = pid = st[_ckernel.ST_NPK]
-            for s, src, q, route in slots:
-                if rnd() < rate:
-                    dest = dest_fn(src, dest_rng)
-                    if dest is None:
-                        continue
-                    d = nidx[dest]
-                    pdest[pid] = d
-                    if is_vc:
-                        route += d
-                        pout[pid] = out_tab[route]
-                        paux[pid] = 1 if dl_tab[route] else vcn_tab[route]
-                        dirty[s] = 1
-                    else:
-                        base = subnet_tab[s * n + d] * n if subnet_tab else 0
-                        paux[pid] = base
-                        pout[pid] = rows[route + base + d]
-                    psrc[pid] = s
-                    pinj[pid] = cycle
-                    pmeas[pid] = measured
-                    if qlen[q]:
-                        pnext[ptail[s]] = pid
-                    else:
-                        phead[s] = pid
-                    ptail[s] = pid
-                    qlen[q] += 1
-                    occ[s] += 1
-                    pid += 1
-            if pid != first:
-                st[_ckernel.ST_NPK] = pid
-                st[_ckernel.ST_OCC] += pid - first
-                st[_ckernel.ST_INJ_TOTAL] += pid - first
-                if measured:
-                    st[_ckernel.ST_INJ_MEAS] += pid - first
+        def draw(count: int) -> None:
+            nonlocal sched
+            first = st[_ckernel.ST_CYCLE]
+            triples: List[int] = []
+            for cycle in range(first, first + count):
+                for s, src in sources:
+                    if rnd() < rate:
+                        dest = dest_fn(src, dest_rng)
+                        if dest is not None:
+                            triples += (cycle, s, nidx[dest])
+            sched = array("i", triples)
+            b.sched = _ptr(sched)
+            b.sched_len = len(triples) // 3
+            b.sched_cur = 0
 
-        return inject
+        return draw
 
     # -- demand growth ----------------------------------------------------
     def _grow(self) -> None:
@@ -1645,16 +1597,23 @@ class _Run:
         """
         st = self.st
         b = self.bctx
-        inject = self.inject
+        draw = self.draw
+        # One block rule for every run: a block ends where the host has
+        # work — at the reference's wall-check cycles, if there is a
+        # schedule to draw or a deadline to poll there.
+        host_work = draw is not None or self.deadline is not None
+        stop = _ckernel.STOP_BUDGET
         while cycles > 0:
-            if inject:
-                # Host injection precedes every step: one-cycle blocks
-                # of a round the host sized itself.
-                b.count = 1
-                self._grow()
-                inject(b.measured)
-            else:
-                b.count = min(cycles, _BLOCK_CYCLES)
+            b.count = min(
+                cycles,
+                _WALL_CHECK_EVERY - st[_ckernel.ST_CYCLE] % _WALL_CHECK_EVERY
+                if host_work
+                else _BLOCK_CYCLES,
+            )
+            # A block re-entered after growing keeps its schedule (and
+            # the kernel its cursor into it).
+            if draw is not None and stop != _ckernel.STOP_CAPACITY:
+                draw(b.count)
             stop = self.run_block(self.cref, self.bref)
             cycles -= st[_ckernel.ST_RAN]
             if st[_ckernel.ST_NEJLOG]:
@@ -1858,10 +1817,10 @@ def _launch(
 
     A target that does not lower runs on the reference engine (which
     raises its errors); one that does runs on a :class:`_Run` (which
-    returns them).  Where that run injects is decided here and nowhere
-    else: in the kernel when :func:`_injection_gate` finds nothing and
-    :func:`_pattern_plan` has a plan, reporting engine ``label``; else
-    on the host, reporting ``"compiled"``.  ``run`` is the window,
+    returns them).  Who draws that run's packets is decided here and
+    nowhere else: the kernel when :func:`_injection_gate` finds nothing
+    and :func:`_pattern_plan` has a plan, reporting engine ``label``;
+    else the host, reporting ``"compiled"``.  ``run`` is the window,
     seed, tracker and cycle-budget keywords both engines take.
     """
     _problems, (cfg, run_faults, run_watchdog, model) = _resolve(
@@ -1879,7 +1838,7 @@ def _launch(
             **run,
         )
     plan = None
-    if not _injection_gate(pattern, rate, run_faults, max_wall_seconds):
+    if not _injection_gate(pattern, rate, run_faults):
         plan = _pattern_plan(model, pattern)
     return _Run(
         target,
@@ -1921,9 +1880,10 @@ def run_compiled(
     select a fault-aware route-table model, transient drops are drawn
     inside the native kernel, and the watchdog raises a reference-format
     :class:`~repro.errors.DeadlockError` with a full snapshot.  Every
-    registered pattern works: the run injects in-kernel when it can and
-    on the host otherwise (:func:`_launch` decides; results are
-    bit-identical either way).  Runs the compiler cannot lower (see the
+    registered pattern works: the kernel draws the packets when it can
+    and enqueues the host's draw otherwise (:func:`_launch` decides;
+    results are bit-identical either way).  Runs the compiler cannot
+    lower (see the
     module docstring and :func:`lowering_problems`) are delegated to
     :func:`repro.sim.simulator._run_reference` unchanged, and the
     returned result's ``engine`` field reports which engine actually
@@ -1984,7 +1944,7 @@ def run_compiled_batch(
     its provenance is whatever its own engine choice resolves to.
     Every other spec is the launch :func:`run_compiled` performs, with
     one difference in provenance: rows :func:`batching_problems` clears
-    (in-kernel injection) report ``engine == "compiled-batch"``, the
+    (in-kernel draw) report ``engine == "compiled-batch"``, the
     rest ``"compiled"`` or ``"reference"``.  Results are bit-identical
     to the reference engine's (same RNG streams, same counters, same
     error messages), which the differential tests and the campaign

@@ -98,8 +98,9 @@ def run_synthetic(
     ``"compiled"`` is the flat-array engine of
     :mod:`repro.sim.fastsim`, which produces bit-identical metrics —
     including under fault schedules — and transparently falls back to
-    the reference engine for runs it cannot compile (plugin components,
-    multi-cycle channels, ``audit_every`` tripwires).
+    the reference engine for runs it cannot compile
+    (:func:`repro.sim.fastsim.lowering_problems` names the reason for
+    any design point).
     When ``engine`` is ``None`` a spec's ``engine`` field applies.
 
     Measurement keywords (``warmup``, ``measure``, ``drain_limit``,
@@ -293,8 +294,8 @@ def _run_reference(
     description=(
         "flat structure-of-arrays engine (sim.fastsim) with compiled "
         "fault schedules; lowers any registered topology through the "
-        "port-graph IR, falling back to reference only for "
-        "multi-cycle links and audit tripwires"
+        "port-graph IR and falls back to reference for what "
+        "sim.fastsim.lowering_problems names"
     ),
 )
 def _compiled_engine(

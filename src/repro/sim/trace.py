@@ -7,7 +7,7 @@ to flat arrays.  What *can* lower is the traffic it produces.  This
 module records the per-core injection stream of one reference run into
 a compact, deterministic on-disk trace, and replays it as a registered
 traffic pattern (``trace_replay:<path>``) that the compiled engine
-steps natively, consuming the trace inside its C kernel.
+steps natively, its C kernel injecting straight from the trace.
 
 File format (version 1, little-endian throughout)::
 
@@ -26,15 +26,15 @@ x``).  Everything is content-derived — no timestamps, no hostnames — so
 re-capturing the same run yields byte-identical files (diff-stable).
 
 Replay semantics: a replay spec uses ``rate=1.0`` and ``warmup=0``, so
-the pattern's per-source call index equals the cycle number and every
-engine consumes the timing stream identically; per-source record cycles
-are strictly increasing, so each call matches at most one record.  The
-destination RNG stream is never touched.  The compiled engine replays
-a trace inside its C kernel only at ``rate == 1.0`` (the kernel indexes
-the trace by the cycle counter); otherwise it injects from this
-module's Python pattern and
-:func:`repro.sim.fastsim.batching_problems` reports a ``trace-rate``
-diagnostic.
+the pattern's per-source call index equals the cycle number;
+per-source record cycles are strictly increasing, so each call matches
+at most one record.  The destination RNG stream is never touched.  At
+``rate == 1.0`` the compiled engine hands its kernel the whole trace as
+one ``(cycle, source, dest)`` injection schedule
+(:meth:`Trace.batch_table`) and draws nothing; at any other rate the
+call index no longer tracks the cycle, so the host draws the schedule
+through this module's Python pattern, a block at a time, and
+:func:`repro.sim.fastsim.batching_problems` reports ``trace-rate``.
 
 Truncated, corrupt, or mismatched files are rejected with a
 :class:`TraceError` naming the file and the first violated invariant.
@@ -43,6 +43,7 @@ Truncated, corrupt, or mismatched files are rejected with a
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -239,12 +240,12 @@ class Trace:
         model_nodes: Sequence[Coord],
         node_index: Mapping[Coord, int],
     ) -> array:
-        """The flat int32 block the C kernel's trace mode consumes.
+        """The flat int32 injection schedule the C kernel consumes.
 
-        Layout: ``n + 1`` per-source offsets (in pair units, over the
-        *model's* node order) followed by the source-grouped
-        ``(cycle, dest_model_index)`` pairs.  The kernel keeps one
-        cursor per source, initialized to the offset entries.
+        ``(cycle, source, dest)`` triples in the *model's* node indices,
+        sorted by ``(cycle, source)`` — the order the reference engine
+        injects in, which the file's ``(cycle, src)`` order already is
+        for a row-major model.
         """
         n = len(model_nodes)
         if n != self.nodes:
@@ -252,24 +253,11 @@ class Trace:
                 f"compiled model has {n} nodes but the trace covers "
                 f"{self.nodes}"
             )
-        begins, cycles, dests = self.schedule()
-        # Map trace row-major source ids onto model node indices.
-        order = sorted(
-            range(n), key=lambda s: node_index[self.coord_of(s)]
+        index = [node_index[self.coord_of(i)] for i in range(n)].__getitem__
+        triples = sorted(
+            zip(self.cycles, map(index, self.srcs), map(index, self.dests))
         )
-        table = array(
-            "i", bytes(4 * (n + 1 + 2 * self.records))
-        )
-        pair = 0
-        for rank, s in enumerate(order):
-            table[rank] = pair
-            for at in range(begins[s], begins[s + 1]):
-                base = n + 1 + 2 * pair
-                table[base] = cycles[at]
-                table[base + 1] = node_index[self.coord_of(dests[at])]
-                pair += 1
-        table[n] = pair
-        return table
+        return array("i", itertools.chain.from_iterable(triples))
 
 
 def write_trace(trace: Trace, path: str) -> str:

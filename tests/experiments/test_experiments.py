@@ -255,9 +255,7 @@ class TestWatchdogOption:
             seen.update(options, experiment_id=experiment_id)
             return real(experiment_id, scale=scale, seed=seed, **options)
 
-        monkeypatch.setattr(
-            "repro.experiments.__main__.run_experiment", spy
-        )
+        monkeypatch.setattr("repro.experiments.report.run_experiment", spy)
         assert main([
             "faults", "--scale", "smoke", "--watchdog-cycles", "400",
         ]) == 0
@@ -288,9 +286,75 @@ class TestMainFailurePath:
             assert exp_id in err
             assert describe(exp_id) in err
 
+    def test_report_file_survives_failures(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``--output`` used to let an unknown or failing experiment
+        escape as a raw traceback, losing every finished section."""
+        from repro.experiments import __main__ as cli
+        from repro.experiments import registry
+
+        def boom(scale=None, seed=0):
+            raise ValueError("driver exploded")
+
+        monkeypatch.setitem(registry._REGISTRY, "boom", (boom, "fails"))
+        monkeypatch.setattr(
+            cli, "experiment_ids",
+            lambda: ["table1", "nosuch", "boom", "fig5"],
+        )
+        out_file = tmp_path / "r.md"
+        code = cli.main(
+            ["all", "--scale", "smoke", "--output", str(out_file)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"wrote {out_file}" in captured.out
+        err = captured.err
+        # The registry's menu verbatim, not KeyError's escaped repr.
+        assert "[nosuch] FAILED: unknown experiment 'nosuch'" in err
+        assert "\\n" not in err
+        assert "[boom] FAILED: ValueError: driver exploded" in err
+        assert "2 experiment(s) failed: nosuch, boom" in err
+        text = out_file.read_text()
+        assert "## table1" in text and "## fig5" in text
+        assert "## boom" not in text
+
     def test_successful_driver_exits_zero(self, capsys):
         from repro.experiments.__main__ import main
 
         code = main(["fig5", "--scale", "smoke"])
         assert code == 0
         assert "[fig5]" in capsys.readouterr().out
+
+
+class TestTailEngine:
+    def test_engine_option_picks_the_engine(self, monkeypatch):
+        """``tail`` used to ignore ``--engine``: every row said
+        ``compiled`` whatever was asked for."""
+        from repro.experiments import tail_latency
+
+        monkeypatch.setitem(
+            tail_latency._PRESETS, "smoke",
+            dict(size=(8, 8), warmup=40, measure=120, drain=600),
+        )
+        compiled = run_experiment("tail", scale="smoke")
+        reference = run_experiment("tail", scale="smoke", engine="reference")
+        assert {row["engine"] for row in compiled.rows} == {"compiled"}
+        assert {row["engine"] for row in reference.rows} == {"reference"}
+        for fast, slow in zip(compiled.rows, reference.rows):
+            assert dict(fast, engine=None) == dict(slow, engine=None)
+
+    def test_cli_without_engine_keeps_the_default(self, capsys, monkeypatch):
+        from repro.experiments import tail_latency
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setitem(
+            tail_latency._PRESETS, "smoke",
+            dict(size=(8, 8), warmup=40, measure=120, drain=600),
+        )
+        assert main(["tail", "--scale", "smoke", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "compiled" in out and "reference" not in out
+        assert main(["tail", "--scale", "smoke", "--engine", "reference"]) == 0
+        out = capsys.readouterr().out
+        assert "reference" in out and "compiled" not in out

@@ -14,6 +14,9 @@ deadlock snapshots.
 
 import ctypes
 import dataclasses
+import re
+import shutil
+import subprocess
 import warnings
 
 import pytest
@@ -163,6 +166,34 @@ class TestFallbacks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _ckernel.get_kernel() is None
+
+
+class TestKernelSource:
+    """The C source names what Python names: one set of constants."""
+
+    def test_slots_modes_and_stop_codes_go_by_name(self):
+        source = _ckernel._SOURCE
+        constants = {
+            name: value
+            for name, value in vars(_ckernel).items()
+            if name.startswith(("ST_", "MODE_", "STOP_"))
+        }
+        assert len(constants) > 25
+        for name, value in constants.items():
+            assert f"#define {name} {value}\n" in source
+        assert not re.search(r"\bst\[\s*\d", source)
+        assert not re.search(r"\bstop\s*=\s*\d", source)
+        assert not re.search(r"\bmode\s*[!=]=\s*\d", source)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_lint_build_is_warning_free(self, tmp_path):
+        source = tmp_path / "step_noc.c"
+        source.write_text(_ckernel._SOURCE)
+        subprocess.run(
+            ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-c",
+             str(source), "-o", str(tmp_path / "step_noc.o")],
+            check=True, capture_output=True, timeout=120,
+        )
 
 
 #: One seeded recipe per fault class, all verified to complete (and

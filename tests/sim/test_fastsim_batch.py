@@ -5,9 +5,9 @@ The batch contract extends the cross-engine contract of
 to completion on arrays of its own and released before the next starts —
 over the launch a serial ``build_run`` performs, so the oracle here is
 the **reference engine**: same metrics, same RNG trajectories, same
-watchdog trip messages.  Where a run injects (in the kernel, in
-whole-phase blocks, or on the host before one-cycle blocks) is decided
-by the launch from the resolved run and never shows in results.
+watchdog trip messages.  Who draws a run's packets (the kernel, or the
+host a block ahead — the kernel enqueues them either way) is decided by
+the launch from the resolved run and never shows in results.
 Failures come back as data (one row's deadlock cannot disturb its
 batchmates), rows carry honest engine provenance, block and log-growth
 boundaries never show in results, and a batch's memory is that of its
@@ -15,7 +15,9 @@ largest run.
 """
 
 import dataclasses
+import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given
@@ -23,7 +25,10 @@ from hypothesis import strategies as st
 
 from property.settings import tiered_settings
 
+from repro.core.coords import Coord, Direction
+from repro.core.registry import register_pattern
 from repro.core.spec import NetworkSpec, build_run
+from repro.core.topology import make_topology
 from repro.errors import DeadlockError, SimulationTimeout
 from repro.sim import _ckernel, fastsim, network, watchdog
 from repro.sim.fastsim import (
@@ -33,7 +38,8 @@ from repro.sim.fastsim import (
 )
 from repro.sim.faults import FaultSchedule
 from repro.sim.router import P_IDX
-from repro.sim.simulator import run_synthetic
+from repro.sim.simulator import _WALL_CHECK_EVERY, run_synthetic
+from repro.sim.trace import Trace
 
 
 def fingerprint(result):
@@ -74,22 +80,32 @@ def _per_source(result):
 
 class _KernelSpy:
     """Stands in for the kernel library and records, per block, its stop
-    code and the longer of the two watchdog counters at that point."""
+    code and the longer of the two watchdog counters at that point
+    (``calls``), its injection mode (``modes``) and how far into its
+    schedule the block stopped (``cursors``)."""
 
     def __init__(self, monkeypatch):
         self.calls = []
+        self.modes = []
+        self.cursors = []
         kernel = fastsim._native_kernel()
         self.run_block_noc = self._recording(kernel.run_block_noc)
         self.run_block_vc = self._recording(kernel.run_block_vc)
         monkeypatch.setattr(fastsim, "_native_kernel", lambda: self)
 
+    def clear(self):
+        del self.calls[:], self.modes[:], self.cursors[:]
+
     def _recording(self, run_block):
         def recorded(cref, bref):
             stop = run_block(cref, bref)
-            st = bref._obj.st
+            block = bref._obj
+            st = block.st
             self.calls.append(
                 (stop, max(st[_ckernel.ST_IDLE], st[_ckernel.ST_STARVED]))
             )
+            self.modes.append(block.mode)
+            self.cursors.append((block.sched_cur, block.sched_len))
             return stop
 
         return recorded
@@ -270,6 +286,7 @@ class TestBatchEquivalence:
             _spec("mesh", 4, 4),
             _spec("mesh", 4, 4, engine="reference"),
             _spec("mesh", 4, 4, engine=None),
+            _spec("mesh", 4, 4, pattern="hotspot"),
             _spec("mesh", 4, 4, max_wall_seconds=60.0),
         ]
         results = run_compiled_batch(specs)
@@ -279,6 +296,8 @@ class TestBatchEquivalence:
         # Fallback rows resolve their spec's own engine choice.
         assert engines[2] != "compiled-batch"
         assert engines[3] == "compiled"
+        # A wall budget is polled between blocks; it gates nothing.
+        assert engines[4] == "compiled-batch"
         for spec, got in zip(specs, results):
             assert fingerprint(got) == fingerprint(_reference(spec))
 
@@ -321,9 +340,22 @@ _PATH_DESIGNS = (
 )
 
 
+#: Kernel calls a host-drawn run may make beyond one per
+#: ``_WALL_CHECK_EVERY`` cycles: three phase ends, a few capacity stops.
+_BLOCK_SLACK = 6
+
+
+def _drawn_on_host(spy, result):
+    """Whether the blocks ``spy`` saw were one host-drawn run of
+    ``result.total_cycles`` cycles, a block per wall-check interval."""
+    return set(spy.modes) == {_ckernel.MODE_SCHEDULE} and len(spy.calls) <= (
+        result.total_cycles // _WALL_CHECK_EVERY + _BLOCK_SLACK
+    )
+
+
 class TestInjectionPath:
-    """The launch, not the entry point, decides where a run injects;
-    a host-injected run makes one kernel call per cycle."""
+    """The launch, not the entry point, decides who draws a run's
+    packets; the kernel enqueues them either way, a block at a time."""
 
     @pytest.mark.parametrize(
         "name, width, height, options",
@@ -334,19 +366,21 @@ class TestInjectionPath:
         self, name, width, height, options, monkeypatch
     ):
         spec = _spec(name, width, height, rate=0.2, **options)
-        hosted = spec.replace(max_wall_seconds=1e6)
+        # A fault that never drops changes who draws and nothing else.
+        hosted = spec.replace(fault_transient=1, fault_drop_prob=0.0)
         assert batching_problems(spec) == []
         assert [d.code for d in batching_problems(hosted)] == [
-            "wall-clock-budget"
+            "fault-schedule"
         ]
         want = _tracked(_reference(spec, **_TRACKERS))
         spy = _KernelSpy(monkeypatch)
         in_kernel = build_run(spec, **_TRACKERS)
-        blocks = len(spy.calls)
+        assert len(spy.calls) < 10
+        assert _ckernel.MODE_SCHEDULE not in spy.modes
+        spy.clear()
         on_host = build_run(hosted, **_TRACKERS)
         assert in_kernel.engine == on_host.engine == "compiled"
-        assert blocks < 10
-        assert len(spy.calls) - blocks == on_host.total_cycles
+        assert _drawn_on_host(spy, on_host)
         assert _tracked(in_kernel) == want
         assert _tracked(on_host) == want
 
@@ -356,12 +390,13 @@ class TestInjectionPath:
         plain = build_run(spec)
         assert plain.engine == "compiled" and plain.total_cycles >= 600
         assert len(spy.calls) < 10
-        del spy.calls[:]
+        spy.clear()
         faulted = build_run(
             spec.replace(fault_transient=2, fault_drop_prob=0.01)
         )
         assert faulted.engine == "compiled"
-        assert len(spy.calls) == faulted.total_cycles
+        assert faulted.total_cycles >= 600
+        assert _drawn_on_host(spy, faulted)
 
     def test_argument_overrides_pick_the_path(self, monkeypatch):
         """``run_compiled`` lets arguments override spec fields, so the
@@ -373,21 +408,23 @@ class TestInjectionPath:
         spy = _KernelSpy(monkeypatch)
         for target, args, overrides in (
             (spec, (), dict(faults=dead)),
-            (config, ("uniform_random", 0.1), dict(max_wall_seconds=1e6)),
+            (spec, ("hotspot", 0.1), {}),
+            (config, ("neighbor", 0.1), {}),
         ):
-            del spy.calls[:]
+            spy.clear()
             got = run_compiled(target, *args, **window, **overrides)
             assert got.engine == "compiled"
-            assert len(spy.calls) == got.total_cycles
+            assert _drawn_on_host(spy, got)
             want = run_synthetic(
                 target, *args, engine="reference", **window, **overrides
             )
             assert fingerprint(got) == fingerprint(want)
-        # The same calls without the override inject in-kernel.
-        del spy.calls[:]
+        # The same calls without the override draw in-kernel.
+        spy.clear()
         assert run_compiled(spec, **window).engine == "compiled"
         run_compiled(config, "uniform_random", 0.1, **window)
         assert len(spy.calls) < 20
+        assert set(spy.modes) == {_ckernel.MODE_UNIFORM}
 
     def test_uncompiled_specs_are_not_lowered(self, monkeypatch):
         """A spec that does not select the compiled engine goes to
@@ -411,6 +448,135 @@ class TestInjectionPath:
         results = run_compiled_batch(specs)
         assert [r.engine for r in results] == ["reference", "reference"]
         assert [fingerprint(r) for r in results] == want
+
+
+@register_pattern(
+    "test-skewed", description="dest-stream pattern with no kernel plan",
+    replace=True,
+)
+def _make_skewed(config):
+    width, height = config.width, config.height
+
+    def skewed(src, rng):
+        if rng.random() < 0.3:
+            return None
+        dest = Coord(rng.randrange(width), rng.randrange(height))
+        return None if dest == src else dest
+
+    return skewed
+
+
+def _cut_off_schedule(config):
+    """A corner tile with every link dead (live, but partitioned from
+    all the others), a dead router, and one more dead link."""
+    topology = make_topology(config)
+    corner = Coord(0, 0)
+    links = [link for link in topology.channel_map if link[0] == corner]
+    links.append((Coord(config.width - 1, config.height - 1), Direction.W))
+    return FaultSchedule(
+        config, dead_links=links, dead_routers=[Coord(3, 2)], seed=1
+    )
+
+
+#: scenario -> spec overrides ("cut-off" also takes `_cut_off_schedule`).
+_DRAW_SCENARIOS = {
+    "cut-off": dict(rate=0.15),
+    "drops": dict(rate=0.15, fault_transient=3, fault_drop_prob=0.05),
+    "plugin-pattern": dict(rate=0.3, pattern="test-skewed"),
+    "off-rate-trace": dict(rate=0.5, pattern="trace"),
+    "full-rate-trace": dict(rate=1.0, pattern="trace"),
+}
+
+
+class TestHostDrawnSchedule:
+    """Whoever draws them, the packets are the reference's."""
+
+    @pytest.fixture(scope="class")
+    def trace_path(self, tmp_path_factory):
+        """A 600-cycle uniform trace for the 8x4 designs below."""
+        rng = random.Random(5)
+        rows = [
+            (cycle, src, rng.choice([d for d in range(32) if d != src]))
+            for cycle in range(600)
+            for src in range(32)
+            if rng.random() < 0.12
+        ]
+        return Trace(
+            topology="mesh", width=8, height=4, duration=600,
+            cycles=array("i", (r[0] for r in rows)),
+            srcs=array("i", (r[1] for r in rows)),
+            dests=array("i", (r[2] for r in rows)),
+            sizes=array("i", [1] * len(rows)),
+        ).write(str(tmp_path_factory.mktemp("traces") / "u.noctrace"))
+
+    @tiered_settings(10, deadline=None)
+    @given(
+        design=st.sampled_from(
+            (("mesh", {}), ("ruche2-depop", {"half": True}),
+             ("torus-fbfc", {}), ("torus", {}))
+        ),
+        scenario=st.sampled_from(sorted(_DRAW_SCENARIOS)),
+        # Windows that end mid-block: warmup inside the first
+        # wall-check interval, measure across the next boundary.
+        warmup=st.integers(130, 250),
+        measure=st.integers(150, 300),
+        seed=st.integers(0, 5),
+    )
+    def test_property_host_drawn_equals_in_kernel_equals_reference(
+        self, trace_path, design, scenario, warmup, measure, seed
+    ):
+        name, options = design
+        cut_off = scenario == "cut-off"
+        if cut_off and name.startswith("torus"):
+            name, options = "mesh", {}  # permanent faults reroute
+        overrides = dict(_DRAW_SCENARIOS[scenario])
+        if overrides.get("pattern") == "trace":
+            overrides["pattern"] = f"trace_replay:{trace_path}"
+        spec = _spec(
+            name, 8, 4, warmup=warmup, measure=measure, drain_limit=900,
+            seed=seed, **options, **overrides,
+        )
+        faults = _cut_off_schedule(spec.config()) if cut_off else None
+
+        def run(engine):
+            return run_synthetic(
+                spec, spec.pattern, spec.rate, engine=engine, faults=faults,
+                warmup=warmup, measure=measure, drain_limit=900, seed=seed,
+                **_TRACKERS,
+            )
+
+        reference = run("reference")
+        want = _tracked(reference)
+        if cut_off:
+            # The dead router never drew; the corner drew, and every
+            # destination it drew was discarded as unreachable.
+            delivered_from = reference.metrics.per_source
+            assert len(delivered_from) == 30
+            assert not {Coord(0, 0), Coord(3, 2)} & set(delivered_from)
+        with pytest.MonkeyPatch.context() as patch:
+            spy = _KernelSpy(patch)
+            if not batching_problems(spec, faults=faults):
+                # The kernel has a plan of its own for this run ...
+                (planned,) = run_compiled_batch([spec], **_TRACKERS)
+                assert planned.engine == "compiled-batch"
+                assert _tracked(planned) == want
+                # ... which the host's draw must reproduce.
+                patch.setattr(fastsim, "_pattern_plan", lambda *args: None)
+                spy.clear()
+            drawn = run("compiled")
+            assert drawn.engine == "compiled"
+            assert _drawn_on_host(spy, drawn)
+            assert _tracked(drawn) == want
+            # Records and log too small for a block's schedule: the
+            # kernel stops mid-schedule, the host grows, the cursor holds.
+            patch.setattr(fastsim, "_PK_CAP0", 8)
+            patch.setattr(fastsim, "_EJ_CAP0", 8)
+            spy.clear()
+            assert _tracked(run("compiled")) == want
+            assert any(
+                stop == _ckernel.STOP_CAPACITY and 0 < cursor < length
+                for (stop, _), (cursor, length) in zip(spy.calls, spy.cursors)
+            )
 
 
 class TestRunLifetime:
@@ -594,6 +760,28 @@ class TestBatchErrors:
         assert got_healthy.engine == "compiled-batch"
         assert fingerprint(got_healthy) == fingerprint(_reference(healthy))
 
+    @pytest.mark.parametrize(
+        "faults", [{}, {"fault_transient": 2}], ids=["healthy", "faulted"]
+    )
+    def test_expired_wall_budget_times_out_identically(self, faults):
+        """A budget that has already run out trips at the first poll —
+        the reference's cycle 256 — with one message on every engine:
+        raised by a serial run, data in a batch, whoever draws."""
+        doomed = _spec(
+            "mesh", 8, 8, warmup=300, measure=400, max_wall_seconds=0.0,
+            **faults,
+        )
+        with pytest.raises(SimulationTimeout) as ref_exc:
+            _reference(doomed)
+        assert str(ref_exc.value) == (
+            "run exceeded its 0.0s wall-clock limit at cycle 256"
+        )
+        with pytest.raises(SimulationTimeout) as compiled_exc:
+            build_run(doomed)
+        (got,) = run_compiled_batch([doomed])
+        assert isinstance(got, SimulationTimeout)
+        assert str(compiled_exc.value) == str(got) == str(ref_exc.value)
+
     @pytest.mark.parametrize("name", ["mesh", "torus"])
     def test_watchdog_trip_message_matches_serial(self, name):
         """An aggressive starvation window trips identically — same
@@ -623,10 +811,6 @@ class TestBatchingGate:
     def test_default_engine_is_not_batchable(self):
         codes = self._codes(_spec("mesh", 4, 4, engine=None))
         assert "engine-not-compiled" in codes
-
-    def test_wall_clock_budget_rejected(self):
-        codes = self._codes(_spec("mesh", 4, 4, max_wall_seconds=5.0))
-        assert "wall-clock-budget" in codes
 
     def test_fault_schedule_rejected(self):
         spec = NetworkSpec.for_network(
@@ -658,8 +842,10 @@ class TestBatchingGate:
         caller always gets a result per spec."""
         specs = [
             _spec("mesh", 4, 4, audit_every=10),
-            _spec("mesh", 4, 4, max_wall_seconds=30.0),
+            _spec("mesh", 4, 4, fault_transient=2),
+            _spec("mesh", 4, 4, pattern="hotspot"),
         ]
+        assert all(batching_problems(spec) for spec in specs)
         results = run_compiled_batch(specs)
         for spec, got in zip(specs, results):
             assert fingerprint(got) == fingerprint(_reference(spec))

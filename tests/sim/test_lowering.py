@@ -455,6 +455,43 @@ def test_injection_plans_keep_node_orders_apart(
         assert fingerprint(got) == fingerprint(reference)
 
 
+def test_trace_schedule_is_in_the_models_node_order(
+    test_components, tmp_path
+):
+    """A trace file is ``(cycle, row-major source)``-sorted; the kernel's
+    injection schedule must be in the *model's* source order, or packet
+    ids — which a watchdog snapshot names — differ from the oracle's."""
+    from repro.errors import DeadlockError
+    from repro.sim.trace import Trace
+
+    rows = [(cycle, src, (src + 5) % 24) for cycle in range(3)
+            for src in range(24)]
+    path = Trace(
+        topology="mesh", width=6, height=4, duration=3,
+        cycles=array("i", (r[0] for r in rows)),
+        srcs=array("i", (r[1] for r in rows)),
+        dests=array("i", (r[2] for r in rows)),
+        sizes=array("i", [1] * len(rows)),
+    ).write(str(tmp_path / "dense.noctrace"))
+    doomed = _run_spec(
+        "test-column-major", 6, 4, pattern=f"trace_replay:{path}",
+        rate=1.0, warmup=0, measure=3, starvation_window=1,
+        engine="compiled",
+    )
+    assert fastsim.batching_problems(doomed) == []
+    with pytest.raises(DeadlockError) as reference:
+        build_run(doomed.replace(engine="reference"))
+    with pytest.raises(DeadlockError) as compiled:
+        build_run(doomed)
+    assert compiled.value.snapshot == reference.value.snapshot
+    heads = [
+        head.pid
+        for router in compiled.value.snapshot.stalled_routers
+        for head in router.heads
+    ]
+    assert len(set(heads)) > 1
+
+
 def test_route_tabulation_rejects_vc_state(test_components):
     """A VC-emitting routing under a wormhole router has no lowering."""
     spec = _run_spec(
@@ -523,7 +560,7 @@ def test_fallback_table_matches_the_code():
     gate_codes = {
         "no-native-kernel", "audit-every", "edge-memory",
         "pipelined-channels", "vc-fbfc-rerouting",
-        "engine-not-compiled", "wall-clock-budget", "trace-rate",
-        "fault-schedule", "pattern-not-batchable",
+        "engine-not-compiled", "trace-rate", "fault-schedule",
+        "pattern-not-batchable",
     }
     assert emitted == gate_codes | set(COMPILE_STAGE_SPECS)

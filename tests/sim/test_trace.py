@@ -180,9 +180,9 @@ class TestReplayParity:
     def test_off_rate_replay_injects_on_the_host(
         self, trace_file, monkeypatch
     ):
-        """Off full rate the kernel's cycle-indexed cursors would
+        """Off full rate the trace as a cycle-indexed schedule would
         diverge from the pattern-call-indexed replay, so every compiled
-        entry point leaves the trace to the Python pattern."""
+        entry point leaves the draw to the Python pattern."""
         from repro.sim import fastsim
 
         monkeypatch.setattr(
