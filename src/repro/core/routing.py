@@ -648,6 +648,7 @@ def tabulate_next_hops(
     dest: Coord,
     *,
     sources: Optional[Iterable[Coord]] = None,
+    entries: Iterable[TableState] = (),
     on_error: Optional[Callable[[TableState, RoutingError], None]] = None,
 ) -> Dict[TableState, TableEntry]:
     """Export ``routing``'s next-hop decisions toward ``dest`` as a table.
@@ -666,6 +667,9 @@ def tabulate_next_hops(
 
     ``sources`` restricts the injection frontier (the certifier passes
     only fault-reachable sources); default is every graph node.
+    ``entries`` are further states to walk from: where packets enter a
+    node on a channel port rather than at its injection port (an
+    endpoint-only node feeding the array).
     Route computations that raise, and outputs with no wired channel,
     are reported through ``on_error`` — an unwired output keeps its
     table entry (the entry *is* the defect), a raising state gets none.
@@ -692,6 +696,7 @@ def tabulate_next_hops(
             graph.nodes if sources is None else sources,
         )
     ]
+    frontier.extend(entries)
     while frontier:
         state = frontier.pop()
         if state in table:

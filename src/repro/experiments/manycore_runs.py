@@ -7,15 +7,17 @@ the memo across worker processes (each run is a pure, deterministic
 function of its key) so the drivers' ``--jobs`` flag parallelizes the
 expensive simulations while every aggregation step stays serial.
 
-Every reference run additionally captures its per-network injection
-traces (:mod:`repro.sim.trace`) as a side effect: cache entries are
+Every run additionally captures its per-network injection traces
+(:mod:`repro.sim.trace`) as a side effect: cache entries are
 :class:`RunEntry` objects carrying the :class:`MachineStats` *and* the
-``fwd`` / ``rev`` traces, so repeated network-level sweeps over the
-cached workloads replay on the compiled engine instead of re-running
-the execution-driven model (capture once, replay many — see
-:func:`replay_result`).  The internal cache key includes the
-:data:`PROVENANCE` schema tag, so a cache primed by a pre-trace build
-is never silently reused for replay rows.
+``fwd`` / ``rev`` traces (and which engine stepped the machine's
+networks — stats and traces are bit-identical on either), so repeated
+network-level sweeps over the cached workloads replay on the compiled
+engine instead of re-running the execution-driven model (capture once,
+replay many — see :func:`replay_result`).  A capture that runs out of
+its cycle budget is an error, never an entry.  The internal cache key
+includes the :data:`PROVENANCE` schema tag, so a cache primed by a
+pre-trace build is never silently reused for replay rows.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import shutil
 import tempfile
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import SimulationError
 from repro.manycore import (
     Machine,
     MachineConfig,
@@ -98,12 +101,17 @@ class RunEntry:
     ``paths`` memoizes where each stream's trace has been written this
     process (traces travel between prime workers and the parent in
     memory; files materialize lazily in whichever process replays).
+    ``engine`` is the engine that stepped the machine's networks and
+    ``fallback`` the diagnostic codes behind a ``"reference"`` there
+    (see :class:`~repro.manycore.Machine`).
     """
 
     stats: MachineStats
     traces: Dict[str, Trace]
     provenance: str = PROVENANCE
     paths: Dict[str, str] = dataclasses.field(default_factory=dict)
+    engine: str = "reference"
+    fallback: List[str] = dataclasses.field(default_factory=list)
 
 
 _CACHE: Dict[Tuple, RunEntry] = {}
@@ -123,6 +131,14 @@ def _simulate(
     )
     machine = Machine(mcfg, workload, recorder=TraceRecorder())
     stats = machine.run(max_cycles=3_000_000)
+    if not stats.completed:
+        # A truncated cycle count would feed every speedup derived from
+        # this key, and a truncated trace every replay of it.
+        raise SimulationError(
+            f"manycore run {(benchmark, network, width, height, scale)} "
+            f"did not complete within its cycle budget (stopped at "
+            f"cycle {stats.cycles})"
+        )
     traces = machine.finalize_traces(
         provenance={
             "benchmark": benchmark,
@@ -133,7 +149,12 @@ def _simulate(
             "schema": PROVENANCE,
         }
     )
-    return RunEntry(stats=stats, traces=traces)
+    return RunEntry(
+        stats=stats,
+        traces=traces,
+        engine=machine.engine,
+        fallback=[problem.code for problem in machine.fallback],
+    )
 
 
 def _simulate_key(key: RunKey) -> RunEntry:

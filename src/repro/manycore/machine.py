@@ -13,6 +13,15 @@ The simulation is execution-driven end to end: cores stall on window
 pressure and network backpressure, memory banks backpressure the request
 network, and response injection contends with the response network — the
 feedback effects the paper contrasts against trace-driven methodology.
+
+The two networks are two *fabrics* behind one surface (offer a packet,
+read a source queue, step, hop counts): by default a
+:class:`~repro.sim.fastsim.CompiledFabric` each — the native kernel
+stepping one cycle per call, endpoints gating its sinks through ready
+words — or, with ``engine="reference"`` (the oracle, and the fallback
+when a fabric does not lower), a :class:`~repro.sim.network.Network`
+each.  The machine, cores and memory models are one copy and do not know
+which; results are bit-identical.
 """
 
 from __future__ import annotations
@@ -21,11 +30,16 @@ import dataclasses
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.coords import Coord
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.manycore.config import MachineConfig
 from repro.manycore.core_model import Core, Request
 from repro.manycore.ipoly import ipoly_hash, modulo_hash
 from repro.manycore.memory import MemoryTile, ScratchpadServer
+from repro.sim.fastsim import (
+    CompiledFabric,
+    LoweringDiagnostic,
+    fabric_problems,
+)
 from repro.sim.network import Network
 from repro.sim.packet import Packet
 from repro.sim.router import Sink
@@ -107,6 +121,11 @@ class Machine:
     ``workload`` maps each compute coordinate to an operation iterator
     (see :mod:`repro.manycore.kernels`).  ``hash_fn`` selects the LLC
     interleaving ("ipoly" per the paper, "modulo" for the ablation).
+    ``engine`` selects who steps the two networks: ``"compiled"`` (the
+    native kernel) or ``"reference"`` (the object model, bit-identical
+    and the oracle).  :attr:`engine` reports the one that actually
+    steps; a compiled request that cannot lower runs on reference and
+    :attr:`fallback` says why.
     """
 
     def __init__(
@@ -115,7 +134,14 @@ class Machine:
         workload: Dict[Coord, Iterator[Tuple]],
         hash_fn: str = "ipoly",
         recorder: Optional["TraceRecorder"] = None,
+        *,
+        engine: str = "compiled",
     ) -> None:
+        if engine not in ("compiled", "reference"):
+            raise ConfigError(
+                f"unknown machine engine {engine!r}; expected "
+                f"'compiled' or 'reference'"
+            )
         self.config = config
         self.cycle = 0
         #: Optional injection-trace capture (see :mod:`repro.sim.trace`):
@@ -144,19 +170,26 @@ class Machine:
                 config.amo_service,
             )
 
-        # Networks: requests X-Y, responses Y-X.
-        self.fwd = Network(
+        # Networks: requests X-Y, responses Y-X.  Both on one engine.
+        #: Why a ``"compiled"`` request runs on reference (else empty).
+        self.fallback: List[LoweringDiagnostic] = []
+        if engine == "compiled":
+            self.fallback = fabric_problems(
+                config.forward_config
+            ) or fabric_problems(config.reverse_config)
+        #: The engine that actually steps the networks.
+        self.engine = "reference" if self.fallback else engine
+        fabric = CompiledFabric if self.engine == "compiled" else Network
+        self.fwd = fabric(
             config.forward_config,
             sink_factory=lambda c: self.servers[c],
             memory_sink_factory=lambda c: self.memories[c],
         )
-        self.rev = Network(
+        self.rev = fabric(
             config.reverse_config,
             sink_factory=lambda c: _CoreSink(self.cores[c]),
             memory_sink_factory=_UnexpectedSink,
         )
-        self._fwd_routing = self.fwd.routing
-        self._rev_routing = self.rev.routing
 
         # Barrier state (sense-reversing).
         self._barrier_generation = 0
@@ -180,8 +213,8 @@ class Machine:
         key = (src, dest)
         cached = self._intrinsic_cache.get(key)
         if cached is None:
-            cached = self._fwd_routing.hop_count(src, dest)
-            cached += self._rev_routing.hop_count(dest, src)
+            cached = self.fwd.hop_count(src, dest)
+            cached += self.rev.hop_count(dest, src)
             self._intrinsic_cache[key] = cached
         return cached
 
@@ -349,8 +382,8 @@ class Machine:
             loads_completed=sum(c.stats.loads_completed for c in cores),
             latency_total=sum(c.stats.latency_total for c in cores),
             intrinsic_total=sum(c.stats.intrinsic_total for c in cores),
-            fwd_hop_counts=list(self.fwd.metrics.hop_counts),
-            rev_hop_counts=list(self.rev.metrics.hop_counts),
+            fwd_hop_counts=list(self.fwd.hop_counts),
+            rev_hop_counts=list(self.rev.hop_counts),
             requests_served=(
                 sum(m.served for m in self._memory_list)
                 + sum(s.served for s in self._server_list)

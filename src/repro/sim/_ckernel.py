@@ -30,6 +30,19 @@ waiting packets are an intrusive list threaded through the per-packet
 ``pnext`` array, and a block that might outgrow the packet records (or
 the log) stops *before* the injection round with ``STOP_CAPACITY`` so
 the host can double them and re-enter.
+
+A caller that is itself the traffic steps the same drivers one cycle
+per call (``count = 1``; :class:`repro.sim.fastsim.CompiledFabric`):
+its offers are that cycle's schedule, and a source id at or past the
+router count is an endpoint, whose packet the one ``enqueue`` pushes
+onto the endpoint's *entry queue* (``entry[]``: the router input FIFO
+its channel arrives on) or refuses when that is full.  Outputs wired to
+a sink — the ejection port, a channel into an endpoint — carry a
+negative ``dn``: ``-1`` is always ready, ``-2 - k`` is gated by the
+host-written word ``ready[k]``, and a not-ready sink blocks its output
+exactly where a full downstream queue would.  ``hop_count_noc`` /
+``hop_count_vc`` walk the same route tables for a pair's zero-load hop
+count.
 ``ctx_sizes`` reports the C struct sizes so :func:`get_kernel` can
 refuse a library whose layout drifted from the ctypes mirrors below.
 
@@ -62,7 +75,11 @@ class StepCtx(ctypes.Structure):
 
     Filling the struct once and passing a single pointer per cycle keeps
     the per-call ctypes marshalling cost constant instead of linear in
-    the argument count.
+    the argument count.  ``dn[r*9+o]`` is the downstream ``down_r*9 +
+    down_in`` of a router-to-router output, ``-1`` for a free sink or
+    ``-2 - k`` for one gated by ``ready[k]`` (NULL unless a fabric gates
+    a sink); route rows are ``rowlen`` = subnets x destinations long,
+    destinations being routers then endpoints.
     """
 
     _fields_ = [
@@ -79,6 +96,7 @@ class StepCtx(ctypes.Structure):
         ("needs", _I32P),
         ("rowof", _I32P),
         ("rows", _I32P),
+        ("ready", _I32P),
         # per-run queue state
         ("buf", _I32P),
         ("qoff", _I32P),
@@ -108,10 +126,13 @@ class VcCtx(ctypes.Structure):
     stride ``nvc`` (the P injection port owns a single lane, whose
     packets wait on the ``BlockCtx`` injection list, not in ``buf``).
     Static tables mirror the compiled model: ``dn[r*5+o]`` is the
-    downstream ``down_r*5+down_in`` (or -1 for the ejection sink),
-    ``out_tab`` / ``vcn_tab`` / ``dl_tab`` are the per-destination
-    route/VC/dateline rows, and ``sd`` is the 5x5 same-dimension
-    predicate.
+    downstream ``down_r*5+down_in`` (or ``-1`` for a free sink, ``-2 -
+    k`` for one gated by ``ready[k]``), ``out_tab`` / ``vcn_tab`` /
+    ``dl_tab`` are the per-destination route/VC/dateline rows (stride
+    ``nd``: routers, then endpoints), and ``sd`` is the 5x5
+    same-dimension predicate.  ``dirty[r]`` must be raised by whoever
+    changes what router ``r`` could grant: the kernel on every queue
+    change, the host when it turns a gated sink ready.
     """
 
     _fields_ = [
@@ -119,7 +140,7 @@ class VcCtx(ctypes.Structure):
         ("depth", ctypes.c_int32),
         ("nvc", ctypes.c_int32),
         ("track_links", ctypes.c_int32),
-        ("n", ctypes.c_int32),
+        ("nd", ctypes.c_int32),
         # static tables (per compiled model)
         ("plist", _I32P),
         ("pofs", _I32P),
@@ -130,6 +151,7 @@ class VcCtx(ctypes.Structure):
         ("vcn_tab", _I32P),
         ("dl_tab", _I32P),
         ("sd", _I32P),
+        ("ready", _I32P),
         # per-run queue state
         ("buf", _I32P),
         ("qoff", _I32P),
@@ -169,6 +191,13 @@ class BlockCtx(ctypes.Structure):
     moments — sum, sum of squares as two unsigned 64-bit limbs, min, max
     (min/max are meaningful once ``ST_DEL_MEAS`` is non-zero).
 
+    ``n`` counts the routers — the sources the kernel draws for — and
+    ``nd`` the destination ids, routers then endpoints: the stride of
+    ``subnet`` and of every route row, and the most packets or ejections
+    one cycle can add.  Source ids ``n .. nd-1`` are endpoints, offered
+    only through a schedule; ``entry[s - n]`` is the flat ``(router,
+    input)`` queue such a packet enters on.
+
     ``pk_cap`` is the length of every per-packet array (here and in the
     step context) and ``ej_cap`` the ejection log's, in entries;
     ``ejlog`` is NULL for runs that keep no per-packet data.  A source's
@@ -183,6 +212,7 @@ class BlockCtx(ctypes.Structure):
         ("x_mt", _U32P),
         ("rate", ctypes.c_double),
         ("n", ctypes.c_int32),
+        ("nd", ctypes.c_int32),
         ("mode", ctypes.c_int32),
         ("ubits", ctypes.c_int32),
         ("count", ctypes.c_int32),
@@ -195,6 +225,7 @@ class BlockCtx(ctypes.Structure):
         ("dtab", _I32P),
         ("perm", _I32P),
         ("subnet", _I32P),
+        ("entry", _I32P),
         # per-packet records (doubled by the host on STOP_CAPACITY)
         ("pk_cap", ctypes.c_int32),
         ("ej_cap", ctypes.c_int32),
@@ -284,7 +315,7 @@ _SOURCE = _defines() + r"""
 
 typedef struct {
     int32_t R, depth, fbfc, track_links, rowlen;
-    const int32_t *dn, *ncv, *cands, *pm, *needs, *rowof, *rows;
+    const int32_t *dn, *ncv, *cands, *pm, *needs, *rowof, *rows, *ready;
     int32_t *buf;
     const int32_t *qoff, *qcap;
     int32_t *qhead, *qlen, *arb, *occ;
@@ -294,10 +325,10 @@ typedef struct {
 } StepCtx;
 
 typedef struct {
-    int32_t R, depth, nvc, track_links, n;
+    int32_t R, depth, nvc, track_links, nd;
     const int32_t *plist, *pofs, *pcnt;
     const int32_t *dn, *feed;
-    const int32_t *out_tab, *vcn_tab, *dl_tab, *sd;
+    const int32_t *out_tab, *vcn_tab, *dl_tab, *sd, *ready;
     int32_t *buf;
     const int32_t *qoff, *qcap;
     int32_t *qhead, *qlen, *vc_rr, *prio, *occ, *dirty;
@@ -309,10 +340,10 @@ typedef struct {
 typedef struct {
     uint32_t *t_mt, *d_mt, *x_mt;
     double rate;
-    int32_t n, mode, ubits, count, measured, drain;
+    int32_t n, nd, mode, ubits, count, measured, drain;
     int32_t stall_window, starve_window;
     int64_t target, maxc;
-    const int32_t *dtab, *perm, *subnet;
+    const int32_t *dtab, *perm, *subnet, *entry;
     int32_t pk_cap, ej_cap;
     int32_t *psrc, *pinj, *pmeas, *pnext;
     int32_t *phead, *ptail;
@@ -406,6 +437,13 @@ static int drop_flit(BlockCtx *b, int lk, int pid)
     return 1;
 }
 
+/* An output's downstream code dn: >= 0 is the flat (router, input)
+ * queue it feeds; -1 is a free sink (the P ejection port, or a channel
+ * into an endpoint) that always takes the packet; -2 - k is a sink gated
+ * by the host-written word ready[k].  A not-ready sink blocks the output
+ * exactly where a full downstream queue does. */
+#define SINK_BLOCKED(d, ready) ((d) < -1 && !(ready)[-2 - (d)])
+
 /* One network cycle for the wormhole / FBFC router kinds.
  *
  * Phase 1 arbitrates every output of every occupied router against
@@ -456,7 +494,7 @@ static int step_noc(StepCtx *c, BlockCtx *b)
             const int d = c->dn[ro];
             int pos;
             if (!fbfc) {
-                if (d >= 0 && qlen[d] >= depth)
+                if (d >= 0 ? qlen[d] >= depth : SINK_BLOCKED(d, c->ready))
                     continue;
                 pos = c->arb[ro];
                 while (!((m >> pos) & 1)) {
@@ -465,7 +503,8 @@ static int step_noc(StepCtx *c, BlockCtx *b)
                         pos = 0;
                 }
             } else {
-                const int avail = d < 0 ? depth : depth - qlen[d];
+                const int avail = d >= 0 ? depth - qlen[d]
+                    : SINK_BLOCKED(d, c->ready) ? 0 : depth;
                 if (avail <= 0)
                     continue;
                 const int ptr = c->arb[ro];
@@ -512,10 +551,11 @@ static int step_noc(StepCtx *c, BlockCtx *b)
         if (c->track_links && o)
             c->link[ro]++;
         const int d = c->dn[ro];
+        if (o)
+            c->hop[o]++;  /* a sink output is a channel; P is not */
         if (d < 0) {
             c->ej[nej++] = pid;
         } else {
-            c->hop[o]++;
             c->pout[pid] = c->rows[c->rowof[d] * c->rowlen
                                    + c->pbase[pid] + c->pdest[pid]];
             int t = qhead[d] + qlen[d];
@@ -542,7 +582,7 @@ static int step_noc(StepCtx *c, BlockCtx *b)
  */
 static int step_vc(VcCtx *c, BlockCtx *b)
 {
-    const int32_t R = c->R, depth = c->depth, nvc = c->nvc, n = c->n;
+    const int32_t R = c->R, depth = c->depth, nvc = c->nvc, nd = c->nd;
     const int32_t *qoff = c->qoff, *qcap = c->qcap;
     int32_t *qhead = c->qhead, *qlen = c->qlen;
     int ng = 0, nej = 0;
@@ -570,7 +610,8 @@ static int step_vc(VcCtx *c, BlockCtx *b)
                 const int o = c->pout[pid];
                 const int code = c->dn[rb5 + o];
                 if (code >= 0
-                    && qlen[code * nvc + c->povc[pid]] >= depth)
+                        ? qlen[code * nvc + c->povc[pid]] >= depth
+                        : SINK_BLOCKED(code, c->ready))
                     continue;
                 const int idx = i * 5 + o;
                 if (!cm[idx])
@@ -672,12 +713,13 @@ static int step_vc(VcCtx *c, BlockCtx *b)
         if (c->track_links && o)
             c->link[r * 9 + o]++;
         const int code = c->dn[ro];
+        if (o)
+            c->hop[o]++;  /* a sink output is a channel; P is not */
         if (code < 0) {
             c->ej[nej++] = pid;
         } else {
-            c->hop[o]++;
             const int down_r = code / 5;
-            const int row = down_r * n + c->pdest[pid];
+            const int row = down_r * nd + c->pdest[pid];
             const int out2 = c->out_tab[row];
             const int avc = c->povc[pid];
             int v2;
@@ -717,45 +759,76 @@ static int step_vc(VcCtx *c, BlockCtx *b)
  * breaks BEFORE the cycle counter increments, matching the reference
  * raise points.  A capacity stop breaks before the injection round of a
  * cycle whose packets (one per source at most) or ejections (one per
- * router at most) might not fit the records or the log — never
+ * sink at most; sources and sinks both number nd, routers and endpoints)
+ * might not fit the records or the log — never
  * mid-round, so no twister is half consumed, no schedule entry half
  * read and no watchdog counter moves.
  */
 
-/* The one enqueue: a new packet s -> d joins the tail of source s's
- * injection list, whoever chose it. */
+/* Route-row offset of a packet s -> d: the parity subnet a router
+ * source picks at injection, times the destination stride.  Endpoint
+ * sources (s >= n) ride subnet 0, as the reference's memory injection
+ * does. */
+static inline int route_base(const BlockCtx *b, int s, int d)
+{
+    return b->subnet && s < b->n ? b->subnet[s * b->nd + d] * b->nd : 0;
+}
+
+/* The one enqueue: a new packet s -> d, whoever chose it.  A router
+ * source (s < n) appends to its unbounded injection list; an endpoint
+ * source (s >= n, offered only by the host) pushes onto its entry queue
+ * — the (router, input) FIFO its channel arrives on, lane 0 — routed by
+ * that input's row class / same-dimension predicate, and is refused
+ * (nothing happens) when the queue is full. */
 static inline void enqueue(StepCtx *sc, VcCtx *vc, BlockCtx *b, int s, int d)
 {
     /* sc is NULL when vc is set, and vice versa. */
     const int n = b->n;
+    const int port = s < n ? s * (vc ? 5 : 9) : b->entry[s - n];
+    const int q = vc ? port * vc->nvc : port;
+    int32_t *qlen = vc ? vc->qlen : sc->qlen;
+    const int32_t *qcap = vc ? vc->qcap : sc->qcap;
+    if (s >= n && qlen[q] >= qcap[q])
+        return;
     const int pid = (int)b->st[ST_NPK];
     b->st[ST_NPK] = pid + 1;
     b->psrc[pid] = s;
     b->pinj[pid] = (int32_t)b->st[ST_CYCLE];
     b->pmeas[pid] = b->measured;
-    int32_t *plen;  /* the source's P-queue length */
     if (vc) {
-        const int row = s * n + d;
+        const int r = port / 5;
+        const int row = r * vc->nd + d;
+        const int out = vc->out_tab[row];
         vc->pdest[pid] = d;
-        vc->pout[pid] = vc->out_tab[row];
-        vc->povc[pid] = vc->dl_tab[row] ? 1 : vc->vcn_tab[row];
-        plen = vc->qlen + s * 5 * vc->nvc;  /* P port, lane 0 */
-        vc->occ[s]++;
-        vc->dirty[s] = 1;
+        vc->pout[pid] = out;
+        /* sd[] is never set for the P input, so an injection takes the
+         * destination's VC; an entry holds lane 0. */
+        vc->povc[pid] = vc->dl_tab[row] ? 1
+            : vc->sd[port % 5 * 5 + out] ? 0 : vc->vcn_tab[row];
+        vc->occ[r]++;
+        vc->dirty[r] = 1;
     } else {
-        const int base = b->subnet ? b->subnet[s * n + d] * n : 0;
+        const int base = route_base(b, s, d);
         sc->pdest[pid] = d;
         sc->pbase[pid] = base;
-        sc->pout[pid] = sc->rows[sc->rowof[s * 9] * sc->rowlen + base + d];
-        plen = sc->qlen + s * 9;
-        sc->occ[s]++;
+        sc->pout[pid] = sc->rows[sc->rowof[port] * sc->rowlen + base + d];
+        sc->occ[port / 9]++;
     }
-    if (*plen)
-        b->pnext[b->ptail[s]] = pid;
-    else
-        b->phead[s] = pid;
-    b->ptail[s] = pid;
-    ++*plen;
+    if (s >= n) {
+        int32_t *buf = vc ? vc->buf : sc->buf;
+        const int32_t *qoff = vc ? vc->qoff : sc->qoff;
+        int t = (vc ? vc->qhead : sc->qhead)[q] + qlen[q];
+        if (t >= qcap[q])
+            t -= qcap[q];
+        buf[qoff[q] + t] = pid;
+    } else {
+        if (qlen[q])
+            b->pnext[b->ptail[s]] = pid;
+        else
+            b->phead[s] = pid;
+        b->ptail[s] = pid;
+    }
+    qlen[q]++;
     b->st[ST_OCC]++;
     b->st[ST_INJ_TOTAL]++;
     if (b->measured)
@@ -805,8 +878,8 @@ static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
     int32_t ran = 0;
     int stop = STOP_BUDGET;
     while (ran < b->count) {
-        if (st[ST_NPK] + b->n > b->pk_cap
-            || (b->ejlog && st[ST_NEJLOG] + b->n > b->ej_cap)) {
+        if (st[ST_NPK] + b->nd > b->pk_cap
+            || (b->ejlog && st[ST_NEJLOG] + b->nd > b->ej_cap)) {
             stop = STOP_CAPACITY;
             break;
         }
@@ -882,6 +955,43 @@ int run_block_vc(VcCtx *vc, BlockCtx *b)
     return run_block((StepCtx *)0, vc, b);
 }
 
+/* Channel traversals of a packet s -> d at zero load, walked over the
+ * tables the steps route by (what routing.hop_count computes from the
+ * algorithm): every output taken but the final P, the channel into a
+ * destination endpoint and the channel out of a source endpoint
+ * included.  -1 when the walk does not end at d. */
+static int hop_count(const StepCtx *sc, const VcCtx *vc, const BlockCtx *b,
+                     int s, int d)
+{
+    const int np = vc ? 5 : 9;
+    const int32_t *dn = vc ? vc->dn : sc->dn;
+    const int base = route_base(b, s, d) + d;
+    int port = s < b->n ? s * np : b->entry[s - b->n];
+    int hops = s >= b->n;
+    for (int limit = b->n * np; port >= 0 && limit > 0; limit--) {
+        const int r = port / np;
+        const int o = vc ? vc->out_tab[r * vc->nd + d]
+                         : sc->rows[sc->rowof[port] * sc->rowlen + base];
+        if (o <= 0)
+            return o ? -1 : hops;
+        hops++;
+        port = dn[r * np + o];
+        if (port < 0)
+            return hops;  /* a sink output: the endpoint d */
+    }
+    return -1;
+}
+
+int hop_count_noc(const StepCtx *sc, const BlockCtx *b, int s, int d)
+{
+    return hop_count(sc, (const VcCtx *)0, b, s, d);
+}
+
+int hop_count_vc(const VcCtx *vc, const BlockCtx *b, int s, int d)
+{
+    return hop_count((const StepCtx *)0, vc, b, s, d);
+}
+
 /* Struct sizes and the st[] length this library was compiled with, for
  * the loader's layout self-check against the ctypes mirrors. */
 void ctx_sizes(int32_t out[4])
@@ -952,6 +1062,17 @@ def get_kernel() -> Optional[ctypes.CDLL]:
             ctypes.POINTER(BlockCtx),
         ]
         lib.run_block_vc.restype = ctypes.c_int
+        for hops, ctx in (
+            (lib.hop_count_noc, StepCtx),
+            (lib.hop_count_vc, VcCtx),
+        ):
+            hops.argtypes = [
+                ctypes.POINTER(ctx),
+                ctypes.POINTER(BlockCtx),
+                ctypes.c_int,
+                ctypes.c_int,
+            ]
+            hops.restype = ctypes.c_int
         _lib = lib
     except Exception as exc:
         _lib = None

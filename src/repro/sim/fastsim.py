@@ -65,8 +65,9 @@ One executor
 :func:`run_compiled` and :func:`run_compiled_batch` are one launch
 (:func:`_launch`): one resolver (:func:`_resolve`: config, faults,
 watchdog, gates and compilation, once per design point) and one run
-object (:class:`_Run`: one array layout, one ctypes fill, one growth
-path, one watchdog rehydration, one metrics finaliser; ejections are
+object (:class:`_Run`, on the one state allocation :class:`_RunState`:
+one array layout, one ctypes fill, one growth path, one watchdog
+rehydration; and one metrics finaliser — ejections are
 scored in the kernel, and logged for the host only under
 ``keep_samples`` / ``track_per_source``).  A run owns its memory, sized
 by the packets it injects, and is stepped to completion before anything
@@ -81,6 +82,29 @@ block ahead (any registered pattern, dead-router skip,
 unreachable-destination discard), and hands the kernel the same kind of
 schedule.
 
+The same state has a second driver, for callers that are themselves the
+traffic: :class:`CompiledFabric` steps it one cycle per call — offers
+appended to the next cycle's schedule, a one-cycle block, each ejected
+packet handed to its sink — behind the endpoint-facing surface of the
+reference :class:`~repro.sim.network.Network`.  It is what the
+execution-driven manycore (:mod:`repro.manycore.machine`) holds two of.
+
+Endpoints
+---------
+Endpoint-only nodes of the port graph (edge memory's phantom rows) are
+not routers and lower as what the reference wires them as.  They are
+destination (and source) ids after the routers', so every route row has
+one more column per endpoint.  A channel router -> endpoint is a *sink
+output*: ``dn`` stays ``-1`` as on the ejection port, and a grant there
+ejects the packet on the grant cycle — counted as a hop, being a
+channel.  A channel endpoint -> router is an *entry queue*: the input
+FIFO the port mask gives that router anyway, fed by nothing but the
+arrivals a host offers (``feed = -1``), routed like any arrival on that
+input.  A sink is always ready unless a fabric *gates* it: the fabric's
+own copy of ``dn`` then carries ``-2 - sink id``, and the kernel blocks
+that output — exactly where it blocks on a full downstream queue —
+while the host-written ``ready[sink id]`` is zero.
+
 What falls back
 ---------------
 Runs the compiler cannot prove equivalent are transparently delegated to
@@ -89,11 +113,14 @@ the reference engine (the returned result then reports
 compiler, ``REPRO_NO_CKERNEL`` — reference is the executable spec, so
 there is no second Python stepping semantics to fall back to),
 ``audit_every`` tripwires, routings or router/allocator types the
-tabulators cannot lower, edge-memory endpoints, multi-cycle (pipelined)
-channels, and fault-aware rerouting on the VC/FBFC torus routers (which
-the reference engine rejects with the same
-:class:`~repro.errors.ConfigError`).  :func:`lowering_problems` names
-the exact reason for any design point.
+tabulators cannot lower, multi-cycle (pipelined) channels, and
+fault-aware rerouting on the VC/FBFC torus routers (which the reference
+engine rejects with the same :class:`~repro.errors.ConfigError`).
+*Spec runs* on edge-memory configs also still report ``"reference"``:
+a provenance pin in :func:`_gate_diagnostics`, not a capability (the
+endpoints lower, and a :class:`CompiledFabric` never asks that gate).
+:func:`lowering_problems` names the exact reason for any design point,
+:func:`fabric_problems` for a fabric.
 """
 
 from __future__ import annotations
@@ -126,6 +153,7 @@ from repro.core.spec import (
     build_faults,
     build_network,
     build_pattern,
+    build_routing,
     build_run,
     build_watchdog,
     resolve_components,
@@ -135,10 +163,12 @@ from repro.sim import _ckernel
 from repro.sim.allocator import WavefrontAllocator
 from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import LatencyStats, RunMetrics
+from repro.sim.packet import Packet
 from repro.sim.rng import derive_rng
 from repro.sim.router import (
     NUM_DIRS,
     P_IDX,
+    Sink,
     VCRouter,
     build_fbfc_router,
     build_vc_router,
@@ -149,9 +179,11 @@ from repro.sim.simulator import _WALL_CHECK_EVERY, RunResult, _run_reference
 from repro.sim.watchdog import WatchdogConfig
 
 __all__ = [
+    "CompiledFabric",
     "LoweringDiagnostic",
     "batching_problems",
     "clear_compile_caches",
+    "fabric_problems",
     "lowering_problems",
     "run_compiled",
     "run_compiled_batch",
@@ -214,14 +246,18 @@ class _CompiledModel:
     __slots__ = (
         "kind",
         "config",
-        "nodes",
-        "node_index",
-        "n",
+        "nodes",  # the routers, in port-graph order
+        "endpoints",  # endpoint-only nodes (edge memory), ids n.. after them
+        "node_index",  # router or endpoint -> its source / destination id
+        "n",  # routers
+        "nd",  # routers + endpoints: the destination stride of a route row
         "depth",
         "num_vcs",
-        "subnet_tab",  # int32 array (n * n), multimesh only
+        "subnet_tab",  # int32 array (n * nd), multimesh only
         "reachable",
         "in_ports",  # per router: its wired input ports, ascending
+        "entry",  # per endpoint: flat (router, input) it enters on, or -1
+        "sink_of",  # per endpoint: flat (router, output) feeding it, or -1
         "tables",  # _CArrays (wormhole / fbfc) or _VcArrays (vc)
     )
 
@@ -244,8 +280,8 @@ class _VcArrays:
 
     Per-router port lists, downstream wiring and feeders as contiguous
     arrays indexed by flat ``(router, port)`` ids (stride 5), plus flat
-    ``(router, dest)`` route/VC/dateline rows and the 5x5
-    same-dimension predicate; built once per compiled model.
+    ``(router, dest)`` route/VC/dateline rows (stride ``nd``) and the
+    5x5 same-dimension predicate; built once per compiled model.
     """
 
     __slots__ = (
@@ -395,10 +431,6 @@ def _build_model(
                 f"a {kind} router has {nports} ports; the topology "
                 f"wires port {max(ch.out_port, ch.in_port)}",
             )
-    if graph.endpoint_only_nodes:
-        raise _Unsupported(
-            "edge-memory", "edge-memory endpoints are not lowered"
-        )
 
     model = _CompiledModel()
     model.kind = kind
@@ -407,8 +439,14 @@ def _build_model(
     # tables expose reachability, and only faulted runs consult it.
     model.reachable = getattr(routing, "reachable", None)
     model.nodes = nodes = graph.nodes
-    model.node_index = nidx = {node: idx for idx, node in enumerate(nodes)}
+    # Endpoint-only nodes (edge memory) are sources and destinations
+    # but not routers: one route-row column each, a sink output where
+    # a channel enters one, an entry queue where a channel leaves one.
+    model.endpoints = endpoints = graph.endpoint_only_nodes
+    dests = tuple(nodes) + endpoints
+    model.node_index = nidx = {node: idx for idx, node in enumerate(dests)}
     model.n = n = len(nodes)
+    model.nd = len(dests)
     model.depth = config.fifo_depth
     model.num_vcs = config.num_vcs if kind == "vc" else 1
     nsub = 2 if isinstance(routing, _ParitySubnetRouting) else 1
@@ -419,7 +457,7 @@ def _build_model(
             (
                 routing.injection_subnet(src, dest)
                 for src in nodes
-                for dest in nodes
+                for dest in dests
             ),
         )
 
@@ -429,7 +467,8 @@ def _build_model(
     # per router therefore names both its inputs and its outputs.
     masks = [1 << P_IDX] * n
     for ch in channels:
-        masks[nidx[ch.src]] |= 1 << ch.out_port
+        if nidx[ch.src] < n:
+            masks[nidx[ch.src]] |= 1 << ch.out_port
     model.in_ports = tuple(
         tuple(i for i in range(nports) if mask >> i & 1) for mask in masks
     )
@@ -460,18 +499,47 @@ def _build_model(
             fbfc_ring_ports(config) if kind == "fbfc" else None,
         )
     # Downstream wiring, one pass over the alive channels.  `dn` stays
-    # -1 on the ejection port (an always-ready sink), on unwired
+    # -1 on every sink output — the ejection port and a channel into an
+    # endpoint, always ready unless a fabric gates them — on unwired
     # outputs, and on a wired crossbar output no present input may turn
     # to (it never arbitrates).  A VC input's feeder is the router
-    # upstream of it.
+    # upstream of it.  A channel out of an endpoint makes the input
+    # FIFO it arrives on (which the port mask already gave that router)
+    # the endpoint's entry queue: the host feeds it, no router does.
     tables.dn = dn = array("i", [-1]) * (n * nports)
     feed = None
     if kind == "vc":
         tables.feed = feed = array("i", [-1]) * (n * nports)
+    model.entry = entry = array("i", [-1]) * len(endpoints)
+    model.sink_of = sink_of = array("i", [-1]) * len(endpoints)
     for ch in channels:
-        src = nidx[ch.src]
+        src, dst = nidx[ch.src], nidx[ch.dst]
+        # An endpoint is one sink and one source: the kernel scores at
+        # most one ejection per destination id and one offer per source
+        # id a cycle, and a gated sink has one ready word.
+        if src >= n:
+            if (
+                dst >= n
+                or not masks[dst] >> ch.in_port & 1
+                or entry[src - n] >= 0
+            ):
+                raise _Unsupported(
+                    "injection-wiring",
+                    f"endpoint {tuple(ch.src)} needs exactly one channel "
+                    f"out, into a router input that has a FIFO",
+                )
+            entry[src - n] = dst * nports + ch.in_port
+            continue
         out = src * nports + ch.out_port
-        down = nidx[ch.dst] * nports + ch.in_port
+        if dst >= n:
+            if sink_of[dst - n] >= 0:
+                raise _Unsupported(
+                    "injection-wiring",
+                    f"endpoint {tuple(ch.dst)} is fed by two channels",
+                )
+            sink_of[dst - n] = out
+            continue
+        down = dst * nports + ch.in_port
         if feed is not None:
             feed[down] = src
         elif not tables.ncv[out]:
@@ -535,7 +603,7 @@ def _wire_crossbars(
             flat.extend(part)
 
 
-def _row_assembler(config: NetworkConfig, probe):
+def _row_assembler(config: NetworkConfig, probe, endpoints=()):
     """``append_row(rows, node)`` for one dimension-ordered ``probe``.
 
     Every :data:`_SUPPORTED_ROUTINGS` decision is *axis + parity
@@ -550,10 +618,14 @@ def _row_assembler(config: NetworkConfig, probe):
     node with its first-axis coordinate (built once, with strided
     slice fills) plus the one *line* through the node, patched from
     the second-axis slice.  Rows are indexed by the row-major ``width x
-    height`` grid, either ``dor_order``, height 1 included.  Nothing at
-    run time re-checks separability; the exhaustive differential test
-    against the all-pairs oracle (``tests/sim/test_route_rows.py``)
-    pins it.
+    height`` grid, either ``dor_order``, height 1 included, followed by
+    one column per endpoint: ``endpoints`` lie off the grid (edge
+    memory's phantom rows) but under the same two rules, so a column
+    costs one probe per ``(first-axis pair, parity)`` class off the
+    node's line and one per ``(parity, second-axis pair)`` on it, not
+    one per node.  Nothing at run time re-checks separability; the
+    exhaustive differential test against the all-pairs oracle
+    (``tests/sim/test_route_rows.py``) pins it.
     """
     width, height = config.width, config.height
     first_is_x = config.dor_order is DorOrder.XY
@@ -565,6 +637,8 @@ def _row_assembler(config: NetworkConfig, probe):
         first, second, step, stride = height, width, width, 1
     at = Coord if first_is_x else (lambda a, b: Coord(b, a))
     span = second * stride
+    grid = width * height
+    ends = [(ep.x, ep.y) if first_is_x else (ep.y, ep.x) for ep in endpoints]
     # lines[q][b0][b1]: the node shares its first coordinate with dest,
     # which therefore enters only through its parity q.
     lines = [
@@ -579,7 +653,7 @@ def _row_assembler(config: NetworkConfig, probe):
     # (a1 == a0) are placeholders every row overwrites.
     backgrounds = []
     for a0 in range(first):
-        background = array("i", [0]) * (width * height)
+        background = array("i", [0]) * grid
         for a1 in range(first):
             if a1 == a0:
                 continue
@@ -589,13 +663,36 @@ def _row_assembler(config: NetworkConfig, probe):
                 background[start : a1 * step + span : 2 * stride] = (
                     fill * ((second - q + 1) // 2)
                 )
+        # An endpoint (a1, b1) off the node's line: probed once per
+        # (a1, parity), from any node with this a0.
+        off_line: Dict[Tuple[int, int], int] = {}
+        for a1, b1 in ends:
+            key = (a1, (a1 + b1) & 1)
+            if a1 != a0 and key not in off_line:
+                off_line[key] = probe(at(a0, 0), at(a1, b1))
+            background.append(off_line.get(key, 0))
         backgrounds.append(background)
+    # Endpoints on the line of a node with first coordinate a0 (edge
+    # memory: the two at the ends of its own column), by row slot; their
+    # decisions, like `lines`, by (parity, b0, b1), filled on demand.
+    on_line = [
+        [(grid + k, b1) for k, (a1, b1) in enumerate(ends) if a1 == a0]
+        for a0 in range(first)
+    ]
+    end_lines: Dict[Tuple[int, int, int], int] = {}
 
     def append_row(rows: array, node: Coord) -> None:
         a0, b0 = node if first_is_x else (node.y, node.x)
-        start = len(rows) + a0 * step
+        base = len(rows)
+        start = base + a0 * step
         rows.extend(backgrounds[a0])
         rows[start : start + span : stride] = lines[a0 & 1][b0]
+        q = a0 & 1
+        for slot, b1 in on_line[a0]:
+            out = end_lines.get((q, b0, b1))
+            if out is None:
+                out = end_lines[q, b0, b1] = probe(at(q, b0), at(q, b1))
+            rows[base + slot] = out
 
     return append_row
 
@@ -624,11 +721,12 @@ def _tabulate_wormhole_routes(model, routing, nsub: int, ca: _CArrays) -> None:
             lambda node, dest, rep=rep, sub=sub: int(
                 route(node, rep, dest, sub)
             ),
+            model.endpoints,
         )
         for rep in reps
         for sub in range(nsub)
     ]
-    ca.rowlen = nsub * model.n
+    ca.rowlen = nsub * model.nd
     ca.rows = rows = array("i")
     ca.rowof = array("i")
     for r, coord in enumerate(model.nodes):
@@ -649,7 +747,7 @@ def _tabulate_fault_routes(model, routing, ca: _CArrays) -> None:
     way to ejection).
     """
     node_index = model.node_index
-    blank = [-1] * model.n
+    blank = [-1] * model.nd
     by_state: Dict[Tuple[int, int], List[int]] = defaultdict(blank.copy)
     for d, dest in enumerate(model.nodes):
         for (coord, in_idx), out in routing.next_hop_items(dest):
@@ -692,20 +790,28 @@ def _tabulate_generic_routes(
     no per-algorithm closed form required.  Rows are packed exactly
     like the fault tables.  A route computation that raises, an output
     with no wired channel, or VC-dependent state makes the design point
-    fall back with a ``route-tabulation`` diagnostic.
+    fall back with a ``route-tabulation`` diagnostic.  Endpoints are
+    destinations like any other; as sources they start the walk on
+    their entry queue (subnet 0, where the reference puts a memory
+    injection), not at an injection port of their own.
     """
-    n = model.n
+    n, nd = model.n, model.nd
     node_index = model.node_index
-    blank = [-1] * (nsub * n)
+    blank = [-1] * (nsub * nd)
     by_state: Dict[Tuple[int, int], List[int]] = defaultdict(blank.copy)
     problems: List[str] = []
 
     def on_error(state, exc) -> None:
         problems.append(str(exc))
 
-    for d, dest in enumerate(model.nodes):
+    entries = [
+        (ch.dst, ch.in_port, 0, 0)
+        for ch in graph.channels
+        if node_index[ch.src] >= n
+    ]
+    for d, dest in enumerate((*model.nodes, *model.endpoints)):
         table = tabulate_next_hops(
-            routing, graph, dest, on_error=on_error
+            routing, graph, dest, entries=entries, on_error=on_error
         )
         if problems:
             raise _Unsupported(
@@ -726,7 +832,7 @@ def _tabulate_generic_routes(
                     f"routing {type(routing).__name__} produced subnet "
                     f"{subnet} outside the {nsub} modelled subnet(s)",
                 )
-            by_state[node_index[coord], in_idx][subnet * n + d] = out
+            by_state[node_index[coord], in_idx][subnet * nd + d] = out
     _pack_state_rows(ca, by_state, blank, n)
 
 
@@ -741,7 +847,9 @@ def _tabulate_vc_routes(model, routing, va: _VcArrays) -> None:
     are pure ``(node, dest)`` arithmetic mirrored from the reference,
     written to ``va.out`` / ``va.vcn`` / ``va.dl`` (flat
     ``(router, dest)``).  All three are axis + parity separable, so
-    each comes from a :func:`_row_assembler` over axis-aligned pairs.
+    each comes from a :func:`_row_assembler` over axis-aligned pairs
+    (endpoint columns included: the arithmetic holds for the phantom
+    rows' coordinates).
     """
     config = model.config
     y_ring = config.kind is TopologyKind.FOLDED_TORUS
@@ -770,7 +878,9 @@ def _tabulate_vc_routes(model, routing, va: _VcArrays) -> None:
     for plane, name in enumerate(("out", "vcn", "dl")):
         table = array("i")
         append_row = _row_assembler(
-            config, lambda coord, dest, plane=plane: hop(coord, dest)[plane]
+            config,
+            lambda coord, dest, plane=plane: hop(coord, dest)[plane],
+            model.endpoints,
         )
         for coord in model.nodes:
             append_row(table, coord)
@@ -807,6 +917,14 @@ def _native_kernel() -> Any:
     return _ckernel.get_kernel() if _ARRAYS_OK else None
 
 
+_NO_KERNEL = LoweringDiagnostic(
+    "no-native-kernel",
+    "the native step kernel is unavailable (no C compiler, a failed "
+    "build or layout check, REPRO_NO_CKERNEL, or exotic array widths); "
+    "reference is the only other stepping implementation",
+)
+
+
 def _ptr(a: array, ctype: Any = ctypes.c_int32):
     return ctypes.cast(a.buffer_info()[0], ctypes.POINTER(ctype))
 
@@ -829,15 +947,7 @@ def _gate_diagnostics(
     """
     reasons: List[LoweringDiagnostic] = []
     if _native_kernel() is None:
-        reasons.append(
-            LoweringDiagnostic(
-                "no-native-kernel",
-                "the native step kernel is unavailable (no C compiler, "
-                "a failed build or layout check, REPRO_NO_CKERNEL, or "
-                "exotic array widths); reference is the only other "
-                "stepping implementation",
-            )
-        )
+        reasons.append(_NO_KERNEL)
     if audit_every is not None:
         reasons.append(
             LoweringDiagnostic(
@@ -847,9 +957,16 @@ def _gate_diagnostics(
             )
         )
     if cfg.edge_memory:
+        # A provenance pin, not a capability: endpoints lower (a
+        # CompiledFabric steps them, and never asks this gate), but
+        # spec runs on edge-memory configs keep their "reference" rows
+        # until the benchmark that pins those labels is re-recorded.
         reasons.append(
             LoweringDiagnostic(
-                "edge-memory", "edge-memory endpoints are not lowered"
+                "edge-memory",
+                "spec runs with edge-memory endpoints stay on the "
+                "reference engine (pinned provenance; the endpoints "
+                "themselves lower)",
             )
         )
     if cfg.max_channel_latency > 1:
@@ -1136,17 +1253,17 @@ def batching_problems(
 # ----------------------------------------------------------------------
 # The executor: one run, its own arrays, stepped to completion
 # ----------------------------------------------------------------------
-# Every compiled run goes the same way: allocate that run's flat state —
-# FIFO rings, injection lists, flit records, counters, Mersenne Twister
-# states — step it to completion in blocks of the native kernel
-# (`run_block_noc` / `run_block_vc`), doubling the flit records whenever
-# a block stops for room, keep the `RunResult` (or the error) and drop
-# everything else.  The kernel enqueues every packet.  With an injection
-# plan it chooses them too, so a block spans up to `_BLOCK_CYCLES`
-# cycles of a phase; without one the host draws a block's packets ahead
-# of it, so blocks end where the reference polls its wall clock (every
-# `_WALL_CHECK_EVERY` cycles) — as they do whenever there is a deadline
-# to poll.
+# Every compiled run goes the same way: allocate that run's flat state
+# (`_RunState`) — FIFO rings, injection lists, flit records, counters,
+# Mersenne Twister states — step it to completion in blocks of the
+# native kernel (`run_block_noc` / `run_block_vc`), doubling the flit
+# records whenever a block stops for room, keep the `RunResult` (or the
+# error) and drop everything else.  The kernel enqueues every packet.
+# With an injection plan it chooses them too, so a block spans up to
+# `_BLOCK_CYCLES` cycles of a phase; without one the host draws a
+# block's packets ahead of it, so blocks end where the reference polls
+# its wall clock (every `_WALL_CHECK_EVERY` cycles) — as they do
+# whenever there is a deadline to poll.
 #
 # The bit-identity contract covers both: the in-kernel draw consumes
 # the same `timing` / `dest` RNG streams in the same order as the host
@@ -1164,105 +1281,48 @@ _BLOCK_CYCLES = 4096
 _I32_MAX = 2**31 - 1
 
 
-class _Run:
-    """One design point's lowered state and its run to completion.
+class _RunState:
+    """One lowered design point's run state: every array the kernel steps.
 
-    The single executor, built only by :func:`_launch`.  It owns every
-    array the kernel touches, so a run's memory lives exactly as long
-    as this object — callers keep what :meth:`run` returns and nothing
-    else.  It takes *resolved* run parameters (not a spec), so plain
-    ``NetworkConfig`` callers work too.  ``plan`` is the native
-    injection plan from :func:`_pattern_plan`; ``None`` means the host
-    draws each block's packets in Python — any registered pattern,
-    dead-router skip, unreachable-destination discard — into the
-    ``(cycle, source, dest)`` schedule the kernel injects from.  Either
-    way only the kernel touches a queue or a packet record.
+    The single allocation behind both drivers — :class:`_Run` steps it
+    to completion, :class:`CompiledFabric` a cycle at a time.  It owns
+    the FIFO rings, injection lists, packet records and counters and
+    the two ctypes contexts pointing into them (filled once, here), so
+    a run's memory lives exactly as long as this object; it grows the
+    packet records on demand and rehydrates a tripped watchdog into the
+    reference's :class:`~repro.errors.DeadlockError`.  As built, the
+    kernel injects from an (empty) ``(cycle, source, dest)`` schedule;
+    a driver points it at its packets.  ``rebuild`` returns a fresh
+    reference network of the same design point, for the rehydration.
     """
 
     __slots__ = (
-        "target", "cfg", "model", "pattern", "rate", "faults",
-        "engine", "track_per_source", "keep_samples", "track_links",
-        "warmup", "measure", "drain_limit", "seed", "max_cycles",
-        "max_wall_seconds", "deadline", "is_vc", "sources",
+        "model", "is_vc", "rebuild", "keep",
         "buf", "qoff", "qcap", "qhead", "qlen",
-        "phead", "hop", "link", "st", "keep",
+        "phead", "hop", "link", "st", "dirty", "ej", "nej",
         "pdest_a", "paux_a", "pout_a", "pnext_a",
         "psrc_a", "pinj_a", "pmeas_a", "ejlog_a", "pk_owners",
-        "bctx", "cref", "bref", "run_block", "draw",
-        "samples", "per_src",
+        "ctx", "bctx", "cref", "bref", "run_block",
     )
 
     def __init__(
         self,
-        target: Union[NetworkConfig, NetworkSpec],
-        cfg: NetworkConfig,
         model: _CompiledModel,
-        pattern: str,
-        rate: float,
-        plan: Optional[Tuple],
+        rebuild: Any,
         *,
-        warmup: int,
-        measure: int,
-        drain_limit: int,
-        seed: int,
-        faults: Optional[FaultSchedule],
-        watchdog: Optional[WatchdogConfig],
-        max_cycles: Optional[int],
-        max_wall_seconds: Optional[float],
-        engine: str,
-        track_per_source: bool,
-        keep_samples: bool,
-        track_links: bool,
+        faults: Optional[FaultSchedule] = None,
+        watchdog: Optional[WatchdogConfig] = None,
+        max_cycles: Optional[int] = None,
+        track_links: bool = False,
+        log_ejections: bool = False,
     ) -> None:
-        self.target = target
-        self.cfg = cfg
         self.model = model
-        self.pattern = pattern
-        self.rate = rate
-        self.faults = faults
-        self.engine = engine
-        self.track_per_source = track_per_source
-        self.keep_samples = keep_samples
-        self.track_links = track_links
-        self.warmup = warmup
-        self.measure = measure
-        self.drain_limit = drain_limit
-        self.seed = seed
-        self.max_cycles = max_cycles
-        self.max_wall_seconds = max_wall_seconds
+        self.rebuild = rebuild
         self.is_vc = is_vc = model.kind == "vc"
-        # Dead routers never inject (nor draw from the timing stream),
-        # and accepted throughput is normalised by the live sources.
-        dead = (
-            faults.dead_routers
-            if faults is not None and faults.has_faults
-            else ()
-        )
-        self.sources = tuple(
-            (s, src) for s, src in enumerate(model.nodes) if src not in dead
-        )
-        self.samples: Optional[List[int]] = [] if keep_samples else None
-        self.per_src: Optional[Dict[int, LatencyStats]] = (
-            {} if track_per_source else None
-        )
-
-        # -- this run's arrays ------------------------------------------
         # Everything a ctypes context points into is held here (by name
         # when Python reads it back, else in `keep`) until the run ends.
-        keep: List[array] = []
-        self.keep = keep
-
-        def new(init: Union[int, Sequence[int]], code: str = "i") -> array:
-            if isinstance(init, int):
-                a = array(code, [0]) * init
-            else:
-                a = array(code, init)
-            keep.append(a)
-            return a
-
-        def twister(rng: Any) -> Any:
-            """A Mersenne Twister state for the kernel to advance."""
-            return _ptr(new(rng.getstate()[1], "I"), ctypes.c_uint32)
+        self.keep: List[array] = []
+        new = self._new
 
         R = model.n
         depth = model.depth
@@ -1292,7 +1352,7 @@ class _Run:
         self.pdest_a = array("i", zeros)
         self.pout_a = array("i", zeros)
         # The one per-packet field the router kinds do not share: the
-        # assigned VC (vc), or the route-row offset subnet * n.
+        # assigned VC (vc), or the route-row offset subnet * nd.
         self.paux_a = array("i", zeros)
         self.psrc_a = array("i", zeros)
         self.pinj_a = array("i", zeros)
@@ -1301,20 +1361,19 @@ class _Run:
         # (packet id, latency) of each measured ejection since the last
         # replay — only for runs that keep per-packet data.
         self.ejlog_a = (
-            array("i", bytes(4 * _EJ_CAP0))
-            if keep_samples or track_per_source
-            else None
+            array("i", bytes(4 * _EJ_CAP0)) if log_ejections else None
         )
 
         # -- ctypes contexts --------------------------------------------
         # Round-robin pointers (`arb` / `vc_rr`): per (router, output)
         # arbiters for wormhole/FBFC, per (router, input) VC muxes for
         # VC routers.
+        self.dirty = None
         if is_vc:
             va = model.tables
             c = _ckernel.VcCtx()
             c.nvc = model.num_vcs
-            c.n = R
+            c.nd = model.nd
             c.plist = _ptr(va.plist)
             c.pofs = _ptr(va.pofs)
             c.pcnt = _ptr(va.pcnt)
@@ -1326,7 +1385,8 @@ class _Run:
             c.sd = _ptr(va.sd)
             c.vc_rr = _ptr(new(narb))
             c.prio = _ptr(new(R))
-            c.dirty = _ptr(new([1] * R))
+            self.dirty = new([1] * R)
+            c.dirty = _ptr(self.dirty)
             aux = "povc"
         else:
             ca = model.tables
@@ -1342,6 +1402,7 @@ class _Run:
             c.rows = _ptr(ca.rows)
             c.arb = _ptr(new(narb))
             aux = "pbase"
+        self.ctx = c
         c.R = R
         c.depth = depth
         c.track_links = 1 if track_links else 0
@@ -1355,35 +1416,17 @@ class _Run:
         c.link = _ptr(self.link, ctypes.c_int64)
         c.gsq = _ptr(new(narb))
         c.gro = _ptr(new(narb))
-        c.ej = _ptr(new(R))
-        c.nej = _ptr(new(1))
+        # At most one ejection per sink a cycle: routers and endpoints.
+        self.ej = new(model.nd)
+        self.nej = new(1)
+        c.ej = _ptr(self.ej)
+        c.nej = _ptr(self.nej)
         self.cref = ctypes.byref(c)
         b = self.bctx = _ckernel.BlockCtx()
-        b.rate = rate
         b.n = R
-        if plan is None:
-            b.mode = _ckernel.MODE_SCHEDULE
-            self.draw: Optional[Any] = self._host_drawer()
-        else:
-            self.draw = None
-            # The plan's table is read-only in the kernel, so every run
-            # of the design point shares the cached copy.
-            table = plan[1]
-            keep.append(table)
-            if plan[0] == "schedule":
-                b.mode = _ckernel.MODE_SCHEDULE
-                b.sched = _ptr(table)
-                b.sched_len = len(table) // 3
-            else:
-                b.t_mt = twister(derive_rng(seed, "timing"))  # rng: shared
-                b.d_mt = twister(derive_rng(seed, "dest"))  # rng: shared
-                if plan[0] == "table":
-                    b.mode = _ckernel.MODE_TABLE
-                    b.dtab = _ptr(table)
-                else:
-                    b.mode = _ckernel.MODE_UNIFORM
-                    b.ubits = plan[2]
-                    b.perm = _ptr(table)
+        b.nd = model.nd
+        b.mode = _ckernel.MODE_SCHEDULE
+        b.entry = _ptr(model.entry)
         transient = faults.transient if faults is not None else ()
         if transient:
             # fmap[router * 9 + out] -> fault index, consulted by the
@@ -1403,7 +1446,7 @@ class _Run:
                 new((tf.drop_prob for tf in transient), "d"),
                 ctypes.c_double,
             )
-            b.x_mt = twister(faults.make_drop_rng())
+            b.x_mt = self._twister(faults.make_drop_rng())
         wd = watchdog if watchdog is not None else WatchdogConfig()
         b.stall_window = wd.stall_window
         b.starve_window = (
@@ -1436,12 +1479,19 @@ class _Run:
         self.run_block = (
             kernel.run_block_vc if is_vc else kernel.run_block_noc
         )
-        self.deadline: Optional[float] = None
-        if max_wall_seconds is not None:
-            self.deadline = (
-                time.monotonic()  # det: allow - wall budget
-                + max_wall_seconds
-            )
+
+    def _new(self, init: Union[int, Sequence[int]], code: str = "i") -> array:
+        """A zeroed (or initialised) array that lives as long as the run."""
+        if isinstance(init, int):
+            a = array(code, [0]) * init
+        else:
+            a = array(code, init)
+        self.keep.append(a)
+        return a
+
+    def _twister(self, rng: Any) -> Any:
+        """A Mersenne Twister state for the kernel to advance."""
+        return _ptr(self._new(rng.getstate()[1], "I"), ctypes.c_uint32)
 
     def _queues(self):
         """Every wired input queue as ``(flat id, router, port, lane)``.
@@ -1450,7 +1500,8 @@ class _Run:
         are ``router * 9 + port`` for wormhole/FBFC and ``(router * 5 +
         port) * num_vcs + lane`` for VC routers, whose P injection port
         owns a single lane (mirroring the reference's one injection
-        FIFO).
+        FIFO).  An endpoint's entry queue is the ordinary input ring of
+        the port its channel arrives on.
         """
         model = self.model
         if self.is_vc:
@@ -1466,6 +1517,224 @@ class _Run:
             for r, ins in enumerate(model.in_ports):
                 for i in ins:
                     yield r * NUM_DIRS + i, r, i, 0
+
+    # -- demand growth ----------------------------------------------------
+    def _grow(self) -> None:
+        """Make room for one more injection round and its ejections.
+
+        At most one packet per source and one ejection per sink —
+        routers and endpoints, ``nd`` of each — so ``nd`` free records
+        (and ``nd`` log entries, the log having just been replayed)
+        suffice; doubling tracks the traffic seen.
+        """
+        b = self.bctx
+        nd = self.model.nd
+        need = self.st[_ckernel.ST_NPK] + nd
+        if need > b.pk_cap:
+            cap = b.pk_cap
+            while cap < need:
+                cap *= 2
+            grow = bytes(4 * (cap - b.pk_cap))
+            b.pk_cap = cap
+            for a, owner, field in self.pk_owners:
+                a.frombytes(grow)
+                setattr(owner, field, _ptr(a))
+        if self.ejlog_a is not None and nd > b.ej_cap:
+            cap = b.ej_cap
+            while cap < nd:
+                cap *= 2
+            self.ejlog_a.frombytes(bytes(8 * (cap - b.ej_cap)))
+            b.ej_cap = cap
+            b.ejlog = _ptr(self.ejlog_a)
+
+    # -- a tripped watchdog ---------------------------------------------
+    def _watchdog_error(self, kind: str, window: int) -> DeadlockError:
+        """The reference-identical ``DeadlockError`` for a tripped run.
+
+        Slow path, entered at most once per run: rebuild the reference
+        object model, replay every buffered packet into it, and let the
+        watchdog's snapshot machinery produce the same forensic report
+        a reference run would have raised.
+        """
+        from repro.sim.watchdog import capture_snapshot
+
+        model = self.model
+        coords = (*model.nodes, *model.endpoints)
+        nd = model.nd
+        buf, pnext = self.buf, self.pnext_a
+        psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
+        pdest, paux = self.pdest_a, self.paux_a
+        has_subnets = model.subnet_tab is not None
+        net = self.rebuild()
+        routers = [net.routers[coord] for coord in model.nodes]
+        for q, r, i, lane in self._queues():
+            pids = []
+            if i == P_IDX:  # the source's injection list, oldest first
+                pid = self.phead[r]
+                for _ in range(self.qlen[q]):
+                    pids.append(pid)
+                    pid = pnext[pid]
+            else:
+                ring, cap, head = self.qoff[q], self.qcap[q], self.qhead[q]
+                for k in range(self.qlen[q]):
+                    pids.append(buf[ring + (head + k) % cap])
+            for pid in pids:
+                pkt = Packet(
+                    pid,
+                    coords[psrc[pid]],
+                    coords[pdest[pid]],
+                    pinj[pid],
+                    subnet=(paux[pid] // nd) if has_subnets else 0,
+                    measured=bool(pmeas[pid]),
+                )
+                routers[r].accept(pkt, i, lane)
+        occupancy = int(self.st[_ckernel.ST_OCC])
+        net.cycle = int(self.st[_ckernel.ST_CYCLE])
+        net.occupancy = occupancy
+        snapshot = capture_snapshot(net, kind, window)
+        verb, noun = (
+            ("moved", "deadlock")
+            if kind == "stall"
+            else ("ejected", "livelock")
+        )
+        return DeadlockError(
+            f"no packet {verb} for {window} cycles with {occupancy} "
+            f"packets in flight: {noun} [{snapshot.summary()}]",
+            snapshot=snapshot,
+        )
+
+    def _trip(self, stop: int) -> Optional[DeadlockError]:
+        """The watchdog error behind a block's stop code, if it is one.
+
+        Built at once: the rehydration reads this run's arrays.
+        """
+        if stop == _ckernel.STOP_STALL:
+            return self._watchdog_error(
+                "stall", int(self.st[_ckernel.ST_IDLE])
+            )
+        if stop == _ckernel.STOP_STARVE:
+            return self._watchdog_error(
+                "starvation", int(self.st[_ckernel.ST_STARVED])
+            )
+        return None
+
+
+class _Run(_RunState):
+    """One design point's run to completion on its :class:`_RunState`.
+
+    Built only by :func:`_launch`.  Callers keep what :meth:`run`
+    returns and nothing else.  It takes *resolved* run parameters (not
+    a spec), so plain ``NetworkConfig`` callers work too.  ``plan`` is
+    the native injection plan from :func:`_pattern_plan`; ``None``
+    means the host draws each block's packets in Python — any
+    registered pattern, dead-router skip, unreachable-destination
+    discard — into the ``(cycle, source, dest)`` schedule the kernel
+    injects from.  Either way only the kernel touches a queue or a
+    packet record.
+    """
+
+    __slots__ = (
+        "cfg", "pattern", "rate", "faults",
+        "engine", "track_per_source", "keep_samples", "track_links",
+        "warmup", "measure", "drain_limit", "seed", "max_cycles",
+        "max_wall_seconds", "deadline", "sources", "draw",
+        "samples", "per_src",
+    )
+
+    def __init__(
+        self,
+        target: Union[NetworkConfig, NetworkSpec],
+        cfg: NetworkConfig,
+        model: _CompiledModel,
+        pattern: str,
+        rate: float,
+        plan: Optional[Tuple],
+        *,
+        warmup: int,
+        measure: int,
+        drain_limit: int,
+        seed: int,
+        faults: Optional[FaultSchedule],
+        watchdog: Optional[WatchdogConfig],
+        max_cycles: Optional[int],
+        max_wall_seconds: Optional[float],
+        engine: str,
+        track_per_source: bool,
+        keep_samples: bool,
+        track_links: bool,
+    ) -> None:
+        # `faults` is the caller's schedule or else the spec's own,
+        # which is what a spec target falls back to on `None`.
+        super().__init__(
+            model,
+            functools.partial(build_network, target, faults=faults),
+            faults=faults,
+            watchdog=watchdog,
+            max_cycles=max_cycles,
+            track_links=track_links,
+            log_ejections=keep_samples or track_per_source,
+        )
+        self.cfg = cfg
+        self.pattern = pattern
+        self.rate = rate
+        self.faults = faults
+        self.engine = engine
+        self.track_per_source = track_per_source
+        self.keep_samples = keep_samples
+        self.track_links = track_links
+        self.warmup = warmup
+        self.measure = measure
+        self.drain_limit = drain_limit
+        self.seed = seed
+        self.max_cycles = max_cycles
+        self.max_wall_seconds = max_wall_seconds
+        # Dead routers never inject (nor draw from the timing stream),
+        # and accepted throughput is normalised by the live sources.
+        dead = (
+            faults.dead_routers
+            if faults is not None and faults.has_faults
+            else ()
+        )
+        self.sources = tuple(
+            (s, src) for s, src in enumerate(model.nodes) if src not in dead
+        )
+        self.samples: Optional[List[int]] = [] if keep_samples else None
+        self.per_src: Optional[Dict[int, LatencyStats]] = (
+            {} if track_per_source else None
+        )
+        b = self.bctx
+        b.rate = rate
+        if plan is None:
+            self.draw: Optional[Any] = self._host_drawer()
+        else:
+            self.draw = None
+            # The plan's table is read-only in the kernel, so every run
+            # of the design point shares the cached copy.
+            table = plan[1]
+            self.keep.append(table)
+            if plan[0] == "schedule":
+                b.sched = _ptr(table)
+                b.sched_len = len(table) // 3
+            else:
+                b.t_mt = self._twister(
+                    derive_rng(seed, "timing")  # rng: shared
+                )
+                b.d_mt = self._twister(
+                    derive_rng(seed, "dest")  # rng: shared
+                )
+                if plan[0] == "table":
+                    b.mode = _ckernel.MODE_TABLE
+                    b.dtab = _ptr(table)
+                else:
+                    b.mode = _ckernel.MODE_UNIFORM
+                    b.ubits = plan[2]
+                    b.perm = _ptr(table)
+        self.deadline: Optional[float] = None
+        if max_wall_seconds is not None:
+            self.deadline = (
+                time.monotonic()  # det: allow - wall budget
+                + max_wall_seconds
+            )
 
     def _host_drawer(self) -> Any:
         """The Python-side draw, ``draw(count)``: the next block's packets.
@@ -1520,34 +1789,6 @@ class _Run:
             b.sched_cur = 0
 
         return draw
-
-    # -- demand growth ----------------------------------------------------
-    def _grow(self) -> None:
-        """Make room for one more injection round and its ejections.
-
-        At most one packet per source and one ejection per router, so
-        ``n`` free records (and ``n`` log entries, the log having just
-        been replayed) suffice; doubling tracks the traffic seen.
-        """
-        b = self.bctx
-        n = self.model.n
-        need = self.st[_ckernel.ST_NPK] + n
-        if need > b.pk_cap:
-            cap = b.pk_cap
-            while cap < need:
-                cap *= 2
-            grow = bytes(4 * (cap - b.pk_cap))
-            b.pk_cap = cap
-            for a, owner, field in self.pk_owners:
-                a.frombytes(grow)
-                setattr(owner, field, _ptr(a))
-        if self.ejlog_a is not None and n > b.ej_cap:
-            cap = b.ej_cap
-            while cap < n:
-                cap *= 2
-            self.ejlog_a.frombytes(bytes(8 * (cap - b.ej_cap)))
-            b.ej_cap = cap
-            b.ejlog = _ptr(self.ejlog_a)
 
     # -- stepping -------------------------------------------------------
     def run(self) -> Any:
@@ -1623,16 +1864,9 @@ class _Run:
                 continue
             # Trip order matches the reference tick(): watchdogs, the
             # cycle budget, the wall-clock poll, then the drain check.
-            # The rehydrating watchdog errors read this run's arrays,
-            # so they are built here, before anything is released.
-            if stop == _ckernel.STOP_STALL:
-                return self._watchdog_error(
-                    "stall", int(st[_ckernel.ST_IDLE])
-                )
-            if stop == _ckernel.STOP_STARVE:
-                return self._watchdog_error(
-                    "starvation", int(st[_ckernel.ST_STARVED])
-                )
+            tripped = self._trip(stop)
+            if tripped is not None:
+                return tripped
             if stop == _ckernel.STOP_MAX_CYCLES:
                 return SimulationTimeout(
                     f"run exceeded its {self.max_cycles}-cycle budget "
@@ -1670,65 +1904,7 @@ class _Run:
                 stats.add(lat)
         st[_ckernel.ST_NEJLOG] = 0
 
-    # -- terminal states ------------------------------------------------
-    def _watchdog_error(self, kind: str, window: int) -> DeadlockError:
-        """The reference-identical ``DeadlockError`` for a tripped run.
-
-        Slow path, entered at most once per run: rebuild the reference
-        object model, replay every buffered packet into it, and let the
-        watchdog's snapshot machinery produce the same forensic report
-        a reference run would have raised.
-        """
-        from repro.sim.packet import Packet
-        from repro.sim.watchdog import capture_snapshot
-
-        model = self.model
-        nodes = model.nodes
-        n = model.n
-        buf, pnext = self.buf, self.pnext_a
-        psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
-        pdest, paux = self.pdest_a, self.paux_a
-        has_subnets = model.subnet_tab is not None
-        # `self.faults` is the caller's schedule or else the spec's
-        # own, which is what a spec target falls back to on `None`.
-        net = build_network(self.target, faults=self.faults)
-        routers = [net.routers[coord] for coord in nodes]
-        for q, r, i, lane in self._queues():
-            pids = []
-            if i == P_IDX:  # the source's injection list, oldest first
-                pid = self.phead[r]
-                for _ in range(self.qlen[q]):
-                    pids.append(pid)
-                    pid = pnext[pid]
-            else:
-                ring, cap, head = self.qoff[q], self.qcap[q], self.qhead[q]
-                for k in range(self.qlen[q]):
-                    pids.append(buf[ring + (head + k) % cap])
-            for pid in pids:
-                pkt = Packet(
-                    pid,
-                    nodes[psrc[pid]],
-                    nodes[pdest[pid]],
-                    pinj[pid],
-                    subnet=(paux[pid] // n) if has_subnets else 0,
-                    measured=bool(pmeas[pid]),
-                )
-                routers[r].accept(pkt, i, lane)
-        occupancy = int(self.st[_ckernel.ST_OCC])
-        net.cycle = int(self.st[_ckernel.ST_CYCLE])
-        net.occupancy = occupancy
-        snapshot = capture_snapshot(net, kind, window)
-        verb, noun = (
-            ("moved", "deadlock")
-            if kind == "stall"
-            else ("ejected", "livelock")
-        )
-        return DeadlockError(
-            f"no packet {verb} for {window} cycles with {occupancy} "
-            f"packets in flight: {noun} [{snapshot.summary()}]",
-            snapshot=snapshot,
-        )
-
+    # -- terminal state --------------------------------------------------
     def _finish(self, delivered_during: int, drained: bool) -> Any:
         st = self.st
         model = self.model
@@ -1796,6 +1972,243 @@ class _Run:
             metrics=metrics,
             engine=self.engine,
         )
+
+
+# ----------------------------------------------------------------------
+# The stepping surface: one network, one cycle at a time
+# ----------------------------------------------------------------------
+def fabric_problems(config: NetworkConfig) -> List[LoweringDiagnostic]:
+    """Why ``config`` cannot step as a :class:`CompiledFabric`.
+
+    Empty when it can.  A fabric needs the native kernel and a model;
+    the spec-run gates do not apply to it (no spec, no faults, no
+    audit), the ``edge-memory`` provenance pin least of all.
+    """
+    if _native_kernel() is None:
+        return [_NO_KERNEL]
+    try:
+        _compile(config, config)
+    except _Unsupported as exc:
+        return [exc.diagnostic]
+    return []
+
+
+class CompiledFabric(_RunState):
+    """A lowered network stepped a cycle at a time, under host endpoints.
+
+    The endpoint-facing surface of the reference
+    :class:`~repro.sim.network.Network` — what the manycore machine
+    drives — and nothing else: offer a packet at a tile
+    (:meth:`inject`) or from an endpoint (:meth:`try_inject_from_memory`),
+    read a source queue's length, :meth:`step`, read the occupancy and
+    the hop counts.  Bit-identical to the reference given the same
+    calls: an offer is a ``(cycle, source, dest)`` triple on the
+    schedule of the next cycle's one-cycle block (an endpoint's source
+    id means its entry queue), the kernel's one ``enqueue`` injects it,
+    and each id in the block's ``ej[]`` hands its payload carrier to
+    ``sinks[dest].deliver(pkt, cycle)`` in commit order.  The host
+    writes no queue and no packet record; the only run state it writes
+    is the ``ready[]`` word of a gated sink and the wake-up that implies.
+
+    Contracts (the machine keeps them; :class:`Sink.ready` states the
+    first): a sink's readiness falls only when this fabric delivers to
+    it, so it is re-read after a delivery and, before a step, only
+    while last seen not ready; a source offers at most once a cycle,
+    after reading its queue length, so ``qlen[]`` read after the step
+    is exact.  ``sink_factory`` / ``memory_sink_factory`` are the
+    reference network's arguments.
+    """
+
+    __slots__ = (
+        "routing", "cycle", "sinks", "refusals", "sink_stalls",
+        "_index", "_stride", "_entry_q", "_offers", "_sched", "_carriers",
+        "_next_pid", "_ready", "_gated", "_waiting", "_wake", "_hops",
+    )
+
+    def __init__(
+        self,
+        config: NetworkConfig,
+        sink_factory: Any,
+        memory_sink_factory: Any,
+        watchdog: Optional[WatchdogConfig] = None,
+    ) -> None:
+        model = _compile(config, config)
+        self._index = index = model.node_index
+        self.sinks = sinks = [sink_factory(c) for c in model.nodes]
+        sinks += [memory_sink_factory(c) for c in model.endpoints]
+
+        def sink_at(coord: Coord) -> Any:
+            return sinks[index[coord]]
+
+        super().__init__(
+            model,
+            functools.partial(
+                build_network,
+                config,
+                sink_factory=sink_at,
+                memory_sink_factory=sink_at,
+                watchdog=watchdog,
+            ),
+            watchdog=watchdog,
+        )
+        self.routing = build_routing(config)
+        self.cycle = 0
+        #: Offers an entry queue refused, and deliveries that left a
+        #: gated sink not ready (what backpressure tests look for).
+        self.refusals = 0
+        self.sink_stalls = 0
+        nports = VCRouter.NUM_PORTS if self.is_vc else NUM_DIRS
+        # Flat queue id of a port's lane 0: source s injects at
+        # s * _stride, endpoint e enters at _entry_q[e].
+        lanes = model.num_vcs if self.is_vc else 1
+        self._stride = nports * lanes
+        self._entry_q = [port * lanes for port in model.entry]
+        # A gated sink (one whose class overrides `ready`) blocks its
+        # output through a word the kernel reads: dn = -2 - sink id on
+        # this run's copy of the wiring, free sinks stay -1.
+        self._ready = ready = self._new([1] * model.nd)
+        self._gated = gated = [
+            type(sink).ready is not Sink.ready for sink in sinks
+        ]
+        self._waiting: List[int] = []
+        # The flat (router, output) feeding each sink, and its router:
+        # the one `step_vc` must look at again when the sink turns ready.
+        outs = (*range(0, model.n * nports, nports), *model.sink_of)
+        self._wake = [out // nports for out in outs]
+        if any(gated):
+            dn = self._new(model.tables.dn)
+            for k, out in enumerate(outs):
+                if gated[k] and out >= 0:
+                    dn[out] = -2 - k
+                    if not sinks[k].ready():
+                        ready[k] = 0
+                        self._waiting.append(k)
+            self.ctx.dn = _ptr(dn)
+            self.ctx.ready = _ptr(ready)
+        # Next cycle's offers, copied into a fixed schedule buffer the
+        # kernel reads: every source may offer once.
+        self._offers: List[int] = []
+        self._sched = self._new(3 * model.nd)
+        b = self.bctx
+        b.sched = _ptr(self._sched)
+        b.count = 1
+        self._carriers: Dict[int, Any] = {}
+        self._next_pid = 0
+        kernel = _native_kernel()
+        self._hops = (
+            kernel.hop_count_vc if self.is_vc else kernel.hop_count_noc
+        )
+
+    # -- offers -----------------------------------------------------------
+    def inject(self, src: Coord, dest: Coord, *, payload: Any = None) -> Any:
+        """Offer a packet at ``src``'s (unbounded) source queue."""
+        pid = self._next_pid
+        self._next_pid = pid + 1
+        index = self._index
+        self._offers += (self.cycle, index[src], index[dest])
+        pkt = self._carriers[pid] = Packet(
+            pid, src, dest, self.cycle, payload=payload
+        )
+        return pkt
+
+    def try_inject_from_memory(
+        self, mem_coord: Coord, dest: Coord, *, payload: Any = None
+    ) -> bool:
+        """Offer a packet from an endpoint; False when its entry is full."""
+        q = self._entry_q[self._index[mem_coord] - self.model.n]
+        if self.qlen[q] >= self.model.depth:
+            self.refusals += 1
+            return False
+        self.inject(mem_coord, dest, payload=payload)
+        return True
+
+    def source_queue_len(self, src: Coord) -> int:
+        """Occupancy of a tile's injection queue (closed-loop backpressure)."""
+        return self.qlen[self._index[src] * self._stride]
+
+    # -- reads ------------------------------------------------------------
+    @property
+    def occupancy(self) -> int:
+        return int(self.st[_ckernel.ST_OCC])
+
+    @property
+    def hop_counts(self) -> List[int]:
+        return list(self.hop)
+
+    def hop_count(self, src: Coord, dest: Coord) -> int:
+        """Channel traversals ``src`` -> ``dest``, off the lowered tables.
+
+        What ``routing.hop_count`` walks from the algorithm, read from
+        the rows the kernel routes by (endpoints on either end count
+        their channel).
+        """
+        index = self._index
+        hops = self._hops(self.cref, self.bref, index[src], index[dest])
+        if hops < 0:
+            raise SimulationError(
+                f"no table route from {tuple(src)} to {tuple(dest)}"
+            )
+        return hops
+
+    # -- the cycle --------------------------------------------------------
+    def step(self) -> None:
+        """Advance one cycle: enqueue the offers, step, deliver."""
+        offers = self._offers
+        offered = len(offers)
+        if offered:
+            if offered > len(self._sched):
+                raise SimulationError(
+                    f"{offered // 3} offers in cycle {self.cycle}: a "
+                    f"source offers at most once a cycle"
+                )
+            self._sched[:offered] = array("i", offers)
+            b = self.bctx
+            b.sched_len = offered // 3
+            b.sched_cur = 0
+            del offers[:]
+        waiting = self._waiting
+        if waiting:
+            # Sinks last seen not ready: only the endpoint's own work
+            # can have made room since.
+            ready, sinks, dirty = self._ready, self.sinks, self.dirty
+            still = []
+            for k in waiting:
+                if sinks[k].ready():
+                    ready[k] = 1
+                    if dirty is not None:
+                        # step_vc skips clean routers; the one feeding
+                        # this sink has a request to raise again.
+                        dirty[self._wake[k]] = 1
+                else:
+                    still.append(k)
+            self._waiting = waiting = still
+        stop = self.run_block(self.cref, self.bref)
+        while stop == _ckernel.STOP_CAPACITY:
+            self._grow()
+            stop = self.run_block(self.cref, self.bref)
+        if stop:
+            raise self._trip(stop)
+        if offered and self.st[_ckernel.ST_NPK] != self._next_pid:
+            raise SimulationError(
+                f"an entry queue refused an offer in cycle {self.cycle}: "
+                f"an endpoint offers at most once a cycle, after "
+                f"try_inject_from_memory saw room"
+            )
+        cycle = self.cycle
+        count = self.nej[0]
+        if count:
+            ej, pdest, sinks = self.ej, self.pdest_a, self.sinks
+            carriers, gated = self._carriers, self._gated
+            for k in range(count):
+                pid = ej[k]
+                dest = pdest[pid]
+                sink = sinks[dest]
+                sink.deliver(carriers.pop(pid), cycle)
+                if gated[dest] and not sink.ready():
+                    self._ready[dest] = 0
+                    waiting.append(dest)
+                    self.sink_stalls += 1
+        self.cycle = cycle + 1
 
 
 # ----------------------------------------------------------------------

@@ -277,6 +277,15 @@ class Network:
         self.metrics.record_injection(measured)
         return True
 
+    @property
+    def hop_counts(self) -> List[int]:
+        """Channel traversals so far, per output direction."""
+        return self.metrics.hop_counts
+
+    def hop_count(self, src: Coord, dest: Coord) -> int:
+        """Channel traversals of a ``src`` -> ``dest`` packet at zero load."""
+        return self.routing.hop_count(src, dest)
+
     def memory_entry_space(self, mem_coord: Coord) -> int:
         """Free slots in the edge FIFO behind a memory endpoint."""
         router, in_idx = self._edge_entry[mem_coord]

@@ -66,6 +66,18 @@ class Sink:
     __slots__ = ()
 
     def ready(self) -> bool:
+        """Whether the sink can take a packet this cycle.
+
+        Contract for subclasses that override it (a class that does not
+        is statically ready and never asked): a network delivers at
+        most one packet per sink per cycle, and readiness may *fall*
+        only as a result of such a delivery — anything else the
+        endpoint does (serving a request, draining an inbox) may only
+        raise it.  Both engines rely on the first half (readiness is
+        judged against cycle-start state); the compiled fabric relies
+        on the second to poll a sink only after delivering to it and
+        while it was last seen not ready, not every cycle.
+        """
         return True
 
     def deliver(self, pkt: Packet, cycle: int) -> None:  # pragma: no cover

@@ -126,3 +126,29 @@ class TestTraceCapture:
         assert comp.metrics.injected_total == (
             ref.metrics.injected_total
         )
+
+
+class TestBudget:
+    def test_a_capture_that_hits_its_cycle_budget_is_not_cached(
+        self, monkeypatch
+    ):
+        """A truncated run must not feed speedups or replays: it raises,
+        naming the run, and leaves no cache entry behind."""
+        import pytest
+
+        from repro.errors import SimulationError
+        from repro.experiments import manycore_runs
+
+        key = ("jacobi", "mesh", 8, 4, "smoke")
+        manycore_runs.clear_cache()
+        run = manycore_runs.Machine.run
+        monkeypatch.setattr(
+            manycore_runs.Machine,
+            "run",
+            lambda self, max_cycles: run(self, max_cycles=40),
+        )
+        with pytest.raises(SimulationError, match="jacobi.*mesh.*cycle 40"):
+            manycore_runs.run_entry(*key)
+        assert manycore_runs._cache_key(key) not in manycore_runs._CACHE
+        monkeypatch.undo()
+        assert manycore_runs.run_entry(*key).stats.completed

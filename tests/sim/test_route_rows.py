@@ -6,7 +6,9 @@ tables from axis-aligned route calls only, which is exact because every
 run time re-checks that property: this module is what pins it.  The
 all-pairs comprehensions below — one ``route`` / ``route_vc`` call per
 ``(node, dest)``, the form the lowering used before — are the oracle,
-and exist only here.
+and exist only here.  Destinations include the endpoint columns of the
+edge-memory design points (what a manycore network lowers): off the
+grid, under the same two rules.
 
 The second half ties the rows the kernel reads to the next-hop tables
 the certifier proves (``core.routing.tabulate_next_hops``), state by
@@ -47,6 +49,17 @@ FAMILIES = (
 #: even rings only), and the legal one-row array.
 ODD_SIZES = ((7, 5), (6, 9), (9, 4), (8, 1))
 
+#: The families that admit edge memory (as Half networks, for Ruche).
+EDGE_FAMILIES = (
+    "mesh",
+    "half-torus",
+    "half-torus-fbfc",
+    "ruche2-depop",
+    "ruche2-pop",
+    "ruche3-depop",
+    "ruche3-pop",
+)
+
 
 def _design_points():
     """Every family x size x ``dor_order``, each config once."""
@@ -67,6 +80,13 @@ def _design_points():
                 specs.append(
                     NetworkSpec.for_network(name, width, height, half=True)
                 )
+        for name in EDGE_FAMILIES:
+            specs.append(
+                NetworkSpec.for_network(
+                    name, width, height, edge_memory=True,
+                    half=name.startswith("ruche"),
+                )
+            )
     points = {}
     for spec in specs:
         for order in ("xy", "yx"):
@@ -84,6 +104,7 @@ def _point_id(spec):
     return "-".join(
         [spec.topology, f"{spec.width}x{spec.height}"]
         + (["half"] if options.get("half") else [])
+        + (["edge"] if options.get("edge_memory") else [])
         + [options["dor_order"]]
     )
 
@@ -92,12 +113,12 @@ DESIGN_POINTS = _design_points()
 
 
 def _lowered(spec):
-    """``(model, components)`` of a design point that must compile."""
-    problems, point = fastsim._resolve(
-        spec.replace(engine="compiled"), None, None, None
-    )
-    assert problems == []
-    model = point[3]
+    """``(model, components)`` of a design point that must compile.
+
+    Straight through ``_compile``: the spec-run gates (the
+    ``edge-memory`` provenance pin among them) say nothing about rows.
+    """
+    model = fastsim._compile(spec, spec.config())
     components = resolve_components(spec, model.config, None)[0]
     assert type(components.routing) in fastsim._SUPPORTED_ROUTINGS
     return model, components
@@ -115,18 +136,18 @@ def all_pairs_wormhole_rows(model, routing):
         cls_of_in = (0,) * NUM_DIRS
         reps = (Direction.P,)
     nsub = 1 if model.subnet_tab is None else 2
-    nodes = model.nodes
+    dests = (*model.nodes, *model.endpoints)
     rows = array("i")
     rowof = array("i")
-    for r, coord in enumerate(nodes):
+    for r, coord in enumerate(model.nodes):
         for rep in reps:
             for sub in range(nsub):
                 rows.extend(
                     [int(routing.route(coord, rep, dest, sub))
-                     for dest in nodes]
+                     for dest in dests]
                 )
         rowof.extend(r * len(reps) + cls for cls in cls_of_in)
-    return rows, rowof, nsub * model.n
+    return rows, rowof, nsub * len(dests)
 
 
 def all_pairs_vc_tables(model, routing):
@@ -136,7 +157,7 @@ def all_pairs_vc_tables(model, routing):
     east, south = int(Direction.E), int(Direction.S)
     out_tab, vcn_tab, dl_tab = array("i"), array("i"), array("i")
     for coord in model.nodes:
-        for dest in model.nodes:
+        for dest in (*model.nodes, *model.endpoints):
             out = vcn = dateline = 0  # (P, 0) at the destination
             if dest != coord:
                 out = int(routing.route_vc(coord, Direction.P, 0, dest)[0])
@@ -164,6 +185,7 @@ def test_design_points_cover_every_supported_routing():
         (*_lowered(spec), dict(spec.options)["dor_order"])
         for spec in DESIGN_POINTS
         if (spec.width, spec.height) == (9, 4)
+        and not dict(spec.options).get("edge_memory")
     ]
     assert {(type(parts.routing), order) for _, parts, order in lowered} == {
         (routing, order)
@@ -212,6 +234,15 @@ CERTIFIED_POINTS = [
         "ruche2-depop", 16, 8, half=True, dor_order="yx"
     ),
     NetworkSpec.for_network("half-torus", 16, 8, dor_order="yx"),
+    # A manycore request (X-Y) and two response (Y-X) networks: the
+    # endpoint columns, and the rows memory arrivals route by.
+    NetworkSpec.for_network("mesh", 8, 4, edge_memory=True),
+    NetworkSpec.for_network(
+        "ruche2-depop", 8, 4, half=True, edge_memory=True, dor_order="yx"
+    ),
+    NetworkSpec.for_network(
+        "half-torus", 8, 4, edge_memory=True, dor_order="yx"
+    ),
 ]
 
 
@@ -227,14 +258,23 @@ def test_kernel_rows_equal_certifier_tables(spec):
     through the kernel's own index arithmetic."""
     model, components = _lowered(spec)
     routing, graph = components.routing, components.topology.port_graph()
-    tables, n = model.tables, model.n
+    tables, n, nd = model.tables, model.n, model.nd
+    # Memory arrivals enter on a channel port, lane 0, subnet 0.
+    entries = [
+        (ch.dst, ch.in_port, 0, 0)
+        for ch in graph.channels
+        if ch.src in model.endpoints
+    ]
+    assert len(entries) == len(model.endpoints)
     states = 0
-    for d, dest in enumerate(model.nodes):
-        table = tabulate_next_hops(routing, graph, dest)
+    for d, dest in enumerate((*model.nodes, *model.endpoints)):
+        table = tabulate_next_hops(routing, graph, dest, entries=entries)
         for (node, in_port, in_vc, subnet), (out, vc) in table.items():
             r = model.node_index[node]
+            if r >= n:
+                continue  # the walk's last state: on the endpoint itself
             if model.kind == "vc":
-                row = r * n + d
+                row = r * nd + d
                 assert tables.out[row] == out
                 # step_vc's accept-time VC reconstruction.
                 if tables.dl[row]:
@@ -248,9 +288,9 @@ def test_kernel_rows_equal_certifier_tables(spec):
                 assert (in_vc, vc) == (0, 0)
                 row = tables.rowof[r * NUM_DIRS + in_port]
                 assert (
-                    tables.rows[row * tables.rowlen + subnet * n + d] == out
+                    tables.rows[row * tables.rowlen + subnet * nd + d] == out
                 ), (node, in_port, subnet, dest)
             states += 1
     # At least the injection and ejection state of every pair.
-    assert states >= n * n
+    assert states >= n * nd
     assert P_IDX == graph.ejection_port
