@@ -15,9 +15,10 @@ networks — stats and traces are bit-identical on either), so repeated
 network-level sweeps over the cached workloads replay on the compiled
 engine instead of re-running the execution-driven model (capture once,
 replay many — see :func:`replay_result`).  A capture that runs out of
-its cycle budget is an error, never an entry.  The internal cache key
-includes the :data:`PROVENANCE` schema tag, so a cache primed by a
-pre-trace build is never silently reused for replay rows.
+its cycle budget is an error, never an entry.  The memo is per process
+and filled only by this build's :func:`_simulate` (here, or in
+:func:`prime_cache` workers started from the same source tree), so an
+entry is always current.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from repro.sim.trace import Trace, TraceRecorder, replay_spec
 #: Cache key: (benchmark, network, width, height, scale).
 RunKey = Tuple[str, str, int, int, str]
 
-#: Engine/trace schema tag folded into the internal cache key.  Bump it
-#: whenever the capture format or the replay semantics change: entries
-#: produced under an older tag (e.g. a worker running pre-trace code)
-#: miss instead of feeding stale traces to replay rows.
+#: Capture schema tag, written into every trace header's provenance
+#: block (``"schema"``).  Bump it whenever the capture format or the
+#: replay semantics change.
 PROVENANCE = "reference+trace-v1"
 
 #: Manycore fabrics compared in Figures 10-13 (paper order).
@@ -108,17 +108,12 @@ class RunEntry:
 
     stats: MachineStats
     traces: Dict[str, Trace]
-    provenance: str = PROVENANCE
     paths: Dict[str, str] = dataclasses.field(default_factory=dict)
     engine: str = "reference"
     fallback: List[str] = dataclasses.field(default_factory=list)
 
 
-_CACHE: Dict[Tuple, RunEntry] = {}
-
-
-def _cache_key(key: RunKey) -> Tuple:
-    return (*key, PROVENANCE)
+_CACHE: Dict[RunKey, RunEntry] = {}
 
 
 def _simulate(
@@ -169,20 +164,11 @@ def run_entry(
     height: int,
     scale: str,
 ) -> RunEntry:
-    """One memoized manycore run with its captured traces.
-
-    Entries whose provenance tag does not match this build's
-    :data:`PROVENANCE` (or that carry no traces) are recomputed rather
-    than reused — a replay row must never consume a stale capture.
-    """
+    """One memoized manycore run with its captured traces."""
     key: RunKey = (benchmark, network, width, height, scale)
-    entry = _CACHE.get(_cache_key(key))
-    if (
-        entry is None
-        or entry.provenance != PROVENANCE
-        or not entry.traces
-    ):
-        entry = _CACHE[_cache_key(key)] = _simulate(*key)
+    entry = _CACHE.get(key)
+    if entry is None:
+        entry = _CACHE[key] = _simulate(*key)
     return entry
 
 
@@ -204,9 +190,7 @@ def prime_cache(keys: Iterable[RunKey], jobs: int = 1) -> int:
     deterministic per key, so parallel priming yields the same stats a
     serial run would; subsequent :func:`run_cached` calls are hits.
     """
-    missing = [
-        k for k in dict.fromkeys(keys) if _cache_key(k) not in _CACHE
-    ]
+    missing = [k for k in dict.fromkeys(keys) if k not in _CACHE]
     if not missing:
         return 0
     if jobs <= 1 or len(missing) == 1:
@@ -217,7 +201,7 @@ def prime_cache(keys: Iterable[RunKey], jobs: int = 1) -> int:
 
     with ProcessPoolExecutor(max_workers=jobs) as executor:
         for key, entry in zip(missing, executor.map(_simulate_key, missing)):
-            _CACHE[_cache_key(key)] = entry
+            _CACHE[key] = entry
     return len(missing)
 
 

@@ -10,17 +10,16 @@ three router kinds, and it is the *only* stepping implementation outside
 the reference oracle — the cross-engine differential tests pin
 kernel == reference.
 
-The exported surface is the pair of whole-phase block drivers,
-
-``run_block_noc(StepCtx*, BlockCtx*)`` / ``run_block_vc(VcCtx*, BlockCtx*)``
-
-which run up to ``count`` cycles of one phase entirely in C: injection
+The exported surface is ``run_block(Ctx*)``, ``hop_count(const Ctx*, s,
+d)`` and ``ctx_size``.  ``run_block`` runs up to ``count`` cycles of one
+phase entirely in C: injection
 (drawn in the kernel, replicating CPython's Mersenne Twister so the
 timing/destination streams are consumed bit-identically — see
 ``mt_next``; or read off a host-supplied ``(cycle, source, dest)``
 schedule, ``MODE_SCHEDULE`` — either way through the one ``enqueue``),
 the router step (``step_noc`` for wormhole/FBFC, ``step_vc`` for the
-dateline-VC torus routers — both ``static``), the transient-fault drop
+dateline-VC torus routers — both ``static``, picked by ``Ctx.kind``),
+the transient-fault drop
 decision (the ``faults:drops`` stream, drawn from the same C twister at
 the reference's draw point), ejection scoring (the measured-latency
 moments, accumulated in ``st[]``; a per-packet ejection log only for
@@ -31,7 +30,7 @@ waiting packets are an intrusive list threaded through the per-packet
 the log) stops *before* the injection round with ``STOP_CAPACITY`` so
 the host can double them and re-enter.
 
-A caller that is itself the traffic steps the same drivers one cycle
+A caller that is itself the traffic steps the same driver one cycle
 per call (``count = 1``; :class:`repro.sim.fastsim.CompiledFabric`):
 its offers are that cycle's schedule, and a source id at or past the
 router count is an endpoint, whose packet the one ``enqueue`` pushes
@@ -40,11 +39,14 @@ its channel arrives on) or refuses when that is full.  Outputs wired to
 a sink — the ejection port, a channel into an endpoint — carry a
 negative ``dn``: ``-1`` is always ready, ``-2 - k`` is gated by the
 host-written word ``ready[k]``, and a not-ready sink blocks its output
-exactly where a full downstream queue would.  ``hop_count_noc`` /
-``hop_count_vc`` walk the same route tables for a pair's zero-load hop
-count.
-``ctx_sizes`` reports the C struct sizes so :func:`get_kernel` can
-refuse a library whose layout drifted from the ctypes mirrors below.
+exactly where a full downstream queue would.  ``hop_count`` walks the
+same route tables for a pair's zero-load hop count.
+
+Both steps and every helper around them take the one run context,
+:class:`Ctx`, whose layout is declared once (:data:`_CTX_TYPEDEF`: the
+C ``typedef`` text, parsed into the ctypes ``_fields_``).  ``ctx_size``
+reports the C ``sizeof`` so :func:`get_kernel` can refuse a library
+whose ABI padding disagrees with the ctypes mirror.
 
 The kernel is the compiled engine: when no C compiler is available, the
 compile or the layout self-check fails, or ``REPRO_NO_CKERNEL`` is set
@@ -58,201 +60,177 @@ from __future__ import annotations
 
 import ctypes
 import os
+import re
+import shlex
 import subprocess
 import tempfile
 import warnings
-from typing import Optional
+from typing import Any, List, Optional, Tuple
 
-__all__ = ["BlockCtx", "StepCtx", "VcCtx", "get_kernel"]
+__all__ = ["Ctx", "get_kernel"]
 
-_I32P = ctypes.POINTER(ctypes.c_int32)
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_U32P = ctypes.POINTER(ctypes.c_uint32)
+#: The run context's one declaration.  This text is compiled as the C
+#: ``typedef`` *and* parsed into ``Ctx._fields_`` (:func:`_ctx_fields`),
+#: so a member's position, width and name are written exactly once.
+_CTX_TYPEDEF = r"""
+/* One run: everything the kernel reads or writes, filled once by the
+ * host (fastsim._RunState) and passed as a single pointer, so the
+ * per-call ctypes marshalling cost is constant instead of linear in the
+ * argument count.  Both steps read it; a pointer only one router kind
+ * uses stays NULL for the other. */
+typedef struct {
+    /* The design point.  kind (KIND_*) picks the step: step_noc for the
+     * wormhole / FBFC routers, step_vc for the dateline-VC router.  n
+     * counts the routers — the sources the kernel draws for — and nd the
+     * destination ids, routers then endpoints: the stride of subnet[]
+     * and of every route row, and the most packets or ejections one
+     * cycle can add.  Source ids n .. nd-1 are endpoints, offered only
+     * through a schedule.  np is a router's port count (9; 5 on the VC
+     * router) and nvc the lanes of an input port (1 off the VC router);
+     * depth is the slots of one lane's FIFO. */
+    int32_t kind, n, nd, np, nvc, depth, track_links;
+
+    /* Static tables, shared by every run of a compiled model.
+     * dn[r * np + o] is the downstream down_r * np + down_in of a
+     * router-to-router output, -1 for a free sink or -2 - k for one
+     * gated by ready[k] (NULL unless a fabric gates a sink; it then
+     * installs its own copy of dn).  entry[s - n] is the flat (router,
+     * input) port whose lane 0 a packet from endpoint s enters on.
+     * subnet[s * nd + d] is the parity subnet of a packet s -> d (NULL:
+     * one subnet). */
+    const int32_t *dn, *ready, *entry, *subnet;
+    /* step_noc only, flat (router, port) ids of stride 9: output ro
+     * arbitrates among its ncv[ro] candidate inputs cands[ro * 9 ..],
+     * input i sitting at position pm[r * 81 + o * 9 + i] of output o's
+     * list (-1: not admitted); needs[ro * 9 + pos] is the FBFC slot
+     * requirement of a candidate (2 to enter a ring, else 1).  Input
+     * port q routes by row rowof[q] of rows, each rowlen = subnets x nd
+     * long. */
+    const int32_t *ncv, *cands, *pm, *needs, *rowof, *rows;
+    int32_t rowlen;
+    /* step_vc only, flat (router, port) ids of stride 5: router r's
+     * wired inputs are plist[pofs[r] .. + pcnt[r]], feed[r * 5 + i] the
+     * router upstream of input i (-1: none, or an endpoint).  out, vcn
+     * and dl are the per-(router, destination) output port, VC taken on
+     * a change of dimension and dateline flag (stride nd), sd the 5x5
+     * same-dimension predicate. */
+    const int32_t *plist, *pofs, *pcnt, *feed, *out, *vcn, *dl, *sd;
+
+    /* Per-run queue state, flattened over (router, input, lane) with
+     * lane stride nvc: queue q = (r * np + i) * nvc + lane is the ring
+     * buf[qoff[q] .. + qcap[q]], holding qlen[q] packet ids from slot
+     * qhead[q].  The P injection port owns a single lane of qcap 0: its
+     * qlen[q] packets wait on the source's list phead[s] -> pnext[...]
+     * -> ptail[s] — the reference's unbounded injection deque.  occ[r]
+     * counts the packets router r holds.  rr holds the round-robin
+     * pointers: the per-(router, output) arbiters of step_noc, the
+     * per-(router, input) VC muxes of step_vc. */
+    int32_t *buf;
+    const int32_t *qoff, *qcap;
+    int32_t *qhead, *qlen, *occ, *rr, *phead, *ptail;
+    /* step_vc only: prio[r] is the wavefront allocator's rotating
+     * priority.  dirty[r] must be raised by whoever changes what router
+     * r could grant: the kernel on every queue change, the host when it
+     * turns a gated sink ready. */
+    int32_t *prio, *dirty;
+
+    /* Per-packet records, pk_cap entries each, doubled by the host on
+     * STOP_CAPACITY: source, inject cycle, measured bit, injection-list
+     * link, destination, the output it requests where it now waits, and
+     * the one field the router kinds do not share — the route-row
+     * offset subnet * nd (step_noc) or the assigned VC (step_vc). */
+    int32_t *psrc, *pinj, *pmeas, *pnext, *pdest, *pout, *paux;
+    int32_t pk_cap, ej_cap;
+
+    /* Counters and per-cycle outputs.  st is the ST_LEN-slot counter
+     * block shared with the host (the ST_* indices): cycle, occupancy,
+     * injected total/measured, delivered total/measured, idle cycles,
+     * starved cycles, packet count, ejection-log length, stop code,
+     * cycles ran this block, dropped total/measured, and the measured-
+     * latency moments — sum, sum of squares as two unsigned 64-bit
+     * limbs, min, max (meaningful once ST_DEL_MEAS is non-zero).
+     * hop[o] counts channel traversals per output direction and link[r
+     * * 9 + o] per link (stride 9 on both kinds; only if track_links).
+     * A step lists its grants in gsq / gro (source queue, flat router
+     * output) and the packets it ejected in ej[0 .. *nej).  ejlog takes
+     * (packet id, latency) per measured ejection, ej_cap entries; NULL
+     * for runs that keep no per-packet data. */
+    int64_t *st, *hop, *link;
+    int32_t *gsq, *gro, *ej, *nej, *ejlog;
+
+    /* The block: up to count cycles of one phase (blocks never span
+     * phases, so measured and drain are per-block constants), ended
+     * early by stall_window idle cycles, starve_window cycles without
+     * an ejection (-1: off), cycle maxc (-1: none) or, draining, target
+     * measured packets resolved. */
+    int32_t count, measured, drain, stall_window, starve_window;
+    int64_t target, maxc;
+
+    /* Injection: mode (MODE_*) says who chooses each cycle's packets.
+     * The kernel draws at rate from t_mt / d_mt, CPython Mersenne
+     * Twister states (624 words + the output index, exactly
+     * random.Random.getstate()[1]) of the timing and destination
+     * streams — NULL under MODE_SCHEDULE, where the host draws — with
+     * dtab[s] the destination of source s (MODE_TABLE; -1: none) or
+     * perm the ubits-bit node permutation (MODE_UNIFORM).
+     * MODE_SCHEDULE: sched_len (cycle, source, dest) triples sorted by
+     * (cycle, source); the kernel injects those of the current cycle
+     * and advances sched_cur past them, so the cursor survives block
+     * boundaries and capacity re-entry. */
+    double rate;
+    uint32_t *t_mt, *d_mt;
+    const int32_t *dtab, *perm, *sched;
+    int32_t mode, ubits, sched_len, sched_cur;
+
+    /* Transient faults: fmap[router * 9 + out] is the fault index on
+     * that link (-1 = healthy; NULL = no transient faults at all),
+     * fprob[k] its drop probability and fwin[2k .. 2k+1] its active
+     * [start, end) cycle window; x_mt is the faults:drops twister. */
+    const int32_t *fmap, *fwin;
+    const double *fprob;
+    uint32_t *x_mt;
+} Ctx;
+"""
+
+_C_TYPES = {
+    "int32_t": ctypes.c_int32,
+    "int64_t": ctypes.c_int64,
+    "uint32_t": ctypes.c_uint32,
+    "double": ctypes.c_double,
+}
 
 
-class StepCtx(ctypes.Structure):
-    """Mirror of the C ``StepCtx``: one pointer block per simulation run.
+def _ctx_fields(typedef: str) -> List[Tuple[str, Any]]:
+    """The ctypes ``_fields_`` of a C ``typedef struct { ... }`` text.
 
-    Filling the struct once and passing a single pointer per cycle keeps
-    the per-call ctypes marshalling cost constant instead of linear in
-    the argument count.  ``dn[r*9+o]`` is the downstream ``down_r*9 +
-    down_in`` of a router-to-router output, ``-1`` for a free sink or
-    ``-2 - k`` for one gated by ``ready[k]`` (NULL unless a fabric gates
-    a sink); route rows are ``rowlen`` = subnets x destinations long,
-    destinations being routers then endpoints.
+    Understands what :data:`_CTX_TYPEDEF` uses and nothing more:
+    comments, ``[const] <type> [*]name, [*]name...;`` over the
+    fixed-width types of :data:`_C_TYPES`.  Anything else raises here,
+    at import.
+    """
+    body = re.sub(r"/\*.*?\*/", "", typedef, flags=re.S)
+    fields: List[Tuple[str, Any]] = []
+    for decl in body[body.index("{") + 1 : body.rindex("}")].split(";"):
+        words = [word for word in decl.split() if word != "const"]
+        if not words:
+            continue
+        ctype = _C_TYPES[words[0]]
+        for name in "".join(words[1:]).split(","):
+            pointer = name.startswith("*")
+            fields.append(
+                (name.lstrip("*"), ctypes.POINTER(ctype) if pointer else ctype)
+            )
+    return fields
+
+
+class Ctx(ctypes.Structure):
+    """The ctypes mirror of the kernel's ``Ctx``: one per simulation run.
+
+    Its layout and the meaning of every member are :data:`_CTX_TYPEDEF`;
+    nothing is declared here.
     """
 
-    _fields_ = [
-        ("R", ctypes.c_int32),
-        ("depth", ctypes.c_int32),
-        ("fbfc", ctypes.c_int32),
-        ("track_links", ctypes.c_int32),
-        ("rowlen", ctypes.c_int32),
-        # static tables (per compiled model)
-        ("dn", _I32P),
-        ("ncv", _I32P),
-        ("cands", _I32P),
-        ("pm", _I32P),
-        ("needs", _I32P),
-        ("rowof", _I32P),
-        ("rows", _I32P),
-        ("ready", _I32P),
-        # per-run queue state
-        ("buf", _I32P),
-        ("qoff", _I32P),
-        ("qcap", _I32P),
-        ("qhead", _I32P),
-        ("qlen", _I32P),
-        ("arb", _I32P),
-        ("occ", _I32P),
-        # per-packet records (doubled by the host on STOP_CAPACITY)
-        ("pout", _I32P),
-        ("pbase", _I32P),
-        ("pdest", _I32P),
-        # counters and per-cycle outputs
-        ("hop", _I64P),
-        ("link", _I64P),
-        ("gsq", _I32P),
-        ("gro", _I32P),
-        ("ej", _I32P),
-        ("nej", _I32P),
-    ]
-
-
-class VcCtx(ctypes.Structure):
-    """Mirror of the C ``VcCtx``: the dateline-VC router state block.
-
-    Queue state is flattened over ``(router, input, lane)`` with lane
-    stride ``nvc`` (the P injection port owns a single lane, whose
-    packets wait on the ``BlockCtx`` injection list, not in ``buf``).
-    Static tables mirror the compiled model: ``dn[r*5+o]`` is the
-    downstream ``down_r*5+down_in`` (or ``-1`` for a free sink, ``-2 -
-    k`` for one gated by ``ready[k]``), ``out_tab`` / ``vcn_tab`` /
-    ``dl_tab`` are the per-destination route/VC/dateline rows (stride
-    ``nd``: routers, then endpoints), and ``sd`` is the 5x5
-    same-dimension predicate.  ``dirty[r]`` must be raised by whoever
-    changes what router ``r`` could grant: the kernel on every queue
-    change, the host when it turns a gated sink ready.
-    """
-
-    _fields_ = [
-        ("R", ctypes.c_int32),
-        ("depth", ctypes.c_int32),
-        ("nvc", ctypes.c_int32),
-        ("track_links", ctypes.c_int32),
-        ("nd", ctypes.c_int32),
-        # static tables (per compiled model)
-        ("plist", _I32P),
-        ("pofs", _I32P),
-        ("pcnt", _I32P),
-        ("dn", _I32P),
-        ("feed", _I32P),
-        ("out_tab", _I32P),
-        ("vcn_tab", _I32P),
-        ("dl_tab", _I32P),
-        ("sd", _I32P),
-        ("ready", _I32P),
-        # per-run queue state
-        ("buf", _I32P),
-        ("qoff", _I32P),
-        ("qcap", _I32P),
-        ("qhead", _I32P),
-        ("qlen", _I32P),
-        ("vc_rr", _I32P),
-        ("prio", _I32P),
-        ("occ", _I32P),
-        ("dirty", _I32P),
-        # per-packet records (doubled by the host on STOP_CAPACITY)
-        ("pout", _I32P),
-        ("povc", _I32P),
-        ("pdest", _I32P),
-        # counters and per-cycle outputs
-        ("hop", _I64P),
-        ("link", _I64P),
-        ("gsq", _I32P),
-        ("gro", _I32P),
-        ("ej", _I32P),
-        ("nej", _I32P),
-    ]
-
-
-class BlockCtx(ctypes.Structure):
-    """Mirror of the C ``BlockCtx``: one run's phase driver.
-
-    ``t_mt``/``d_mt``/``x_mt`` are CPython Mersenne Twister states (624
-    words + the output index, exactly ``random.Random.getstate()[1]``)
-    for the timing, destination and ``faults:drops`` streams (the first
-    two NULL under ``MODE_SCHEDULE``, where the host draws).  ``st`` is
-    the ``ST_LEN``-slot ``int64`` counter block shared with the Python
-    side (the ``ST_*`` indices below): cycle, occupancy, injected
-    total/measured, delivered total/measured, idle cycles, starved
-    cycles, packet count, ejection-log length, stop code, cycles ran
-    this block, dropped total/measured, and the measured-latency
-    moments — sum, sum of squares as two unsigned 64-bit limbs, min, max
-    (min/max are meaningful once ``ST_DEL_MEAS`` is non-zero).
-
-    ``n`` counts the routers — the sources the kernel draws for — and
-    ``nd`` the destination ids, routers then endpoints: the stride of
-    ``subnet`` and of every route row, and the most packets or ejections
-    one cycle can add.  Source ids ``n .. nd-1`` are endpoints, offered
-    only through a schedule; ``entry[s - n]`` is the flat ``(router,
-    input)`` queue such a packet enters on.
-
-    ``pk_cap`` is the length of every per-packet array (here and in the
-    step context) and ``ej_cap`` the ejection log's, in entries;
-    ``ejlog`` is NULL for runs that keep no per-packet data.  A source's
-    waiting packets are the list ``phead[s]`` -> ``pnext[...]`` ->
-    ``ptail[s]`` of ``qlen[P queue of s]`` packet ids — the reference's
-    unbounded injection deque.
-    """
-
-    _fields_ = [
-        ("t_mt", _U32P),
-        ("d_mt", _U32P),
-        ("x_mt", _U32P),
-        ("rate", ctypes.c_double),
-        ("n", ctypes.c_int32),
-        ("nd", ctypes.c_int32),
-        ("mode", ctypes.c_int32),
-        ("ubits", ctypes.c_int32),
-        ("count", ctypes.c_int32),
-        ("measured", ctypes.c_int32),
-        ("drain", ctypes.c_int32),
-        ("stall_window", ctypes.c_int32),
-        ("starve_window", ctypes.c_int32),
-        ("target", ctypes.c_int64),
-        ("maxc", ctypes.c_int64),
-        ("dtab", _I32P),
-        ("perm", _I32P),
-        ("subnet", _I32P),
-        ("entry", _I32P),
-        # per-packet records (doubled by the host on STOP_CAPACITY)
-        ("pk_cap", ctypes.c_int32),
-        ("ej_cap", ctypes.c_int32),
-        ("psrc", _I32P),
-        ("pinj", _I32P),
-        ("pmeas", _I32P),
-        ("pnext", _I32P),
-        # per-source injection lists
-        ("phead", _I32P),
-        ("ptail", _I32P),
-        ("st", _I64P),
-        ("ejlog", _I32P),
-        # MODE_SCHEDULE: `sched_len` (cycle, source, dest) triples
-        # sorted by (cycle, source); the kernel injects those of the
-        # current cycle and advances `sched_cur` past them, so the
-        # cursor survives block boundaries and capacity re-entry.
-        ("sched", _I32P),
-        ("sched_len", ctypes.c_int32),
-        ("sched_cur", ctypes.c_int32),
-        # transient faults: `fmap[router * 9 + out]` is the fault index
-        # on that link (-1 = healthy; NULL = no transient faults at
-        # all), `fprob[k]` its drop probability and `fwin[2k..2k+1]`
-        # its active `[start, end)` cycle window.
-        ("fmap", _I32P),
-        ("fwin", _I32P),
-        ("fprob", ctypes.POINTER(ctypes.c_double)),
-    ]
+    _fields_ = _ctx_fields(_CTX_TYPEDEF)
 
 
 # st[] slot indices shared between the C drivers and the Python side.
@@ -277,7 +255,12 @@ ST_LAT_MIN = 17
 ST_LAT_MAX = 18
 ST_LEN = 19
 
-# BlockCtx.mode: who chooses each cycle's packets.
+# Ctx.kind: the router microarchitecture, which picks the step.
+KIND_WORMHOLE = 0
+KIND_FBFC = 1
+KIND_VC = 2
+
+# Ctx.mode: who chooses each cycle's packets.
 MODE_TABLE = 0  # per-source destination table (deterministic patterns)
 MODE_UNIFORM = 1  # builtin uniform-random, drawn from d_mt
 MODE_SCHEDULE = 2  # the host: host-drawn patterns and trace replay
@@ -294,15 +277,16 @@ STOP_MAX_CYCLES = 6
 def _defines() -> str:
     """The C source's ``#define`` prelude: every constant above, by name.
 
-    The kernel indexes ``st[]`` and compares modes and stop codes through
-    these names only, so the two sides cannot number a slot differently.
+    The kernel indexes ``st[]`` and compares kinds, modes and stop codes
+    through these names only, so the two sides cannot number one
+    differently.
     Checked once, here, at import: the ``ST_*`` slots tile
     ``0..ST_LEN-1`` (``ST_LEN`` itself closing the range).
     """
     consts = {
         name: value
         for name, value in globals().items()
-        if name.startswith(("ST_", "MODE_", "STOP_"))
+        if name.startswith(("ST_", "KIND_", "MODE_", "STOP_"))
     }
     slots = sorted(v for k, v in consts.items() if k.startswith("ST_"))
     if slots != list(range(ST_LEN + 1)):
@@ -310,51 +294,11 @@ def _defines() -> str:
     return "".join(f"#define {k} {v}\n" for k, v in consts.items())
 
 
-_SOURCE = _defines() + r"""
-#include <stdint.h>
-
-typedef struct {
-    int32_t R, depth, fbfc, track_links, rowlen;
-    const int32_t *dn, *ncv, *cands, *pm, *needs, *rowof, *rows, *ready;
-    int32_t *buf;
-    const int32_t *qoff, *qcap;
-    int32_t *qhead, *qlen, *arb, *occ;
-    int32_t *pout, *pbase, *pdest;
-    int64_t *hop, *link;
-    int32_t *gsq, *gro, *ej, *nej;
-} StepCtx;
-
-typedef struct {
-    int32_t R, depth, nvc, track_links, nd;
-    const int32_t *plist, *pofs, *pcnt;
-    const int32_t *dn, *feed;
-    const int32_t *out_tab, *vcn_tab, *dl_tab, *sd, *ready;
-    int32_t *buf;
-    const int32_t *qoff, *qcap;
-    int32_t *qhead, *qlen, *vc_rr, *prio, *occ, *dirty;
-    int32_t *pout, *povc, *pdest;
-    int64_t *hop, *link;
-    int32_t *gsq, *gro, *ej, *nej;
-} VcCtx;
-
-typedef struct {
-    uint32_t *t_mt, *d_mt, *x_mt;
-    double rate;
-    int32_t n, nd, mode, ubits, count, measured, drain;
-    int32_t stall_window, starve_window;
-    int64_t target, maxc;
-    const int32_t *dtab, *perm, *subnet, *entry;
-    int32_t pk_cap, ej_cap;
-    int32_t *psrc, *pinj, *pmeas, *pnext;
-    int32_t *phead, *ptail;
-    int64_t *st;
-    int32_t *ejlog;
-    const int32_t *sched;
-    int32_t sched_len, sched_cur;
-    const int32_t *fmap, *fwin;
-    const double *fprob;
-} BlockCtx;
-
+_SOURCE = (
+    _defines()
+    + "#include <stdint.h>\n"
+    + _CTX_TYPEDEF
+    + r"""
 /* CPython's Mersenne Twister (_randommodule.c genrand_uint32), operating
  * on the 625-word state random.Random.getstate()[1] hands out: 624 state
  * words followed by the output index.  Replicating the generator rather
@@ -418,22 +362,22 @@ static int32_t mt_below(uint32_t *mt, int32_t nmax, int32_t kbits)
  * Returns 1, with the loss accounted in st[], when the packet dies on
  * the wires.
  */
-static int drop_flit(BlockCtx *b, int lk, int pid)
+static int drop_flit(Ctx *c, int lk, int pid)
 {
-    if (!b->fmap)
+    if (!c->fmap)
         return 0;
-    const int k = b->fmap[lk];
+    const int k = c->fmap[lk];
     if (k < 0)
         return 0;
-    const int64_t cycle = b->st[ST_CYCLE];
-    if (cycle < b->fwin[2 * k] || cycle >= b->fwin[2 * k + 1])
+    const int64_t cycle = c->st[ST_CYCLE];
+    if (cycle < c->fwin[2 * k] || cycle >= c->fwin[2 * k + 1])
         return 0;
-    if (!(mt_random(b->x_mt) < b->fprob[k]))
+    if (!(mt_random(c->x_mt) < c->fprob[k]))
         return 0;
-    b->st[ST_OCC]--;
-    b->st[ST_DROP_TOTAL]++;
-    if (b->pmeas[pid])
-        b->st[ST_DROP_MEAS]++;
+    c->st[ST_OCC]--;
+    c->st[ST_DROP_TOTAL]++;
+    if (c->pmeas[pid])
+        c->st[ST_DROP_MEAS]++;
     return 1;
 }
 
@@ -456,9 +400,9 @@ static int drop_flit(BlockCtx *b, int lk, int pid)
  * Returns the number of grants (dropped ones included); ejected packet
  * ids are written to ej/nej for the caller to score.
  */
-static int step_noc(StepCtx *c, BlockCtx *b)
+static int step_noc(Ctx *c)
 {
-    const int32_t R = c->R, depth = c->depth, fbfc = c->fbfc;
+    const int32_t R = c->n, depth = c->depth, fbfc = c->kind == KIND_FBFC;
     const int32_t *qoff = c->qoff, *qcap = c->qcap;
     int32_t *qhead = c->qhead, *qlen = c->qlen;
     int ng = 0, nej = 0;
@@ -473,7 +417,7 @@ static int step_noc(StepCtx *c, BlockCtx *b)
             const int qi = rb + i;
             if (!qlen[qi])
                 continue;
-            const int pid = i ? c->buf[qoff[qi] + qhead[qi]] : b->phead[r];
+            const int pid = i ? c->buf[qoff[qi] + qhead[qi]] : c->phead[r];
             const int o = c->pout[pid];
             const int pos = pmr[o * 9 + i];
             if (pos < 0)
@@ -496,7 +440,7 @@ static int step_noc(StepCtx *c, BlockCtx *b)
             if (!fbfc) {
                 if (d >= 0 ? qlen[d] >= depth : SINK_BLOCKED(d, c->ready))
                     continue;
-                pos = c->arb[ro];
+                pos = c->rr[ro];
                 while (!((m >> pos) & 1)) {
                     pos++;
                     if (pos >= nc)
@@ -507,7 +451,7 @@ static int step_noc(StepCtx *c, BlockCtx *b)
                     : SINK_BLOCKED(d, c->ready) ? 0 : depth;
                 if (avail <= 0)
                     continue;
-                const int ptr = c->arb[ro];
+                const int ptr = c->rr[ro];
                 const int32_t *nd = c->needs + ro * 9;
                 pos = -1;
                 for (int k = 0; k < nc; k++) {
@@ -522,7 +466,7 @@ static int step_noc(StepCtx *c, BlockCtx *b)
                 if (pos < 0)
                     continue;
             }
-            c->arb[ro] = pos + 1 < nc ? pos + 1 : 0;
+            c->rr[ro] = pos + 1 < nc ? pos + 1 : 0;
             c->gsq[ng] = rb + c->cands[ro * 9 + pos];
             c->gro[ng] = ro;
             ng++;
@@ -534,8 +478,8 @@ static int step_noc(StepCtx *c, BlockCtx *b)
         int pid;
         if (sq == r * 9) {
             /* the P port: pop the source's injection list */
-            pid = b->phead[r];
-            b->phead[r] = b->pnext[pid];
+            pid = c->phead[r];
+            c->phead[r] = c->pnext[pid];
         } else {
             int h = qhead[sq];
             pid = c->buf[qoff[sq] + h];
@@ -546,7 +490,7 @@ static int step_noc(StepCtx *c, BlockCtx *b)
         }
         qlen[sq]--;
         c->occ[r]--;
-        if (o && drop_flit(b, ro, pid))
+        if (o && drop_flit(c, ro, pid))
             continue;
         if (c->track_links && o)
             c->link[ro]++;
@@ -557,7 +501,7 @@ static int step_noc(StepCtx *c, BlockCtx *b)
             c->ej[nej++] = pid;
         } else {
             c->pout[pid] = c->rows[c->rowof[d] * c->rowlen
-                                   + c->pbase[pid] + c->pdest[pid]];
+                                   + c->paux[pid] + c->pdest[pid]];
             int t = qhead[d] + qlen[d];
             if (t >= qcap[d])
                 t -= qcap[d];
@@ -580,9 +524,9 @@ static int step_noc(StepCtx *c, BlockCtx *b)
  * muxing, then commit all grants in discovery order applying the
  * dateline / same-dimension / new-dimension VC transition.
  */
-static int step_vc(VcCtx *c, BlockCtx *b)
+static int step_vc(Ctx *c)
 {
-    const int32_t R = c->R, depth = c->depth, nvc = c->nvc, nd = c->nd;
+    const int32_t R = c->n, depth = c->depth, nvc = c->nvc, nd = c->nd;
     const int32_t *qoff = c->qoff, *qcap = c->qcap;
     int32_t *qhead = c->qhead, *qlen = c->qlen;
     int ng = 0, nej = 0;
@@ -606,11 +550,11 @@ static int step_vc(VcCtx *c, BlockCtx *b)
                 const int q = lb + lane;
                 if (!qlen[q])
                     continue;
-                const int pid = i ? c->buf[qoff[q] + qhead[q]] : b->phead[r];
+                const int pid = i ? c->buf[qoff[q] + qhead[q]] : c->phead[r];
                 const int o = c->pout[pid];
                 const int code = c->dn[rb5 + o];
                 if (code >= 0
-                        ? qlen[code * nvc + c->povc[pid]] >= depth
+                        ? qlen[code * nvc + c->paux[pid]] >= depth
                         : SINK_BLOCKED(code, c->ready))
                     continue;
                 const int idx = i * 5 + o;
@@ -630,17 +574,17 @@ static int step_vc(VcCtx *c, BlockCtx *b)
             const int idx = touched[a];
             const int key =
                 ((idx / 5 + idx % 5 - base_p + 5) % 5) * 5 + idx / 5;
-            int b = a - 1;
-            while (b >= 0) {
-                const int jdx = touched[b];
+            int j = a - 1;
+            while (j >= 0) {
+                const int jdx = touched[j];
                 const int jkey =
                     ((jdx / 5 + jdx % 5 - base_p + 5) % 5) * 5 + jdx / 5;
                 if (jkey <= key)
                     break;
-                touched[b + 1] = jdx;
-                b--;
+                touched[j + 1] = jdx;
+                j--;
             }
-            touched[b + 1] = idx;
+            touched[j + 1] = idx;
         }
         int in_free = 31, out_free = 31;
         for (int t = 0; t < ntouched; t++) {
@@ -657,7 +601,7 @@ static int step_vc(VcCtx *c, BlockCtx *b)
             out_free &= ~(1 << o);
             int best;
             if (mask & (mask - 1)) {
-                const int ptr = c->vc_rr[rb5 + i];
+                const int ptr = c->rr[rb5 + i];
                 int best_key = nvc;
                 int lane = 0;
                 best = 0;
@@ -679,7 +623,7 @@ static int step_vc(VcCtx *c, BlockCtx *b)
                 while (!((mask >> best) & 1))
                     best++;
             }
-            c->vc_rr[rb5 + i] = best + 1 < nvc ? best + 1 : 0;
+            c->rr[rb5 + i] = best + 1 < nvc ? best + 1 : 0;
             c->gsq[ng] = (rb5 + i) * nvc + best;
             c->gro[ng] = rb5 + o;
             ng++;
@@ -692,8 +636,8 @@ static int step_vc(VcCtx *c, BlockCtx *b)
         int pid;
         if (!i) {
             /* the P port: pop the source's injection list */
-            pid = b->phead[r];
-            b->phead[r] = b->pnext[pid];
+            pid = c->phead[r];
+            c->phead[r] = c->pnext[pid];
         } else {
             int h = qhead[sq];
             pid = c->buf[qoff[sq] + h];
@@ -708,7 +652,7 @@ static int step_vc(VcCtx *c, BlockCtx *b)
         const int f = c->feed[r * 5 + i];
         if (f >= 0 && qlen[sq] >= depth - 1)
             c->dirty[f] = 1;
-        if (o && drop_flit(b, r * 9 + o, pid))
+        if (o && drop_flit(c, r * 9 + o, pid))
             continue;
         if (c->track_links && o)
             c->link[r * 9 + o]++;
@@ -720,17 +664,17 @@ static int step_vc(VcCtx *c, BlockCtx *b)
         } else {
             const int down_r = code / 5;
             const int row = down_r * nd + c->pdest[pid];
-            const int out2 = c->out_tab[row];
-            const int avc = c->povc[pid];
+            const int out2 = c->out[row];
+            const int avc = c->paux[pid];
             int v2;
-            if (c->dl_tab[row])
+            if (c->dl[row])
                 v2 = 1;
             else if (c->sd[(code % 5) * 5 + out2])
                 v2 = avc;
             else
-                v2 = c->vcn_tab[row];
+                v2 = c->vcn[row];
             c->pout[pid] = out2;
-            c->povc[pid] = v2;
+            c->paux[pid] = v2;
             const int dq = code * nvc + avc;
             int t = qhead[dq] + qlen[dq];
             if (t >= qcap[dq])
@@ -745,10 +689,110 @@ static int step_vc(VcCtx *c, BlockCtx *b)
     return ng;
 }
 
-/* Whole-phase block drivers.
+/* Route-row offset of a packet s -> d: the parity subnet a router
+ * source picks at injection, times the destination stride.  Endpoint
+ * sources (s >= n) ride subnet 0, as the reference's memory injection
+ * does. */
+static inline int route_base(const Ctx *c, int s, int d)
+{
+    return c->subnet && s < c->n ? c->subnet[s * c->nd + d] * c->nd : 0;
+}
+
+/* The one enqueue: a new packet s -> d, whoever chose it.  A router
+ * source (s < n) appends to its unbounded injection list; an endpoint
+ * source (s >= n, offered only by the host) pushes onto its entry queue
+ * — the (router, input) FIFO its channel arrives on, lane 0 — routed by
+ * that input's row class / same-dimension predicate, and is refused
+ * (nothing happens) when the queue is full. */
+static inline void enqueue(Ctx *c, int s, int d)
+{
+    const int n = c->n;
+    const int port = s < n ? s * c->np : c->entry[s - n];
+    const int r = port / c->np;
+    const int q = port * c->nvc;
+    int32_t *qlen = c->qlen;
+    const int32_t *qcap = c->qcap;
+    if (s >= n && qlen[q] >= qcap[q])
+        return;
+    const int pid = (int)c->st[ST_NPK];
+    c->st[ST_NPK] = pid + 1;
+    c->psrc[pid] = s;
+    c->pinj[pid] = (int32_t)c->st[ST_CYCLE];
+    c->pmeas[pid] = c->measured;
+    c->pdest[pid] = d;
+    if (c->kind == KIND_VC) {
+        const int row = r * c->nd + d;
+        const int o = c->out[row];
+        c->pout[pid] = o;
+        /* sd[] is never set for the P input, so an injection takes the
+         * destination's VC; an entry holds lane 0. */
+        c->paux[pid] = c->dl[row] ? 1
+            : c->sd[port % 5 * 5 + o] ? 0 : c->vcn[row];
+        c->dirty[r] = 1;
+    } else {
+        const int base = route_base(c, s, d);
+        c->paux[pid] = base;
+        c->pout[pid] = c->rows[c->rowof[port] * c->rowlen + base + d];
+    }
+    c->occ[r]++;
+    if (s >= n) {
+        int t = c->qhead[q] + qlen[q];
+        if (t >= qcap[q])
+            t -= qcap[q];
+        c->buf[c->qoff[q] + t] = pid;
+    } else {
+        if (qlen[q])
+            c->pnext[c->ptail[s]] = pid;
+        else
+            c->phead[s] = pid;
+        c->ptail[s] = pid;
+    }
+    qlen[q]++;
+    c->st[ST_OCC]++;
+    c->st[ST_INJ_TOTAL]++;
+    if (c->measured)
+        c->st[ST_INJ_MEAS]++;
+}
+
+/* One cycle's injection round.  MODE_SCHEDULE: the host chose the
+ * packets (and consumed whatever RNG streams choosing took); enqueue
+ * this cycle's entries.  Otherwise draw them here in the reference's
+ * order: sources ascending, one timing draw each, then the destination
+ * (table lookup, or the uniform pattern's rejection loop on d_mt). */
+static void inject_block(Ctx *c)
+{
+    const int n = c->n;
+    if (c->mode == MODE_SCHEDULE) {
+        const int32_t cycle = (int32_t)c->st[ST_CYCLE];
+        while (c->sched_cur < c->sched_len
+               && c->sched[3 * c->sched_cur] == cycle) {
+            const int32_t *rec = c->sched + 3 * c->sched_cur++;
+            enqueue(c, rec[1], rec[2]);
+        }
+        return;
+    }
+    for (int s = 0; s < n; s++) {
+        if (!(mt_random(c->t_mt) < c->rate))
+            continue;
+        int d;
+        if (c->mode == MODE_TABLE) {
+            d = c->dtab[s];
+            if (d < 0)
+                continue;
+        } else {
+            int idx = mt_below(c->d_mt, n, c->ubits);
+            while (c->perm[idx] == s)
+                idx = mt_below(c->d_mt, n, c->ubits);
+            d = c->perm[idx];
+        }
+        enqueue(c, s, d);
+    }
+}
+
+/* The whole-phase block driver.
  *
- * Each call runs up to b->count cycles of one phase (warmup, measure,
- * or drain — blocks never span phases, so b->measured and b->drain are
+ * Each call runs up to c->count cycles of one phase (warmup, measure,
+ * or drain — blocks never span phases, so c->measured and c->drain are
  * per-block constants): the injection round (inject_block), the router
  * step, ejection scoring (the measured-latency moments, plus a log
  * entry when the run keeps per-packet data), and the stall/starvation/
@@ -764,135 +808,28 @@ static int step_vc(VcCtx *c, BlockCtx *b)
  * mid-round, so no twister is half consumed, no schedule entry half
  * read and no watchdog counter moves.
  */
-
-/* Route-row offset of a packet s -> d: the parity subnet a router
- * source picks at injection, times the destination stride.  Endpoint
- * sources (s >= n) ride subnet 0, as the reference's memory injection
- * does. */
-static inline int route_base(const BlockCtx *b, int s, int d)
+int run_block(Ctx *c)
 {
-    return b->subnet && s < b->n ? b->subnet[s * b->nd + d] * b->nd : 0;
-}
-
-/* The one enqueue: a new packet s -> d, whoever chose it.  A router
- * source (s < n) appends to its unbounded injection list; an endpoint
- * source (s >= n, offered only by the host) pushes onto its entry queue
- * — the (router, input) FIFO its channel arrives on, lane 0 — routed by
- * that input's row class / same-dimension predicate, and is refused
- * (nothing happens) when the queue is full. */
-static inline void enqueue(StepCtx *sc, VcCtx *vc, BlockCtx *b, int s, int d)
-{
-    /* sc is NULL when vc is set, and vice versa. */
-    const int n = b->n;
-    const int port = s < n ? s * (vc ? 5 : 9) : b->entry[s - n];
-    const int q = vc ? port * vc->nvc : port;
-    int32_t *qlen = vc ? vc->qlen : sc->qlen;
-    const int32_t *qcap = vc ? vc->qcap : sc->qcap;
-    if (s >= n && qlen[q] >= qcap[q])
-        return;
-    const int pid = (int)b->st[ST_NPK];
-    b->st[ST_NPK] = pid + 1;
-    b->psrc[pid] = s;
-    b->pinj[pid] = (int32_t)b->st[ST_CYCLE];
-    b->pmeas[pid] = b->measured;
-    if (vc) {
-        const int r = port / 5;
-        const int row = r * vc->nd + d;
-        const int out = vc->out_tab[row];
-        vc->pdest[pid] = d;
-        vc->pout[pid] = out;
-        /* sd[] is never set for the P input, so an injection takes the
-         * destination's VC; an entry holds lane 0. */
-        vc->povc[pid] = vc->dl_tab[row] ? 1
-            : vc->sd[port % 5 * 5 + out] ? 0 : vc->vcn_tab[row];
-        vc->occ[r]++;
-        vc->dirty[r] = 1;
-    } else {
-        const int base = route_base(b, s, d);
-        sc->pdest[pid] = d;
-        sc->pbase[pid] = base;
-        sc->pout[pid] = sc->rows[sc->rowof[port] * sc->rowlen + base + d];
-        sc->occ[port / 9]++;
-    }
-    if (s >= n) {
-        int32_t *buf = vc ? vc->buf : sc->buf;
-        const int32_t *qoff = vc ? vc->qoff : sc->qoff;
-        int t = (vc ? vc->qhead : sc->qhead)[q] + qlen[q];
-        if (t >= qcap[q])
-            t -= qcap[q];
-        buf[qoff[q] + t] = pid;
-    } else {
-        if (qlen[q])
-            b->pnext[b->ptail[s]] = pid;
-        else
-            b->phead[s] = pid;
-        b->ptail[s] = pid;
-    }
-    qlen[q]++;
-    b->st[ST_OCC]++;
-    b->st[ST_INJ_TOTAL]++;
-    if (b->measured)
-        b->st[ST_INJ_MEAS]++;
-}
-
-/* One cycle's injection round.  MODE_SCHEDULE: the host chose the
- * packets (and consumed whatever RNG streams choosing took); enqueue
- * this cycle's entries.  Otherwise draw them here in the reference's
- * order: sources ascending, one timing draw each, then the destination
- * (table lookup, or the uniform pattern's rejection loop on d_mt). */
-static void inject_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
-{
-    const int n = b->n;
-    if (b->mode == MODE_SCHEDULE) {
-        const int32_t cycle = (int32_t)b->st[ST_CYCLE];
-        while (b->sched_cur < b->sched_len
-               && b->sched[3 * b->sched_cur] == cycle) {
-            const int32_t *rec = b->sched + 3 * b->sched_cur++;
-            enqueue(sc, vc, b, rec[1], rec[2]);
-        }
-        return;
-    }
-    for (int s = 0; s < n; s++) {
-        if (!(mt_random(b->t_mt) < b->rate))
-            continue;
-        int d;
-        if (b->mode == MODE_TABLE) {
-            d = b->dtab[s];
-            if (d < 0)
-                continue;
-        } else {
-            int idx = mt_below(b->d_mt, n, b->ubits);
-            while (b->perm[idx] == s)
-                idx = mt_below(b->d_mt, n, b->ubits);
-            d = b->perm[idx];
-        }
-        enqueue(sc, vc, b, s, d);
-    }
-}
-
-static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
-{
-    int64_t *st = b->st;
-    const int32_t *ej = vc ? vc->ej : sc->ej;
-    const int32_t *nejp = vc ? vc->nej : sc->nej;
+    int64_t *st = c->st;
+    const int32_t *ej = c->ej;
     int32_t ran = 0;
     int stop = STOP_BUDGET;
-    while (ran < b->count) {
-        if (st[ST_NPK] + b->nd > b->pk_cap
-            || (b->ejlog && st[ST_NEJLOG] + b->nd > b->ej_cap)) {
+    while (ran < c->count) {
+        if (st[ST_NPK] + c->nd > c->pk_cap
+            || (c->ejlog && st[ST_NEJLOG] + c->nd > c->ej_cap)) {
             stop = STOP_CAPACITY;
             break;
         }
-        inject_block(sc, vc, b);
-        const int moved = vc ? step_vc(vc, b) : step_noc(sc, b);
-        const int ne = *nejp;
+        inject_block(c);
+        const int moved = c->kind == KIND_VC ? step_vc(c) : step_noc(c);
+        const int ne = *c->nej;
         for (int k = 0; k < ne; k++) {
             const int pid = ej[k];
             st[ST_OCC]--;
             st[ST_DEL_TOTAL]++;
-            if (!b->pmeas[pid])
+            if (!c->pmeas[pid])
                 continue;
-            const int64_t lat = st[ST_CYCLE] - b->pinj[pid];
+            const int64_t lat = st[ST_CYCLE] - c->pinj[pid];
             const uint64_t sq = (uint64_t)lat * (uint64_t)lat;
             const uint64_t lo = (uint64_t)st[ST_LAT_SQ_LO] + sq;
             st[ST_LAT_SQ_LO] = (int64_t)lo;
@@ -903,9 +840,9 @@ static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
             if (!st[ST_DEL_MEAS] || lat > st[ST_LAT_MAX])
                 st[ST_LAT_MAX] = lat;
             st[ST_DEL_MEAS]++;
-            if (b->ejlog) {
-                b->ejlog[2 * st[ST_NEJLOG]] = pid;
-                b->ejlog[2 * st[ST_NEJLOG] + 1] = (int32_t)lat;
+            if (c->ejlog) {
+                c->ejlog[2 * st[ST_NEJLOG]] = pid;
+                c->ejlog[2 * st[ST_NEJLOG] + 1] = (int32_t)lat;
                 st[ST_NEJLOG]++;
             }
         }
@@ -913,17 +850,17 @@ static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
             st[ST_IDLE] = 0;
         } else if (st[ST_OCC]) {
             st[ST_IDLE]++;
-            if (st[ST_IDLE] >= b->stall_window) {
+            if (st[ST_IDLE] >= c->stall_window) {
                 stop = STOP_STALL;
                 break;
             }
         }
-        if (b->starve_window >= 0) {
+        if (c->starve_window >= 0) {
             if (ne || !st[ST_OCC]) {
                 st[ST_STARVED] = 0;
             } else {
                 st[ST_STARVED]++;
-                if (st[ST_STARVED] >= b->starve_window) {
+                if (st[ST_STARVED] >= c->starve_window) {
                     stop = STOP_STARVE;
                     break;
                 }
@@ -931,11 +868,11 @@ static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
         }
         st[ST_CYCLE]++;
         ran++;
-        if (b->maxc >= 0 && st[ST_CYCLE] >= b->maxc) {
+        if (c->maxc >= 0 && st[ST_CYCLE] >= c->maxc) {
             stop = STOP_MAX_CYCLES;
             break;
         }
-        if (b->drain && st[ST_DEL_MEAS] + st[ST_DROP_MEAS] >= b->target) {
+        if (c->drain && st[ST_DEL_MEAS] + st[ST_DROP_MEAS] >= c->target) {
             stop = STOP_DRAINED;
             break;
         }
@@ -945,63 +882,42 @@ static int run_block(StepCtx *sc, VcCtx *vc, BlockCtx *b)
     return stop;
 }
 
-int run_block_noc(StepCtx *sc, BlockCtx *b)
-{
-    return run_block(sc, (VcCtx *)0, b);
-}
-
-int run_block_vc(VcCtx *vc, BlockCtx *b)
-{
-    return run_block((StepCtx *)0, vc, b);
-}
-
 /* Channel traversals of a packet s -> d at zero load, walked over the
  * tables the steps route by (what routing.hop_count computes from the
  * algorithm): every output taken but the final P, the channel into a
  * destination endpoint and the channel out of a source endpoint
  * included.  -1 when the walk does not end at d. */
-static int hop_count(const StepCtx *sc, const VcCtx *vc, const BlockCtx *b,
-                     int s, int d)
+int hop_count(const Ctx *c, int s, int d)
 {
-    const int np = vc ? 5 : 9;
-    const int32_t *dn = vc ? vc->dn : sc->dn;
-    const int base = route_base(b, s, d) + d;
-    int port = s < b->n ? s * np : b->entry[s - b->n];
-    int hops = s >= b->n;
-    for (int limit = b->n * np; port >= 0 && limit > 0; limit--) {
+    const int n = c->n, np = c->np;
+    const int base = route_base(c, s, d) + d;
+    int port = s < n ? s * np : c->entry[s - n];
+    int hops = s >= n;
+    for (int limit = n * np; port >= 0 && limit > 0; limit--) {
         const int r = port / np;
-        const int o = vc ? vc->out_tab[r * vc->nd + d]
-                         : sc->rows[sc->rowof[port] * sc->rowlen + base];
+        const int o = c->kind == KIND_VC
+            ? c->out[r * c->nd + d]
+            : c->rows[c->rowof[port] * c->rowlen + base];
         if (o <= 0)
             return o ? -1 : hops;
         hops++;
-        port = dn[r * np + o];
+        port = c->dn[r * np + o];
         if (port < 0)
             return hops;  /* a sink output: the endpoint d */
     }
     return -1;
 }
 
-int hop_count_noc(const StepCtx *sc, const BlockCtx *b, int s, int d)
+/* sizeof(Ctx) and the st[] length this library was compiled with, for
+ * the loader's self-check against the ctypes mirror: the layout is
+ * declared once, but the padding is the compiler's. */
+void ctx_size(int32_t out[2])
 {
-    return hop_count(sc, (const VcCtx *)0, b, s, d);
-}
-
-int hop_count_vc(const VcCtx *vc, const BlockCtx *b, int s, int d)
-{
-    return hop_count((const StepCtx *)0, vc, b, s, d);
-}
-
-/* Struct sizes and the st[] length this library was compiled with, for
- * the loader's layout self-check against the ctypes mirrors. */
-void ctx_sizes(int32_t out[4])
-{
-    out[0] = (int32_t)sizeof(StepCtx);
-    out[1] = (int32_t)sizeof(VcCtx);
-    out[2] = (int32_t)sizeof(BlockCtx);
-    out[3] = ST_LEN;
+    out[0] = (int32_t)sizeof(Ctx);
+    out[1] = ST_LEN;
 }
 """
+)
 
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
@@ -1014,7 +930,7 @@ def get_kernel() -> Optional[ctypes.CDLL]:
 
     Returns ``None`` when ``REPRO_NO_CKERNEL`` is set, no working C
     compiler is on ``PATH``, the build/load fails for any reason, or
-    the library's struct layout disagrees with the ctypes mirrors —
+    the library's ``sizeof(Ctx)`` disagrees with the ctypes mirror —
     compiled requests then run on the reference engine.  A failure is
     cached as a negative result (one :class:`RuntimeWarning`, never a
     rebuild attempt per run), so a broken toolchain costs one compiler
@@ -1032,47 +948,33 @@ def get_kernel() -> Optional[ctypes.CDLL]:
         out = os.path.join(_tmpdir.name, "step_noc.so")
         with open(src, "w", encoding="utf-8") as fh:
             fh.write(_SOURCE)
-        compiler = os.environ.get("CC", "cc")
+        # $CC may carry arguments ("ccache cc", "cc -fsanitize=address").
+        compiler = shlex.split(os.environ.get("CC", "cc"))
         subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", "-o", out, src],
+            [*compiler, "-O2", "-fPIC", "-shared", "-o", out, src],
             check=True,
             capture_output=True,
             timeout=120,
         )
         lib = ctypes.CDLL(out)
-        lib.ctx_sizes.argtypes = [ctypes.POINTER(ctypes.c_int32)]
-        lib.ctx_sizes.restype = None
-        theirs = (ctypes.c_int32 * 4)()
-        lib.ctx_sizes(theirs)
-        ours = [ctypes.sizeof(t) for t in (StepCtx, VcCtx, BlockCtx)]
-        ours.append(ST_LEN)
+        lib.ctx_size.argtypes = [ctypes.POINTER(ctypes.c_int32)]
+        lib.ctx_size.restype = None
+        theirs = (ctypes.c_int32 * 2)()
+        lib.ctx_size(theirs)
+        ours = [ctypes.sizeof(Ctx), ST_LEN]
         if list(theirs) != ours:
             raise RuntimeError(
-                f"struct layout mismatch: C sizeof(StepCtx, VcCtx, "
-                f"BlockCtx), ST_LEN = {list(theirs)}, ctypes mirrors = "
-                f"{ours}"
+                f"struct layout mismatch: C sizeof(Ctx), ST_LEN = "
+                f"{list(theirs)}, ctypes mirror = {ours}"
             )
-        lib.run_block_noc.argtypes = [
-            ctypes.POINTER(StepCtx),
-            ctypes.POINTER(BlockCtx),
+        lib.run_block.argtypes = [ctypes.POINTER(Ctx)]
+        lib.run_block.restype = ctypes.c_int
+        lib.hop_count.argtypes = [
+            ctypes.POINTER(Ctx),
+            ctypes.c_int,
+            ctypes.c_int,
         ]
-        lib.run_block_noc.restype = ctypes.c_int
-        lib.run_block_vc.argtypes = [
-            ctypes.POINTER(VcCtx),
-            ctypes.POINTER(BlockCtx),
-        ]
-        lib.run_block_vc.restype = ctypes.c_int
-        for hops, ctx in (
-            (lib.hop_count_noc, StepCtx),
-            (lib.hop_count_vc, VcCtx),
-        ):
-            hops.argtypes = [
-                ctypes.POINTER(ctx),
-                ctypes.POINTER(BlockCtx),
-                ctypes.c_int,
-                ctypes.c_int,
-            ]
-            hops.restype = ctypes.c_int
+        lib.hop_count.restype = ctypes.c_int
         _lib = lib
     except Exception as exc:
         _lib = None

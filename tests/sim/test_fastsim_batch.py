@@ -88,27 +88,22 @@ class _KernelSpy:
         self.calls = []
         self.modes = []
         self.cursors = []
-        kernel = fastsim._native_kernel()
-        self.run_block_noc = self._recording(kernel.run_block_noc)
-        self.run_block_vc = self._recording(kernel.run_block_vc)
+        self._run_block = fastsim._native_kernel().run_block
         monkeypatch.setattr(fastsim, "_native_kernel", lambda: self)
 
     def clear(self):
         del self.calls[:], self.modes[:], self.cursors[:]
 
-    def _recording(self, run_block):
-        def recorded(cref, bref):
-            stop = run_block(cref, bref)
-            block = bref._obj
-            st = block.st
-            self.calls.append(
-                (stop, max(st[_ckernel.ST_IDLE], st[_ckernel.ST_STARVED]))
-            )
-            self.modes.append(block.mode)
-            self.cursors.append((block.sched_cur, block.sched_len))
-            return stop
-
-        return recorded
+    def run_block(self, cref):
+        stop = self._run_block(cref)
+        ctx = cref._obj
+        st = ctx.st
+        self.calls.append(
+            (stop, max(st[_ckernel.ST_IDLE], st[_ckernel.ST_STARVED]))
+        )
+        self.modes.append(ctx.mode)
+        self.cursors.append((ctx.sched_cur, ctx.sched_len))
+        return stop
 
 
 def _reference(spec, **trackers):
@@ -700,7 +695,7 @@ class TestRunStateSize:
 
     @staticmethod
     def _owned_bytes(run):
-        arrays = list(run.keep) + [a for a, _owner, _field in run.pk_owners]
+        arrays = [*run.keep, *run.pk.values()]
         if run.ejlog_a is not None:
             arrays.append(run.ejlog_a)
         return sum(len(a) * a.itemsize for a in arrays)
@@ -725,12 +720,12 @@ class TestRunStateSize:
         bound = max(
             fastsim._PK_CAP0, 2 * (result.metrics.injected_total + n)
         )
-        assert fastsim._PK_CAP0 < run.bctx.pk_cap <= bound
-        for a, _owner, _field in run.pk_owners:
-            assert len(a) == run.bctx.pk_cap
+        assert fastsim._PK_CAP0 < run.ctx.pk_cap <= bound
+        for a in run.pk.values():
+            assert len(a) == run.ctx.pk_cap
         if keep_samples:
-            assert len(run.ejlog_a) == 2 * run.bctx.ej_cap
-            assert run.bctx.ej_cap <= max(fastsim._EJ_CAP0 // 2, 2 * n)
+            assert len(run.ejlog_a) == 2 * run.ctx.ej_cap
+            assert run.ctx.ej_cap <= max(fastsim._EJ_CAP0 // 2, 2 * n)
         assert self._owned_bytes(run) < 4 * 2**20
 
 

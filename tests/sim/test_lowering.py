@@ -134,16 +134,28 @@ def test_lowering_builds_no_network(monkeypatch):
 # ---------------------------------------------------------------------------
 # Golden lowered tables
 # ---------------------------------------------------------------------------
+#: The order the golden hashes below read a model's tables in (and the
+#: complete key set of ``model.tables``), per router kind.
+_TABLE_LABELS = {
+    "vc": (
+        "plist", "pofs", "pcnt", "dn", "feed", "out", "vcn", "dl", "sd",
+    ),
+    "wormhole": (
+        "dn", "ncv", "cands", "pm", "needs", "rowof", "rows", "rowlen",
+    ),
+}
+_TABLE_LABELS["fbfc"] = _TABLE_LABELS["wormhole"]
+
+
 def table_fingerprint(model):
     """sha256 over ``in_ports``, ``subnet_tab`` and every table array
     (and, where there are endpoints, their entry and sink wiring)."""
     digest = hashlib.sha256()
     digest.update(repr([list(p) for p in model.in_ports]).encode())
+    labels = _TABLE_LABELS[model.kind]
+    assert sorted(model.tables) == sorted(labels)
     parts = [("subnet_tab", model.subnet_tab)]
-    parts += [
-        (name, getattr(model.tables, name))
-        for name in type(model.tables).__slots__
-    ]
+    parts += [(name, model.tables[name]) for name in labels]
     if model.endpoints:
         parts += [("entry", model.entry), ("sink_of", model.sink_of)]
     for name, value in parts:
@@ -531,9 +543,8 @@ def test_endpoints_lower_through_the_generic_walk_too(
     reference = build_run(spec.replace(engine="reference"))
     assert fingerprint(compiled) == fingerprint(reference)
     model = fastsim._resolve(spec, None, None, None)[1][3]
-    rows, rowof, rowlen = (
-        model.tables.rows, model.tables.rowof, model.tables.rowlen
-    )
+    tables = model.tables
+    rows, rowof, rowlen = tables["rows"], tables["rowof"], tables["rowlen"]
     for e, port in enumerate(model.entry):
         row = rowof[port] * rowlen
         # An arrival from memory routes on: some destination is tabled.

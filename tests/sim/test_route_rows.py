@@ -205,14 +205,14 @@ def test_assembled_rows_equal_all_pairs_rows(spec):
     routing, tables = components.routing, model.tables
     if model.kind == "vc":
         out, vcn, dl = all_pairs_vc_tables(model, routing)
-        assert tables.out.tobytes() == out.tobytes()
-        assert tables.vcn.tobytes() == vcn.tobytes()
-        assert tables.dl.tobytes() == dl.tobytes()
+        assert tables["out"].tobytes() == out.tobytes()
+        assert tables["vcn"].tobytes() == vcn.tobytes()
+        assert tables["dl"].tobytes() == dl.tobytes()
     else:
         rows, rowof, rowlen = all_pairs_wormhole_rows(model, routing)
-        assert tables.rowlen == rowlen
-        assert tables.rowof.tobytes() == rowof.tobytes()
-        assert tables.rows.tobytes() == rows.tobytes()
+        assert tables["rowlen"] == rowlen
+        assert tables["rowof"].tobytes() == rowof.tobytes()
+        assert tables["rows"].tobytes() == rows.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +275,22 @@ def test_kernel_rows_equal_certifier_tables(spec):
                 continue  # the walk's last state: on the endpoint itself
             if model.kind == "vc":
                 row = r * nd + d
-                assert tables.out[row] == out
+                assert tables["out"][row] == out
                 # step_vc's accept-time VC reconstruction.
-                if tables.dl[row]:
+                if tables["dl"][row]:
                     lowered_vc = 1
-                elif tables.sd[in_port * VCRouter.NUM_PORTS + out]:
+                elif tables["sd"][in_port * VCRouter.NUM_PORTS + out]:
                     lowered_vc = in_vc
                 else:
-                    lowered_vc = tables.vcn[row]
+                    lowered_vc = tables["vcn"][row]
                 assert lowered_vc == vc, (node, in_port, in_vc, dest)
             else:
                 assert (in_vc, vc) == (0, 0)
-                row = tables.rowof[r * NUM_DIRS + in_port]
-                assert (
-                    tables.rows[row * tables.rowlen + subnet * nd + d] == out
-                ), (node, in_port, subnet, dest)
+                row = tables["rowof"][r * NUM_DIRS + in_port]
+                at = row * tables["rowlen"] + subnet * nd + d
+                assert tables["rows"][at] == out, (
+                    node, in_port, subnet, dest,
+                )
             states += 1
     # At least the injection and ejection state of every pair.
     assert states >= n * nd
