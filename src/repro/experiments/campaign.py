@@ -249,8 +249,9 @@ def _usable_cpus() -> int:
 def _worker_init() -> None:
     """Worker-process initializer: pay one-time setup before row one.
 
-    Importing the simulator stack and building the optional native step
-    kernel are the expensive first-row surprises; doing them here keeps
+    Importing the simulator stack and obtaining the native step kernel
+    (a load from the on-disk cache, a build only when that has no valid
+    entry) are the first-row surprises; doing them here keeps
     every row's wall-clock representative.  Fork-inherited routing
     caches are deliberately kept warm: each memo entry is a pure
     function of its design point (the determinism contract), so an
@@ -288,9 +289,11 @@ def _run_parallel(
     isolates the poisoned row and the healthy remainder completes.
     """
     chunks = [c for c in (pending[w::jobs] for w in range(jobs)) if c]
-    # Warm the parent first: under the fork start method every worker
-    # inherits the imported stack and the built kernel for free, and the
-    # initializer call in the child becomes a no-op.
+    # Warm the parent first: it builds the kernel if the on-disk cache
+    # has no entry yet.  A forked worker then inherits the imported
+    # stack and the loaded kernel and its initializer is a no-op; a
+    # spawn / forkserver worker's initializer re-imports and loads the
+    # cached entry (milliseconds), it does not compile.
     _worker_init()
     executor = ProcessPoolExecutor(
         max_workers=len(chunks), initializer=_worker_init

@@ -2,60 +2,45 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.experiments import (
-    fault_degradation,
-    fig5_connectivity,
-    fig6_synthetic_full,
-    fig7_area_timing,
-    fig8_fairness,
-    fig9_synthetic_half,
-    fig10_speedup,
-    fig11_scalability,
-    fig12_load_latency,
-    fig13_energy,
-    sweep3d,
-    table1_properties,
-    table2_area,
-    table3_energy,
-    table4_bandwidth,
-    table6_geomean,
-    tail_latency,
-)  # noqa: I001 - figure order reads better than lexicographic
-from repro import chaos
 from repro.experiments.base import ExperimentResult
 
-_REGISTRY: Dict[str, Tuple[Callable, str]] = {
-    "table1": (table1_properties.run, "Topology physical-scalability matrix"),
-    "fig5": (fig5_connectivity.run, "Crossbar connectivity, pop vs depop"),
-    "fig6": (fig6_synthetic_full.run, "Full Ruche synthetic traffic"),
-    "fig7": (fig7_area_timing.run, "Area vs cycle-time synthesis sweep"),
-    "table2": (table2_area.run, "Router area breakdown"),
-    "table3": (table3_energy.run, "Router energy per packet"),
-    "fig8": (fig8_fairness.run, "Per-tile latency fairness"),
-    "fig9": (fig9_synthetic_half.run, "Half Ruche synthetic traffic"),
-    "table4": (table4_bandwidth.run, "Bisection vs memory bandwidth"),
-    "fig10": (fig10_speedup.run, "Benchmark speedup over mesh"),
-    "fig11": (fig11_scalability.run, "Scalability at 4x cores"),
-    "fig12": (fig12_load_latency.run, "Remote load latency decomposition"),
-    "fig13": (fig13_energy.run, "Total energy breakdown"),
-    "table6": (table6_geomean.run, "Half Ruche geomean summary"),
+#: id -> (module whose ``run`` is the driver, description), in figure
+#: order; a leading dot is relative to this package.  A driver module is
+#: imported when it runs, not before: the listing imports none of them,
+#: and ``fig6`` never loads the manycore stack.
+_REGISTRY: Dict[str, Tuple[str, str]] = {
+    "table1": (".table1_properties", "Topology physical-scalability matrix"),
+    "fig5": (".fig5_connectivity", "Crossbar connectivity, pop vs depop"),
+    "fig6": (".fig6_synthetic_full", "Full Ruche synthetic traffic"),
+    "fig7": (".fig7_area_timing", "Area vs cycle-time synthesis sweep"),
+    "table2": (".table2_area", "Router area breakdown"),
+    "table3": (".table3_energy", "Router energy per packet"),
+    "fig8": (".fig8_fairness", "Per-tile latency fairness"),
+    "fig9": (".fig9_synthetic_half", "Half Ruche synthetic traffic"),
+    "table4": (".table4_bandwidth", "Bisection vs memory bandwidth"),
+    "fig10": (".fig10_speedup", "Benchmark speedup over mesh"),
+    "fig11": (".fig11_scalability", "Scalability at 4x cores"),
+    "fig12": (".fig12_load_latency", "Remote load latency decomposition"),
+    "fig13": (".fig13_energy", "Total energy breakdown"),
+    "table6": (".table6_geomean", "Half Ruche geomean summary"),
     "sweep3d": (
-        sweep3d.run,
+        ".sweep3d",
         "3-D mesh/torus synthetic traffic (beyond-2-D pack)",
     ),
     "tail": (
-        tail_latency.run,
+        ".tail_latency",
         "Tail latency and fairness at near-saturation load",
     ),
     "faults": (
-        fault_degradation.run,
+        ".fault_degradation",
         "Graceful degradation under random dead links",
     ),
     "chaos": (
-        chaos.run,
+        "repro.chaos",
         "Chaos soak: escalating fault tiers at near-saturation load",
     ),
 }
@@ -82,7 +67,7 @@ def run_experiment(
     be applied to an ``all`` run without breaking simple experiments.
     """
     try:
-        driver, _ = _REGISTRY[experiment_id]
+        module, _ = _REGISTRY[experiment_id]
     except KeyError:
         menu = "\n".join(
             f"  {name:<8} {entry[1]}"
@@ -92,6 +77,7 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; available "
             f"experiments:\n{menu}"
         ) from None
+    driver = importlib.import_module(module, __package__).run
     parameters = inspect.signature(driver).parameters
     accepted = {k: v for k, v in options.items() if k in parameters}
     return driver(scale=scale, seed=seed, **accepted)

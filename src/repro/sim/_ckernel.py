@@ -2,8 +2,8 @@
 
 :mod:`repro.sim.fastsim` lowers a design point into flat integer arrays;
 this module steps them.  It compiles a single-file C translation of the
-reference router microarchitecture with the system C compiler at first
-use and loads it through :mod:`ctypes`.  The kernel performs exactly the
+reference router microarchitecture with the system C compiler, once per
+machine, and loads it through :mod:`ctypes`.  The kernel performs exactly the
 reference engine's two-phase step (arbitrate every router against
 cycle-start state, then commit every grant in discovery order) for all
 three router kinds, and it is the *only* stepping implementation outside
@@ -51,21 +51,30 @@ whose ABI padding disagrees with the ctypes mirror.
 The kernel is the compiled engine: when no C compiler is available, the
 compile or the layout self-check fails, or ``REPRO_NO_CKERNEL`` is set
 in the environment, :func:`get_kernel` returns ``None`` and compiled
-requests run on the reference engine (``no-native-kernel``).  The
-shared object lives in a process-lifetime temporary directory; nothing
-is installed.
+requests run on the reference engine (``no-native-kernel``).
+
+The shared object lives in a content-addressed on-disk cache, one
+self-verifying file per (source, ``$CC`` command line, flags, machine):
+``step_noc-<key>-<sha256 of its bytes>.so`` in the first of
+``$REPRO_CACHE_DIR``, ``$XDG_CACHE_HOME/repro``, ``~/.cache/repro`` and
+``<tmp>/repro-cache-<uid>`` that this user owns and nobody else can
+write (:func:`_cache_dir`).  A process that finds its entry checks the
+bytes against the name, loads it and runs the layout check —
+no compiler; an entry that fails any of the three is unlinked and
+rebuilt once.  With no usable directory the build goes to a private
+temporary directory that is removed as soon as the library is loaded.
+Deleting the cache is always safe; :data:`origin` records which of
+these happened.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
 import re
-import shlex
-import subprocess
-import tempfile
 import warnings
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = ["Ctx", "get_kernel"]
 
@@ -919,65 +928,212 @@ void ctx_size(int32_t out[2])
 """
 )
 
+class KernelOrigin(NamedTuple):
+    """Where this process's kernel came from (:data:`origin`)."""
+
+    #: The cache entry the library was loaded from; ``None`` for a temp
+    #: build (its directory is gone once loaded) or no kernel.
+    path: Optional[str]
+    #: ``cache-hit``; ``built`` (no entry for the key); ``rebuilt`` (the
+    #: entry failed its digest, ``dlopen`` or the layout check and was
+    #: replaced); ``temp-build`` (no usable cache directory); or
+    #: ``unavailable``.
+    how: str
+
+
+#: Fixed compiler arguments; the source arrives on stdin so the bytes of
+#: the output do not depend on a temporary file name.
+_FLAGS = ("-O2", "-fPIC", "-shared", "-x", "c", "-")
+
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
-# Keeps the build directory (and its .so) alive for the process.
-_tmpdir: Optional[tempfile.TemporaryDirectory] = None
+#: Set by :func:`get_kernel` (``None`` until it has run); read it as
+#: ``_ckernel.origin``.  It carries no timings.
+origin: Optional[KernelOrigin] = None
 
 
-def get_kernel() -> Optional[ctypes.CDLL]:
-    """The loaded step kernel, building it on first call.
+def _cache_candidates() -> Iterator[str]:
+    env = os.environ
+    yield env.get("REPRO_CACHE_DIR", "")
+    yield os.path.join(env.get("XDG_CACHE_HOME", ""), "repro")
+    yield os.path.join(os.path.expanduser("~"), ".cache", "repro")
+    import tempfile
 
-    Returns ``None`` when ``REPRO_NO_CKERNEL`` is set, no working C
-    compiler is on ``PATH``, the build/load fails for any reason, or
-    the library's ``sizeof(Ctx)`` disagrees with the ctypes mirror —
-    compiled requests then run on the reference engine.  A failure is
-    cached as a negative result (one :class:`RuntimeWarning`, never a
-    rebuild attempt per run), so a broken toolchain costs one compiler
-    invocation per process, not one per simulation.
+    yield os.path.join(tempfile.gettempdir(), f"repro-cache-{os.getuid()}")
+
+
+def _cache_dir() -> Optional[str]:
+    """The first candidate directory it is safe to ``dlopen`` from.
+
+    That is: an absolute path that exists or can be created (mode
+    0700), is owned by this user, grants the owner write and search,
+    grants group and other no write, and is writable in fact.  ``None``
+    when no candidate qualifies.
     """
-    global _lib, _tried, _tmpdir
-    if _tried:
-        return _lib
-    _tried = True
-    if os.environ.get("REPRO_NO_CKERNEL"):
-        return None
+    for path in _cache_candidates():
+        if not os.path.isabs(path):
+            continue  # unset, or $HOME unresolvable
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            status = os.stat(path)
+        except OSError:
+            continue
+        if (
+            status.st_uid == os.getuid()
+            and status.st_mode & 0o322 == 0o300
+            and os.access(path, os.W_OK | os.X_OK)
+        ):
+            return path
+    return None
+
+
+def _unlink(path: str) -> None:
     try:
-        _tmpdir = tempfile.TemporaryDirectory(prefix="repro-ckernel-")
-        src = os.path.join(_tmpdir.name, "step_noc.c")
-        out = os.path.join(_tmpdir.name, "step_noc.so")
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_SOURCE)
-        # $CC may carry arguments ("ccache cc", "cc -fsanitize=address").
-        compiler = shlex.split(os.environ.get("CC", "cc"))
-        subprocess.run(
-            [*compiler, "-O2", "-fPIC", "-shared", "-o", out, src],
-            check=True,
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _build(
+    directory: str, key: str, compiler: List[str], text: str
+) -> str:
+    """Compile ``text`` into ``directory``; the published entry's path.
+
+    The compiler writes under a unique temporary name and the finished
+    file is renamed onto ``step_noc-<key>-<sha256 of its bytes>.so``, so
+    a reader never sees a partial entry and racing builders each
+    publish a whole one (the same one, unless ``$CC`` makes the bytes
+    depend on the builder, as ``-g`` does through its working
+    directory).
+    """
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix="step_noc-", suffix=".tmp"
+    )
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [*compiler, *_FLAGS, "-o", tmp],
+            input=text.encode(),
             capture_output=True,
             timeout=120,
         )
-        lib = ctypes.CDLL(out)
-        lib.ctx_size.argtypes = [ctypes.POINTER(ctypes.c_int32)]
-        lib.ctx_size.restype = None
-        theirs = (ctypes.c_int32 * 2)()
-        lib.ctx_size(theirs)
-        ours = [ctypes.sizeof(Ctx), ST_LEN]
-        if list(theirs) != ours:
+        if done.returncode:
+            said = done.stderr.decode(errors="replace").strip().splitlines()
             raise RuntimeError(
-                f"struct layout mismatch: C sizeof(Ctx), ST_LEN = "
-                f"{list(theirs)}, ctypes mirror = {ours}"
+                f"{' '.join(compiler)} exited with status "
+                f"{done.returncode}: " + "\n".join(said[-5:])
             )
-        lib.run_block.argtypes = [ctypes.POINTER(Ctx)]
-        lib.run_block.restype = ctypes.c_int
-        lib.hop_count.argtypes = [
-            ctypes.POINTER(Ctx),
-            ctypes.c_int,
-            ctypes.c_int,
-        ]
-        lib.hop_count.restype = ctypes.c_int
-        _lib = lib
+        with open(tmp, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        entry = os.path.join(directory, f"step_noc-{key}-{digest}.so")
+        os.replace(tmp, entry)
+    except BaseException:
+        _unlink(tmp)
+        raise
+    return entry
+
+
+def _load(entry: str) -> ctypes.CDLL:
+    """``dlopen`` one entry after checking its bytes against its name,
+    then check its layout against the ctypes mirror; raises on any
+    disagreement."""
+    with open(entry, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    if not entry.endswith(f"-{digest}.so"):
+        raise RuntimeError(f"{entry} does not hash to the digest it names")
+    lib = ctypes.CDLL(entry)
+    lib.ctx_size.argtypes = [ctypes.POINTER(ctypes.c_int32)]
+    lib.ctx_size.restype = None
+    theirs = (ctypes.c_int32 * 2)()
+    lib.ctx_size(theirs)
+    ours = [ctypes.sizeof(Ctx), ST_LEN]
+    if list(theirs) != ours:
+        raise RuntimeError(
+            f"struct layout mismatch: C sizeof(Ctx), ST_LEN = "
+            f"{list(theirs)}, ctypes mirror = {ours}"
+        )
+    lib.run_block.argtypes = [ctypes.POINTER(Ctx)]
+    lib.run_block.restype = ctypes.c_int
+    lib.hop_count.argtypes = [
+        ctypes.POINTER(Ctx),
+        ctypes.c_int,
+        ctypes.c_int,
+    ]
+    lib.hop_count.restype = ctypes.c_int
+    return lib
+
+
+def _obtain() -> Tuple[ctypes.CDLL, KernelOrigin]:
+    """Load the kernel from the cache, building what is missing.
+
+    The key names everything the bytes depend on: the source, the
+    compiler command line, the flags and the machine.  An entry that
+    fails :func:`_load` is unlinked and rebuilt once; a fresh build
+    that fails it is unlinked and the failure raised.
+    """
+    import shlex
+
+    # $CC may carry arguments ("ccache cc", "cc -fsanitize=address").
+    compiler = shlex.split(os.environ.get("CC", "cc"))
+    # Diagnostics and sanitizer reports name the file CI's lint writes.
+    text = '#line 1 "step_noc.c"\n' + _SOURCE
+    key = hashlib.sha256(
+        "\0".join([text, *compiler, *_FLAGS, os.uname().machine]).encode()
+    ).hexdigest()
+    directory = _cache_dir()
+    if directory is None:
+        import tempfile
+
+        with tempfile.TemporaryDirectory(prefix="repro-ckernel-") as tmp:
+            # The mapping outlives the file.
+            lib = _load(_build(tmp, key, compiler, text))
+        return lib, KernelOrigin(None, "temp-build")
+    prefix = f"step_noc-{key}-"
+    found = sorted(
+        name
+        for name in os.listdir(directory)
+        if name.startswith(prefix) and name.endswith(".so")
+    )
+    if found:
+        stale = os.path.join(directory, found[0])
+        try:
+            return _load(stale), KernelOrigin(stale, "cache-hit")
+        except Exception:
+            _unlink(stale)
+    entry = _build(directory, key, compiler, text)
+    try:
+        lib = _load(entry)
+    except Exception:
+        _unlink(entry)
+        raise
+    return lib, KernelOrigin(entry, "rebuilt" if found else "built")
+
+
+def get_kernel() -> Optional[ctypes.CDLL]:
+    """The loaded step kernel, obtained on first call.
+
+    Returns ``None`` when ``REPRO_NO_CKERNEL`` is set (nothing touches
+    the disk), no working C compiler is on ``PATH``, the build/load
+    fails for any reason, or the library's ``sizeof(Ctx)`` disagrees
+    with the ctypes mirror — compiled requests then run on the
+    reference engine.  A failure is cached as a negative result (one
+    :class:`RuntimeWarning`, never a rebuild attempt per run), so a
+    broken toolchain costs one compiler invocation per process, not
+    one per simulation.  :data:`origin` says which way it went.
+    """
+    global _lib, _tried, origin
+    if _tried:
+        return _lib
+    _tried = True
+    origin = KernelOrigin(None, "unavailable")
+    if os.environ.get("REPRO_NO_CKERNEL"):
+        return None
+    try:
+        _lib, origin = _obtain()
     except Exception as exc:
-        _lib = None
         warnings.warn(
             f"native step kernel unavailable ({type(exc).__name__}: "
             f"{exc}); compiled-engine requests will run on the "

@@ -1,9 +1,40 @@
 """Experiment-layer tests: registry, result helpers, smoke runs."""
 
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import describe, experiment_ids, run_experiment
 from repro.experiments.base import ExperimentResult, resolve_scale
+
+#: Runs the CLI on its arguments, then reports what the process loaded.
+_CLI_PROBE = """
+import json, sys
+from repro.experiments.__main__ import main
+code = main(sys.argv[1:])
+from repro.experiments import registry
+drivers = {
+    name if name[0] != "." else registry.__package__ + name
+    for name, _ in registry._REGISTRY.values()
+}
+print(json.dumps({
+    "code": code,
+    "drivers": sorted(drivers & set(sys.modules)),
+    "heavy": sorted(
+        m for m in sys.modules
+        if m.startswith(("repro.manycore", "repro.chaos"))
+    ),
+    "kernel": getattr(
+        sys.modules.get("repro.sim._ckernel"), "origin", None
+    ),
+}))
+"""
 
 
 class TestRegistry:
@@ -21,6 +52,43 @@ class TestRegistry:
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+
+    def test_every_driver_module_exists(self):
+        """Drivers are named, not imported, so a typo would otherwise
+        surface only when that experiment runs."""
+        from repro.experiments import registry
+
+        for module, _description in registry._REGISTRY.values():
+            found = importlib.util.find_spec(module, registry.__package__)
+            assert found is not None, module
+
+    @pytest.mark.parametrize(
+        "argv, drivers",
+        [
+            (["--list"], []),
+            (
+                ["table1", "--scale", "smoke"],
+                ["repro.experiments.table1_properties"],
+            ),
+        ],
+    )
+    def test_cli_loads_only_the_driver_it_runs(self, argv, drivers):
+        """A fresh process: the listing imports no driver, one
+        experiment imports its own, and neither pulls in the manycore
+        stack or the chaos harness — nor obtains a kernel."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI_PROBE, *argv], env=env, check=True,
+            capture_output=True, text=True, timeout=300,
+        )
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report == {
+            "code": 0, "drivers": drivers, "heavy": [], "kernel": None,
+        }
 
 
 class TestResultHelpers:
@@ -297,7 +365,12 @@ class TestMainFailurePath:
         def boom(scale=None, seed=0):
             raise ValueError("driver exploded")
 
-        monkeypatch.setitem(registry._REGISTRY, "boom", (boom, "fails"))
+        monkeypatch.setitem(
+            sys.modules, "boom_driver", types.SimpleNamespace(run=boom)
+        )
+        monkeypatch.setitem(
+            registry._REGISTRY, "boom", ("boom_driver", "fails")
+        )
         monkeypatch.setattr(
             cli, "experiment_ids",
             lambda: ["table1", "nosuch", "boom", "fig5"],

@@ -124,39 +124,48 @@ class TestFallbacks:
         assert result.engine == "reference"
 
     def test_failed_kernel_compile_cached_with_single_warning(
-        self, monkeypatch
+        self, monkeypatch, kernel_cache
     ):
         """A poisoned ``CC`` costs one compiler invocation and one
         warning per process; later calls hit the cached negative."""
         monkeypatch.setenv("CC", "/nonexistent/compiler")
-        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
-        saved = (_ckernel._tried, _ckernel._lib)
-        _ckernel._tried, _ckernel._lib = False, None
-        try:
-            with pytest.warns(
-                RuntimeWarning, match="native step kernel unavailable"
-            ) as caught:
-                assert _ckernel.get_kernel() is None
-            kernel_warnings = [
-                w for w in caught
-                if "native step kernel unavailable" in str(w.message)
-            ]
-            assert len(kernel_warnings) == 1
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert _ckernel.get_kernel() is None
-        finally:
-            _ckernel._tried, _ckernel._lib = saved
+        with pytest.warns(
+            RuntimeWarning, match="native step kernel unavailable"
+        ) as caught:
+            assert _ckernel.get_kernel() is None
+        kernel_warnings = [
+            w for w in caught
+            if "native step kernel unavailable" in str(w.message)
+        ]
+        assert len(kernel_warnings) == 1
+        assert _ckernel.origin == (None, "unavailable")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ckernel.get_kernel() is None
 
-    def test_cc_may_carry_arguments(self, monkeypatch):
+    def test_failed_compile_warning_says_why(
+        self, monkeypatch, kernel_cache
+    ):
+        """The one warning carries the compiler's own diagnostic, not
+        just its exit status."""
+        monkeypatch.setenv("CC", "cc -include /nonexistent/repro-header.h")
+        with pytest.warns(
+            RuntimeWarning, match="native step kernel unavailable"
+        ) as caught:
+            assert _ckernel.get_kernel() is None
+        (warning,) = [
+            str(w.message) for w in caught
+            if "native step kernel unavailable" in str(w.message)
+        ]
+        assert "exited with status" in warning
+        assert "/nonexistent/repro-header.h" in warning
+        assert list(kernel_cache.iterdir()) == []
+
+    def test_cc_may_carry_arguments(self, monkeypatch, kernel_cache):
         """``CC="ccache cc"`` / ``CC="cc -fsanitize=address"`` are a
         command line, not one ``argv[0]``: the kernel still builds and
         passes its layout check."""
         monkeypatch.setenv("CC", "cc -O1 -DREPRO_TEST_CC_ARGUMENT=1")
-        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
-        monkeypatch.setattr(_ckernel, "_tried", False)
-        monkeypatch.setattr(_ckernel, "_lib", None)
-        monkeypatch.setattr(_ckernel, "_tmpdir", None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             kernel = _ckernel.get_kernel()
@@ -165,19 +174,20 @@ class TestFallbacks:
         kernel.ctx_size(sizes)
         assert list(sizes) == [ctypes.sizeof(_ckernel.Ctx), _ckernel.ST_LEN]
 
-    def test_struct_layout_drift_rejects_the_kernel(self, monkeypatch):
+    def test_struct_layout_drift_rejects_the_kernel(
+        self, monkeypatch, kernel_cache
+    ):
         """A ctypes mirror that no longer matches the C struct is
-        treated like a failed build, not loaded and trusted."""
-        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+        treated like a failed build, not loaded and trusted — and the
+        library that failed the check does not stay in the cache."""
 
         class DriftedCtx(ctypes.Structure):
             _fields_ = _ckernel.Ctx._fields_ + [("extra", ctypes.c_int64)]
 
         monkeypatch.setattr(_ckernel, "Ctx", DriftedCtx)
-        monkeypatch.setattr(_ckernel, "_tried", False)
-        monkeypatch.setattr(_ckernel, "_lib", None)
         with pytest.warns(RuntimeWarning, match="struct layout mismatch"):
             assert _ckernel.get_kernel() is None
+        assert list(kernel_cache.iterdir()) == []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _ckernel.get_kernel() is None
