@@ -3,9 +3,10 @@
 The repo's performance trajectory is tracked by ``BENCH_noc.json`` at
 the repo root — the committed baseline this harness regenerates and CI
 regresses against (the ``bench-regression`` job runs ``python -m
-repro.bench --quick`` and fails when any case slows past the tolerance
-gate).  Three canonical configs cover the simulator's three router
-models:
+repro.bench --quick`` and fails when a compiled case's speedup over
+the same-run reference falls below its floor, a cold lowering exceeds
+its ceiling, or a case goes missing).  Three canonical configs cover
+the simulator's three router models:
 
 * ``mesh-8x8-ur`` — wormhole router, the smallest paper array;
 * ``halfruche2-16x8-ur`` — the paper's flagship Half Ruche RF=2 point
@@ -312,52 +313,31 @@ def run_bench(
 def compare_to_baseline(
     report: Dict[str, Any],
     baseline: Dict[str, Any],
-    tolerance: float = 0.20,
-) -> Tuple[List[str], List[str]]:
-    """Gate a report against a committed baseline.
+) -> List[str]:
+    """Gate a report against a committed baseline; returns regressions.
 
-    Returns ``(regressions, notes)``: a case regresses when its
-    cycles/sec falls more than ``tolerance`` below the baseline entry
-    for the same ``(name, engine)`` pair; a case that *improved* past
-    the tolerance is reported as a note suggesting a baseline refresh
-    (never a failure).  A case present in the baseline
-    but missing from the report is a regression — a silently dropped
-    benchmark must not pass the gate.  Compiled entries additionally
-    must clear their :data:`SPEEDUP_FLOORS` (when the report carries
-    ``speedup_vs_reference``).  Every ``lowering`` entry must have
-    lowered and must cost at most its :data:`LOWERING_POINTS` ceiling
-    per node pair; the section is optional in a baseline, but not once
-    the baseline carries it.
+    The gate is what one CPU can judge in minutes — same-run ratios and
+    absolute ceilings.  Cycles/sec is reported, not gated: against a
+    number recorded on another host it measures the host
+    (``benchmarks/perf`` is the measuring stick for speed).  A case
+    present in the baseline but missing from the report is a
+    regression — a silently dropped benchmark must not pass the gate.
+    Compiled entries must clear their :data:`SPEEDUP_FLOORS` (when the
+    report carries ``speedup_vs_reference``).  Every ``lowering`` entry
+    must have lowered and must cost at most its
+    :data:`LOWERING_POINTS` ceiling per node pair; the section is
+    optional in a baseline, but not once the baseline carries it.
     """
 
     def case_key(case: Dict[str, Any]) -> Tuple[str, str]:
         return case["name"], case["engine"]
 
-    measured = {case_key(c): c for c in report.get("cases", ())}
-    regressions: List[str] = []
-    notes: List[str] = []
-    for base_case in baseline.get("cases", ()):
-        name, engine = case_key(base_case)
-        label = f"{name}[{engine}]"
-        base_cps = base_case["cycles_per_sec"]
-        case = measured.get((name, engine))
-        if case is None:
-            regressions.append(f"{label}: missing from report")
-            continue
-        cps = case["cycles_per_sec"]
-        floor = base_cps * (1.0 - tolerance)
-        if cps < floor:
-            regressions.append(
-                f"{label}: {cps:,.0f} cycles/s is below the tolerance "
-                f"floor {floor:,.0f} (baseline {base_cps:,.0f}, "
-                f"-{(1 - cps / base_cps) * 100:.1f}%)"
-            )
-        elif cps > base_cps * (1.0 + tolerance):
-            notes.append(
-                f"{label}: {cps:,.0f} cycles/s beats the baseline "
-                f"{base_cps:,.0f} by more than {tolerance * 100:.0f}% — "
-                "consider refreshing BENCH_noc.json"
-            )
+    measured = {case_key(c) for c in report.get("cases", ())}
+    regressions: List[str] = [
+        f"{name}[{engine}]: missing from report"
+        for name, engine in map(case_key, baseline.get("cases", ()))
+        if (name, engine) not in measured
+    ]
     for case in report.get("cases", ()):
         key = case_key(case)
         floor = SPEEDUP_FLOORS.get(key)
@@ -388,7 +368,7 @@ def compare_to_baseline(
                     f"{label}: {entry['us_per_node_pair']} us per node "
                     f"pair is above the ceiling {ceiling}"
                 )
-    return regressions, notes
+    return regressions
 
 
 def load_report(path: str) -> Dict[str, Any]:

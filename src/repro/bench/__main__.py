@@ -45,11 +45,6 @@ def main(argv=None) -> int:
         help="compare against a committed baseline report; exit 1 on "
              "regression",
     )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.20, metavar="FRAC",
-        help="allowed fractional slowdown vs the baseline "
-             "(default 0.20 = 20%%)",
-    )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--engine", choices=BENCH_ENGINES + ("both",), default="both",
@@ -102,18 +97,14 @@ def main(argv=None) -> int:
 
     if args.baseline:
         baseline = load_report(args.baseline)
-        regressions, notes = compare_to_baseline(
-            report, baseline, tolerance=args.tolerance
-        )
-        for note in notes:
-            print(f"NOTE: {note}")
+        regressions = compare_to_baseline(report, baseline)
         if regressions:
             for regression in regressions:
                 print(f"REGRESSION: {regression}", file=sys.stderr)
             return 1
         print(
-            f"bench OK: within {args.tolerance * 100:.0f}% of "
-            f"{args.baseline}"
+            f"bench OK: every case of {args.baseline} present, above "
+            f"its speedup floor and under its lowering ceiling"
         )
     return 0
 

@@ -238,7 +238,8 @@ def _populate_engines() -> None:
     import repro.sim.simulator  # noqa: F401
 
 
-#: Simulation engines sharing run_synthetic's signature: ``"reference"``
+#: Simulation engines, each a callable of one
+#: :class:`~repro.core.spec.ResolvedRun` record: ``"reference"``
 #: (the object-per-flit Network) and ``"compiled"`` (the flat-array
 #: engine of :mod:`repro.sim.fastsim`); both register on import of
 #: :mod:`repro.sim.simulator`, which the registry imports on first
@@ -350,9 +351,12 @@ def register_engine(
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Register a simulation engine.
 
-    The registered callable must accept the full
-    :func:`repro.sim.simulator.run_synthetic` signature (minus
-    ``engine``) and return a ``RunResult``; engines are interchangeable
+    The registered callable takes one argument, the
+    :class:`~repro.core.spec.ResolvedRun` record
+    :func:`~repro.core.spec.resolve_run` built from the caller's spec
+    and keywords (design point, traffic, window, materialized faults
+    and watchdog, budgets, trackers), and returns a ``RunResult``; it
+    resolves nothing itself.  Engines are interchangeable
     per the cross-engine equivalence contract (identical metric
     fingerprints for identical inputs).
     """

@@ -12,8 +12,10 @@ else:
 
 * :func:`build_network` — a wired :class:`~repro.sim.network.Network`
   from a spec or a bare :class:`~repro.core.params.NetworkConfig`;
-* :func:`build_run` — one open-loop measurement
-  (:func:`~repro.sim.simulator.run_synthetic`) of a spec;
+* :func:`resolve_run` — one open-loop measurement, resolved: the
+  :class:`ResolvedRun` record every simulation entry point builds first
+  and every engine executes;
+* :func:`build_run` — that record for a spec, run;
 * :func:`build_routing` / :func:`build_pattern` — the named component
   lookups behind the network;
 * :func:`network_components` — the (topology, routing, matrix) bundle a
@@ -34,7 +36,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.connectivity import (
     Matrix,
@@ -43,6 +53,7 @@ from repro.core.connectivity import (
 )
 from repro.core.params import DorOrder, NetworkConfig, TopologyKind
 from repro.core.registry import (
+    ENGINES,
     ROUTINGS,
     TOPOLOGIES,
     TopologyProvider,
@@ -76,11 +87,12 @@ class NetworkSpec:
     """One simulation design point, declaratively.
 
     Only ``topology``, ``width``, and ``height`` are required; the
-    defaults reproduce the open-loop methodology of
-    :func:`~repro.sim.simulator.run_synthetic`.  ``options`` are keyword
-    overrides forwarded to the topology's config factory (for the
-    builtin families: :meth:`~repro.core.params.NetworkConfig.from_name`
-    keywords such as ``half`` or ``edge_memory``).
+    defaults are the open-loop methodology every run starts from
+    (:func:`resolve_run` reads them for bare configs too).  ``options``
+    are keyword overrides forwarded to the topology's config factory
+    (for the builtin families:
+    :meth:`~repro.core.params.NetworkConfig.from_name` keywords such as
+    ``half`` or ``edge_memory``).
     """
 
     #: Registered topology name (``"mesh"``, ``"ruche2-depop"``, a
@@ -116,9 +128,10 @@ class NetworkSpec:
     audit_every: Optional[int] = None
     max_cycles: Optional[int] = None
     max_wall_seconds: Optional[float] = None
-    #: Simulation engine (a :data:`repro.core.registry.ENGINES` name);
-    #: ``None`` means the reference engine.  Engines are equivalent by
-    #: contract, so this is a performance knob, not a semantic one.
+    #: Simulation engine (a :data:`repro.core.registry.ENGINES` name;
+    #: :func:`engine_name` says what ``None`` means).  Engines are
+    #: equivalent by contract, so this is a performance knob, not a
+    #: semantic one.
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -543,9 +556,42 @@ def build_watchdog(spec: NetworkSpec) -> Optional[Any]:
     return WatchdogConfig(**kwargs)
 
 
+def engine_name(engine: Optional[str]) -> str:
+    """The :data:`~repro.core.registry.ENGINES` name ``engine`` selects.
+
+    ``None`` (a spec's default, an unset ``--engine``) means
+    ``"reference"`` — written here and nowhere else.
+    """
+    return (engine or "reference").strip().lower()
+
+
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
+def _wire_network(
+    target: Union[NetworkSpec, NetworkConfig],
+    config: NetworkConfig,
+    faults: Optional[Any],
+    watchdog: Optional[Any],
+    **endpoints: Any,
+) -> "Network":
+    """A :class:`Network` of ``target``'s parts, already resolved."""
+    from repro.sim.network import Network
+
+    components, router, allocator = resolve_components(target, config, faults)
+    return Network(
+        config,
+        faults=faults,
+        watchdog=watchdog,
+        topology=components.topology,
+        routing=components.routing,
+        matrix=components.matrix,
+        router=router,
+        allocator=allocator,
+        **endpoints,
+    )
+
+
 def build_network(
     target: "Any",
     *,
@@ -565,71 +611,137 @@ def build_network(
     sanctioned construction path for networks in the sim, verify,
     bench, and experiments layers.
     """
-    from repro.sim.network import Network
-
     if isinstance(target, NetworkConfig):
-        return Network(
-            target,
-            metrics=metrics,
-            sink_factory=sink_factory,
-            memory_sink_factory=memory_sink_factory,
-            faults=faults,
-            watchdog=watchdog,
-        )
-    spec: NetworkSpec = target
-    config = build_config(spec)
-    if faults is None:
-        faults = build_faults(spec, config)
-    if watchdog is None:
-        watchdog = build_watchdog(spec)
-    components, router, allocator = resolve_components(spec, config, faults)
-    return Network(
+        config = target
+    else:
+        config = build_config(target)
+        if faults is None:
+            faults = build_faults(target, config)
+        if watchdog is None:
+            watchdog = build_watchdog(target)
+    return _wire_network(
+        target,
         config,
+        faults,
+        watchdog,
         metrics=metrics,
         sink_factory=sink_factory,
         memory_sink_factory=memory_sink_factory,
-        faults=faults,
-        watchdog=watchdog,
-        topology=components.topology,
-        routing=components.routing,
-        matrix=components.matrix,
-        router=router,
-        allocator=allocator,
     )
 
 
-def build_run(
-    spec: NetworkSpec,
-    *,
-    track_per_source: bool = False,
-    keep_samples: bool = False,
-    track_links: bool = False,
-) -> "RunResult":
+@dataclasses.dataclass(frozen=True)
+class ResolvedRun:
+    """One open-loop run with nothing left to decide.
+
+    What :func:`resolve_run` returns and every simulation engine takes:
+    the design point (``target`` as the caller named it — a spec keeps
+    its provider and named overrides — and the ``config`` it builds),
+    the traffic, the three-phase window, the materialized fault schedule
+    and watchdog, the tripwires and budgets, the registered ``engine``
+    asked for, and the three metric trackers.  Every field after
+    ``config`` is a keyword of the entry points that build one.
+    """
+
+    target: Union[NetworkSpec, NetworkConfig]
+    config: NetworkConfig
+    pattern: str
+    rate: float
+    warmup: int
+    measure: int
+    drain_limit: int
+    seed: int
+    faults: Optional[Any]
+    watchdog: Optional[Any]
+    audit_every: Optional[int]
+    max_cycles: Optional[int]
+    max_wall_seconds: Optional[float]
+    engine: str
+    track_per_source: bool = False
+    keep_samples: bool = False
+    track_links: bool = False
+
+    def network(self, metrics: Optional[Any] = None) -> "Network":
+        """A fresh reference network of this run's design point."""
+        return _wire_network(
+            self.target,
+            self.config,
+            self.faults,
+            self.watchdog,
+            metrics=metrics,
+        )
+
+    def execute(self) -> "RunResult":
+        """Run on the registered engine this record names."""
+        result: "RunResult" = ENGINES.get(self.engine)(self)
+        return result
+
+
+def resolve_run(
+    door: str,
+    target: Union[NetworkSpec, NetworkConfig],
+    pattern: Optional[str] = None,
+    rate: Optional[float] = None,
+    **given: Any,
+) -> ResolvedRun:
+    """Resolve one run's parameters, once, for every entry point.
+
+    ``door`` names the public function the caller used (for error
+    messages); ``given`` are that call's keywords, which may be any
+    :class:`ResolvedRun` field after ``config``.  A keyword that is
+    passed (and not ``None``) wins; whatever is left comes from the
+    spec's field of the same name — ``faults`` and ``watchdog`` from
+    :func:`build_faults` / :func:`build_watchdog` — and the trackers
+    default to off.  A bare :class:`NetworkConfig` carries no such
+    fields: it must name its ``pattern`` and ``rate``, and runs on the
+    :class:`NetworkSpec` field defaults for the rest.  ``engine`` is
+    normalised by :func:`engine_name`.
+    """
+    names = [f.name for f in dataclasses.fields(ResolvedRun)[2:]]
+    unknown = sorted(set(given).difference(names))
+    if unknown:
+        raise TypeError(
+            f"{door}() got unexpected keyword(s) {', '.join(unknown)}; "
+            f"a run takes {', '.join(names)}"
+        )
+    if isinstance(target, NetworkSpec):
+        source, config = target, build_config(target)
+    elif pattern is None or rate is None:
+        raise TypeError(
+            f"{door}(config, ...) requires explicit pattern and rate "
+            f"(only NetworkSpec carries defaults)"
+        )
+    else:
+        # Only its field defaults are read.
+        source = NetworkSpec(target.name, target.width, target.height)
+        config = target
+    run = {
+        name: value
+        for name, value in dict(given, pattern=pattern, rate=rate).items()
+        if value is not None
+    }
+    for name in names:
+        if name not in run and hasattr(source, name):
+            run[name] = getattr(source, name)
+    if "faults" not in run:
+        run["faults"] = build_faults(source, config)
+    if "watchdog" not in run:
+        run["watchdog"] = build_watchdog(source)
+    run["engine"] = engine_name(run["engine"])
+    return ResolvedRun(target, config, **run)
+
+
+def build_run(spec: NetworkSpec, **trackers: Any) -> "RunResult":
     """One open-loop measurement of a spec.
 
-    Expands the spec's traffic, window, fault, and budget fields into a
-    :func:`~repro.sim.simulator.run_synthetic` call; the network itself
-    is built through :func:`build_network`, so plugin topologies and
-    named overrides apply.
+    Every field of the spec applies — traffic, window, seed, faults,
+    watchdog, tripwires, budgets, engine — through :func:`resolve_run`;
+    ``trackers`` (``track_per_source``, ``keep_samples``,
+    ``track_links``) are that resolver's keywords.  The network itself
+    is built from the resolved parts, so plugin topologies and named
+    overrides apply.
     """
-    from repro.sim.simulator import run_synthetic
-
-    return run_synthetic(
-        spec,
-        spec.pattern,
-        spec.rate,
-        warmup=spec.warmup,
-        measure=spec.measure,
-        drain_limit=spec.drain_limit,
-        seed=spec.seed,
-        track_per_source=track_per_source,
-        keep_samples=keep_samples,
-        track_links=track_links,
-        audit_every=spec.audit_every,
-        max_cycles=spec.max_cycles,
-        max_wall_seconds=spec.max_wall_seconds,
-        engine=spec.engine,
-    )
+    return resolve_run("build_run", spec, **trackers).execute()
 
 
 # The 3-D topology pack registers its families (mesh3d / torus3d) on

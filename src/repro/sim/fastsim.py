@@ -63,8 +63,10 @@ rehydrated into a reference-style network to capture a full
 One executor
 ------------
 :func:`run_compiled` and :func:`run_compiled_batch` are one launch
-(:func:`_launch`): one resolver (:func:`_resolve`: config, faults,
-watchdog, gates and compilation, once per design point) and one run
+(:func:`_launch`) of one record
+(:func:`~repro.core.spec.resolve_run`: config, traffic, window, faults,
+watchdog, budgets, once per run): one gate-and-compile step
+(:func:`_resolve`, once per design point) and one run
 object (:class:`_Run`, on the one state allocation :class:`_RunState`:
 one array layout, one kernel context (:class:`_ckernel.Ctx`, whatever
 the router kind: the lowering keys a model's static tables by the
@@ -151,14 +153,12 @@ from repro.core.routing import (
 )
 from repro.core.spec import (
     NetworkSpec,
-    build_config,
-    build_faults,
+    ResolvedRun,
     build_network,
     build_pattern,
     build_routing,
-    build_run,
-    build_watchdog,
     resolve_components,
+    resolve_run,
 )
 from repro.errors import DeadlockError, SimulationError, SimulationTimeout
 from repro.sim import _ckernel
@@ -177,7 +177,12 @@ from repro.sim.router import (
     build_wormhole_router,
     fbfc_ring_ports,
 )
-from repro.sim.simulator import _WALL_CHECK_EVERY, RunResult, _run_reference
+from repro.sim.simulator import (
+    _WALL_CHECK_EVERY,
+    RunResult,
+    _compiled_engine,
+    _run_reference,
+)
 from repro.sim.watchdog import WatchdogConfig
 
 __all__ = [
@@ -1095,67 +1100,52 @@ def _pattern_plan(model: _CompiledModel, pattern: str) -> Optional[Tuple]:
 
 
 # ----------------------------------------------------------------------
-# Resolution: one pass from a target to diagnostics and a runnable point
+# Gate and compile: from a resolved run to its diagnostics or its model
 # ----------------------------------------------------------------------
 def _resolve(
-    target: Union[NetworkConfig, NetworkSpec],
-    faults: Any,
-    watchdog: Optional[WatchdogConfig],
-    audit_every: Optional[int],
-) -> Tuple[List[LoweringDiagnostic], Tuple]:
-    """Resolve one design point, once, for every entry point.
+    run: ResolvedRun,
+) -> Tuple[List[LoweringDiagnostic], Optional[_CompiledModel]]:
+    """Gate and compile one resolved run's design point.
 
-    Returns ``(problems, (cfg, faults, watchdog, model))``; a spec's
-    fault and watchdog fields fill in for arguments left ``None``.
-    ``problems`` names why ``target`` does not lower to this engine —
-    the pre-compile gates, else what compilation raised — and ``model``
-    is ``None`` exactly when there are any.  :func:`lowering_problems`
-    is the ``problems`` of this function and :func:`_launch` runs its
-    ``model``, so analyzer and executor can never disagree about a
-    design point.  No pattern work happens here.
+    Returns ``(problems, model)``.  ``problems`` names why the run does
+    not lower to this engine — the pre-compile gates, else what
+    compilation raised — and ``model`` is ``None`` exactly when there
+    are any.  :func:`lowering_problems` is the ``problems`` of this
+    function and :func:`_launch` runs its ``model``, on the same
+    record, so analyzer and executor can never disagree about a run.
+    No pattern work happens here.
     """
-    if isinstance(target, NetworkSpec):
-        cfg = build_config(target)
-        if faults is None:
-            faults = build_faults(target, cfg)
-        if watchdog is None:
-            watchdog = build_watchdog(target)
-    else:
-        cfg = target
     model = None
-    problems = _gate_diagnostics(cfg, faults, audit_every)
+    problems = _gate_diagnostics(run.config, run.faults, run.audit_every)
     if not problems:
         try:
-            model = _compile(target, cfg, faults)
+            model = _compile(run.target, run.config, run.faults)
         except _Unsupported as exc:
             problems = [exc.diagnostic]
-    return problems, (cfg, faults, watchdog, model)
+    return problems, model
 
 
-def _injection_gate(
-    pattern: str, rate: float, faults: Any
-) -> List[LoweringDiagnostic]:
+def _injection_gate(run: ResolvedRun) -> List[LoweringDiagnostic]:
     """Why the host must draw the packets of a run that lowers.
 
-    Judged on the *resolved* run — :func:`run_compiled`'s arguments
-    override a spec's fields — and cheap: a run these checks clear
-    draws in-kernel if :func:`_pattern_plan` has a plan for it.
+    Cheap: a run these checks clear draws in-kernel if
+    :func:`_pattern_plan` has a plan for it.
     """
     reasons: List[LoweringDiagnostic] = []
-    base, sep, _arg = pattern.partition(":")
-    if sep and base.strip().lower() == "trace_replay" and rate != 1.0:
+    base, sep, _arg = run.pattern.partition(":")
+    if sep and base.strip().lower() == "trace_replay" and run.rate != 1.0:
         reasons.append(
             LoweringDiagnostic(
                 "trace-rate",
                 f"a trace is an in-kernel injection schedule only at "
-                f"rate=1.0 (run has rate={rate}): the schedule is "
+                f"rate=1.0 (run has rate={run.rate}): the schedule is "
                 f"indexed by cycle while the reference engine indexes "
                 f"the trace by pattern call, and the two agree only "
                 f"when every cycle draws the pattern; the host draws, "
                 f"the kernel enqueues",
             )
         )
-    if faults is not None and faults.has_faults:
+    if run.faults is not None and run.faults.has_faults:
         reasons.append(
             LoweringDiagnostic(
                 "fault-schedule",
@@ -1168,72 +1158,57 @@ def _injection_gate(
 
 
 def lowering_problems(
-    target: Union[NetworkConfig, NetworkSpec],
-    *,
-    faults: Any = None,
-    audit_every: Optional[int] = None,
+    target: Union[NetworkConfig, NetworkSpec], **given: Any
 ) -> List[LoweringDiagnostic]:
     """Why ``target`` would fall back to the reference engine.
 
     A static compilability analysis: an empty list means
     :func:`run_compiled` will run this design point on the flat-array
     engine; otherwise each :class:`LoweringDiagnostic` names one exact
-    fallback reason.  For a :class:`NetworkSpec`, fault and
-    ``audit_every`` fields are resolved from the spec (explicit
-    arguments override).  Nothing is simulated: the analysis is the
-    resolution :func:`run_compiled` itself performs — the pre-compile
-    gates and, when those pass, the (cached) model compilation — so the
-    verdict is the engine's own, not a parallel reimplementation.
+    fallback reason.  ``target`` and ``given`` are what
+    :func:`run_compiled` takes and resolve the same way (a spec's fault
+    and ``audit_every`` fields apply; ``faults=`` / ``audit_every=``
+    override them).  Nothing is simulated: the analysis is the
+    resolution :func:`run_compiled` itself performs on that record —
+    the pre-compile gates and, when those pass, the (cached) model
+    compilation — so the verdict is the engine's own, not a parallel
+    reimplementation.
     """
-    if audit_every is None and isinstance(target, NetworkSpec):
-        audit_every = target.audit_every
-    return _resolve(target, faults, None, audit_every)[0]
+    return _resolve(resolve_run("lowering_problems", target, **given))[0]
 
 
 def batching_problems(
-    target: Union[NetworkConfig, NetworkSpec],
-    *,
-    faults: Any = None,
+    target: Union[NetworkConfig, NetworkSpec], **given: Any
 ) -> List[LoweringDiagnostic]:
     """Why ``target`` is not a ``"compiled-batch"`` row.
 
     An empty list means :func:`run_compiled_batch` will run this design
     point with the kernel drawing its own packets; otherwise each
     diagnostic names one exact reason it does not.  A strict superset
-    of :func:`lowering_problems`: everything that cannot lower cannot
-    batch, and a batched row is additionally a
-    :class:`~repro.core.spec.NetworkSpec` that selects the compiled
-    engine, with no fault schedule and a pattern the kernel can draw
-    natively — the conditions under which no compiled run of the spec
-    needs the host's Python draw.
+    of :func:`lowering_problems`, judged on the same resolved record:
+    everything that cannot lower cannot batch, and a batched row
+    additionally selects the compiled engine, with no fault schedule
+    and a pattern the kernel can draw natively — the conditions under
+    which no compiled run of the spec needs the host's Python draw.
     """
-    if not isinstance(target, NetworkSpec):
-        return [
-            LoweringDiagnostic(
-                "engine-not-compiled",
-                "batching requires a NetworkSpec selecting the compiled "
-                "engine (plain configs carry no engine/window fields)",
-            )
-        ]
-    lowering, (_cfg, faults, _watchdog, model) = _resolve(
-        target, faults, None, target.audit_every
-    )
+    run = resolve_run("batching_problems", target, **given)
+    lowering, model = _resolve(run)
     reasons: List[LoweringDiagnostic] = []
-    if target.engine != "compiled":
+    if run.engine != "compiled":
         reasons.append(
             LoweringDiagnostic(
                 "engine-not-compiled",
-                f"spec selects engine {target.engine!r}; batches run "
+                f"run selects engine {run.engine!r}; batches run "
                 f"only explicitly compiled design points",
             )
         )
-    reasons += _injection_gate(target.pattern, target.rate, faults)
+    reasons += _injection_gate(run)
     reasons += lowering
-    if not reasons and _pattern_plan(model, target.pattern) is None:
+    if not reasons and _pattern_plan(model, run.pattern) is None:
         reasons.append(
             LoweringDiagnostic(
                 "pattern-not-batchable",
-                f"pattern {target.pattern!r} draws from the dest "
+                f"pattern {run.pattern!r} draws from the dest "
                 f"stream in a way the block kernel cannot replicate; "
                 f"the host draws, the kernel enqueues",
             )
@@ -1558,11 +1533,13 @@ class _RunState:
 
 
 class _Run(_RunState):
-    """One design point's run to completion on its :class:`_RunState`.
+    """One resolved run to completion on its :class:`_RunState`.
 
     Built only by :func:`_launch`.  Callers keep what :meth:`run`
-    returns and nothing else.  It takes *resolved* run parameters (not
-    a spec), so plain ``NetworkConfig`` callers work too.  ``plan`` is
+    returns and nothing else.  ``run`` is the
+    :class:`~repro.core.spec.ResolvedRun` record (so plain
+    ``NetworkConfig`` callers work too) and ``engine`` the label the
+    result reports.  ``plan`` is
     the native injection plan from :func:`_pattern_plan`; ``None``
     means the host draws each block's packets in Python — any
     registered pattern, dead-router skip, unreachable-destination
@@ -1572,60 +1549,29 @@ class _Run(_RunState):
     """
 
     __slots__ = (
-        "cfg", "pattern", "rate", "faults",
-        "engine", "track_per_source", "keep_samples", "track_links",
-        "warmup", "measure", "drain_limit", "seed", "max_cycles",
-        "max_wall_seconds", "deadline", "sources", "draw",
+        "resolved", "engine", "deadline", "sources", "draw",
         "samples", "per_src",
     )
 
     def __init__(
         self,
-        target: Union[NetworkConfig, NetworkSpec],
-        cfg: NetworkConfig,
+        run: ResolvedRun,
         model: _CompiledModel,
-        pattern: str,
-        rate: float,
         plan: Optional[Tuple],
-        *,
-        warmup: int,
-        measure: int,
-        drain_limit: int,
-        seed: int,
-        faults: Optional[FaultSchedule],
-        watchdog: Optional[WatchdogConfig],
-        max_cycles: Optional[int],
-        max_wall_seconds: Optional[float],
         engine: str,
-        track_per_source: bool,
-        keep_samples: bool,
-        track_links: bool,
     ) -> None:
-        # `faults` is the caller's schedule or else the spec's own,
-        # which is what a spec target falls back to on `None`.
+        faults = run.faults
         super().__init__(
             model,
-            functools.partial(build_network, target, faults=faults),
+            run.network,
             faults=faults,
-            watchdog=watchdog,
-            max_cycles=max_cycles,
-            track_links=track_links,
-            log_ejections=keep_samples or track_per_source,
+            watchdog=run.watchdog,
+            max_cycles=run.max_cycles,
+            track_links=run.track_links,
+            log_ejections=run.keep_samples or run.track_per_source,
         )
-        self.cfg = cfg
-        self.pattern = pattern
-        self.rate = rate
-        self.faults = faults
+        self.resolved = run
         self.engine = engine
-        self.track_per_source = track_per_source
-        self.keep_samples = keep_samples
-        self.track_links = track_links
-        self.warmup = warmup
-        self.measure = measure
-        self.drain_limit = drain_limit
-        self.seed = seed
-        self.max_cycles = max_cycles
-        self.max_wall_seconds = max_wall_seconds
         # Dead routers never inject (nor draw from the timing stream),
         # and accepted throughput is normalised by the live sources.
         dead = (
@@ -1636,12 +1582,14 @@ class _Run(_RunState):
         self.sources = tuple(
             (s, src) for s, src in enumerate(model.nodes) if src not in dead
         )
-        self.samples: Optional[List[int]] = [] if keep_samples else None
+        self.samples: Optional[List[int]] = (
+            [] if run.keep_samples else None
+        )
         self.per_src: Optional[Dict[int, LatencyStats]] = (
-            {} if track_per_source else None
+            {} if run.track_per_source else None
         )
         c = self.ctx
-        c.rate = rate
+        c.rate = run.rate
         if plan is None:
             self.draw: Optional[Any] = self._host_drawer()
         else:
@@ -1655,10 +1603,10 @@ class _Run(_RunState):
                 c.sched_len = len(table) // 3
             else:
                 c.t_mt = self._twister(
-                    derive_rng(seed, "timing")  # rng: shared
+                    derive_rng(run.seed, "timing")  # rng: shared
                 )
                 c.d_mt = self._twister(
-                    derive_rng(seed, "dest")  # rng: shared
+                    derive_rng(run.seed, "dest")  # rng: shared
                 )
                 if plan[0] == "table":
                     c.mode = _ckernel.MODE_TABLE
@@ -1668,10 +1616,10 @@ class _Run(_RunState):
                     c.ubits = plan[2]
                     c.perm = _ptr(table)
         self.deadline: Optional[float] = None
-        if max_wall_seconds is not None:
+        if run.max_wall_seconds is not None:
             self.deadline = (
                 time.monotonic()  # det: allow - wall budget
-                + max_wall_seconds
+                + run.max_wall_seconds
             )
 
     def _host_drawer(self) -> Any:
@@ -1688,11 +1636,12 @@ class _Run(_RunState):
         tripped) has drawn up to its end; nothing reads the streams
         after a run.
         """
+        run = self.resolved
         nidx = self.model.node_index
-        rate = self.rate
+        rate = run.rate
         sources = self.sources
-        dest_fn = build_pattern(self.pattern, self.cfg)
-        faults = self.faults
+        dest_fn = build_pattern(run.pattern, run.config)
+        faults = run.faults
         reachable = self.model.reachable
         if faults is not None and faults.has_faults and reachable is not None:
             healthy_fn = dest_fn
@@ -1703,8 +1652,8 @@ class _Run(_RunState):
                     return None
                 return dest
 
-        rnd = derive_rng(self.seed, "timing").random  # rng: shared
-        dest_rng = derive_rng(self.seed, "dest")  # rng: shared
+        rnd = derive_rng(run.seed, "timing").random  # rng: shared
+        dest_rng = derive_rng(run.seed, "dest")  # rng: shared
         st = self.st
         c = self.ctx
         # The block's schedule, alive here while the kernel reads it
@@ -1738,12 +1687,13 @@ class _Run(_RunState):
         """
         st = self.st
         c = self.ctx
-        error = self._phase(self.warmup)
+        run = self.resolved
+        error = self._phase(run.warmup)
         if error is not None:
             return error
         delivered_before = int(st[_ckernel.ST_DEL_TOTAL])
         c.measured = 1
-        error = self._phase(self.measure)
+        error = self._phase(run.measure)
         if error is not None:
             return error
         delivered_during = (
@@ -1753,7 +1703,7 @@ class _Run(_RunState):
             c.measured = 0
             c.drain = 1
             c.target = st[_ckernel.ST_INJ_MEAS]
-            error = self._phase(self.drain_limit)
+            error = self._phase(run.drain_limit)
             if error is not None:
                 return error
         return self._finish(delivered_during, self._measured_resolved())
@@ -1807,8 +1757,8 @@ class _Run(_RunState):
                 return tripped
             if stop == _ckernel.STOP_MAX_CYCLES:
                 return SimulationTimeout(
-                    f"run exceeded its {self.max_cycles}-cycle budget "
-                    f"({int(st[_ckernel.ST_OCC])} packets still in "
+                    f"run exceeded its {self.resolved.max_cycles}-cycle "
+                    f"budget ({int(st[_ckernel.ST_OCC])} packets still in "
                     f"flight)"
                 )
             if (
@@ -1817,7 +1767,8 @@ class _Run(_RunState):
                 and time.monotonic() > self.deadline  # det: allow - wall budget
             ):
                 return SimulationTimeout(
-                    f"run exceeded its {self.max_wall_seconds:.1f}s "
+                    f"run exceeded its "
+                    f"{self.resolved.max_wall_seconds:.1f}s "
                     f"wall-clock limit at cycle "
                     f"{int(st[_ckernel.ST_CYCLE])}"
                 )
@@ -1846,11 +1797,12 @@ class _Run(_RunState):
     def _finish(self, delivered_during: int, drained: bool) -> Any:
         st = self.st
         model = self.model
+        run = self.resolved
         hop_counts = list(self.hop)
         metrics = RunMetrics(
-            track_per_source=self.track_per_source,
-            keep_samples=self.keep_samples,
-            track_links=self.track_links,
+            track_per_source=run.track_per_source,
+            keep_samples=run.keep_samples,
+            track_links=run.track_links,
         )
         stats = metrics.measured
         stats.count = st[_ckernel.ST_DEL_MEAS]
@@ -1873,7 +1825,7 @@ class _Run(_RunState):
         if self.per_src is not None:
             for s, src_stats in self.per_src.items():
                 metrics.per_source[model.nodes[s]] = src_stats
-        if self.track_links:
+        if run.track_links:
             link_counts = metrics.link_counts
             link = self.link
             for r in range(model.n):
@@ -1884,16 +1836,16 @@ class _Run(_RunState):
                     if count:
                         link_counts[(coord, o)] = count
         delivered_total = metrics.delivered_total
-        accepted = delivered_during / (len(self.sources) * self.measure)
+        accepted = delivered_during / (len(self.sources) * run.measure)
         avg_hops = (
             sum(hop_counts) / delivered_total
             if delivered_total
             else float("nan")
         )
         return RunResult(
-            config_name=self.cfg.name,
-            pattern=self.pattern,
-            offered_load=self.rate,
+            config_name=run.config.name,
+            pattern=run.pattern,
+            offered_load=run.rate,
             accepted_throughput=accepted,
             avg_latency=stats.mean,
             stddev_latency=stats.stddev,
@@ -1903,7 +1855,7 @@ class _Run(_RunState):
             delivered_measured=metrics.delivered_measured,
             injected_measured=metrics.injected_measured,
             drained=drained,
-            measure_cycles=self.measure,
+            measure_cycles=run.measure,
             avg_hops=avg_hops,
             total_cycles=int(st[_ckernel.ST_CYCLE]),
             dropped_measured=metrics.dropped_measured,
@@ -2148,57 +2100,24 @@ class CompiledFabric(_RunState):
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def _launch(
-    target: Union[NetworkConfig, NetworkSpec],
-    pattern: str,
-    rate: float,
-    label: str,
-    *,
-    faults: Any = None,
-    watchdog: Optional[WatchdogConfig] = None,
-    audit_every: Optional[int] = None,
-    max_wall_seconds: Optional[float] = None,
-    **run: Any,
-) -> Any:
-    """Resolve one design point and run it: the result, or the error.
+def _launch(run: ResolvedRun, label: str) -> Any:
+    """Run one resolved record: the result, or the error.
 
-    A target that does not lower runs on the reference engine (which
+    A run that does not lower goes to the reference engine (which
     raises its errors); one that does runs on a :class:`_Run` (which
     returns them).  Who draws that run's packets is decided here and
     nowhere else: the kernel when :func:`_injection_gate` finds nothing
     and :func:`_pattern_plan` has a plan, reporting engine ``label``;
-    else the host, reporting ``"compiled"``.  ``run`` is the window,
-    seed, tracker and cycle-budget keywords both engines take.
+    else the host, reporting ``"compiled"``.
     """
-    _problems, (cfg, run_faults, run_watchdog, model) = _resolve(
-        target, faults, watchdog, audit_every
-    )
+    _problems, model = _resolve(run)
     if model is None:
-        return _run_reference(
-            target,
-            pattern,
-            rate,
-            faults=faults,
-            watchdog=watchdog,
-            audit_every=audit_every,
-            max_wall_seconds=max_wall_seconds,
-            **run,
-        )
+        return _run_reference(run)
     plan = None
-    if not _injection_gate(pattern, rate, run_faults):
-        plan = _pattern_plan(model, pattern)
+    if not _injection_gate(run):
+        plan = _pattern_plan(model, run.pattern)
     return _Run(
-        target,
-        cfg,
-        model,
-        pattern,
-        rate,
-        plan,
-        faults=run_faults,
-        watchdog=run_watchdog,
-        max_wall_seconds=max_wall_seconds,
-        engine="compiled" if plan is None else label,
-        **run,
+        run, model, plan, "compiled" if plan is None else label
     ).run()
 
 
@@ -2206,24 +2125,15 @@ def run_compiled(
     config: Union[NetworkConfig, NetworkSpec],
     pattern: Optional[str] = None,
     rate: Optional[float] = None,
-    *,
-    warmup: int = 500,
-    measure: int = 1000,
-    drain_limit: int = 3000,
-    seed: int = 1,
-    track_per_source: bool = False,
-    keep_samples: bool = False,
-    track_links: bool = False,
-    faults: Any = None,
-    watchdog: Optional[WatchdogConfig] = None,
-    audit_every: Optional[int] = None,
-    max_cycles: Optional[int] = None,
-    max_wall_seconds: Optional[float] = None,
+    **given: Any,
 ):
     """The compiled engine: ``run_synthetic`` semantics on flat arrays.
 
-    Accepts the full reference-engine signature, including ``faults``
-    and ``watchdog``.  Fault schedules are compiled in: permanent faults
+    Takes what :func:`~repro.sim.simulator.run_synthetic` takes (minus
+    ``engine``) and resolves it the same way — every field of a spec
+    applies, explicit keywords override — into the
+    :class:`~repro.core.spec.ResolvedRun` record it executes.  Fault
+    schedules are compiled in: permanent faults
     select a fault-aware route-table model, transient drops are drawn
     inside the native kernel, and the watchdog raises a reference-format
     :class:`~repro.errors.DeadlockError` with a full snapshot.  Every
@@ -2236,58 +2146,28 @@ def run_compiled(
     returned result's ``engine`` field reports which engine actually
     ran.
     """
-    if isinstance(config, NetworkSpec):
-        if pattern is None:
-            pattern = config.pattern
-        if rate is None:
-            rate = config.rate
-    elif pattern is None or rate is None:
-        raise TypeError(
-            "run_synthetic(config, ...) requires explicit pattern "
-            "and rate (only NetworkSpec carries defaults)"
+    return _compiled_engine(
+        resolve_run(
+            "run_compiled", config, pattern, rate, engine="compiled", **given
         )
-    outcome = _launch(
-        config,
-        pattern,
-        rate,
-        "compiled",
-        warmup=warmup,
-        measure=measure,
-        drain_limit=drain_limit,
-        seed=seed,
-        track_per_source=track_per_source,
-        keep_samples=keep_samples,
-        track_links=track_links,
-        faults=faults,
-        watchdog=watchdog,
-        audit_every=audit_every,
-        max_cycles=max_cycles,
-        max_wall_seconds=max_wall_seconds,
     )
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
-def run_compiled_batch(
-    specs: Sequence[NetworkSpec],
-    *,
-    track_per_source: bool = False,
-    keep_samples: bool = False,
-    track_links: bool = False,
-):
+def run_compiled_batch(specs: Sequence[NetworkSpec], **trackers: Any):
     """Run many design points, one after another, on the compiled engine.
 
     Returns one entry per spec, **in order**: a
     :class:`~repro.sim.simulator.RunResult` on success or the
     :class:`~repro.errors.SimulationError` the run raised (watchdog
     trips and cycle-budget overruns are data in a sweep).  Each spec is
-    resolved once, run to completion on arrays of its own, and released
-    before the next starts, so a batch needs the memory of its largest
-    run and one design point cannot disturb another.
+    resolved once (``trackers`` — ``track_per_source``,
+    ``keep_samples``, ``track_links`` — are the resolver's keywords,
+    applied to every spec), run to completion on arrays of its own, and
+    released before the next starts, so a batch needs the memory of its
+    largest run and one design point cannot disturb another.
 
-    A spec that does not select the compiled engine goes to
-    :func:`~repro.core.spec.build_run` before anything is lowered, so
+    A run that does not select the compiled engine executes on the
+    engine it names before anything is lowered, so
     its provenance is whatever its own engine choice resolves to.
     Every other spec is the launch :func:`run_compiled` performs, with
     one difference in provenance: rows :func:`batching_problems` clears
@@ -2297,31 +2177,14 @@ def run_compiled_batch(
     error messages), which the differential tests and the campaign
     checkpoint-byte contract pin down.
     """
-    trackers = dict(
-        track_per_source=track_per_source,
-        keep_samples=keep_samples,
-        track_links=track_links,
-    )
     results: List[Any] = []
     for spec in specs:
         try:
-            if spec.engine != "compiled":
-                outcome = build_run(spec, **trackers)
+            run = resolve_run("run_compiled_batch", spec, **trackers)
+            if run.engine != "compiled":
+                outcome = run.execute()
             else:
-                outcome = _launch(
-                    spec,
-                    spec.pattern,
-                    spec.rate,
-                    "compiled-batch",
-                    warmup=spec.warmup,
-                    measure=spec.measure,
-                    drain_limit=spec.drain_limit,
-                    seed=spec.seed,
-                    audit_every=spec.audit_every,
-                    max_cycles=spec.max_cycles,
-                    max_wall_seconds=spec.max_wall_seconds,
-                    **trackers,
-                )
+                outcome = _launch(run, "compiled-batch")
         except SimulationError as exc:
             outcome = exc
         results.append(outcome)

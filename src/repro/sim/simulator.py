@@ -21,18 +21,17 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.coords import Coord
 from repro.core.params import NetworkConfig
-from repro.core.registry import ENGINES, register_engine
+from repro.core.registry import register_engine
 from repro.core.spec import (
     NetworkSpec,
-    build_network,
+    ResolvedRun,
     build_pattern,
     build_routing,
+    resolve_run,
 )
 from repro.errors import SimulationError, SimulationTimeout
-from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import derive_rng
-from repro.sim.watchdog import WatchdogConfig
 
 #: How often (in cycles) the wall-clock limit is polled; keeps the
 #: common no-limit path free of ``time.monotonic`` calls.
@@ -77,20 +76,24 @@ def run_synthetic(
     config: Union[NetworkConfig, NetworkSpec],
     pattern: Optional[str] = None,
     rate: Optional[float] = None,
-    *,
-    engine: Optional[str] = None,
-    **kwargs,
+    **given,
 ) -> RunResult:
     """Simulate one injection rate and return its measured statistics.
 
     ``rate`` is the per-tile injection probability per cycle (the paper's
     "injection rate" axis, as a fraction of one flit/tile/cycle).
 
-    ``config`` may also be a :class:`~repro.core.spec.NetworkSpec`, in
-    which case ``pattern``, ``rate``, and the fault/watchdog options
-    default from the spec and the network is materialized through the
-    component registries (:func:`~repro.core.spec.build_run` is the
-    declarative wrapper over this path).
+    The call is resolved once, by
+    :func:`~repro.core.spec.resolve_run`, into the
+    :class:`~repro.core.spec.ResolvedRun` record the engine executes.
+    ``config`` may be a :class:`~repro.core.spec.NetworkSpec`: *every*
+    field of the spec then applies — pattern and rate, the window and
+    seed, the fault and watchdog fields, ``audit_every``, the budgets
+    and the engine — and a keyword passed here overrides the field of
+    the same name (``None`` counts as not passed).  A bare
+    :class:`~repro.core.params.NetworkConfig` must name its pattern
+    and rate and takes the ``NetworkSpec`` field defaults for the rest.
+    An unknown keyword is a :class:`TypeError` naming the valid ones.
 
     ``engine`` names a registered simulation engine
     (:data:`repro.core.registry.ENGINES`): ``"reference"`` (default) is
@@ -101,45 +104,9 @@ def run_synthetic(
     the reference engine for runs it cannot compile
     (:func:`repro.sim.fastsim.lowering_problems` names the reason for
     any design point).
-    When ``engine`` is ``None`` a spec's ``engine`` field applies.
 
-    Measurement keywords (``warmup``, ``measure``, ``drain_limit``,
-    ``seed``, ``track_per_source``, ``keep_samples``, ``track_links``)
-    and robustness knobs (``faults``, ``watchdog``, ``audit_every``,
-    ``max_cycles``, ``max_wall_seconds``) are forwarded to the engine;
-    see :func:`_run_reference` for their semantics.
-    """
-    if engine is None and isinstance(config, NetworkSpec):
-        engine = config.engine
-    name = (engine or "reference").strip().lower()
-    runner = ENGINES.get(name)
-    return runner(config, pattern, rate, **kwargs)
-
-
-@register_engine(
-    "reference",
-    description="object-per-flit cycle-accurate Network (sim.network)",
-)
-def _run_reference(
-    config: Union[NetworkConfig, NetworkSpec],
-    pattern: Optional[str] = None,
-    rate: Optional[float] = None,
-    *,
-    warmup: int = 500,
-    measure: int = 1000,
-    drain_limit: int = 3000,
-    seed: int = 1,
-    track_per_source: bool = False,
-    keep_samples: bool = False,
-    track_links: bool = False,
-    faults: Optional[FaultSchedule] = None,
-    watchdog: Optional[WatchdogConfig] = None,
-    audit_every: Optional[int] = None,
-    max_cycles: Optional[int] = None,
-    max_wall_seconds: Optional[float] = None,
-) -> RunResult:
-    """The reference engine: one open-loop run on the object network.
-
+    Measurement keywords: ``warmup``, ``measure``, ``drain_limit``,
+    ``seed``, ``track_per_source``, ``keep_samples``, ``track_links``.
     Robustness knobs (all off by default, so healthy runs are
     bit-identical to earlier versions):
 
@@ -159,34 +126,30 @@ def _run_reference(
       overrun the run raises :class:`~repro.errors.SimulationTimeout`
       (hardened campaigns convert that into a retry or a failed row).
     """
+    return resolve_run(
+        "run_synthetic", config, pattern, rate, **given
+    ).execute()
+
+
+@register_engine(
+    "reference",
+    description="object-per-flit cycle-accurate Network (sim.network)",
+)
+def _run_reference(run: ResolvedRun) -> RunResult:
+    """The reference engine: one open-loop run on the object network."""
+    rate, measure = run.rate, run.measure
+    audit_every, max_cycles = run.audit_every, run.max_cycles
+    wall_budget = run.max_wall_seconds
+    faults = run.faults
     metrics = RunMetrics(
-        track_per_source=track_per_source,
-        keep_samples=keep_samples,
-        track_links=track_links,
+        track_per_source=run.track_per_source,
+        keep_samples=run.keep_samples,
+        track_links=run.track_links,
     )
-    if isinstance(config, NetworkSpec):
-        spec = config
-        if pattern is None:
-            pattern = spec.pattern
-        if rate is None:
-            rate = spec.rate
-        net = build_network(
-            spec, metrics=metrics, faults=faults, watchdog=watchdog
-        )
-        config = net.config
-        faults = net.faults
-    else:
-        if pattern is None or rate is None:
-            raise TypeError(
-                "run_synthetic(config, ...) requires explicit pattern "
-                "and rate (only NetworkSpec carries defaults)"
-            )
-        net = build_network(
-            config, metrics=metrics, faults=faults, watchdog=watchdog
-        )
-    dest_fn = build_pattern(pattern, config)
-    timing_rng = derive_rng(seed, "timing")  # rng: shared
-    dest_rng = derive_rng(seed, "dest")  # rng: shared
+    net = run.network(metrics)
+    dest_fn = build_pattern(run.pattern, run.config)
+    timing_rng = derive_rng(run.seed, "timing")  # rng: shared
+    dest_rng = derive_rng(run.seed, "dest")  # rng: shared
     sources = net.topology.nodes
     if faults is not None and faults.has_faults:
         dead = faults.dead_routers
@@ -205,8 +168,8 @@ def _run_reference(
 
     cycles_run = 0
     deadline = (
-        time.monotonic() + max_wall_seconds  # det: allow - wall budget
-        if max_wall_seconds is not None
+        time.monotonic() + wall_budget  # det: allow - wall budget
+        if wall_budget is not None
         else None
     )
 
@@ -232,7 +195,7 @@ def _run_reference(
         if deadline is not None and cycles_run % _WALL_CHECK_EVERY == 0:
             if time.monotonic() > deadline:  # det: allow - wall budget
                 raise SimulationTimeout(
-                    f"run exceeded its {max_wall_seconds:.1f}s wall-clock "
+                    f"run exceeded its {wall_budget:.1f}s wall-clock "
                     f"limit at cycle {net.cycle}"
                 )
 
@@ -243,7 +206,7 @@ def _run_reference(
                 if dest is not None:
                     net.inject(src, dest, measured=measured)
 
-    for _ in range(warmup):
+    for _ in range(run.warmup):
         inject_round(False)
         tick()
 
@@ -256,7 +219,7 @@ def _run_reference(
     # Dropped measured packets count as resolved, so lossy
     # (transient-fault) runs can still terminate.
     drained = metrics.resolved_measured >= metrics.injected_measured
-    remaining = drain_limit
+    remaining = run.drain_limit
     while not drained and remaining > 0:
         inject_round(False)
         tick()
@@ -271,8 +234,8 @@ def _run_reference(
         else float("nan")
     )
     return RunResult(
-        config_name=config.name,
-        pattern=pattern,
+        config_name=run.config.name,
+        pattern=run.pattern,
         offered_load=rate,
         accepted_throughput=accepted,
         avg_latency=stats.mean,
@@ -298,17 +261,15 @@ def _run_reference(
         "sim.fastsim.lowering_problems names"
     ),
 )
-def _compiled_engine(
-    config: Union[NetworkConfig, NetworkSpec],
-    pattern: Optional[str] = None,
-    rate: Optional[float] = None,
-    **kwargs,
-) -> RunResult:
+def _compiled_engine(run: ResolvedRun) -> RunResult:
     # Imported lazily: fastsim imports this module for RunResult and
     # _run_reference, so a top-level import would be circular.
-    from repro.sim.fastsim import run_compiled
+    from repro.sim.fastsim import _launch
 
-    return run_compiled(config, pattern, rate, **kwargs)
+    outcome = _launch(run, "compiled")
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def sweep_injection_rates(
@@ -316,32 +277,22 @@ def sweep_injection_rates(
     pattern: str,
     rates: Sequence[float],
     *,
-    warmup: int = 500,
-    measure: int = 1000,
-    drain_limit: int = 3000,
-    seed: int = 1,
     stop_when_saturated: bool = False,
-    **kwargs,
+    **given,
 ) -> List[RunResult]:
     """A load–latency curve: one :class:`RunResult` per injection rate.
 
     ``stop_when_saturated`` aborts the sweep after the first undrained
-    point, which saves time on steep post-saturation regions.  Extra
-    keyword arguments (``faults``, ``watchdog``, budgets, ...) pass
-    through to :func:`run_synthetic`.
+    point, which saves time on steep post-saturation regions.  Every
+    other keyword (window, seed, ``faults``, ``watchdog``, budgets,
+    ``engine``, ...) is a run keyword of :func:`run_synthetic`, resolved
+    the same way.
     """
     results: List[RunResult] = []
     for rate in rates:
-        result = run_synthetic(
-            config,
-            pattern,
-            rate,
-            warmup=warmup,
-            measure=measure,
-            drain_limit=drain_limit,
-            seed=seed,
-            **kwargs,
-        )
+        result = resolve_run(
+            "sweep_injection_rates", config, pattern, rate, **given
+        ).execute()
         results.append(result)
         if stop_when_saturated and result.saturated:
             break
@@ -354,15 +305,18 @@ def multi_seed_run(
     rate: float,
     *,
     seeds: Sequence[int] = (1, 2, 3),
-    **kwargs,
+    **given,
 ) -> Dict[str, float]:
     """Mean and spread of latency/throughput across independent seeds.
 
     Useful for judging whether a small difference between two design
-    points exceeds run-to-run noise.
+    points exceeds run-to-run noise.  ``given`` are run keywords of
+    :func:`run_synthetic`.
     """
     results = [
-        run_synthetic(config, pattern, rate, seed=seed, **kwargs)
+        resolve_run(
+            "multi_seed_run", config, pattern, rate, seed=seed, **given
+        ).execute()
         for seed in seeds
     ]
     lats = [r.avg_latency for r in results]

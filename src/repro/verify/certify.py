@@ -588,7 +588,7 @@ def certify_spec(
     # this design point join a structure-of-arrays batch", not "was it
     # asked to".
     batch_diagnostics = batching_problems(
-        spec.replace(engine="compiled"), faults=faults
+        spec, faults=faults, engine="compiled"
     )
     report.batching = [
         {"code": d.code, "detail": d.detail} for d in batch_diagnostics

@@ -5,8 +5,9 @@ evaluation exercises — mesh X-Y and Y-X DOR, the VC and FBFC torus
 flavours, multi-mesh, Ruche-One, and the Full/Half Ruche family in
 fully-populated and depopulated forms across Ruche Factors — at the
 array sizes the figures use.  :func:`verify_matrix` runs the static
-verifier over a grid and returns every report; CI runs this as the
-``verify-matrix`` job.
+verifier over a grid and returns every report; CI's ``certify`` job
+runs that enumerator over the same grid to cross-validate each
+certificate (:func:`~repro.verify.certify.cross_validate_spec`).
 """
 
 from __future__ import annotations

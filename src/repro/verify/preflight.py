@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional
 
 from repro.core.params import NetworkConfig
+from repro.core.spec import engine_name
 from repro.verify.engine import verify_config
 
 
@@ -34,10 +35,11 @@ def preflight_problems(configs: Iterable[NetworkConfig]) -> List[str]:
 def engine_problems(engines: Iterable[Optional[str]]) -> List[str]:
     """Validate engine names against the ``ENGINES`` registry.
 
-    ``None`` entries (rows that default to the reference engine) are
-    skipped; each unknown name is reported once with the registry menu,
-    so a typo'd ``--engine compield`` dies before the first row instead
-    of hours into a checkpointed campaign.
+    Each entry is read as a run reads it
+    (:func:`repro.core.spec.engine_name`: ``None`` is a row on the
+    default engine); each unknown name is reported once with the
+    registry menu, so a typo'd ``--engine compield`` dies before the
+    first row instead of hours into a checkpointed campaign.
     """
     # ENGINES lazily imports repro.sim.simulator on first lookup, so a
     # preflight-only process still sees the full engine menu.
@@ -45,7 +47,7 @@ def engine_problems(engines: Iterable[Optional[str]]) -> List[str]:
 
     problems: List[str] = []
     for name in dict.fromkeys(engines):
-        if name is None or name in ENGINES:
+        if engine_name(name) in ENGINES:
             continue
         known = ", ".join(ENGINES.available())
         problems.append(
@@ -66,8 +68,8 @@ def campaign_preflight(
     start, not at construction) and returns the list of problems;
     ``run_campaign`` raises :class:`~repro.errors.ConfigError` when it
     is non-empty.  ``engines`` optionally carries the simulation-engine
-    name of each row (``None`` = reference); unknown names are reported
-    as problems alongside the verifier's findings.  ``certify``
+    name of each row (``None`` = the default engine); unknown names are
+    reported as problems alongside the verifier's findings.  ``certify``
     additionally runs the table certifier
     (:func:`repro.verify.certify.certify_problems`) over the same
     configs, so masked-port escapes and table/reference mismatches also

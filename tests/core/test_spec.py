@@ -162,18 +162,15 @@ class TestSpecRunEquivalence:
         assert via_spec.avg_hops == direct.avg_hops
 
     def test_run_synthetic_accepts_spec_directly(self):
-        """run_synthetic resolves pattern/rate from the spec itself.
-
-        The measurement window is still run_synthetic's own keywords —
-        ``build_run`` is the path that expands the whole spec.
-        """
+        """run_synthetic resolves a spec as ``build_run`` does: every
+        field applies (``tests/sim/test_every_door.py`` is the
+        property)."""
         spec = NetworkSpec.for_network(
             "mesh", 4, 4, rate=0.1,
             warmup=50, measure=100, drain_limit=300, seed=3,
         )
-        result = run_synthetic(
-            spec, warmup=50, measure=100, drain_limit=300, seed=3
-        )
+        result = run_synthetic(spec)
+        assert result.total_cycles == build_run(spec).total_cycles < 450
         assert result.avg_latency == build_run(spec).avg_latency
 
 

@@ -36,41 +36,23 @@ class TestCompareToBaseline:
     def setup_method(self):
         self.base = _report({"mesh": 1000.0, "torus": 500.0})
 
-    def test_within_tolerance_passes(self):
-        report = _report({"mesh": 900.0, "torus": 520.0})
-        regressions, notes = compare_to_baseline(
-            report, self.base, tolerance=0.20
-        )
-        assert regressions == [] and notes == []
-
-    def test_slowdown_past_tolerance_is_regression(self):
-        report = _report({"mesh": 700.0, "torus": 500.0})
-        regressions, _ = compare_to_baseline(
-            report, self.base, tolerance=0.20
-        )
-        assert len(regressions) == 1
-        assert "mesh" in regressions[0]
-        assert "below the tolerance floor" in regressions[0]
+    def test_cycles_per_sec_alone_never_gates(self):
+        """Raw speed against another host's baseline is reported, not
+        judged (floors, ceilings and missing cases are the gate)."""
+        for cps in (500.0, 900.0, 1500.0):
+            report = _report({"mesh": cps, "torus": 500.0})
+            assert compare_to_baseline(report, self.base) == []
 
     def test_missing_case_is_regression(self):
         report = _report({"mesh": 1000.0})
-        regressions, _ = compare_to_baseline(report, self.base)
+        regressions = compare_to_baseline(report, self.base)
         assert regressions == ["torus[reference]: missing from report"]
-
-    def test_improvement_is_note_not_failure(self):
-        report = _report({"mesh": 1500.0, "torus": 500.0})
-        regressions, notes = compare_to_baseline(
-            report, self.base, tolerance=0.20
-        )
-        assert regressions == []
-        assert len(notes) == 1 and "refreshing" in notes[0]
 
     def test_extra_report_case_ignored(self):
         report = _report(
             {"mesh": 1000.0, "torus": 500.0, "newcase": 1.0}
         )
-        regressions, notes = compare_to_baseline(report, self.base)
-        assert regressions == [] and notes == []
+        assert compare_to_baseline(report, self.base) == []
 
 
 class TestReportIO:
@@ -130,24 +112,12 @@ class TestEngineAwareGate:
             ],
         }
 
-    def test_engines_compared_independently(self):
-        report = {
-            "schema": SCHEMA,
-            "cases": [
-                _case("mesh", 1000.0, engine="reference"),
-                _case("mesh", 3000.0, engine="compiled"),
-            ],
-        }
-        regressions, _ = compare_to_baseline(report, self.base)
-        assert len(regressions) == 1
-        assert "mesh[compiled]" in regressions[0]
-
     def test_missing_engine_entry_is_regression(self):
         report = {
             "schema": SCHEMA,
             "cases": [_case("mesh", 1000.0, engine="reference")],
         }
-        regressions, _ = compare_to_baseline(report, self.base)
+        regressions = compare_to_baseline(report, self.base)
         assert regressions == ["mesh[compiled]: missing from report"]
 
 
@@ -178,13 +148,13 @@ class TestSpeedupFloors:
         }
         for key, floor in SPEEDUP_FLOORS.items():
             assert speedups[key] >= 1.5 * floor, key
-        assert compare_to_baseline(baseline, baseline) == ([], [])
+        assert compare_to_baseline(baseline, baseline) == []
         assert SPEEDUP_FLOORS[("mesh-8x8-ur", "compiled")] == 13.0
         assert SPEEDUP_FLOORS[("halfruche2-16x8-ur", "compiled")] == 15.0
         assert SPEEDUP_FLOORS[("torus3d-8x8x4-ur", "compiled")] == 30.0
 
     def test_speedup_above_floor_passes(self):
-        regressions, _ = compare_to_baseline(self.base, self.base)
+        regressions = compare_to_baseline(self.base, self.base)
         assert regressions == []
 
     def test_speedup_below_floor_is_regression(self):
@@ -196,7 +166,7 @@ class TestSpeedupFloors:
                       speedup_vs_reference=3.1),
             ],
         }
-        regressions, _ = compare_to_baseline(report, self.base)
+        regressions = compare_to_baseline(report, self.base)
         assert any("pinned floor 5.0x" in r for r in regressions)
 
     def test_missing_speedup_not_gated(self):
@@ -209,7 +179,7 @@ class TestSpeedupFloors:
                 _case("torus-64x8-ur", 5000.0, engine="compiled"),
             ],
         }
-        regressions, _ = compare_to_baseline(report, self.base)
+        regressions = compare_to_baseline(report, self.base)
         assert regressions == []
 
 
@@ -228,7 +198,7 @@ class TestLoweringGate:
     def _compare(self, *entries):
         report = _report({"mesh": 1000.0})
         report["lowering"] = list(entries)
-        return compare_to_baseline(report, self.base)[0]
+        return compare_to_baseline(report, self.base)
 
     def test_under_the_ceiling_passes(self):
         ceiling = LOWERING_POINTS["torus-64x8"]["ceiling_us"]
@@ -253,7 +223,7 @@ class TestLoweringGate:
         assert "did not lower (no-native-kernel)" in regression
 
     def test_dropped_lowering_section_is_regression(self):
-        regressions, _ = compare_to_baseline(
+        regressions = compare_to_baseline(
             _report({"mesh": 1000.0}), self.base
         )
         assert any("lowering section missing" in r for r in regressions)
@@ -261,7 +231,7 @@ class TestLoweringGate:
     def test_baseline_without_lowering_section_tolerated(self):
         report = _report({"mesh": 1000.0})
         report["lowering"] = [_lowering_entry("mesh-32x32", 0.05)]
-        regressions, _ = compare_to_baseline(
+        regressions = compare_to_baseline(
             report, _report({"mesh": 1000.0})
         )
         assert regressions == []

@@ -313,23 +313,43 @@ class TestWatchdogOption:
         assert result.experiment_id == "table1"
 
     def test_cli_flag_reaches_the_driver(self, capsys, monkeypatch):
-        from repro.experiments import registry
+        """The two seams, without a campaign: the CLI hands the flag to
+        the driver (through the registry's signature filter), and the
+        driver's row hands it to the run as its watchdog."""
+        import functools
+
+        from repro.experiments import fault_degradation
         from repro.experiments.__main__ import main
+        from repro.sim.simulator import RunResult
 
         seen = {}
-        real = registry.run_experiment
 
-        def spy(experiment_id, scale=None, seed=0, **options):
-            seen.update(options, experiment_id=experiment_id)
-            return real(experiment_id, scale=scale, seed=seed, **options)
+        @functools.wraps(fault_degradation.run)
+        def driver(**options):
+            seen.update(options)
+            return ExperimentResult("faults", "stub", [], options["scale"])
 
-        monkeypatch.setattr("repro.experiments.report.run_experiment", spy)
+        monkeypatch.setattr(fault_degradation, "run", driver)
         assert main([
             "faults", "--scale", "smoke", "--watchdog-cycles", "400",
         ]) == 0
         assert seen["watchdog_cycles"] == 400
-        assert seen["experiment_id"] == "faults"
+        assert seen["scale"] == "smoke"
         capsys.readouterr()
+
+        def run_synthetic(config, pattern, rate, **given):
+            seen.update(given)
+            return RunResult(
+                config.name, pattern, rate, 0.0, 0.0, 0.0, 0.0, 0, 0,
+                drained=False, measure_cycles=1, avg_hops=0.0,
+            )
+
+        monkeypatch.setattr(fault_degradation, "run_synthetic", run_synthetic)
+        fault_degradation._run_row(dict(
+            config="mesh", scale="smoke", fault_count=0, fault_seed=0,
+            seed=1, watchdog_cycles=400,
+        ))
+        assert seen["watchdog"].stall_window == 400
 
 
 class TestMainFailurePath:

@@ -27,7 +27,8 @@ from property.settings import tiered_settings
 
 from repro.core.coords import Coord, Direction
 from repro.core.registry import register_pattern
-from repro.core.spec import NetworkSpec, build_run
+from repro.core import spec as spec_module
+from repro.core.spec import NetworkSpec, build_run, resolve_run
 from repro.core.topology import make_topology
 from repro.errors import DeadlockError, SimulationTimeout
 from repro.sim import _ckernel, fastsim, network, watchdog
@@ -422,8 +423,8 @@ class TestInjectionPath:
         assert set(spy.modes) == {_ckernel.MODE_UNIFORM}
 
     def test_uncompiled_specs_are_not_lowered(self, monkeypatch):
-        """A spec that does not select the compiled engine goes to
-        ``build_run`` before anything is resolved or compiled."""
+        """A run that does not select the compiled engine executes on
+        the engine it names before anything is gated or compiled."""
         specs = [
             _spec("mesh", 4, 4, engine=None),
             _spec("mesh", 4, 4, engine="reference"),
@@ -600,14 +601,18 @@ class TestRunLifetime:
         spec = _spec("mesh", 4, 4)
         run_compiled_batch([spec])
         calls = {}
-        for name in ("build_config", "build_faults", "_pattern_plan"):
-            real = getattr(fastsim, name)
+        for module, name in (
+            (spec_module, "build_config"),
+            (spec_module, "build_faults"),
+            (fastsim, "_pattern_plan"),
+        ):
+            real = getattr(module, name)
 
             def counted(*args, _name=name, _real=real):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args)
 
-            monkeypatch.setattr(fastsim, name, counted)
+            monkeypatch.setattr(module, name, counted)
         (result,) = run_compiled_batch([spec])
         assert result.engine == "compiled-batch"
         assert calls == {
@@ -618,22 +623,10 @@ class TestRunLifetime:
 def _make_run(spec, **trackers):
     """The ``_Run`` ``run_compiled_batch`` would build for ``spec``."""
     assert batching_problems(spec) == []
-    _problems, (cfg, faults, watchdog, model) = fastsim._resolve(
-        spec, None, None, spec.audit_every
-    )
-    plan = fastsim._pattern_plan(model, spec.pattern)
-    options = dict(
-        track_per_source=False, keep_samples=False, track_links=False
-    )
-    options.update(trackers)
-    return fastsim._Run(
-        spec, cfg, model, spec.pattern, spec.rate, plan,
-        warmup=spec.warmup, measure=spec.measure,
-        drain_limit=spec.drain_limit, seed=spec.seed, faults=faults,
-        watchdog=watchdog, max_cycles=spec.max_cycles,
-        max_wall_seconds=spec.max_wall_seconds, engine="compiled-batch",
-        **options,
-    )
+    run = resolve_run("run_compiled_batch", spec, **trackers)
+    _problems, model = fastsim._resolve(run)
+    plan = fastsim._pattern_plan(model, run.pattern)
+    return fastsim._Run(run, model, plan, "compiled-batch")
 
 
 class TestKernelMoments:

@@ -29,7 +29,7 @@ from repro.core.routing import (
     TorusDOR,
     make_fault_aware_routing,
 )
-from repro.core.spec import NetworkSpec, build_run
+from repro.core.spec import NetworkSpec, build_run, resolve_run
 from repro.core.topology import Topology
 from repro.errors import ConfigError, RoutingError
 from repro.sim import fastsim
@@ -271,9 +271,9 @@ GOLDEN_TABLES = {
 def test_golden_lowered_tables(key, unpinned):
     name, width, height, fields = key
     spec = NetworkSpec.for_network(name, width, height, **dict(fields))
-    problems, point = fastsim._resolve(spec, None, None, None)
+    problems, model = fastsim._resolve(resolve_run("lowering_problems", spec))
     assert problems == []
-    assert table_fingerprint(point[3]) == GOLDEN_TABLES[key]
+    assert table_fingerprint(model) == GOLDEN_TABLES[key]
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +468,7 @@ def test_an_endpoint_stub_lowers(test_components):
     assert compiled.engine == "compiled"
     reference = build_run(spec.replace(engine="reference"))
     assert fingerprint(compiled) == fingerprint(reference)
-    model = fastsim._resolve(spec, None, None, None)[1][3]
+    model = fastsim._resolve(resolve_run("lowering_problems", spec))[1]
     assert model.endpoints == (Coord(0, -1),)
     assert (model.n, model.nd) == (36, 37)
     assert list(model.sink_of) == [3] and list(model.entry) == [-1]
@@ -542,7 +542,7 @@ def test_endpoints_lower_through_the_generic_walk_too(
     assert compiled.engine == "compiled"
     reference = build_run(spec.replace(engine="reference"))
     assert fingerprint(compiled) == fingerprint(reference)
-    model = fastsim._resolve(spec, None, None, None)[1][3]
+    model = fastsim._resolve(resolve_run("lowering_problems", spec))[1]
     tables = model.tables
     rows, rowof, rowlen = tables["rows"], tables["rowof"], tables["rowlen"]
     for e, port in enumerate(model.entry):
