@@ -32,6 +32,18 @@ from typing import Iterator, Optional, Tuple
 
 from repro.core.coords import Coord
 
+#: What :meth:`Core.step` returns: ``RUNNABLE`` when the core must be
+#: stepped again next cycle (it issued, retired, or found its source
+#: queue full), else why every step before one event would only charge a
+#: counter — ``BUSY`` until cycle ``busy_until``; ``WINDOW`` until any
+#: response arrives; ``DRAIN`` (a fence, or the drain before finishing)
+#: until ``outstanding == 0``; ``BARRIER`` until
+#: :meth:`Core.leave_barrier`; ``DONE`` for good.
+RUNNABLE, BUSY, WINDOW, DRAIN, BARRIER, DONE = range(6)
+
+_LLC_OPS = ("load", "store", "amo")
+_TILE_OPS = {"tload": "load", "tstore": "store"}
+
 
 class Request:
     """An in-flight remote request (rides the packet payload)."""
@@ -117,70 +129,101 @@ class Core:
         self.stats.intrinsic_total += request.intrinsic
 
     def _fetch(self) -> Optional[Tuple]:
-        if self._current is None:
-            self._current = next(self._ops, None)
-        return self._current
+        """The current operation, a remote one as ``(kind, dest)``.
+
+        The destination is resolved here, once, however often a full
+        window or source queue makes :meth:`step` retry the operation.
+        """
+        op = self._current
+        if op is None:
+            op = next(self._ops, None)
+            if op is not None:
+                kind = op[0]
+                if kind in _LLC_OPS:
+                    op = (kind, self.machine.llc_coord(op[1]))
+                elif kind in _TILE_OPS:
+                    op = (_TILE_OPS[kind], Coord(*op[1]))
+                self._current = op
+        return op
 
     def _retire(self) -> None:
         self._current = None
 
-    def step(self, cycle: int) -> None:
-        """Advance one cycle."""
+    def leave_barrier(self) -> None:
+        """The barrier this core waits at released: retire it."""
+        self._at_barrier = False
+        self._retire()
+
+    def skip(self, why: int, cycles: int) -> None:
+        """Account ``cycles`` cycles the core was not stepped while
+        blocked by ``why``: what that many :meth:`step` calls add."""
+        stats = self.stats
+        if why == BUSY:
+            stats.compute_cycles += cycles
+            stats.instructions += cycles
+        elif why == BARRIER:
+            stats.stall_barrier += cycles
+        else:  # WINDOW, DRAIN
+            stats.stall_mem += cycles
+
+    def step(self, cycle: int) -> int:
+        """Advance one cycle; say what the next step waits for.
+
+        A blocked core that is stepped anyway accounts that cycle
+        itself: the return value lets a scheduler skip such steps (and
+        :meth:`skip` their cycles), it never stands in for one.
+        """
         if self.done:
-            return
+            return DONE
         if cycle < self.busy_until:
             self.stats.compute_cycles += 1
             self.stats.instructions += 1
-            return
+            return BUSY
         if self._at_barrier:
-            if self.machine.barrier_released(self):
-                self._at_barrier = False
-                self._retire()
-            else:
-                self.stats.stall_barrier += 1
-                return
+            self.stats.stall_barrier += 1
+            return BARRIER
         op = self._fetch()
         if op is None:
             if self.outstanding:
                 self.stats.stall_mem += 1  # drain before finishing
-                return
+                return DRAIN
             self.done = True
             self.stats.finish_cycle = cycle
             self.machine.core_finished()
-            return
+            return DONE
         kind = op[0]
+        if kind in _LLC_OPS:
+            return self._issue(cycle, kind, op[1])
         if kind == "compute":
             self.busy_until = cycle + op[1]
             self.stats.compute_cycles += 1
             self.stats.instructions += 1
             self._retire()
-        elif kind in ("load", "store", "amo"):
-            self._issue(cycle, kind, self.machine.llc_coord(op[1]))
-        elif kind in ("tload", "tstore"):
-            base = "load" if kind == "tload" else "store"
-            self._issue(cycle, base, Coord(*op[1]))
-        elif kind == "fence":
+            return BUSY if op[1] > 1 else RUNNABLE
+        if kind == "fence":
             if self.outstanding:
                 self.stats.stall_mem += 1
-            else:
-                # A satisfied fence retires for free; the next operation
-                # executes in the same cycle (mirrors barrier release).
-                self._retire()
-                self.step(cycle)
-        elif kind == "barrier":
-            self.machine.barrier_arrive(self)
+                return DRAIN
+            # A satisfied fence retires for free; the next operation
+            # executes in the same cycle (mirrors barrier release).
+            self._retire()
+            return self.step(cycle)
+        if kind == "barrier":
+            # The arrival may itself release the barrier.
             self._at_barrier = True
             self.stats.stall_barrier += 1
-        else:  # pragma: no cover - kernel bug guard
-            raise ValueError(f"unknown core op: {op!r}")
+            self.machine.barrier_arrive(self)
+            return BARRIER if self._at_barrier else RUNNABLE
+        raise ValueError(f"unknown core op: {op!r}")  # kernel bug guard
 
-    def _issue(self, cycle: int, kind: str, dest: Coord) -> None:
+    def _issue(self, cycle: int, kind: str, dest: Coord) -> int:
         if self.outstanding >= self.machine.config.window:
             self.stats.stall_mem += 1
-            return
+            return WINDOW
         if not self.machine.try_issue(self, kind, dest, cycle):
             self.stats.stall_net += 1
-            return
+            return RUNNABLE
         self.outstanding += 1
         self.stats.instructions += 1
         self._retire()
+        return RUNNABLE

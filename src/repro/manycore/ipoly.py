@@ -15,7 +15,8 @@ count's characteristic polynomial) spread uniformly.
 
 from __future__ import annotations
 
-from typing import Dict
+import functools
+from typing import Callable, Dict, Tuple
 
 from repro.errors import ConfigError
 
@@ -59,6 +60,40 @@ def ipoly_hash(addr: int, num_banks: int) -> int:
         if rem >> k:
             rem ^= poly
     return rem
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_tables(num_banks: int) -> Tuple[Tuple[int, ...], ...]:
+    """``tables[b][v] == ipoly_hash(v << 8 * b, num_banks)``, 8 bytes."""
+    return tuple(
+        tuple(ipoly_hash(value << shift, num_banks) for value in range(256))
+        for shift in range(0, 64, 8)
+    )
+
+
+def ipoly_bank_lookup(num_banks: int) -> Callable[[int], int]:
+    """``addr -> ipoly_hash(addr, num_banks)``, a table fold per byte.
+
+    Reduction modulo a polynomial over GF(2) is linear —
+    ``h(a ^ b) == h(a) ^ h(b)`` — so the hash of an address is the XOR
+    of the hashes of its bytes in place.  Those are tabulated once per
+    bank count by :func:`ipoly_hash`, which stays the definition (and
+    hashes whatever lies above bit 63).
+    """
+    tables = _byte_tables(num_banks)
+
+    def bank(addr: int) -> int:
+        if addr < 0:
+            raise ConfigError("addresses must be non-negative")
+        rem = 0
+        for table in tables:
+            rem ^= table[addr & 255]
+            addr >>= 8
+            if not addr:
+                return rem
+        return rem ^ ipoly_hash(addr << 64, num_banks)
+
+    return bank
 
 
 def modulo_hash(addr: int, num_banks: int) -> int:

@@ -27,14 +27,37 @@ which; results are bit-identical.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Tuple
+import functools
+from heapq import heapify, heappop, heappush
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.coords import Coord
 from repro.errors import ConfigError, SimulationError
 from repro.manycore.config import MachineConfig
-from repro.manycore.core_model import Core, Request
-from repro.manycore.ipoly import ipoly_hash, modulo_hash
-from repro.manycore.memory import MemoryTile, ScratchpadServer
+from repro.manycore.core_model import (
+    BUSY,
+    DONE,
+    DRAIN,
+    RUNNABLE,
+    WINDOW,
+    Core,
+    Request,
+)
+from repro.manycore.ipoly import ipoly_bank_lookup, modulo_hash
+from repro.manycore.memory import (
+    MemoryTile,
+    ScratchpadServer,
+    ServicePoint,
+)
 from repro.sim.fastsim import (
     CompiledFabric,
     LoweringDiagnostic,
@@ -47,15 +70,22 @@ from repro.sim.trace import Trace, TraceRecorder
 
 
 class _CoreSink(Sink):
-    """Response-network ejection port of a compute tile."""
+    """Response-network ejection port of a compute tile.
 
-    __slots__ = ("core",)
+    A response is the event a window-, fence- or drain-blocked core
+    sleeps for, so the port tells the machine which core got one.
+    """
 
-    def __init__(self, core: Core) -> None:
+    __slots__ = ("core", "index", "machine")
+
+    def __init__(self, core: Core, index: int, machine: "Machine") -> None:
         self.core = core
+        self.index = index
+        self.machine = machine
 
     def deliver(self, pkt: Packet, cycle: int) -> None:
         self.core.receive(pkt.payload, cycle)
+        self.machine._response_delivered(self.index)
 
 
 class _UnexpectedSink(Sink):
@@ -148,27 +178,45 @@ class Machine:
         #: when set, every accepted injection on either network is
         #: recorded, at a cost of one method call per injection.
         self.recorder = recorder
-        self._hash = ipoly_hash if hash_fn == "ipoly" else modulo_hash
         self._mem_coords = config.memory_coords()
+        banks = len(self._mem_coords)
+        self._bank = (
+            ipoly_bank_lookup(banks)
+            if hash_fn == "ipoly"
+            else lambda addr: modulo_hash(addr, banks)
+        )
         self._intrinsic_cache: Dict[Tuple[Coord, Coord], int] = {}
 
-        # Endpoints.
+        # Endpoints.  Delivering a request marks its endpoint active
+        # (see :meth:`step`).
         self.cores: Dict[Coord, Core] = {}
         self.servers: Dict[Coord, ScratchpadServer] = {}
         self.memories: Dict[Coord, MemoryTile] = {}
-        for coord in config.compute_coords():
+        self._active_servers: Set[int] = set()
+        self._active_memories: Set[int] = set()
+        for i, coord in enumerate(config.compute_coords()):
             ops = workload.get(coord, iter(()))
             self.cores[coord] = Core(coord, ops, self)
             self.servers[coord] = ScratchpadServer(
-                coord, config.inbox_capacity
+                coord,
+                config.inbox_capacity,
+                on_deliver=functools.partial(self._active_servers.add, i),
             )
-        for coord in self._mem_coords:
+        for i, coord in enumerate(self._mem_coords):
             self.memories[coord] = MemoryTile(
                 coord,
                 config.inbox_capacity,
                 config.mem_latency,
                 config.amo_service,
+                on_deliver=functools.partial(self._active_memories.add, i),
             )
+        self._core_list = list(self.cores.values())
+        self._server_list = list(self.servers.values())
+        self._memory_list = list(self.memories.values())
+        core_sinks = {
+            coord: _CoreSink(core, i, self)
+            for i, (coord, core) in enumerate(self.cores.items())
+        }
 
         # Networks: requests X-Y, responses Y-X.  Both on one engine.
         #: Why a ``"compiled"`` request runs on reference (else empty).
@@ -187,26 +235,33 @@ class Machine:
         )
         self.rev = fabric(
             config.reverse_config,
-            sink_factory=lambda c: _CoreSink(self.cores[c]),
+            sink_factory=core_sinks.__getitem__,
             memory_sink_factory=_UnexpectedSink,
         )
 
-        # Barrier state (sense-reversing).
-        self._barrier_generation = 0
-        self._barrier_arrivals = 0
-        self._barrier_sense: Dict[Coord, int] = {}
-        self._cores_remaining = len(self.cores)
-        self._core_list = list(self.cores.values())
-        self._server_list = list(self.servers.values())
-        self._memory_list = list(self.memories.values())
+        # Which cores a cycle steps (see :meth:`step`).  ``_ready``
+        # holds the cores to step this cycle (a heap while they are
+        # stepped), ``_next`` collects next cycle's; every other core
+        # that is not done sleeps: ``_why[i]`` says on what and
+        # ``_since[i]`` is the last cycle it has been charged for.
+        n = len(self._core_list)
+        self._ready: List[int] = list(range(n))
+        self._next: List[int] = []
+        self._why = [RUNNABLE] * n
+        self._since = [0] * n
+        #: ``busy_until`` cycle -> the cores sleeping until then.
+        self._timers: Dict[int, List[int]] = {}
+        #: The core being stepped: who arrives, finishes, releases.
+        self._stepping = -1
+        self._at_barrier: List[int] = []
+        self._cores_remaining = n
 
     # ------------------------------------------------------------------
     # Services used by cores
     # ------------------------------------------------------------------
     def llc_coord(self, addr: int) -> Coord:
         """The LLC bank owning ``addr`` under the configured hashing."""
-        bank = self._hash(addr, len(self._mem_coords))
-        return self._mem_coords[bank]
+        return self._mem_coords[self._bank(addr)]
 
     def intrinsic_latency(self, src: Coord, dest: Coord) -> int:
         """Zero-load round-trip hop latency src → dest → src."""
@@ -239,70 +294,180 @@ class Machine:
             return self.config.mem_latency
         return 1  # scratchpad
 
-    # Barrier protocol -------------------------------------------------
+    # Barrier protocol (called by the core being stepped) --------------
     def barrier_arrive(self, core: Core) -> None:
-        self._barrier_sense[core.coord] = self._barrier_generation
-        self._barrier_arrivals += 1
-        if self._barrier_arrivals == self._cores_remaining:
-            self._barrier_generation += 1
-            self._barrier_arrivals = 0
-
-    def barrier_released(self, core: Core) -> bool:
-        return self._barrier_sense[core.coord] < self._barrier_generation
+        self._at_barrier.append(self._stepping)
+        if len(self._at_barrier) == self._cores_remaining:
+            self._release_barrier()
 
     def core_finished(self) -> None:
         self._cores_remaining -= 1
         # A finished core must not block others at a barrier.
         if (
             self._cores_remaining
-            and self._barrier_arrivals == self._cores_remaining
+            and len(self._at_barrier) == self._cores_remaining
         ):
-            self._barrier_generation += 1
-            self._barrier_arrivals = 0
+            self._release_barrier()
+
+    def _release_barrier(self) -> None:
+        """Every arrived core leaves the barrier (rule 2 of :meth:`step`)."""
+        releaser, cycle, cores = self._stepping, self.cycle, self._core_list
+        for i in self._at_barrier:
+            cores[i].leave_barrier()
+            if self._why[i] != RUNNABLE:
+                if i > releaser:
+                    self._wake(i, cycle)
+                    heappush(self._ready, i)
+                else:
+                    self._wake(i, cycle + 1)
+                    self._next.append(i)
+        self._at_barrier.clear()
 
     # ------------------------------------------------------------------
     # Simulation loop
     # ------------------------------------------------------------------
     def step(self) -> None:
+        """Advance the machine one cycle, stepping only what can act.
+
+        Both networks step; then every *active* memory, then every
+        active scratchpad server (one whose inbox or outbox is not
+        empty: a delivery activates it, a visit that leaves both empty
+        drops it); then every core that is neither done nor asleep.
+        :meth:`Core.step` says why a core cannot proceed and the machine
+        stops stepping it until exactly the event that unblocks it: the
+        ``busy_until`` cycle (a timer), a response at its ejection port
+        (any for a full window, the last outstanding one for a fence or
+        the final drain), the barrier release.  A core whose source
+        queue is full keeps being stepped: what unblocks it is a pop
+        inside the network, which has no hook.
+
+        No statistic may tell this schedule from stepping every core
+        and endpoint every cycle.  Five rules see to that:
+
+        1. *Same-cycle wake on response.*  ``rev.step()`` delivers
+           before the cores step, so a core woken by a response steps
+           in this cycle.
+        2. *Barrier release is index-ordered.*  When core ``k`` releases
+           the barrier while being stepped in cycle ``c`` (by arriving
+           last, or by finishing), sleepers with a higher index step in
+           ``c`` — they join the cores still to step — and those with a
+           lower index were already charged for ``c`` and step in
+           ``c + 1``.
+        3. *Credit is arithmetic and goes where the blocking step
+           charged.*  Blocked by the step of cycle ``s`` and next
+           stepped in cycle ``w``, a core gets ``w - s - 1`` cycles of
+           what that step charged (:meth:`Core.skip`).  A blocked core
+           that is stepped anyway accounts that cycle itself: sleeping
+           changes the schedule, never ``Core.step``.
+        4. *Readers settle sleepers.*  :meth:`stats` (so a
+           ``max_cycles`` cut too) and the progress guard first credit
+           every sleeper up to the current cycle, idempotently; read
+           per-core ``CoreStats`` after one of them.
+        5. *Visit order is list order* — memories, then servers, then
+           cores by index — because offer order assigns packet ids, the
+           recorder's event order and the kernel's enqueue order.
+        """
         cycle = self.cycle
         self.fwd.step()
         self.rev.step()
-        for mem in self._memory_list:
-            response = mem.pending_response(cycle)
-            if response is not None and self.rev.try_inject_from_memory(
-                mem.coord, response.payload.src, payload=response.payload
-            ):
-                if self.recorder is not None:
-                    self.recorder.record(
-                        "rev", cycle, mem.coord, response.payload.src
-                    )
-                mem.pop_response()
-            mem.serve(cycle)
-        rev = self.rev
-        depth = self.config.fifo_depth
-        for server in self._server_list:
-            if server.inbox or server.outbox:
-                response = server.pending_response(cycle)
-                if response is not None and (
-                    rev.source_queue_len(server.coord) < depth
-                ):
-                    rev.inject(
-                        server.coord,
-                        response.payload.src,
-                        payload=response.payload,
-                    )
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            "rev",
-                            cycle,
-                            server.coord,
-                            response.payload.src,
+        if self._active_memories:
+            self._respond_and_serve(
+                self._memory_list, self._active_memories,
+                self._offer_from_memory, cycle,
+            )
+        if self._active_servers:
+            self._respond_and_serve(
+                self._server_list, self._active_servers,
+                self._offer_from_tile, cycle,
+            )
+        ready = self._ready
+        for i in self._timers.pop(cycle, ()):
+            self._wake(i, cycle)
+            ready.append(i)
+        if ready:
+            heapify(ready)
+            cores, still = self._core_list, self._next
+            while ready:
+                i = self._stepping = heappop(ready)
+                why = cores[i].step(cycle)
+                if why == RUNNABLE:
+                    still.append(i)
+                elif why != DONE:
+                    self._park(i, why, cycle)
+            self._ready, self._next = still, ready
+        self.cycle = cycle + 1
+
+    def _respond_and_serve(
+        self,
+        points: Sequence[ServicePoint],
+        active: Set[int],
+        offer: Callable[[Coord, Request], bool],
+        cycle: int,
+    ) -> None:
+        """One cycle of the ``active`` endpoints of ``points``, in order."""
+        recorder = self.recorder
+        for i in sorted(active):
+            point = points[i]
+            response = point.pending_response(cycle)
+            if response is not None:
+                request = response.payload
+                if offer(point.coord, request):
+                    if recorder is not None:
+                        recorder.record(
+                            "rev", cycle, point.coord, request.src
                         )
-                    server.pop_response()
-                server.serve(cycle)
-        for core in self._core_list:
-            core.step(cycle)
-        self.cycle += 1
+                    point.pop_response()
+            point.serve(cycle)
+            if not (point.inbox or point.outbox):
+                active.discard(i)
+
+    def _offer_from_memory(self, coord: Coord, request: Request) -> bool:
+        return self.rev.try_inject_from_memory(
+            coord, request.src, payload=request
+        )
+
+    def _offer_from_tile(self, coord: Coord, request: Request) -> bool:
+        if self.rev.source_queue_len(coord) >= self.config.fifo_depth:
+            return False
+        self.rev.inject(coord, request.src, payload=request)
+        return True
+
+    # Sleeping cores ---------------------------------------------------
+    def _park(self, i: int, why: int, cycle: int) -> None:
+        """Core ``i``, stepped in ``cycle``, sleeps until ``why`` ends."""
+        self._why[i] = why
+        self._since[i] = cycle
+        if why == BUSY:
+            self._timers.setdefault(
+                self._core_list[i].busy_until, []
+            ).append(i)
+
+    def _credit(self, i: int, through: int) -> None:
+        """Charge sleeper ``i`` for the cycles up to ``through``."""
+        skipped = through - self._since[i]
+        if skipped:
+            self._core_list[i].skip(self._why[i], skipped)
+            self._since[i] = through
+
+    def _wake(self, i: int, cycle: int) -> None:
+        """Sleeper ``i`` steps again in ``cycle``; the caller lists it."""
+        self._credit(i, cycle - 1)
+        self._why[i] = RUNNABLE
+
+    def _response_delivered(self, i: int) -> None:
+        """Core ``i`` got a response (``rev.step()``, this cycle)."""
+        why = self._why[i]
+        if why == WINDOW or (
+            why == DRAIN and not self._core_list[i].outstanding
+        ):
+            self._wake(i, self.cycle)
+            self._ready.append(i)
+
+    def _settle(self) -> None:
+        """Bring every sleeper's counters up to the current cycle."""
+        for i, why in enumerate(self._why):
+            if why != RUNNABLE:
+                self._credit(i, self.cycle - 1)
 
     def run(self, max_cycles: int = 2_000_000,
             progress_window: int = 200_000) -> MachineStats:
@@ -362,6 +527,7 @@ class Machine:
         )
 
     def _progress_fingerprint(self) -> Tuple[int, int]:
+        self._settle()
         return (
             sum(c.stats.instructions for c in self._core_list),
             sum(c.stats.loads_completed for c in self._core_list),
@@ -370,6 +536,7 @@ class Machine:
     def stats(self, completed: Optional[bool] = None) -> MachineStats:
         if completed is None:
             completed = self._cores_remaining == 0
+        self._settle()
         cores = self._core_list
         return MachineStats(
             cycles=self.cycle,

@@ -10,22 +10,33 @@ atomics — the mechanism behind the paper's SpGEMM hotspot observation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Callable, Deque, Tuple
 
 from repro.core.coords import Coord
 from repro.sim.packet import Packet
 from repro.sim.router import Sink
 
 
+def _nobody() -> None:
+    """The default ``on_deliver``: an endpoint nobody schedules."""
+
+
 class ServicePoint(Sink):
-    """Shared inbox/service/outbox machinery for memory-side endpoints."""
+    """Shared inbox/service/outbox machinery for memory-side endpoints.
+
+    An endpoint with an empty inbox and an empty outbox has nothing to
+    do until the next delivery, which calls ``on_deliver()`` — how the
+    machine learns it must visit this endpoint again.
+    """
 
     __slots__ = ("coord", "capacity", "inbox", "outbox", "busy_until",
-                 "served")
+                 "served", "on_deliver")
 
-    def __init__(self, coord: Coord, capacity: int) -> None:
+    def __init__(self, coord: Coord, capacity: int,
+                 on_deliver: Callable[[], object] = _nobody) -> None:
         self.coord = coord
         self.capacity = capacity
+        self.on_deliver = on_deliver
         self.inbox: Deque[Packet] = deque()
         self.outbox: Deque[Tuple[int, Packet]] = deque()
         self.busy_until = 0
@@ -37,6 +48,7 @@ class ServicePoint(Sink):
 
     def deliver(self, pkt: Packet, cycle: int) -> None:
         self.inbox.append(pkt)
+        self.on_deliver()
 
     def _service_time(self, pkt: Packet) -> Tuple[int, int]:
         """(bank occupancy cycles, response-ready latency)."""
@@ -73,8 +85,9 @@ class MemoryTile(ServicePoint):
     __slots__ = ("mem_latency", "amo_service")
 
     def __init__(self, coord: Coord, capacity: int, mem_latency: int,
-                 amo_service: int) -> None:
-        super().__init__(coord, capacity)
+                 amo_service: int,
+                 on_deliver: Callable[[], object] = _nobody) -> None:
+        super().__init__(coord, capacity, on_deliver)
         self.mem_latency = mem_latency
         self.amo_service = amo_service
 

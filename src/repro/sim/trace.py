@@ -499,12 +499,18 @@ class TraceRecorder:
     """
 
     def __init__(self) -> None:
-        self._events: Dict[str, List[Tuple[int, Coord, Coord]]] = {}
+        #: Per stream, ``cycle, src, dest`` of every event, flat: three
+        #: list slots an event, holding the caller's own objects (a
+        #: capture keeps tens of thousands of events until finalized).
+        self._events: Dict[str, List[Any]] = {}
 
     def record(
         self, stream: str, cycle: int, src: Coord, dest: Coord
     ) -> None:
-        self._events.setdefault(stream, []).append((cycle, src, dest))
+        events = self._events.get(stream)
+        if events is None:
+            events = self._events[stream] = []
+        events += (cycle, src, dest)
 
     def finalize(
         self,
@@ -521,32 +527,38 @@ class TraceRecorder:
         options)``; streams with no recorded events yield empty traces.
         """
 
-        def clamp(coord: Coord) -> Coord:
-            if coord.y < 0:
-                return Coord(coord.x, 0)
-            if coord.y >= height:
-                return Coord(coord.x, height - 1)
-            return coord
+        nodes = width * height
 
+        class ClampedId(dict):
+            """``coord -> node id`` of the tile it replays at, memoised
+            per distinct coordinate (a few hundred, for any trace)."""
+
+            def __missing__(self, coord: Coord) -> int:
+                y = min(max(coord.y, 0), height - 1)
+                node = self[coord] = y * width + coord.x
+                return node
+
+        node_of = ClampedId()
         out: Dict[str, Trace] = {}
         for stream, (topology, options) in networks.items():
-            events = self._events.get(stream, [])
             last: Dict[int, int] = {}
-            rows: List[Tuple[int, int, int]] = []
+            # One int per row, (cycle, src, dest) most significant
+            # first: sorting them is sorting by (cycle, src), which no
+            # two rows share.
+            rows: List[int] = []
             top = duration
-            for cycle, src, dest in events:
-                s_coord = clamp(src)
-                d_coord = clamp(dest)
-                if s_coord == d_coord:
+            flat = iter(self._events.get(stream, ()))
+            for cycle, src, dest in zip(flat, flat, flat):
+                s = node_of[src]
+                d = node_of[dest]
+                if s == d:
                     continue
-                s = s_coord.y * width + s_coord.x
-                d = d_coord.y * width + d_coord.x
                 spilled = max(cycle, last.get(s, -1) + 1)
                 last[s] = spilled
-                rows.append((spilled, s, d))
+                rows.append((spilled * nodes + s) * nodes + d)
                 if spilled >= top:
                     top = spilled + 1
-            rows.sort(key=lambda r: (r[0], r[1]))
+            rows.sort()
             out[stream] = Trace(
                 topology=topology,
                 width=width,
@@ -554,11 +566,9 @@ class TraceRecorder:
                 duration=top,
                 options=dict(options),
                 provenance=dict(provenance or {}),
-                cycles=array("i", (r[0] for r in rows)),
-                srcs=array("i", (r[1] for r in rows)),
-                dests=array("i", (r[2] for r in rows)),
-                sizes=array("i", bytes(0)) if not rows else array(
-                    "i", [1] * len(rows)
-                ),
+                cycles=array("i", [r // (nodes * nodes) for r in rows]),
+                srcs=array("i", [r // nodes % nodes for r in rows]),
+                dests=array("i", [r % nodes for r in rows]),
+                sizes=array("i", [1]) * len(rows),
             )
         return out

@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 from property.settings import tiered_settings
 
 from repro.errors import ConfigError
-from repro.manycore.ipoly import IRREDUCIBLE_POLYS, ipoly_hash, modulo_hash
+from repro.manycore.ipoly import (
+    IRREDUCIBLE_POLYS,
+    ipoly_bank_lookup,
+    ipoly_hash,
+    modulo_hash,
+)
 
 
 class TestIpolyBasics:
@@ -37,6 +42,33 @@ class TestIpolyBasics:
             assert ipoly_hash(a ^ b, 32) == (
                 ipoly_hash(a, 32) ^ ipoly_hash(b, 32)
             )
+
+
+class TestBankLookup:
+    """The per-byte table fold ``Machine.llc_coord`` uses; the
+    bit-serial ``ipoly_hash`` is the definition."""
+
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.sampled_from([1 << k for k in IRREDUCIBLE_POLYS]),
+    )
+    @tiered_settings(300)
+    def test_fold_equals_bit_serial(self, addr, banks):
+        assert ipoly_bank_lookup(banks)(addr) == ipoly_hash(addr, banks)
+
+    @pytest.mark.parametrize("banks", [1, 2, 32, 256])
+    def test_edges_of_the_tabulated_range(self, banks):
+        lookup = ipoly_bank_lookup(banks)
+        for addr in (0, 255, 256, 2**63, 2**64 - 1, 2**64, 2**100 + 12345):
+            assert lookup(addr) == ipoly_hash(addr, banks)
+
+    def test_rejects_what_the_definition_rejects(self):
+        with pytest.raises(ConfigError):
+            ipoly_bank_lookup(8)(-1)
+        with pytest.raises(ConfigError):
+            ipoly_bank_lookup(24)
+        with pytest.raises(ConfigError):
+            ipoly_bank_lookup(512)
 
 
 class TestBalance:
