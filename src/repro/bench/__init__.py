@@ -131,16 +131,22 @@ SPEEDUP_FLOORS: Dict[Tuple[str, str], float] = {
     ("manycore-replay", "compiled"): 4.0,
 }
 
-#: Cold-lowering design points and the most a route-table entry may
-#: cost, in microseconds per ``(node, dest)`` pair.  Absolute, not
+#: Cold-lowering design points and the most a lowering may cost, in
+#: microseconds per ``(node, dest)`` pair of the array.  Absolute, not
 #: relative to the baseline: the builtin routings are tabulated from
-#: O(W*W + H*H) route calls (``fastsim._row_assembler``), and one
-#: Python route call per pair measures 0.6 (mesh) and 2.9 (torus) on
-#: the baseline host — three times these ceilings, which in turn are
-#: three to four times what the assembler measures there.
+#: O(sum of K*K over the axis sizes K) route calls into per-axis tables
+#: (``fastsim._axis_tables``) — nothing in the lowering is per pair any
+#: more, so the figure falls as the array grows and each ceiling is
+#: about twice what the baseline host reads.  One Python route call
+#: per pair measured 0.6 (mesh 32x32) and 2.9 (torus 64x8) there, and
+#: the 3-D point cost 3.5 as a port-graph walk.
 LOWERING_POINTS: Dict[str, Dict[str, Any]] = {
-    "mesh-32x32": dict(config=("mesh", 32, 32), ceiling_us=0.2),
-    "torus-64x8": dict(config=("torus", 64, 8), ceiling_us=1.0),
+    "mesh-32x32": dict(config=("mesh", 32, 32, {}), ceiling_us=0.08),
+    "torus-64x8": dict(config=("torus", 64, 8, {}), ceiling_us=0.26),
+    "mesh-128x128": dict(config=("mesh", 128, 128, {}), ceiling_us=0.006),
+    "torus3d-8x8x2": dict(
+        config=("torus3d", 8, 8, {"depth": 2}), ceiling_us=0.75
+    ),
 }
 
 
@@ -256,13 +262,13 @@ def measure_lowering(repeats: int) -> List[Dict[str, Any]]:
 
     entries: List[Dict[str, Any]] = []
     for name, point in LOWERING_POINTS.items():
-        topology, width, height = point["config"]
+        topology, width, height, options = point["config"]
         spec = NetworkSpec.for_network(
-            topology, width, height, engine="compiled"
+            topology, width, height, engine="compiled", **options
         )
         problems = lowering_problems(spec)
         best = min(_cold_lowering_seconds(spec) for _ in range(repeats))
-        pairs = (width * height) ** 2
+        pairs = spec.config().num_nodes ** 2
         entries.append(
             {
                 "name": name,

@@ -179,7 +179,9 @@ class _Routing3d(RoutingAlgorithm):
             )
         self.depth = config.depth
 
-    def _advance(self, node: Coord, out_dir: Direction) -> Coord:
+    def _advance(
+        self, node: Coord, out_dir: Direction
+    ) -> Tuple[Coord, Direction]:
         if not isinstance(node, Coord3):
             raise RoutingError(f"3-D routing reached 2-D node {node!r}")
         step = _STEP3.get(out_dir)
@@ -189,10 +191,10 @@ class _Routing3d(RoutingAlgorithm):
             )
         nxt = node.offset3(*step)
         if self.config.kind is TopologyKind.TORUS3D:
-            return Coord3(
+            nxt = Coord3(
                 nxt.x % self.width, nxt.y % self.height, nxt.z % self.depth
             )
-        return nxt
+        return nxt, out_dir.opposite
 
     @staticmethod
     def _deltas(node: Coord, dest: Coord) -> Tuple[int, ...]:

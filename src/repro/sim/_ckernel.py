@@ -39,8 +39,12 @@ its channel arrives on) or refuses when that is full.  Outputs wired to
 a sink — the ejection port, a channel into an endpoint — carry a
 negative ``dn``: ``-1`` is always ready, ``-2 - k`` is gated by the
 host-written word ``ready[k]``, and a not-ready sink blocks its output
-exactly where a full downstream queue would.  ``hop_count`` walks the
-same route tables for a pair's zero-load hop count.
+exactly where a full downstream queue would.  Every route is read by
+one function, ``route_lookup()`` — per-axis tables indexed by compared
+coordinates for the builtin dimension-ordered routings, flat rows where
+the information is per pair — which ``enqueue``, both steps and
+``hop_count`` (a pair's zero-load hop count, walked over the same
+tables) call.
 
 Both steps and every helper around them take the one run context,
 :class:`Ctx`, whose layout is declared once (:data:`_CTX_TYPEDEF`: the
@@ -91,39 +95,58 @@ typedef struct {
     /* The design point.  kind (KIND_*) picks the step: step_noc for the
      * wormhole / FBFC routers, step_vc for the dateline-VC router.  n
      * counts the routers — the sources the kernel draws for — and nd the
-     * destination ids, routers then endpoints: the stride of subnet[]
-     * and of every route row, and the most packets or ejections one
-     * cycle can add.  Source ids n .. nd-1 are endpoints, offered only
-     * through a schedule.  np is a router's port count (9; 5 on the VC
-     * router) and nvc the lanes of an input port (1 off the VC router);
-     * depth is the slots of one lane's FIFO. */
+     * destination ids, routers then endpoints: the length of every
+     * per-id vector and flat route row's subnet share, and the most
+     * packets or ejections one cycle can add.  Source ids n .. nd-1 are
+     * endpoints, offered only through a schedule.  np is a router's
+     * port count (9; 5 on the VC router) and nvc the lanes of an input
+     * port (1 off the VC router); depth is the slots of one lane's
+     * FIFO. */
     int32_t kind, n, nd, np, nvc, depth, track_links;
+
+    /* Route tables, read through route_lookup() and nowhere else: what
+     * a packet bound for id d requests on input in of router r.  An
+     * entry is an output port — on the VC router packed with the VC
+     * taken on a change of dimension and the dateline flag, out | vcn
+     * << 3 | dl << 4.  The builtin dimension-ordered routings, on the
+     * grid they were written for, decide from coordinates, so their
+     * models carry one small table per axis (nax > 0 axes, in routing
+     * order), [router coordinate][destination coordinate][destination
+     * parity].  dkey[id * nax + j] is id's column in axis j's table, 2
+     * * its coordinate on j (shifted so that the least over all ids is
+     * 0) + the parity of its coordinate sum, and rkey[r * nax + j] the
+     * offset of router r's row in it; with j the first axis r and d
+     * differ on (the last when none), the entry is axtab[cls[in] + sub
+     * + rkey[r * nax + j] + dkey[d * nax + j]], cls[in] being the
+     * offset of input in's class (inputs that route alike share one).
+     * Where the information really is per pair (fault-aware BFS tables,
+     * the generic walk: nax == 0) input port q = r * np + in routes by
+     * row rowof[q] of rows, each rowlen long: rows[rowof[q] * rowlen +
+     * sub + d].  sub is the packet's subnet offset, subnet * sublen —
+     * one subnet's share of a row, or of a class's axis tables — and
+     * the parity subnet of a packet s -> d is spar[s] ^ par[d] (NULL:
+     * one subnet). */
+    const int32_t *dkey, *rkey, *cls, *axtab, *rowof, *rows, *spar, *par;
+    int32_t nax, sublen, rowlen;
 
     /* Static tables, shared by every run of a compiled model.
      * dn[r * np + o] is the downstream down_r * np + down_in of a
      * router-to-router output, -1 for a free sink or -2 - k for one
      * gated by ready[k] (NULL unless a fabric gates a sink; it then
      * installs its own copy of dn).  entry[s - n] is the flat (router,
-     * input) port whose lane 0 a packet from endpoint s enters on.
-     * subnet[s * nd + d] is the parity subnet of a packet s -> d (NULL:
-     * one subnet). */
-    const int32_t *dn, *ready, *entry, *subnet;
+     * input) port whose lane 0 a packet from endpoint s enters on. */
+    const int32_t *dn, *ready, *entry;
     /* step_noc only, flat (router, port) ids of stride 9: output ro
      * arbitrates among its ncv[ro] candidate inputs cands[ro * 9 ..],
      * input i sitting at position pm[r * 81 + o * 9 + i] of output o's
      * list (-1: not admitted); needs[ro * 9 + pos] is the FBFC slot
-     * requirement of a candidate (2 to enter a ring, else 1).  Input
-     * port q routes by row rowof[q] of rows, each rowlen = subnets x nd
-     * long. */
-    const int32_t *ncv, *cands, *pm, *needs, *rowof, *rows;
-    int32_t rowlen;
+     * requirement of a candidate (2 to enter a ring, else 1). */
+    const int32_t *ncv, *cands, *pm, *needs;
     /* step_vc only, flat (router, port) ids of stride 5: router r's
      * wired inputs are plist[pofs[r] .. + pcnt[r]], feed[r * 5 + i] the
-     * router upstream of input i (-1: none, or an endpoint).  out, vcn
-     * and dl are the per-(router, destination) output port, VC taken on
-     * a change of dimension and dateline flag (stride nd), sd the 5x5
+     * router upstream of input i (-1: none, or an endpoint), sd the 5x5
      * same-dimension predicate. */
-    const int32_t *plist, *pofs, *pcnt, *feed, *out, *vcn, *dl, *sd;
+    const int32_t *plist, *pofs, *pcnt, *feed, *sd;
 
     /* Per-run queue state, flattened over (router, input, lane) with
      * lane stride nvc: queue q = (r * np + i) * nvc + lane is the ring
@@ -146,8 +169,8 @@ typedef struct {
     /* Per-packet records, pk_cap entries each, doubled by the host on
      * STOP_CAPACITY: source, inject cycle, measured bit, injection-list
      * link, destination, the output it requests where it now waits, and
-     * the one field the router kinds do not share — the route-row
-     * offset subnet * nd (step_noc) or the assigned VC (step_vc). */
+     * the one field the router kinds do not share — the subnet offset
+     * subnet * sublen (step_noc) or the assigned VC (step_vc). */
     int32_t *psrc, *pinj, *pmeas, *pnext, *pdest, *pout, *paux;
     int32_t pk_cap, ej_cap;
 
@@ -397,6 +420,24 @@ static int drop_flit(Ctx *c, int lk, int pid)
  * exactly where a full downstream queue does. */
 #define SINK_BLOCKED(d, ready) ((d) < -1 && !(ready)[-2 - (d)])
 
+/* The one route lookup: the table entry of a packet bound for id d, of
+ * subnet offset sub, on input in of router r (the layouts are Ctx's
+ * route-table comment).  Axis form compares coordinates (keys, less the
+ * parity bit) in routing order and indexes the table of the first axis
+ * that differs; the last axis's table holds the ejection where none
+ * does. */
+static inline int route_lookup(const Ctx *c, int r, int in, int sub, int d)
+{
+    const int nax = c->nax;
+    if (!nax)
+        return c->rows[c->rowof[r * c->np + in] * c->rowlen + sub + d];
+    const int32_t *a = c->dkey + r * nax, *b = c->dkey + d * nax;
+    int j = nax - 1;  /* selects, not branches: the answer is a coin toss */
+    for (int k = j; k-- > 0;)
+        j = (a[k] ^ b[k]) >> 1 ? k : j;
+    return c->axtab[c->cls[in] + sub + c->rkey[r * nax + j] + b[j]];
+}
+
 /* One network cycle for the wormhole / FBFC router kinds.
  *
  * Phase 1 arbitrates every output of every occupied router against
@@ -509,8 +550,8 @@ static int step_noc(Ctx *c)
         if (d < 0) {
             c->ej[nej++] = pid;
         } else {
-            c->pout[pid] = c->rows[c->rowof[d] * c->rowlen
-                                   + c->paux[pid] + c->pdest[pid]];
+            c->pout[pid] = route_lookup(c, d / 9, d % 9, c->paux[pid],
+                                        c->pdest[pid]);
             int t = qhead[d] + qlen[d];
             if (t >= qcap[d])
                 t -= qcap[d];
@@ -535,7 +576,7 @@ static int step_noc(Ctx *c)
  */
 static int step_vc(Ctx *c)
 {
-    const int32_t R = c->n, depth = c->depth, nvc = c->nvc, nd = c->nd;
+    const int32_t R = c->n, depth = c->depth, nvc = c->nvc;
     const int32_t *qoff = c->qoff, *qcap = c->qcap;
     int32_t *qhead = c->qhead, *qlen = c->qlen;
     int ng = 0, nej = 0;
@@ -672,18 +713,12 @@ static int step_vc(Ctx *c)
             c->ej[nej++] = pid;
         } else {
             const int down_r = code / 5;
-            const int row = down_r * nd + c->pdest[pid];
-            const int out2 = c->out[row];
+            const int e = route_lookup(c, down_r, code % 5, 0, c->pdest[pid]);
+            const int out2 = e & 7;
             const int avc = c->paux[pid];
-            int v2;
-            if (c->dl[row])
-                v2 = 1;
-            else if (c->sd[(code % 5) * 5 + out2])
-                v2 = avc;
-            else
-                v2 = c->vcn[row];
             c->pout[pid] = out2;
-            c->paux[pid] = v2;
+            c->paux[pid] = e >> 4 ? 1
+                : c->sd[(code % 5) * 5 + out2] ? avc : e >> 3 & 1;
             const int dq = code * nvc + avc;
             int t = qhead[dq] + qlen[dq];
             if (t >= qcap[dq])
@@ -698,13 +733,13 @@ static int step_vc(Ctx *c)
     return ng;
 }
 
-/* Route-row offset of a packet s -> d: the parity subnet a router
- * source picks at injection, times the destination stride.  Endpoint
+/* Subnet offset of a packet s -> d: the parity subnet a router source
+ * picks at injection, times one subnet's share of the tables.  Endpoint
  * sources (s >= n) ride subnet 0, as the reference's memory injection
  * does. */
 static inline int route_base(const Ctx *c, int s, int d)
 {
-    return c->subnet && s < c->n ? c->subnet[s * c->nd + d] * c->nd : 0;
+    return c->spar && s < c->n ? (c->spar[s] ^ c->par[d]) * c->sublen : 0;
 }
 
 /* The one enqueue: a new packet s -> d, whoever chose it.  A router
@@ -729,19 +764,18 @@ static inline void enqueue(Ctx *c, int s, int d)
     c->pinj[pid] = (int32_t)c->st[ST_CYCLE];
     c->pmeas[pid] = c->measured;
     c->pdest[pid] = d;
+    const int in = port - r * c->np, sub = route_base(c, s, d);
+    const int e = route_lookup(c, r, in, sub, d);
     if (c->kind == KIND_VC) {
-        const int row = r * c->nd + d;
-        const int o = c->out[row];
+        const int o = e & 7;
         c->pout[pid] = o;
         /* sd[] is never set for the P input, so an injection takes the
          * destination's VC; an entry holds lane 0. */
-        c->paux[pid] = c->dl[row] ? 1
-            : c->sd[port % 5 * 5 + o] ? 0 : c->vcn[row];
+        c->paux[pid] = e >> 4 ? 1 : c->sd[in * 5 + o] ? 0 : e >> 3 & 1;
         c->dirty[r] = 1;
     } else {
-        const int base = route_base(c, s, d);
-        c->paux[pid] = base;
-        c->pout[pid] = c->rows[c->rowof[port] * c->rowlen + base + d];
+        c->paux[pid] = sub;
+        c->pout[pid] = e;
     }
     c->occ[r]++;
     if (s >= n) {
@@ -899,14 +933,14 @@ int run_block(Ctx *c)
 int hop_count(const Ctx *c, int s, int d)
 {
     const int n = c->n, np = c->np;
-    const int base = route_base(c, s, d) + d;
+    const int sub = route_base(c, s, d);
     int port = s < n ? s * np : c->entry[s - n];
     int hops = s >= n;
     for (int limit = n * np; port >= 0 && limit > 0; limit--) {
         const int r = port / np;
-        const int o = c->kind == KIND_VC
-            ? c->out[r * c->nd + d]
-            : c->rows[c->rowof[port] * c->rowlen + base];
+        int o = route_lookup(c, r, port % np, sub, d);
+        if (c->kind == KIND_VC)
+            o &= 7;  /* the output of a packed entry */
         if (o <= 0)
             return o ? -1 : hops;
         hops++;

@@ -5,7 +5,7 @@ in per-flit object machinery: a ``Packet`` per flit, a ``Fifo`` per
 port, a method call per router per cycle.  This module lowers a design
 point into flat integer structures once — per-port FIFO rings of packet
 ids (the unbounded injection queue is an intrusive per-source list),
-route tables indexed ``(node, dest) -> output port``, packed per-packet
+route tables, packed per-packet
 records (destination index, inject cycle, measured bit) that double on
 demand — and steps the whole network with tight loops over those
 structures — the native kernel in :mod:`repro.sim._ckernel`, the one
@@ -13,15 +13,29 @@ stepping implementation outside the reference oracle.  The lowering is
 a pure function of the design point's resolved parts — the topology's
 :class:`~repro.core.portgraph.PortGraph`, the crossbar connectivity
 matrix, the routing's tables, the router kind — written once, straight
-into the arrays (:func:`_build_model`).  The builtin dimension-ordered
-routings fill their ``n x n`` route tables from ``O(W*W + H*H)``
-axis-aligned route calls (:func:`_row_assembler`: per-axis slices
-tiled and patched with C-speed slice operations), not one Python call
-per ``(node, dest)`` pair.  No reference
+into the arrays (:func:`_build_model`).  No reference
 :class:`~repro.sim.network.Network` is built, and none of its
 attributes is read, so the oracle's wiring and this module's are two
 independent derivations from the same description, and the
 differential tests compare them.
+
+Route tables
+------------
+The kernel reads routes through one function, ``route_lookup()``, over
+one of two forms.  The builtin dimension-ordered routings
+(:data:`_SUPPORTED_ROUTINGS`, 2-D and 3-D), on the grid the builtin
+topologies emit, decide from coordinates: the first routed axis a node
+and a destination differ on, their two coordinates on it, one parity
+bit.  Their models carry exactly that — per input class and subnet one
+small table per axis, filled from ``O(W*W + H*H)`` axis-aligned route
+calls (:func:`_axis_tables`), plus per-id keys — so route tables grow
+with the array's axes, not with the square of its size (0.1 MB for a
+64x64 mesh or torus, not 67 / 201 MB), on wormhole, FBFC and VC
+routers alike.  Where the information really is per ``(node, dest)``
+pair — :class:`~repro.core.routing.FaultAwareTableRouting`'s BFS
+tables, and the walk over the port graph that tabulates plugin
+routings and permuted node orders — the model carries flat rows, one
+entry per ``(input class, destination)``.
 
 Equivalence contract
 --------------------
@@ -97,8 +111,9 @@ Endpoints
 ---------
 Endpoint-only nodes of the port graph (edge memory's phantom rows) are
 not routers and lower as what the reference wires them as.  They are
-destination (and source) ids after the routers', so every route row has
-one more column per endpoint.  A channel router -> endpoint is a *sink
+destination (and source) ids after the routers': off-grid coordinates
+of the axis tables, one more column of a flat row.  A channel router ->
+endpoint is a *sink
 output*: ``dn`` stays ``-1`` as on the ejection port, and a grant there
 ejects the packet on the grant cycle — counted as a hop, being a
 channel.  A channel endpoint -> router is an *entry queue*: the input
@@ -132,13 +147,14 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
+import itertools
 import time
 from array import array
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.connectivity import port_turns
-from repro.core.coords import Coord, Direction
+from repro.core.coords import Coord, Coord3, Direction
 from repro.core.params import DorOrder, NetworkConfig, TopologyKind
 from repro.core.registry import ALLOCATORS, ROUTERS
 from repro.core.routing import (
@@ -148,7 +164,6 @@ from repro.core.routing import (
     RucheDOR,
     RucheOneRouting,
     TorusDOR,
-    _ParitySubnetRouting,
     tabulate_next_hops,
 )
 from repro.core.spec import (
@@ -160,6 +175,7 @@ from repro.core.spec import (
     resolve_components,
     resolve_run,
 )
+from repro.core.topo3d import Mesh3dDOR, Torus3dDOR
 from repro.errors import DeadlockError, SimulationError, SimulationTimeout
 from repro.sim import _ckernel
 from repro.sim.allocator import WavefrontAllocator
@@ -196,21 +212,23 @@ __all__ = [
     "run_compiled_batch",
 ]
 
-#: Routing algorithms whose tables :func:`_row_assembler` builds from
+#: Routing algorithms whose tables :func:`_axis_tables` builds from
 #: axis-aligned route calls.  What an exact-type match protects is
-#: *axis + parity separability*: off the node's first-axis line the
-#: decision reads ``dest`` only through its first-axis coordinate and
-#: the parity of ``dest.x + dest.y``, on that line only through the
-#: second-axis coordinate and the same parity.  A subclass may override
-#: behavior that breaks this, so it still falls back (generic IR walk
-#: on wormhole / FBFC routers, ``unsupported-routing`` on the VC
-#: router).
+#: *axis + parity separability*: the decision reads the pair only
+#: through the first routed axis the two differ on, their two
+#: coordinates on it, and the parity of ``dest``'s coordinate sum (the
+#: 2-D torus's tie-break and VC spread; the 3-D packs have no parity
+#: term).  A subclass may override behavior that breaks this, so it
+#: still falls back (generic IR walk on wormhole / FBFC routers,
+#: ``unsupported-routing`` on the VC router).
 _SUPPORTED_ROUTINGS = (
     MeshDOR,
     RucheDOR,
     RucheOneRouting,
     MultiMeshRouting,
     TorusDOR,
+    Mesh3dDOR,
+    Torus3dDOR,
 )
 
 
@@ -261,16 +279,16 @@ class _CompiledModel:
         "depth",
         "nports",  # ports per router: the stride of flat (router, port) ids
         "num_vcs",  # lanes per input port (1 off the VC router)
-        "subnet_tab",  # int32 array (n * nd), multimesh only
         "reachable",
         "in_ports",  # per router: its wired input ports, ascending
         "entry",  # per endpoint: flat (router, input) it enters on, or -1
         "sink_of",  # per endpoint: flat (router, output) feeding it, or -1
         # The static tables the kernel steps by, keyed by the `Ctx` field
-        # each fills (int32 arrays; `rowlen` is the one integer): wiring,
-        # arbiter candidates and route rows for the wormhole / FBFC step,
-        # port lists, feeders and route / VC / dateline planes for the VC
-        # step.  `_ckernel._CTX_TYPEDEF` documents every one.
+        # each fills (int32 arrays; `nax`, `sublen` and `rowlen` are
+        # integers): the route tables (axis form or flat rows), wiring
+        # and arbiter candidates for the wormhole / FBFC step, port
+        # lists and feeders for the VC step.  `_ckernel._CTX_TYPEDEF`
+        # documents every one.
         "tables",
     )
 
@@ -386,14 +404,15 @@ def _build_model(
             "fault-aware table routing without a FaultSchedule",
         )
     graph = components.topology.port_graph()
-    # The per-axis assembler indexes the row-major tile grid; any other
-    # node set takes the generic walk (or, on a VC router, falls back).
-    separable = type(routing) in _SUPPORTED_ROUTINGS and list(
-        graph.nodes
-    ) == [
-        Coord(x, y) for y in range(config.height) for x in range(config.width)
-    ]
-    if kind == "vc" and not separable:
+    # The axis tables are those routings' on the grid they were written
+    # for; any other node set takes the generic walk (or, on a VC
+    # router, falls back).
+    grid = (
+        _grid_axes(config, graph.nodes)
+        if type(routing) in _SUPPORTED_ROUTINGS
+        else None
+    )
+    if kind == "vc" and grid is None:
         raise _Unsupported(
             "unsupported-routing",
             f"no VC tabulation for routing {type(routing).__name__}",
@@ -441,16 +460,17 @@ def _build_model(
     model.depth = config.fifo_depth
     model.nports = nports
     model.num_vcs = config.num_vcs if kind == "vc" else 1
-    nsub = 2 if isinstance(routing, _ParitySubnetRouting) else 1
-    model.subnet_tab = None
+    model.tables = tables = {}
+    # The two parity-subnet routings pick a packet's subnet from the
+    # parity of its Manhattan distance, the XOR of two per-id bits: the
+    # destination's coordinate-sum parity and the source's, flipped
+    # when distance zero rides subnet 1 (Ruche-One).
+    nsub = 2 if type(routing) in (RucheOneRouting, MultiMeshRouting) else 1
     if nsub == 2:
-        model.subnet_tab = array(
-            "i",
-            (
-                routing.injection_subnet(src, dest)
-                for src in nodes
-                for dest in dests
-            ),
+        flip = routing.injection_subnet(nodes[0], nodes[0])
+        tables["par"] = array("i", (sum(node) & 1 for node in dests))
+        tables["spar"] = array(
+            "i", ((sum(node) & 1) ^ flip for node in nodes)
         )
 
     # The reference gives a router an input FIFO on port d iff the
@@ -464,9 +484,8 @@ def _build_model(
     model.in_ports = tuple(
         tuple(i for i in range(nports) if mask >> i & 1) for mask in masks
     )
-    model.tables = tables = {}
     if kind == "vc":
-        _tabulate_vc_routes(model, routing, tables)
+        _tabulate_vc_routes(model, routing, grid, tables)
         tables["plist"] = plist = array("i")
         tables["pofs"] = pofs = array("i")
         tables["pcnt"] = pcnt = array("i")
@@ -477,10 +496,10 @@ def _build_model(
     else:
         if type(routing) is FaultAwareTableRouting:
             _tabulate_fault_routes(model, routing, tables)
-        elif separable:
-            # Exact builtin types keep their closed-form class rows
-            # (no graph walk), assembled from per-axis route calls.
-            _tabulate_wormhole_routes(model, routing, nsub, tables)
+        elif grid is not None:
+            # Exact builtin types keep their closed form (no graph
+            # walk): axis tables from axis-aligned route calls.
+            _tabulate_wormhole_routes(model, routing, grid, nsub, tables)
         else:
             _tabulate_generic_routes(model, graph, routing, nsub, tables)
         _wire_crossbars(
@@ -592,109 +611,139 @@ def _wire_crossbars(
             tables[name].extend(part)
 
 
-def _row_assembler(config: NetworkConfig, probe, endpoints=()):
-    """``append_row(rows, node)`` for one dimension-ordered ``probe``.
+def _grid_axes(config: NetworkConfig, nodes) -> Optional[Tuple]:
+    """``(shape, order)`` of the grid ``nodes`` enumerates, else ``None``.
+
+    The grid is the one the builtin topologies emit — row-major in 2-D,
+    layer-major in 3-D — and nothing else qualifies.  ``order[j]`` is the
+    natural (x, y[, z]) index of the ``j``-th routed axis and
+    ``shape[j]`` its size: ``dor_order`` decides in 2-D, the 3-D packs
+    route X-Y-Z whatever it says.
+    """
+    if config.kind.is_3d:
+        sizes, make = (config.width, config.height, config.depth), Coord3
+        order: Tuple[int, ...] = (0, 1, 2)
+    else:
+        sizes, make = (config.width, config.height), Coord
+        order = (0, 1) if config.dor_order is DorOrder.XY else (1, 0)
+    grid = [
+        make(*reversed(point))
+        for point in itertools.product(*map(range, reversed(sizes)))
+    ]
+    if list(nodes) != grid:
+        return None
+    return tuple(sizes[i] for i in order), order
+
+
+def _axis_tables(model, grid, probes, tables) -> None:
+    """Write the axis form of the route tables, one block per ``probe``.
 
     Every :data:`_SUPPORTED_ROUTINGS` decision is *axis + parity
-    separable*: while ``dest`` differs from the node on the first
-    routed axis, ``probe(node, dest)`` depends on the pair only through
-    the two first-axis coordinates and the parity of ``dest.x +
-    dest.y`` (:class:`TorusDOR`'s half-ring tie-break and VC spread);
-    once the first axis is resolved the same holds on the second axis.
-    So the oracle is probed only on axis-aligned pairs, along lines 0
-    and 1 of each axis — about ``2 * (W*W + H*H)`` calls, not
-    ``W*W * H*H`` — and a node's row is a *background* shared by every
-    node with its first-axis coordinate (built once, with strided
-    slice fills) plus the one *line* through the node, patched from
-    the second-axis slice.  Rows are indexed by the row-major ``width x
-    height`` grid, either ``dor_order``, height 1 included, followed by
-    one column per endpoint: ``endpoints`` lie off the grid (edge
-    memory's phantom rows) but under the same two rules, so a column
-    costs one probe per ``(first-axis pair, parity)`` class off the
-    node's line and one per ``(parity, second-axis pair)`` on it, not
-    one per node.  Nothing at run time re-checks separability; the
-    exhaustive differential test against the all-pairs oracle
+    separable*: with ``j`` the first routed axis on which ``dest``
+    differs from the node (the last when none does: the ejection),
+    ``probe(node, dest)`` depends on the pair only through their two
+    coordinates on axis ``j`` and the parity of ``dest``'s coordinate
+    sum (:class:`TorusDOR`'s half-ring tie-break and VC spread; the
+    other routings ignore it).  So that is all that is stored — per
+    probe and axis, ``[node coordinate][dest coordinate][parity]`` —
+    and the oracle is called on axis-aligned pairs only, about ``2 *
+    sum(K * K)`` times over the axis sizes ``K``, not once per ``(node,
+    dest)``.  The pair probed for an entry lies on the line through the
+    origin along axis ``j``, moved to an odd coordinate of another axis
+    (a ``spare`` one, spanning more than one coordinate) when the
+    parity asks for it; a parity no such pair realises is never looked
+    up and stays 0.  Endpoints lie off the grid (edge memory's phantom
+    rows, ``y = -1`` and ``y = H``) but under the same rule, so they
+    only widen an axis's coordinate range (on a one-row array the odd
+    coordinate *is* a phantom row's: the routings are arithmetic).
+    The kernel's ``route_lookup`` is the reader;
+    ``_ckernel._CTX_TYPEDEF`` documents the members written here
+    (``nax``, ``dkey``, ``rkey``, ``axtab``, ``sublen``).
+    Nothing at run time re-checks separability; the exhaustive
+    differential test against the all-pairs oracle
     (``tests/sim/test_route_rows.py``) pins it.
     """
-    width, height = config.width, config.height
-    first_is_x = config.dor_order is DorOrder.XY
-    # Flat dest index = a * step + b * stride, for first-axis
-    # coordinate a and second-axis coordinate b.
-    if first_is_x:
-        first, second, step, stride = width, height, 1, width
-    else:
-        first, second, step, stride = height, width, width, 1
-    at = Coord if first_is_x else (lambda a, b: Coord(b, a))
-    span = second * stride
-    grid = width * height
-    ends = [(ep.x, ep.y) if first_is_x else (ep.y, ep.x) for ep in endpoints]
-    # lines[q][b0][b1]: the node shares its first coordinate with dest,
-    # which therefore enters only through its parity q.
-    lines = [
+    shape, order = grid
+    nax = len(order)
+    make = type(model.nodes[0])
+    ids = [
+        [point[i] for i in order]
+        for point in (*model.nodes, *model.endpoints)
+    ]
+    lo = [min(point[j] for point in ids) for j in range(nax)]
+    span = [max(point[j] for point in ids) - lo[j] + 1 for j in range(nax)]
+    offsets = [0]
+    for extent in span:
+        offsets.append(offsets[-1] + 2 * extent * extent)
+    tables["nax"] = nax
+    tables["sublen"] = offsets[-1]
+    tables["dkey"] = array(
+        "i",
         [
-            array("i", [probe(at(q, b0), at(q, b1)) for b1 in range(second)])
-            for b0 in range(second)
+            2 * (c - low) + (sum(point) & 1)
+            for point in ids
+            for c, low in zip(point, lo)
+        ],
+    )
+    tables["rkey"] = array(
+        "i",
+        [
+            offsets[j] + 2 * span[j] * (point[j] - lo[j])
+            for point in ids[: model.n]
+            for j in range(nax)
+        ],
+    )
+
+    def at(j: int, c: int, spare: Optional[int], step: int) -> Coord:
+        # Every `order` is its own inverse, so it also maps routed axes
+        # back to natural ones.
+        point = [0] * nax
+        point[j] = c
+        if spare is not None:
+            point[spare] = step
+        return make(*(point[i] for i in order))
+
+    # Per axis: lines[odd][c], the point at (shifted) coordinate c of the
+    # line through the origin along axis j — moved, for lines[1], to an
+    # odd coordinate of the spare axis (None: there is none) — and the
+    # coordinates routers have (endpoints only ever are destinations:
+    # their rows stay 0).
+    geometry = []
+    for j in range(nax):
+        spare = next((f for f in range(nax) if f != j and span[f] > 1), None)
+        steps = [0]
+        if spare is not None:
+            steps.append(1 if lo[spare] + span[spare] > 1 else -1)
+        lines: List[Optional[List[Coord]]] = [
+            [at(j, c, spare, step) for c in range(lo[j], lo[j] + span[j])]
+            for step in steps
         ]
-        for q in range(min(2, first))
-    ]
-    # backgrounds[a0][dest]: a dest (a1, b) off the node's line takes
-    # the decision probed on line b & 1; the slots on the line itself
-    # (a1 == a0) are placeholders every row overwrites.
-    backgrounds = []
-    for a0 in range(first):
-        background = array("i", [0]) * grid
-        for a1 in range(first):
-            if a1 == a0:
-                continue
-            for q in range(min(2, second)):
-                fill = array("i", [probe(at(a0, q), at(a1, q))])
-                start = a1 * step + q * stride
-                background[start : a1 * step + span : 2 * stride] = (
-                    fill * ((second - q + 1) // 2)
-                )
-        # An endpoint (a1, b1) off the node's line: probed once per
-        # (a1, parity), from any node with this a0.
-        off_line: Dict[Tuple[int, int], int] = {}
-        for a1, b1 in ends:
-            key = (a1, (a1 + b1) & 1)
-            if a1 != a0 and key not in off_line:
-                off_line[key] = probe(at(a0, 0), at(a1, b1))
-            background.append(off_line.get(key, 0))
-        backgrounds.append(background)
-    # Endpoints on the line of a node with first coordinate a0 (edge
-    # memory: the two at the ends of its own column), by row slot; their
-    # decisions, like `lines`, by (parity, b0, b1), filled on demand.
-    on_line = [
-        [(grid + k, b1) for k, (a1, b1) in enumerate(ends) if a1 == a0]
-        for a0 in range(first)
-    ]
-    end_lines: Dict[Tuple[int, int, int], int] = {}
-
-    def append_row(rows: array, node: Coord) -> None:
-        a0, b0 = node if first_is_x else (node.y, node.x)
-        base = len(rows)
-        start = base + a0 * step
-        rows.extend(backgrounds[a0])
-        rows[start : start + span : stride] = lines[a0 & 1][b0]
-        q = a0 & 1
-        for slot, b1 in on_line[a0]:
-            out = end_lines.get((q, b0, b1))
-            if out is None:
-                out = end_lines[q, b0, b1] = probe(at(q, b0), at(q, b1))
-            rows[base + slot] = out
-
-    return append_row
+        lines.append(None)
+        geometry.append((lines, range(-lo[j], shape[j] - lo[j])))
+    axtab: List[int] = []
+    for probe in probes:
+        for j, (lines, routers) in enumerate(geometry):
+            for c in range(span[j]):
+                for d in range(span[j]):
+                    for parity in (0, 1):
+                        line = lines[(parity + d + lo[j]) & 1]
+                        axtab.append(
+                            probe(line[c], line[d])
+                            if line is not None and c in routers
+                            else 0
+                        )
+    tables["axtab"] = array("i", axtab)
 
 
-def _tabulate_wormhole_routes(model, routing, nsub: int, tables) -> None:
-    """Closed-form route rows, one per node and input-equivalence class.
+def _tabulate_wormhole_routes(model, routing, grid, nsub: int, tables) -> None:
+    """Closed-form route tables, one per input-equivalence class.
 
     ``route(node, in_dir, dest, subnet)`` depends on ``in_dir`` only
     through axis membership (and only for :class:`RucheDOR`'s
     second-axis Ruche-boarding rule), so one representative input per
     class tabulates every input port exactly, and the input ports of a
-    class share that class's row.  Each (class, subnet) row set comes
-    from a :func:`_row_assembler`, so ``route`` is called on
+    class share that class's tables (``cls``).  Each (class, subnet)
+    table comes from :func:`_axis_tables`, so ``route`` is called on
     axis-aligned pairs only.
     """
     if type(routing) is RucheDOR:
@@ -704,24 +753,21 @@ def _tabulate_wormhole_routes(model, routing, nsub: int, tables) -> None:
         cls_of_in = (0,) * NUM_DIRS
         reps = (Direction.P,)
     route = routing.route
-    appenders = [
-        _row_assembler(
-            model.config,
+    _axis_tables(
+        model,
+        grid,
+        [
             lambda node, dest, rep=rep, sub=sub: int(
                 route(node, rep, dest, sub)
-            ),
-            model.endpoints,
-        )
-        for rep in reps
-        for sub in range(nsub)
-    ]
-    tables["rowlen"] = nsub * model.nd
-    tables["rows"] = rows = array("i")
-    tables["rowof"] = rowof = array("i")
-    for r, coord in enumerate(model.nodes):
-        for append_row in appenders:
-            append_row(rows, coord)
-        rowof.extend(r * len(reps) + cls for cls in cls_of_in)
+            )
+            for rep in reps
+            for sub in range(nsub)
+        ],
+        tables,
+    )
+    tables["cls"] = array(
+        "i", (cls * nsub * tables["sublen"] for cls in cls_of_in)
+    )
 
 
 def _tabulate_fault_routes(model, routing, tables) -> None:
@@ -741,11 +787,12 @@ def _tabulate_fault_routes(model, routing, tables) -> None:
     for d, dest in enumerate(model.nodes):
         for (coord, in_idx), out in routing.next_hop_items(dest):
             by_state[node_index[coord], in_idx][d] = out
-    _pack_state_rows(tables, by_state, blank, model.n)
+    _pack_state_rows(model, tables, by_state, blank)
 
 
-def _pack_state_rows(tables, by_state, blank, n: int) -> None:
-    """Write ``rows`` / ``rowof`` / ``rowlen`` from per-state rows.
+def _pack_state_rows(model, tables, by_state, blank) -> None:
+    """Write the flat form, ``rows`` / ``rowof`` / ``rowlen``, from
+    per-state rows.
 
     A ``(router, input)`` state no table mentions gets the ``blank``
     row, and equal rows are stored once, so the kernel's rows table
@@ -753,10 +800,11 @@ def _pack_state_rows(tables, by_state, blank, n: int) -> None:
     most inputs of a node share a row).
     """
     index: Dict[Tuple[int, ...], int] = {}
+    tables["sublen"] = model.nd
     tables["rowlen"] = len(blank)
     tables["rows"] = rows = array("i")
     tables["rowof"] = rowof = array("i")
-    for r in range(n):
+    for r in range(model.n):
         for i in range(NUM_DIRS):
             row = by_state.get((r, i), blank)
             key = tuple(row)
@@ -820,10 +868,10 @@ def _tabulate_generic_routes(model, graph, routing, nsub: int, tables) -> None:
                     f"{subnet} outside the {nsub} modelled subnet(s)",
                 )
             by_state[node_index[coord], in_idx][subnet * nd + d] = out
-    _pack_state_rows(tables, by_state, blank, n)
+    _pack_state_rows(model, tables, by_state, blank)
 
 
-def _tabulate_vc_routes(model, routing, tables) -> None:
+def _tabulate_vc_routes(model, routing, grid, tables) -> None:
     """Decompose ``route_vc`` into (output, non-same-dim VC, dateline).
 
     The output port is a pure function of ``(node, dest)`` (taken
@@ -832,18 +880,16 @@ def _tabulate_vc_routes(model, routing, tables) -> None:
     ``sd`` lets the kernel reconstruct at accept time, and the
     remaining cases — dateline promotion and the ahead/spread choice —
     are pure ``(node, dest)`` arithmetic mirrored from the reference,
-    written to ``out`` / ``vcn`` / ``dl`` (flat ``(router, dest)``).
-    All three are axis + parity separable, so
-    each comes from a :func:`_row_assembler` over axis-aligned pairs
-    (endpoint columns included: the arithmetic holds for the phantom
-    rows' coordinates).
+    packed into one table entry, ``out | vcn << 3 | dl << 4``.
+    All three are axis + parity separable, so the entries come from
+    :func:`_axis_tables` over axis-aligned pairs (endpoint coordinates
+    included: the arithmetic holds for the phantom rows').
     """
     config = model.config
     y_ring = config.kind is TopologyKind.FOLDED_TORUS
     east, south = int(Direction.E), int(Direction.S)
 
-    @functools.lru_cache(maxsize=None)
-    def hop(coord: Coord, dest: Coord) -> Tuple[int, int, int]:
+    def hop(coord: Coord, dest: Coord) -> int:
         out = vcn = dateline = 0  # (P, 0) at the destination
         if dest != coord:
             out = int(routing.route_vc(coord, Direction.P, 0, dest)[0])
@@ -860,18 +906,10 @@ def _tabulate_vc_routes(model, routing, tables) -> None:
                 dateline = is_ring and cur == 0
             if is_ring and not ahead:
                 vcn = (dest.x + dest.y) & 1
-        return out, vcn, dateline
+        return out | vcn << 3 | dateline << 4
 
-    for plane, name in enumerate(("out", "vcn", "dl")):
-        table = array("i")
-        append_row = _row_assembler(
-            config,
-            lambda coord, dest, plane=plane: hop(coord, dest)[plane],
-            model.endpoints,
-        )
-        for coord in model.nodes:
-            append_row(table, coord)
-        tables[name] = table
+    _axis_tables(model, grid, [hop], tables)
+    tables["cls"] = array("i", [0]) * VCRouter.NUM_PORTS
     # sd[in_port * 5 + out_port], exactly as TorusDOR.route_vc
     # evaluates it for the five mesh ports.  An injection-port input is
     # never same-dimension; a P output never consults the flag (the
@@ -1316,7 +1354,7 @@ class _RunState:
         self.dirty = new([1] * n) if model.kind == "vc" else None
         #: The growable per-packet records, by the context field each
         #: fills (`paux` is the one the router kinds do not share: the
-        #: assigned VC, or the route-row offset subnet * nd).
+        #: assigned VC, or the subnet offset subnet * sublen).
         self.pk = {
             name: array("i", bytes(4 * _PK_CAP0))
             for name in (
@@ -1359,8 +1397,6 @@ class _RunState:
             ej=self.ej, nej=self.nej,
             **self.pk,
         )
-        if model.subnet_tab is not None:
-            fill["subnet"] = model.subnet_tab
         if self.dirty is not None:
             fill.update(prio=new(n), dirty=self.dirty)
         if self.ejlog_a is not None:
@@ -1447,10 +1483,14 @@ class _RunState:
             cap = c.pk_cap
             while cap < need:
                 cap *= 2
-            grow = bytes(4 * (cap - c.pk_cap))
+            # Zeros go on a block at a time: one block the size of the
+            # growth would be as large as the arrays themselves.
+            grown = cap - c.pk_cap
+            block = bytes(4 * min(grown, _PK_CAP0))
             c.pk_cap = cap
             for name, a in self.pk.items():
-                a.frombytes(grow)
+                for _ in range(4 * grown // len(block)):
+                    a.frombytes(block)
                 setattr(c, name, _ptr(a))
         if self.ejlog_a is not None and nd > c.ej_cap:
             cap = c.ej_cap
@@ -1473,11 +1513,11 @@ class _RunState:
 
         model = self.model
         coords = (*model.nodes, *model.endpoints)
-        nd = model.nd
         buf, pk = self.buf, self.pk
         pnext, psrc, pinj = pk["pnext"], pk["psrc"], pk["pinj"]
         pmeas, pdest, paux = pk["pmeas"], pk["pdest"], pk["paux"]
-        has_subnets = model.subnet_tab is not None
+        has_subnets = "spar" in model.tables
+        sublen = model.tables["sublen"]
         net = self.rebuild()
         routers = [net.routers[coord] for coord in model.nodes]
         for q, r, i, lane in self._queues():
@@ -1497,7 +1537,7 @@ class _RunState:
                     coords[psrc[pid]],
                     coords[pdest[pid]],
                     pinj[pid],
-                    subnet=(paux[pid] // nd) if has_subnets else 0,
+                    subnet=(paux[pid] // sublen) if has_subnets else 0,
                     measured=bool(pmeas[pid]),
                 )
                 routers[r].accept(pkt, i, lane)

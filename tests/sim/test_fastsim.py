@@ -255,6 +255,30 @@ class TestKernelSource:
             assert params.count("Ctx *") <= 1, name
         assert not re.search(r"\?\s*\w+->\w+\s*:\s*\w+->", source)
 
+    def test_route_tables_are_read_in_one_place(self):
+        """Every route-table member is dereferenced inside
+        ``route_lookup()`` and nowhere else — whichever form a model
+        carries, the steps, ``enqueue`` and ``hop_count`` cannot tell —
+        and the per-pair planes it replaced are gone."""
+        source = re.sub(r"/\*.*?\*/", "", _ckernel._SOURCE, flags=re.S)
+        (lookup,) = re.findall(
+            r"^static inline int route_lookup\(.*?^}\n", source, re.M | re.S
+        )
+        members = r"->\s*(rows|rowof|rowlen|axtab|dkey|rkey|cls|nax)\b"
+        assert len(set(re.findall(members, lookup))) == 8
+        assert not re.search(members, source.replace(lookup, ""))
+        assert {"out", "vcn", "dl", "subnet"}.isdisjoint(
+            name for name, _ in _ckernel.Ctx._fields_
+        )
+        callers = re.findall(
+            r"^(?:static )?(?:inline )?\w+ (\w+)\([^)]*\)\n\{(.*?)^}\n",
+            source,
+            re.M | re.S,
+        )
+        assert [
+            name for name, body in callers if "route_lookup(" in body
+        ] == ["step_noc", "step_vc", "enqueue", "hop_count"]
+
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_lint_build_is_warning_free(self, tmp_path):
         source = tmp_path / "step_noc.c"

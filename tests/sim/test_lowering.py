@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import registry
-from repro.core.coords import Coord
+from repro.core.coords import Coord, Coord3
 from repro.core.portgraph import PortChannel, PortGraph
 from repro.core.routing import (
     MeshDOR,
@@ -30,6 +30,7 @@ from repro.core.routing import (
     make_fault_aware_routing,
 )
 from repro.core.spec import NetworkSpec, build_run, resolve_run
+from repro.core.topo3d import Mesh3dTopology
 from repro.core.topology import Topology
 from repro.errors import ConfigError, RoutingError
 from repro.sim import fastsim
@@ -135,27 +136,44 @@ def test_lowering_builds_no_network(monkeypatch):
 # Golden lowered tables
 # ---------------------------------------------------------------------------
 #: The order the golden hashes below read a model's tables in (and the
-#: complete key set of ``model.tables``), per router kind.
-_TABLE_LABELS = {
-    "vc": (
-        "plist", "pofs", "pcnt", "dn", "feed", "out", "vcn", "dl", "sd",
-    ),
-    "wormhole": (
-        "dn", "ncv", "cands", "pm", "needs", "rowof", "rows", "rowlen",
-    ),
+#: complete key set of ``model.tables``): the wiring, per router kind,
+#: then the route tables, per form — axis tables for the builtin
+#: dimension-ordered routings on their grid, flat rows for the
+#: fault-aware BFS tables and the generic walk.  A two-subnet model
+#: adds the parity vectors ``spar`` and ``par``.
+_WIRING_LABELS = {
+    "vc": ("plist", "pofs", "pcnt", "dn", "feed", "sd"),
+    "wormhole": ("dn", "ncv", "cands", "pm", "needs"),
 }
-_TABLE_LABELS["fbfc"] = _TABLE_LABELS["wormhole"]
+_WIRING_LABELS["fbfc"] = _WIRING_LABELS["wormhole"]
+_AXIS_LABELS = ("nax", "dkey", "rkey", "cls", "axtab", "sublen")
+_FLAT_LABELS = ("rowof", "rows", "rowlen")
 
 
 def table_fingerprint(model):
-    """sha256 over ``in_ports``, ``subnet_tab`` and every table array
-    (and, where there are endpoints, their entry and sink wiring)."""
+    """sha256 over ``in_ports`` and every table array (and, where there
+    are endpoints, their entry and sink wiring).
+
+    A flat-rows model hashes exactly what it did before the axis form
+    existed — the per-pair subnet table first (expanded from the parity
+    vectors; ``None`` for one subnet), ``sublen`` checked, not hashed —
+    so its goldens are the ones recorded then.
+    """
     digest = hashlib.sha256()
     digest.update(repr([list(p) for p in model.in_ports]).encode())
-    labels = _TABLE_LABELS[model.kind]
-    assert sorted(model.tables) == sorted(labels)
-    parts = [("subnet_tab", model.subnet_tab)]
-    parts += [(name, model.tables[name]) for name in labels]
+    tables = dict(model.tables)
+    spar, par = tables.pop("spar", None), tables.pop("par", None)
+    if "axtab" in tables:
+        labels = _WIRING_LABELS[model.kind] + _AXIS_LABELS
+        parts = [("spar", spar), ("par", par)]
+    else:
+        labels = _WIRING_LABELS[model.kind] + _FLAT_LABELS
+        assert tables.pop("sublen") == model.nd
+        parts = [("subnet_tab", spar and array(
+            "i", (s ^ d for s in spar for d in par)
+        ))]
+    assert sorted(tables) == sorted(labels)
+    parts += [(name, tables[name]) for name in labels]
     if model.endpoints:
         parts += [("entry", model.entry), ("sink_of", model.sink_of)]
     for name, value in parts:
@@ -168,62 +186,66 @@ def table_fingerprint(model):
     return digest.hexdigest()
 
 
-#: Content addresses of the lowered tables, recorded at the last commit
-#: that *extracted* them from a reference ``Network`` (PR 13).  They pin
-#: candidate order, position maps, FBFC entry needs, VC feeders, masked
-#: ports and route-row packing across every router family.  The three
-#: ``dor_order="yx"`` entries (what a manycore ``rev`` network lowers,
-#: less its endpoints) were recorded at PR 14, the last commit whose
-#: tabulators called the routing once per ``(node, dest)`` pair.  The
-#: two ``edge_memory`` entries (a manycore ``fwd`` and a ``rev``
-#: network as :class:`~repro.sim.fastsim.CompiledFabric` steps them:
-#: endpoint columns, sink outputs, entry queues) were recorded at
-#: PR 19, when endpoints first lowered, against the reference machine
-#: they reproduce bit for bit.
+#: Content addresses of the lowered tables.  They pin candidate order,
+#: position maps, FBFC entry needs, VC feeders, masked ports and the
+#: route tables across every router family.  The three flat-rows
+#: entries (``express-mesh`` and the two faulted points) are the ones
+#: recorded at the last commit that *extracted* the tables from a
+#: reference ``Network`` (PR 13).  The sixteen axis-form entries —
+#: three routed Y-X (what a manycore ``rev`` network lowers), two with
+#: ``edge_memory`` (a manycore ``fwd`` and a ``rev`` network as
+#: :class:`~repro.sim.fastsim.CompiledFabric` steps them: endpoint
+#: coordinates, sink outputs, entry queues), two 3-D — were recorded at
+#: PR 24, when the route tables changed form, after a script on that
+#: commit and its parent expanded the axis tables back to the flat
+#: arrays these entries pinned before (PR 13 / 14 / 19) and found them
+#: byte-equal, wiring included, on 84 design points — the 3-D ones,
+#: which pinned the generic walk's rows, equal on every state the walk
+#: tabled (``CHANGES.md``).
 GOLDEN_TABLES = {
     ("mesh", 8, 8, ()): (
-        "9016c9911a854324d27050ef2dad2e5e"
-        "5e823aaafe6ef2d08fbc1dcd9e4e9fbf"
+        "ef5bc7fd58d22e3b3d944d6e2f6ad646"
+        "919c7f98d74fba675910bc6d239f881a"
     ),
     ("torus-fbfc", 8, 8, ()): (
-        "fa76f9e102bc3f90318420f1efdc9936"
-        "7a87933f2cbbd10630f0b45964859a52"
+        "1314aea45d9817b18d6e881f849c8e3e"
+        "fe964294fb4d62860f059f6476ef4ed8"
     ),
     ("half-torus-fbfc", 16, 8, ()): (
-        "c5d284ebabd6a46f60565a31d899871b"
-        "79e55b65f388076892f0a733a0df357e"
+        "e0522ccd44fdb17f8c06e8e28dff5630"
+        "2aee91e78d559820313c40f14f05a793"
     ),
     ("torus", 8, 8, ()): (
-        "701f479c602a27d031487dbd4c6cf6b5"
-        "75dc5a781f5fc7c10c763c0c0562b722"
+        "eb6a8ac921cb2265edc0a860c7905aa5"
+        "2b064d693da8aad03b1eaefbac7ea192"
     ),
     ("half-torus", 16, 8, ()): (
-        "9f6a109ef0ea99a13855868207cad745"
-        "a769916ec0245a3906218c40b4f02a89"
+        "fcf7b72b9ea312d83a271a2a96ea0c12"
+        "1da95a51b328fdc5b5ca857b4d6d6c7f"
     ),
     ("multimesh", 8, 8, ()): (
-        "40a8ba57819603c2ae0a014745577ca2"
-        "d3aa0785d07ebec50e4748cc820a7929"
+        "b25a664aa2b7c7d42634ce168a4f6950"
+        "57f22f36136fa99eb7a1533ea8790051"
     ),
     ("ruche1", 8, 8, ()): (
-        "8a04bf642f8a01752bdc0b81428b22c2"
-        "c215073b8bd39718575e18aeb75acf32"
+        "a136b30efc6f68942989430e77aa1578"
+        "721ad8d08db768f089fcf6ff8d99209a"
     ),
     ("ruche2-depop", 8, 8, ()): (
-        "cf15a8aacb86ecdbcf45e1d5b948fc2b"
-        "0a2ded13a970ac0bc4fe22f1adc376c3"
+        "b047bec4190ae4411bb46440637df234"
+        "c0c35bb62ecf08aa9ec1f9ddd7ea7979"
     ),
     ("ruche3-pop", 16, 8, (("half", True),)): (
-        "d69487916fa2df13ee554cb493ce29e9"
-        "5f81267aaeb26c5c4ae34012db11593a"
+        "dfb1cecf0e6e7fcd596736c4609e0437"
+        "18d4b83cd85393c87eaae0235a4d3061"
     ),
     ("torus3d", 4, 4, (("depth", 4),)): (
-        "c4b59943e25abafc7d3df820db569a8e"
-        "9761e7e2c7807844c6f8f6afa24e6e89"
+        "cb53a80676b28d14bfa07d49411044ac"
+        "165745d75ef09f4a44873d99f937286e"
     ),
     ("mesh3d", 8, 8, (("depth", 2),)): (
-        "e3d811188986029def0bbb11a92e0fec"
-        "ee0dd30f79433cb22749e463a502fd4d"
+        "155da7aaf34b7058394ad40b0ea58bd7"
+        "98d8aaf151bf5deb059be5fa0db2b6cf"
     ),
     ("express-mesh", 16, 8, ()): (
         "73c478616ab2b372dabb90c97ed4b276"
@@ -241,24 +263,24 @@ GOLDEN_TABLES = {
         "e4461930b596676bd7a41b19c99db07a"
     ),
     ("mesh", 8, 8, (("dor_order", "yx"),)): (
-        "0f82f3fc960dc9dd9827e0980c685738"
-        "263b2ed5f563187028f19a2c2896b424"
+        "fdc051031b64d26f915e75612803c60e"
+        "0dc9052778d40ae47b706167637c2246"
     ),
     ("ruche2-depop", 16, 8, (("dor_order", "yx"), ("half", True))): (
-        "290e3d16f2274cf9208d88d4583e91ac"
-        "197c8c6cf14af6376fee3602c276a316"
+        "6f4fba70262dc3746a8bdd3db8b5d7a5"
+        "ac4f87e1628ae5ef4b2cbe20cb744559"
     ),
     ("half-torus", 16, 8, (("dor_order", "yx"),)): (
-        "af1b09468bb813e5a0ff6516a9ee6bf4"
-        "de8d2b2210672bb77bc3b40e5ef38385"
+        "c8cb8be90f1bde401972b13853789c31"
+        "791b6a069a9f76d01ab75a656298ff39"
     ),
     ("mesh", 8, 4, (("edge_memory", True),)): (
-        "680e72c0f36bf5da5a6026e98c576822"
-        "7fa793a0ba574e44c003e762dd74f701"
+        "15261e474b6e264778053d94d3a1e776"
+        "cd193cdafeec1c371674f29be769d04a"
     ),
     ("half-torus", 8, 4, (("dor_order", "yx"), ("edge_memory", True))): (
-        "dd6ece48a65d7f3c9fae237ce7c6e61c"
-        "3f1e4157dbea6d99636415adb5355916"
+        "c3ca7818dfb94e36dba5020237f1fe92"
+        "5175900f6a312fe7a4c6c327c2b1438f"
     ),
 }
 
@@ -274,6 +296,81 @@ def test_golden_lowered_tables(key, unpinned):
     problems, model = fastsim._resolve(resolve_run("lowering_problems", spec))
     assert problems == []
     assert table_fingerprint(model) == GOLDEN_TABLES[key]
+
+
+# ---------------------------------------------------------------------------
+# Route tables the size of the axes, not the square of the array
+# ---------------------------------------------------------------------------
+_ROUTE_TABLES = (
+    "dkey", "rkey", "cls", "axtab", "spar", "par", "rowof", "rows",
+)
+
+
+def _table_bytes(model, names=None):
+    """Bytes of a model's static tables: a property of the lowering,
+    read off the arrays — not an RSS reading."""
+    return sum(
+        len(value) * value.itemsize
+        for name, value in model.tables.items()
+        if isinstance(value, array) and (names is None or name in names)
+    )
+
+
+@pytest.mark.parametrize("name", ["mesh", "torus"])
+def test_route_tables_scale_with_the_axes(name):
+    """The ``tail`` experiment's full-scale points: one entry per
+    ``(node, dest)`` pair is 67.1 MB (mesh) and 201.3 MB (torus, three
+    planes) of route tables at 64x64; two 64x64x2 axis tables and the
+    per-id keys are a few hundred KB.  What is left is the wiring, a
+    fixed number of bytes per router port."""
+    spec = NetworkSpec.for_network(name, 64, 64)
+    model = fastsim._compile(spec, spec.config())
+    assert _table_bytes(model, _ROUTE_TABLES) < 1 << 20
+    # Per port: dn (4 B), and on the wormhole / FBFC routers ncv (4 B)
+    # and a candidate list, a needs list and a position-map row of 9
+    # entries each (108 B); the route tables add under a byte at 64x64.
+    assert _table_bytes(model) <= 128 * model.n * model.nports
+
+
+def test_a_128x128_mesh_lowers_and_routes():
+    """16 384 routers: 1 GB of per-pair route rows, or 0.46 MB of axis
+    tables.  Sixteen packets between far corners and near neighbours
+    arrive, each after exactly its Manhattan distance in channels."""
+    from repro.sim.router import Sink
+
+    if fastsim._native_kernel() is None:
+        pytest.skip("no native kernel: nothing lowers on this host")
+    config = NetworkSpec.for_network("mesh", 128, 128).config()
+    # Judged as the bare config the fabric below compiles, so the one
+    # lowering serves both.
+    assert fastsim.lowering_problems(
+        config, pattern="uniform_random", rate=0.01, engine="compiled"
+    ) == []
+    model = fastsim._compile(config, config)
+    assert _table_bytes(model, _ROUTE_TABLES) < 1 << 20
+    arrived = []
+
+    class Log(Sink):
+        def deliver(self, packet, cycle):
+            arrived.append((packet.src, packet.dest))
+
+    fabric = fastsim.CompiledFabric(config, lambda coord: Log(), None)
+    corners = [Coord(0, 0), Coord(127, 0), Coord(0, 127), Coord(127, 127)]
+    pairs = [(a, b) for a in corners for b in corners if a != b]
+    pairs += [
+        (Coord(64, 64), Coord(65, 64)), (Coord(64, 64), Coord(64, 63)),
+        (Coord(3, 120), Coord(100, 7)), (Coord(90, 1), Coord(2, 99)),
+    ]
+    assert len(pairs) == 16
+    for src, dest in pairs:
+        assert fabric.hop_count(src, dest) == src.manhattan(dest)
+        fabric.inject(src, dest)
+    fabric.step()  # the offers enter with the next cycle's block
+    while fabric.occupancy:
+        fabric.step()
+    assert sorted(arrived) == sorted(pairs)
+    assert sum(fabric.hop_counts) == sum(a.manhattan(b) for a, b in pairs)
+    assert fabric.cycle <= 2 * 127 + 16
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +478,21 @@ class _ColumnMajorMesh(Topology):
         )
 
 
+class _LayerMinorMesh3d(Mesh3dTopology):
+    """A 3-D mesh whose tiles are enumerated z innermost."""
+
+    def _build_nodes(self):
+        return (
+            Coord3(x, y, z)
+            for y in range(self.height)
+            for x in range(self.width)
+            for z in range(self.config.depth)
+        )
+
+
 def _mesh_config(name, width, height, **options):
-    return NetworkSpec.for_network("mesh", width, height, **options).config()
+    kind = "mesh3d" if "depth" in options else "mesh"
+    return NetworkSpec.for_network(kind, width, height, **options).config()
 
 
 @pytest.fixture()
@@ -408,6 +518,7 @@ def test_components():
         "test-injection-graph": _InjectionWiredGraph,
         "test-stub-graph": _StubEndpointGraph,
         "test-column-major": _ColumnMajorMesh,
+        "test-layer-minor": _LayerMinorMesh3d,
     }
     for name, topology in graphs.items():
         registry.register_topology(
@@ -551,27 +662,44 @@ def test_endpoints_lower_through_the_generic_walk_too(
         assert any(rows[row + d] >= 0 for d in range(model.nd)), e
 
 
-def test_exact_routing_off_the_row_major_grid_takes_the_walk(
-    test_components, monkeypatch
-):
-    """The per-axis row assembler indexes the row-major tile grid; an
-    exact ``MeshDOR`` over any other node order still compiles, through
-    the generic IR walk, and still equals the reference."""
+def _walked_spec(monkeypatch, topology, **options):
+    """A spec on a permuted grid: it must compile, through the generic
+    IR walk into flat rows (no axis tables), and equal the reference."""
     monkeypatch.setattr(
         fastsim,
-        "_row_assembler",
-        lambda *args: pytest.fail("assembled rows for a permuted grid"),
+        "_axis_tables",
+        lambda *args: pytest.fail("axis tables for a permuted grid"),
     )
-    spec = _run_spec("test-column-major", 6, 4, engine="compiled")
+    spec = _run_spec(topology, 6, 4, engine="compiled", **options)
     assert fastsim.lowering_problems(spec) == []
     compiled = build_run(spec)
     assert compiled.engine == "compiled"
     reference = build_run(spec.replace(engine="reference"))
     assert fingerprint(compiled) == fingerprint(reference)
+    model = fastsim._resolve(resolve_run("lowering_problems", spec))[1]
+    assert "rows" in model.tables and "axtab" not in model.tables
+    return spec
+
+
+def test_exact_routing_off_the_row_major_grid_takes_the_walk(
+    test_components, monkeypatch
+):
+    """The axis tables are for the row-major tile grid the builtin
+    topologies emit; an exact ``MeshDOR`` over any other node order
+    still compiles, through the generic IR walk, and still equals the
+    reference."""
+    spec = _walked_spec(monkeypatch, "test-column-major")
     vc = spec.replace(router="vc", routing="torus-dor")
     assert [d.code for d in fastsim.lowering_problems(vc)] == [
         "unsupported-routing"
     ]
+
+
+def test_exact_3d_routing_off_the_layer_major_grid_takes_the_walk(
+    test_components, monkeypatch
+):
+    """The 3-D twin: ``Mesh3dDOR`` over a z-innermost node order."""
+    _walked_spec(monkeypatch, "test-layer-minor", depth=3)
 
 
 @pytest.mark.parametrize("plugin_first", [False, True])

@@ -1,18 +1,21 @@
-"""The assembled route rows are the all-pairs rows, byte for byte.
+"""The axis tables read back as the all-pairs rows, byte for byte.
 
-``fastsim._row_assembler`` fills the builtin dimension-ordered route
-tables from axis-aligned route calls only, which is exact because every
-``_SUPPORTED_ROUTINGS`` decision is axis + parity separable.  Nothing at
-run time re-checks that property: this module is what pins it.  The
-all-pairs comprehensions below — one ``route`` / ``route_vc`` call per
-``(node, dest)``, the form the lowering used before — are the oracle,
-and exist only here.  Destinations include the endpoint columns of the
-edge-memory design points (what a manycore network lowers): off the
-grid, under the same two rules.
+``fastsim._axis_tables`` stores, for the builtin dimension-ordered
+routings, one small table per routed axis, filled from axis-aligned
+route calls only — exact because every ``_SUPPORTED_ROUTINGS`` decision
+is axis + parity separable.  Nothing at run time re-checks that
+property: this module is what pins it.  The all-pairs comprehensions
+below — one ``route`` / ``route_vc`` call per ``(node, dest)``, the
+form the lowering stored before — are the oracle, and exist only here;
+:func:`route_lookup` mirrors the index arithmetic of the kernel's
+``route_lookup()`` and expands the axis tables into that form.
+Destinations include the endpoints of the edge-memory design points
+(what a manycore network lowers): off the grid, under the same rule.
 
-The second half ties the rows the kernel reads to the next-hop tables
-the certifier proves (``core.routing.tabulate_next_hops``), state by
-state.
+The second half ties what the kernel reads to the next-hop tables the
+certifier proves (``core.routing.tabulate_next_hops``), state by state,
+and the last part asks the kernel itself: its ``hop_count`` export, over
+every pair of ids, against ``routing.hop_count``.
 """
 
 from array import array
@@ -23,9 +26,9 @@ from property.settings import intensity
 from repro.core.coords import Direction
 from repro.core.params import TopologyKind
 from repro.core.routing import RucheDOR, tabulate_next_hops
-from repro.core.spec import NetworkSpec, resolve_components
+from repro.core.spec import NetworkSpec, resolve_components, resolve_run
 from repro.errors import ConfigError
-from repro.sim import fastsim
+from repro.sim import _ckernel, fastsim
 from repro.sim.router import NUM_DIRS, P_IDX, VCRouter
 from repro.verify.matrix import paper_spec_matrix
 
@@ -48,6 +51,11 @@ FAMILIES = (
 #: Odd x odd, even x odd and odd x even rings (half-ring ties exist on
 #: even rings only), and the legal one-row array.
 ODD_SIZES = ((7, 5), (6, 9), (9, 4), (8, 1))
+
+#: The 3-D packs: cubic, every axis a different size, a one-row plane,
+#: three layers — rings of 1, 2 (even, every hop a half-ring tie), 3, 5
+#: (odd), 4 and 6 (even) — and, once, a ``dor_order`` they must ignore.
+SIZES_3D = ((4, 4, 4), (5, 3, 2), (4, 1, 2), (6, 5, 3))
 
 #: The families that admit edge memory (as Half networks, for Ruche).
 EDGE_FAMILIES = (
@@ -96,13 +104,25 @@ def _design_points():
             except ConfigError:
                 continue  # a Ruche Factor that does not fit the array
             points.setdefault((point.topology, config), point)
+    for name in ("mesh3d", "torus3d"):
+        for width, height, depth in SIZES_3D:
+            point = NetworkSpec.for_network(
+                name, width, height, depth=depth, dor_order="xy"
+            )
+            points[name, point.config()] = point
+        point = NetworkSpec.for_network(
+            name, 3, 4, depth=2, dor_order="yx"
+        )
+        points[name, point.config()] = point
     return list(points.values())
 
 
 def _point_id(spec):
     options = dict(spec.options)
+    depth = options.get("depth")
     return "-".join(
-        [spec.topology, f"{spec.width}x{spec.height}"]
+        [spec.topology, f"{spec.width}x{spec.height}"
+         + (f"x{depth}" if depth else "")]
         + (["half"] if options.get("half") else [])
         + (["edge"] if options.get("edge_memory") else [])
         + [options["dor_order"]]
@@ -125,6 +145,66 @@ def _lowered(spec):
 
 
 # ---------------------------------------------------------------------------
+# The reader: the kernel's route_lookup(), mirrored
+# ---------------------------------------------------------------------------
+def route_lookup(model, r, in_port, sub, d):
+    """The table entry ``route_lookup(c, r, in, sub, d)`` returns in C,
+    by the same index arithmetic over the same arrays."""
+    tables = model.tables
+    nax = tables.get("nax", 0)
+    if not nax:
+        row = tables["rowof"][r * model.nports + in_port]
+        return tables["rows"][row * tables["rowlen"] + sub + d]
+    dkey, rkey = tables["dkey"], tables["rkey"]
+    j = nax - 1
+    for k in reversed(range(nax - 1)):
+        if (dkey[r * nax + k] ^ dkey[d * nax + k]) >> 1:
+            j = k
+    return tables["axtab"][
+        tables["cls"][in_port] + sub + rkey[r * nax + j] + dkey[d * nax + j]
+    ]
+
+
+def subnet_of(model, s, d):
+    """``route_base()``'s parity subnet of a packet ``s -> d``."""
+    tables = model.tables
+    return tables["spar"][s] ^ tables["par"][d] if "spar" in tables else 0
+
+
+def expanded_wormhole_rows(model, reps):
+    """The axis tables as ``all_pairs_wormhole_rows`` lays rows out."""
+    tables = model.tables
+    nsub = 2 if "spar" in tables else 1
+    classes = sorted(set(tables["cls"]))
+    assert len(classes) == len(reps)
+    rows = array("i")
+    rowof = array("i")
+    for r in range(model.n):
+        for rep in reps:
+            for sub in range(nsub):
+                rows.extend(
+                    route_lookup(model, r, int(rep), sub * tables["sublen"], d)
+                    for d in range(model.nd)
+                )
+        rowof.extend(r * len(reps) + classes.index(c) for c in tables["cls"])
+    return rows, rowof, nsub * model.nd
+
+
+def expanded_vc_tables(model):
+    """The packed axis entries as the ``(out, vcn, dl)`` planes; every
+    input port reads the one class."""
+    assert set(model.tables["cls"]) == {0}
+    out_tab, vcn_tab, dl_tab = array("i"), array("i"), array("i")
+    for r in range(model.n):
+        for d in range(model.nd):
+            entry = route_lookup(model, r, P_IDX, 0, d)
+            out_tab.append(entry & 7)
+            vcn_tab.append(entry >> 3 & 1)
+            dl_tab.append(entry >> 4)
+    return out_tab, vcn_tab, dl_tab
+
+
+# ---------------------------------------------------------------------------
 # The oracle: one Python route call per (node, dest)
 # ---------------------------------------------------------------------------
 def all_pairs_wormhole_rows(model, routing):
@@ -135,8 +215,12 @@ def all_pairs_wormhole_rows(model, routing):
     else:
         cls_of_in = (0,) * NUM_DIRS
         reps = (Direction.P,)
-    nsub = 1 if model.subnet_tab is None else 2
     dests = (*model.nodes, *model.endpoints)
+    nsub = 1 + max(
+        routing.injection_subnet(src, dest)
+        for src in model.nodes
+        for dest in dests
+    )
     rows = array("i")
     rowof = array("i")
     for r, coord in enumerate(model.nodes):
@@ -147,7 +231,7 @@ def all_pairs_wormhole_rows(model, routing):
                      for dest in dests]
                 )
         rowof.extend(r * len(reps) + cls for cls in cls_of_in)
-    return rows, rowof, nsub * len(dests)
+    return rows, rowof, nsub * len(dests), reps
 
 
 def all_pairs_vc_tables(model, routing):
@@ -184,13 +268,16 @@ def test_design_points_cover_every_supported_routing():
     lowered = [
         (*_lowered(spec), dict(spec.options)["dor_order"])
         for spec in DESIGN_POINTS
-        if (spec.width, spec.height) == (9, 4)
+        if (spec.width, spec.height) in ((9, 4), (3, 4))
         and not dict(spec.options).get("edge_memory")
     ]
     assert {(type(parts.routing), order) for _, parts, order in lowered} == {
         (routing, order)
         for routing in fastsim._SUPPORTED_ROUTINGS
         for order in ("xy", "yx")
+        # The 3-D packs route X-Y-Z whatever dor_order says; they meet
+        # "xy" at the other sizes.
+        if order == "yx" or not routing.__module__.endswith("topo3d")
     }
     assert {(model.kind, order) for model, _, order in lowered} == {
         (kind, order)
@@ -202,17 +289,27 @@ def test_design_points_cover_every_supported_routing():
 @pytest.mark.parametrize("spec", DESIGN_POINTS, ids=_point_id)
 def test_assembled_rows_equal_all_pairs_rows(spec):
     model, components = _lowered(spec)
-    routing, tables = components.routing, model.tables
+    routing = components.routing
+    assert model.tables["nax"] == len(model.nodes[0])
+    assert "rows" not in model.tables
     if model.kind == "vc":
         out, vcn, dl = all_pairs_vc_tables(model, routing)
-        assert tables["out"].tobytes() == out.tobytes()
-        assert tables["vcn"].tobytes() == vcn.tobytes()
-        assert tables["dl"].tobytes() == dl.tobytes()
+        got_out, got_vcn, got_dl = expanded_vc_tables(model)
+        assert got_out.tobytes() == out.tobytes()
+        assert got_vcn.tobytes() == vcn.tobytes()
+        assert got_dl.tobytes() == dl.tobytes()
     else:
-        rows, rowof, rowlen = all_pairs_wormhole_rows(model, routing)
-        assert tables["rowlen"] == rowlen
-        assert tables["rowof"].tobytes() == rowof.tobytes()
-        assert tables["rows"].tobytes() == rows.tobytes()
+        rows, rowof, rowlen, reps = all_pairs_wormhole_rows(model, routing)
+        got_rows, got_rowof, got_rowlen = expanded_wormhole_rows(model, reps)
+        assert got_rowlen == rowlen
+        assert got_rowof.tobytes() == rowof.tobytes()
+        assert got_rows.tobytes() == rows.tobytes()
+    # The injection subnet of every pair is the XOR of two per-id bits.
+    dests = (*model.nodes, *model.endpoints)
+    for s, src in enumerate(model.nodes):
+        assert [subnet_of(model, s, d) for d in range(model.nd)] == [
+            routing.injection_subnet(src, dest) for dest in dests
+        ], src
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +340,8 @@ CERTIFIED_POINTS = [
     NetworkSpec.for_network(
         "half-torus", 8, 4, edge_memory=True, dor_order="yx"
     ),
+    NetworkSpec.for_network("mesh3d", 4, 3, depth=2),
+    NetworkSpec.for_network("torus3d", 4, 4, depth=3),
 ]
 
 
@@ -259,6 +358,7 @@ def test_kernel_rows_equal_certifier_tables(spec):
     model, components = _lowered(spec)
     routing, graph = components.routing, components.topology.port_graph()
     tables, n, nd = model.tables, model.n, model.nd
+    sublen = tables["sublen"]
     # Memory arrivals enter on a channel port, lane 0, subnet 0.
     entries = [
         (ch.dst, ch.in_port, 0, 0)
@@ -273,25 +373,92 @@ def test_kernel_rows_equal_certifier_tables(spec):
             r = model.node_index[node]
             if r >= n:
                 continue  # the walk's last state: on the endpoint itself
+            entry = route_lookup(model, r, in_port, subnet * sublen, d)
             if model.kind == "vc":
-                row = r * nd + d
-                assert tables["out"][row] == out
+                assert entry & 7 == out
                 # step_vc's accept-time VC reconstruction.
-                if tables["dl"][row]:
+                if entry >> 4:
                     lowered_vc = 1
                 elif tables["sd"][in_port * VCRouter.NUM_PORTS + out]:
                     lowered_vc = in_vc
                 else:
-                    lowered_vc = tables["vcn"][row]
+                    lowered_vc = entry >> 3 & 1
                 assert lowered_vc == vc, (node, in_port, in_vc, dest)
             else:
                 assert (in_vc, vc) == (0, 0)
-                row = tables["rowof"][r * NUM_DIRS + in_port]
-                at = row * tables["rowlen"] + subnet * nd + d
-                assert tables["rows"][at] == out, (
-                    node, in_port, subnet, dest,
-                )
+                assert entry == out, (node, in_port, subnet, dest)
             states += 1
     # At least the injection and ejection state of every pair.
     assert states >= n * nd
     assert P_IDX == graph.ejection_port
+
+
+# ---------------------------------------------------------------------------
+# The C lookup itself: hop_count over every pair of ids
+# ---------------------------------------------------------------------------
+#: One point per builtin family and table form: small tables indexed by
+#: computed coordinates are where an out-of-bounds read would hide from
+#: a bit-identity test, so CI runs this under the sanitizers.
+HOP_POINTS = [
+    NetworkSpec.for_network("mesh", 7, 5, dor_order="yx"),
+    NetworkSpec.for_network("ruche3-pop", 16, 8, half=True),
+    NetworkSpec.for_network("ruche2-depop", 9, 4),
+    NetworkSpec.for_network("ruche1", 6, 5),
+    NetworkSpec.for_network("multimesh", 6, 9),
+    NetworkSpec.for_network("torus-fbfc", 8, 5),
+    NetworkSpec.for_network("torus", 8, 6),
+    NetworkSpec.for_network("half-torus", 9, 4, dor_order="yx"),
+    NetworkSpec.for_network("mesh", 16, 8, edge_memory=True),
+    NetworkSpec.for_network(
+        "ruche2-depop", 16, 8, half=True, edge_memory=True, dor_order="yx"
+    ),
+    NetworkSpec.for_network(
+        "half-torus", 16, 8, edge_memory=True, dor_order="yx"
+    ),
+    NetworkSpec.for_network("mesh3d", 5, 3, depth=2),
+    NetworkSpec.for_network("torus3d", 4, 4, depth=3),
+    # Flat rows: fault-aware BFS tables (some pairs partitioned).
+    NetworkSpec.for_network(
+        "mesh", 8, 8, fault_links=6, fault_routers=2, fault_seed=4
+    ),
+]
+
+
+@pytest.mark.skipif(
+    _ckernel.get_kernel() is None, reason="no native kernel"
+)
+@pytest.mark.parametrize(
+    "spec",
+    HOP_POINTS,
+    ids=lambda s: _point_id(
+        s.with_options(dor_order=dict(s.options).get("dor_order", "xy"))
+    )
+    + ("-faulted" if s.fault_links else ""),
+)
+def test_kernel_hop_counts_equal_the_routing_walk(spec):
+    """``hop_count(ctx, s, d)`` walks ``route_lookup()`` and ``dn`` in C;
+    ``routing.hop_count`` walks the algorithm.  Every source id x every
+    destination id — endpoints as a manycore network meets them: as
+    destinations of an X-Y (request) network and as sources of a Y-X
+    (response) one, the directions in which the first routed hop of
+    the algorithm's walk is the endpoint's one channel."""
+    from repro.errors import RoutingError
+
+    run = resolve_run("lowering_problems", spec)
+    model = fastsim._compile(spec, run.config, run.faults)
+    routing = resolve_components(spec, run.config, run.faults)[0].routing
+    assert ("rows" in model.tables) == bool(spec.fault_links)
+    state = fastsim._RunState(model, None)
+    hop_count = _ckernel.get_kernel().hop_count
+    ids = (*model.nodes, *model.endpoints)
+    dead = run.faults.dead_routers if run.faults is not None else ()
+    yx = dict(spec.options).get("dor_order") == "yx"
+    for s, src in enumerate(ids[: None if yx else model.n]):
+        for d, dest in enumerate(ids[: model.n if yx else None]):
+            if src in dead:
+                continue
+            try:
+                expected = routing.hop_count(src, dest)
+            except RoutingError:
+                expected = -1
+            assert hop_count(state.cref, s, d) == expected, (src, dest)
