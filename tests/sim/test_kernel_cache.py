@@ -5,7 +5,9 @@ Each case runs in a fresh process whose every cache candidate
 (``REPRO_CACHE_DIR``, ``XDG_CACHE_HOME``, ``HOME``, ``TMPDIR``) points
 into ``tmp_path`` — a damaged entry above all: overwriting a library
 this process has mapped is a bus error, not a test.  Nothing here
-touches the real ``~/.cache``.
+touches the real ``~/.cache``.  The probe also drops the modules whose
+import it checks before it loads the kernel, so what it reports is what
+loading the kernel imported, not what interpreter start-up loaded.
 """
 
 import hashlib
@@ -33,6 +35,10 @@ pytestmark = pytest.mark.skipif(
 
 _PROBE = """
 import ctypes, json, sys, warnings
+# Interpreter start-up (site, .pth files) may already have imported
+# these; the check is about what loading the kernel imports.
+sys.modules.pop("subprocess", None)
+sys.modules.pop("tempfile", None)
 from repro.sim import _ckernel
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
