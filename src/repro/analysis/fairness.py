@@ -9,11 +9,11 @@ of per-tile average latencies under low-load uniform random traffic.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, Mapping
 
 from repro.core.coords import Coord
 from repro.core.params import NetworkConfig
+from repro.sim.metrics import tile_moments
 from repro.sim.simulator import run_synthetic
 
 
@@ -35,17 +35,14 @@ class FairnessSummary:
 def summarize_per_tile(
     config_name: str, per_tile_means: Mapping[Coord, float]
 ) -> FairnessSummary:
-    values = list(per_tile_means.values())
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return FairnessSummary(
-        config_name=config_name,
-        mean=mean,
-        stddev=math.sqrt(var),
-        min_tile=min(values),
-        max_tile=max(values),
-    )
+    """Figure 8 statistics of per-tile mean latencies.
+
+    The moments are :func:`~repro.sim.metrics.tile_moments`, the ones
+    the per-run fairness columns use: tiles that delivered nothing
+    (NaN mean) are excluded.
+    """
+    mean, stddev, low, high = tile_moments(per_tile_means)
+    return FairnessSummary(config_name, mean, stddev, low, high)
 
 
 def measure_fairness(

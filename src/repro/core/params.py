@@ -336,12 +336,6 @@ class NetworkConfig:
             return self.ruche_channel_latency
         return self.channel_latency
 
-    @property
-    def max_channel_latency(self) -> int:
-        return max(
-            self.channel_latency, self.ruche_channel_latency or 1
-        )
-
     def replace(self, **changes: Any) -> "NetworkConfig":
         """A copy with ``changes`` applied (dataclass ``replace``)."""
         return dataclasses.replace(self, **changes)

@@ -16,8 +16,12 @@ Consumers:
 * :func:`repro.core.routing.tabulate_next_hops` and
   :class:`~repro.core.routing.FaultAwareTableRouting` produce
   next-hop tables keyed ``(node, port)`` over it;
-* :mod:`repro.sim.fastsim` lowers route tables straight from it (the
-  generic tabulation path behind non-builtin routings);
+* both engines wire from it through :func:`live_wiring`: the reference
+  :class:`~repro.sim.network.Network` builds its routers, links and
+  endpoints from the channel list (a channel of latency above one is a
+  pipelined link), and :mod:`repro.sim.fastsim` lowers its arrays and
+  route tables from the same list (the generic tabulation path behind
+  non-builtin routings);
 * :mod:`repro.verify.certify` certifies route soundness, turn
   legality, and CDG acyclicity natively on it, with no 2-D coordinate
   assumptions.
@@ -26,7 +30,7 @@ Consumers:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Tuple
 
 #: An opaque node id.  Builtin emitters use coordinate tuples, but
 #: consumers must treat ids as hashable tokens only.
@@ -119,6 +123,10 @@ class PortGraph:
             if not 0 <= channel.in_port < num_ports:
                 raise ValueError(
                     f"channel {channel!r}: in_port out of range"
+                )
+            if ejection_port in (channel.out_port, channel.in_port):
+                raise ValueError(
+                    f"channel {channel!r}: wired to the ejection port"
                 )
             if channel.latency < 1:
                 raise ValueError(
@@ -231,6 +239,31 @@ def ensure_port_graph(topology_or_graph: object) -> PortGraph:
     return graph
 
 
+def live_wiring(
+    graph: PortGraph, killed: Collection[Tuple[NodeId, int]] = ()
+) -> Tuple[List[PortChannel], Dict[NodeId, int]]:
+    """The channels a machine wires, and each router's port mask.
+
+    ``killed`` names dead ``(src, out_port)`` channels (a fault
+    schedule's ``killed_channels``); they are never wired, so the
+    returned list is ``graph.channels`` without them, in order.  The
+    mask dict has one entry per routable node, in ``graph.nodes``
+    order: bit ``p`` is set iff the router has an input FIFO on port
+    ``p`` — its own output ``p`` is wired and alive, or ``p`` is the
+    ejection port, where packets are injected.  The ejection port is
+    always a wired output, so the same bits name the router's outputs.
+    Both engines wire from this and nothing else.
+    """
+    channels = [
+        ch for ch in graph.channels if (ch.src, ch.out_port) not in killed
+    ]
+    masks = dict.fromkeys(graph.nodes, 1 << graph.ejection_port)
+    for ch in channels:
+        if ch.src in masks:
+            masks[ch.src] |= 1 << ch.out_port
+    return channels, masks
+
+
 def minimal_distances(
     graph: PortGraph, dest: NodeId
 ) -> Dict[NodeId, int]:
@@ -260,5 +293,6 @@ __all__ = [
     "PortChannel",
     "PortGraph",
     "ensure_port_graph",
+    "live_wiring",
     "minimal_distances",
 ]

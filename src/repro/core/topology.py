@@ -149,13 +149,6 @@ class Topology:
     def has_channel(self, node: Coord, direction: Direction) -> bool:
         return (node, direction) in self.channel_map
 
-    def output_directions(self, node: Coord) -> Tuple[Direction, ...]:
-        """The output directions wired at ``node`` (excluding ``P``)."""
-        return tuple(
-            d for d in ALL_DIRECTIONS
-            if d is not Direction.P and (node, d) in self.channel_map
-        )
-
     # ------------------------------------------------------------------
     # Port-graph emission
     # ------------------------------------------------------------------
@@ -167,7 +160,7 @@ class Topology:
         """Emit this topology as the port-graph IR.
 
         The single contract between construction and every downstream
-        consumer (route tabulation, engine lowering, certification).
+        consumer (route tabulation, both engines' wiring, certification).
         Channel order preserves :attr:`channels` construction order
         bit-for-bit, so two builds of the same config produce the same
         :meth:`~repro.core.portgraph.PortGraph.fingerprint`.

@@ -22,7 +22,7 @@ sizing rule.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from repro.sim.packet import Packet
 
@@ -85,17 +85,3 @@ class PipelinedChannel:
         """Flits currently on the wire."""
         return len(self._in_flight)
 
-
-def channel_latency_for(
-    config, direction, base_latency: int = 1,
-    ruche_latency: Optional[int] = None,
-) -> int:
-    """Per-direction channel latency policy.
-
-    Local links take ``base_latency``; Ruche links may take longer when
-    the wire delay exceeds a cycle (``ruche_latency``, defaulting to the
-    base).
-    """
-    if direction.is_ruche and ruche_latency is not None:
-        return ruche_latency
-    return base_latency

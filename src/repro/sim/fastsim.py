@@ -156,6 +156,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.connectivity import port_turns
 from repro.core.coords import Coord, Coord3, Direction
 from repro.core.params import DorOrder, NetworkConfig, TopologyKind
+from repro.core.portgraph import live_wiring
 from repro.core.registry import ALLOCATORS, ROUTERS
 from repro.core.routing import (
     FaultAwareTableRouting,
@@ -404,6 +405,17 @@ def _build_model(
             "fault-aware table routing without a FaultSchedule",
         )
     graph = components.topology.port_graph()
+    # Killed channels are never wired, so masked ports (shrunk input
+    # lists, absent arbiters, -1 position-map slots) fall out of the
+    # one channel list every array below is written from; the port
+    # masks are the reference engine's input FIFOs, from the same call.
+    killed = faults.killed_channels if faults is not None else ()
+    channels, port_masks = live_wiring(graph, killed)
+    if any(ch.latency > 1 for ch in channels):
+        raise _Unsupported(
+            "pipelined-channels",
+            "multi-cycle channel pipelining is not lowered",
+        )
     # The axis tables are those routings' on the grid they were written
     # for; any other node set takes the generic walk (or, on a VC
     # router, falls back).
@@ -417,24 +429,8 @@ def _build_model(
             "unsupported-routing",
             f"no VC tabulation for routing {type(routing).__name__}",
         )
-    # Killed channels are never wired, so masked ports (shrunk input
-    # lists, absent arbiters, -1 position-map slots) fall out of the
-    # one channel list every array below is written from.
-    killed = faults.killed_channels if faults is not None else ()
-    channels = [
-        ch for ch in graph.channels if (ch.src, ch.out_port) not in killed
-    ]
     nports = VCRouter.NUM_PORTS if kind == "vc" else NUM_DIRS
     for ch in channels:
-        if ch.latency > 1:
-            raise _Unsupported(
-                "pipelined-channels",
-                "multi-cycle channel pipelining is not lowered",
-            )
-        if ch.in_port == graph.ejection_port:
-            raise _Unsupported(
-                "injection-wiring", "link wired into an injection port"
-            )
         if ch.out_port >= nports or ch.in_port >= nports:
             raise _Unsupported(
                 "unsupported-router",
@@ -473,14 +469,8 @@ def _build_model(
             "i", ((sum(node) & 1) ^ flip for node in nodes)
         )
 
-    # The reference gives a router an input FIFO on port d iff the
-    # node's own *output* d is wired and alive, plus the injection
-    # port; the ejection port is always a wired output.  One bitmask
-    # per router therefore names both its inputs and its outputs.
-    masks = [1 << P_IDX] * n
-    for ch in channels:
-        if nidx[ch.src] < n:
-            masks[nidx[ch.src]] |= 1 << ch.out_port
+    # One bitmask per router names both its inputs and its outputs.
+    masks = list(port_masks.values())
     model.in_ports = tuple(
         tuple(i for i in range(nports) if mask >> i & 1) for mask in masks
     )
@@ -1001,14 +991,6 @@ def _gate_diagnostics(
                 "spec runs with edge-memory endpoints stay on the "
                 "reference engine (pinned provenance; the endpoints "
                 "themselves lower)",
-            )
-        )
-    if cfg.max_channel_latency > 1:
-        reasons.append(
-            LoweringDiagnostic(
-                "pipelined-channels",
-                f"pipelined channels (max_channel_latency="
-                f"{cfg.max_channel_latency}) are not lowered",
             )
         )
     if (

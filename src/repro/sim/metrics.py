@@ -10,7 +10,7 @@ counts (input to the energy models of Table 3 / Figure 13).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.coords import Coord, Direction
 
@@ -80,26 +80,38 @@ class LatencyStats:
             self._samples.extend(other._samples)
 
 
+def tile_moments(
+    per_tile_means: Mapping[Any, float]
+) -> Tuple[float, float, float, float]:
+    """``(mean, stddev, min, max)`` of per-tile mean latencies.
+
+    Population moments over the tiles that delivered something: a NaN
+    mean (see :meth:`RunMetrics.per_source_means`) is excluded, and all
+    four are NaN when every tile's is.
+    """
+    means = [m for m in per_tile_means.values() if not math.isnan(m)]
+    if not means:
+        nan = float("nan")
+        return nan, nan, nan, nan
+    mean = sum(means) / len(means)
+    var = sum((m - mean) ** 2 for m in means) / len(means)
+    return mean, math.sqrt(var), min(means), max(means)
+
+
 def fairness_stats(per_source_means: Dict) -> Dict[str, float]:
     """Per-tile fairness of mean latencies: max/mean ratio and CV.
 
     ``per_source_means`` maps source tiles to their mean measured
     latency (see :meth:`RunMetrics.per_source_means`); tiles that
-    delivered nothing (NaN mean) are excluded.  A max/mean ratio near 1
-    and a small coefficient of variation mean the fabric serves every
-    tile evenly (the Figure 8 question); both degrade near saturation.
+    delivered nothing (NaN mean) are excluded (:func:`tile_moments`).
+    A max/mean ratio near 1 and a small coefficient of variation mean
+    the fabric serves every tile evenly (the Figure 8 question); both
+    degrade near saturation.
     """
-    means = [m for m in per_source_means.values() if not math.isnan(m)]
-    if not means:
-        return dict(
-            fairness_max_over_mean=float("nan"),
-            fairness_cv=float("nan"),
-        )
-    mean = sum(means) / len(means)
-    var = sum((m - mean) ** 2 for m in means) / len(means)
+    mean, stddev, _low, high = tile_moments(per_source_means)
     return dict(
-        fairness_max_over_mean=max(means) / mean if mean else float("nan"),
-        fairness_cv=math.sqrt(var) / mean if mean else float("nan"),
+        fairness_max_over_mean=high / mean if mean else float("nan"),
+        fairness_cv=stddev / mean if mean else float("nan"),
     )
 
 

@@ -1,7 +1,9 @@
 """Network assembly and the cycle loop.
 
 A :class:`Network` materializes a design point into routers wired by the
-topology's channels and advances them with a two-phase cycle:
+channels of the topology's port graph — the one wiring contract both
+engines read (:func:`~repro.core.portgraph.live_wiring`) — and advances
+them with a two-phase cycle:
 
 1. **Arbitrate** — every router with buffered packets computes its switch
    grants against cycle-start FIFO occupancies (so a full FIFO cannot
@@ -22,6 +24,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.connectivity import Matrix
 from repro.core.coords import Coord
 from repro.core.params import NetworkConfig
+from repro.core.portgraph import live_wiring
 from repro.core.registry import ROUTERS
 from repro.core.routing import RoutingAlgorithm
 from repro.core.spec import default_router_kind, network_components
@@ -61,8 +64,9 @@ class Network:
         Optional ``coord -> Sink`` supplying each tile's ejection endpoint
         (defaults to the shared metrics sink).
     memory_sink_factory:
-        Optional ``coord -> Sink`` for the phantom memory endpoints on the
-        array's north/south edges (``edge_memory`` configs only).
+        Optional ``node -> Sink`` for each endpoint-only node of the port
+        graph (the phantom memory endpoints on the array's north/south
+        edges of ``edge_memory`` configs).
     faults:
         Optional :class:`~repro.sim.faults.FaultSchedule`.  Dead
         links/routers are left unwired and routing is recomputed around
@@ -138,66 +142,49 @@ class Network:
             router if router is not None else default_router_kind(config)
         )
         build_router = ROUTERS.get(router_kind)
-        self.routers: Dict[Coord, object] = {}
-        for coord in self.topology.nodes:
-            input_dirs = [
-                int(d)
-                for d in self.topology.output_directions(coord)
-                if (coord, d) not in killed
-            ]
-            # Route decisions are pure functions of (node, input, dest,
-            # subnet); the memo dict is owned by the routing object so a
-            # sweep rebuilding networks for the same design point never
-            # recomputes a route it has already seen.
-            route_cache = self.routing.node_route_cache(coord)
-            self.routers[coord] = build_router(
-                coord=coord,
+        graph = topology.port_graph()
+        channels, port_masks = live_wiring(graph, killed)
+        self.routers: Dict[Coord, object] = {
+            node: build_router(
+                coord=node,
                 config=config,
-                routing=self.routing,
-                input_dirs=input_dirs,
+                routing=routing,
+                input_dirs=[
+                    p for p in range(graph.num_ports) if mask >> p & 1
+                ],
                 matrix=matrix,
-                route_cache=route_cache,
                 allocator=allocator,
             )
+            for node, mask in port_masks.items()
+        }
 
         # Pipelined links (only created when channel latency > 1).
         self._channels: List[PipelinedLink] = []
-        # Edge-memory entry points: phantom coord -> (router, input index).
+        # Endpoint entry points: endpoint node -> (router, input port).
         self._edge_entry: Dict[Coord, tuple] = {}
-        memory_coords = set(self.topology.memory_nodes)
-        for src, direction, dst in self.topology.channels:
-            if (src, direction) in killed:
-                continue  # dead link or failed router: never wired
-            if dst in memory_coords:
-                sink = (
-                    memory_sink_factory(dst)
+        endpoints = set(graph.endpoint_only_nodes)
+        lanes = config.num_vcs if config.uses_vcs else 1
+        for ch in channels:
+            if ch.src in endpoints:
+                self._edge_entry[ch.src] = (self.routers[ch.dst], ch.in_port)
+                continue
+            if ch.dst in endpoints:
+                target = (
+                    memory_sink_factory(ch.dst)
                     if memory_sink_factory
                     else default_sink
                 )
-                self.routers[src].out_target[int(direction)] = sink
-            elif src in memory_coords:
-                self._edge_entry[src] = (
-                    self.routers[dst],
-                    int(direction.opposite),
+            elif ch.latency > 1:
+                down = self.routers[ch.dst]
+                channel = PipelinedChannel(
+                    ch.latency, config.fifo_depth, num_lanes=lanes
                 )
+                target = PipelinedLink(channel, down, ch.in_port)
+                self._channels.append(target)
+                down.in_channel[ch.in_port] = channel
             else:
-                latency = config.latency_for(direction)
-                down = self.routers[dst]
-                in_idx = int(direction.opposite)
-                if latency > 1:
-                    lanes = config.num_vcs if config.uses_vcs else 1
-                    channel = PipelinedChannel(
-                        latency, config.fifo_depth, num_lanes=lanes
-                    )
-                    link = PipelinedLink(channel, down, in_idx)
-                    self._channels.append(link)
-                    down.in_channel[in_idx] = channel
-                    self.routers[src].out_target[int(direction)] = link
-                else:
-                    self.routers[src].out_target[int(direction)] = (
-                        down,
-                        in_idx,
-                    )
+                target = (self.routers[ch.dst], ch.in_port)
+            self.routers[ch.src].out_target[ch.out_port] = target
         for coord, router in self.routers.items():
             sink = sink_factory(coord) if sink_factory else default_sink
             router.out_target[P_IDX] = sink

@@ -143,7 +143,7 @@ class BaseRouter:
         self.coord = coord
         self.depth = depth
         self.occ = 0
-        # Route memo; the network shares one per-node dict across router
+        # Route memo; the builders share one per-node dict across router
         # instances of the same config (see RoutingAlgorithm.
         # node_route_cache) so repeated runs skip recomputation entirely.
         self.route_cache: Dict = {} if route_cache is None else route_cache
@@ -596,9 +596,12 @@ class VCRouter(BaseRouter):
 # Registered router kinds
 # ----------------------------------------------------------------------
 # Builders share one keyword signature so repro.core.spec can construct
-# any registered kind uniformly.  ``allocator`` names a registered switch
-# allocator; only the VC router performs switch allocation, so the other
-# kinds reject it rather than silently ignore it.
+# any registered kind uniformly.  Each takes its node's route memo from
+# the routing (RoutingAlgorithm.node_route_cache), so a sweep rebuilding
+# networks for one design point never recomputes a route it has seen.
+# ``allocator`` names a registered switch allocator; only the VC router
+# performs switch allocation, so the other kinds reject it rather than
+# silently ignore it.
 
 
 def _reject_allocator(kind: str, allocator: Optional[str]) -> None:
@@ -620,7 +623,6 @@ def build_wormhole_router(
     routing: RoutingAlgorithm,
     input_dirs: Sequence[int],
     matrix: Dict[Direction, frozenset],
-    route_cache: Optional[Dict] = None,
     allocator: Optional[str] = None,
 ) -> WormholeRouter:
     _reject_allocator("wormhole", allocator)
@@ -630,7 +632,7 @@ def build_wormhole_router(
         routing.route,
         input_dirs,
         matrix,
-        route_cache=route_cache,
+        route_cache=routing.node_route_cache(coord),
     )
 
 
@@ -645,7 +647,6 @@ def build_fbfc_router(
     routing: RoutingAlgorithm,
     input_dirs: Sequence[int],
     matrix: Dict[Direction, frozenset],
-    route_cache: Optional[Dict] = None,
     allocator: Optional[str] = None,
 ) -> FbfcRouter:
     _reject_allocator("fbfc", allocator)
@@ -656,7 +657,7 @@ def build_fbfc_router(
         input_dirs,
         matrix,
         ring_ports=fbfc_ring_ports(config),
-        route_cache=route_cache,
+        route_cache=routing.node_route_cache(coord),
     )
 
 
@@ -671,7 +672,6 @@ def build_vc_router(
     routing: RoutingAlgorithm,
     input_dirs: Sequence[int],
     matrix: Dict[Direction, frozenset],
-    route_cache: Optional[Dict] = None,
     allocator: Optional[str] = None,
 ) -> VCRouter:
     allocator_factory = (
@@ -683,6 +683,6 @@ def build_vc_router(
         routing.route_vc,
         input_dirs,
         config.num_vcs,
-        route_cache=route_cache,
+        route_cache=routing.node_route_cache(coord),
         allocator_factory=allocator_factory,
     )

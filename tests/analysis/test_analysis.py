@@ -18,6 +18,7 @@ from repro.analysis.sweeps import (
 from repro.analysis.tables import format_value, render_table
 from repro.core.coords import Coord
 from repro.core.params import NetworkConfig
+from repro.sim.metrics import fairness_stats
 from repro.sim.simulator import RunResult
 
 
@@ -112,6 +113,19 @@ class TestFairness:
         assert summary.min_tile == 10.0 and summary.max_tile == 14.0
         assert summary.spread == 4.0
         assert summary.stddev == pytest.approx((8 / 3) ** 0.5)
+
+    def test_tiles_that_delivered_nothing_are_excluded(self):
+        means = {
+            Coord(0, 0): 10.0, Coord(1, 0): float("nan"),
+            Coord(2, 0): 12.0, Coord(3, 0): 14.0,
+        }
+        summary = summarize_per_tile("mesh", means)
+        assert summary.mean == 12.0
+        assert summary.min_tile == 10.0 and summary.max_tile == 14.0
+        assert summary.stddev == pytest.approx((8 / 3) ** 0.5)
+        stats = fairness_stats(means)
+        assert stats["fairness_cv"] == summary.stddev / summary.mean
+        assert stats["fairness_max_over_mean"] == 14.0 / 12.0
 
     def test_summary_is_frozen_dataclass(self):
         s = FairnessSummary("mesh", 1.0, 0.1, 0.9, 1.1)

@@ -67,6 +67,14 @@ class TestPortGraphValidation:
         with pytest.raises(ValueError, match="in_port out of range"):
             _tiny_graph(channels=(bad,))
 
+    def test_channel_on_the_ejection_port_rejected(self):
+        for bad in (
+            PortChannel((0, 0), 0, (1, 0), 1, 1, 32),
+            PortChannel((0, 0), 2, (1, 0), 0, 1, 32),
+        ):
+            with pytest.raises(ValueError, match="ejection port"):
+                _tiny_graph(channels=(bad,))
+
     def test_latency_floor(self):
         bad = PortChannel((0, 0), 2, (1, 0), 1, 0, 32)
         with pytest.raises(ValueError, match="latency"):

@@ -426,8 +426,8 @@ def _wrapped_wormhole_router(**kwargs):
 class _GraphEmitter(Topology):
     """A mesh whose *emitted graph* differs from its channel list.
 
-    The reference engine wires from ``channels`` and is unaffected; the
-    lowering reads the port graph, so each variant trips one gate.
+    Both engines wire from the port graph, so each variant is what the
+    reference runs and what the lowering reads (or refuses).
     """
 
     def _emit(self, graph, channels):
@@ -448,13 +448,19 @@ class _PipelinedGraph(_GraphEmitter):
         )
 
 
-class _InjectionWiredGraph(_GraphEmitter):
+class _TwiceFedStubGraph(_GraphEmitter):
+    """One endpoint stub fed by the N outputs of two edge routers."""
+
     def port_graph(self):
         graph = super().port_graph()
-        first, *rest = graph.channels
-        return self._emit(
-            graph, [first._replace(in_port=graph.ejection_port), *rest]
-        )
+        stubs = [
+            PortChannel(
+                src=Coord(x, 0), out_port=3, dst=Coord(0, -1), in_port=4,
+                latency=1, width=graph.channels[0].width,
+            )
+            for x in (0, 1)
+        ]
+        return self._emit(graph, [*graph.channels, *stubs])
 
 
 class _StubEndpointGraph(_GraphEmitter):
@@ -515,7 +521,7 @@ def test_components():
     )(_wrapped_wormhole_router)
     graphs = {
         "test-pipelined-graph": _PipelinedGraph,
-        "test-injection-graph": _InjectionWiredGraph,
+        "test-twice-fed-graph": _TwiceFedStubGraph,
         "test-stub-graph": _StubEndpointGraph,
         "test-column-major": _ColumnMajorMesh,
         "test-layer-minor": _LayerMinorMesh3d,
@@ -550,7 +556,7 @@ COMPILE_STAGE_SPECS = {
         "mesh", 6, 6, routing="test-fault-aware"
     ),
     "pipelined-channels": _run_spec("test-pipelined-graph", 6, 6),
-    "injection-wiring": _run_spec("test-injection-graph", 6, 6),
+    "injection-wiring": _run_spec("test-twice-fed-graph", 6, 6),
 }
 
 
@@ -564,6 +570,18 @@ def test_compile_stage_diagnostic(code, test_components):
     assert fingerprint(compiled) == fingerprint(reference)
     # The verdict is cached, and the cached verdict is the same one.
     assert [d.code for d in fastsim.lowering_problems(spec)] == [code]
+
+
+def test_the_reference_runs_the_graphs_channel_latency(test_components):
+    """The reference engine wires from the port graph, so the latency-2
+    channels the graph declares are pipelined links there: a zero-load
+    run is slower than on the plain mesh.  (The lowering still refuses
+    them, and a compiled request equals the reference run: the
+    ``pipelined-channels`` case of ``test_compile_stage_diagnostic``.)"""
+    load = dict(rate=0.02, warmup=100, measure=400, drain_limit=600)
+    piped = build_run(_run_spec("test-pipelined-graph", 6, 6, **load))
+    plain = build_run(_run_spec("mesh", 6, 6, **load))
+    assert piped.avg_latency > plain.avg_latency + 2
 
 
 # ---------------------------------------------------------------------------
