@@ -16,12 +16,17 @@ Consumers:
 * :func:`repro.core.routing.tabulate_next_hops` and
   :class:`~repro.core.routing.FaultAwareTableRouting` produce
   next-hop tables keyed ``(node, port)`` over it;
-* both engines wire from it through :func:`live_wiring`: the reference
-  :class:`~repro.sim.network.Network` builds its routers, links and
-  endpoints from the channel list (a channel of latency above one is a
-  pipelined link), and :mod:`repro.sim.fastsim` lowers its arrays and
-  route tables from the same list (the generic tabulation path behind
-  non-builtin routings);
+* both engines wire from the one :class:`Wiring` record
+  :func:`live_wiring` returns, which is also where the wiring rules
+  are checked: the reference :class:`~repro.sim.network.Network`
+  builds its routers, links and endpoints from it (a channel of
+  latency above one is a pipelined link), and :mod:`repro.sim.fastsim`
+  lowers its arrays and route tables from it (the generic tabulation
+  path behind non-builtin routings);
+* :func:`killed_channels` is the one expansion of dead links and
+  routers into dead channels, for
+  :class:`~repro.sim.faults.FaultSchedule` and
+  :class:`~repro.core.routing.FaultAwareTableRouting` alike;
 * :mod:`repro.verify.certify` certifies route soundness, turn
   legality, and CDG acyclicity natively on it, with no 2-D coordinate
   assumptions.
@@ -30,7 +35,9 @@ Consumers:
 from __future__ import annotations
 
 import hashlib
-from typing import Collection, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
+
+from repro.errors import ConfigError
 
 #: An opaque node id.  Builtin emitters use coordinate tuples, but
 #: consumers must treat ids as hashable tokens only.
@@ -239,20 +246,42 @@ def ensure_port_graph(topology_or_graph: object) -> PortGraph:
     return graph
 
 
-def live_wiring(
-    graph: PortGraph, killed: Collection[Tuple[NodeId, int]] = ()
-) -> Tuple[List[PortChannel], Dict[NodeId, int]]:
-    """The channels a machine wires, and each router's port mask.
+#: A ``(node, port)`` pair: one end of a channel.
+PortRef = Tuple[NodeId, int]
 
-    ``killed`` names dead ``(src, out_port)`` channels (a fault
-    schedule's ``killed_channels``); they are never wired, so the
-    returned list is ``graph.channels`` without them, in order.  The
-    mask dict has one entry per routable node, in ``graph.nodes``
-    order: bit ``p`` is set iff the router has an input FIFO on port
-    ``p`` — its own output ``p`` is wired and alive, or ``p`` is the
-    ejection port, where packets are injected.  The ejection port is
-    always a wired output, so the same bits name the router's outputs.
-    Both engines wire from this and nothing else.
+
+class Wiring(NamedTuple):
+    """What a machine wires from a port graph: both engines read this."""
+
+    #: The alive router-to-router channels, in emitter order.
+    channels: List[PortChannel]
+    #: Per routable node, in ``graph.nodes`` order: bit ``p`` is set iff
+    #: the router has an input FIFO on port ``p`` — its own output ``p``
+    #: is wired and alive, or ``p`` is the ejection port, where packets
+    #: are injected.  The same bits name the router's wired outputs.
+    masks: Dict[NodeId, int]
+    #: Per endpoint-only node with a channel out: the router input FIFO
+    #: its packets enter.
+    entry: Dict[NodeId, PortRef]
+    #: Per endpoint-only node with channels in: the router outputs that
+    #: feed it, in emitter order.
+    sinks: Dict[NodeId, List[PortRef]]
+
+
+def live_wiring(
+    graph: PortGraph, killed: FrozenSet[PortRef] = frozenset()
+) -> Wiring:
+    """The :class:`Wiring` of ``graph`` without the ``killed`` channels.
+
+    ``killed`` names dead ``(src, out_port)`` channels (see
+    :func:`killed_channels`).  The wiring rules are checked here, once
+    for both engines; a graph that breaks one raises
+    :class:`~repro.errors.ConfigError`:
+
+    * a channel arrives on a port where its router has an input FIFO;
+    * a channel to or from an endpoint has latency 1 (an endpoint is a
+      sink or an entry FIFO, not a pipelined link);
+    * an endpoint has at most one channel out, and it enters a router.
     """
     channels = [
         ch for ch in graph.channels if (ch.src, ch.out_port) not in killed
@@ -261,7 +290,67 @@ def live_wiring(
     for ch in channels:
         if ch.src in masks:
             masks[ch.src] |= 1 << ch.out_port
-    return channels, masks
+    wiring = Wiring([], masks, {}, {})
+
+    def where(ch: PortChannel) -> str:
+        src, dst = graph.render_node(ch.src), graph.render_node(ch.dst)
+        return f"channel {src} -> {dst}"
+
+    for ch in channels:
+        src, out_port, dst, in_port, latency, _width = ch
+        into = masks.get(dst)
+        if into is not None and not into >> in_port & 1:
+            port = graph.port_name(in_port)
+            raise ConfigError(
+                f"{where(ch)} arrives on port {port}, where the router "
+                f"has no input FIFO (its own {port} output is not wired)"
+            )
+        if into is not None and src in masks:
+            wiring.channels.append(ch)
+        elif latency != 1:
+            raise ConfigError(
+                f"{where(ch)} has latency {latency}; a channel to or "
+                f"from an endpoint has latency 1"
+            )
+        elif src in masks:
+            wiring.sinks.setdefault(dst, []).append((src, out_port))
+        elif into is None or src in wiring.entry:
+            raise ConfigError(
+                f"endpoint {graph.render_node(src)} needs exactly one "
+                f"channel out, into a router"
+            )
+        else:
+            wiring.entry[src] = (dst, in_port)
+    return wiring
+
+
+def killed_channels(
+    graph: PortGraph,
+    dead_links: Iterable[PortRef] = (),
+    dead_routers: FrozenSet[NodeId] = frozenset(),
+) -> FrozenSet[PortRef]:
+    """Every directed ``(src, out_port)`` channel the faults kill.
+
+    A dead link, named by one of its channels, takes the reverse
+    channel (the one leaving its far end on the port it arrives on)
+    with it; a dead router takes every channel into or out of it.  A
+    link the graph does not wire raises
+    :class:`~repro.errors.ConfigError`.
+    """
+    killed: List[PortRef] = []
+    for src, port in dead_links:
+        hop = graph.out_map.get((src, port))
+        if hop is None:
+            raise ConfigError(
+                f"dead link ({tuple(src)}, {graph.port_name(port)}) does "
+                f"not exist in this topology"
+            )
+        killed += [(src, int(port)), (hop[0], hop[1])]
+    if dead_routers:
+        for ch in graph.channels:
+            if ch.src in dead_routers or ch.dst in dead_routers:
+                killed += [(ch.src, ch.out_port), (ch.dst, ch.in_port)]
+    return frozenset(killed)
 
 
 def minimal_distances(
@@ -292,7 +381,10 @@ __all__ = [
     "NodeId",
     "PortChannel",
     "PortGraph",
+    "PortRef",
+    "Wiring",
     "ensure_port_graph",
+    "killed_channels",
     "live_wiring",
     "minimal_distances",
 ]

@@ -40,7 +40,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Set,
     Tuple,
     cast,
 )
@@ -49,9 +48,11 @@ from repro.core.coords import Coord, Direction
 from repro.core.params import DorOrder, NetworkConfig, TopologyKind
 from repro.core.portgraph import (
     NodeId,
-    PortChannel,
     PortGraph,
+    PortRef,
     ensure_port_graph,
+    killed_channels,
+    live_wiring,
 )
 from repro.core.registry import register_routing
 from repro.errors import ConfigError, RoutingError
@@ -472,7 +473,8 @@ class FaultAwareTableRouting(RoutingAlgorithm):
 
         graph = make_topology(config).port_graph()
         self.dead_nodes: FrozenSet[Coord] = frozenset(dead_nodes)
-        self.dead_links: FrozenSet[LinkId] = self._normalize_links(
+        #: Every directed ``(node, port)`` channel the faults kill.
+        self.dead_links: FrozenSet[PortRef] = killed_channels(
             graph, dead_links, self.dead_nodes
         )
         self._nodes = [
@@ -488,45 +490,16 @@ class FaultAwareTableRouting(RoutingAlgorithm):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _normalize_links(
-        graph: PortGraph,
-        dead_links: Iterable[LinkId],
-        dead_nodes: FrozenSet[Coord],
-    ) -> FrozenSet[LinkId]:
-        """Expand faults to directed link ids, killing both directions.
-
-        A physical link failure takes out the wires in both directions,
-        and a failed router takes out every link touching it.
-        """
-        killed: Set[LinkId] = set()
-        for src, direction in dead_links:
-            hop = graph.out_map.get((src, int(direction)))
-            if hop is None:
-                raise ConfigError(
-                    f"dead link ({tuple(src)}, {direction.name}) does not "
-                    f"exist in this topology"
-                )
-            killed.add((src, direction))
-            killed.add((hop[0], direction.opposite))
-        if dead_nodes:
-            for channel in graph.channels:
-                if channel.src in dead_nodes or channel.dst in dead_nodes:
-                    killed.add((channel.src, Direction(channel.out_port)))
-                    killed.add((channel.dst, Direction(channel.in_port)))
-        return frozenset(killed)
-
     def _build_tables(
         self, graph: PortGraph, turns: Mapping[int, FrozenSet[int]]
     ) -> Dict[NodeId, Dict[Tuple[NodeId, int], int]]:
         """Per-destination next-hop tables over (node, input port) states.
 
-        Pure port-graph construction: channels come from the IR in
-        emitter order (the BFS tie-breaks depend on it), turn legality
-        from the integer turn sets of
-        :func:`~repro.core.connectivity.port_turns`.
+        Pure port-graph construction: the channels are the ones both
+        engines wire (:func:`~repro.core.portgraph.live_wiring` without
+        the dead links), in emitter order; turn legality comes from the
+        integer turn sets of :func:`~repro.core.connectivity.port_turns`.
         """
-        routable = frozenset(self._nodes)
         # Forward state graph: (node, input) --out--> (next, in_port).
         reverse: Dict[
             Tuple[NodeId, int], List[Tuple[Tuple[NodeId, int], int]]
@@ -535,13 +508,8 @@ class FaultAwareTableRouting(RoutingAlgorithm):
         inputs_at: Dict[NodeId, List[int]] = {
             n: [p_out] for n in self._nodes
         }
-        alive: List[PortChannel] = []
-        for channel in graph.channels:
-            if channel.src not in routable or channel.dst not in routable:
-                continue
-            if (channel.src, Direction(channel.out_port)) in self.dead_links:
-                continue
-            alive.append(channel)
+        alive = live_wiring(graph, self.dead_links).channels
+        for channel in alive:
             inputs_at[channel.dst].append(channel.in_port)
         for channel in alive:
             succ = (channel.dst, channel.in_port)

@@ -1,16 +1,20 @@
 """Topology construction: nodes, channels, bisection accounting.
 
 A :class:`Topology` materializes a :class:`~repro.core.params.NetworkConfig`
-into the set of tiles and physical channels that the simulator instantiates
-and that the physical models measure.  It also provides the analytic
-quantities used by the paper's Table 4 (bisection bandwidth vs. memory-tile
-bandwidth) and Table 1 (physical-scalability properties).
+into the tiles and physical channels the physical models measure, and
+emits them as the port graph (:meth:`Topology.port_graph`) every other
+consumer reads; where a channel goes, whether it exists and which nodes
+are endpoints are questions for that graph (``dest_of``, ``has_output``,
+``endpoint_only_nodes``).  It also provides the analytic quantities used
+by the paper's Table 4 (bisection bandwidth vs. memory-tile bandwidth)
+and Table 1 (physical-scalability properties).
 
 Coordinate system: ``x`` in ``[0, width)`` grows eastward; ``y`` in
 ``[0, height)`` grows southward.  When ``edge_memory`` is enabled, memory
 endpoints occupy the phantom rows ``y = -1`` (north) and ``y = height``
 (south), one per column, reachable through the edge routers' vertical
-channels — the arrangement of the cellular manycore in Section 4.5+.
+channels — the arrangement of the cellular manycore in Section 4.5+ —
+as the graph's endpoint-only nodes, on channels of latency 1.
 """
 
 from __future__ import annotations
@@ -47,17 +51,7 @@ class Topology:
         self.width = config.width
         self.height = config.height
         self.nodes: List[Coord] = list(self._build_nodes())
-        self.memory_nodes: List[Coord] = []
-        if config.edge_memory:
-            self.memory_nodes = [Coord(x, -1) for x in range(self.width)]
-            self.memory_nodes += [
-                Coord(x, self.height) for x in range(self.width)
-            ]
         self.channels: List[Channel] = list(self._build_channels())
-        # Outgoing channel map: (coord, direction) -> destination coord.
-        self.channel_map: Dict[Tuple[Coord, Direction], Coord] = {
-            (src, direction): dst for src, direction, dst in self.channels
-        }
 
     # ------------------------------------------------------------------
     # Node and channel construction
@@ -137,19 +131,6 @@ class Topology:
             yield (node, Direction.N, Coord(x, (y - 1) % k))
 
     # ------------------------------------------------------------------
-    # Structure queries
-    # ------------------------------------------------------------------
-    def neighbor(self, node: Coord, direction: Direction) -> Coord:
-        """Destination tile of ``node``'s ``direction`` output channel.
-
-        Raises ``KeyError`` if that channel does not exist (array edge).
-        """
-        return self.channel_map[(node, direction)]
-
-    def has_channel(self, node: Coord, direction: Direction) -> bool:
-        return (node, direction) in self.channel_map
-
-    # ------------------------------------------------------------------
     # Port-graph emission
     # ------------------------------------------------------------------
     def port_names(self) -> Tuple[str, ...]:
@@ -163,9 +144,13 @@ class Topology:
         consumer (route tabulation, both engines' wiring, certification).
         Channel order preserves :attr:`channels` construction order
         bit-for-bit, so two builds of the same config produce the same
-        :meth:`~repro.core.portgraph.PortGraph.fingerprint`.
+        :meth:`~repro.core.portgraph.PortGraph.fingerprint`.  A channel
+        to or from an edge-memory endpoint has latency 1 (an endpoint
+        is a sink or an entry FIFO); the others take the config's
+        latency for their direction.
         """
         cfg = self.config
+        routers = frozenset(self.nodes)
         return PortGraph(
             nodes=tuple(self.nodes),
             num_ports=len(ALL_DIRECTIONS),
@@ -177,7 +162,11 @@ class Topology:
                     out_port=int(direction),
                     dst=dst,
                     in_port=int(direction.opposite),
-                    latency=cfg.latency_for(direction),
+                    latency=(
+                        cfg.latency_for(direction)
+                        if src in routers and dst in routers
+                        else 1
+                    ),
                     width=cfg.channel_width_bits,
                 )
                 for src, direction, dst in self.channels

@@ -94,14 +94,21 @@ class CheckpointStore:
         self.path = path
         self._rows: Dict[str, Dict[str, Any]] = {}
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                try:
-                    self._rows = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"checkpoint file {path!r} is not valid JSON "
-                        f"({exc}); delete it to restart the campaign"
-                    ) from exc
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    rows = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(
+                    f"checkpoint file {path!r} is not valid JSON "
+                    f"({exc}); delete it to restart the campaign"
+                ) from exc
+            if not isinstance(rows, dict):
+                raise ValueError(
+                    f"checkpoint file {path!r} is not a JSON object of "
+                    f"rows (found {type(rows).__name__}); delete it to "
+                    f"restart the campaign"
+                )
+            self._rows = rows
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -409,8 +409,10 @@ def _build_model(
     # lists, absent arbiters, -1 position-map slots) fall out of the
     # one channel list every array below is written from; the port
     # masks are the reference engine's input FIFOs, from the same call.
-    killed = faults.killed_channels if faults is not None else ()
-    channels, port_masks = live_wiring(graph, killed)
+    wiring = live_wiring(
+        graph, faults.killed_channels if faults is not None else frozenset()
+    )
+    channels = wiring.channels
     if any(ch.latency > 1 for ch in channels):
         raise _Unsupported(
             "pipelined-channels",
@@ -430,13 +432,15 @@ def _build_model(
             f"no VC tabulation for routing {type(routing).__name__}",
         )
     nports = VCRouter.NUM_PORTS if kind == "vc" else NUM_DIRS
-    for ch in channels:
-        if ch.out_port >= nports or ch.in_port >= nports:
-            raise _Unsupported(
-                "unsupported-router",
-                f"a {kind} router has {nports} ports; the topology "
-                f"wires port {max(ch.out_port, ch.in_port)}",
-            )
+    # Every port a channel leaves or enters a router on is a mask bit.
+    masks = list(wiring.masks.values())
+    widest = max(masks, default=0).bit_length() - 1
+    if widest >= nports:
+        raise _Unsupported(
+            "unsupported-router",
+            f"a {kind} router has {nports} ports; the topology "
+            f"wires port {widest}",
+        )
 
     model = _CompiledModel()
     model.kind = kind
@@ -470,7 +474,6 @@ def _build_model(
         )
 
     # One bitmask per router names both its inputs and its outputs.
-    masks = list(port_masks.values())
     model.in_ports = tuple(
         tuple(i for i in range(nports) if mask >> i & 1) for mask in masks
     )
@@ -498,53 +501,42 @@ def _build_model(
             port_turns(components.matrix),
             fbfc_ring_ports(config) if kind == "fbfc" else None,
         )
-    # Downstream wiring, one pass over the alive channels.  `dn` stays
-    # -1 on every sink output — the ejection port and a channel into an
-    # endpoint, always ready unless a fabric gates them — on unwired
-    # outputs, and on a wired crossbar output no present input may turn
-    # to (it never arbitrates).  A VC input's feeder is the router
-    # upstream of it.  A channel out of an endpoint makes the input
-    # FIFO it arrives on (which the port mask already gave that router)
-    # the endpoint's entry queue: the host feeds it, no router does.
+    # Downstream wiring, one pass over the alive router-to-router
+    # channels.  `dn` stays -1 on every sink output — the ejection port
+    # and a channel into an endpoint, always ready unless a fabric gates
+    # them — on unwired outputs, and on a wired crossbar output no
+    # present input may turn to (it never arbitrates).  A VC input's
+    # feeder is the router upstream of it.
     tables["dn"] = dn = array("i", [-1]) * (n * nports)
     feed = None
     if kind == "vc":
         tables["feed"] = feed = array("i", [-1]) * (n * nports)
-    model.entry = entry = array("i", [-1]) * len(endpoints)
-    model.sink_of = sink_of = array("i", [-1]) * len(endpoints)
     for ch in channels:
-        src, dst = nidx[ch.src], nidx[ch.dst]
-        # An endpoint is one sink and one source: the kernel scores at
-        # most one ejection per destination id and one offer per source
-        # id a cycle, and a gated sink has one ready word.
-        if src >= n:
-            if (
-                dst >= n
-                or not masks[dst] >> ch.in_port & 1
-                or entry[src - n] >= 0
-            ):
-                raise _Unsupported(
-                    "injection-wiring",
-                    f"endpoint {tuple(ch.src)} needs exactly one channel "
-                    f"out, into a router input that has a FIFO",
-                )
-            entry[src - n] = dst * nports + ch.in_port
-            continue
+        src = nidx[ch.src]
         out = src * nports + ch.out_port
-        if dst >= n:
-            if sink_of[dst - n] >= 0:
-                raise _Unsupported(
-                    "injection-wiring",
-                    f"endpoint {tuple(ch.dst)} is fed by two channels",
-                )
-            sink_of[dst - n] = out
-            continue
-        down = dst * nports + ch.in_port
+        down = nidx[ch.dst] * nports + ch.in_port
         if feed is not None:
             feed[down] = src
         elif not tables["ncv"][out]:
             continue
         dn[out] = down
+    # An endpoint's entry queue is the router input FIFO its channel
+    # enters (the host feeds it, no router does); its sink is the
+    # router output feeding it.  The kernel scores at most one
+    # ejection per destination id a cycle, and a gated sink has one
+    # ready word, so an endpoint fed by two channels is not lowered.
+    model.entry = entry = array("i", [-1]) * len(endpoints)
+    model.sink_of = sink_of = array("i", [-1]) * len(endpoints)
+    for endpoint, (node, in_port) in wiring.entry.items():
+        entry[nidx[endpoint] - n] = nidx[node] * nports + in_port
+    for endpoint, feeds in wiring.sinks.items():
+        if len(feeds) > 1:
+            raise _Unsupported(
+                "injection-wiring",
+                f"endpoint {tuple(endpoint)} is fed by two channels",
+            )
+        node, out_port = feeds[0]
+        sink_of[nidx[endpoint] - n] = nidx[node] * nports + out_port
     return model
 
 

@@ -19,15 +19,21 @@ Fault models
 * **Transient link fault** — the link stays wired but drops each
   traversing flit with probability ``drop_prob`` inside an optional
   ``[start, end)`` cycle window, from a dedicated drop RNG stream.
+
+Dead links and routers become dead channels in one function,
+:func:`~repro.core.portgraph.killed_channels`, which the fault-aware
+routing calls too: the engines leave unwired what the tables avoid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig
+from repro.core.portgraph import PortGraph, PortRef, killed_channels
 from repro.core.topology import make_topology
 from repro.errors import ConfigError
 from repro.sim.rng import derive_rng
@@ -98,32 +104,21 @@ class FaultSchedule:
         self.config = config
         self.seed = seed
         self.degraded_model = degraded_model
-        topology = make_topology(config)
+        graph = _port_graph(config)
         self.dead_routers: FrozenSet[Coord] = frozenset(dead_routers)
+        routers = frozenset(graph.nodes)
         for coord in self.dead_routers:
-            if coord not in set(topology.nodes):
+            if coord not in routers:
                 raise ConfigError(f"dead router {tuple(coord)} is not a tile")
         self.dead_links: Tuple[LinkId, ...] = tuple(dead_links)
-        killed: Set[LinkId] = set()
-        for src, direction in self.dead_links:
-            dst = topology.channel_map.get((src, direction))
-            if dst is None:
-                raise ConfigError(
-                    f"dead link ({tuple(src)}, {direction.name}) does not "
-                    f"exist in this topology"
-                )
-            killed.add((src, direction))
-            killed.add((dst, direction.opposite))
-        for src, direction, dst in topology.channels:
-            if src in self.dead_routers or dst in self.dead_routers:
-                killed.add((src, direction))
-                killed.add((dst, direction.opposite))
-        #: Every directed channel that must not be wired.
-        self.killed_channels: FrozenSet[LinkId] = frozenset(killed)
+        #: Every directed ``(tile, port)`` channel that must not be wired.
+        self.killed_channels: FrozenSet[PortRef] = killed_channels(
+            graph, self.dead_links, self.dead_routers
+        )
         self.transient: Tuple[TransientLinkFault, ...] = tuple(transient)
         trans_map: Dict[Tuple[Coord, int], TransientLinkFault] = {}
         for fault in self.transient:
-            if (fault.src, fault.direction) not in topology.channel_map:
+            if not graph.has_output(fault.src, fault.direction):
                 raise ConfigError(
                     f"transient fault on nonexistent link "
                     f"({tuple(fault.src)}, {fault.direction.name})"
@@ -195,7 +190,7 @@ class FaultSchedule:
         its canonical direction), deterministically from the
         ``faults:links`` stream of ``seed``.
         """
-        candidates = _undirected_channels(config)
+        candidates = _undirected_channels(_port_graph(config))
         if n > len(candidates):
             raise ConfigError(
                 f"requested {n} dead links but topology has only "
@@ -215,7 +210,7 @@ class FaultSchedule:
         cls, config: NetworkConfig, n: int, seed: int = 0
     ) -> "FaultSchedule":
         """``n`` distinct failed tiles, from the ``faults:routers`` stream."""
-        nodes = make_topology(config).nodes
+        nodes = _port_graph(config).nodes
         if n > len(nodes):
             raise ConfigError(f"requested {n} dead routers of {len(nodes)}")
         rng = derive_rng(seed, "faults:routers")
@@ -261,7 +256,8 @@ class FaultSchedule:
         candidates exclude channels already killed by the permanent
         faults (a dead link cannot also drop flits).
         """
-        link_candidates = _undirected_channels(config)
+        graph = _port_graph(config)
+        link_candidates = _undirected_channels(graph)
         if links > len(link_candidates):
             raise ConfigError(
                 f"requested {links} dead links but topology has only "
@@ -270,7 +266,7 @@ class FaultSchedule:
         chosen_links = derive_rng(seed, "faults:links").sample(
             link_candidates, links
         )
-        nodes = make_topology(config).nodes
+        nodes = graph.nodes
         if routers > len(nodes):
             raise ConfigError(
                 f"requested {routers} dead routers of {len(nodes)}"
@@ -313,18 +309,23 @@ class FaultSchedule:
         )
 
 
-def _undirected_channels(config: NetworkConfig) -> List[LinkId]:
-    """Each physical channel once, by its canonical (positive) direction."""
-    topology = make_topology(config)
-    memory = set(topology.memory_nodes)
+@functools.lru_cache(maxsize=1)
+def _port_graph(config: NetworkConfig) -> PortGraph:
+    """The builtin graph, built once for a schedule and its draws."""
+    return make_topology(config).port_graph()
+
+
+def _undirected_channels(graph: PortGraph) -> List[LinkId]:
+    """Each router-to-router channel once, by its first-emitted direction."""
+    endpoints = set(graph.endpoint_only_nodes)
     seen: Set[FrozenSet] = set()
     links: List[LinkId] = []
-    for src, direction, dst in topology.channels:
-        if src in memory or dst in memory:
+    for ch in graph.channels:
+        if ch.src in endpoints or ch.dst in endpoints:
             continue
-        key = frozenset(((src, direction), (dst, direction.opposite)))
+        key = frozenset(((ch.src, ch.out_port), (ch.dst, ch.in_port)))
         if key in seen:
             continue
         seen.add(key)
-        links.append((src, direction))
+        links.append((ch.src, Direction(ch.out_port)))
     return links

@@ -143,7 +143,7 @@ class Network:
         )
         build_router = ROUTERS.get(router_kind)
         graph = topology.port_graph()
-        channels, port_masks = live_wiring(graph, killed)
+        wiring = live_wiring(graph, killed)
         self.routers: Dict[Coord, object] = {
             node: build_router(
                 coord=node,
@@ -155,27 +155,15 @@ class Network:
                 matrix=matrix,
                 allocator=allocator,
             )
-            for node, mask in port_masks.items()
+            for node, mask in wiring.masks.items()
         }
 
         # Pipelined links (only created when channel latency > 1).
         self._channels: List[PipelinedLink] = []
-        # Endpoint entry points: endpoint node -> (router, input port).
-        self._edge_entry: Dict[Coord, tuple] = {}
-        endpoints = set(graph.endpoint_only_nodes)
         lanes = config.num_vcs if config.uses_vcs else 1
-        for ch in channels:
-            if ch.src in endpoints:
-                self._edge_entry[ch.src] = (self.routers[ch.dst], ch.in_port)
-                continue
-            if ch.dst in endpoints:
-                target = (
-                    memory_sink_factory(ch.dst)
-                    if memory_sink_factory
-                    else default_sink
-                )
-            elif ch.latency > 1:
-                down = self.routers[ch.dst]
+        for ch in wiring.channels:
+            down = self.routers[ch.dst]
+            if ch.latency > 1:
                 channel = PipelinedChannel(
                     ch.latency, config.fifo_depth, num_lanes=lanes
                 )
@@ -183,8 +171,20 @@ class Network:
                 self._channels.append(target)
                 down.in_channel[ch.in_port] = channel
             else:
-                target = (self.routers[ch.dst], ch.in_port)
+                target = (down, ch.in_port)
             self.routers[ch.src].out_target[ch.out_port] = target
+        for endpoint, feeds in wiring.sinks.items():
+            for node, out_port in feeds:
+                self.routers[node].out_target[out_port] = (
+                    memory_sink_factory(endpoint)
+                    if memory_sink_factory
+                    else default_sink
+                )
+        # Endpoint entry points: endpoint node -> (router, input port).
+        self._edge_entry: Dict[Coord, tuple] = {
+            endpoint: (self.routers[node], in_port)
+            for endpoint, (node, in_port) in wiring.entry.items()
+        }
         for coord, router in self.routers.items():
             sink = sink_factory(coord) if sink_factory else default_sink
             router.out_target[P_IDX] = sink

@@ -19,7 +19,6 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.coords import Coord
 from repro.core.params import NetworkConfig
 from repro.core.registry import register_engine
 from repro.core.spec import (
@@ -29,6 +28,7 @@ from repro.core.spec import (
     build_routing,
     resolve_run,
 )
+from repro.core.topology import make_topology
 from repro.errors import SimulationError, SimulationTimeout
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import derive_rng
@@ -349,11 +349,7 @@ def zero_load_latency(
     routing = build_routing(config)
     dest_fn = build_pattern(pattern, config)
     rng = derive_rng(seed, "zero-load")
-    nodes = [
-        Coord(x, y)
-        for y in range(config.height)
-        for x in range(config.width)
-    ]
+    nodes = make_topology(config).nodes
     total = 0
     count = 0
     while count < samples:
@@ -377,11 +373,7 @@ def average_hops_by_direction(
     routing = build_routing(config)
     dest_fn = build_pattern(pattern, config)
     rng = derive_rng(seed, "dir-hops")
-    nodes = [
-        Coord(x, y)
-        for y in range(config.height)
-        for x in range(config.width)
-    ]
+    nodes = make_topology(config).nodes
     counts: Dict[int, int] = {}
     count = 0
     while count < samples:

@@ -104,9 +104,9 @@ class _Enumerator:
         self.report = report
         self.max_findings = max_findings
         self.uses_vcs = config.uses_vcs
-        self.topology = (
+        self.graph = (
             topology if topology is not None else make_topology(config)
-        )
+        ).port_graph()
         # A routing that declares its own minimal-hop bound (the 3-D
         # DOR pack, plugins) is audited against that declaration; the
         # builtin 2-D algorithms are held to the monotone closed form.
@@ -116,15 +116,15 @@ class _Enumerator:
         )
         # Reverse channel lookup: (arrival tile, input port) -> channel.
         self.rev: Dict[Tuple[Coord, int], Tuple[Coord, Direction]] = {}
-        for src, direction, dst in self.topology.channels:
-            key = (dst, int(direction.opposite))
+        for ch in self.graph.channels:
+            key = (ch.dst, ch.in_port)
             if key in self.rev:  # pragma: no cover - topology invariant
                 raise RoutingError(
-                    f"ambiguous input: two channels arrive at {dst} on "
-                    f"{direction.opposite.name}"
+                    f"ambiguous input: two channels arrive at {ch.dst} on "
+                    f"{self.graph.port_name(ch.in_port)}"
                 )
-            self.rev[key] = (src, direction)
-        self.nodes: List[Coord] = list(self.topology.nodes)
+            self.rev[key] = (ch.src, Direction(ch.out_port))
+        self.nodes: List[Coord] = list(self.graph.nodes)
         if isinstance(routing, FaultAwareTableRouting):
             self.nodes = [
                 n for n in self.nodes if n not in routing.dead_nodes
@@ -271,8 +271,8 @@ class _Enumerator:
             )
             self._hops[state] = _INF
             return None
-        nxt = self.topology.channel_map.get((node, out))
-        if nxt is None:
+        hop = self.graph.out_map.get((node, out_idx))
+        if hop is None:
             self._note(
                 report.routing_errors,
                 f"{tuple(node)} routed {out.name} but no such channel "
@@ -285,7 +285,7 @@ class _Enumerator:
             held: ChannelV = (src_node, src_dir, in_vc)
             requested: ChannelV = (node, out, out_vc)
             self.dep_edges.add((held, requested))
-        return (nxt, int(out.opposite), out_vc, subnet)
+        return (hop[0], hop[1], out_vc, subnet)
 
     # ------------------------------------------------------------------
     # Bookkeeping

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.params import DorOrder, NetworkConfig
+from repro.core.params import NetworkConfig
 from repro.core.routing import RoutingAlgorithm, make_fault_aware_routing
-from repro.core.spec import NetworkSpec
+from repro.core.spec import NetworkSpec, build_config
 from repro.verify.certify import certify_spec
 from repro.verify.engine import verify_config
 from repro.verify.report import CertificationReport, VerificationReport
@@ -46,8 +46,10 @@ def paper_matrix(
 ) -> List[Tuple[NetworkConfig, Optional[RoutingAlgorithm]]]:
     """Every (config, routing) pair of the paper's evaluation grid.
 
-    ``routing`` is ``None`` for the deterministic DOR algorithms (the
-    verifier builds them via :func:`~repro.core.routing.make_routing`)
+    The topology x size x Ruche-Factor sweep is
+    :func:`paper_spec_matrix`'s, built into configs.  ``routing`` is
+    ``None`` for the deterministic DOR algorithms (the verifier builds
+    them via :func:`~repro.core.routing.make_routing`)
     and an explicit healthy :class:`FaultAwareTableRouting` for the
     table-routed entries — included only at the smallest size, where
     table construction stays cheap (``include_fault_aware=False`` drops
@@ -55,61 +57,15 @@ def paper_matrix(
     fixed design points (:data:`TOPOLOGY_PACK_3D`), independent of
     ``sizes``.
     """
-    grid: List[Tuple[NetworkConfig, Optional[RoutingAlgorithm]]] = []
-    for width, height in sizes:
-        base_names = [
-            "mesh",
-            "torus",
-            "half-torus",
-            "torus-fbfc",
-            "half-torus-fbfc",
-            "multimesh",
-            "ruche1",
-        ]
-        for name in base_names:
-            grid.append((NetworkConfig.from_name(name, width, height), None))
-        grid.append(
-            (
-                NetworkConfig.from_name(
-                    "mesh", width, height, dor_order=DorOrder.YX
-                ),
-                None,
-            )
+    grid: List[Tuple[NetworkConfig, Optional[RoutingAlgorithm]]] = [
+        (build_config(spec), None)
+        for spec in paper_spec_matrix(
+            sizes,
+            ruche_factors,
+            include_fault_aware=False,
+            include_3d=False,
         )
-        for rf in ruche_factors:
-            if rf >= max(width, height):
-                continue
-            for pop in ("depop", "pop"):
-                grid.append(
-                    (
-                        NetworkConfig.from_name(
-                            f"ruche{rf}-{pop}", width, height
-                        ),
-                        None,
-                    )
-                )
-                grid.append(
-                    (
-                        NetworkConfig.from_name(
-                            f"ruche{rf}-{pop}", width, height, half=True
-                        ),
-                        None,
-                    )
-                )
-            # The response-network router: Half Ruche with Y-X DOR
-            # (its crossbar is the special HALF_RUCHE_*_YX matrix).
-            grid.append(
-                (
-                    NetworkConfig.from_name(
-                        f"ruche{rf}-depop",
-                        width,
-                        height,
-                        half=True,
-                        dor_order=DorOrder.YX,
-                    ),
-                    None,
-                )
-            )
+    ]
     if include_fault_aware:
         width, height = min(sizes, key=lambda wh: wh[0] * wh[1])
         for name in ("mesh", "ruche2-depop"):
@@ -137,12 +93,12 @@ def paper_spec_matrix(
 ) -> List[NetworkSpec]:
     """The paper's evaluation grid as :class:`NetworkSpec` entries.
 
-    The certification counterpart of :func:`paper_matrix`: the same
-    topology x size x Ruche-Factor sweep, but expressed as specs so
-    each entry carries a content hash and an engine-lowering analysis.
-    ``include_fault_aware`` adds seeded fault-injection entries at the
-    smallest size — unlike :func:`paper_matrix`'s healthy table-routing
-    rows, these materialize a live
+    The one place the topology x size x Ruche-Factor sweep is written
+    (:func:`paper_matrix` builds its configs from it), expressed as
+    specs so each entry carries a content hash and an engine-lowering
+    analysis.  ``include_fault_aware`` adds seeded fault-injection
+    entries at the smallest size — unlike :func:`paper_matrix`'s
+    healthy table-routing rows, these materialize a live
     :class:`~repro.sim.faults.FaultSchedule`, so the certifier proves
     the actual masked detour tables a degraded campaign would route on.
     """

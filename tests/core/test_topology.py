@@ -46,21 +46,21 @@ class TestChannels:
         assert len(t.channels) == 96  # mesh 48 doubled
 
     def test_channel_endpoints_are_correct_for_ruche(self):
-        t = topo("ruche3-depop", 8, 8)
-        assert t.neighbor(Coord(0, 0), Direction.RE) == Coord(3, 0)
-        assert t.neighbor(Coord(5, 7), Direction.RW) == Coord(2, 7)
-        assert not t.has_channel(Coord(6, 0), Direction.RE)  # would exit
+        g = topo("ruche3-depop", 8, 8).port_graph()
+        assert g.dest_of(Coord(0, 0), Direction.RE) == Coord(3, 0)
+        assert g.dest_of(Coord(5, 7), Direction.RW) == Coord(2, 7)
+        assert not g.has_output(Coord(6, 0), Direction.RE)  # would exit
 
     def test_torus_wrap_channels(self):
-        t = topo("torus", 4, 4)
-        assert t.neighbor(Coord(3, 1), Direction.E) == Coord(0, 1)
-        assert t.neighbor(Coord(0, 2), Direction.W) == Coord(3, 2)
-        assert t.neighbor(Coord(2, 0), Direction.N) == Coord(2, 3)
+        g = topo("torus", 4, 4).port_graph()
+        assert g.dest_of(Coord(3, 1), Direction.E) == Coord(0, 1)
+        assert g.dest_of(Coord(0, 2), Direction.W) == Coord(3, 2)
+        assert g.dest_of(Coord(2, 0), Direction.N) == Coord(2, 3)
 
     def test_half_torus_wraps_only_horizontally(self):
-        t = topo("half-torus", 4, 4)
-        assert t.neighbor(Coord(3, 1), Direction.E) == Coord(0, 1)
-        assert not t.has_channel(Coord(2, 0), Direction.N)
+        g = topo("half-torus", 4, 4).port_graph()
+        assert g.dest_of(Coord(3, 1), Direction.E) == Coord(0, 1)
+        assert not g.has_output(Coord(2, 0), Direction.N)
 
     def test_channel_symmetry(self):
         """Every channel has a reverse channel (inputs mirror outputs)."""
@@ -73,16 +73,16 @@ class TestChannels:
 
 class TestEdgeMemory:
     def test_memory_nodes_on_both_edges(self):
-        t = topo("mesh", 4, 4, edge_memory=True)
-        assert len(t.memory_nodes) == 8
-        assert Coord(0, -1) in t.memory_nodes
-        assert Coord(3, 4) in t.memory_nodes
+        g = topo("mesh", 4, 4, edge_memory=True).port_graph()
+        assert len(g.endpoint_only_nodes) == 8
+        assert Coord(0, -1) in g.endpoint_only_nodes
+        assert Coord(3, 4) in g.endpoint_only_nodes
 
     def test_memory_channels_bidirectional(self):
-        t = topo("mesh", 4, 4, edge_memory=True)
-        assert t.neighbor(Coord(1, 0), Direction.N) == Coord(1, -1)
-        assert t.neighbor(Coord(1, -1), Direction.S) == Coord(1, 0)
-        assert t.neighbor(Coord(2, 3), Direction.S) == Coord(2, 4)
+        g = topo("mesh", 4, 4, edge_memory=True).port_graph()
+        assert g.dest_of(Coord(1, 0), Direction.N) == Coord(1, -1)
+        assert g.dest_of(Coord(1, -1), Direction.S) == Coord(1, 0)
+        assert g.dest_of(Coord(2, 3), Direction.S) == Coord(2, 4)
 
     def test_full_torus_rejects_edge_memory(self):
         with pytest.raises(ConfigError):

@@ -150,11 +150,17 @@ class TestDegradationAnalysis:
 
 
 class TestCheckpointCorruption:
-    def test_corrupt_file_raises_clear_error(self, tmp_path):
+    @pytest.mark.parametrize("content, match", [
+        (b"{broken json", "not valid JSON"),
+        (b"[1, 2]", "not a JSON object"),
+        (b'{"\xff": 1}', "not valid JSON"),
+    ], ids=["invalid-json", "not-an-object", "not-utf8"])
+    def test_corrupt_file_raises_clear_error(self, tmp_path, content, match):
         path = tmp_path / "ckpt.json"
-        path.write_text("{broken json")
-        with pytest.raises(ValueError, match="not valid JSON"):
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=match) as info:
             CheckpointStore(str(path))
+        assert "delete it to restart the campaign" in str(info.value)
 
 
 class TestPreflight:

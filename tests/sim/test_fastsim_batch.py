@@ -465,9 +465,13 @@ def _make_skewed(config):
 def _cut_off_schedule(config):
     """A corner tile with every link dead (live, but partitioned from
     all the others), a dead router, and one more dead link."""
-    topology = make_topology(config)
+    graph = make_topology(config).port_graph()
     corner = Coord(0, 0)
-    links = [link for link in topology.channel_map if link[0] == corner]
+    links = [
+        (corner, Direction(ch.out_port))
+        for ch in graph.channels
+        if ch.src == corner
+    ]
     links.append((Coord(config.width - 1, config.height - 1), Direction.W))
     return FaultSchedule(
         config, dead_links=links, dead_routers=[Coord(3, 2)], seed=1

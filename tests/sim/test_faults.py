@@ -1,10 +1,14 @@
 """Tests for fault injection, fault-aware routing, and the watchdog."""
 
 import pytest
+from hypothesis import given, strategies as st
+
+from property.settings import tiered_settings
 
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig
 from repro.core.routing import make_fault_aware_routing
+from repro.core.spec import NetworkSpec, build_routing
 from repro.errors import ConfigError, DeadlockError, SimulationTimeout
 from repro.sim.faults import FaultSchedule, TransientLinkFault
 from repro.sim.simulator import run_synthetic
@@ -53,6 +57,45 @@ class TestFaultSchedule:
         )
         with pytest.raises(ConfigError):
             Network(cfg, faults=sched)
+
+
+#: The builtin families fault-aware routing runs on (wormhole routers,
+#: no edge memory): (name, half, extra options).
+_FAULT_FAMILIES = (
+    ("mesh", False, {}),
+    ("multimesh", False, {}),
+    ("ruche1", False, {}),
+    ("ruche2-depop", False, {}),
+    ("ruche2-pop", True, {}),
+    ("ruche3-depop", True, {}),
+    ("mesh3d", False, {"depth": 3}),
+)
+
+
+@st.composite
+def _faulted_schedules(draw):
+    name, half, options = draw(st.sampled_from(_FAULT_FAMILIES))
+    width = draw(st.integers(4, 7))
+    height = draw(st.integers(3, 6))
+    config = NetworkSpec.for_network(
+        name, width, height, half=half, **options
+    ).config()
+    return FaultSchedule.random_mixed(
+        config,
+        links=draw(st.integers(0, 6)),
+        routers=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+        degraded_model=True,
+    )
+
+
+@given(_faulted_schedules())
+@tiered_settings(20, deadline=None)
+def test_schedule_and_routing_kill_the_same_channels(sched):
+    """The network leaves unwired exactly the channels the route tables
+    detour around: one expansion of links and routers into channels."""
+    routing = build_routing(sched.config, faults=sched)
+    assert sched.killed_channels == routing.dead_links
 
 
 class TestFaultAwareRouting:

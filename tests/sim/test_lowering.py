@@ -473,6 +473,61 @@ class _StubEndpointGraph(_GraphEmitter):
         return self._emit(graph, [*graph.channels, stub])
 
 
+class _OneWayGraph(_GraphEmitter):
+    """The mesh without the (1, 0) -> W channel: (0, 0)'s E channel
+    arrives on a port where (1, 0) has no input FIFO."""
+
+    def port_graph(self):
+        graph = super().port_graph()
+        return self._emit(graph, (
+            ch for ch in graph.channels
+            if (ch.src, ch.out_port) != (Coord(1, 0), 1)
+        ))
+
+
+class _SlowStubGraph(_GraphEmitter):
+    """An endpoint stub whose channel in has latency 2."""
+
+    def port_graph(self):
+        graph = super().port_graph()
+        stub = PortChannel(
+            src=Coord(0, 0), out_port=3, dst=Coord(0, -1), in_port=4,
+            latency=2, width=graph.channels[0].width,
+        )
+        return self._emit(graph, [*graph.channels, stub])
+
+
+class _TwoOutStubGraph(_GraphEmitter):
+    """Endpoint (0, -1) with channels out into (0, 0) and (1, 0)."""
+
+    def port_graph(self):
+        graph = super().port_graph()
+        width = graph.channels[0].width
+
+        def channel(src, out_port, dst, in_port):
+            return PortChannel(src, out_port, dst, in_port, 1, width)
+
+        stubs = [
+            channel(Coord(0, 0), 3, Coord(0, -1), 4),
+            channel(Coord(1, 0), 3, Coord(1, -1), 4),
+            channel(Coord(0, -1), 4, Coord(0, 0), 3),
+            channel(Coord(0, -1), 2, Coord(1, 0), 3),
+        ]
+        return self._emit(graph, [*graph.channels, *stubs])
+
+
+class _StubToStubGraph(_GraphEmitter):
+    """Endpoint (0, -1)'s one channel out enters endpoint (1, -1)."""
+
+    def port_graph(self):
+        graph = super().port_graph()
+        stub = PortChannel(
+            src=Coord(0, -1), out_port=2, dst=Coord(1, -1), in_port=1,
+            latency=1, width=graph.channels[0].width,
+        )
+        return self._emit(graph, [*graph.channels, stub])
+
+
 class _ColumnMajorMesh(Topology):
     """A mesh whose tiles are enumerated column by column."""
 
@@ -523,6 +578,10 @@ def test_components():
         "test-pipelined-graph": _PipelinedGraph,
         "test-twice-fed-graph": _TwiceFedStubGraph,
         "test-stub-graph": _StubEndpointGraph,
+        "test-one-way-graph": _OneWayGraph,
+        "test-slow-stub-graph": _SlowStubGraph,
+        "test-two-out-stub-graph": _TwoOutStubGraph,
+        "test-stub-to-stub-graph": _StubToStubGraph,
         "test-column-major": _ColumnMajorMesh,
         "test-layer-minor": _LayerMinorMesh3d,
     }
@@ -582,6 +641,28 @@ def test_the_reference_runs_the_graphs_channel_latency(test_components):
     piped = build_run(_run_spec("test-pipelined-graph", 6, 6, **load))
     plain = build_run(_run_spec("mesh", 6, 6, **load))
     assert piped.avg_latency > plain.avg_latency + 2
+
+
+#: graph -> what its ConfigError says: the wiring rules both engines
+#: read from ``core.portgraph.live_wiring``.
+BAD_WIRING = {
+    "test-one-way-graph": "(1, 0) arrives on port W, where the router "
+                          "has no input FIFO",
+    "test-slow-stub-graph": "has latency 2",
+    "test-two-out-stub-graph": "needs exactly one channel out",
+    "test-stub-to-stub-graph": "channel out, into a router",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_WIRING))
+def test_both_engines_reject_bad_wiring_alike(name, test_components):
+    messages = []
+    for engine in ("reference", "compiled"):
+        with pytest.raises(ConfigError) as info:
+            build_run(_run_spec(name, 4, 4, engine=engine))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert BAD_WIRING[name] in messages[0]
 
 
 # ---------------------------------------------------------------------------

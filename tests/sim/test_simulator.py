@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.coords import Direction
 from repro.core.params import NetworkConfig
 from repro.sim.metrics import LatencyStats
 from repro.sim.simulator import (
@@ -205,14 +206,34 @@ class TestZeroLoad:
         )
         assert r3 < 0.6 * mesh
 
+    @pytest.mark.parametrize("name, expected", [
+        # Per axis, uniform random over k=4 tiles travels 5/4 hops on
+        # a line and 1 on a ring; self-pairs are redrawn (x 64/63).
+        ("mesh3d", 3 * 5 / 4 * 64 / 63),
+        ("torus3d", 3 * 1 * 64 / 63),
+    ])
+    def test_3d_uniform_matches_the_closed_form(self, name, expected):
+        cfg = NetworkConfig.from_name(name, 4, 4, depth=4)
+        assert abs(zero_load_latency(cfg, samples=2000) - expected) < 0.15
+
     def test_direction_histogram_consistent(self):
-        cfg = NetworkConfig.from_name("ruche2-pop", 8, 8)
-        hops = average_hops_by_direction(cfg, samples=800)
-        zl = zero_load_latency(cfg, samples=800)
-        # Total per-direction hops (minus the P ejection) == hop count.
-        from repro.core.coords import Direction
-        total = sum(v for d, v in hops.items() if d != int(Direction.P))
-        assert abs(total - zl) < 0.05
+        _assert_histogram_matches_hops(
+            NetworkConfig.from_name("ruche2-pop", 8, 8)
+        )
+
+    @pytest.mark.parametrize("name", ["mesh3d", "torus3d"])
+    def test_3d_direction_histogram_consistent(self, name):
+        _assert_histogram_matches_hops(
+            NetworkConfig.from_name(name, 4, 4, depth=4)
+        )
+
+
+def _assert_histogram_matches_hops(cfg):
+    hops = average_hops_by_direction(cfg, samples=800)
+    zl = zero_load_latency(cfg, samples=800)
+    # Total per-direction hops (minus the P ejection) == hop count.
+    total = sum(v for d, v in hops.items() if d != int(Direction.P))
+    assert abs(total - zl) < 0.05
 
 
 class TestSaturationAndDrain:

@@ -9,6 +9,99 @@ from repro.core.params import DorOrder, NetworkConfig
 from repro.core.routing import MeshDOR, TorusDOR, make_fault_aware_routing
 from repro.verify import paper_matrix, verify_config, verify_matrix
 
+#: ``paper_matrix()``'s default grid, one ``name WxH[xD] [flags]`` line
+#: per entry, in order: ``half`` / ``yx`` are ``from_name`` options and
+#: ``fault-aware`` marks a healthy ``FaultAwareTableRouting`` entry.
+PAPER_GRID = """
+    mesh 8x8
+    torus 8x8
+    half-torus 8x8
+    torus-fbfc 8x8
+    half-torus-fbfc 8x8
+    multimesh 8x8
+    ruche1 8x8
+    mesh 8x8 yx
+    ruche2-depop 8x8
+    ruche2-depop 8x8 half
+    ruche2-pop 8x8
+    ruche2-pop 8x8 half
+    ruche2-depop 8x8 half yx
+    ruche3-depop 8x8
+    ruche3-depop 8x8 half
+    ruche3-pop 8x8
+    ruche3-pop 8x8 half
+    ruche3-depop 8x8 half yx
+    ruche4-depop 8x8
+    ruche4-depop 8x8 half
+    ruche4-pop 8x8
+    ruche4-pop 8x8 half
+    ruche4-depop 8x8 half yx
+    mesh 16x8
+    torus 16x8
+    half-torus 16x8
+    torus-fbfc 16x8
+    half-torus-fbfc 16x8
+    multimesh 16x8
+    ruche1 16x8
+    mesh 16x8 yx
+    ruche2-depop 16x8
+    ruche2-depop 16x8 half
+    ruche2-pop 16x8
+    ruche2-pop 16x8 half
+    ruche2-depop 16x8 half yx
+    ruche3-depop 16x8
+    ruche3-depop 16x8 half
+    ruche3-pop 16x8
+    ruche3-pop 16x8 half
+    ruche3-depop 16x8 half yx
+    ruche4-depop 16x8
+    ruche4-depop 16x8 half
+    ruche4-pop 16x8
+    ruche4-pop 16x8 half
+    ruche4-depop 16x8 half yx
+    mesh 64x8
+    torus 64x8
+    half-torus 64x8
+    torus-fbfc 64x8
+    half-torus-fbfc 64x8
+    multimesh 64x8
+    ruche1 64x8
+    mesh 64x8 yx
+    ruche2-depop 64x8
+    ruche2-depop 64x8 half
+    ruche2-pop 64x8
+    ruche2-pop 64x8 half
+    ruche2-depop 64x8 half yx
+    ruche3-depop 64x8
+    ruche3-depop 64x8 half
+    ruche3-pop 64x8
+    ruche3-pop 64x8 half
+    ruche3-depop 64x8 half yx
+    ruche4-depop 64x8
+    ruche4-depop 64x8 half
+    ruche4-pop 64x8
+    ruche4-pop 64x8 half
+    ruche4-depop 64x8 half yx
+    mesh 8x8 fault-aware
+    ruche2-depop 8x8 fault-aware
+    mesh3d 4x4x4
+    torus3d 8x8x4
+"""
+
+
+def _pinned_entry(line):
+    name, size, *flags = line.split()
+    dims = [int(v) for v in size.split("x")]
+    options = {"depth": dims[2]} if len(dims) == 3 else {}
+    if "half" in flags:
+        options["half"] = True
+    if "yx" in flags:
+        options["dor_order"] = DorOrder.YX
+    config = NetworkConfig.from_name(name, dims[0], dims[1], **options)
+    routing = "FaultAwareTableRouting" if "fault-aware" in flags else None
+    return config, routing
+
+
 ALL_NAMES = (
     "mesh", "torus", "half-torus", "torus-fbfc", "multimesh",
     "ruche1", "ruche2-depop", "ruche2-pop", "ruche3-depop", "ruche3-pop",
@@ -50,6 +143,17 @@ class TestAcceptsHealthyConfigs:
             "RucheOneRouting", "RucheDOR", "FaultAwareTableRouting",
             "Mesh3dDOR", "Torus3dDOR",
         }
+
+    def test_paper_matrix_is_pinned(self):
+        """The grid's entries and their order, as ``(config, routing
+        type)``: the verifier CLI and CI iterate it in this order."""
+        got = [
+            (config, None if routing is None else type(routing).__name__)
+            for config, routing in paper_matrix()
+        ]
+        assert got == [
+            _pinned_entry(line) for line in PAPER_GRID.split("\n") if line
+        ]
 
     def test_torus_cdg_is_vc_extended(self):
         report = verify_config(NetworkConfig.from_name("torus", 8, 8))
