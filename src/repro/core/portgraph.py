@@ -24,9 +24,10 @@ Consumers:
   lowers its arrays and route tables from it (the generic tabulation
   path behind non-builtin routings);
 * :func:`killed_channels` is the one expansion of dead links and
-  routers into dead channels, for
-  :class:`~repro.sim.faults.FaultSchedule` and
-  :class:`~repro.core.routing.FaultAwareTableRouting` alike;
+  routers into dead channels: a
+  :class:`~repro.sim.faults.FaultSchedule` expands its faults once,
+  and :class:`~repro.core.routing.FaultAwareTableRouting` reads that
+  set;
 * :mod:`repro.verify.certify` certifies route soundness, turn
   legality, and CDG acyclicity natively on it, with no 2-D coordinate
   assumptions.

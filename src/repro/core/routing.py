@@ -446,14 +446,16 @@ class FaultAwareTableRouting(RoutingAlgorithm):
     forward-progress watchdog is the backstop (see
     ``docs/methodology.md``).  Node pairs left with no feasible path are
     reported by :meth:`partitioned_pairs` rather than routed into a
-    livelock.
+    livelock.  The tables walk ``graph`` less its ``killed`` channels
+    (the graph and channels of the run's fault schedule).
     """
 
     def __init__(
         self,
         config: NetworkConfig,
-        dead_links: Iterable[LinkId] = (),
-        dead_nodes: Iterable[Coord] = (),
+        graph: PortGraph,
+        killed: FrozenSet[PortRef] = frozenset(),
+        dead_nodes: FrozenSet[Coord] = frozenset(),
     ) -> None:
         super().__init__(config)
         if config.uses_vcs or config.fbfc:
@@ -469,14 +471,10 @@ class FaultAwareTableRouting(RoutingAlgorithm):
             fault_tolerant_matrix,
             port_turns,
         )
-        from repro.core.topology import make_topology
 
-        graph = make_topology(config).port_graph()
-        self.dead_nodes: FrozenSet[Coord] = frozenset(dead_nodes)
+        self.dead_nodes = dead_nodes
         #: Every directed ``(node, port)`` channel the faults kill.
-        self.dead_links: FrozenSet[PortRef] = killed_channels(
-            graph, dead_links, self.dead_nodes
-        )
+        self.dead_links = killed
         self._nodes = [
             n for n in graph.nodes if n not in self.dead_nodes
         ]
@@ -709,8 +707,12 @@ def make_fault_aware_routing(
     dead_nodes: Iterable[Coord] = (),
 ) -> FaultAwareTableRouting:
     """Routing tables recomputed around a set of faults."""
+    from repro.core.topology import make_topology
+
+    graph = make_topology(config).port_graph()
+    dead = frozenset(dead_nodes)
     return FaultAwareTableRouting(
-        config, dead_links=dead_links, dead_nodes=dead_nodes
+        config, graph, killed_channels(graph, dead_links, dead), dead
     )
 
 

@@ -18,8 +18,8 @@ else:
 * :func:`build_run` — that record for a spec, run;
 * :func:`build_routing` / :func:`build_pattern` — the named component
   lookups behind the network;
-* :func:`network_components` — the (topology, routing, matrix) bundle a
-  :class:`~repro.sim.network.Network` consumes.
+* :func:`network_components` — the (topology, routing, matrix, port
+  graph) bundle both engines consume.
 
 Topology names resolve through :data:`repro.core.registry.TOPOLOGIES`,
 so a plugin registered with
@@ -52,6 +52,7 @@ from repro.core.connectivity import (
     fault_tolerant_matrix,
 )
 from repro.core.params import DorOrder, NetworkConfig, TopologyKind
+from repro.core.portgraph import PortGraph
 from repro.core.registry import (
     ENGINES,
     ROUTINGS,
@@ -60,8 +61,8 @@ from repro.core.registry import (
     register_topology,
 )
 from repro.core.routing import (
+    FaultAwareTableRouting,
     RoutingAlgorithm,
-    make_fault_aware_routing,
     make_routing,
 )
 from repro.core.topology import Topology, make_topology
@@ -371,11 +372,17 @@ def default_router_kind(config: NetworkConfig) -> str:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class NetworkComponents:
-    """The construction bundle one :class:`Network` consumes."""
+    """The construction bundle one :class:`Network` consumes.
+
+    ``graph`` is the run's port graph, emitted once: both engines wire
+    it and the fault-aware routing is tabulated on it.  Nothing keeps
+    the bundle, so a healthy run's graph goes once it is wired.
+    """
 
     topology: Topology
     routing: RoutingAlgorithm
     matrix: Matrix
+    graph: PortGraph
 
 
 def build_routing(
@@ -393,10 +400,8 @@ def build_routing(
     used (memoized per config).
     """
     if faults is not None and faults.affects_routing:
-        return make_fault_aware_routing(
-            config,
-            dead_links=faults.dead_links,
-            dead_nodes=faults.dead_routers,
+        return FaultAwareTableRouting(
+            config, faults.graph, faults.killed_channels, faults.dead_routers
         )
     if name is not None:
         factory = ROUTINGS.get(name)
@@ -435,48 +440,45 @@ def network_components(
     provider: Optional[TopologyProvider] = None,
     routing_name: Optional[str] = None,
 ) -> NetworkComponents:
-    """Resolve the (topology, routing, matrix) bundle for a network.
+    """Resolve the (topology, routing, matrix, graph) bundle for a network.
 
-    Fault schedules that affect routing force the builtin topology, the
-    fault-aware tables, and the fully-connected crossbar — degraded
-    detours need turns the DOR crossbars lack.  Otherwise the provider's
-    factories (when given) override the builtin components.
+    The provider's factories (when given) override the builtin
+    components.  The port graph is emitted once here, or, under a fault
+    schedule, is the graph the faults were drawn on (a schedule drawn
+    for another design point is a :class:`ConfigError`).  Fault
+    schedules that affect routing force the builtin topology, the
+    fault-aware tables on that graph, and the fully-connected crossbar
+    — degraded detours need turns the DOR crossbars lack.
     """
-    if faults is not None and faults.affects_routing:
-        if provider is not None and provider.has_custom_components:
-            raise ConfigError(
-                f"topology {provider.name!r}: fault-aware routing is "
-                f"not supported for plugin topologies"
-            )
-        return NetworkComponents(
-            topology=make_topology(config),
-            routing=build_routing(config, faults=faults),
-            matrix=fault_tolerant_matrix(config),
+    reroute = faults is not None and faults.affects_routing
+    if reroute and provider is not None and provider.has_custom_components:
+        raise ConfigError(
+            f"topology {provider.name!r}: fault-aware routing is "
+            f"not supported for plugin topologies"
         )
-    if provider is None:
-        topology = make_topology(config)
-        routing = build_routing(config, name=routing_name)
-        matrix = connectivity_matrix(config)
-        return NetworkComponents(topology, routing, matrix)
-    topology_factory = provider.topology_factory
-    topology = (
-        topology_factory(config)
-        if topology_factory is not None
-        else make_topology(config)
-    )
-    if routing_name is not None:
-        routing = build_routing(config, name=routing_name)
-    elif provider.routing_factory is not None:
-        routing = provider.routing_factory(config)
+    emitter = getattr(provider, "topology_factory", None) or make_topology
+    topology = emitter(config)
+    if faults is None:
+        graph = topology.port_graph()
+    elif faults.config == config and faults.emitter is emitter:
+        graph = faults.graph
     else:
-        routing = make_routing(config)
-    matrix_factory = provider.matrix_factory
-    matrix = (
-        matrix_factory(config)
-        if matrix_factory is not None
-        else connectivity_matrix(config)
-    )
-    return NetworkComponents(topology, routing, matrix)
+        raise ConfigError(
+            "a fault schedule runs only on the topology it was drawn "
+            "on; draw it for this design point (build_faults)"
+        )
+    if reroute:
+        routing = build_routing(config, faults=faults)
+        return NetworkComponents(
+            topology, routing, fault_tolerant_matrix(config), graph
+        )
+    routing_factory = getattr(provider, "routing_factory", None)
+    if routing_name is None and routing_factory is not None:
+        routing = routing_factory(config)
+    else:
+        routing = build_routing(config, name=routing_name)
+    matrix = getattr(provider, "matrix_factory", None) or connectivity_matrix
+    return NetworkComponents(topology, routing, matrix(config), graph)
 
 
 def resolve_components(
@@ -513,7 +515,11 @@ def resolve_components(
 # Fault / watchdog materialization
 # ----------------------------------------------------------------------
 def build_faults(spec: NetworkSpec, config: NetworkConfig) -> Optional[Any]:
-    """The spec's :class:`~repro.sim.faults.FaultSchedule` (or None)."""
+    """The spec's :class:`~repro.sim.faults.FaultSchedule` (or None).
+
+    Drawn on the channels the spec's runs wire: a plugin topology's own
+    graph, not the builtin one of its config.
+    """
     if (
         spec.fault_links <= 0
         and spec.fault_routers <= 0
@@ -523,22 +529,15 @@ def build_faults(spec: NetworkSpec, config: NetworkConfig) -> Optional[Any]:
         return None
     from repro.sim.faults import FaultSchedule
 
-    if spec.fault_routers <= 0 and spec.fault_transient <= 0:
-        # Preserves the pre-mixed-schedule spec semantics byte for byte.
-        return FaultSchedule.random_dead_links(
-            config,
-            spec.fault_links,
-            seed=spec.fault_seed,
-            degraded_model=spec.degraded_model,
-        )
-    return FaultSchedule.random_mixed(
+    return FaultSchedule._drawn(
+        resolve_topology(spec.topology).topology_factory or make_topology,
         config,
-        links=spec.fault_links,
-        routers=spec.fault_routers,
-        transient=spec.fault_transient,
-        drop_prob=spec.fault_drop_prob,
-        seed=spec.fault_seed,
-        degraded_model=spec.degraded_model,
+        spec.fault_links,
+        spec.fault_routers,
+        spec.fault_transient,
+        spec.fault_drop_prob,
+        spec.fault_seed,
+        spec.degraded_model,
     )
 
 
@@ -581,13 +580,11 @@ def _wire_network(
     components, router, allocator = resolve_components(target, config, faults)
     return Network(
         config,
+        components,
+        router,
+        allocator,
         faults=faults,
         watchdog=watchdog,
-        topology=components.topology,
-        routing=components.routing,
-        matrix=components.matrix,
-        router=router,
-        allocator=allocator,
         **endpoints,
     )
 
@@ -607,9 +604,9 @@ def build_network(
     :class:`NetworkConfig`.  For a spec, the topology provider's
     components, the named routing/router/allocator overrides, and the
     spec's fault/watchdog options (unless explicitly overridden here)
-    are all resolved through the registries.  This is the only
-    sanctioned construction path for networks in the sim, verify,
-    bench, and experiments layers.
+    are all resolved through the registries.  This (or
+    :meth:`ResolvedRun.network`) is the only way to get a network:
+    :class:`~repro.sim.network.Network` resolves no parts of its own.
     """
     if isinstance(target, NetworkConfig):
         config = target

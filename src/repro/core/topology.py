@@ -19,7 +19,7 @@ as the graph's endpoint-only nodes, on channels of latency 1.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.core.coords import (
     ALL_DIRECTIONS,
@@ -35,6 +35,9 @@ from repro.errors import ConfigError
 
 #: A physical channel: (source tile, output direction, destination tile).
 Channel = Tuple[Coord, Direction, Coord]
+#: What builds a design point's topology: :func:`make_topology`, or a
+#: plugin provider's topology factory.
+Emitter = Callable[[NetworkConfig], "Topology"]
 
 
 class Topology:

@@ -41,6 +41,7 @@ from typing import (
 )
 
 from repro.core.coords import Coord
+from repro.core.spec import build_network
 from repro.errors import ConfigError, SimulationError
 from repro.manycore.config import MachineConfig
 from repro.manycore.core_model import (
@@ -63,7 +64,6 @@ from repro.sim.fastsim import (
     LoweringDiagnostic,
     fabric_problems,
 )
-from repro.sim.network import Network
 from repro.sim.packet import Packet
 from repro.sim.router import Sink
 from repro.sim.trace import Trace, TraceRecorder
@@ -227,7 +227,7 @@ class Machine:
             ) or fabric_problems(config.reverse_config)
         #: The engine that actually steps the networks.
         self.engine = "reference" if self.fallback else engine
-        fabric = CompiledFabric if self.engine == "compiled" else Network
+        fabric = CompiledFabric if self.engine == "compiled" else build_network
         self.fwd = fabric(
             config.forward_config,
             sink_factory=lambda c: self.servers[c],

@@ -172,7 +172,6 @@ from repro.core.spec import (
     ResolvedRun,
     build_network,
     build_pattern,
-    build_routing,
     resolve_components,
     resolve_run,
 )
@@ -322,17 +321,19 @@ def _compile(
     config: NetworkConfig,
     faults: Any = None,
 ) -> _CompiledModel:
-    # Transient-only schedules share the healthy model: the wiring is
-    # unchanged and drops happen at run time.
-    if faults is not None and not faults.affects_routing:
-        faults = None
     names = (
         (target.topology, target.routing, target.router, target.allocator)
         if isinstance(target, NetworkSpec)
         else None
     )
+    # Keyed by the design point a schedule was drawn for, so one drawn
+    # for another misses and meets network_components' check.  Transient
+    # faults are not keyed: drops happen at run time.
     fault_key = (
-        (faults.killed_channels, faults.dead_routers, faults.degraded_model)
+        (
+            faults.config, faults.emitter, faults.killed_channels,
+            faults.dead_routers, faults.degraded_model,
+        )
         if faults is not None
         else None
     )
@@ -404,7 +405,7 @@ def _build_model(
             "fault-aware-routing",
             "fault-aware table routing without a FaultSchedule",
         )
-    graph = components.topology.port_graph()
+    graph = components.graph
     # Killed channels are never wired, so masked ports (shrunk input
     # lists, absent arbiters, -1 position-map slots) fall out of the
     # one channel list every array below is written from; the port
@@ -1924,7 +1925,7 @@ class CompiledFabric(_RunState):
     """
 
     __slots__ = (
-        "routing", "cycle", "sinks", "refusals", "sink_stalls",
+        "cycle", "sinks", "refusals", "sink_stalls",
         "_index", "_stride", "_entry_q", "_offers", "_sched", "_carriers",
         "_next_pid", "_ready", "_gated", "_waiting", "_wake",
     )
@@ -1955,7 +1956,6 @@ class CompiledFabric(_RunState):
             ),
             watchdog=watchdog,
         )
-        self.routing = build_routing(config)
         self.cycle = 0
         #: Offers an entry queue refused, and deliveries that left a
         #: gated sink not ready (what backpressure tests look for).

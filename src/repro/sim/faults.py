@@ -2,7 +2,7 @@
 
 A :class:`FaultSchedule` describes which parts of a design point are
 broken — permanent dead links, failed routers, transient flit-dropping
-links — and is handed to :class:`~repro.sim.network.Network` (usually via
+links — and is handed to a run (usually via
 ``run_synthetic(..., faults=...)``).  The schedule is built from its own
 named RNG streams (``derive_rng(seed, "faults:*")``), so adding or
 removing faults never perturbs the healthy-path ``timing``/``dest``
@@ -20,9 +20,10 @@ Fault models
   traversing flit with probability ``drop_prob`` inside an optional
   ``[start, end)`` cycle window, from a dedicated drop RNG stream.
 
-Dead links and routers become dead channels in one function,
-:func:`~repro.core.portgraph.killed_channels`, which the fault-aware
-routing calls too: the engines leave unwired what the tables avoid.
+A schedule is drawn on one port graph and keeps it (``graph``): the
+run under it wires that graph, and its dead links and routers become
+dead channels once, by :func:`~repro.core.portgraph.killed_channels`,
+a set the fault-aware tables and both engines' wiring all read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig
 from repro.core.portgraph import PortGraph, PortRef, killed_channels
-from repro.core.topology import make_topology
+from repro.core.topology import Emitter, make_topology
 from repro.errors import ConfigError
 from repro.sim.rng import derive_rng
 
@@ -101,10 +102,30 @@ class FaultSchedule:
         seed: int = 0,
         degraded_model: bool = False,
     ) -> None:
+        self._place(
+            make_topology, config, dead_links, dead_routers, transient,
+            seed, degraded_model,
+        )
+
+    def _place(
+        self,
+        emitter: Emitter,
+        config: NetworkConfig,
+        dead_links: Iterable[LinkId],
+        dead_routers: Iterable[Coord],
+        transient: Iterable[TransientLinkFault],
+        seed: int,
+        degraded_model: bool,
+    ) -> None:
+        """Check and index the faults on ``emitter``'s graph of ``config``
+        (the builtin topology, or a plugin spec's: see :meth:`_drawn`)."""
         self.config = config
         self.seed = seed
         self.degraded_model = degraded_model
-        graph = _port_graph(config)
+        #: The port graph the faults name channels of, which a run under
+        #: them wires: ``emitter(config)``'s, and no other.
+        self.emitter = emitter
+        self.graph = graph = _port_graph(config, emitter)
         self.dead_routers: FrozenSet[Coord] = frozenset(dead_routers)
         routers = frozenset(graph.nodes)
         for coord in self.dead_routers:
@@ -190,19 +211,8 @@ class FaultSchedule:
         its canonical direction), deterministically from the
         ``faults:links`` stream of ``seed``.
         """
-        candidates = _undirected_channels(_port_graph(config))
-        if n > len(candidates):
-            raise ConfigError(
-                f"requested {n} dead links but topology has only "
-                f"{len(candidates)} channels"
-            )
-        rng = derive_rng(seed, "faults:links")
-        chosen = rng.sample(candidates, n)
-        return cls(
-            config,
-            dead_links=chosen,
-            seed=seed,
-            degraded_model=degraded_model,
+        return cls.random_mixed(
+            config, links=n, seed=seed, degraded_model=degraded_model
         )
 
     @classmethod
@@ -210,11 +220,7 @@ class FaultSchedule:
         cls, config: NetworkConfig, n: int, seed: int = 0
     ) -> "FaultSchedule":
         """``n`` distinct failed tiles, from the ``faults:routers`` stream."""
-        nodes = _port_graph(config).nodes
-        if n > len(nodes):
-            raise ConfigError(f"requested {n} dead routers of {len(nodes)}")
-        rng = derive_rng(seed, "faults:routers")
-        return cls(config, dead_routers=rng.sample(nodes, n), seed=seed)
+        return cls.random_mixed(config, routers=n, seed=seed)
 
     @classmethod
     def random_transient(
@@ -250,13 +256,24 @@ class FaultSchedule:
 
         Each fault class draws from its own named stream of ``seed``
         (``faults:links`` / ``faults:routers`` / ``faults:transient``),
-        so ``random_mixed(links=n)`` reproduces
-        :meth:`random_dead_links` bit for bit, and adding routers or
-        transient faults never perturbs the link choices.  Transient
-        candidates exclude channels already killed by the permanent
-        faults (a dead link cannot also drop flits).
+        so ``random_mixed(links=n)`` is :meth:`random_dead_links` and
+        adding routers or transient faults never perturbs the link
+        choices.  Transient candidates exclude channels already killed
+        by the permanent faults (a dead link cannot also drop flits).
         """
-        graph = _port_graph(config)
+        return cls._drawn(
+            make_topology, config, links, routers, transient, drop_prob,
+            seed, degraded_model,
+        )
+
+    @classmethod
+    def _drawn(
+        cls, emitter: Emitter, config: NetworkConfig,
+        links: int, routers: int, transient: int, drop_prob: float,
+        seed: int, degraded_model: bool,
+    ) -> "FaultSchedule":
+        """:meth:`random_mixed`, drawn on ``emitter``'s topology."""
+        graph = _port_graph(config, emitter)
         link_candidates = _undirected_channels(graph)
         if links > len(link_candidates):
             raise ConfigError(
@@ -274,45 +291,39 @@ class FaultSchedule:
         chosen_routers = derive_rng(seed, "faults:routers").sample(
             nodes, routers
         )
-        base = cls(
-            config,
-            dead_links=chosen_links,
-            dead_routers=chosen_routers,
-            seed=seed,
-            degraded_model=degraded_model,
-        )
-        if not transient:
-            return base
-        survivors = [
-            link
-            for link in link_candidates
-            if link not in base.killed_channels
-        ]
-        if transient > len(survivors):
-            raise ConfigError(
-                f"requested {transient} transient faults but only "
-                f"{len(survivors)} channels survive the permanent faults"
+        chosen_transient: List[LinkId] = []
+        if transient > 0:
+            killed = killed_channels(
+                graph, chosen_links, frozenset(chosen_routers)
             )
-        chosen_transient = derive_rng(seed, "faults:transient").sample(
-            survivors, transient
+            survivors = [
+                link for link in link_candidates if link not in killed
+            ]
+            if transient > len(survivors):
+                raise ConfigError(
+                    f"requested {transient} transient faults but only "
+                    f"{len(survivors)} channels survive the permanent "
+                    f"faults"
+                )
+            chosen_transient = derive_rng(seed, "faults:transient").sample(
+                survivors, transient
+            )
+        drops = [
+            TransientLinkFault(src, direction, drop_prob)
+            for src, direction in chosen_transient
+        ]
+        schedule = cls.__new__(cls)
+        schedule._place(
+            emitter, config, chosen_links, chosen_routers, drops, seed,
+            degraded_model,
         )
-        return cls(
-            config,
-            dead_links=chosen_links,
-            dead_routers=chosen_routers,
-            transient=[
-                TransientLinkFault(src, direction, drop_prob)
-                for src, direction in chosen_transient
-            ],
-            seed=seed,
-            degraded_model=degraded_model,
-        )
+        return schedule
 
 
 @functools.lru_cache(maxsize=1)
-def _port_graph(config: NetworkConfig) -> PortGraph:
-    """The builtin graph, built once for a schedule and its draws."""
-    return make_topology(config).port_graph()
+def _port_graph(config: NetworkConfig, emitter: Emitter) -> PortGraph:
+    """The graph of one design point, emitted once for its draws."""
+    return emitter(config).port_graph()
 
 
 def _undirected_channels(graph: PortGraph) -> List[LinkId]:

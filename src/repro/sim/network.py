@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core.connectivity import Matrix
 from repro.core.coords import Coord
 from repro.core.params import NetworkConfig
 from repro.core.portgraph import live_wiring
 from repro.core.registry import ROUTERS
-from repro.core.routing import RoutingAlgorithm
-from repro.core.spec import default_router_kind, network_components
-from repro.core.topology import Topology
-from repro.errors import ConfigError, DeadlockError
+from repro.core.spec import NetworkComponents
+from repro.errors import DeadlockError
 from repro.sim.channel import PipelinedChannel
 from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import RunMetrics
@@ -54,10 +51,20 @@ DEADLOCK_WATCHDOG_CYCLES = 1000
 class Network:
     """One NoC instance: routers, channels, endpoints, and the cycle loop.
 
+    Built by :func:`repro.core.spec.build_network` (or
+    :meth:`~repro.core.spec.ResolvedRun.network`), which resolves the
+    parts; the network itself resolves none.
+
     Parameters
     ----------
     config:
         The design point to build.
+    components:
+        Its resolved :class:`~repro.core.spec.NetworkComponents`: the
+        routers are wired from ``components.graph``, which the network
+        does not keep.
+    router / allocator:
+        Registered router-kind and switch-allocator names.
     metrics:
         Measurement collector; a fresh :class:`RunMetrics` by default.
     sink_factory:
@@ -68,61 +75,34 @@ class Network:
         graph (the phantom memory endpoints on the array's north/south
         edges of ``edge_memory`` configs).
     faults:
-        Optional :class:`~repro.sim.faults.FaultSchedule`.  Dead
-        links/routers are left unwired and routing is recomputed around
-        them (routers are then built with the fault-tolerant crossbar);
-        transient faults drop flits in the commit phase.
+        Optional :class:`~repro.sim.faults.FaultSchedule`, the one the
+        components were resolved under.  Dead links/routers are left
+        unwired (routing was recomputed around them and routers get
+        the fault-tolerant crossbar); transient faults drop flits in
+        the commit phase.
     watchdog:
         Forward-progress thresholds; defaults to the classic
         1000-idle-cycle stall watchdog with starvation detection off.
-    topology / routing / matrix:
-        Pre-resolved components, normally supplied by
-        :func:`repro.core.spec.build_network`; any left ``None`` is
-        resolved through :func:`repro.core.spec.network_components`
-        (the builtin components for the config, or the fault-aware
-        variants under a routing-affecting fault schedule).
-    router / allocator:
-        Registered router-kind and switch-allocator names; ``None``
-        selects the config's defaults (see
-        :func:`repro.core.spec.default_router_kind`).
     """
 
     def __init__(
         self,
         config: NetworkConfig,
+        components: NetworkComponents,
+        router: str,
+        allocator: Optional[str] = None,
+        *,
         metrics: Optional[RunMetrics] = None,
         sink_factory: Optional[Callable[[Coord], Sink]] = None,
         memory_sink_factory: Optional[Callable[[Coord], Sink]] = None,
         faults: Optional[FaultSchedule] = None,
         watchdog: Optional[WatchdogConfig] = None,
-        *,
-        topology: Optional[Topology] = None,
-        routing: Optional[RoutingAlgorithm] = None,
-        matrix: Optional[Matrix] = None,
-        router: Optional[str] = None,
-        allocator: Optional[str] = None,
     ) -> None:
         self.config = config
         self.faults = faults
         self.watchdog = watchdog if watchdog is not None else WatchdogConfig()
-        if faults is not None and faults.affects_routing and (
-            config.uses_vcs or config.fbfc
-        ):
-            raise ConfigError(
-                "dead links/routers (fault-aware rerouting) support "
-                "wormhole-routed topologies only (mesh / Ruche family); "
-                "transient drop faults run on any topology"
-            )
-        if topology is None or routing is None or matrix is None:
-            components = network_components(config, faults=faults)
-            if topology is None:
-                topology = components.topology
-            if routing is None:
-                routing = components.routing
-            if matrix is None:
-                matrix = components.matrix
-        self.topology = topology
-        self.routing = routing
+        self.topology = components.topology
+        self.routing = routing = components.routing
         self.metrics = metrics if metrics is not None else RunMetrics()
         self.cycle = 0
         self.occupancy = 0
@@ -136,13 +116,10 @@ class Network:
         #: The crossbar matrix every router was provisioned with; the
         #: runtime audit checks buffered routes against it via the same
         #: turn-legality predicate as the static verifier.
-        self.matrix = matrix
+        self.matrix = matrix = components.matrix
 
-        router_kind = (
-            router if router is not None else default_router_kind(config)
-        )
-        build_router = ROUTERS.get(router_kind)
-        graph = topology.port_graph()
+        build_router = ROUTERS.get(router)
+        graph = components.graph
         wiring = live_wiring(graph, killed)
         self.routers: Dict[Coord, object] = {
             node: build_router(

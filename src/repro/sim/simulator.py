@@ -16,9 +16,11 @@ queueing and therefore diverges at saturation.
 from __future__ import annotations
 
 import dataclasses
+import random
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.core.coords import Coord
 from repro.core.params import NetworkConfig
 from repro.core.registry import register_engine
 from repro.core.spec import (
@@ -333,6 +335,22 @@ def multi_seed_run(
     }
 
 
+def _sampled_pairs(
+    config: NetworkConfig, pattern: str, samples: int, rng: random.Random
+) -> Iterator[Tuple[Coord, Coord]]:
+    """``samples`` ``(src, dest)`` pairs of ``pattern`` drawn from ``rng``
+    (uniform sources; one the pattern sends nowhere is drawn again)."""
+    dest_fn = build_pattern(pattern, config)
+    nodes = make_topology(config).nodes
+    count = 0
+    while count < samples:
+        src = nodes[rng.randrange(len(nodes))]
+        dest = dest_fn(src, rng)
+        if dest is not None:
+            count += 1
+            yield src, dest
+
+
 def zero_load_latency(
     config: NetworkConfig,
     pattern: str = "uniform_random",
@@ -347,19 +365,9 @@ def zero_load_latency(
     Sampled (not exhaustive) for tractability on large arrays.
     """
     routing = build_routing(config)
-    dest_fn = build_pattern(pattern, config)
     rng = derive_rng(seed, "zero-load")
-    nodes = make_topology(config).nodes
-    total = 0
-    count = 0
-    while count < samples:
-        src = nodes[rng.randrange(len(nodes))]
-        dest = dest_fn(src, rng)
-        if dest is None:
-            continue
-        total += routing.hop_count(src, dest)
-        count += 1
-    return total / samples
+    pairs = _sampled_pairs(config, pattern, samples, rng)
+    return sum(routing.hop_count(src, dest) for src, dest in pairs) / samples
 
 
 def average_hops_by_direction(
@@ -371,17 +379,9 @@ def average_hops_by_direction(
 ) -> Dict[int, float]:
     """Mean traversals per packet for each direction (energy modelling)."""
     routing = build_routing(config)
-    dest_fn = build_pattern(pattern, config)
-    rng = derive_rng(seed, "dir-hops")
-    nodes = make_topology(config).nodes
     counts: Dict[int, int] = {}
-    count = 0
-    while count < samples:
-        src = nodes[rng.randrange(len(nodes))]
-        dest = dest_fn(src, rng)
-        if dest is None:
-            continue
+    rng = derive_rng(seed, "dir-hops")
+    for src, dest in _sampled_pairs(config, pattern, samples, rng):
         for _node, out in routing.compute_path(src, dest):
             counts[int(out)] = counts.get(int(out), 0) + 1
-        count += 1
     return {d: c / samples for d, c in counts.items()}

@@ -53,7 +53,11 @@ from typing import (
 from repro.core.connectivity import Matrix, port_turns
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig, TopologyKind
-from repro.core.portgraph import PortGraph, minimal_distances
+from repro.core.portgraph import (
+    PortGraph,
+    ensure_port_graph,
+    minimal_distances,
+)
 from repro.core.routing import (
     FaultAwareTableRouting,
     MeshDOR,
@@ -104,7 +108,7 @@ class _TableCertifier:
         config: NetworkConfig,
         routing: RoutingAlgorithm,
         matrix: Matrix,
-        topology: Topology,
+        topology: Union[Topology, PortGraph],
         report: CertificationReport,
         max_findings: int,
         minimal_hops: Optional[Callable[[Coord, Coord], int]],
@@ -113,7 +117,7 @@ class _TableCertifier:
         self.routing = routing
         #: The port-graph IR the walk runs on: the certifier never
         #: consults coordinates, only node ids, port ids, and channels.
-        self.graph: PortGraph = topology.port_graph()
+        self.graph = ensure_port_graph(topology)
         #: Crossbar legality as integer port-id turn sets.
         self.allowed = port_turns(matrix)
         self.report = report
@@ -455,7 +459,7 @@ def certify_config(
     routing: Optional[RoutingAlgorithm] = None,
     *,
     matrix: Optional[Matrix] = None,
-    topology: Optional[Topology] = None,
+    topology: Optional[Union[Topology, PortGraph]] = None,
     max_findings: int = 8,
     topology_name: Optional[str] = None,
 ) -> CertificationReport:
@@ -570,7 +574,7 @@ def certify_spec(
         config,
         components.routing,
         matrix=matrix,
-        topology=components.topology,
+        topology=components.graph,
         max_findings=max_findings,
         topology_name=spec.topology,
     )

@@ -24,11 +24,12 @@ correctly — never constrain the crossbar.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.connectivity import Matrix
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig, TopologyKind
+from repro.core.portgraph import PortGraph, ensure_port_graph
 from repro.core.routing import FaultAwareTableRouting, RoutingAlgorithm
 from repro.core.spec import (
     NetworkSpec,
@@ -96,7 +97,7 @@ class _Enumerator:
         matrix: Matrix,
         report: VerificationReport,
         max_findings: int,
-        topology: Optional[Topology] = None,
+        topology: Optional[Union[Topology, PortGraph]] = None,
     ) -> None:
         self.config = config
         self.routing = routing
@@ -104,9 +105,9 @@ class _Enumerator:
         self.report = report
         self.max_findings = max_findings
         self.uses_vcs = config.uses_vcs
-        self.graph = (
+        self.graph = ensure_port_graph(
             topology if topology is not None else make_topology(config)
-        ).port_graph()
+        )
         # A routing that declares its own minimal-hop bound (the 3-D
         # DOR pack, plugins) is audited against that declaration; the
         # builtin 2-D algorithms are held to the monotone closed form.
@@ -312,7 +313,7 @@ def verify_config(
     routing: Optional[RoutingAlgorithm] = None,
     *,
     matrix: Optional[Matrix] = None,
-    topology: Optional[Topology] = None,
+    topology: Optional[Union[Topology, PortGraph]] = None,
     max_findings: int = 8,
 ) -> VerificationReport:
     """Statically verify one design point; see :mod:`repro.verify`.
@@ -330,8 +331,8 @@ def verify_config(
         Override the connectivity matrix the turns are checked against
         (used by tests to prove that a mutilated crossbar is rejected).
     topology:
-        Override the channel set the walk runs on (plugin topologies;
-        see :func:`verify_spec`).
+        Override the channel set the walk runs on: a topology or its
+        port graph (plugin topologies; see :func:`verify_spec`).
     max_findings:
         Cap on recorded findings per category; counting continues for
         the numeric fields.
@@ -426,6 +427,6 @@ def verify_spec(
         config,
         components.routing,
         matrix=matrix,
-        topology=components.topology,
+        topology=components.graph,
         max_findings=max_findings,
     )

@@ -6,6 +6,7 @@ promise: a topology the core has never seen becomes constructible,
 statically verifiable, and simulable with zero core changes.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -14,9 +15,17 @@ import pytest
 
 from repro.core.coords import Direction
 from repro.core.registry import TOPOLOGIES
-from repro.core.spec import NetworkSpec, build_run, resolve_topology
+from repro.core.spec import (
+    NetworkSpec,
+    build_faults,
+    build_run,
+    resolve_topology,
+)
 from repro.core.topology import Topology
 from repro.errors import ConfigError
+from repro.sim.fastsim import lowering_problems
+from repro.sim.faults import FaultSchedule
+from repro.sim.simulator import run_synthetic
 from repro.verify import verify_spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -101,6 +110,56 @@ class TestSimulation:
         assert plugin.main() == 0
         out = capsys.readouterr().out
         assert "simulated express-mesh" in out
+
+
+class TestTransientFaults:
+    """A plugin spec's transient faults sit on the plugin's channels."""
+
+    def test_faults_are_drawn_on_the_plugin_graph(self, plugin):
+        spec = NetworkSpec.for_network(
+            "express-mesh", 16, 8, fault_transient=6
+        )
+        config = spec.config()
+        graph = plugin.ExpressMeshTopology(config).port_graph()
+        off_graph = [
+            (seed, fault)
+            for seed in range(20)
+            for fault in build_faults(
+                spec.replace(fault_seed=seed), config
+            ).transient
+            if not graph.has_output(fault.src, fault.direction)
+        ]
+        assert off_graph == []
+
+    def test_engines_agree_and_flits_drop(self, plugin):
+        spec = plugin.demo_spec().replace(
+            fault_transient=6, fault_drop_prob=0.2
+        )
+        results = [
+            build_run(spec.replace(engine=engine))
+            for engine in ("reference", "compiled")
+        ]
+        metrics = [
+            dataclasses.asdict(
+                dataclasses.replace(result, metrics=None, engine="")
+            )
+            for result in results
+        ]
+        assert metrics[0] == metrics[1]
+        assert results[0].dropped_measured > 0
+        lowers = not lowering_problems(spec, engine="compiled")
+        assert results[1].engine == ("compiled" if lowers else "reference")
+
+    def test_a_builtin_schedule_is_refused(self, plugin):
+        """Faults drawn on the builtin graph of the plugin's config name
+        channels the plugin does not wire: both engines refuse them,
+        the compiled one also once the plugin's model is cached."""
+        spec = plugin.demo_spec()
+        builtin = FaultSchedule.random_transient(spec.config(), 6)
+        build_run(spec.replace(engine="compiled"))
+        for engine in ("reference", "compiled"):
+            with pytest.raises(ConfigError, match="drawn on"):
+                run_synthetic(spec.replace(engine=engine), faults=builtin)
 
 
 class TestNoCoreChanges:

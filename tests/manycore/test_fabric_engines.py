@@ -25,6 +25,7 @@ from property.settings import tiered_settings
 
 from repro.core.coords import Coord
 from repro.core.params import DorOrder, NetworkConfig
+from repro.core.spec import build_network, build_routing
 from repro.errors import ConfigError, DeadlockError
 from repro.experiments.manycore_runs import kernel_params, suite_for
 from repro.manycore import Machine, MachineConfig, build_workload
@@ -181,7 +182,7 @@ def _build(kind, config, is_open, watchdog=None):
     def sink(coord):
         return sinks.setdefault(coord, _ToggleSink(is_open, log))
 
-    maker = fastsim.CompiledFabric if kind == "compiled" else Network
+    maker = fastsim.CompiledFabric if kind == "compiled" else build_network
     net = maker(
         config, sink_factory=sink, memory_sink_factory=sink,
         watchdog=watchdog,
@@ -289,14 +290,16 @@ def test_table_hop_counts_equal_the_routing_walk(network):
     mcfg = MachineConfig(network=network, width=8, height=4)
     machine = Machine(mcfg, {})
     assert machine.engine == "compiled"
+    fwd_routing = build_routing(mcfg.forward_config)
+    rev_routing = build_routing(mcfg.reverse_config)
     tiles = mcfg.compute_coords()
     for src in tiles:
         for dest in tiles + mcfg.memory_coords():
             assert machine.fwd.hop_count(src, dest) == (
-                machine.fwd.routing.hop_count(src, dest)
+                fwd_routing.hop_count(src, dest)
             ), (src, dest)
             assert machine.rev.hop_count(dest, src) == (
-                machine.rev.routing.hop_count(dest, src)
+                rev_routing.hop_count(dest, src)
             ), (dest, src)
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig
+from repro.core.spec import build_network
 from repro.errors import ConfigError
 from repro.sim.channel import PipelinedChannel
-from repro.sim.network import Network
 from repro.sim.packet import Packet
 from repro.sim.rng import derive_rng
 from repro.sim.simulator import run_synthetic
@@ -81,7 +81,7 @@ class TestPipelinedNetwork:
         cfg = NetworkConfig.from_name(
             "ruche2-depop", 8, 8, channel_latency=2, fifo_depth=4
         )
-        net = Network(cfg)
+        net = build_network(cfg)
         rng = derive_rng(7, "pipe")
         nodes = net.topology.nodes
         for _ in range(200):
@@ -97,7 +97,7 @@ class TestPipelinedNetwork:
         )
         assert cfg.latency_for(Direction.RE) == 2
         assert cfg.latency_for(Direction.E) == 1
-        net = Network(cfg)
+        net = build_network(cfg)
         net.inject(Coord(0, 0), Coord(6, 0), measured=True)
         assert net.drain(100)
         # RE,RE ride 2-cycle channels: 2*2 hops-latency = 4 total.
@@ -131,7 +131,7 @@ class TestFbfc:
     def test_deadlock_freedom_under_saturation(self):
         """The FBFC bubble invariant must survive adversarial overload on
         both ring dimensions."""
-        net = Network(NetworkConfig.from_name("torus-fbfc", 8, 8))
+        net = build_network(NetworkConfig.from_name("torus-fbfc", 8, 8))
         rng = derive_rng(3, "fbfc")
         nodes = net.topology.nodes
         for _ in range(400):
@@ -143,7 +143,7 @@ class TestFbfc:
         assert net.drain(60000)
 
     def test_conservation(self):
-        net = Network(NetworkConfig.from_name("torus-fbfc", 6, 6))
+        net = build_network(NetworkConfig.from_name("torus-fbfc", 6, 6))
         rng = derive_rng(9, "fbfc2")
         nodes = net.topology.nodes
         for _ in range(300):
@@ -171,7 +171,7 @@ class TestFbfc:
         """A ring-entry move needs two free slots downstream."""
         from repro.sim.router import FbfcRouter
 
-        net = Network(NetworkConfig.from_name("torus-fbfc", 6, 6))
+        net = build_network(NetworkConfig.from_name("torus-fbfc", 6, 6))
         router = net.routers[Coord(0, 0)]
         assert isinstance(router, FbfcRouter)
         needs = router._entry_need[int(Direction.E)]

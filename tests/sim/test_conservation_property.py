@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from property.settings import tiered_settings
 
 from repro.core.params import NetworkConfig
-from repro.sim.network import Network
+from repro.core.spec import build_network
 from repro.sim.rng import derive_rng
 from repro.sim.validate import assert_healthy
 
@@ -33,7 +33,7 @@ def any_config(draw):
 @given(any_config(), st.integers(0, 2**31 - 1))
 @tiered_settings(25, deadline=None)
 def test_universal_conservation(cfg, seed):
-    net = Network(cfg)
+    net = build_network(cfg)
     rng = derive_rng(seed, "universal")
     nodes = net.topology.nodes
     count = rng.randrange(1, 150)
@@ -55,7 +55,7 @@ def test_vc_network_healthy_mid_flight(seed):
     """Invariants hold at arbitrary mid-simulation points, not only at
     quiescence."""
     cfg = NetworkConfig.from_name("torus", 6, 6)
-    net = Network(cfg)
+    net = build_network(cfg)
     rng = derive_rng(seed, "midflight")
     nodes = net.topology.nodes
     for t in range(60):
@@ -72,7 +72,7 @@ def test_vc_network_healthy_mid_flight(seed):
 def test_self_messages_on_every_topology():
     for name in NAMES:
         half = name == "half-torus"
-        net = Network(NetworkConfig.from_name(name, 6, 6, half=half))
+        net = build_network(NetworkConfig.from_name(name, 6, 6, half=half))
         for node in net.topology.nodes:
             net.inject(node, node, measured=True)
         assert net.drain(500)

@@ -7,9 +7,21 @@ from property.settings import tiered_settings
 
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig
-from repro.core.routing import make_fault_aware_routing
-from repro.core.spec import NetworkSpec, build_routing
+from repro.core.routing import (
+    FaultAwareTableRouting,
+    make_fault_aware_routing,
+)
+from repro.core.spec import (
+    NetworkSpec,
+    build_network,
+    build_routing,
+    build_run,
+    resolve_run,
+)
+from repro.core.topology import Topology
 from repro.errors import ConfigError, DeadlockError, SimulationTimeout
+from repro.sim import fastsim, faults, network
+from repro.sim.fastsim import lowering_problems
 from repro.sim.faults import FaultSchedule, TransientLinkFault
 from repro.sim.simulator import run_synthetic
 from repro.sim.watchdog import WatchdogConfig
@@ -49,14 +61,25 @@ class TestFaultSchedule:
         assert (Coord(2, 3), Direction.E) in sched.killed_channels
 
     def test_vc_topologies_rejected_at_network(self):
-        from repro.sim.network import Network
-
+        """Rerouting on VC/FBFC routers has one rule and one message:
+        ``build_network`` raises what a spec run raises on both
+        engines, and the analyzer still names the fallback."""
         cfg = NetworkConfig.from_name("torus", 8, 8)
         sched = FaultSchedule(
             cfg, dead_links=[(Coord(2, 2), Direction.E)]
         )
-        with pytest.raises(ConfigError):
-            Network(cfg, faults=sched)
+        with pytest.raises(ConfigError) as direct:
+            build_network(cfg, faults=sched)
+        spec = NetworkSpec.for_network(
+            "torus", 8, 8, fault_links=1, warmup=5, measure=5
+        )
+        for engine in ("reference", "compiled"):
+            with pytest.raises(ConfigError) as run:
+                build_run(spec.replace(engine=engine))
+            assert str(run.value) == str(direct.value)
+        assert "vc-fbfc-rerouting" in [
+            d.code for d in lowering_problems(spec)
+        ]
 
 
 #: The builtin families fault-aware routing runs on (wormhole routers,
@@ -96,6 +119,68 @@ def test_schedule_and_routing_kill_the_same_channels(sched):
     detour around: one expansion of links and routers into channels."""
     routing = build_routing(sched.config, faults=sched)
     assert sched.killed_channels == routing.dead_links
+
+
+@pytest.fixture()
+def graphs_seen(monkeypatch):
+    """Each port graph emitted, tabulated on and wired, by role."""
+    seen = {"emitted": [], "tabulated": [], "wired": []}
+    emit = Topology.port_graph
+    tabulate = FaultAwareTableRouting._build_tables
+
+    def emitting(topology):
+        graph = emit(topology)
+        seen["emitted"].append(graph)
+        return graph
+
+    def tabulating(routing, graph, turns):
+        seen["tabulated"].append(graph)
+        return tabulate(routing, graph, turns)
+
+    def wiring_of(live_wiring):
+        def wiring(graph, killed=frozenset()):
+            seen["wired"].append(graph)
+            return live_wiring(graph, killed)
+
+        return wiring
+
+    monkeypatch.setattr(Topology, "port_graph", emitting)
+    monkeypatch.setattr(FaultAwareTableRouting, "_build_tables", tabulating)
+    for module in (fastsim, network):
+        monkeypatch.setattr(
+            module, "live_wiring", wiring_of(module.live_wiring)
+        )
+    faults._port_graph.cache_clear()
+    fastsim.clear_compile_caches()
+    yield seen
+    faults._port_graph.cache_clear()
+    fastsim.clear_compile_caches()
+
+
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
+class TestOneGraphPerRun:
+    """A run emits its port graph once: the fault schedule is drawn on
+    it, and the fault-aware tables and the wiring read that object."""
+
+    def test_a_faulted_run_emits_one_graph(self, graphs_seen, engine):
+        spec = NetworkSpec.for_network(
+            "mesh", 8, 8, fault_links=3, warmup=50, measure=100,
+            engine=engine,
+        )
+        run = resolve_run("build_run", spec)
+        run.execute()
+        assert graphs_seen["emitted"] == [run.faults.graph]
+        assert graphs_seen["tabulated"] == [run.faults.graph]
+        assert graphs_seen["wired"] == [run.faults.graph]
+
+    def test_a_healthy_run_emits_one_graph(self, graphs_seen, engine):
+        spec = NetworkSpec.for_network(
+            "mesh", 8, 8, warmup=50, measure=100, engine=engine
+        )
+        resolve_run("build_run", spec).execute()
+        (graph,) = graphs_seen["emitted"]
+        assert graphs_seen["wired"] == [graph]
+        assert graphs_seen["tabulated"] == []
 
 
 class TestFaultAwareRouting:
@@ -183,15 +268,12 @@ class TestFaultedRuns:
         assert r.dropped_measured > 0
 
     def test_degraded_model_flag_forces_table_routing(self):
-        from repro.core.routing import FaultAwareTableRouting
-        from repro.sim.network import Network
-
         cfg = NetworkConfig.from_name("ruche2-depop", 8, 8)
         sched = FaultSchedule.random_dead_links(
             cfg, 0, seed=0, degraded_model=True
         )
         assert sched.affects_routing and not sched.has_faults
-        net = Network(cfg, faults=sched)
+        net = build_network(cfg, faults=sched)
         assert isinstance(net.routing, FaultAwareTableRouting)
 
     def test_max_cycles_budget_raises_timeout(self):

@@ -9,7 +9,7 @@ from property.settings import tiered_settings
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig
 from repro.core.routing import make_routing
-from repro.sim.network import Network
+from repro.core.spec import build_network
 from repro.sim.rng import derive_rng
 
 ALL_NAMES = [
@@ -20,7 +20,7 @@ ALL_NAMES = [
 
 def net_for(name, w=8, h=8, **kw):
     half = name == "half-torus"
-    return Network(NetworkConfig.from_name(name, w, h, half=half, **kw))
+    return build_network(NetworkConfig.from_name(name, w, h, half=half, **kw))
 
 
 class TestSinglePacket:
@@ -156,7 +156,7 @@ class TestEdgeMemory:
     def test_memory_injection_backpressure(self):
         """When the edge FIFO is full, memory injection must fail."""
         cfg = NetworkConfig.from_name("mesh", 4, 4, edge_memory=True)
-        net = Network(cfg)
+        net = build_network(cfg)
         mem = Coord(1, -1)
         accepted = 0
         for _ in range(10):
@@ -176,7 +176,7 @@ class TestEdgeMemory:
             NetworkConfig.from_name("multimesh", 16, 8, edge_memory=True)
 
     def test_half_ruche_memory_traffic(self):
-        net = Network(
+        net = build_network(
             NetworkConfig.from_name(
                 "ruche3-depop", 16, 8, half=True, edge_memory=True
             )

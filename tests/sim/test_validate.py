@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.coords import Coord
 from repro.core.params import NetworkConfig
-from repro.sim.network import Network
+from repro.core.spec import build_network
 from repro.sim.rng import derive_rng
 from repro.sim.validate import assert_healthy, audit_network, is_vc_network
 
 
 def loaded_network(name="mesh", steps=120, **kw):
-    net = Network(NetworkConfig.from_name(name, 8, 8, **kw))
+    net = build_network(NetworkConfig.from_name(name, 8, 8, **kw))
     rng = derive_rng(4, name)
     nodes = net.topology.nodes
     for _ in range(steps):
@@ -58,13 +58,15 @@ class TestAudit:
         assert any("occupancy" in p for p in audit_network(net))
 
     def test_detects_unwired_route(self):
-        net = Network(NetworkConfig.from_name("mesh", 4, 4))
+        net = build_network(NetworkConfig.from_name("mesh", 4, 4))
         pkt = net.inject(Coord(0, 0), Coord(3, 0))
         pkt.out_dir = 7  # RN: not wired on a mesh
         assert any("unwired" in p for p in audit_network(net))
 
     def test_vc_network_detection(self):
-        assert is_vc_network(Network(NetworkConfig.from_name("torus", 4, 4)))
+        assert is_vc_network(
+            build_network(NetworkConfig.from_name("torus", 4, 4))
+        )
         assert not is_vc_network(
-            Network(NetworkConfig.from_name("torus-fbfc", 4, 4))
+            build_network(NetworkConfig.from_name("torus-fbfc", 4, 4))
         )

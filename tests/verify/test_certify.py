@@ -23,12 +23,10 @@ from property.settings import tiered_settings
 from repro.core.connectivity import connectivity_matrix
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig
-from repro.core.routing import (
-    FaultAwareTableRouting,
-    MeshDOR,
-    make_fault_aware_routing,
-)
+from repro.core.portgraph import killed_channels
+from repro.core.routing import FaultAwareTableRouting, MeshDOR
 from repro.core.spec import NetworkSpec
+from repro.core.topology import make_topology
 from repro.verify import (
     certify_config,
     certify_problems,
@@ -143,6 +141,15 @@ class _Oblivious(FaultAwareTableRouting):
         return Direction.P
 
 
+def _oblivious(config, dead_links=(), dead_nodes=()):
+    """An :class:`_Oblivious` routing on the config's graph and faults."""
+    graph = make_topology(config).port_graph()
+    dead = frozenset(dead_nodes)
+    return _Oblivious(
+        config, graph, killed_channels(graph, dead_links, dead), dead
+    )
+
+
 class TestFaultMaskedTables:
     def test_seeded_fault_spec_certifies(self):
         spec = NetworkSpec.for_network(
@@ -165,7 +172,7 @@ class TestFaultMaskedTables:
 
     def test_masked_escape_is_a_finding(self):
         config = NetworkConfig.from_name("mesh", 4, 4)
-        routing = _Oblivious(
+        routing = _oblivious(
             config, dead_links=[(Coord(1, 0), Direction.E)]
         )
         report = certify_config(config, routing)
@@ -175,7 +182,7 @@ class TestFaultMaskedTables:
 
     def test_dead_router_escape_is_a_finding(self):
         config = NetworkConfig.from_name("mesh", 4, 4)
-        routing = _Oblivious(config, dead_nodes=[Coord(1, 1)])
+        routing = _oblivious(config, dead_nodes=[Coord(1, 1)])
         report = certify_config(config, routing)
         assert not report.ok
         assert any("dead router" in e for e in report.masked_escapes)
