@@ -430,9 +430,9 @@ class _GraphEmitter(Topology):
     reference runs and what the lowering reads (or refuses).
     """
 
-    def _emit(self, graph, channels):
+    def _emit(self, graph, channels, nodes=None):
         return PortGraph(
-            nodes=graph.nodes,
+            nodes=graph.nodes if nodes is None else nodes,
             num_ports=graph.num_ports,
             ejection_port=graph.ejection_port,
             port_names=graph.port_names,
@@ -528,6 +528,17 @@ class _StubToStubGraph(_GraphEmitter):
         return self._emit(graph, [*graph.channels, stub])
 
 
+class _ReversedNodesGraph(_GraphEmitter):
+    """The mesh's graph with its node list reversed: the topology keeps
+    its row-major ``nodes``, and only the graph says otherwise."""
+
+    def port_graph(self):
+        graph = super().port_graph()
+        return self._emit(
+            graph, graph.channels, nodes=tuple(reversed(graph.nodes))
+        )
+
+
 class _ColumnMajorMesh(Topology):
     """A mesh whose tiles are enumerated column by column."""
 
@@ -582,6 +593,7 @@ def test_components():
         "test-slow-stub-graph": _SlowStubGraph,
         "test-two-out-stub-graph": _TwoOutStubGraph,
         "test-stub-to-stub-graph": _StubToStubGraph,
+        "test-reversed-nodes-graph": _ReversedNodesGraph,
         "test-column-major": _ColumnMajorMesh,
         "test-layer-minor": _LayerMinorMesh3d,
     }
@@ -820,6 +832,30 @@ def test_injection_plans_keep_node_orders_apart(
         assert got.engine == "compiled-batch"
         reference = build_run(spec.replace(engine="reference"))
         assert fingerprint(got) == fingerprint(reference)
+
+
+def test_every_draw_visits_sources_in_the_graphs_node_order(
+    test_components,
+):
+    """The open-loop draw walks the run's port-graph nodes, whoever
+    draws: the reference's injection rounds, the kernel's in-kernel
+    draw and the host-drawn schedule (forced here by a transient fault
+    that drops nothing) give one result on a graph whose node order is
+    not its topology's."""
+    spec = _run_spec(
+        "test-reversed-nodes-graph", 6, 6, rate=0.2, engine="compiled",
+    )
+    reference = build_run(spec.replace(engine="reference"))
+    (in_kernel,) = fastsim.run_compiled_batch([spec])
+    assert in_kernel.engine == "compiled-batch"
+    faulted = spec.replace(fault_transient=1, fault_drop_prob=0.0)
+    assert [d.code for d in fastsim.batching_problems(faulted)] == [
+        "fault-schedule"
+    ]
+    host = build_run(faulted)
+    assert host.engine == "compiled"
+    assert fingerprint(in_kernel) == fingerprint(reference)
+    assert fingerprint(host) == fingerprint(reference)
 
 
 def test_trace_schedule_is_in_the_models_node_order(
