@@ -148,7 +148,6 @@ import ctypes
 import dataclasses
 import functools
 import itertools
-import time
 from array import array
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -176,13 +175,12 @@ from repro.core.spec import (
     resolve_run,
 )
 from repro.core.topo3d import Mesh3dDOR, Torus3dDOR
-from repro.errors import DeadlockError, SimulationError, SimulationTimeout
+from repro.errors import DeadlockError, SimulationError
 from repro.sim import _ckernel
 from repro.sim.allocator import WavefrontAllocator
 from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import LatencyStats, RunMetrics
 from repro.sim.packet import Packet
-from repro.sim.rng import derive_rng
 from repro.sim.router import (
     NUM_DIRS,
     P_IDX,
@@ -195,8 +193,12 @@ from repro.sim.router import (
 )
 from repro.sim.simulator import (
     _WALL_CHECK_EVERY,
-    RunResult,
+    _budget_check,
     _compiled_engine,
+    _live_sources,
+    _open_loop_draw,
+    _open_loop_result,
+    _open_loop_streams,
     _run_reference,
 )
 from repro.sim.watchdog import WatchdogConfig
@@ -1484,7 +1486,7 @@ class _RunState:
         watchdog's snapshot machinery produce the same forensic report
         a reference run would have raised.
         """
-        from repro.sim.watchdog import capture_snapshot
+        from repro.sim.watchdog import deadlock_error
 
         model = self.model
         coords = (*model.nodes, *model.endpoints)
@@ -1516,20 +1518,9 @@ class _RunState:
                     measured=bool(pmeas[pid]),
                 )
                 routers[r].accept(pkt, i, lane)
-        occupancy = int(self.st[_ckernel.ST_OCC])
         net.cycle = int(self.st[_ckernel.ST_CYCLE])
-        net.occupancy = occupancy
-        snapshot = capture_snapshot(net, kind, window)
-        verb, noun = (
-            ("moved", "deadlock")
-            if kind == "stall"
-            else ("ejected", "livelock")
-        )
-        return DeadlockError(
-            f"no packet {verb} for {window} cycles with {occupancy} "
-            f"packets in flight: {noun} [{snapshot.summary()}]",
-            snapshot=snapshot,
-        )
+        net.occupancy = int(self.st[_ckernel.ST_OCC])
+        return deadlock_error(net, kind, window)
 
     def _trip(self, stop: int) -> Optional[DeadlockError]:
         """The watchdog error behind a block's stop code, if it is one.
@@ -1556,15 +1547,17 @@ class _Run(_RunState):
     ``NetworkConfig`` callers work too) and ``engine`` the label the
     result reports.  ``plan`` is
     the native injection plan from :func:`_pattern_plan`; ``None``
-    means the host draws each block's packets in Python — any
-    registered pattern, dead-router skip, unreachable-destination
-    discard — into the ``(cycle, source, dest)`` schedule the kernel
-    injects from.  Either way only the kernel touches a queue or a
-    packet record.
+    means the host draws each block's packets with the reference's
+    own :func:`~repro.sim.simulator._open_loop_draw` into the
+    ``(cycle, source, dest)`` schedule the kernel injects from.  Either
+    way only the kernel touches a queue or a packet record.  The
+    sources, budgets and result are the open-loop recipe's too
+    (:mod:`repro.sim.simulator`); this class keeps the stepping and
+    the counters' fill.
     """
 
     __slots__ = (
-        "resolved", "engine", "deadline", "sources", "draw",
+        "resolved", "engine", "over_budget", "sources", "draw", "sched",
         "samples", "per_src",
     )
 
@@ -1587,16 +1580,7 @@ class _Run(_RunState):
         )
         self.resolved = run
         self.engine = engine
-        # Dead routers never inject (nor draw from the timing stream),
-        # and accepted throughput is normalised by the live sources.
-        dead = (
-            faults.dead_routers
-            if faults is not None and faults.has_faults
-            else ()
-        )
-        self.sources = tuple(
-            (s, src) for s, src in enumerate(model.nodes) if src not in dead
-        )
+        self.sources = _live_sources(model.nodes, faults)
         self.samples: Optional[List[int]] = (
             [] if run.keep_samples else None
         )
@@ -1606,7 +1590,9 @@ class _Run(_RunState):
         c = self.ctx
         c.rate = run.rate
         if plan is None:
-            self.draw: Optional[Any] = self._host_drawer()
+            self.draw: Optional[Any] = _open_loop_draw(
+                run, self.sources, model.reachable
+            )
         else:
             self.draw = None
             # The plan's table is read-only in the kernel, so every run
@@ -1617,12 +1603,9 @@ class _Run(_RunState):
                 c.sched = _ptr(table)
                 c.sched_len = len(table) // 3
             else:
-                c.t_mt = self._twister(
-                    derive_rng(run.seed, "timing")  # rng: shared
-                )
-                c.d_mt = self._twister(
-                    derive_rng(run.seed, "dest")  # rng: shared
-                )
+                timing_rng, dest_rng = _open_loop_streams(run.seed)
+                c.t_mt = self._twister(timing_rng)
+                c.d_mt = self._twister(dest_rng)
                 if plan[0] == "table":
                     c.mode = _ckernel.MODE_TABLE
                     c.dtab = _ptr(table)
@@ -1630,67 +1613,7 @@ class _Run(_RunState):
                     c.mode = _ckernel.MODE_UNIFORM
                     c.ubits = plan[2]
                     c.perm = _ptr(table)
-        self.deadline: Optional[float] = None
-        if run.max_wall_seconds is not None:
-            self.deadline = (
-                time.monotonic()  # det: allow - wall budget
-                + run.max_wall_seconds
-            )
-
-    def _host_drawer(self) -> Any:
-        """The Python-side draw, ``draw(count)``: the next block's packets.
-
-        Consumes the RNG streams exactly as the reference engine's
-        injection rounds do — cycle by cycle, sources in node order,
-        one timing draw each (dead routers never draw), then the
-        pattern's destination draw, and a destination the fault-aware
-        tables cannot reach is discarded *after* the healthy pattern
-        consumed its dest-stream draw — but only writes the choices
-        down, as the ``(cycle, source, dest)`` schedule the kernel's
-        enqueue injects from.  A block the run leaves early (drained,
-        tripped) has drawn up to its end; nothing reads the streams
-        after a run.
-        """
-        run = self.resolved
-        nidx = self.model.node_index
-        rate = run.rate
-        sources = self.sources
-        dest_fn = build_pattern(run.pattern, run.config)
-        faults = run.faults
-        reachable = self.model.reachable
-        if faults is not None and faults.has_faults and reachable is not None:
-            healthy_fn = dest_fn
-
-            def dest_fn(src, rng):  # noqa: F811 - degraded wrapper
-                dest = healthy_fn(src, rng)
-                if dest is None or not reachable(src, dest):
-                    return None
-                return dest
-
-        rnd = derive_rng(run.seed, "timing").random  # rng: shared
-        dest_rng = derive_rng(run.seed, "dest")  # rng: shared
-        st = self.st
-        c = self.ctx
-        # The block's schedule, alive here while the kernel reads it
-        # (the closure holds no reference back to the run).
-        sched = array("i")
-
-        def draw(count: int) -> None:
-            nonlocal sched
-            first = st[_ckernel.ST_CYCLE]
-            triples: List[int] = []
-            for cycle in range(first, first + count):
-                for s, src in sources:
-                    if rnd() < rate:
-                        dest = dest_fn(src, dest_rng)
-                        if dest is not None:
-                            triples += (cycle, s, nidx[dest])
-            sched = array("i", triples)
-            c.sched = _ptr(sched)
-            c.sched_len = len(triples) // 3
-            c.sched_cur = 0
-
-        return draw
+        self.over_budget = _budget_check(run)
 
     # -- stepping -------------------------------------------------------
     def run(self) -> Any:
@@ -1721,7 +1644,7 @@ class _Run(_RunState):
             error = self._phase(run.drain_limit)
             if error is not None:
                 return error
-        return self._finish(delivered_during, self._measured_resolved())
+        return self._finish(delivered_during)
 
     def _measured_resolved(self) -> bool:
         # Dropped measured packets count as resolved, so lossy
@@ -1742,10 +1665,13 @@ class _Run(_RunState):
         st = self.st
         c = self.ctx
         draw = self.draw
+        over_budget = self.over_budget
         # One block rule for every run: a block ends where the host has
         # work — at the reference's wall-check cycles, if there is a
         # schedule to draw or a deadline to poll there.
-        host_work = draw is not None or self.deadline is not None
+        host_work = (
+            draw is not None or self.resolved.max_wall_seconds is not None
+        )
         stop = _ckernel.STOP_BUDGET
         while cycles > 0:
             c.count = min(
@@ -1757,7 +1683,7 @@ class _Run(_RunState):
             # A block re-entered after growing keeps its schedule (and
             # the kernel its cursor into it).
             if draw is not None and stop != _ckernel.STOP_CAPACITY:
-                draw(c.count)
+                self._schedule(draw(st[_ckernel.ST_CYCLE], c.count))
             stop = self.run_block(self.cref)
             cycles -= st[_ckernel.ST_RAN]
             if st[_ckernel.ST_NEJLOG]:
@@ -1766,30 +1692,35 @@ class _Run(_RunState):
                 self._grow()
                 continue
             # Trip order matches the reference tick(): watchdogs, the
-            # cycle budget, the wall-clock poll, then the drain check.
+            # budgets, then the drain check.
             tripped = self._trip(stop)
             if tripped is not None:
                 return tripped
-            if stop == _ckernel.STOP_MAX_CYCLES:
-                return SimulationTimeout(
-                    f"run exceeded its {self.resolved.max_cycles}-cycle "
-                    f"budget ({int(st[_ckernel.ST_OCC])} packets still in "
-                    f"flight)"
+            if over_budget is not None:
+                overrun = over_budget(
+                    int(st[_ckernel.ST_CYCLE]), int(st[_ckernel.ST_OCC])
                 )
-            if (
-                self.deadline is not None
-                and st[_ckernel.ST_CYCLE] % _WALL_CHECK_EVERY == 0
-                and time.monotonic() > self.deadline  # det: allow - wall budget
-            ):
-                return SimulationTimeout(
-                    f"run exceeded its "
-                    f"{self.resolved.max_wall_seconds:.1f}s "
-                    f"wall-clock limit at cycle "
-                    f"{int(st[_ckernel.ST_CYCLE])}"
-                )
+                if overrun is not None:
+                    return overrun
             if stop == _ckernel.STOP_DRAINED:
                 return None
         return None
+
+    def _schedule(self, packets: List[Tuple[int, int, Coord]]) -> None:
+        """Hand the kernel's enqueue a block of host-drawn packets.
+
+        The ``(cycle, source, dest)`` schedule is kept alive here while
+        the kernel reads it.
+        """
+        nidx = self.model.node_index
+        self.sched = sched = array(
+            "i",
+            [v for cycle, s, dest in packets for v in (cycle, s, nidx[dest])],
+        )
+        c = self.ctx
+        c.sched = _ptr(sched)
+        c.sched_len = len(packets)
+        c.sched_cur = 0
 
     def _replay_ejections(self) -> None:
         """Move the logged measured ejections into the per-packet data."""
@@ -1809,11 +1740,10 @@ class _Run(_RunState):
         st[_ckernel.ST_NEJLOG] = 0
 
     # -- terminal state --------------------------------------------------
-    def _finish(self, delivered_during: int, drained: bool) -> Any:
+    def _finish(self, delivered_during: int) -> Any:
         st = self.st
         model = self.model
         run = self.resolved
-        hop_counts = list(self.hop)
         metrics = RunMetrics(
             track_per_source=run.track_per_source,
             keep_samples=run.keep_samples,
@@ -1836,7 +1766,7 @@ class _Run(_RunState):
         metrics.injected_measured = int(st[_ckernel.ST_INJ_MEAS])
         metrics.dropped_total = int(st[_ckernel.ST_DROP_TOTAL])
         metrics.dropped_measured = int(st[_ckernel.ST_DROP_MEAS])
-        metrics.hop_counts = hop_counts
+        metrics.hop_counts = list(self.hop)
         if self.per_src is not None:
             for s, src_stats in self.per_src.items():
                 metrics.per_source[model.nodes[s]] = src_stats
@@ -1850,32 +1780,9 @@ class _Run(_RunState):
                     count = link[base + o]
                     if count:
                         link_counts[(coord, o)] = count
-        delivered_total = metrics.delivered_total
-        accepted = delivered_during / (len(self.sources) * run.measure)
-        avg_hops = (
-            sum(hop_counts) / delivered_total
-            if delivered_total
-            else float("nan")
-        )
-        return RunResult(
-            config_name=run.config.name,
-            pattern=run.pattern,
-            offered_load=run.rate,
-            accepted_throughput=accepted,
-            avg_latency=stats.mean,
-            stddev_latency=stats.stddev,
-            max_latency=(
-                float(stats.max) if stats.count else float("nan")
-            ),
-            delivered_measured=metrics.delivered_measured,
-            injected_measured=metrics.injected_measured,
-            drained=drained,
-            measure_cycles=run.measure,
-            avg_hops=avg_hops,
-            total_cycles=int(st[_ckernel.ST_CYCLE]),
-            dropped_measured=metrics.dropped_measured,
-            metrics=metrics,
-            engine=self.engine,
+        return _open_loop_result(
+            run, metrics, delivered_during, len(self.sources),
+            int(st[_ckernel.ST_CYCLE]), self.engine,
         )
 
 

@@ -26,7 +26,6 @@ from repro.core.params import NetworkConfig
 from repro.core.portgraph import live_wiring
 from repro.core.registry import ROUTERS
 from repro.core.spec import NetworkComponents
-from repro.errors import DeadlockError
 from repro.sim.channel import PipelinedChannel
 from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import RunMetrics
@@ -40,12 +39,7 @@ from repro.sim.router import (
     PipelinedLink,
     Sink,
 )
-from repro.sim.watchdog import WatchdogConfig, capture_snapshot
-
-#: Consecutive all-idle cycles with packets in flight before the watchdog
-#: declares a deadlock.  Correct routing never trips this.  (Kept as the
-#: default of :class:`~repro.sim.watchdog.WatchdogConfig.stall_window`.)
-DEADLOCK_WATCHDOG_CYCLES = 1000
+from repro.sim.watchdog import WatchdogConfig, deadlock_error
 
 
 class Network:
@@ -101,7 +95,6 @@ class Network:
         self.config = config
         self.faults = faults
         self.watchdog = watchdog if watchdog is not None else WatchdogConfig()
-        self.topology = components.topology
         self.routing = routing = components.routing
         self.metrics = metrics if metrics is not None else RunMetrics()
         self.cycle = 0
@@ -337,29 +330,15 @@ class Network:
         elif self.occupancy:
             self._idle_cycles += 1
             if self._idle_cycles >= watchdog.stall_window:
-                snapshot = capture_snapshot(
-                    self, "stall", self._idle_cycles
-                )
-                raise DeadlockError(
-                    f"no packet moved for {self._idle_cycles} cycles with "
-                    f"{self.occupancy} packets in flight: deadlock "
-                    f"[{snapshot.summary()}]",
-                    snapshot=snapshot,
-                )
+                raise deadlock_error(self, "stall", self._idle_cycles)
         if watchdog.starvation_window is not None:
             if ejections or not self.occupancy:
                 self._starved_cycles = 0
             else:
                 self._starved_cycles += 1
                 if self._starved_cycles >= watchdog.starvation_window:
-                    snapshot = capture_snapshot(
+                    raise deadlock_error(
                         self, "starvation", self._starved_cycles
-                    )
-                    raise DeadlockError(
-                        f"no packet ejected for {self._starved_cycles} "
-                        f"cycles with {self.occupancy} packets in flight: "
-                        f"livelock [{snapshot.summary()}]",
-                        snapshot=snapshot,
                     )
         self.cycle += 1
         return len(moves)

@@ -18,7 +18,16 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.coords import Coord
 from repro.core.params import NetworkConfig
@@ -32,6 +41,7 @@ from repro.core.spec import (
 )
 from repro.core.topology import make_topology
 from repro.errors import SimulationError, SimulationTimeout
+from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import derive_rng
 
@@ -113,8 +123,8 @@ def run_synthetic(
     bit-identical to earlier versions):
 
     * ``faults`` — a :class:`~repro.sim.faults.FaultSchedule`.  Dead
-      routers stop injecting, and destinations a source can no longer
-      reach (reported by the routing's ``partitioned_pairs``) are
+      routers stop injecting, and a destination the fault-aware
+      routing's ``reachable`` says a source can no longer reach is
       skipped at injection instead of livelocking the run.  The
       healthy-path RNG streams are shared with the fault-free run: for
       link-fault schedules every injected packet keeps the same
@@ -133,54 +143,168 @@ def run_synthetic(
     ).execute()
 
 
+# ----------------------------------------------------------------------
+# The open-loop recipe, written once for both engines
+# ----------------------------------------------------------------------
+def _live_sources(
+    nodes: Sequence[Coord], faults: Optional[FaultSchedule]
+) -> Tuple[Tuple[int, Coord], ...]:
+    """The run's sources, ``(index, node)``: the port-graph ``nodes`` in
+    graph order minus dead routers (which never inject, nor draw)."""
+    dead = faults.dead_routers if faults is not None else ()
+    return tuple((s, src) for s, src in enumerate(nodes) if src not in dead)
+
+
+def _open_loop_streams(seed: int) -> Tuple[random.Random, random.Random]:
+    """The ``timing`` and ``dest`` streams the open-loop draw consumes."""
+    return derive_rng(seed, "timing"), derive_rng(seed, "dest")
+
+
+def _open_loop_draw(
+    run: ResolvedRun,
+    sources: Sequence[Tuple[int, Coord]],
+    reachable: Optional[Callable[[Coord, Coord], bool]],
+) -> Callable[[int, int], List[Tuple[int, int, Coord]]]:
+    """The open-loop injection draw: ``draw(first, count)`` lists the
+    ``(cycle, source index, dest)`` packets of the next ``count``
+    cycles, ``first`` onwards.
+
+    Bernoulli injection (Section 4.6): cycle by cycle, ``sources`` in
+    order, one ``timing`` draw each and, on a hit, the pattern's
+    destination.  Under a fault schedule a destination ``reachable``
+    denies is discarded *after* the pattern drew it, so a link-fault
+    run injects each packet at the fault-free run's (src, dest, cycle).
+    """
+    rate = run.rate
+    dest_fn = build_pattern(run.pattern, run.config)
+    faults = run.faults
+    if faults is not None and faults.has_faults and reachable is not None:
+        healthy_fn = dest_fn
+
+        def dest_fn(src, rng):  # noqa: F811 - degraded wrapper
+            dest = healthy_fn(src, rng)
+            if dest is None or not reachable(src, dest):
+                return None
+            return dest
+
+    timing_rng, dest_rng = _open_loop_streams(run.seed)
+    rnd = timing_rng.random
+
+    def draw(first: int, count: int) -> List[Tuple[int, int, Coord]]:
+        packets = []
+        for cycle in range(first, first + count):
+            for s, src in sources:
+                if rnd() < rate:
+                    dest = dest_fn(src, dest_rng)
+                    if dest is not None:
+                        packets.append((cycle, s, dest))
+        return packets
+
+    return draw
+
+
+def _budget_check(
+    run: ResolvedRun,
+) -> Optional[Callable[[int, int], Optional[SimulationTimeout]]]:
+    """``check(cycle, occupancy)`` after each cycle: the timeout of a run
+    past its ``max_cycles`` or — polled every :data:`_WALL_CHECK_EVERY`
+    cycles — its ``max_wall_seconds`` (timed from this call), else
+    ``None``.  ``None`` for a run with neither budget."""
+    max_cycles, wall_budget = run.max_cycles, run.max_wall_seconds
+    if max_cycles is None and wall_budget is None:
+        return None
+    if wall_budget is not None:
+        deadline = time.monotonic() + wall_budget  # det: allow - wall budget
+
+    def check(cycle: int, occupancy: int) -> Optional[SimulationTimeout]:
+        if max_cycles is not None and cycle >= max_cycles:
+            return SimulationTimeout(
+                f"run exceeded its {max_cycles}-cycle budget "
+                f"({occupancy} packets still in flight)"
+            )
+        if (
+            wall_budget is not None
+            and cycle % _WALL_CHECK_EVERY == 0
+            and time.monotonic() > deadline  # det: allow - wall budget
+        ):
+            return SimulationTimeout(
+                f"run exceeded its {wall_budget:.1f}s wall-clock "
+                f"limit at cycle {cycle}"
+            )
+        return None
+
+    return check
+
+
+def _open_loop_result(
+    run: ResolvedRun,
+    metrics: RunMetrics,
+    delivered_during: int,
+    num_sources: int,
+    total_cycles: int,
+    engine: str,
+) -> RunResult:
+    """A finished run's result; ``delivered_during`` is what the
+    measurement window delivered (accepted throughput is that per live
+    source per measured cycle)."""
+    stats = metrics.measured
+    delivered = metrics.delivered_total
+    return RunResult(
+        config_name=run.config.name,
+        pattern=run.pattern,
+        offered_load=run.rate,
+        accepted_throughput=delivered_during / (num_sources * run.measure),
+        avg_latency=stats.mean,
+        stddev_latency=stats.stddev,
+        max_latency=(
+            float(stats.max) if stats.max is not None else float("nan")
+        ),
+        delivered_measured=metrics.delivered_measured,
+        injected_measured=metrics.injected_measured,
+        drained=metrics.resolved_measured >= metrics.injected_measured,
+        measure_cycles=run.measure,
+        avg_hops=(
+            sum(metrics.hop_counts) / delivered if delivered else float("nan")
+        ),
+        total_cycles=total_cycles,
+        dropped_measured=metrics.dropped_measured,
+        metrics=metrics,
+        engine=engine,
+    )
+
+
 @register_engine(
     "reference",
     description="object-per-flit cycle-accurate Network (sim.network)",
 )
 def _run_reference(run: ResolvedRun) -> RunResult:
-    """The reference engine: one open-loop run on the object network."""
-    rate, measure = run.rate, run.measure
-    audit_every, max_cycles = run.audit_every, run.max_cycles
-    wall_budget = run.max_wall_seconds
-    faults = run.faults
+    """The reference engine: the open-loop recipe on the object network.
+
+    Injects from :func:`_open_loop_draw` one cycle at a time, sources
+    in the network's (the port graph's) node order, and steps the
+    network after each injection round.
+    """
+    audit_every = run.audit_every
     metrics = RunMetrics(
         track_per_source=run.track_per_source,
         keep_samples=run.keep_samples,
         track_links=run.track_links,
     )
     net = run.network(metrics)
-    dest_fn = build_pattern(run.pattern, run.config)
-    timing_rng = derive_rng(run.seed, "timing")  # rng: shared
-    dest_rng = derive_rng(run.seed, "dest")  # rng: shared
-    sources = net.topology.nodes
-    if faults is not None and faults.has_faults:
-        dead = faults.dead_routers
-        reachable = getattr(net.routing, "reachable", None)
-        sources = [s for s in sources if s not in dead]
-
-        healthy_fn = dest_fn
-
-        def dest_fn(src, rng):  # noqa: F811 - degraded wrapper
-            dest = healthy_fn(src, rng)
-            if dest is None:
-                return None
-            if reachable is not None and not reachable(src, dest):
-                return None
-            return dest
-
-    cycles_run = 0
-    deadline = (
-        time.monotonic() + wall_budget  # det: allow - wall budget
-        if wall_budget is not None
-        else None
+    nodes = list(net.routers)
+    sources = _live_sources(nodes, run.faults)
+    draw = _open_loop_draw(
+        run, sources, getattr(net.routing, "reachable", None)
     )
+    over_budget = _budget_check(run)
 
-    def tick() -> None:
-        """One simulated cycle plus tripwires and budget checks."""
-        nonlocal cycles_run
+    def tick(measured: bool) -> None:
+        """One cycle: its injection round, the step, then tripwires and
+        budget checks."""
+        for _cycle, s, dest in draw(net.cycle, 1):
+            net.inject(nodes[s], dest, measured=measured)
         net.step()
-        cycles_run += 1
-        if audit_every is not None and cycles_run % audit_every == 0:
+        if audit_every is not None and net.cycle % audit_every == 0:
             from repro.sim.validate import audit_network
 
             problems = audit_network(net)
@@ -189,68 +313,27 @@ def _run_reference(run: ResolvedRun) -> RunResult:
                     f"invariant audit failed at cycle {net.cycle}:\n  "
                     + "\n  ".join(problems)
                 )
-        if max_cycles is not None and cycles_run >= max_cycles:
-            raise SimulationTimeout(
-                f"run exceeded its {max_cycles}-cycle budget "
-                f"({net.occupancy} packets still in flight)"
-            )
-        if deadline is not None and cycles_run % _WALL_CHECK_EVERY == 0:
-            if time.monotonic() > deadline:  # det: allow - wall budget
-                raise SimulationTimeout(
-                    f"run exceeded its {wall_budget:.1f}s wall-clock "
-                    f"limit at cycle {net.cycle}"
-                )
-
-    def inject_round(measured: bool) -> None:
-        for src in sources:
-            if timing_rng.random() < rate:
-                dest = dest_fn(src, dest_rng)
-                if dest is not None:
-                    net.inject(src, dest, measured=measured)
+        if over_budget is not None:
+            error = over_budget(net.cycle, net.occupancy)
+            if error is not None:
+                raise error
 
     for _ in range(run.warmup):
-        inject_round(False)
-        tick()
+        tick(False)
 
     delivered_before = metrics.delivered_total
-    for _ in range(measure):
-        inject_round(True)
-        tick()
+    for _ in range(run.measure):
+        tick(True)
     delivered_during = metrics.delivered_total - delivered_before
 
     # Dropped measured packets count as resolved, so lossy
     # (transient-fault) runs can still terminate.
-    drained = metrics.resolved_measured >= metrics.injected_measured
-    remaining = run.drain_limit
-    while not drained and remaining > 0:
-        inject_round(False)
-        tick()
-        remaining -= 1
-        drained = metrics.resolved_measured >= metrics.injected_measured
-
-    stats = metrics.measured
-    accepted = delivered_during / (len(sources) * measure)
-    avg_hops = (
-        sum(metrics.hop_counts) / metrics.delivered_total
-        if metrics.delivered_total
-        else float("nan")
-    )
-    return RunResult(
-        config_name=run.config.name,
-        pattern=run.pattern,
-        offered_load=rate,
-        accepted_throughput=accepted,
-        avg_latency=stats.mean,
-        stddev_latency=stats.stddev,
-        max_latency=float(stats.max) if stats.max is not None else float("nan"),
-        delivered_measured=metrics.delivered_measured,
-        injected_measured=metrics.injected_measured,
-        drained=drained,
-        measure_cycles=measure,
-        avg_hops=avg_hops,
-        total_cycles=cycles_run,
-        dropped_measured=metrics.dropped_measured,
-        metrics=metrics,
+    for _ in range(run.drain_limit):
+        if metrics.resolved_measured >= metrics.injected_measured:
+            break
+        tick(False)
+    return _open_loop_result(
+        run, metrics, delivered_during, len(sources), net.cycle, "reference"
     )
 
 
@@ -264,8 +347,8 @@ def _run_reference(run: ResolvedRun) -> RunResult:
     ),
 )
 def _compiled_engine(run: ResolvedRun) -> RunResult:
-    # Imported lazily: fastsim imports this module for RunResult and
-    # _run_reference, so a top-level import would be circular.
+    # Imported lazily: fastsim imports this module for the open-loop
+    # recipe and _run_reference, so a top-level import would be circular.
     from repro.sim.fastsim import _launch
 
     outcome = _launch(run, "compiled")

@@ -28,6 +28,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple
 
+from repro.errors import DeadlockError
+
 #: Consecutive all-idle cycles with packets in flight before the watchdog
 #: declares a deadlock.  Correct healthy routing never trips this.
 DEFAULT_STALL_WINDOW = 1000
@@ -177,4 +179,21 @@ def capture_snapshot(net, kind: str, window: int) -> DeadlockSnapshot:
         window=window,
         stalled_routers=tuple(stalled),
         audit_problems=tuple(audit_network(net)),
+    )
+
+
+def deadlock_error(net, kind: str, window: int) -> DeadlockError:
+    """The :class:`~repro.errors.DeadlockError` of a tripped watchdog.
+
+    ``kind`` is ``"stall"`` or ``"starvation"`` and ``window`` the
+    cycles it counted; the error carries ``net``'s snapshot.
+    """
+    snapshot = capture_snapshot(net, kind, window)
+    verb, noun = (
+        ("moved", "deadlock") if kind == "stall" else ("ejected", "livelock")
+    )
+    return DeadlockError(
+        f"no packet {verb} for {window} cycles with {net.occupancy} "
+        f"packets in flight: {noun} [{snapshot.summary()}]",
+        snapshot=snapshot,
     )

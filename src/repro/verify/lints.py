@@ -10,10 +10,10 @@ packages (``repro.core`` and ``repro.sim``):
   must draw the same streams in the same order), so a computed name
   cannot be audited statically.
 * ``RNG-STREAM-SHARED`` — a stream literal drawn in two or more modules
-  is either the intentional engine-equivalence replication (the
-  ``"timing"`` / ``"dest"`` draws mirrored between ``sim.simulator`` and
-  ``sim.fastsim``) or exactly the commit-order bug class the
-  ``faults:drops`` lowering depends on avoiding.  Every such site must
+  is either an intentional engine-equivalence replication or exactly
+  the commit-order bug class the ``faults:drops`` lowering depends on
+  avoiding (the open-loop ``"timing"`` / ``"dest"`` streams are derived
+  at one site, ``sim.simulator._open_loop_streams``).  Every such site must
   carry the ``# rng: shared`` pragma to assert it is the former.
 * ``CONF-SLOTS`` — a class whose same-module base declares
   ``__slots__`` must declare ``__slots__`` itself; otherwise every

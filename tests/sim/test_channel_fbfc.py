@@ -83,7 +83,7 @@ class TestPipelinedNetwork:
         )
         net = build_network(cfg)
         rng = derive_rng(7, "pipe")
-        nodes = net.topology.nodes
+        nodes = list(net.routers)
         for _ in range(200):
             net.inject(nodes[rng.randrange(64)], nodes[rng.randrange(64)],
                        measured=True)
@@ -133,7 +133,7 @@ class TestFbfc:
         both ring dimensions."""
         net = build_network(NetworkConfig.from_name("torus-fbfc", 8, 8))
         rng = derive_rng(3, "fbfc")
-        nodes = net.topology.nodes
+        nodes = list(net.routers)
         for _ in range(400):
             for node in nodes:
                 if rng.random() < 0.5:
@@ -145,7 +145,7 @@ class TestFbfc:
     def test_conservation(self):
         net = build_network(NetworkConfig.from_name("torus-fbfc", 6, 6))
         rng = derive_rng(9, "fbfc2")
-        nodes = net.topology.nodes
+        nodes = list(net.routers)
         for _ in range(300):
             net.inject(nodes[rng.randrange(36)], nodes[rng.randrange(36)],
                        measured=True)

@@ -35,7 +35,7 @@ def any_config(draw):
 def test_universal_conservation(cfg, seed):
     net = build_network(cfg)
     rng = derive_rng(seed, "universal")
-    nodes = net.topology.nodes
+    nodes = list(net.routers)
     count = rng.randrange(1, 150)
     for _ in range(count):
         src = nodes[rng.randrange(len(nodes))]
@@ -57,7 +57,7 @@ def test_vc_network_healthy_mid_flight(seed):
     cfg = NetworkConfig.from_name("torus", 6, 6)
     net = build_network(cfg)
     rng = derive_rng(seed, "midflight")
-    nodes = net.topology.nodes
+    nodes = list(net.routers)
     for t in range(60):
         for _ in range(4):
             net.inject(
@@ -73,7 +73,7 @@ def test_self_messages_on_every_topology():
     for name in NAMES:
         half = name == "half-torus"
         net = build_network(NetworkConfig.from_name(name, 6, 6, half=half))
-        for node in net.topology.nodes:
+        for node in list(net.routers):
             net.inject(node, node, measured=True)
         assert net.drain(500)
         assert net.metrics.measured.count == 36

@@ -31,7 +31,7 @@ from repro.core import spec as spec_module
 from repro.core.spec import NetworkSpec, build_run, resolve_run
 from repro.core.topology import make_topology
 from repro.errors import DeadlockError, SimulationTimeout
-from repro.sim import _ckernel, fastsim, network, watchdog
+from repro.sim import _ckernel, fastsim, watchdog
 from repro.sim.fastsim import (
     batching_problems,
     run_compiled,
@@ -250,7 +250,6 @@ class TestBatchEquivalence:
             ])
             return _real(net, kind, length)
 
-        monkeypatch.setattr(network, "capture_snapshot", capture)
         monkeypatch.setattr(watchdog, "capture_snapshot", capture)
         with pytest.raises(DeadlockError) as ref_exc:
             _reference(doomed)

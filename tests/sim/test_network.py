@@ -53,7 +53,7 @@ class TestConservation:
     def test_every_injected_packet_is_delivered_exactly_once(self, name):
         net = net_for(name)
         rng = derive_rng(3, name)
-        nodes = net.topology.nodes
+        nodes = list(net.routers)
         n_pkts = 300
         for _ in range(n_pkts):
             src = nodes[rng.randrange(len(nodes))]
@@ -70,7 +70,7 @@ class TestConservation:
         rng = derive_rng(seed, "burst")
         name = ALL_NAMES[seed % len(ALL_NAMES)]
         net = net_for(name, 6, 6)
-        nodes = net.topology.nodes
+        nodes = list(net.routers)
         count = rng.randrange(1, 120)
         for _ in range(count):
             net.inject(
@@ -112,7 +112,7 @@ class TestTorusDeadlockFreedom:
         net = net_for("torus", 8, 8)
         rng = derive_rng(11, "ddl")
         for t in range(300):
-            for node in net.topology.nodes:
+            for node in list(net.routers):
                 if rng.random() < 0.5:
                     dest = Coord(
                         (node.x + pattern_shift) % 8,
@@ -126,7 +126,7 @@ class TestTorusDeadlockFreedom:
     def test_half_torus_tornado_drains(self):
         net = net_for("half-torus", 16, 8)
         for t in range(200):
-            for node in net.topology.nodes:
+            for node in list(net.routers):
                 dest = Coord((node.x + 7) % 16, node.y)
                 net.inject(node, dest)
             net.step()
@@ -198,7 +198,7 @@ class TestHopAccounting:
     def test_direction_counters_match_packet_hops(self):
         net = net_for("ruche2-pop")
         rng = derive_rng(9, "hops")
-        nodes = net.topology.nodes
+        nodes = list(net.routers)
         pkts = []
         for _ in range(150):
             pkts.append(

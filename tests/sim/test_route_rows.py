@@ -356,7 +356,7 @@ def test_kernel_rows_equal_certifier_tables(spec):
     """Every state of ``tabulate_next_hops`` reads back from the arrays
     through the kernel's own index arithmetic."""
     model, components = _lowered(spec)
-    routing, graph = components.routing, components.topology.port_graph()
+    routing, graph = components.routing, components.graph
     tables, n, nd = model.tables, model.n, model.nd
     sublen = tables["sublen"]
     # Memory arrivals enter on a channel port, lane 0, subnet 0.

@@ -12,7 +12,7 @@ from repro.sim.validate import assert_healthy, audit_network, is_vc_network
 def loaded_network(name="mesh", steps=120, **kw):
     net = build_network(NetworkConfig.from_name(name, 8, 8, **kw))
     rng = derive_rng(4, name)
-    nodes = net.topology.nodes
+    nodes = list(net.routers)
     for _ in range(steps):
         for _ in range(8):
             net.inject(nodes[rng.randrange(64)], nodes[rng.randrange(64)])
