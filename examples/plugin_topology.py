@@ -4,8 +4,8 @@ This is the payoff demo for the declarative construction path
 (:mod:`repro.core.spec` + :mod:`repro.core.registry`): a topology the
 core has never heard of — a 2-D mesh augmented with horizontal express
 channels that hop ``span`` tiles between *station* columns — becomes
-constructible, simulable (``build_run``), and statically verifiable
-(``repro.verify.verify_spec``) by importing this module.  No core file
+constructible, simulable (``build_run``), and statically certifiable
+(``repro.verify.certify_spec``) by importing this module.  No core file
 changes; the test suite proves that.
 
 Design
@@ -147,23 +147,20 @@ def demo_spec(
 
 
 def main() -> int:
-    from repro.verify import certify_spec, verify_spec
+    from repro.verify import cross_validate_spec
 
     spec = demo_spec()
-    report = verify_spec(spec)
-    print(report.summary())
-    if not report.ok:
-        for problem in report.problems():
-            print(f"  {problem}")
-        return 1
-    # The table certifier proves the same properties with no 2-D
-    # coordinate assumptions — the path any plugin topology gets even
-    # when the coordinate enumerator does not apply.
-    certified = certify_spec(spec)
+    # The table certifier proves deadlock freedom, turn legality and
+    # reachability with no 2-D coordinate assumptions; the exhaustive
+    # enumerator cross-checks its verdict.
+    certified, agrees = cross_validate_spec(spec)
     print(certified.summary())
     if not certified.ok:
         for problem in certified.problems():
             print(f"  {problem}")
+        return 1
+    if not agrees:
+        print("  certifier and enumerator disagree")
         return 1
     for diagnostic in certified.lowering:
         print(

@@ -20,10 +20,9 @@ failure.  This module wraps a row-at-a-time runner with two protections:
   before the first row; any problems it returns abort the campaign with
   :class:`~repro.errors.ConfigError` so a misconfigured network fails in
   seconds, not after hours of checkpointed simulation.  Pair it with
-  :func:`repro.verify.campaign_preflight`, which statically proves
-  deadlock freedom, turn legality, and reachability for every design
-  point in the sweep (and, with ``certify=True``, route-table soundness
-  via the table certifier).
+  :func:`repro.verify.campaign_preflight`, whose table certifier
+  statically proves route-table soundness, deadlock freedom, turn
+  legality, and reachability for every design point in the sweep.
 * **Parallel sharding** (``jobs > 1``) — rows are embarrassingly
   parallel (each seeds its own RNGs from its parameter dict), so
   :func:`run_campaign` shards them across a process pool with results

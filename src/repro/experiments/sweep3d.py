@@ -2,7 +2,7 @@
 
 The port-graph IR makes the whole pipeline dimension-agnostic, and this
 driver is the proof in campaign form: the same rate-sweep grid, batched
-compiled engine, and preflight/certify gates fig6 uses, pointed at the
+compiled engine, and preflight gate fig6 uses, pointed at the
 3-D topology pack (``mesh3d`` / ``torus3d``, stacked ``depth`` layers
 riding the RN/RS port ids).  The quick and full presets run the
 8x8x4 torus — 256 nodes, three FBFC rings per router — through
@@ -95,8 +95,7 @@ def run(
         grid,
         run_rate_sweep_row,
         jobs=jobs,
-        preflight=grid_preflight(grid, certify=True) if preflight
-        else None,
+        preflight=grid_preflight(grid) if preflight else None,
         batch_runner=run_rate_sweep_rows,
     )
     return ExperimentResult(

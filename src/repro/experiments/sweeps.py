@@ -229,19 +229,15 @@ def rate_sweep_grid(
 
 def grid_preflight(
     grid: Sequence[Dict[str, Any]],
-    *,
-    certify: bool = False,
 ) -> Callable[[], List[str]]:
     """A campaign ``preflight`` thunk for one sweep grid.
 
-    Statically verifies every distinct design point in the grid and
-    checks every named simulation engine against the
+    Certifies every distinct design point in the grid with the table
+    certifier (:mod:`repro.verify.certify`) and checks every named
+    simulation engine against the
     :data:`~repro.core.registry.ENGINES` registry, so a typo'd
     ``--engine`` or an illegal config aborts the campaign before the
-    first row simulates.  ``certify=True`` additionally runs the table
-    certifier (:mod:`repro.verify.certify`) over each design point,
-    gating the campaign on route-table soundness and masked-port
-    escapes as well.
+    first row simulates.
     """
     from repro.core.params import NetworkConfig
     from repro.verify import campaign_preflight
@@ -256,7 +252,5 @@ def grid_preflight(
         for row in grid
     ]
     return campaign_preflight(
-        configs,
-        engines=[row.get("engine") for row in grid],
-        certify=certify,
+        configs, engines=[row.get("engine") for row in grid]
     )

@@ -167,6 +167,7 @@ from repro.core.routing import (
     tabulate_next_hops,
 )
 from repro.core.spec import (
+    NetworkComponents,
     NetworkSpec,
     ResolvedRun,
     build_network,
@@ -295,6 +296,10 @@ class _CompiledModel:
     )
 
 
+#: What :func:`~repro.core.spec.resolve_components` returns: the
+#: components, the router kind and the allocator name a model lowers.
+_Parts = Tuple[NetworkComponents, str, Optional[str]]
+
 # Compiled models keyed by everything a model is a function of: the
 # spec's topology name (a plugin may ride a builtin config, so the
 # config alone does not identify the wiring; a bare NetworkConfig keys
@@ -322,7 +327,12 @@ def _compile(
     target: Union[NetworkConfig, NetworkSpec],
     config: NetworkConfig,
     faults: Any = None,
+    resolved: Optional[_Parts] = None,
 ) -> _CompiledModel:
+    # ``resolved``: the parts resolve_components already gave a caller
+    # (the certifier) for these arguments, lowered instead of resolving
+    # them again.  The model is a function of the arguments alone, so
+    # the key does not carry them.
     names = (
         (target.topology, target.routing, target.router, target.allocator)
         if isinstance(target, NetworkSpec)
@@ -346,7 +356,7 @@ def _compile(
             raise _Unsupported(cached.code, cached.detail)
         return cached
     try:
-        model = _build_model(target, config, faults)
+        model = _build_model(target, config, faults, resolved)
     except _Unsupported as exc:
         _COMPILE_CACHE[key] = exc.diagnostic
         raise
@@ -373,6 +383,7 @@ def _build_model(
     target: Union[NetworkConfig, NetworkSpec],
     config: NetworkConfig,
     faults: Any = None,
+    resolved: Optional[_Parts] = None,
 ) -> _CompiledModel:
     """Lower one design point: a pure function of its resolved parts.
 
@@ -383,7 +394,7 @@ def _build_model(
     component conflicts raise the same :class:`ConfigError` the
     reference path raises.
     """
-    components, router_name, allocator = resolve_components(
+    components, router_name, allocator = resolved or resolve_components(
         target, config, faults
     )
     kind = _ROUTER_KINDS.get(ROUTERS.get(router_name))
@@ -1119,6 +1130,7 @@ def _pattern_plan(model: _CompiledModel, pattern: str) -> Optional[Tuple]:
 # ----------------------------------------------------------------------
 def _resolve(
     run: ResolvedRun,
+    resolved: Optional[_Parts] = None,
 ) -> Tuple[List[LoweringDiagnostic], Optional[_CompiledModel]]:
     """Gate and compile one resolved run's design point.
 
@@ -1134,7 +1146,7 @@ def _resolve(
     problems = _gate_diagnostics(run.config, run.faults, run.audit_every)
     if not problems:
         try:
-            model = _compile(run.target, run.config, run.faults)
+            model = _compile(run.target, run.config, run.faults, resolved)
         except _Unsupported as exc:
             problems = [exc.diagnostic]
     return problems, model
@@ -1206,8 +1218,20 @@ def batching_problems(
     and a pattern the kernel can draw natively — the conditions under
     which no compiled run of the spec needs the host's Python draw.
     """
-    run = resolve_run("batching_problems", target, **given)
-    lowering, model = _resolve(run)
+    return _diagnose(resolve_run("batching_problems", target, **given))[1]
+
+
+def _diagnose(
+    run: ResolvedRun,
+    resolved: Optional[_Parts] = None,
+) -> Tuple[List[LoweringDiagnostic], List[LoweringDiagnostic]]:
+    """``(lowering, batching)`` diagnostics of one resolved run.
+
+    The first is :func:`lowering_problems`' list (the engine is not
+    read), the second :func:`batching_problems`', from one gate and
+    one compile.  ``resolved`` is handed on to :func:`_compile`.
+    """
+    lowering, model = _resolve(run, resolved)
     reasons: List[LoweringDiagnostic] = []
     if run.engine != "compiled":
         reasons.append(
@@ -1228,7 +1252,7 @@ def batching_problems(
                 f"the host draws, the kernel enqueues",
             )
         )
-    return reasons
+    return lowering, reasons
 
 
 # ----------------------------------------------------------------------

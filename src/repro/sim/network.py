@@ -343,11 +343,6 @@ class Network:
         self.cycle += 1
         return len(moves)
 
-    def run(self, cycles: int) -> None:
-        """Advance ``cycles`` cycles."""
-        for _ in range(cycles):
-            self.step()
-
     def drain(self, limit: int) -> bool:
         """Step until the network is empty; False if ``limit`` hit first."""
         for _ in range(limit):

@@ -481,11 +481,9 @@ class VCRouter(BaseRouter):
             if self.out_target[o] is not None:
                 self._compile_out_space(o)
 
-    def _compile_out_space(self, o: int) -> Optional[tuple]:
-        """Build (and memoize) the space-check plan for one output."""
+    def _compile_out_space(self, o: int) -> None:
+        """Build the space-check plan for one wired output."""
         target = self.out_target[o]
-        if target is None:
-            return None
         kind = _target_kind(target)
         if kind == KIND_DIRECT:
             down_router, down_idx = target
@@ -499,7 +497,6 @@ class VCRouter(BaseRouter):
         else:
             plan = (kind, target)
         self._out_space[o] = plan
-        return plan
 
     def accept(self, pkt: Packet, in_idx: int, in_vc: int = 0) -> None:
         pkt.vc = in_vc
@@ -526,11 +523,7 @@ class VCRouter(BaseRouter):
     def _space_downstream(self, pkt: Packet) -> bool:
         plan = self._out_space[pkt.out_dir]
         if plan is None:
-            # Lazy compile: unit tests wire outputs by hand without
-            # calling finish_wiring.
-            plan = self._compile_out_space(pkt.out_dir)
-            if plan is None:
-                return False
+            return False
         kind, obj = plan
         if kind == KIND_DIRECT:
             fifo = obj[pkt.out_vc]

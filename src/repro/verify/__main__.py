@@ -1,23 +1,21 @@
-"""Command-line front end for the static verifier and certifier.
+"""Command-line front end for the static certifier.
 
 Examples::
 
     python -m repro.verify                       # full paper matrix + lint
     python -m repro.verify --config ruche2-depop --size 16x8
     python -m repro.verify --sizes 8x8,16x8 --rf 2,3
-    python -m repro.verify --certify             # table certifier matrix
-    python -m repro.verify --certify --load my_plugin.py \
+    python -m repro.verify --load my_plugin.py --no-matrix \
         --spec '{"topology": "my-topology", "width": 16, "height": 8}'
     python -m repro.verify --lint-only
     python -m repro.verify --json report.json    # machine-readable output
 
-``--certify`` switches from the exhaustive 2-D enumerator to the
-topology-agnostic table certifier (:mod:`repro.verify.certify`), runs it
-over the spec-based paper matrix (including seeded fault-masked
-entries), cross-validates every verdict against the enumerator, and
-reports engine-lowering diagnostics per design point.  JSON output
-always carries the spec content hash and a provenance block, so results
-are joinable with campaign checkpoints and the result store.
+Every design point runs through the topology-agnostic table certifier
+(:mod:`repro.verify.certify`) over the spec-based paper matrix
+(including seeded fault-masked entries), is cross-validated against the
+exhaustive enumerator, and reports its engine-lowering diagnostics.
+JSON output always carries the spec content hash and a provenance
+block, so results are joinable with campaign checkpoints.
 
 Exit codes: 0 = everything verified, 1 = a property failed (the report
 names the cycle / illegal turn / unreached pair / disagreement), 2 =
@@ -35,21 +33,18 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro
-from repro.core.params import DorOrder, NetworkConfig
-from repro.core.routing import RoutingAlgorithm
-from repro.core.spec import NetworkSpec, spec_for_config
+from repro.core.spec import NetworkSpec
 from repro.errors import ConfigError
+from repro.verify.certify import cross_validate_spec
 from repro.verify.determinism import (
     LintFinding,
     lint_determinism,
     render_findings,
 )
-from repro.verify.engine import verify_config
 from repro.verify.lints import lint_conformance
 from repro.verify.matrix import (
     DEFAULT_RUCHE_FACTORS,
     DEFAULT_SIZES,
-    paper_matrix,
     paper_spec_matrix,
 )
 
@@ -121,13 +116,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.verify",
         description=(
             "Statically prove deadlock freedom (CDG acyclicity), turn "
-            "legality, and bounded reachability for Ruche-network routing."
+            "legality, and bounded reachability for Ruche-network "
+            "routing, cross-validated against the exhaustive enumerator."
         ),
     )
     parser.add_argument(
         "--config",
         metavar="NAME",
-        help="verify one design point by paper-style name "
+        help="certify one design point by paper-style name "
         "(mesh, torus, ruche3-depop, ...) instead of the full matrix",
     )
     parser.add_argument(
@@ -154,17 +150,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--no-fault-aware", action="store_true",
-        help="skip the fault-aware table-routing entries of the matrix",
-    )
-    parser.add_argument(
-        "--certify", action="store_true",
-        help="run the topology-agnostic table certifier (route-table "
-        "soundness, CDG acyclicity, lowering diagnostics) instead of "
-        "the coordinate enumerator, cross-validated against it",
-    )
-    parser.add_argument(
-        "--no-cross-validate", action="store_true",
-        help="with --certify: skip the enumerator agreement check",
+        help="skip the seeded fault-injection entries of the matrix",
     )
     parser.add_argument(
         "--load", metavar="FILE", action="append", default=[],
@@ -179,7 +165,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--no-matrix", action="store_true",
-        help="with --certify: certify only the --spec design points, "
+        help="certify only the --spec design points, "
         "skipping the paper matrix (focused smoke checks)",
     )
     parser.add_argument(
@@ -208,21 +194,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             for path in args.load:
                 _load_plugin(path)
-            if args.certify:
-                failed, disagreements = _run_certify(
-                    args, report_dicts, summaries
-                )
-            else:
-                failed = _run_verify(args, report_dicts, summaries)
+            failed, disagreements = _run_certify(
+                args, report_dicts, summaries
+            )
         except (ConfigError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    mode = (
-        "lint" if args.lint_only
-        else "certify" if args.certify
-        else "verify"
-    )
+    mode = "lint" if args.lint_only else "certify"
     payload = {
         "ok": not failed and not disagreements and not lint_findings,
         "verified": len(report_dicts),
@@ -245,15 +224,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("lint findings:")
             print(render_findings(lint_findings))
         verdict = "ok" if payload["ok"] else "FAILED"
-        tail = (
-            f", {disagreements} enumerator disagreement(s)"
-            if args.certify
-            else ""
-        )
         print(
             f"{mode}: {len(report_dicts)} design point(s), {failed} "
-            f"failure(s){tail}, {len(lint_findings)} lint finding(s): "
-            f"{verdict}"
+            f"failure(s), {disagreements} enumerator disagreement(s), "
+            f"{len(lint_findings)} lint finding(s): {verdict}"
         )
         if args.json:
             print(f"wrote {args.json}")
@@ -286,52 +260,12 @@ def _describe(
         )
 
 
-def _run_verify(
-    args: argparse.Namespace,
-    report_dicts: List[Dict[str, Any]],
-    summaries: List[str],
-) -> int:
-    """Enumerator mode; returns the failure count."""
-    grid: List[Tuple[NetworkConfig, Optional[RoutingAlgorithm]]]
-    if args.config:
-        (width, height), = _parse_sizes(args.size)
-        config = NetworkConfig.from_name(
-            args.config,
-            width,
-            height,
-            half=args.half,
-            dor_order=DorOrder(args.dor),
-        )
-        grid = [(config, None)]
-    else:
-        grid = paper_matrix(
-            sizes=_parse_sizes(args.sizes),
-            ruche_factors=[
-                int(rf) for rf in args.rf.split(",") if rf.strip()
-            ],
-            include_fault_aware=not args.no_fault_aware,
-        )
-    failed = 0
-    for config, routing in grid:
-        report = verify_config(config, routing)
-        if not report.ok:
-            failed += 1
-        report_dict = report.to_dict()
-        # The join key into spec-driven results (certify, campaigns).
-        report_dict["spec_hash"] = spec_for_config(config).content_hash()
-        report_dicts.append(report_dict)
-        _describe(report_dict, report.summary(), summaries)
-    return failed
-
-
 def _run_certify(
     args: argparse.Namespace,
     report_dicts: List[Dict[str, Any]],
     summaries: List[str],
 ) -> Tuple[int, int]:
-    """Certifier mode; returns (failures, enumerator disagreements)."""
-    from repro.verify.certify import certify_spec, cross_validate_spec
-
+    """Certify every design point; returns (failures, disagreements)."""
     if args.config:
         (width, height), = _parse_sizes(args.size)
         options: Dict[str, Any] = {}
@@ -358,18 +292,14 @@ def _run_certify(
     failed = 0
     disagreements = 0
     for spec in specs:
-        if args.no_cross_validate:
-            report = certify_spec(spec)
-            agrees: Optional[bool] = None
-        else:
-            report, agrees = cross_validate_spec(spec)
+        report, agrees = cross_validate_spec(spec)
         if not report.ok:
             failed += 1
         report_dict = report.to_dict()
         report_dict["enumerator_agrees"] = agrees
         report_dicts.append(report_dict)
         _describe(report_dict, report.summary(), summaries)
-        if agrees is False:
+        if not agrees:
             disagreements += 1
             summaries.append(
                 "    DISAGREEMENT: table certifier and exhaustive "

@@ -31,9 +31,12 @@ the identical code path:
   :func:`repro.sim.fastsim.lowering_problems`, naming exactly why a
   design point would fall back to the reference engine.
 
-``python -m repro.verify --certify`` runs this over the paper matrix
-(plus seeded fault-masked entries and any ``--spec`` extras) and
-cross-validates every verdict against the exhaustive enumerator.
+This is the one verifier every shipped path runs: ``python -m
+repro.verify`` over the paper matrix (plus seeded fault-masked entries
+and any ``--spec`` extras) and every campaign's ``--preflight``
+(:func:`certify_problems`).  The exhaustive enumerator is its oracle:
+:func:`cross_validate_spec` checks both analyses reach the same verdict
+on the same resolved parts.
 """
 
 from __future__ import annotations
@@ -69,18 +72,16 @@ from repro.core.routing import (
     TorusDOR,
     tabulate_next_hops,
 )
-from repro.core.spec import (
-    NetworkSpec,
-    build_config,
-    build_faults,
-    build_routing,
-    network_components,
-    resolve_topology,
-)
+from repro.core.spec import NetworkSpec, build_routing, resolve_run
 from repro.core.topology import Topology, make_topology
 from repro.errors import RoutingError
 from repro.verify.cdg import ChannelV, DepEdge, find_cycle, format_channel
-from repro.verify.engine import minimal_hops_fn, verify_spec
+from repro.verify.engine import (
+    _enumerate,
+    _spec_parts,
+    _SpecParts,
+    minimal_hops_fn,
+)
 from repro.verify.report import CertificationReport, VerificationReport
 from repro.verify.turns import routing_matrix
 
@@ -556,48 +557,48 @@ def certify_spec(
     attaches the spec's content hash plus the compiled engine's
     lowering diagnostics to the report.
     """
-    provider = resolve_topology(spec.topology)
-    config = build_config(spec)
-    faults = build_faults(spec, config)
-    components = network_components(
-        config,
-        faults=faults,
-        provider=provider,
-        routing_name=spec.routing,
-    )
-    matrix: Optional[Matrix] = None
-    if provider.matrix_factory is not None or (
-        faults is not None and faults.affects_routing
-    ):
-        matrix = components.matrix
+    return _certify(spec, _spec_parts(spec), max_findings)
+
+
+def _certify(
+    spec: NetworkSpec, parts: _SpecParts, max_findings: int
+) -> CertificationReport:
+    """:func:`certify_spec` on parts already resolved from ``spec``.
+
+    The route tables, the crossbar and the lowering diagnostics are all
+    judged on ``parts``, so nothing here emits a second port graph.
+    """
+    components = parts.components
     report = certify_config(
-        config,
+        parts.config,
         components.routing,
-        matrix=matrix,
+        matrix=components.matrix,
         topology=components.graph,
         max_findings=max_findings,
         topology_name=spec.topology,
     )
     report.spec_hash = spec.content_hash()
     # Lazy: keep `import repro.verify` free of the sim layer.
-    from repro.sim.fastsim import batching_problems, lowering_problems
+    from repro.sim.fastsim import _diagnose
 
-    diagnostics = lowering_problems(spec, faults=faults)
-    report.lowering = [
-        {"code": d.code, "detail": d.detail} for d in diagnostics
-    ]
-    report.compiles = not diagnostics
     # Batchability is judged on the compiled engine regardless of the
     # spec's own engine choice: the question the report answers is "may
     # this design point join a structure-of-arrays batch", not "was it
-    # asked to".
-    batch_diagnostics = batching_problems(
-        spec, faults=faults, engine="compiled"
+    # asked to".  Lowering does not read the engine.
+    lowering, batching = _diagnose(
+        resolve_run(
+            "certify_spec", spec, faults=parts.faults, engine="compiled"
+        ),
+        parts.resolved,
     )
-    report.batching = [
-        {"code": d.code, "detail": d.detail} for d in batch_diagnostics
+    report.lowering = [
+        {"code": d.code, "detail": d.detail} for d in lowering
     ]
-    report.batchable = not batch_diagnostics
+    report.compiles = not lowering
+    report.batching = [
+        {"code": d.code, "detail": d.detail} for d in batching
+    ]
+    report.batchable = not batching
     return report
 
 
@@ -606,10 +607,10 @@ def certify_problems(
 ) -> List[str]:
     """Certify ``targets``; one message per failed property.
 
-    The certification counterpart of
-    :func:`repro.verify.preflight.preflight_problems`, accepting specs
-    (certified with their faults and provider components) as well as
-    bare configs.
+    Specs are certified with their faults and provider components, bare
+    configs with their builtin routing.  Each message is labelled
+    ``certify <name> <W>x<H>:``, and a design point named twice is
+    certified once.
     """
     problems: List[str] = []
     seen: Set[Union[NetworkConfig, NetworkSpec]] = set()
@@ -622,7 +623,7 @@ def certify_problems(
             label = f"{target.topology} {target.width}x{target.height}"
         else:
             report = certify_config(target)
-            label = f"{target.name} {target.shape}"
+            label = f"{target.name} {target.width}x{target.height}"
         for problem in report.problems():
             problems.append(f"certify {label}: {problem}")
     return problems
@@ -663,10 +664,11 @@ def cross_validate_spec(
     """Certify a spec and check the enumerator reaches the same verdict.
 
     Returns ``(report, agrees)``; the CLI fails the run when any design
-    point's two independent analyses disagree.
+    point's two independent analyses disagree.  Both judge one
+    resolution of the spec: the same route tables, crossbar and port
+    graph.
     """
-    certified = certify_spec(spec, max_findings=max_findings)
-    enumerated = verify_spec(
-        spec, max_findings=max_findings, include_faults=True
-    )
+    parts = _spec_parts(spec)
+    certified = _certify(spec, parts, max_findings)
+    enumerated = _enumerate(parts, max_findings)
     return certified, enumerator_agrees(certified, enumerated)

@@ -24,7 +24,8 @@ correctly — never constrain the crossbar.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+import dataclasses
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.connectivity import Matrix
 from repro.core.coords import Coord, Direction
@@ -32,12 +33,12 @@ from repro.core.params import NetworkConfig, TopologyKind
 from repro.core.portgraph import PortGraph, ensure_port_graph
 from repro.core.routing import FaultAwareTableRouting, RoutingAlgorithm
 from repro.core.spec import (
+    NetworkComponents,
     NetworkSpec,
     build_config,
     build_faults,
     build_routing,
-    network_components,
-    resolve_topology,
+    resolve_components,
 )
 from repro.core.topology import Topology, make_topology
 from repro.errors import RoutingError
@@ -390,43 +391,58 @@ def verify_config(
     return report
 
 
+@dataclasses.dataclass(frozen=True)
+class _SpecParts:
+    """One resolution of a spec, read by every analysis of it.
+
+    The certifier, the enumerator and the compiled engine's lowering
+    diagnostics all judge these parts, so one certification (or one
+    cross-check) emits the spec's port graph once.  ``resolved`` is
+    :func:`~repro.core.spec.resolve_components`'s
+    ``(components, router kind, allocator)``.
+    """
+
+    config: NetworkConfig
+    faults: Optional[Any]
+    resolved: Tuple[NetworkComponents, str, Optional[str]]
+
+    @property
+    def components(self) -> NetworkComponents:
+        return self.resolved[0]
+
+
+def _spec_parts(spec: NetworkSpec) -> _SpecParts:
+    """Resolve a spec's config, seeded fault schedule and components."""
+    config = build_config(spec)
+    faults = build_faults(spec, config)
+    return _SpecParts(
+        config, faults, resolve_components(spec, config, faults)
+    )
+
+
+def _enumerate(parts: _SpecParts, max_findings: int) -> VerificationReport:
+    """:func:`verify_config` on a resolved spec's own components."""
+    components = parts.components
+    return verify_config(
+        parts.config,
+        components.routing,
+        matrix=components.matrix,
+        topology=components.graph,
+        max_findings=max_findings,
+    )
+
+
 def verify_spec(
-    spec: NetworkSpec,
-    *,
-    max_findings: int = 8,
-    include_faults: bool = False,
+    spec: NetworkSpec, *, max_findings: int = 8
 ) -> VerificationReport:
     """Statically verify the design point a spec describes.
 
     Resolves the spec's topology provider through the registry, so
     plugin topologies are verified with their own channels, routing, and
     crossbar matrix — the same components
-    :func:`~repro.core.spec.build_network` simulates with.
-
-    ``include_faults`` additionally materializes the spec's seeded
-    :class:`~repro.sim.faults.FaultSchedule` and verifies the resulting
-    fault-aware detour tables (the healthy routing is verified
-    otherwise); the certifier's cross-validation pass uses this so the
-    enumerator and the table certifier judge the same masked tables.
+    :func:`~repro.core.spec.build_network` simulates with.  A spec with
+    faults materializes its seeded
+    :class:`~repro.sim.faults.FaultSchedule` and is verified on the
+    resulting fault-aware detour tables, as the certifier judges them.
     """
-    provider = resolve_topology(spec.topology)
-    config = build_config(spec)
-    faults = build_faults(spec, config) if include_faults else None
-    components = network_components(
-        config,
-        faults=faults,
-        provider=provider,
-        routing_name=spec.routing,
-    )
-    matrix: Optional[Matrix] = None
-    if provider.matrix_factory is not None or (
-        faults is not None and faults.affects_routing
-    ):
-        matrix = components.matrix
-    return verify_config(
-        config,
-        components.routing,
-        matrix=matrix,
-        topology=components.graph,
-        max_findings=max_findings,
-    )
+    return _enumerate(_spec_parts(spec), max_findings)

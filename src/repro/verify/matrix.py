@@ -1,25 +1,20 @@
 """The paper's topology / Ruche-Factor verification grid.
 
-:func:`paper_matrix` enumerates every routing variant the paper's
+:func:`paper_spec_matrix` enumerates every routing variant the paper's
 evaluation exercises — mesh X-Y and Y-X DOR, the VC and FBFC torus
 flavours, multi-mesh, Ruche-One, and the Full/Half Ruche family in
 fully-populated and depopulated forms across Ruche Factors — at the
-array sizes the figures use.  :func:`verify_matrix` runs the static
-verifier over a grid and returns every report; CI's ``certify`` job
-runs that enumerator over the same grid to cross-validate each
-certificate (:func:`~repro.verify.certify.cross_validate_spec`).
+array sizes the figures use, plus seeded fault-injection entries and
+the 3-D pack.  ``python -m repro.verify`` certifies each entry and
+cross-validates it against the enumerator
+(:func:`~repro.verify.certify.cross_validate_spec`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core.params import NetworkConfig
-from repro.core.routing import RoutingAlgorithm, make_fault_aware_routing
-from repro.core.spec import NetworkSpec, build_config
-from repro.verify.certify import certify_spec
-from repro.verify.engine import verify_config
-from repro.verify.report import CertificationReport, VerificationReport
+from repro.core.spec import NetworkSpec
 
 #: Array sizes the paper's figures evaluate (Figures 6, 9, 11).
 DEFAULT_SIZES: Tuple[Tuple[int, int], ...] = ((8, 8), (16, 8), (64, 8))
@@ -37,53 +32,6 @@ TOPOLOGY_PACK_3D: Tuple[Tuple[str, int, int, int], ...] = (
 )
 
 
-def paper_matrix(
-    sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES,
-    ruche_factors: Sequence[int] = DEFAULT_RUCHE_FACTORS,
-    *,
-    include_fault_aware: bool = True,
-    include_3d: bool = True,
-) -> List[Tuple[NetworkConfig, Optional[RoutingAlgorithm]]]:
-    """Every (config, routing) pair of the paper's evaluation grid.
-
-    The topology x size x Ruche-Factor sweep is
-    :func:`paper_spec_matrix`'s, built into configs.  ``routing`` is
-    ``None`` for the deterministic DOR algorithms (the verifier builds
-    them via :func:`~repro.core.routing.make_routing`)
-    and an explicit healthy :class:`FaultAwareTableRouting` for the
-    table-routed entries — included only at the smallest size, where
-    table construction stays cheap (``include_fault_aware=False`` drops
-    them entirely).  ``include_3d`` appends the 3-D topology pack's
-    fixed design points (:data:`TOPOLOGY_PACK_3D`), independent of
-    ``sizes``.
-    """
-    grid: List[Tuple[NetworkConfig, Optional[RoutingAlgorithm]]] = [
-        (build_config(spec), None)
-        for spec in paper_spec_matrix(
-            sizes,
-            ruche_factors,
-            include_fault_aware=False,
-            include_3d=False,
-        )
-    ]
-    if include_fault_aware:
-        width, height = min(sizes, key=lambda wh: wh[0] * wh[1])
-        for name in ("mesh", "ruche2-depop"):
-            config = NetworkConfig.from_name(name, width, height)
-            grid.append((config, make_fault_aware_routing(config)))
-    if include_3d:
-        for name, width, height, depth in TOPOLOGY_PACK_3D:
-            grid.append(
-                (
-                    NetworkConfig.from_name(
-                        name, width, height, depth=depth
-                    ),
-                    None,
-                )
-            )
-    return grid
-
-
 def paper_spec_matrix(
     sizes: Sequence[Tuple[int, int]] = DEFAULT_SIZES,
     ruche_factors: Sequence[int] = DEFAULT_RUCHE_FACTORS,
@@ -93,14 +41,14 @@ def paper_spec_matrix(
 ) -> List[NetworkSpec]:
     """The paper's evaluation grid as :class:`NetworkSpec` entries.
 
-    The one place the topology x size x Ruche-Factor sweep is written
-    (:func:`paper_matrix` builds its configs from it), expressed as
-    specs so each entry carries a content hash and an engine-lowering
-    analysis.  ``include_fault_aware`` adds seeded fault-injection
-    entries at the smallest size — unlike :func:`paper_matrix`'s
-    healthy table-routing rows, these materialize a live
-    :class:`~repro.sim.faults.FaultSchedule`, so the certifier proves
-    the actual masked detour tables a degraded campaign would route on.
+    The one place the topology x size x Ruche-Factor sweep is written,
+    expressed as specs so each entry carries a content hash and an
+    engine-lowering analysis.  ``include_fault_aware`` adds seeded
+    fault-injection entries at the smallest size: these materialize a
+    live :class:`~repro.sim.faults.FaultSchedule`, so the certifier
+    proves the actual masked detour tables a degraded campaign would
+    route on.  ``include_3d`` appends the 3-D topology pack's fixed
+    design points (:data:`TOPOLOGY_PACK_3D`), independent of ``sizes``.
     """
     specs: List[NetworkSpec] = []
     for width, height in sizes:
@@ -166,25 +114,3 @@ def paper_spec_matrix(
                 NetworkSpec.for_network(name, width, height, depth=depth)
             )
     return specs
-
-
-def verify_matrix(
-    grid: Optional[
-        Iterable[Tuple[NetworkConfig, Optional[RoutingAlgorithm]]]
-    ] = None,
-) -> List[VerificationReport]:
-    """Run :func:`verify_config` over a grid (default: paper matrix)."""
-    if grid is None:
-        grid = paper_matrix()
-    return [
-        verify_config(config, routing) for config, routing in grid
-    ]
-
-
-def certify_matrix(
-    specs: Optional[Iterable[NetworkSpec]] = None,
-) -> List[CertificationReport]:
-    """Run :func:`certify_spec` over specs (default: spec matrix)."""
-    if specs is None:
-        specs = paper_spec_matrix()
-    return [certify_spec(spec) for spec in specs]

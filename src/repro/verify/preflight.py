@@ -1,9 +1,9 @@
-"""Campaign pre-flight: verify every design point before simulating.
+"""Campaign pre-flight: certify every design point before simulating.
 
 A hardened sweep (:func:`repro.experiments.campaign.run_campaign`) can
 burn hours on a misconfigured network before the runtime watchdog
-notices.  :func:`campaign_preflight` packages the static verifier as the
-campaign's opt-in ``preflight`` callable: it verifies each distinct
+notices.  :func:`campaign_preflight` packages the table certifier as the
+campaign's opt-in ``preflight`` callable: it certifies each distinct
 design point once, and a single failing config aborts the whole campaign
 with concrete witnesses before the first row is simulated.
 """
@@ -14,22 +14,7 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.core.params import NetworkConfig
 from repro.core.spec import engine_name
-from repro.verify.engine import verify_config
-
-
-def preflight_problems(configs: Iterable[NetworkConfig]) -> List[str]:
-    """Statically verify ``configs``; one message per failed property."""
-    problems: List[str] = []
-    seen = set()
-    for config in configs:
-        if config in seen:
-            continue
-        seen.add(config)
-        report = verify_config(config)
-        if not report.ok:
-            for problem in report.problems():
-                problems.append(f"{config.name} {config.shape}: {problem}")
-    return problems
+from repro.verify.certify import certify_problems
 
 
 def engine_problems(engines: Iterable[Optional[str]]) -> List[str]:
@@ -59,33 +44,21 @@ def engine_problems(engines: Iterable[Optional[str]]) -> List[str]:
 def campaign_preflight(
     configs: Iterable[NetworkConfig],
     engines: Iterable[Optional[str]] = (),
-    *,
-    certify: bool = False,
 ) -> Callable[[], List[str]]:
     """A ``preflight`` callable for :func:`run_campaign`.
 
-    The returned thunk runs the static verifier lazily (at campaign
+    The returned thunk runs the table certifier
+    (:func:`repro.verify.certify.certify_problems`) lazily (at campaign
     start, not at construction) and returns the list of problems;
     ``run_campaign`` raises :class:`~repro.errors.ConfigError` when it
     is non-empty.  ``engines`` optionally carries the simulation-engine
     name of each row (``None`` = the default engine); unknown names are
-    reported as problems alongside the verifier's findings.  ``certify``
-    additionally runs the table certifier
-    (:func:`repro.verify.certify.certify_problems`) over the same
-    configs, so masked-port escapes and table/reference mismatches also
-    gate the campaign.
+    reported as problems alongside the certifier's findings.
     """
     frozen = list(configs)
     frozen_engines = list(engines)
 
     def preflight() -> List[str]:
-        problems = engine_problems(frozen_engines) + preflight_problems(
-            frozen
-        )
-        if certify:
-            from repro.verify.certify import certify_problems
-
-            problems += certify_problems(frozen)
-        return problems
+        return engine_problems(frozen_engines) + certify_problems(frozen)
 
     return preflight

@@ -202,36 +202,50 @@ class TestPreflight:
         assert check() == []
 
     def test_campaign_preflight_names_broken_config(self, monkeypatch):
+        from repro.core.connectivity import connectivity_matrix
+        from repro.core.coords import Direction
         from repro.core.params import NetworkConfig
+        from repro.errors import ConfigError
+        from repro.verify import certify as certify_mod
         from repro.verify import preflight as preflight_mod
-        from repro.verify.report import VerificationReport
 
-        def broken_verify(config, routing=None, **kwargs):
-            report = VerificationReport(
-                config=config.name, width=config.width,
-                height=config.height, algorithm="MeshDOR", dor_order="xy",
-            )
-            report.illegal_turns.append("(1, 1): W -> N")
-            return report
+        def crossbar_without_w_to_n(config, routing=None):
+            # X-Y DOR needs W -> N for every north-east-bound pair.
+            matrix = dict(connectivity_matrix(config))
+            matrix[Direction.W] = matrix[Direction.W] - {Direction.N}
+            return matrix
 
-        monkeypatch.setattr(preflight_mod, "verify_config", broken_verify)
+        monkeypatch.setattr(
+            certify_mod, "routing_matrix", crossbar_without_w_to_n
+        )
         config = NetworkConfig.from_name("mesh", 4, 4)
         problems = preflight_mod.campaign_preflight([config])()
         assert len(problems) == 1
-        assert "mesh" in problems[0] and "W -> N" in problems[0]
+        assert problems[0].startswith("certify mesh 4x4: ")
+        assert "W -> N" in problems[0]
+
+        calls = []
+        with pytest.raises(ConfigError, match="certify mesh 4x4: "):
+            run_campaign(
+                GRID,
+                lambda params: calls.append(params),
+                preflight=preflight_mod.campaign_preflight([config]),
+            )
+        assert calls == []
 
     def test_preflight_dedups_repeated_design_points(self, monkeypatch):
         from repro.core.params import NetworkConfig
+        from repro.verify import certify as certify_mod
         from repro.verify import preflight as preflight_mod
 
         calls = []
-        real = preflight_mod.verify_config
+        real = certify_mod.certify_config
 
-        def counting_verify(config, routing=None, **kwargs):
+        def counting_certify(config, routing=None, **kwargs):
             calls.append(config.name)
             return real(config, routing, **kwargs)
 
-        monkeypatch.setattr(preflight_mod, "verify_config", counting_verify)
+        monkeypatch.setattr(certify_mod, "certify_config", counting_certify)
         config = NetworkConfig.from_name("mesh", 4, 4)
         assert preflight_mod.campaign_preflight([config, config])() == []
         assert calls == ["mesh"]

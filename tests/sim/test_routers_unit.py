@@ -140,6 +140,8 @@ def wire_vc_pair():
     a.out_target[E] = (b, W)
     a.out_target[P] = sink_a
     b.out_target[P] = sink_b
+    a.finish_wiring()
+    b.finish_wiring()
     return a, b, sink_a, sink_b
 
 

@@ -20,13 +20,19 @@ from hypothesis import given, strategies as st
 
 from property.settings import tiered_settings
 
+from repro.core import registry
 from repro.core.connectivity import connectivity_matrix
 from repro.core.coords import Coord, Direction
 from repro.core.params import NetworkConfig
 from repro.core.portgraph import killed_channels
-from repro.core.routing import FaultAwareTableRouting, MeshDOR
+from repro.core.routing import (
+    FaultAwareTableRouting,
+    MeshDOR,
+    make_fault_aware_routing,
+)
 from repro.core.spec import NetworkSpec
-from repro.core.topology import make_topology
+from repro.core.topology import Topology, make_topology
+from repro.sim import fastsim, faults
 from repro.verify import (
     certify_config,
     certify_problems,
@@ -111,6 +117,17 @@ class _Flaky(MeshDOR):
         return out
 
 
+@pytest.fixture()
+def ping_pong():
+    """:class:`_PingPong` as a registered routing name, for specs."""
+    name = "test-ping-pong"
+    registry.register_routing(
+        name, description="livelocking MeshDOR (test)"
+    )(_PingPong)
+    yield name
+    registry.ROUTINGS.unregister(name)
+
+
 class TestRejectsBrokenRouting:
     def test_livelock_detected_with_state_cycle(self):
         config = NetworkConfig.from_name("mesh", 8, 8)
@@ -170,6 +187,15 @@ class TestFaultMaskedTables:
         assert report.ok, report.problems()
         assert agrees
 
+    @pytest.mark.parametrize("name", ("mesh", "ruche2-depop"))
+    def test_healthy_tables_agree_with_enumerator(self, name):
+        config = NetworkConfig.from_name(name, 8, 8)
+        routing = make_fault_aware_routing(config)
+        certified = certify_config(config, routing)
+        assert certified.ok, certified.problems()
+        assert certified.cdg_required and certified.cdg_acyclic
+        assert enumerator_agrees(certified, verify_config(config, routing))
+
     def test_masked_escape_is_a_finding(self):
         config = NetworkConfig.from_name("mesh", 4, 4)
         routing = _oblivious(
@@ -186,6 +212,46 @@ class TestFaultMaskedTables:
         report = certify_config(config, routing)
         assert not report.ok
         assert any("dead router" in e for e in report.masked_escapes)
+
+
+@pytest.fixture()
+def graphs_emitted(monkeypatch):
+    """Every port graph a builtin topology emits, in order."""
+    emitted = []
+    emit = Topology.port_graph
+
+    def emitting(topology):
+        graph = emit(topology)
+        emitted.append(graph)
+        return graph
+
+    monkeypatch.setattr(Topology, "port_graph", emitting)
+    faults._port_graph.cache_clear()
+    fastsim.clear_compile_caches()
+    yield emitted
+    faults._port_graph.cache_clear()
+    fastsim.clear_compile_caches()
+
+
+@pytest.mark.parametrize(
+    "fields", [{}, {"fault_links": 3}], ids=["healthy", "faulted"]
+)
+class TestOneGraphPerCertification:
+    """A certification resolves its spec once: the route tables, the
+    lowering diagnostics and, in the cross-check, the enumerator all
+    read the one port graph it emits."""
+
+    def test_certify_emits_one_graph(self, graphs_emitted, fields):
+        report = certify_spec(NetworkSpec.for_network("mesh", 8, 8, **fields))
+        assert report.ok and report.compiles
+        assert len(graphs_emitted) == 1
+
+    def test_cross_check_emits_one_graph(self, graphs_emitted, fields):
+        report, agrees = cross_validate_spec(
+            NetworkSpec.for_network("mesh", 8, 8, **fields)
+        )
+        assert report.ok and agrees
+        assert len(graphs_emitted) == 1
 
 
 def _load_plugin_module():
@@ -260,21 +326,20 @@ class TestCertifyProblems:
         ]
         assert certify_problems(targets) == []
 
-    def test_broken_config_is_reported_with_label(self):
-        config = NetworkConfig.from_name("mesh", 4, 4)
-        problems = certify_problems([config, config])  # dedup too
-        assert problems == []
-        routing_problems = certify_problems(
-            [NetworkSpec.for_network("mesh", 4, 4)]
-        )
-        assert routing_problems == []
+    def test_broken_config_is_reported_with_label(self, ping_pong):
+        spec = NetworkSpec.for_network("mesh", 4, 4, routing=ping_pong)
+        report_problems = certify_spec(spec).problems()
+        assert report_problems
+        problems = certify_problems([spec, spec])  # dedup too
+        assert problems == [
+            f"certify mesh 4x4: {problem}" for problem in report_problems
+        ]
+        assert any("never ejects" in p for p in problems)
 
     def test_campaign_preflight_certify_gate(self):
         from repro.verify import campaign_preflight
 
-        thunk = campaign_preflight(
-            [NetworkConfig.from_name("mesh", 4, 4)], certify=True
-        )
+        thunk = campaign_preflight([NetworkConfig.from_name("mesh", 4, 4)])
         assert thunk() == []
 
 

@@ -53,7 +53,7 @@ PLUGIN_ARGS = [
 class TestCertifyMode:
     def test_single_config_certifies(self, capsys):
         code = main(
-            ["--certify", "--config", "mesh", "--size", "4x4",
+            ["--config", "mesh", "--size", "4x4",
              "--skip-lint"]
         )
         assert code == 0
@@ -64,7 +64,7 @@ class TestCertifyMode:
     def test_json_payload_has_hash_and_provenance(self, tmp_path):
         target = tmp_path / "certify.json"
         code = main(
-            ["--certify", "--config", "ruche2-depop", "--size", "4x4",
+            ["--config", "ruche2-depop", "--size", "4x4",
              "--skip-lint", "--json", str(target)]
         )
         assert code == 0
@@ -82,8 +82,8 @@ class TestCertifyMode:
 
     def test_small_matrix_certifies(self, capsys):
         code = main(
-            ["--certify", "--sizes", "4x4", "--rf", "2",
-             "--no-fault-aware", "--skip-lint", "--no-cross-validate"]
+            ["--sizes", "4x4", "--rf", "2", "--no-fault-aware",
+             "--skip-lint"]
         )
         assert code == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -97,9 +97,9 @@ class TestCertifyMode:
 
         target = tmp_path / "certify.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.verify", "--certify",
-             "--config", "mesh", "--size", "4x4", "--skip-lint",
-             "--json", str(target), *PLUGIN_ARGS],
+            [sys.executable, "-m", "repro.verify", "--config", "mesh",
+             "--size", "4x4", "--skip-lint", "--json", str(target),
+             *PLUGIN_ARGS],
             capture_output=True,
             text=True,
         )
@@ -116,7 +116,7 @@ class TestCertifyMode:
 
     def test_no_matrix_certifies_only_the_specs(self, capsys):
         code = main(
-            ["--certify", "--skip-lint", "--no-matrix",
+            ["--skip-lint", "--no-matrix",
              "--spec", '{"topology": "mesh3d", "width": 4, '
              '"height": 4, "depth": 2}',
              "--spec", '{"topology": "torus3d", "width": 4, '
@@ -130,34 +130,20 @@ class TestCertifyMode:
 
     def test_no_matrix_without_spec_is_config_error(self):
         assert main(
-            ["--certify", "--skip-lint", "--no-matrix"]
+            ["--skip-lint", "--no-matrix"]
         ) == 2
 
     def test_missing_plugin_file_is_config_error(self):
         assert main(
-            ["--certify", "--skip-lint", "--load", "no/such/file.py"]
+            ["--skip-lint", "--load", "no/such/file.py"]
         ) == 2
 
     def test_bad_spec_json_is_config_error(self):
         assert main(
-            ["--certify", "--skip-lint", "--spec", "{not json"]
+            ["--skip-lint", "--spec", "{not json"]
         ) == 2
 
     def test_spec_missing_key_is_config_error(self):
         assert main(
-            ["--certify", "--skip-lint", "--spec", '{"topology": "mesh"}']
+            ["--skip-lint", "--spec", '{"topology": "mesh"}']
         ) == 2
-
-
-class TestVerifyModeProvenance:
-    def test_verify_reports_carry_spec_hash(self, tmp_path):
-        target = tmp_path / "verify.json"
-        code = main(
-            ["--config", "mesh", "--size", "4x4", "--json", str(target),
-             "--skip-lint"]
-        )
-        assert code == 0
-        payload = json.loads(target.read_text())
-        assert payload["provenance"]["mode"] == "verify"
-        (report,) = payload["reports"]
-        assert len(report["spec_hash"]) == 64

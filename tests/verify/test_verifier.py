@@ -7,11 +7,12 @@ from repro.core.connectivity import connectivity_matrix
 from repro.core.coords import Coord, Direction
 from repro.core.params import DorOrder, NetworkConfig
 from repro.core.routing import MeshDOR, TorusDOR, make_fault_aware_routing
-from repro.verify import paper_matrix, verify_config, verify_matrix
+from repro.core.spec import NetworkSpec
+from repro.verify import paper_spec_matrix, verify_config, verify_spec
 
-#: ``paper_matrix()``'s default grid, one ``name WxH[xD] [flags]`` line
-#: per entry, in order: ``half`` / ``yx`` are ``from_name`` options and
-#: ``fault-aware`` marks a healthy ``FaultAwareTableRouting`` entry.
+#: ``paper_spec_matrix()``'s default grid, one ``name WxH[xD] [flags]``
+#: line per entry, in order: ``half`` / ``yx`` are spec options and a
+#: ``field=value`` flag is an integer spec field (the seeded faults).
 PAPER_GRID = """
     mesh 8x8
     torus 8x8
@@ -82,8 +83,8 @@ PAPER_GRID = """
     ruche4-pop 64x8
     ruche4-pop 64x8 half
     ruche4-depop 64x8 half yx
-    mesh 8x8 fault-aware
-    ruche2-depop 8x8 fault-aware
+    mesh 8x8 fault_links=4 fault_routers=1 fault_seed=7
+    ruche2-depop 8x8 fault_links=3 fault_seed=7
     mesh3d 4x4x4
     torus3d 8x8x4
 """
@@ -92,14 +93,16 @@ PAPER_GRID = """
 def _pinned_entry(line):
     name, size, *flags = line.split()
     dims = [int(v) for v in size.split("x")]
-    options = {"depth": dims[2]} if len(dims) == 3 else {}
-    if "half" in flags:
-        options["half"] = True
-    if "yx" in flags:
-        options["dor_order"] = DorOrder.YX
-    config = NetworkConfig.from_name(name, dims[0], dims[1], **options)
-    routing = "FaultAwareTableRouting" if "fault-aware" in flags else None
-    return config, routing
+    fields = {"depth": dims[2]} if len(dims) == 3 else {}
+    for flag in flags:
+        if flag == "half":
+            fields["half"] = True
+        elif flag == "yx":
+            fields["dor_order"] = "yx"
+        else:
+            field, _, value = flag.partition("=")
+            fields[field] = int(value)
+    return NetworkSpec.for_network(name, dims[0], dims[1], **fields)
 
 
 ALL_NAMES = (
@@ -133,7 +136,9 @@ class TestAcceptsHealthyConfigs:
         assert report.ok, report.problems()
 
     def test_paper_matrix_all_ok_at_8x8(self):
-        reports = verify_matrix(paper_matrix(sizes=[(8, 8)]))
+        reports = [
+            verify_spec(spec) for spec in paper_spec_matrix(sizes=[(8, 8)])
+        ]
         bad = [r for r in reports if not r.ok]
         assert not bad, [(r.config, r.problems()) for r in bad]
         # The matrix spans every routing algorithm the paper evaluates,
@@ -145,13 +150,9 @@ class TestAcceptsHealthyConfigs:
         }
 
     def test_paper_matrix_is_pinned(self):
-        """The grid's entries and their order, as ``(config, routing
-        type)``: the verifier CLI and CI iterate it in this order."""
-        got = [
-            (config, None if routing is None else type(routing).__name__)
-            for config, routing in paper_matrix()
-        ]
-        assert got == [
+        """``paper_spec_matrix``'s entries and their order: the CLI and
+        CI certify it in this order."""
+        assert paper_spec_matrix() == [
             _pinned_entry(line) for line in PAPER_GRID.split("\n") if line
         ]
 
