@@ -281,8 +281,11 @@ def run(
 
         width, height = preset["size"]
         preflight_fn = campaign_preflight(
-            NetworkConfig.from_name(name, width, height)
-            for name in preset["configs"]
+            (
+                NetworkConfig.from_name(name, width, height)
+                for name in preset["configs"]
+            ),
+            engines=[row.get("engine", "compiled") for row in grid],
         )
     outcome = run_campaign(
         grid,

@@ -422,6 +422,8 @@ _BFS_PRIORITY = {
         )
     )
 }
+#: The output port of each :data:`_BFS_PRIORITY` rank.
+_BFS_ORDER = sorted(_BFS_PRIORITY, key=_BFS_PRIORITY.__getitem__)
 
 #: A directed link identified by its source node and output direction.
 LinkId = Tuple[NodeId, Direction]
@@ -440,6 +442,14 @@ class FaultAwareTableRouting(RoutingAlgorithm):
     feasible paths over the surviving graph.  Parity-subnet disciplines
     (Ruche-One / multi-mesh) are dropped under faults: every packet is
     subnet 0 and may use any surviving channel.
+
+    Two inputs of a router with the same turn set route alike (same
+    next hop, same distance), so the search runs over one state per
+    *input class* — a router and one distinct turn set among its wired
+    inputs — and each destination's table is one list indexed by class
+    (:meth:`input_classes`, :meth:`class_next_hops`).  On the
+    fully-connected crossbar every router is one class, and the search
+    walks the channels once per destination.
 
     Unlike the healthy DOR algorithms this is not provably deadlock-free
     once faults bend routes out of dimension order; the simulator's
@@ -490,55 +500,75 @@ class FaultAwareTableRouting(RoutingAlgorithm):
     # ------------------------------------------------------------------
     def _build_tables(
         self, graph: PortGraph, turns: Mapping[int, FrozenSet[int]]
-    ) -> Dict[NodeId, Dict[Tuple[NodeId, int], int]]:
-        """Per-destination next-hop tables over (node, input port) states.
+    ) -> Dict[NodeId, List[int]]:
+        """Per-destination next-hop lists, indexed by input class.
+
+        Sets :attr:`_class_of`, ``(node, input port) -> class``: each
+        live node's wired inputs (the ejection port, where packets are
+        injected, and every alive channel's arrival port), one class per
+        distinct turn set, numbered in node then first-input order.  A
+        destination's list holds each class's output port, ``-1`` where
+        no surviving path leaves it.
 
         Pure port-graph construction: the channels are the ones both
         engines wire (:func:`~repro.core.portgraph.live_wiring` without
         the dead links), in emitter order; turn legality comes from the
         integer turn sets of :func:`~repro.core.connectivity.port_turns`.
         """
-        # Forward state graph: (node, input) --out--> (next, in_port).
-        reverse: Dict[
-            Tuple[NodeId, int], List[Tuple[Tuple[NodeId, int], int]]
-        ] = {}
         p_out = graph.ejection_port
+        alive = live_wiring(graph, self.dead_links).channels
         inputs_at: Dict[NodeId, List[int]] = {
             n: [p_out] for n in self._nodes
         }
-        alive = live_wiring(graph, self.dead_links).channels
         for channel in alive:
             inputs_at[channel.dst].append(channel.in_port)
+        class_of: Dict[Tuple[NodeId, int], int] = {}
+        classes_at: Dict[NodeId, List[int]] = {}
+        class_turns: List[FrozenSet[int]] = []
+        for node, inputs in inputs_at.items():
+            ids: Dict[FrozenSet[int], int] = {}
+            for in_idx in inputs:
+                turn_set = turns.get(in_idx, frozenset())
+                k = ids.get(turn_set)
+                if k is None:
+                    k = ids[turn_set] = len(class_turns)
+                    class_turns.append(turn_set)
+                class_of[(node, in_idx)] = k
+            classes_at[node] = list(ids.values())
+        self._class_of = class_of
+        # Backward edges over classes: the channel out of `pred` on
+        # port `out` lands in class `succ`; kept as (rank of out, pred).
+        reverse: List[List[Tuple[int, int]]] = [[] for _ in class_turns]
         for channel in alive:
-            succ = (channel.dst, channel.in_port)
-            for in_idx in inputs_at[channel.src]:
-                if channel.out_port in turns.get(in_idx, ()):
-                    reverse.setdefault(succ, []).append(
-                        ((channel.src, in_idx), channel.out_port)
-                    )
-        tables: Dict[NodeId, Dict[Tuple[NodeId, int], int]] = {}
+            out = channel.out_port
+            rank = _BFS_PRIORITY[out]
+            succ = reverse[class_of[(channel.dst, channel.in_port)]]
+            for pred in classes_at[channel.src]:
+                if out in class_turns[pred]:
+                    succ.append((rank, pred))
+        blank = [-1] * len(class_turns)
+        unranked = len(_BFS_ORDER)
+        tables: Dict[NodeId, List[int]] = {}
         for dest in self._nodes:
-            next_hop: Dict[Tuple[NodeId, int], int] = {}
-            frontier: List[Tuple[NodeId, int]] = []
-            for in_idx in inputs_at[dest]:
-                if p_out in turns.get(in_idx, ()):
-                    next_hop[(dest, in_idx)] = p_out
-                    frontier.append((dest, in_idx))
+            next_hop = blank.copy()
+            frontier = []
+            for k in classes_at[dest]:
+                if p_out in class_turns[k]:
+                    next_hop[k] = p_out
+                    frontier.append(k)
             # Level-synchronous BFS with a deterministic, DOR-like
             # tie-break: among predecessors discovered on the same level,
-            # each state keeps the output ranked first by _BFS_PRIORITY.
+            # each class keeps the output ranked first by _BFS_PRIORITY.
             while frontier:
-                best: Dict[Tuple[NodeId, int], int] = {}
-                for state in frontier:
-                    for pred, out in reverse.get(state, ()):
-                        if pred in next_hop:
+                best: Dict[int, int] = {}
+                for k in frontier:
+                    for rank, pred in reverse[k]:
+                        if next_hop[pred] >= 0:
                             continue
-                        cur = best.get(pred)
-                        if cur is None or (
-                            _BFS_PRIORITY[out] < _BFS_PRIORITY[cur]
-                        ):
-                            best[pred] = out
-                next_hop.update(best)
+                        if rank < best.get(pred, unranked):
+                            best[pred] = rank
+                for pred, rank in best.items():
+                    next_hop[pred] = _BFS_ORDER[rank]
                 frontier = list(best)
             tables[dest] = next_hop
         return tables
@@ -552,8 +582,9 @@ class FaultAwareTableRouting(RoutingAlgorithm):
         table = self._tables.get(dest)
         if table is None:
             raise RoutingError(f"destination {dest} is a failed router")
-        out = table.get((node, int(in_dir)))
-        if out is None:
+        k = self._class_of.get((node, int(in_dir)))
+        out = -1 if k is None else table[k]
+        if out < 0:
             raise RoutingError(
                 f"no surviving path from {node} (input "
                 f"{Direction(in_dir).name}) to {dest}"
@@ -565,13 +596,28 @@ class FaultAwareTableRouting(RoutingAlgorithm):
     ) -> Iterable[Tuple[Tuple[NodeId, int], int]]:
         """All ``((tile, input port), output port)`` entries for ``dest``.
 
-        The tabulated form of :meth:`route`, exposed so the compiled
-        engine (``repro.sim.fastsim``) can pack the BFS tables into flat
-        route rows without probing every (state, dest) pair through the
-        raising accessor.  Empty for a failed-router destination.
+        The tabulated form of :meth:`route`, every state a packet bound
+        for ``dest`` can occupy; empty for a failed-router destination.
         """
         table = self._tables.get(dest)
-        return table.items() if table is not None else ()
+        if table is None:
+            return ()
+        return [
+            (state, table[k])
+            for state, k in self._class_of.items()
+            if table[k] >= 0
+        ]
+
+    def input_classes(self) -> Mapping[Tuple[NodeId, int], int]:
+        """``(tile, input port) -> class`` for every wired live input:
+        the index into each :meth:`class_next_hops` list."""
+        return self._class_of
+
+    def class_next_hops(self, dest: Coord) -> Optional[List[int]]:
+        """``dest``'s output port per input class (``-1``: no surviving
+        path), or ``None`` for a failed-router destination.  Read-only:
+        the routing's own table."""
+        return self._tables.get(dest)
 
     # ------------------------------------------------------------------
     # Reachability analysis
@@ -583,7 +629,8 @@ class FaultAwareTableRouting(RoutingAlgorithm):
         if src == dest:
             return True
         table = self._tables.get(dest)
-        return table is not None and (src, int(Direction.P)) in table
+        k = self._class_of.get((src, int(Direction.P)))
+        return table is not None and k is not None and table[k] >= 0
 
     def partitioned_pairs(self) -> List[Tuple[NodeId, NodeId]]:
         """All (src, dest) pairs of live tiles with no surviving path.
@@ -593,11 +640,14 @@ class FaultAwareTableRouting(RoutingAlgorithm):
         livelocking the run.
         """
         p_in = int(Direction.P)
+        injection = [
+            (src, self._class_of.get((src, p_in), -1)) for src in self._nodes
+        ]
         return [
             (src, dest)
             for dest in self._nodes
-            for src in self._nodes
-            if src != dest and (src, p_in) not in self._tables[dest]
+            for src, k in injection
+            if src != dest and (k < 0 or self._tables[dest][k] < 0)
         ]
 
 

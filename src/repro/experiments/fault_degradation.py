@@ -197,8 +197,11 @@ def run(
         from repro.verify import campaign_preflight
 
         preflight_fn = campaign_preflight(
-            NetworkConfig.from_name(name, width, height)
-            for name in preset["configs"]
+            (
+                NetworkConfig.from_name(name, width, height)
+                for name in preset["configs"]
+            ),
+            engines=[row.get("engine") for row in grid],
         )
     outcome = run_campaign(
         grid,

@@ -208,11 +208,16 @@ typedef struct {
      * MODE_SCHEDULE: sched_len (cycle, source, dest) triples sorted by
      * (cycle, source); the kernel injects those of the current cycle
      * and advances sched_cur past them, so the cursor survives block
-     * boundaries and capacity re-entry. */
+     * boundaries and capacity re-entry.  Under a fault schedule the
+     * kernel's draw is the host's, filtered alike: live[s] is 0 for a
+     * dead router, which never injects nor takes a timing draw (NULL:
+     * every source is live), and when reach is set a drawn destination
+     * whose route entry on the source's injection port is -1 (no
+     * surviving path) is discarded after the pattern's draws. */
     double rate;
     uint32_t *t_mt, *d_mt;
-    const int32_t *dtab, *perm, *sched;
-    int32_t mode, ubits, sched_len, sched_cur;
+    const int32_t *dtab, *perm, *sched, *live;
+    int32_t mode, ubits, sched_len, sched_cur, reach;
 
     /* Transient faults: fmap[router * 9 + out] is the fault index on
      * that link (-1 = healthy; NULL = no transient faults at all),
@@ -800,11 +805,13 @@ static inline void enqueue(Ctx *c, int s, int d)
 /* One cycle's injection round.  MODE_SCHEDULE: the host chose the
  * packets (and consumed whatever RNG streams choosing took); enqueue
  * this cycle's entries.  Otherwise draw them here in the reference's
- * order: sources ascending, one timing draw each, then the destination
- * (table lookup, or the uniform pattern's rejection loop on d_mt). */
+ * order: live sources ascending, one timing draw each, then the
+ * destination (table lookup, or the uniform pattern's rejection loop on
+ * d_mt), discarded under reach when no path leads there. */
 static void inject_block(Ctx *c)
 {
     const int n = c->n;
+    const int32_t *live = c->live;
     if (c->mode == MODE_SCHEDULE) {
         const int32_t cycle = (int32_t)c->st[ST_CYCLE];
         while (c->sched_cur < c->sched_len
@@ -815,6 +822,8 @@ static void inject_block(Ctx *c)
         return;
     }
     for (int s = 0; s < n; s++) {
+        if (live && !live[s])
+            continue;
         if (!(mt_random(c->t_mt) < c->rate))
             continue;
         int d;
@@ -828,6 +837,8 @@ static void inject_block(Ctx *c)
                 idx = mt_below(c->d_mt, n, c->ubits);
             d = c->perm[idx];
         }
+        if (c->reach && route_lookup(c, s, 0, route_base(c, s, d), d) < 0)
+            continue;
         enqueue(c, s, d);
     }
 }

@@ -64,15 +64,19 @@ Faults at compiled speed
 delegated.  Dead links and routers are masked ports: the schedule's
 killed channels are dropped from the port graph's channel list before
 anything is wired, and the packed route tables come straight from
-:class:`~repro.core.routing.FaultAwareTableRouting`'s BFS tables
-(``-1`` marks states a packet can never occupy).  Transient drop faults
-are a per-link ``(prob, start, end)`` table handed to the kernel, which
-replays the reference's ``faults:drops`` stream from its own copy of
-CPython's Mersenne Twister inside the commit loop, at the exact point
-the reference engine draws it.  The forward-progress watchdog stays a
-cheap in-kernel stall counter; only on a trip is the flat queue state
-rehydrated into a reference-style network to capture a full
-:class:`~repro.sim.watchdog.DeadlockSnapshot`.
+:class:`~repro.core.routing.FaultAwareTableRouting`'s BFS tables, one
+row per input class (``-1`` marks states a packet can never occupy).
+The kernel draws a faulted run's packets itself: a per-source live
+mask skips dead routers, and a drawn destination whose entry at the
+source's injection port is ``-1`` — the routing's ``reachable``
+saying no — is discarded, as the host's draw discards it.  Transient
+drop faults are a per-link ``(prob, start, end)`` table handed to the
+kernel, which replays the reference's ``faults:drops`` stream from its
+own copy of CPython's Mersenne Twister inside the commit loop, at the
+exact point the reference engine draws it.  The forward-progress
+watchdog stays a cheap in-kernel stall counter; only on a trip is the
+flat queue state rehydrated into a reference-style network to capture
+a full :class:`~repro.sim.watchdog.DeadlockSnapshot`.
 
 One executor
 ------------
@@ -93,12 +97,12 @@ else happens, so a batch is a loop over its specs (a serial call is a
 batch of one) and nothing but the compile and pattern caches outlives a
 run.  The kernel injects every packet, through one enqueue; the launch
 alone decides, from the resolved run, who *chooses* the packets: the
-kernel, when the pattern has a plan and there is no fault schedule or
-off-rate trace (a full-rate trace replay's plan is the trace itself, as
-one injection schedule); otherwise the host draws them in Python, a
-block ahead (any registered pattern, dead-router skip,
-unreachable-destination discard), and hands the kernel the same kind of
-schedule.
+kernel, when the pattern has a plan and the run is no off-rate trace
+(a full-rate trace replay's plan is the trace itself, as one injection
+schedule, except under faults) — under a fault schedule skipping dead
+routers and discarding unreachable destinations as the host's draw
+does; otherwise the host draws them in Python, a block ahead (any
+registered pattern), and hands the kernel the same kind of schedule.
 
 The same state has a second driver, for callers that are themselves the
 traffic: :class:`CompiledFabric` steps it one cycle per call — offers
@@ -769,21 +773,27 @@ def _tabulate_wormhole_routes(model, routing, grid, nsub: int, tables) -> None:
 def _tabulate_fault_routes(model, routing, tables) -> None:
     """Per-(node, input) route rows from the fault-aware BFS tables.
 
-    Unlike the DOR algorithms, :class:`FaultAwareTableRouting` keys its
-    next hop on the exact input port, so every input gets its own row.
-    States absent from a destination's table are packed as ``-1``; they
-    are never consulted at runtime — injection filters unreachable
-    destinations through ``model.reachable``, and the BFS tables are
-    next-hop-closed (a tabled state's successor is also tabled, all the
-    way to ejection).
+    :class:`FaultAwareTableRouting` keys its next hop on the input
+    class (inputs of a node with the same turn set route alike), so
+    each class gets one row, the destinations' class lists transposed,
+    and every ``(node, input)`` of the class routes by it.  States no
+    class covers, and failed-router destinations, are ``-1``: never
+    consulted to forward a packet — injection discards unreachable
+    destinations (whose ``(source, P)`` entry is exactly the ``-1``),
+    and the BFS tables are next-hop-closed (a tabled state's successor
+    is also tabled, all the way to ejection).
     """
+    classes = routing.input_classes()
+    dead = (-1,) * len(set(classes.values()))
+    by_class = list(zip(*(
+        routing.class_next_hops(dest) or dead for dest in model.nodes
+    )))
     node_index = model.node_index
-    blank = [-1] * model.nd
-    by_state: Dict[Tuple[int, int], List[int]] = defaultdict(blank.copy)
-    for d, dest in enumerate(model.nodes):
-        for (coord, in_idx), out in routing.next_hop_items(dest):
-            by_state[node_index[coord], in_idx][d] = out
-    _pack_state_rows(model, tables, by_state, blank)
+    by_state = {
+        (node_index[node], in_idx): by_class[k]
+        for (node, in_idx), k in classes.items()
+    }
+    _pack_state_rows(model, tables, by_state, (-1,) * model.nd)
 
 
 def _pack_state_rows(model, tables, by_state, blank) -> None:
@@ -793,7 +803,7 @@ def _pack_state_rows(model, tables, by_state, blank) -> None:
     A ``(router, input)`` state no table mentions gets the ``blank``
     row, and equal rows are stored once, so the kernel's rows table
     stays near one copy per node (on the fully-connected fault matrix
-    most inputs of a node share a row).
+    every input of a node shares its class's row).
     """
     index: Dict[Tuple[int, ...], int] = {}
     tables["sublen"] = model.nd
@@ -1152,15 +1162,25 @@ def _resolve(
     return problems, model
 
 
-def _injection_gate(run: ResolvedRun) -> List[LoweringDiagnostic]:
-    """Why the host must draw the packets of a run that lowers.
+def _off_rate_trace(run: ResolvedRun) -> bool:
+    base, sep, _arg = run.pattern.partition(":")
+    return bool(sep) and base.strip().lower() == "trace_replay" and (
+        run.rate != 1.0
+    )
 
-    Cheap: a run these checks clear draws in-kernel if
-    :func:`_pattern_plan` has a plan for it.
+
+def _faulted(run: ResolvedRun) -> bool:
+    return run.faults is not None and run.faults.has_faults
+
+
+def _injection_gate(run: ResolvedRun) -> List[LoweringDiagnostic]:
+    """Why a run that lowers is not a ``"compiled-batch"`` row.
+
+    Cheap.  The host draws an off-rate trace; a faulted run keeps the
+    ``"compiled"`` label, whoever draws it (:func:`_injection_plan`).
     """
     reasons: List[LoweringDiagnostic] = []
-    base, sep, _arg = run.pattern.partition(":")
-    if sep and base.strip().lower() == "trace_replay" and run.rate != 1.0:
+    if _off_rate_trace(run):
         reasons.append(
             LoweringDiagnostic(
                 "trace-rate",
@@ -1172,16 +1192,34 @@ def _injection_gate(run: ResolvedRun) -> List[LoweringDiagnostic]:
                 f"the kernel enqueues",
             )
         )
-    if run.faults is not None and run.faults.has_faults:
+    if _faulted(run):
         reasons.append(
             LoweringDiagnostic(
                 "fault-schedule",
-                "under a fault schedule the host draws (dead-router "
-                "skip, unreachable-destination discard) and the kernel "
-                "enqueues",
+                "a run under a fault schedule reports engine "
+                "'compiled', not 'compiled-batch'",
             )
         )
     return reasons
+
+
+def _injection_plan(
+    run: ResolvedRun, model: _CompiledModel
+) -> Optional[Tuple]:
+    """The kernel's injection plan for a run that lowers, or ``None``
+    when the host draws its packets.
+
+    The host draws an off-rate trace, a pattern :func:`_pattern_plan`
+    has no plan for and, under a fault schedule, a trace replay (its
+    schedule knows neither dead routers nor unreachable destinations);
+    the kernel draws everything else, faulted runs included.
+    """
+    if _off_rate_trace(run):
+        return None
+    plan = _pattern_plan(model, run.pattern)
+    if plan is not None and plan[0] == "schedule" and _faulted(run):
+        return None
+    return plan
 
 
 def lowering_problems(
@@ -1214,9 +1252,10 @@ def batching_problems(
     diagnostic names one exact reason it does not.  A strict superset
     of :func:`lowering_problems`, judged on the same resolved record:
     everything that cannot lower cannot batch, and a batched row
-    additionally selects the compiled engine, with no fault schedule
-    and a pattern the kernel can draw natively — the conditions under
-    which no compiled run of the spec needs the host's Python draw.
+    additionally selects the compiled engine, with a pattern the
+    kernel can draw natively (no compiled run of the spec needs the
+    host's Python draw) and no fault schedule (a faulted run, drawn in
+    the kernel all the same, keeps the ``"compiled"`` label).
     """
     return _diagnose(resolve_run("batching_problems", target, **given))[1]
 
@@ -1570,7 +1609,7 @@ class _Run(_RunState):
     :class:`~repro.core.spec.ResolvedRun` record (so plain
     ``NetworkConfig`` callers work too) and ``engine`` the label the
     result reports.  ``plan`` is
-    the native injection plan from :func:`_pattern_plan`; ``None``
+    the native injection plan from :func:`_injection_plan`; ``None``
     means the host draws each block's packets with the reference's
     own :func:`~repro.sim.simulator._open_loop_draw` into the
     ``(cycle, source, dest)`` schedule the kernel injects from.  Either
@@ -1630,6 +1669,15 @@ class _Run(_RunState):
                 timing_rng, dest_rng = _open_loop_streams(run.seed)
                 c.t_mt = self._twister(timing_rng)
                 c.d_mt = self._twister(dest_rng)
+                # The host draw's fault filters: dead routers take no
+                # draw, and a destination `reachable` denies (a -1 route
+                # entry at the source's injection port) is dropped.
+                if faults is not None and faults.dead_routers:
+                    live = self._new(model.n)
+                    for s, _src in self.sources:
+                        live[s] = 1
+                    c.live = _ptr(live)
+                c.reach = _faulted(run) and model.reachable is not None
                 if plan[0] == "table":
                     c.mode = _ckernel.MODE_TABLE
                     c.dtab = _ptr(table)
@@ -2051,19 +2099,18 @@ def _launch(run: ResolvedRun, label: str) -> Any:
     A run that does not lower goes to the reference engine (which
     raises its errors); one that does runs on a :class:`_Run` (which
     returns them).  Who draws that run's packets is decided here and
-    nowhere else: the kernel when :func:`_injection_gate` finds nothing
-    and :func:`_pattern_plan` has a plan, reporting engine ``label``;
-    else the host, reporting ``"compiled"``.
+    nowhere else: the kernel when :func:`_injection_plan` has a plan,
+    else the host.  The run reports engine ``label`` when the kernel
+    draws and :func:`_injection_gate` finds nothing, else
+    ``"compiled"``.
     """
     _problems, model = _resolve(run)
     if model is None:
         return _run_reference(run)
-    plan = None
-    if not _injection_gate(run):
-        plan = _pattern_plan(model, run.pattern)
-    return _Run(
-        run, model, plan, "compiled" if plan is None else label
-    ).run()
+    plan = _injection_plan(run, model)
+    if plan is None or _injection_gate(run):
+        label = "compiled"
+    return _Run(run, model, plan, label).run()
 
 
 def run_compiled(

@@ -420,6 +420,30 @@ class TestMainFailurePath:
         assert "[fig5]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("experiment", ["faults", "chaos"])
+def test_fault_campaign_preflight_rejects_unknown_engine(
+    experiment, monkeypatch
+):
+    """A typo'd ``--engine`` dies in the preflight, before the first
+    row, as it does for the sweep drivers; it used to fail from a row."""
+    from repro import chaos
+    from repro.errors import ConfigError
+    from repro.experiments import fault_degradation
+
+    rows = []
+    for module in (fault_degradation, chaos):
+        monkeypatch.setattr(module, "_run_row", rows.append)
+    with pytest.raises(
+        ConfigError,
+        match=r"campaign preflight failed:\s+unknown simulation engine "
+        r"'compield'",
+    ):
+        run_experiment(
+            experiment, scale="smoke", preflight=True, engine="compield"
+        )
+    assert rows == []
+
+
 class TestTailEngine:
     def test_engine_option_picks_the_engine(self, monkeypatch):
         """``tail`` used to ignore ``--engine``: every row said

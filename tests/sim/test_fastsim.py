@@ -258,7 +258,8 @@ class TestKernelSource:
     def test_route_tables_are_read_in_one_place(self):
         """Every route-table member is dereferenced inside
         ``route_lookup()`` and nowhere else — whichever form a model
-        carries, the steps, ``enqueue`` and ``hop_count`` cannot tell —
+        carries, the steps, ``enqueue``, the injection draw's
+        unreachable-destination discard and ``hop_count`` cannot tell —
         and the per-pair planes it replaced are gone."""
         source = re.sub(r"/\*.*?\*/", "", _ckernel._SOURCE, flags=re.S)
         (lookup,) = re.findall(
@@ -277,7 +278,7 @@ class TestKernelSource:
         )
         assert [
             name for name, body in callers if "route_lookup(" in body
-        ] == ["step_noc", "step_vc", "enqueue", "hop_count"]
+        ] == ["step_noc", "step_vc", "enqueue", "inject_block", "hop_count"]
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_lint_build_is_warning_free(self, tmp_path):

@@ -82,18 +82,20 @@ def _per_source(result):
 class _KernelSpy:
     """Stands in for the kernel library and records, per block, its stop
     code and the longer of the two watchdog counters at that point
-    (``calls``), its injection mode (``modes``) and how far into its
-    schedule the block stopped (``cursors``)."""
+    (``calls``), its injection mode (``modes``), how far into its
+    schedule the block stopped (``cursors``) and its fault filters
+    (``filters``: the discard flag, and whether a live mask is set)."""
 
     def __init__(self, monkeypatch):
         self.calls = []
         self.modes = []
         self.cursors = []
+        self.filters = []
         self._run_block = fastsim._native_kernel().run_block
         monkeypatch.setattr(fastsim, "_native_kernel", lambda: self)
 
     def clear(self):
-        del self.calls[:], self.modes[:], self.cursors[:]
+        del self.calls[:], self.modes[:], self.cursors[:], self.filters[:]
 
     def run_block(self, cref):
         stop = self._run_block(cref)
@@ -104,6 +106,7 @@ class _KernelSpy:
         )
         self.modes.append(ctx.mode)
         self.cursors.append((ctx.sched_cur, ctx.sched_len))
+        self.filters.append((ctx.reach, bool(ctx.live)))
         return stop
 
 
@@ -348,6 +351,20 @@ def _drawn_on_host(spy, result):
     )
 
 
+def _drawn_in_kernel(spy):
+    """Whether the blocks ``spy`` saw drew their own packets (a table
+    or uniform plan, never a schedule) in whole-phase blocks."""
+    return (
+        set(spy.modes) <= {_ckernel.MODE_TABLE, _ckernel.MODE_UNIFORM}
+        and 0 < len(spy.calls) < 10
+    )
+
+
+def _host_draws(monkeypatch):
+    """Leave every pattern without a kernel plan: the host draws."""
+    monkeypatch.setattr(fastsim, "_pattern_plan", lambda *args: None)
+
+
 class TestInjectionPath:
     """The launch, not the entry point, decides who draws a run's
     packets; the kernel enqueues them either way, a block at a time."""
@@ -361,22 +378,28 @@ class TestInjectionPath:
         self, name, width, height, options, monkeypatch
     ):
         spec = _spec(name, width, height, rate=0.2, **options)
-        # A fault that never drops changes who draws and nothing else.
-        hosted = spec.replace(fault_transient=1, fault_drop_prob=0.0)
+        # A fault that never drops changes the row's label and nothing
+        # else: the kernel still draws.
+        faulted = spec.replace(fault_transient=1, fault_drop_prob=0.0)
         assert batching_problems(spec) == []
-        assert [d.code for d in batching_problems(hosted)] == [
+        assert [d.code for d in batching_problems(faulted)] == [
             "fault-schedule"
         ]
         want = _tracked(_reference(spec, **_TRACKERS))
         spy = _KernelSpy(monkeypatch)
         in_kernel = build_run(spec, **_TRACKERS)
-        assert len(spy.calls) < 10
-        assert _ckernel.MODE_SCHEDULE not in spy.modes
+        assert _drawn_in_kernel(spy)
         spy.clear()
-        on_host = build_run(hosted, **_TRACKERS)
-        assert in_kernel.engine == on_host.engine == "compiled"
+        in_kernel_faulted = build_run(faulted, **_TRACKERS)
+        assert _drawn_in_kernel(spy)
+        spy.clear()
+        _host_draws(monkeypatch)
+        on_host = build_run(spec, **_TRACKERS)
         assert _drawn_on_host(spy, on_host)
+        assert in_kernel.engine == on_host.engine == "compiled"
+        assert in_kernel_faulted.engine == "compiled"
         assert _tracked(in_kernel) == want
+        assert _tracked(in_kernel_faulted) == want
         assert _tracked(on_host) == want
 
     def test_serial_run_steps_in_whole_phase_blocks(self, monkeypatch):
@@ -386,12 +409,16 @@ class TestInjectionPath:
         assert plain.engine == "compiled" and plain.total_cycles >= 600
         assert len(spy.calls) < 10
         spy.clear()
-        faulted = build_run(
-            spec.replace(fault_transient=2, fault_drop_prob=0.01)
-        )
-        assert faulted.engine == "compiled"
-        assert faulted.total_cycles >= 600
-        assert _drawn_on_host(spy, faulted)
+        faulted = spec.replace(fault_transient=2, fault_drop_prob=0.01)
+        in_kernel = build_run(faulted)
+        assert in_kernel.engine == "compiled"
+        assert in_kernel.total_cycles >= 600
+        assert _drawn_in_kernel(spy)
+        spy.clear()
+        _host_draws(monkeypatch)
+        on_host = build_run(faulted)
+        assert _drawn_on_host(spy, on_host)
+        assert fingerprint(on_host) == fingerprint(in_kernel)
 
     def test_argument_overrides_pick_the_path(self, monkeypatch):
         """``run_compiled`` lets arguments override spec fields, so the
@@ -409,7 +436,12 @@ class TestInjectionPath:
             spy.clear()
             got = run_compiled(target, *args, **window, **overrides)
             assert got.engine == "compiled"
-            assert _drawn_on_host(spy, got)
+            if overrides:
+                # The kernel draws, filtering through the dead links.
+                assert _drawn_in_kernel(spy)
+                assert set(spy.filters) == {(1, False)}
+            else:
+                assert _drawn_on_host(spy, got)
             want = run_synthetic(
                 target, *args, engine="reference", **window, **overrides
             )
@@ -420,6 +452,7 @@ class TestInjectionPath:
         run_compiled(config, "uniform_random", 0.1, **window)
         assert len(spy.calls) < 20
         assert set(spy.modes) == {_ckernel.MODE_UNIFORM}
+        assert set(spy.filters) == {(0, False)}
 
     def test_uncompiled_specs_are_not_lowered(self, monkeypatch):
         """A run that does not select the compiled engine executes on
@@ -552,13 +585,36 @@ class TestHostDrawnSchedule:
             delivered_from = reference.metrics.per_source
             assert len(delivered_from) == 30
             assert not {Coord(0, 0), Coord(3, 2)} & set(delivered_from)
+        faulted = scenario in ("cut-off", "drops")
         with pytest.MonkeyPatch.context() as patch:
             spy = _KernelSpy(patch)
-            if not batching_problems(spec, faults=faults):
+            codes = [d.code for d in batching_problems(spec, faults=faults)]
+            if faulted:
+                # The kernel draws under the fault schedule, skipping
+                # the dead router and discarding unreachable
+                # destinations, in whole-phase blocks and on the
+                # re-entry after each capacity stop alike ...
+                assert codes == ["fault-schedule"]
+                default_cap = fastsim._PK_CAP0
+                for cap in (default_cap, 8):
+                    patch.setattr(fastsim, "_PK_CAP0", cap)
+                    spy.clear()
+                    planned = run("compiled")
+                    assert planned.engine == "compiled"
+                    assert set(spy.modes) <= {
+                        _ckernel.MODE_TABLE, _ckernel.MODE_UNIFORM
+                    }
+                    # Transient drops reroute nothing: no filter.
+                    assert set(spy.filters) == {(int(cut_off), cut_off)}
+                    assert _tracked(planned) == want
+                assert _ckernel.STOP_CAPACITY in (s for s, _ in spy.calls)
+                patch.setattr(fastsim, "_PK_CAP0", default_cap)
+            elif not codes:
                 # The kernel has a plan of its own for this run ...
                 (planned,) = run_compiled_batch([spec], **_TRACKERS)
                 assert planned.engine == "compiled-batch"
                 assert _tracked(planned) == want
+            if faulted or not codes:
                 # ... which the host's draw must reproduce.
                 patch.setattr(fastsim, "_pattern_plan", lambda *args: None)
                 spy.clear()

@@ -835,27 +835,44 @@ def test_injection_plans_keep_node_orders_apart(
 
 
 def test_every_draw_visits_sources_in_the_graphs_node_order(
-    test_components,
+    test_components, monkeypatch
 ):
     """The open-loop draw walks the run's port-graph nodes, whoever
     draws: the reference's injection rounds, the kernel's in-kernel
-    draw and the host-drawn schedule (forced here by a transient fault
-    that drops nothing) give one result on a graph whose node order is
-    not its topology's."""
+    draw — fault-free, and under a fault schedule (transient drops: a
+    plugin topology does not reroute) — and the host-drawn schedule
+    (forced here by leaving the pattern without a kernel plan) give one
+    result on a graph whose node order is not its topology's."""
     spec = _run_spec(
         "test-reversed-nodes-graph", 6, 6, rate=0.2, engine="compiled",
     )
-    reference = build_run(spec.replace(engine="reference"))
-    (in_kernel,) = fastsim.run_compiled_batch([spec])
-    assert in_kernel.engine == "compiled-batch"
-    faulted = spec.replace(fault_transient=1, fault_drop_prob=0.0)
+    faulted = spec.replace(
+        fault_transient=2, fault_drop_prob=0.05, fault_seed=1
+    )
     assert [d.code for d in fastsim.batching_problems(faulted)] == [
         "fault-schedule"
     ]
-    host = build_run(faulted)
+    want = {
+        run: fingerprint(build_run(run.replace(engine="reference")))
+        for run in (spec, faulted)
+    }
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            fastsim,
+            "_open_loop_draw",
+            lambda *args: pytest.fail("the host drew"),
+        )
+        in_kernel, in_kernel_faulted = fastsim.run_compiled_batch(
+            [spec, faulted]
+        )
+    assert in_kernel.engine == "compiled-batch"
+    assert in_kernel_faulted.engine == "compiled"
+    monkeypatch.setattr(fastsim, "_pattern_plan", lambda *args: None)
+    host = build_run(spec)
     assert host.engine == "compiled"
-    assert fingerprint(in_kernel) == fingerprint(reference)
-    assert fingerprint(host) == fingerprint(reference)
+    assert fingerprint(in_kernel) == want[spec]
+    assert fingerprint(in_kernel_faulted) == want[faulted]
+    assert fingerprint(host) == want[spec]
 
 
 def test_trace_schedule_is_in_the_models_node_order(
