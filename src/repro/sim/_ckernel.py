@@ -24,11 +24,17 @@ decision (the ``faults:drops`` stream, drawn from the same C twister at
 the reference's draw point), ejection scoring (the measured-latency
 moments, accumulated in ``st[]``; a per-packet ejection log only for
 runs that ask for per-packet data), and the stall/starvation/
-cycle-budget watchdogs.  Run state is sized by traffic: a source's
-waiting packets are an intrusive list threaded through the per-packet
-``pnext`` array, and a block that might outgrow the packet records (or
-the log) stops *before* the injection round with ``STOP_CAPACITY`` so
-the host can double them and re-enter.
+cycle-budget watchdogs.  Run state is sized by the packets alive, not
+by those injected: a packet's fields are one record, a *slot* of the one
+array ``Ctx.pk`` (``PK_LEN`` int32 fields, named by the ``PK_*``
+constants), taken at enqueue and freed at ejection or a transient drop
+onto a free list threaded through the records' link field — the field
+that also threads a source's waiting packets into its injection list.
+A slot is an index and nothing else: the packet's identity is its
+*serial*, the monotonic count ``st[ST_NPK]`` at its enqueue, kept in the
+record for reports.  A block that might run out of slots (or of log)
+stops *before* the injection round with ``STOP_CAPACITY`` so the host
+can double the records and re-enter.
 
 A caller that is itself the traffic steps the same driver one cycle
 per call (``count = 1``; :class:`repro.sim.fastsim.CompiledFabric`):
@@ -150,13 +156,13 @@ typedef struct {
 
     /* Per-run queue state, flattened over (router, input, lane) with
      * lane stride nvc: queue q = (r * np + i) * nvc + lane is the ring
-     * buf[qoff[q] .. + qcap[q]], holding qlen[q] packet ids from slot
-     * qhead[q].  The P injection port owns a single lane of qcap 0: its
-     * qlen[q] packets wait on the source's list phead[s] -> pnext[...]
-     * -> ptail[s] — the reference's unbounded injection deque.  occ[r]
-     * counts the packets router r holds.  rr holds the round-robin
-     * pointers: the per-(router, output) arbiters of step_noc, the
-     * per-(router, input) VC muxes of step_vc. */
+     * buf[qoff[q] .. + qcap[q]], holding qlen[q] packet slots from
+     * position qhead[q].  The P injection port owns a single lane of
+     * qcap 0: its qlen[q] packets wait on the source's list phead[s] ->
+     * link ... -> ptail[s] — the reference's unbounded injection deque.
+     * occ[r] counts the packets router r holds.  rr holds the
+     * round-robin pointers: the per-(router, output) arbiters of
+     * step_noc, the per-(router, input) VC muxes of step_vc. */
     int32_t *buf;
     const int32_t *qoff, *qcap;
     int32_t *qhead, *qlen, *occ, *rr, *phead, *ptail;
@@ -166,13 +172,21 @@ typedef struct {
      * turns a gated sink ready. */
     int32_t *prio, *dirty;
 
-    /* Per-packet records, pk_cap entries each, doubled by the host on
-     * STOP_CAPACITY: source, inject cycle, measured bit, injection-list
-     * link, destination, the output it requests where it now waits, and
-     * the one field the router kinds do not share — the subnet offset
-     * subnet * sublen (step_noc) or the assigned VC (step_vc). */
-    int32_t *psrc, *pinj, *pmeas, *pnext, *pdest, *pout, *paux;
-    int32_t pk_cap, ej_cap;
+    /* Packet records: pk holds pk_cap slots of PK_LEN int32 fields, slot
+     * p's field F at pk[p * PK_LEN + F] — source, inject cycle, measured
+     * bit, link, destination, the output it requests where it now
+     * waits, the one field the router kinds do not share (the subnet
+     * offset subnet * sublen on step_noc, the assigned VC on step_vc)
+     * and the serial: the low 32 bits of st[ST_NPK] at its enqueue, the
+     * packet's id in reports.  Queues, the ejection list and the grant
+     * lists name slots.  A slot is held from enqueue to ejection or a
+     * transient drop, then pushed on the free list pk_free -> link ->
+     * ... (-1 ends it), which enqueue pops before it takes the fresh
+     * slot pk_top (the high-water mark).  Freeing writes the link only.
+     * The held slots are the packets the network holds, st[ST_OCC]; the
+     * host doubles pk_cap on STOP_CAPACITY until nd more fit. */
+    int32_t *pk;
+    int32_t pk_cap, pk_top, pk_free, ej_cap;
 
     /* Counters and per-cycle outputs.  st is the ST_LEN-slot counter
      * block shared with the host (the ST_* indices): cycle, occupancy,
@@ -184,9 +198,10 @@ typedef struct {
      * hop[o] counts channel traversals per output direction and link[r
      * * 9 + o] per link (stride 9 on both kinds; only if track_links).
      * A step lists its grants in gsq / gro (source queue, flat router
-     * output) and the packets it ejected in ej[0 .. *nej).  ejlog takes
-     * (packet id, latency) per measured ejection, ej_cap entries; NULL
-     * for runs that keep no per-packet data. */
+     * output) and the slots it ejected in ej[0 .. *nej).  ejlog takes
+     * (source, latency) per measured ejection — the source, not the
+     * slot, which a later cycle of the block may reuse — ej_cap
+     * entries; NULL for runs that keep no per-packet data. */
     int64_t *st, *hop, *link;
     int32_t *gsq, *gro, *ej, *nej, *ejlog;
 
@@ -292,6 +307,17 @@ ST_LAT_MIN = 17
 ST_LAT_MAX = 18
 ST_LEN = 19
 
+# Packet record fields (Ctx.pk): slot p's field F is pk[p * PK_LEN + F].
+PK_SRC = 0
+PK_INJ = 1  # inject cycle
+PK_MEAS = 2  # injected while measuring
+PK_NEXT = 3  # the injection list's link, or the free list's
+PK_DEST = 4
+PK_OUT = 5  # the output it requests where it now waits
+PK_AUX = 6  # subnet offset (step_noc) or assigned VC (step_vc)
+PK_SERIAL = 7  # low 32 bits of st[ST_NPK] at its enqueue
+PK_LEN = 8
+
 # Ctx.kind: the router microarchitecture, which picks the step.
 KIND_WORMHOLE = 0
 KIND_FBFC = 1
@@ -323,7 +349,7 @@ def _defines() -> str:
     consts = {
         name: value
         for name, value in globals().items()
-        if name.startswith(("ST_", "KIND_", "MODE_", "STOP_"))
+        if name.startswith(("ST_", "PK_", "KIND_", "MODE_", "STOP_"))
     }
     slots = sorted(v for k, v in consts.items() if k.startswith("ST_"))
     if slots != list(range(ST_LEN + 1)):
@@ -345,27 +371,34 @@ _SOURCE = (
 #define MT_N 624
 #define MT_M 397
 
-static uint32_t mt_next(uint32_t *mt)
+/* Regenerate all 624 words once the output index has used them up. */
+static void mt_regen(uint32_t *mt)
 {
-    uint32_t idx = mt[MT_N];
+    static const uint32_t mag[2] = {0u, 0x9908b0dfu};
     uint32_t y;
-    if (idx >= MT_N) {
-        static const uint32_t mag[2] = {0u, 0x9908b0dfu};
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000u) | (mt[kk + 1] & 0x7fffffffu);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag[y & 1u];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000u) | (mt[kk + 1] & 0x7fffffffu);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag[y & 1u];
-        }
-        y = (mt[MT_N - 1] & 0x80000000u) | (mt[0] & 0x7fffffffu);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag[y & 1u];
-        idx = 0;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000u) | (mt[kk + 1] & 0x7fffffffu);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag[y & 1u];
     }
-    y = mt[idx];
-    mt[MT_N] = idx + 1;
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000u) | (mt[kk + 1] & 0x7fffffffu);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag[y & 1u];
+    }
+    y = (mt[MT_N - 1] & 0x80000000u) | (mt[0] & 0x7fffffffu);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag[y & 1u];
+}
+
+/* The next output of mt, its index held by the caller in *idx: a loop
+ * that draws from one stream keeps the index in a register and stores
+ * it back to mt[MT_N] once. */
+static inline uint32_t mt_take(uint32_t *mt, uint32_t *idx)
+{
+    if (*idx >= MT_N) {
+        mt_regen(mt);
+        *idx = 0;
+    }
+    uint32_t y = mt[(*idx)++];
     y ^= y >> 11;
     y ^= (y << 7) & 0x9d2c5680u;
     y ^= (y << 15) & 0xefc60000u;
@@ -373,12 +406,29 @@ static uint32_t mt_next(uint32_t *mt)
     return y;
 }
 
-/* random.Random.random(): 53-bit double in [0, 1). */
+static uint32_t mt_next(uint32_t *mt)
+{
+    uint32_t idx = mt[MT_N];
+    const uint32_t y = mt_take(mt, &idx);
+    mt[MT_N] = idx;
+    return y;
+}
+
+/* random.Random.random(): 53-bit double in [0, 1), index held as in
+ * mt_take. */
+static inline double mt_random_at(uint32_t *mt, uint32_t *idx)
+{
+    const uint32_t a = mt_take(mt, idx) >> 5;
+    const uint32_t b = mt_take(mt, idx) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
 static double mt_random(uint32_t *mt)
 {
-    const uint32_t a = mt_next(mt) >> 5;
-    const uint32_t b = mt_next(mt) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    uint32_t idx = mt[MT_N];
+    const double u = mt_random_at(mt, &idx);
+    mt[MT_N] = idx;
+    return u;
 }
 
 /* random.Random._randbelow(nmax) for nmax < 2**31: draw kbits
@@ -391,13 +441,23 @@ static int32_t mt_below(uint32_t *mt, int32_t nmax, int32_t kbits)
     return (int32_t)r;
 }
 
-/* The transient-fault drop decision for packet `pid`, just popped
+/* Slot `pid`'s record, and its return to the free list (the link is the
+ * only field that changes, so a caller may read the others after). */
+#define REC(c, pid) ((c)->pk + (pid) * PK_LEN)
+
+static inline void pk_release(Ctx *c, int pid)
+{
+    REC(c, pid)[PK_NEXT] = c->pk_free;
+    c->pk_free = pid;
+}
+
+/* The transient-fault drop decision for packet slot `pid`, just popped
  * toward link `lk` (= router * 9 + output).  Drawn exactly where the
  * reference engine draws it — after the pop, before the link count and
  * the sink/forward — so both engines consume the faults:drops stream in
  * the same (commit) order; an active fault draws even at probability 0.
- * Returns 1, with the loss accounted in st[], when the packet dies on
- * the wires.
+ * Returns 1, with the loss accounted in st[] and the slot freed, when
+ * the packet dies on the wires.
  */
 static int drop_flit(Ctx *c, int lk, int pid)
 {
@@ -413,8 +473,9 @@ static int drop_flit(Ctx *c, int lk, int pid)
         return 0;
     c->st[ST_OCC]--;
     c->st[ST_DROP_TOTAL]++;
-    if (c->pmeas[pid])
+    if (REC(c, pid)[PK_MEAS])
         c->st[ST_DROP_MEAS]++;
+    pk_release(c, pid);
     return 1;
 }
 
@@ -424,6 +485,14 @@ static int drop_flit(Ctx *c, int lk, int pid)
  * by the host-written word ready[k].  A not-ready sink blocks the output
  * exactly where a full downstream queue does. */
 #define SINK_BLOCKED(d, ready) ((d) < -1 && !(ready)[-2 - (d)])
+
+/* The round-robin pick: the first set bit of the non-zero mask m at or
+ * after position ptr, cyclically. */
+static inline int rr_pick(int m, int ptr)
+{
+    const int hi = m >> ptr;
+    return hi ? ptr + __builtin_ctz(hi) : __builtin_ctz(m);
+}
 
 /* The one route lookup: the table entry of a packet bound for id d, of
  * subnet offset sub, on input in of router r (the layouts are Ctx's
@@ -446,14 +515,17 @@ static inline int route_lookup(const Ctx *c, int r, int in, int sub, int d)
 /* One network cycle for the wormhole / FBFC router kinds.
  *
  * Phase 1 arbitrates every output of every occupied router against
- * cycle-start queue state (request masks over candidate positions,
- * rotating round-robin winner, downstream space gate — free slot for
- * wormhole, per-entry bubble need for FBFC).  Phase 2 commits the
- * grants in discovery order: router ascending, output ascending —
- * the reference engine's arbitrate-all-then-commit-all step, so the
- * pointer trajectories and commit order are identical by construction.
- * Returns the number of grants (dropped ones included); ejected packet
- * ids are written to ej/nej for the caller to score.
+ * cycle-start queue state: the heads of the non-empty inputs set bits
+ * of a request mask over candidate positions per requested output,
+ * and each requested output picks its rotating round-robin winner,
+ * gated on downstream space — a free slot for wormhole, the candidate's
+ * bubble need for FBFC.  Both walk bitmasks with ctz, so the work is
+ * per request, not per port.  Phase 2 commits the grants in discovery
+ * order: router ascending, output ascending — the reference engine's
+ * arbitrate-all-then-commit-all step, so the pointer trajectories and
+ * commit order are identical by construction.  Returns the number of
+ * grants (dropped ones included); ejected packet slots are written to
+ * ej/nej for the caller to score.
  */
 static int step_noc(Ctx *c)
 {
@@ -464,63 +536,58 @@ static int step_noc(Ctx *c)
     for (int r = 0; r < R; r++) {
         if (!c->occ[r])
             continue;
-        int reqm[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
         const int rb = r * 9;
+        int inm = 0;  /* the non-empty inputs */
+        for (int i = 0; i < 9; i++)
+            inm |= (qlen[rb + i] != 0) << i;
         const int32_t *pmr = c->pm + r * 81;
-        int anyreq = 0;
-        for (int i = 0; i < 9; i++) {
+        int reqm[9];  /* valid where outm has the output's bit */
+        int outm = 0;
+        while (inm) {
+            const int i = __builtin_ctz(inm);
+            inm &= inm - 1;
             const int qi = rb + i;
-            if (!qlen[qi])
-                continue;
             const int pid = i ? c->buf[qoff[qi] + qhead[qi]] : c->phead[r];
-            const int o = c->pout[pid];
+            const int o = REC(c, pid)[PK_OUT];
             const int pos = pmr[o * 9 + i];
             if (pos < 0)
                 continue;
-            reqm[o] |= 1 << pos;
-            anyreq = 1;
+            if (outm >> o & 1) {
+                reqm[o] |= 1 << pos;
+            } else {
+                outm |= 1 << o;
+                reqm[o] = 1 << pos;
+            }
         }
-        if (!anyreq)
-            continue;
-        for (int o = 0; o < 9; o++) {
-            const int m = reqm[o];
-            if (!m)
-                continue;
+        while (outm) {
+            const int o = __builtin_ctz(outm);
+            outm &= outm - 1;
             const int ro = rb + o;
             const int nc = c->ncv[ro];
             if (nc <= 0)
                 continue;
             const int d = c->dn[ro];
-            int pos;
+            int m = reqm[o];
             if (!fbfc) {
                 if (d >= 0 ? qlen[d] >= depth : SINK_BLOCKED(d, c->ready))
                     continue;
-                pos = c->rr[ro];
-                while (!((m >> pos) & 1)) {
-                    pos++;
-                    if (pos >= nc)
-                        pos = 0;
-                }
             } else {
                 const int avail = d >= 0 ? depth - qlen[d]
                     : SINK_BLOCKED(d, c->ready) ? 0 : depth;
                 if (avail <= 0)
                     continue;
-                const int ptr = c->rr[ro];
-                const int32_t *nd = c->needs + ro * 9;
-                pos = -1;
-                for (int k = 0; k < nc; k++) {
-                    int p = ptr + k;
-                    if (p >= nc)
-                        p -= nc;
-                    if (((m >> p) & 1) && avail >= nd[p]) {
-                        pos = p;
-                        break;
-                    }
+                if (avail == 1) {
+                    /* needs <= 2: only one free slot takes a need-2
+                     * candidate (a ring entry) off the list */
+                    const int32_t *nd = c->needs + ro * 9;
+                    for (int b = m; b; b &= b - 1)
+                        if (nd[__builtin_ctz(b)] > 1)
+                            m &= ~(b & -b);
+                    if (!m)
+                        continue;
                 }
-                if (pos < 0)
-                    continue;
             }
+            const int pos = rr_pick(m, c->rr[ro]);
             c->rr[ro] = pos + 1 < nc ? pos + 1 : 0;
             c->gsq[ng] = rb + c->cands[ro * 9 + pos];
             c->gro[ng] = ro;
@@ -534,7 +601,7 @@ static int step_noc(Ctx *c)
         if (sq == r * 9) {
             /* the P port: pop the source's injection list */
             pid = c->phead[r];
-            c->phead[r] = c->pnext[pid];
+            c->phead[r] = REC(c, pid)[PK_NEXT];
         } else {
             int h = qhead[sq];
             pid = c->buf[qoff[sq] + h];
@@ -555,8 +622,8 @@ static int step_noc(Ctx *c)
         if (d < 0) {
             c->ej[nej++] = pid;
         } else {
-            c->pout[pid] = route_lookup(c, d / 9, d % 9, c->paux[pid],
-                                        c->pdest[pid]);
+            int32_t *p = REC(c, pid);
+            p[PK_OUT] = route_lookup(c, d / 9, d % 9, p[PK_AUX], p[PK_DEST]);
             int t = qhead[d] + qlen[d];
             if (t >= qcap[d])
                 t -= qcap[d];
@@ -577,7 +644,10 @@ static int step_noc(Ctx *c)
  * (rotating priority, input ascending within a diagonal), grant
  * greedily against the input/output free masks with round-robin VC
  * muxing, then commit all grants in discovery order applying the
- * dateline / same-dimension / new-dimension VC transition.
+ * dateline / same-dimension / new-dimension VC transition.  A pair's
+ * place in that order, key = ((i + o - priority) mod 5) * 5 + i, is one
+ * of 25 and tells the pair back (o = (key / 5 + 4i + priority) mod 5),
+ * so the pairs are one bitmask over keys, visited by ctz.
  */
 static int step_vc(Ctx *c)
 {
@@ -591,12 +661,12 @@ static int step_vc(Ctx *c)
         c->dirty[r] = 0;
         if (!c->occ[r])
             continue;
-        int cm[25] = {0};
-        int touched[25];
-        int ntouched = 0;
+        int cm[25];  /* lane mask of the pair at key: valid where keys is */
+        int keys = 0;
         const int rb5 = r * 5;
         const int pc = c->pcnt[r];
         const int po = c->pofs[r];
+        const int base_p = c->prio[r];
         for (int pi = 0; pi < pc; pi++) {
             const int i = c->plist[po + pi];
             const int nlanes = i == 0 ? 1 : nvc;
@@ -606,78 +676,38 @@ static int step_vc(Ctx *c)
                 if (!qlen[q])
                     continue;
                 const int pid = i ? c->buf[qoff[q] + qhead[q]] : c->phead[r];
-                const int o = c->pout[pid];
+                const int32_t *p = REC(c, pid);
+                const int o = p[PK_OUT];
                 const int code = c->dn[rb5 + o];
                 if (code >= 0
-                        ? qlen[code * nvc + c->paux[pid]] >= depth
+                        ? qlen[code * nvc + p[PK_AUX]] >= depth
                         : SINK_BLOCKED(code, c->ready))
                     continue;
-                const int idx = i * 5 + o;
-                if (!cm[idx])
-                    touched[ntouched++] = idx;
-                cm[idx] |= 1 << lane;
+                const int key = (i + o + 5 - base_p) % 5 * 5 + i;
+                if (keys >> key & 1) {
+                    cm[key] |= 1 << lane;
+                } else {
+                    keys |= 1 << key;
+                    cm[key] = 1 << lane;
+                }
             }
         }
-        if (!ntouched)
+        if (!keys)
             continue;
-        const int base_p = c->prio[r];
         c->prio[r] = base_p < 4 ? base_p + 1 : 0;
-        /* insertion sort by the wavefront visit key
-         * ((input + output - priority) mod 5, input); keys are unique
-         * per pair so stability is moot. */
-        for (int a = 1; a < ntouched; a++) {
-            const int idx = touched[a];
-            const int key =
-                ((idx / 5 + idx % 5 - base_p + 5) % 5) * 5 + idx / 5;
-            int j = a - 1;
-            while (j >= 0) {
-                const int jdx = touched[j];
-                const int jkey =
-                    ((jdx / 5 + jdx % 5 - base_p + 5) % 5) * 5 + jdx / 5;
-                if (jkey <= key)
-                    break;
-                touched[j + 1] = jdx;
-                j--;
-            }
-            touched[j + 1] = idx;
-        }
         int in_free = 31, out_free = 31;
-        for (int t = 0; t < ntouched; t++) {
-            const int idx = touched[t];
-            int mask = cm[idx];
-            cm[idx] = 0;
-            const int i = idx / 5;
+        while (keys) {
+            const int key = __builtin_ctz(keys);
+            keys &= keys - 1;
+            const int i = key % 5;
             if (!((in_free >> i) & 1))
                 continue;
-            const int o = idx % 5;
+            const int o = (key / 5 + 4 * i + base_p) % 5;
             if (!((out_free >> o) & 1))
                 continue;
             in_free &= ~(1 << i);
             out_free &= ~(1 << o);
-            int best;
-            if (mask & (mask - 1)) {
-                const int ptr = c->rr[rb5 + i];
-                int best_key = nvc;
-                int lane = 0;
-                best = 0;
-                while (mask) {
-                    if (mask & 1) {
-                        int key = lane - ptr;
-                        if (key < 0)
-                            key += nvc;
-                        if (key < best_key) {
-                            best_key = key;
-                            best = lane;
-                        }
-                    }
-                    mask >>= 1;
-                    lane++;
-                }
-            } else {
-                best = 0;
-                while (!((mask >> best) & 1))
-                    best++;
-            }
+            const int best = rr_pick(cm[key], c->rr[rb5 + i]);
             c->rr[rb5 + i] = best + 1 < nvc ? best + 1 : 0;
             c->gsq[ng] = (rb5 + i) * nvc + best;
             c->gro[ng] = rb5 + o;
@@ -692,7 +722,7 @@ static int step_vc(Ctx *c)
         if (!i) {
             /* the P port: pop the source's injection list */
             pid = c->phead[r];
-            c->phead[r] = c->pnext[pid];
+            c->phead[r] = REC(c, pid)[PK_NEXT];
         } else {
             int h = qhead[sq];
             pid = c->buf[qoff[sq] + h];
@@ -717,12 +747,13 @@ static int step_vc(Ctx *c)
         if (code < 0) {
             c->ej[nej++] = pid;
         } else {
+            int32_t *p = REC(c, pid);
             const int down_r = code / 5;
-            const int e = route_lookup(c, down_r, code % 5, 0, c->pdest[pid]);
+            const int e = route_lookup(c, down_r, code % 5, 0, p[PK_DEST]);
             const int out2 = e & 7;
-            const int avc = c->paux[pid];
-            c->pout[pid] = out2;
-            c->paux[pid] = e >> 4 ? 1
+            const int avc = p[PK_AUX];
+            p[PK_OUT] = out2;
+            p[PK_AUX] = e >> 4 ? 1
                 : c->sd[(code % 5) * 5 + out2] ? avc : e >> 3 & 1;
             const int dq = code * nvc + avc;
             int t = qhead[dq] + qlen[dq];
@@ -747,12 +778,14 @@ static inline int route_base(const Ctx *c, int s, int d)
     return c->spar && s < c->n ? (c->spar[s] ^ c->par[d]) * c->sublen : 0;
 }
 
-/* The one enqueue: a new packet s -> d, whoever chose it.  A router
- * source (s < n) appends to its unbounded injection list; an endpoint
- * source (s >= n, offered only by the host) pushes onto its entry queue
- * — the (router, input) FIFO its channel arrives on, lane 0 — routed by
- * that input's row class / same-dimension predicate, and is refused
- * (nothing happens) when the queue is full. */
+/* The one enqueue: a new packet s -> d, whoever chose it, in a free
+ * slot (the free list's head, else the high-water mark) under the next
+ * serial.  A router source (s < n) appends to its unbounded injection
+ * list; an endpoint source (s >= n, offered only by the host) pushes
+ * onto its entry queue — the (router, input) FIFO its channel arrives
+ * on, lane 0 — routed by that input's row class / same-dimension
+ * predicate, and is refused (nothing happens, no serial is taken) when
+ * the queue is full. */
 static inline void enqueue(Ctx *c, int s, int d)
 {
     const int n = c->n;
@@ -763,24 +796,29 @@ static inline void enqueue(Ctx *c, int s, int d)
     const int32_t *qcap = c->qcap;
     if (s >= n && qlen[q] >= qcap[q])
         return;
-    const int pid = (int)c->st[ST_NPK];
-    c->st[ST_NPK] = pid + 1;
-    c->psrc[pid] = s;
-    c->pinj[pid] = (int32_t)c->st[ST_CYCLE];
-    c->pmeas[pid] = c->measured;
-    c->pdest[pid] = d;
+    int pid = c->pk_free;
+    if (pid >= 0)
+        c->pk_free = REC(c, pid)[PK_NEXT];
+    else
+        pid = c->pk_top++;
+    int32_t *p = REC(c, pid);
+    p[PK_SERIAL] = (int32_t)(uint32_t)c->st[ST_NPK]++;
+    p[PK_SRC] = s;
+    p[PK_INJ] = (int32_t)c->st[ST_CYCLE];
+    p[PK_MEAS] = c->measured;
+    p[PK_DEST] = d;
     const int in = port - r * c->np, sub = route_base(c, s, d);
     const int e = route_lookup(c, r, in, sub, d);
     if (c->kind == KIND_VC) {
         const int o = e & 7;
-        c->pout[pid] = o;
+        p[PK_OUT] = o;
         /* sd[] is never set for the P input, so an injection takes the
          * destination's VC; an entry holds lane 0. */
-        c->paux[pid] = e >> 4 ? 1 : c->sd[in * 5 + o] ? 0 : e >> 3 & 1;
+        p[PK_AUX] = e >> 4 ? 1 : c->sd[in * 5 + o] ? 0 : e >> 3 & 1;
         c->dirty[r] = 1;
     } else {
-        c->paux[pid] = sub;
-        c->pout[pid] = e;
+        p[PK_AUX] = sub;
+        p[PK_OUT] = e;
     }
     c->occ[r]++;
     if (s >= n) {
@@ -790,7 +828,7 @@ static inline void enqueue(Ctx *c, int s, int d)
         c->buf[c->qoff[q] + t] = pid;
     } else {
         if (qlen[q])
-            c->pnext[c->ptail[s]] = pid;
+            REC(c, c->ptail[s])[PK_NEXT] = pid;
         else
             c->phead[s] = pid;
         c->ptail[s] = pid;
@@ -807,7 +845,8 @@ static inline void enqueue(Ctx *c, int s, int d)
  * this cycle's entries.  Otherwise draw them here in the reference's
  * order: live sources ascending, one timing draw each, then the
  * destination (table lookup, or the uniform pattern's rejection loop on
- * d_mt), discarded under reach when no path leads there. */
+ * d_mt), discarded under reach when no path leads there.  Nothing else
+ * reads t_mt, so its index stays in a local for the round. */
 static void inject_block(Ctx *c)
 {
     const int n = c->n;
@@ -821,10 +860,13 @@ static void inject_block(Ctx *c)
         }
         return;
     }
+    uint32_t *t_mt = c->t_mt;
+    uint32_t t_idx = t_mt[MT_N];
+    const double rate = c->rate;
     for (int s = 0; s < n; s++) {
         if (live && !live[s])
             continue;
-        if (!(mt_random(c->t_mt) < c->rate))
+        if (!(mt_random_at(t_mt, &t_idx) < rate))
             continue;
         int d;
         if (c->mode == MODE_TABLE) {
@@ -841,6 +883,7 @@ static void inject_block(Ctx *c)
             continue;
         enqueue(c, s, d);
     }
+    t_mt[MT_N] = t_idx;
 }
 
 /* The whole-phase block driver.
@@ -858,7 +901,8 @@ static void inject_block(Ctx *c)
  * raise points.  A capacity stop breaks before the injection round of a
  * cycle whose packets (one per source at most) or ejections (one per
  * sink at most; sources and sinks both number nd, routers and endpoints)
- * might not fit the records or the log — never
+ * might not fit the free record slots (pk_cap less the st[ST_OCC] in
+ * use) or the log — never
  * mid-round, so no twister is half consumed, no schedule entry half
  * read and no watchdog counter moves.
  */
@@ -869,7 +913,7 @@ int run_block(Ctx *c)
     int32_t ran = 0;
     int stop = STOP_BUDGET;
     while (ran < c->count) {
-        if (st[ST_NPK] + c->nd > c->pk_cap
+        if (st[ST_OCC] + c->nd > c->pk_cap
             || (c->ejlog && st[ST_NEJLOG] + c->nd > c->ej_cap)) {
             stop = STOP_CAPACITY;
             break;
@@ -879,11 +923,13 @@ int run_block(Ctx *c)
         const int ne = *c->nej;
         for (int k = 0; k < ne; k++) {
             const int pid = ej[k];
+            const int32_t *p = REC(c, pid);
+            pk_release(c, pid);
             st[ST_OCC]--;
             st[ST_DEL_TOTAL]++;
-            if (!c->pmeas[pid])
+            if (!p[PK_MEAS])
                 continue;
-            const int64_t lat = st[ST_CYCLE] - c->pinj[pid];
+            const int64_t lat = st[ST_CYCLE] - p[PK_INJ];
             const uint64_t sq = (uint64_t)lat * (uint64_t)lat;
             const uint64_t lo = (uint64_t)st[ST_LAT_SQ_LO] + sq;
             st[ST_LAT_SQ_LO] = (int64_t)lo;
@@ -895,7 +941,7 @@ int run_block(Ctx *c)
                 st[ST_LAT_MAX] = lat;
             st[ST_DEL_MEAS]++;
             if (c->ejlog) {
-                c->ejlog[2 * st[ST_NEJLOG]] = pid;
+                c->ejlog[2 * st[ST_NEJLOG]] = p[PK_SRC];
                 c->ejlog[2 * st[ST_NEJLOG] + 1] = (int32_t)lat;
                 st[ST_NEJLOG]++;
             }

@@ -92,7 +92,7 @@ context member each fills, and one pass fills it), one growth path, one
 watchdog rehydration; and one metrics finaliser — ejections are
 scored in the kernel, and logged for the host only under
 ``keep_samples`` / ``track_per_source``).  A run owns its memory, sized
-by the packets it injects, and is stepped to completion before anything
+by the packets it holds, and is stepped to completion before anything
 else happens, so a batch is a loop over its specs (a serial call is a
 batch of one) and nothing but the compile and pattern caches outlives a
 run.  The kernel injects every packet, through one enqueue; the launch
@@ -1298,9 +1298,9 @@ def _diagnose(
 # The executor: one run, its own arrays, stepped to completion
 # ----------------------------------------------------------------------
 # Every compiled run goes the same way: allocate that run's flat state
-# (`_RunState`) — FIFO rings, injection lists, flit records, counters,
+# (`_RunState`) — FIFO rings, injection lists, packet records, counters,
 # Mersenne Twister states — step it to completion in blocks of the
-# native kernel (`run_block`), doubling the flit
+# native kernel (`run_block`), doubling the packet
 # records whenever a block stops for room, keep the `RunResult` (or the
 # error) and drop everything else.  The kernel enqueues every packet.
 # With an injection plan it chooses them too, so a block spans up to
@@ -1316,13 +1316,14 @@ def _diagnose(
 # counter, latency, and checkpoint byte matches the reference engine
 # either way.
 
-_PK_CAP0 = 4096  # initial per-run packet-record capacity (doubles)
+_PK_CAP0 = 4096  # initial per-run packet-record slots (doubles)
 _EJ_CAP0 = 8192  # initial per-run ejection-log capacity, in int32 slots
 #: Most cycles one kernel block runs when the host has nothing to do in
 #: between; not a memory bound (records grow by demand, whatever the
 #: block length).
 _BLOCK_CYCLES = 4096
 _I32_MAX = 2**31 - 1
+_LOW32 = 0xFFFFFFFF  # a record keeps a packet serial's low 32 bits
 
 
 class _RunState:
@@ -1392,16 +1393,10 @@ class _RunState:
         self.nej = new(1)
         # Only `step_vc` skips clean routers.
         self.dirty = new([1] * n) if model.kind == "vc" else None
-        #: The growable per-packet records, by the context field each
-        #: fills (`paux` is the one the router kinds do not share: the
-        #: assigned VC, or the subnet offset subnet * sublen).
-        self.pk = {
-            name: array("i", bytes(4 * _PK_CAP0))
-            for name in (
-                "psrc", "pinj", "pmeas", "pnext", "pdest", "pout", "paux",
-            )
-        }
-        # (packet id, latency) of each measured ejection since the last
+        #: The growable packet records: `pk_cap` slots of
+        #: `_ckernel.PK_LEN` fields, as many in use as packets alive.
+        self.pk = array("i", bytes(4 * _ckernel.PK_LEN * _PK_CAP0))
+        # (source, latency) of each measured ejection since the last
         # replay — only for runs that keep per-packet data.
         self.ejlog_a = (
             array("i", bytes(4 * _EJ_CAP0)) if log_ejections else None
@@ -1425,6 +1420,7 @@ class _RunState:
         )
         c.maxc = -1 if max_cycles is None else max_cycles
         c.pk_cap = _PK_CAP0
+        c.pk_free = -1
         fill = dict(
             model.tables,
             entry=model.entry,
@@ -1435,7 +1431,7 @@ class _RunState:
             st=self.st, hop=self.hop, link=self.link,
             gsq=new(nflat), gro=new(nflat),
             ej=self.ej, nej=self.nej,
-            **self.pk,
+            pk=self.pk,
         )
         if self.dirty is not None:
             fill.update(prio=new(n), dirty=self.dirty)
@@ -1512,26 +1508,24 @@ class _RunState:
         """Make room for one more injection round and its ejections.
 
         At most one packet per source and one ejection per sink —
-        routers and endpoints, ``nd`` of each — so ``nd`` free records
-        (and ``nd`` log entries, the log having just been replayed)
-        suffice; doubling tracks the traffic seen.
+        routers and endpoints, ``nd`` of each — so ``nd`` free record
+        slots (and ``nd`` log entries, the log having just been
+        replayed) suffice.  The slots in use are the packets alive,
+        ``ST_OCC``, so doubling tracks the most alive at once.
         """
         c = self.ctx
         nd = self.model.nd
-        need = self.st[_ckernel.ST_NPK] + nd
+        need = self.st[_ckernel.ST_OCC] + nd
         if need > c.pk_cap:
             cap = c.pk_cap
             while cap < need:
                 cap *= 2
-            # Zeros go on a block at a time: one block the size of the
-            # growth would be as large as the arrays themselves.
-            grown = cap - c.pk_cap
-            block = bytes(4 * min(grown, _PK_CAP0))
+            # One resize and no temporary: the new slots start as copies
+            # of the old, which nothing reads before an enqueue writes
+            # every field.
+            self.pk *= cap // c.pk_cap
             c.pk_cap = cap
-            for name, a in self.pk.items():
-                for _ in range(4 * grown // len(block)):
-                    a.frombytes(block)
-                setattr(c, name, _ptr(a))
+            c.pk = _ptr(self.pk)
         if self.ejlog_a is not None and nd > c.ej_cap:
             cap = c.ej_cap
             while cap < nd:
@@ -1553,9 +1547,8 @@ class _RunState:
 
         model = self.model
         coords = (*model.nodes, *model.endpoints)
-        buf, pk = self.buf, self.pk
-        pnext, psrc, pinj = pk["pnext"], pk["psrc"], pk["pinj"]
-        pmeas, pdest, paux = pk["pmeas"], pk["pdest"], pk["paux"]
+        buf, pk, width = self.buf, self.pk, _ckernel.PK_LEN
+        npk = int(self.st[_ckernel.ST_NPK])
         has_subnets = "spar" in model.tables
         sublen = model.tables["sublen"]
         net = self.rebuild()
@@ -1566,19 +1559,24 @@ class _RunState:
                 pid = self.phead[r]
                 for _ in range(self.qlen[q]):
                     pids.append(pid)
-                    pid = pnext[pid]
+                    pid = pk[pid * width + _ckernel.PK_NEXT]
             else:
                 ring, cap, head = self.qoff[q], self.qcap[q], self.qhead[q]
                 for k in range(self.qlen[q]):
                     pids.append(buf[ring + (head + k) % cap])
             for pid in pids:
+                rec = pk[pid * width : (pid + 1) * width]
+                # No packet held has 2**32 packets enqueued after it.
+                serial = npk - ((npk - rec[_ckernel.PK_SERIAL]) & _LOW32)
                 pkt = Packet(
-                    pid,
-                    coords[psrc[pid]],
-                    coords[pdest[pid]],
-                    pinj[pid],
-                    subnet=(paux[pid] // sublen) if has_subnets else 0,
-                    measured=bool(pmeas[pid]),
+                    serial,
+                    coords[rec[_ckernel.PK_SRC]],
+                    coords[rec[_ckernel.PK_DEST]],
+                    rec[_ckernel.PK_INJ],
+                    subnet=(
+                        rec[_ckernel.PK_AUX] // sublen if has_subnets else 0
+                    ),
+                    measured=bool(rec[_ckernel.PK_MEAS]),
                 )
                 routers[r].accept(pkt, i, lane)
         net.cycle = int(self.st[_ckernel.ST_CYCLE])
@@ -1803,11 +1801,10 @@ class _Run(_RunState):
             self.samples.extend(latencies)
         per_src = self.per_src
         if per_src is not None:
-            psrc = self.pk["psrc"]
-            for pid, lat in zip(self.ejlog_a[0:end:2], latencies):
-                stats = per_src.get(psrc[pid])
+            for s, lat in zip(self.ejlog_a[0:end:2], latencies):
+                stats = per_src.get(s)
                 if stats is None:
-                    stats = per_src[psrc[pid]] = LatencyStats()
+                    stats = per_src[s] = LatencyStats()
                 stats.add(lat)
         st[_ckernel.ST_NEJLOG] = 0
 
@@ -1888,8 +1885,9 @@ class CompiledFabric(_RunState):
     the hop counts.  Bit-identical to the reference given the same
     calls: an offer is a ``(cycle, source, dest)`` triple on the
     schedule of the next cycle's one-cycle block (an endpoint's source
-    id means its entry queue), the kernel's one ``enqueue`` injects it,
-    and each id in the block's ``ej[]`` hands its payload carrier to
+    id means its entry queue), the kernel's one ``enqueue`` injects it
+    under the next packet serial, and each slot in the block's ``ej[]``
+    hands the carrier of its record's serial to
     ``sinks[dest].deliver(pkt, cycle)`` in commit order.  The host
     writes no queue and no packet record; the only run state it writes
     is the ``ready[]`` word of a gated sink and the wake-up that implies.
@@ -1973,6 +1971,9 @@ class CompiledFabric(_RunState):
         self._sched = self._new(3 * model.nd)
         self.ctx.sched = _ptr(self._sched)
         self.ctx.count = 1
+        # Payload carriers by the low 32 bits of the packet serial,
+        # which the record keeps: this fabric numbers its offers as the
+        # kernel does (ST_NPK), whatever slot each takes.
         self._carriers: Dict[int, Any] = {}
         self._next_pid = 0
 
@@ -1983,7 +1984,7 @@ class CompiledFabric(_RunState):
         self._next_pid = pid + 1
         index = self._index
         self._offers += (self.cycle, index[src], index[dest])
-        pkt = self._carriers[pid] = Packet(
+        pkt = self._carriers[pid & _LOW32] = Packet(
             pid, src, dest, self.cycle, payload=payload
         )
         return pkt
@@ -2076,13 +2077,17 @@ class CompiledFabric(_RunState):
         cycle = self.cycle
         count = self.nej[0]
         if count:
-            ej, pdest, sinks = self.ej, self.pk["pdest"], self.sinks
+            # The ejected slots are free, but only their link changes
+            # before the next block takes them again.
+            ej, pk, sinks = self.ej, self.pk, self.sinks
             carriers, gated = self._carriers, self._gated
+            width = _ckernel.PK_LEN
+            dest_at, serial_at = _ckernel.PK_DEST, _ckernel.PK_SERIAL
             for k in range(count):
-                pid = ej[k]
-                dest = pdest[pid]
+                at = ej[k] * width
+                dest = pk[at + dest_at]
                 sink = sinks[dest]
-                sink.deliver(carriers.pop(pid), cycle)
+                sink.deliver(carriers.pop(pk[at + serial_at] & _LOW32), cycle)
                 if gated[dest] and not sink.ready():
                     self._ready[dest] = 0
                     waiting.append(dest)

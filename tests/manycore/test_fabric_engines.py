@@ -96,16 +96,35 @@ def test_kernel_on_fabric_is_engine_independent(kernel, network):
 @pytest.mark.parametrize("network", ["ruche2-depop", "half-torus"])
 def test_one_cycle_blocks_cross_record_growth(network, monkeypatch):
     """Packet records start small and double whenever a block stops for
-    room; a fabric re-enters the same cycle's block, offers and all."""
+    room; a fabric re-enters the same cycle's block, offers and all.
+    Slots freed at ejection are taken again, so the records follow the
+    most packets a fabric held at once, not the packets it carried."""
     monkeypatch.setattr(fastsim, "_PK_CAP0", 8)
+    peak = {}
+    kernel = fastsim._native_kernel()
+
+    class Spy:  # the packets each fabric holds after every cycle
+        hop_count = kernel.hop_count
+
+        @staticmethod
+        def run_block(cref):
+            stop = kernel.run_block(cref)
+            ctx = cref._obj
+            peak[id(ctx)] = max(
+                peak.get(id(ctx), 0), ctx.st[_ckernel.ST_OCC]
+            )
+            return stop
+
+    monkeypatch.setattr(fastsim, "_native_kernel", lambda: Spy)
     mcfg = MachineConfig(network=network, width=8, height=4)
     params = kernel_params("jacobi", "smoke")
     machine, *compiled = capture(mcfg, "jacobi", "compiled", **params)
     _oracle, *reference = capture(mcfg, "jacobi", "reference", **params)
     assert compiled == reference
     for fabric in (machine.fwd, machine.rev):
-        injected = fabric.st[_ckernel.ST_NPK]
-        assert 8 < injected <= fabric.ctx.pk_cap <= 2 * (injected + 48)
+        cap, nd = fabric.ctx.pk_cap, fabric.model.nd
+        assert 8 < cap <= max(8, 2 * (peak[id(fabric.ctx)] + nd))
+        assert cap < fabric.st[_ckernel.ST_NPK]
 
 
 # ---------------------------------------------------------------------------

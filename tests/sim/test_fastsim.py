@@ -39,9 +39,12 @@ from repro.sim.watchdog import WatchdogConfig
 
 def fingerprint(result):
     """Every metric of a run, excluding provenance (``engine``)."""
-    fields = dataclasses.asdict(result)
-    fields.pop("metrics")
-    fields.pop("engine")
+    # Flat fields only: the trackers' Coord-keyed maps do not asdict.
+    fields = {
+        f.name: getattr(result, f.name)
+        for f in dataclasses.fields(result)
+        if f.name not in ("metrics", "engine")
+    }
     measured = result.metrics.measured
     return (
         fields,
@@ -58,9 +61,11 @@ def fingerprint(result):
     )
 
 
-def assert_engines_identical(spec):
-    reference = build_run(spec.replace(engine="reference"))
-    compiled = build_run(spec.replace(engine="compiled"))
+def assert_engines_identical(spec, **trackers):
+    """Both engines' runs of ``spec``, each with ``trackers``
+    (``track_links``, ``keep_samples``, ``track_per_source``)."""
+    reference = build_run(spec.replace(engine="reference"), **trackers)
+    compiled = build_run(spec.replace(engine="compiled"), **trackers)
     assert compiled.engine == "compiled", (
         f"{spec.topology} unexpectedly fell back to "
         f"{compiled.engine!r}"

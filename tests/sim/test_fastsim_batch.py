@@ -110,6 +110,30 @@ class _KernelSpy:
         return stop
 
 
+def _peak_held(monkeypatch):
+    """Run every block one cycle long and record, per run context (keyed
+    by ``id``), the most packets it held at a cycle's end: the packets
+    alive, ``ST_OCC``."""
+    peak = {}
+    kernel = fastsim._native_kernel()
+
+    class Spy:
+        hop_count = kernel.hop_count
+
+        @staticmethod
+        def run_block(cref):
+            stop = kernel.run_block(cref)
+            ctx = cref._obj
+            peak[id(ctx)] = max(
+                peak.get(id(ctx), 0), ctx.st[_ckernel.ST_OCC]
+            )
+            return stop
+
+    monkeypatch.setattr(fastsim, "_BLOCK_CYCLES", 1)
+    monkeypatch.setattr(fastsim, "_native_kernel", lambda: Spy)
+    return peak
+
+
 def _reference(spec, **trackers):
     """The oracle's run of ``spec``."""
     return build_run(spec.replace(engine="reference"), **trackers)
@@ -747,7 +771,7 @@ class TestRunStateSize:
 
     @staticmethod
     def _owned_bytes(run):
-        arrays = [*run.keep, *run.pk.values()]
+        arrays = [*run.keep, run.pk]
         if run.ejlog_a is not None:
             arrays.append(run.ejlog_a)
         return sum(len(a) * a.itemsize for a in arrays)
@@ -762,22 +786,24 @@ class TestRunStateSize:
         assert self._owned_bytes(logged) < 2 * 2**20
 
     @pytest.mark.parametrize("keep_samples", [False, True])
-    def test_records_track_packets_injected(self, keep_samples):
+    def test_records_track_packets_alive(self, keep_samples, monkeypatch):
+        """Record slots are freed at ejection and reused, so from 8 they
+        double only while the packets alive plus one injection round
+        do not fit, however many packets the run injects."""
+        monkeypatch.setattr(fastsim, "_PK_CAP0", 8)
+        peak = _peak_held(monkeypatch)
         run = _make_run(
             _spec("mesh", 32, 32, **self.SPEC), keep_samples=keep_samples
         )
-        n = run.model.n
+        nd = run.model.nd
         result = run.run()
         assert result.drained
-        bound = max(
-            fastsim._PK_CAP0, 2 * (result.metrics.injected_total + n)
-        )
-        assert fastsim._PK_CAP0 < run.ctx.pk_cap <= bound
-        for a in run.pk.values():
-            assert len(a) == run.ctx.pk_cap
+        assert 8 < run.ctx.pk_cap <= max(8, 2 * (peak[id(run.ctx)] + nd))
+        assert run.ctx.pk_cap < result.metrics.injected_total
+        assert len(run.pk) == _ckernel.PK_LEN * run.ctx.pk_cap
         if keep_samples:
             assert len(run.ejlog_a) == 2 * run.ctx.ej_cap
-            assert run.ctx.ej_cap <= max(fastsim._EJ_CAP0 // 2, 2 * n)
+            assert run.ctx.ej_cap <= max(fastsim._EJ_CAP0 // 2, 2 * nd)
         assert self._owned_bytes(run) < 4 * 2**20
 
 
