@@ -23,9 +23,9 @@ the transient-fault drop
 decision (the ``faults:drops`` stream, drawn from the same C twister at
 the reference's draw point), ejection scoring (the measured-latency
 moments, accumulated in ``st[]``; a per-packet ejection log only for
-runs that ask for per-packet data), and the stall/starvation/
-cycle-budget watchdogs.  Run state is sized by the packets alive, not
-by those injected: a packet's fields are one record, a *slot* of the one
+runs that ask for per-packet data), and the stall/starvation
+watchdogs.  Run state is sized by the packets alive, not by those
+injected: a packet's fields are one record, a *slot* of the one
 array ``Ctx.pk`` (``PK_LEN`` int32 fields, named by the ``PK_*``
 constants), taken at enqueue and freed at ejection or a transient drop
 onto a free list threaded through the records' link field — the field
@@ -208,10 +208,10 @@ typedef struct {
     /* The block: up to count cycles of one phase (blocks never span
      * phases, so measured and drain are per-block constants), ended
      * early by stall_window idle cycles, starve_window cycles without
-     * an ejection (-1: off), cycle maxc (-1: none) or, draining, target
-     * measured packets resolved. */
+     * an ejection (-1: off) or, draining, target measured packets
+     * resolved. */
     int32_t count, measured, drain, stall_window, starve_window;
-    int64_t target, maxc;
+    int64_t target;
 
     /* Injection: mode (MODE_*) says who chooses each cycle's packets.
      * The kernel draws at rate from t_mt / d_mt, CPython Mersenne
@@ -334,7 +334,6 @@ STOP_STALL = 1
 STOP_STARVE = 2
 STOP_DRAINED = 3
 STOP_CAPACITY = 4  # the next injection round might not fit; grow, re-enter
-STOP_MAX_CYCLES = 6
 
 
 def _defines() -> str:
@@ -886,25 +885,25 @@ static void inject_block(Ctx *c)
     t_mt[MT_N] = t_idx;
 }
 
-/* The whole-phase block driver.
+/* The block stepper.
  *
  * Each call runs up to c->count cycles of one phase (warmup, measure,
  * or drain — blocks never span phases, so c->measured and c->drain are
  * per-block constants): the injection round (inject_block), the router
  * step, ejection scoring (the measured-latency moments, plus a log
- * entry when the run keeps per-packet data), and the stall/starvation/
- * cycle-budget watchdogs — all in the exact order of the reference run
- * loop.  Counters live in the ST_LEN-slot int64 st[] block and the
- * STOP_* code tells the caller why the block ended (both #defined from
- * the Python-side constants).  On a watchdog/budget trip the loop
- * breaks BEFORE the cycle counter increments, matching the reference
- * raise points.  A capacity stop breaks before the injection round of a
- * cycle whose packets (one per source at most) or ejections (one per
- * sink at most; sources and sinks both number nd, routers and endpoints)
- * might not fit the free record slots (pk_cap less the st[ST_OCC] in
- * use) or the log — never
- * mid-round, so no twister is half consumed, no schedule entry half
- * read and no watchdog counter moves.
+ * entry when the run keeps per-packet data), and the stall/starvation
+ * watchdogs — all in the exact order of the reference cycle.  Budgets
+ * are the host's: its phase driver ends a block where one is due.
+ * Counters live in the ST_LEN-slot int64 st[] block and the STOP_* code
+ * tells the caller why the block ended (both #defined from the
+ * Python-side constants).  On a watchdog trip the loop breaks BEFORE
+ * the cycle counter increments, matching the reference raise points.
+ * A capacity stop breaks before the injection round of a cycle whose
+ * packets (one per source at most) or ejections (one per sink at most;
+ * sources and sinks both number nd, routers and endpoints) might not
+ * fit the free record slots (pk_cap less the st[ST_OCC] in use) or the
+ * log — never mid-round, so no twister is half consumed, no schedule
+ * entry half read and no watchdog counter moves.
  */
 int run_block(Ctx *c)
 {
@@ -968,10 +967,6 @@ int run_block(Ctx *c)
         }
         st[ST_CYCLE]++;
         ran++;
-        if (c->maxc >= 0 && st[ST_CYCLE] >= c->maxc) {
-            stop = STOP_MAX_CYCLES;
-            break;
-        }
         if (c->drain && st[ST_DEL_MEAS] + st[ST_DROP_MEAS] >= c->target) {
             stop = STOP_DRAINED;
             break;

@@ -10,10 +10,10 @@ with concrete witnesses before the first row is simulated.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Union
 
 from repro.core.params import NetworkConfig
-from repro.core.spec import engine_name
+from repro.core.spec import NetworkSpec, engine_name
 from repro.verify.certify import certify_problems
 
 
@@ -42,13 +42,15 @@ def engine_problems(engines: Iterable[Optional[str]]) -> List[str]:
 
 
 def campaign_preflight(
-    configs: Iterable[NetworkConfig],
+    configs: Iterable[Union[NetworkConfig, NetworkSpec]],
     engines: Iterable[Optional[str]] = (),
 ) -> Callable[[], List[str]]:
     """A ``preflight`` callable for :func:`run_campaign`.
 
     The returned thunk runs the table certifier
-    (:func:`repro.verify.certify.certify_problems`) lazily (at campaign
+    (:func:`repro.verify.certify.certify_problems`) over ``configs`` —
+    bare configs, or the specs the rows run, which are certified with
+    their faults — lazily (at campaign
     start, not at construction) and returns the list of problems;
     ``run_campaign`` raises :class:`~repro.errors.ConfigError` when it
     is non-empty.  ``engines`` optionally carries the simulation-engine

@@ -39,7 +39,7 @@ from repro.sim.fastsim import (
 )
 from repro.sim.faults import FaultSchedule
 from repro.sim.router import P_IDX
-from repro.sim.simulator import _WALL_CHECK_EVERY, run_synthetic
+from repro.sim.simulator import _WALL_CHECK_EVERY, _drive, run_synthetic
 from repro.sim.trace import Trace
 
 
@@ -751,7 +751,7 @@ class TestKernelMoments:
         seed = 2**64 - 5
         run = _make_run(spec)
         run.st[_ckernel.ST_LAT_SQ_LO] = seed - 2**64  # as an int64
-        got = run.run()
+        got = _drive(run.resolved, run)
         assert fingerprint(got)[1:3] == fingerprint(plain)[1:3]
         assert got.metrics.measured.total_sq == (
             seed + plain.metrics.measured.total_sq
@@ -796,7 +796,7 @@ class TestRunStateSize:
             _spec("mesh", 32, 32, **self.SPEC), keep_samples=keep_samples
         )
         nd = run.model.nd
-        result = run.run()
+        result = _drive(run.resolved, run)
         assert result.drained
         assert 8 < run.ctx.pk_cap <= max(8, 2 * (peak[id(run.ctx)] + nd))
         assert run.ctx.pk_cap < result.metrics.injected_total

@@ -26,7 +26,7 @@ from repro.core.spec import NetworkSpec
 from repro.errors import DeadlockError
 from repro.sim import _ckernel, fastsim
 from repro.sim.faults import FaultSchedule
-from repro.sim.simulator import run_synthetic
+from repro.sim.simulator import _drive, run_synthetic
 from repro.sim.watchdog import WatchdogConfig
 
 #: Per design: the arbitration path it takes through the kernel.
@@ -77,7 +77,7 @@ class TestPacketSlots:
                 measure=measure, drain_limit=2_000, engine="compiled",
             )
             run = _make_run(spec)
-            result = run.run()
+            result = _drive(run.resolved, run)
             assert result.drained
             caps.append(run.ctx.pk_cap)
         assert caps[0] == caps[1]
