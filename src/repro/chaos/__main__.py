@@ -54,7 +54,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--preflight", action="store_true",
-        help="statically verify the healthy design points first",
+        help="statically verify every row's design point, its faults "
+             "included, before the first row simulates",
     )
     args = parser.parse_args(argv)
 

@@ -183,15 +183,6 @@ class RunMetrics:
         if pkt.measured:
             self.dropped_measured += 1
 
-    @property
-    def resolved_measured(self) -> int:
-        """Measured packets that left the network (delivered or dropped).
-
-        The drain condition compares this against ``injected_measured``
-        so that a lossy (transient-fault) run can still terminate.
-        """
-        return self.delivered_measured + self.dropped_measured
-
     def per_source_means(self) -> Dict[Coord, float]:
         """Per-tile mean latency (the Figure 8 distribution)."""
         if self.per_source is None:

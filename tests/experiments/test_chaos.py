@@ -11,7 +11,6 @@ directly.
 import pytest
 
 from repro import chaos
-from repro.core.params import NetworkConfig
 from repro.experiments.registry import experiment_ids, run_experiment
 
 
@@ -27,11 +26,10 @@ class TestHelpers:
         assert chaos._scaled(0, 1024) == 0
 
     def test_build_schedule_is_seed_deterministic(self):
-        config = NetworkConfig.from_name("mesh", 8, 8)
-        tier = next(t for t in chaos.TIERS if t["tier"] == "mauled")
-        one = chaos.build_schedule(config, tier, 64, seed=4)
-        two = chaos.build_schedule(config, tier, 64, seed=4)
-        other = chaos.build_schedule(config, tier, 64, seed=5)
+        row = dict(scale="smoke", config="mesh", tier="mauled")
+        one = chaos.build_schedule(dict(row, fault_seed=4))
+        two = chaos.build_schedule(dict(row, fault_seed=4))
+        other = chaos.build_schedule(dict(row, fault_seed=5))
         assert one.killed_channels == two.killed_channels
         assert one.dead_routers == two.dead_routers
         assert one.transient == two.transient
